@@ -8,8 +8,6 @@ dictionaries validated against the tables.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-
 from .simplicial import ValidationReport
 from .util import Budget, ensure_budget
 
@@ -198,17 +196,41 @@ def contractible_groupoid(labels=("a", "b")) -> FiniteCategory:
                           "E(" + "".join(objects) + ")")
 
 
+def pair_id(a: str, b: str) -> str:
+    """Identifier of the pair (a, b) of objects or morphisms of a product."""
+    return f"({a},{b})"
+
+
+def split_pair(token: str) -> tuple:
+    """The components (a, b) of ``pair_id(a, b)``; components may be pairs."""
+    depth = 0
+    comma = None
+    for pos, ch in enumerate(token):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 1 and comma is None:
+            comma = pos
+        if depth <= 0 and pos < len(token) - 1:
+            break  # the outer parentheses must span the whole token
+    else:
+        if depth == 0 and comma is not None:
+            return token[1:comma], token[comma + 1:-1]
+    raise ValueError(f"not a pair identifier: {token!r}")
+
+
 def product_cat(J: FiniteCategory, K: FiniteCategory) -> FiniteCategory:
-    objects = [f"({x},{y})" for x in J.objects for y in K.objects]
+    """J x K, with objects and morphisms named by :func:`pair_id`."""
+    objects = [pair_id(x, y) for x in J.objects for y in K.objects]
     morphisms = {}
     identities = {}
     for m, (d1, c1) in J.morphisms.items():
         for n, (d2, c2) in K.morphisms.items():
-            p = f"({m},{n})"
-            morphisms[p] = (f"({d1},{d2})", f"({c1},{c2})")
+            morphisms[pair_id(m, n)] = (pair_id(d1, d2), pair_id(c1, c2))
     for x in J.objects:
         for y in K.objects:
-            identities[f"({x},{y})"] = f"({J.identities[x]},{K.identities[y]})"
+            identities[pair_id(x, y)] = pair_id(J.identities[x], K.identities[y])
     compose = {}
     idset = set(identities.values())
     j_in: dict = {}
@@ -219,15 +241,15 @@ def product_cat(J: FiniteCategory, K: FiniteCategory) -> FiniteCategory:
         k_in.setdefault(c, []).append(fn)
     for gm, (gd, _) in J.morphisms.items():
         for gn, (gnd, _) in K.morphisms.items():
-            g = f"({gm},{gn})"
+            g = pair_id(gm, gn)
             if g in idset:
                 continue
             for fm in j_in.get(gd, ()):
                 for fn in k_in.get(gnd, ()):
-                    f = f"({fm},{fn})"
+                    f = pair_id(fm, fn)
                     if f in idset:
                         continue
-                    compose[(g, f)] = f"({J.compose(gm, fm)},{K.compose(gn, fn)})"
+                    compose[(g, f)] = pair_id(J.compose(gm, fm), K.compose(gn, fn))
     return FiniteCategory(objects, morphisms, compose, identities,
                           f"({J.name}x{K.name})")
 
@@ -337,6 +359,11 @@ def constant_functor(J: FiniteCategory, C: FiniteCategory, obj: str, name: str =
                    name or f"const_{obj}")
 
 
+def vertex_functor(term: FiniteCategory, J: FiniteCategory, obj: str) -> Functor:
+    """The object ``obj`` of J as a functor out of the terminal category [0]."""
+    return Functor(term, J, {"0": obj}, {}, f"vx_{J.name}_{obj}")
+
+
 class NatTransf:
     def __init__(self, source: Functor, target: Functor, components, name: str = ""):
         self.source = source
@@ -403,20 +430,6 @@ def horizontal_compose(beta: NatTransf, alpha: NatTransf) -> NatTransf:
     return NatTransf(compose_functors(beta.source, alpha.source),
                      compose_functors(beta.target, alpha.target),
                      comps, f"{beta.name}*{alpha.name}")
-
-
-def whisker_left(F: Functor, alpha: NatTransf) -> NatTransf:
-    """F * alpha, postcomposing each component with F."""
-    return NatTransf(compose_functors(F, alpha.source), compose_functors(F, alpha.target),
-                     {x: F.on_morphism(alpha.at(x)) for x in alpha.components},
-                     f"{F.name}*{alpha.name}")
-
-
-def whisker_right(alpha: NatTransf, F: Functor) -> NatTransf:
-    """alpha * F, reindexing components along F."""
-    return NatTransf(compose_functors(alpha.source, F), compose_functors(alpha.target, F),
-                     {x: alpha.at(F.ob[x]) for x in F.source.objects},
-                     f"{alpha.name}*{F.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +558,12 @@ def enumerate_nats(u: Functor, v: Functor, budget: Budget = None) -> list:
 
 
 class FunctorCategory:
-    """The category J^K with a lookup from functor/nat data to identifiers."""
+    """The category J^K; ``functor_by_id`` and ``nat_by_id`` hold the data behind its ids."""
 
     def __init__(self, K: FiniteCategory, J: FiniteCategory, budget: Budget = None):
         budget = ensure_budget(budget, f"functor category {J.name}^{K.name}")
         functors = enumerate_functors(K, J, budget)
         self.functor_by_id = {f"F{i}": F for i, F in enumerate(functors)}
-        self.id_by_functor = {F.key(): fid for fid, F in self.functor_by_id.items()}
         morphisms = {}
         identities = {}
         self.nat_by_id = {}
@@ -581,21 +593,6 @@ class FunctorCategory:
                 compose[(mid, nid)] = cid
         self.category = FiniteCategory(self.functor_by_id.keys(), morphisms, compose,
                                        identities, f"{J.name}^{K.name}")
-
-    def object_id(self, F: Functor) -> str:
-        return self.id_by_functor[F.key()]
-
-    def morphism_id(self, n: NatTransf) -> str:
-        fid = self.object_id(n.source)
-        gid = self.object_id(n.target)
-        for nid, cand in self.nat_by_id.items():
-            if self.category.morphisms[nid] == (fid, gid) and cand.components == n.components:
-                return nid
-        raise KeyError("natural transformation not found in functor category")
-
-
-def functor_category(K: FiniteCategory, J: FiniteCategory, budget: Budget = None) -> FunctorCategory:
-    return FunctorCategory(K, J, budget)
 
 
 def is_homotopy_finite(J: FiniteCategory):
@@ -652,11 +649,6 @@ def equivalence_inverse(F: Functor, budget: Budget = None):
         lifts = [m for m in C.hom(ob[d], ob[c]) if F.on_morphism(m) == conj]
         mor[g] = lifts[0]
     return Functor(D, C, ob, mor, f"{F.name}^-1")
-
-
-def is_equivalence_of_categories(F: Functor, budget: Budget = None):
-    inv = equivalence_inverse(F, budget)
-    return inv is not None, inv
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,10 @@ def cmd_ho(args, report: Report) -> None:
 
 
 def cmd_exp(args, report: Report) -> None:
-    from .mapping import exponential
+    from .mapping import Exponential
     T = _load_sset(args.base)
     S = _load_sset(args.exponent)
-    E = exponential(T, S, args.level, Budget(args.budget, "exponential"))
+    E = Exponential(T, S, args.level, Budget(args.budget, "exponential"))
     for n in range(args.level + 1):
         report.add(f"level {n}: {len(E.sset.nondeg(n))} nondegenerate, "
                    f"{E.sset.total_count(n)} total",
@@ -180,18 +180,6 @@ def cmd_whitehead(args, report: Report) -> None:
             report.add(f"disagreement on {r.name}", ok=False)
 
 
-def cmd_verify_suite(args, report: Report) -> None:
-    from .suite import run_suite
-    rows = run_suite(sample=_load_sample(args.sample), budget_limit=args.budget)
-    width = max(len(r[0]) for r in rows) + 2
-    report.add(f"{'check'.ljust(width)}instances  result")
-    for name, instances, ok, detail in rows:
-        status = "pass" if ok else "FAIL"
-        report.add(f"{name.ljust(width)}{str(instances).ljust(11)}{status}",
-                   {"check": name, "instances": instances, "ok": ok,
-                    "detail": detail}, ok=ok)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcatkit",
@@ -246,10 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", default=None)
     p.set_defaults(run=cmd_whitehead)
 
-    p = sub.add_parser("verify-suite", help="run every check and print the table")
-    p.add_argument("--sample", default=None)
-    p.set_defaults(run=cmd_verify_suite)
-
     return parser
 
 
@@ -259,9 +243,7 @@ def main(argv=None) -> int:
     report = Report(args.format)
     try:
         args.run(args, report)
-    except BudgetExceeded as err:
-        report.add(f"error: {err}", ok=False)
-    except (ValueError, KeyError, OSError) as err:
+    except (BudgetExceeded, ValueError, KeyError, OSError) as err:
         report.add(f"error: {err}", ok=False)
     text = report.render()
     if args.report and args.command != "nerve":

@@ -1,15 +1,12 @@
 """The standard desk-scale corpus and its deliberate mutations.
 
-Everything the verification suite runs on lives here: the simplicial-set
+Everything the checks run on lives here: the simplicial-set
 corpus, its quasicategory members, single-face mutations that must fail
 validation, prederivator mutations that must each fail one axiom audit,
-the labeled map corpus for the equivalence-agreement experiment, and the
-seeded generator of commutative squares.
+and the labeled map corpus for the equivalence-agreement experiment.
 """
 
 from __future__ import annotations
-
-import random
 
 from .cats import (
     FiniteCategory,
@@ -24,9 +21,8 @@ from .cats import (
     poset_simplex,
     product_cat,
 )
-from .mapping import Square
-from .nerve import NerveSSet, ho, nerve, nerve_map
-from .prederivator import DiaSample, HoPrederivator, Prederivator, standard_sample
+from .nerve import NerveSSet, nerve, nerve_map
+from .prederivator import HoPrederivator, Prederivator
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
@@ -319,28 +315,3 @@ def labeled_map_corpus() -> list:
                    {"0": "0", "1": "1"}, {"m01": "m01"}, "incl01")
     entries.append(("incl_N[1]_N[2]", nerve_map(incl, source=n1, target=n2), False))
     return entries
-
-
-# ---------------------------------------------------------------------------
-# random commutative squares
-
-
-def random_squares(pres, rng: random.Random, count: int) -> list:
-    """Commutative squares sampled uniformly from the composable data."""
-    cat = pres.category
-    mors = sorted(cat.morphisms)
-    squares = []
-    guard = 0
-    while len(squares) < count and guard < 10000:
-        guard += 1
-        top = rng.choice(mors)
-        left = rng.choice([m for m in mors if cat.dom(m) == cat.dom(top)])
-        right = rng.choice([m for m in mors if cat.dom(m) == cat.cod(top)])
-        diag = cat.compose(right, top)
-        bottoms = [m for m in mors
-                   if cat.dom(m) == cat.cod(left) and cat.cod(m) == cat.cod(right)
-                   and cat.compose(m, left) == diag]
-        if not bottoms:
-            continue
-        squares.append(Square(pres, top, rng.choice(bottoms), left, right))
-    return squares

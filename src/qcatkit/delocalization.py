@@ -11,24 +11,17 @@ depth: the construction is depth-free only on paper.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-
 from .cats import FiniteCategory, Functor
-from .nerve import NerveSSet, ho, nerve, require_quasicategory
-from .prederivator import simplicial_action
+from .nerve import ho, nerve, require_quasicategory
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
     ValidationReport,
-    parse_expr,
+    monotone_tuples,
+    simplicial_action,
 )
 from .util import Budget, ensure_budget
-
-
-def _monotone_tuples(m: int, n: int):
-    return [t for t in iproduct(range(n + 1), repeat=m + 1)
-            if all(t[i] <= t[i + 1] for i in range(m))]
 
 
 def _obj_id(m: int, e: SimplexExpr) -> str:
@@ -60,7 +53,7 @@ class SimplexCategory:
         for tgt in objects:
             n, y = self.simplex_of[tgt]
             for m in range(depth + 1):
-                for alpha in _monotone_tuples(m, n):
+                for alpha in monotone_tuples(m, n):
                     x = simplicial_action(S, alpha, y)
                     src = _obj_id(m, x)
                     mid = _mor_id(src, tgt, alpha)
@@ -102,15 +95,11 @@ class SimplexCategory:
                 f"{len(self.category.morphisms)} morphisms, {len(self.marked)} marked>")
 
 
-def category_of_simplices(S: TruncatedSSet, d: int) -> SimplexCategory:
-    return SimplexCategory(S, d)
-
-
 def simplex_functor(f: SimplicialMap, d: int, source: SimplexCategory = None,
                     target: SimplexCategory = None) -> Functor:
     """The functor between simplex categories induced by a simplicial map."""
-    src = source if source is not None else category_of_simplices(f.source, d)
-    tgt = target if target is not None else category_of_simplices(f.target, d)
+    src = source if source is not None else SimplexCategory(f.source, d)
+    tgt = target if target is not None else SimplexCategory(f.target, d)
     ob = {}
     for oid, (m, e) in src.simplex_of.items():
         ob[oid] = _obj_id(m, f.apply(e))
@@ -129,7 +118,7 @@ def last_vertex_projection(S: TruncatedSSet, d: int, nerve_dim: int = 2):
     nerve, map); the map is validated, and a failure is surfaced rather
     than repaired.
     """
-    sc = category_of_simplices(S, d)
+    sc = SimplexCategory(S, d)
     N = nerve(sc.category, max(2, nerve_dim))
     assignment = {}
     for k in range(N.dim_bound + 1):

@@ -16,8 +16,11 @@ from .cats import (
     constant_functor,
     full_subcategory,
     identity_functor,
+    pair_id,
     poset_simplex,
     product_cat,
+    split_pair,
+    vertex_functor,
 )
 from .nerve import nerve, nerve_product_compare
 from .prederivator import (
@@ -26,9 +29,6 @@ from .prederivator import (
     HoPrederivator,
     Prederivator,
     StrictMorphism,
-    _left_component,
-    _right_component,
-    _vertex_functor,
     enumerate_strict_morphisms,
 )
 from .simplicial import (
@@ -86,12 +86,12 @@ class ShiftedPrederivator(Prederivator):
         P_dst = self.base.sample.cat(self.paired(dst))
         ob = {}
         for x in P_src.objects:
-            j, k = _left_component(x), _right_component(x)
-            ob[x] = f"({j},{u.ob[k]})"
+            j, k = split_pair(x)
+            ob[x] = pair_id(j, u.ob[k])
         mor = {}
         for m in P_src.nonidentity():
-            jm, km = _left_component(m), _right_component(m)
-            mor[m] = f"({jm},{u.on_morphism(km)})"
+            jm, km = split_pair(m)
+            mor[m] = pair_id(jm, u.on_morphism(km))
         return Functor(P_src, P_dst, ob, mor, f"id_{self.J_name}x{u.name}")
 
     def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
@@ -103,8 +103,8 @@ class ShiftedPrederivator(Prederivator):
         v_l = self._lift_functor(alpha.target, src, dst)
         comps = {}
         for x in self.base.sample.cat(self.paired(src)).objects:
-            j, k = _left_component(x), _right_component(x)
-            comps[x] = f"({self.J.identities[j]},{alpha.at(k)})"
+            j, k = split_pair(x)
+            comps[x] = pair_id(self.J.identities[j], alpha.at(k))
         lifted = NatTransf(u_l, v_l, comps, f"id x {alpha.name}")
         base_img = self.base.on_nat(lifted, self.paired(src), self.paired(dst))
         ustar = self.on_functor(alpha.source, src, dst)
@@ -121,8 +121,8 @@ def chain_embedding(sample: DiaSample, J_name: str, K_name: str, pname: str,
     """The slice embedding K -> J x K at object t of a chain J = [j]."""
     K = sample.cat(K_name)
     chain = sample.cat(J_name)
-    ob = {k: f"({t},{k})" for k in K.objects}
-    mor = {m: f"({chain.identities[str(t)]},{m})" for m in K.nonidentity()}
+    ob = {k: pair_id(str(t), k) for k in K.objects}
+    mor = {m: pair_id(chain.identities[str(t)], m) for m in K.nonidentity()}
     return Functor(K, sample.cat(pname), ob, mor, f"at{t}_{K_name}")
 
 
@@ -132,7 +132,7 @@ def chain_step_nat(sample: DiaSample, J_name: str, K_name: str, pname: str,
     K = sample.cat(K_name)
     e0 = chain_embedding(sample, J_name, K_name, pname, t)
     e1 = chain_embedding(sample, J_name, K_name, pname, t + 1)
-    comps = {k: f"(m{t}{t + 1},{K.identities[k]})" for k in K.objects}
+    comps = {k: pair_id(f"m{t}{t + 1}", K.identities[k]) for k in K.objects}
     return NatTransf(e0, e1, comps, f"step{t}_{K_name}")
 
 
@@ -187,7 +187,7 @@ def enrichment_sample(n_max: int = 1, depth: int = 0) -> DiaSample:
                           constant_functor(s.cat(name), s.cat("[0]"), "0", f"!{name}"))
         for obj in s.cat(name).objects:
             s.add_functor(f"vx_{name}_{obj}", "[0]", name,
-                          _vertex_functor(s.cat("[0]"), s.cat(name), obj))
+                          vertex_functor(s.cat("[0]"), s.cat(name), obj))
     return s
 
 
@@ -228,14 +228,14 @@ def simplicial_operator(D2: Prederivator, F: StrictMorphism, alpha: tuple,
         P_n = D2.sample.cat(dst_p)
         ob = {}
         for x in P_m.objects:
-            t, k = _left_component(x), _right_component(x)
-            ob[x] = f"({alpha[int(t)]},{k})"
+            t, k = split_pair(x)
+            ob[x] = pair_id(str(alpha[int(t)]), k)
         mor = {}
         for mm in P_m.nonidentity():
-            tm, km = _left_component(mm), _right_component(mm)
+            tm, km = split_pair(mm)
             lo, hi = chain_m.morphisms[tm] if tm in chain_m.morphisms else (None, None)
             a, b = alpha[int(lo)], alpha[int(hi)]
-            mor[mm] = f"(m{a}{b},{km})"
+            mor[mm] = pair_id(f"m{a}{b}", km)
         alpha_x_id = Functor(P_m, P_n, ob, mor, f"a{alpha}x id_{K_name}")
         restrict = D2.on_functor(alpha_x_id, src_p, dst_p)
         comps[K_name] = compose_functors(restrict, F.at(K_name))
@@ -263,12 +263,12 @@ def compose_simplicial(D3: Prederivator, f: StrictMorphism, g: StrictMorphism,
         P_nested = D3.sample.cat(nested)
         ob = {}
         for x in P_nK.objects:
-            t, k = _left_component(x), _right_component(x)
-            ob[x] = f"({t},({t},{k}))"
+            t, k = split_pair(x)
+            ob[x] = pair_id(t, pair_id(t, k))
         mor = {}
         for m in P_nK.nonidentity():
-            tm, km = _left_component(m), _right_component(m)
-            mor[m] = f"({tm},({tm},{km}))"
+            tm, km = split_pair(m)
+            mor[m] = pair_id(tm, pair_id(tm, km))
         diag = Functor(P_nK, P_nested, ob, mor, f"diag_{cn}_{K_name}")
         restrict = D3.on_functor(diag, pn_K, nested)
         comps[K_name] = compose_functors(

@@ -9,7 +9,7 @@ certified constructions derived from them.
 
 from __future__ import annotations
 
-from .nerve import HoPresentation, ho, require_quasicategory
+from .nerve import HoPresentation, QcatReport, ho, require_quasicategory
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
@@ -195,14 +195,6 @@ class Exponential:
         e = P.pair_expr(vert, SimplexExpr((), top_cell(n)))
         return mu.apply(e)
 
-    def vertex_cell(self, mu: SimplicialMap) -> str:
-        return self.locate(mu).base
-
-
-def exponential(T: TruncatedSSet, S: TruncatedSSet, k: int = 2,
-                budget: Budget = None) -> Exponential:
-    return Exponential(T, S, k, budget)
-
 
 # ---------------------------------------------------------------------------
 # Kan core
@@ -265,28 +257,16 @@ def mapping_space(Q: TruncatedSSet, x: str, y: str, k: int = 2,
     return MappingSpace(Q, x, y, k, budget)
 
 
-def kan_check(S: TruncatedSSet, budget: Budget = None):
-    """Horn filling for all horns, outer included, up to the truncation."""
-    from .nerve import QcatReport
+def kan_check(S: TruncatedSSet, budget: Budget = None) -> QcatReport:
+    """Horn filling for all horns, outer included, up to the truncation.
+
+    The report has the layout of :func:`qcatkit.nerve.is_quasicategory`;
+    its witness is the first unfilled horn with its horn map.
+    """
     budget = ensure_budget(budget, f"kan check on {S.name}")
     report = QcatReport(S.name, S.dim_bound)
     for n in range(1, S.dim_bound + 1):
-        shape = standard_simplex(n, max(2, n))
-        for i in range(n + 1):
-            hn = horn(n, i, max(2, n - 1))
-            count = 0
-            unique = True
-            for hmap in enumerate_maps(hn, S, budget):
-                count += 1
-                fillers = enumerate_maps(shape, S, budget, fixed=hmap.assignment)
-                if not fillers:
-                    report.ok = False
-                    if report.witness is None:
-                        report.witness = f"horn({n},{i})"
-                if len(fillers) != 1:
-                    unique = False
-            report.by_horn[(n, i)] = (count, unique)
-            report.horns_checked += count
+        report.check_horns(S, n, range(n + 1), budget)
     return report
 
 
@@ -357,11 +337,6 @@ class Square:
             raise ValueError("square does not commute")
         self.pres = pres
         self.top, self.bottom, self.left, self.right = top, bottom, left, right
-
-    def corners(self):
-        cat = self.pres.category
-        return (cat.dom(self.top), cat.cod(self.top),
-                cat.cod(self.left), cat.cod(self.bottom))
 
     def key(self):
         return (self.top, self.bottom, self.left, self.right)
@@ -473,7 +448,7 @@ def lift_square(Q: TruncatedSSet, square: Square, f: SimplexExpr, g: SimplexExpr
     tau = filler.target.face(filler.assignment[top_cell(3)], 1)
     steps["tau"] = tau
     if E is None:
-        E = exponential(Q, standard_simplex(1, 2), 2, budget)
+        E = Exponential(Q, standard_simplex(1, 2), 2, budget)
     if ho_E is None:
         ho_E = ho(E.sset, budget)
     prism = prism_map(E, f, g, triangle_a=a, triangle_b=tau, h=h, k=k, diag=d1a)

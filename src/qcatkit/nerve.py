@@ -14,23 +14,17 @@ which the tests assert on the corpus).
 
 from __future__ import annotations
 
-from .cats import (
-    FiniteCategory,
-    Functor,
-    NatTransf,
-    product_cat,
-)
+import weakref
+
+from .cats import FiniteCategory, Functor, pair_id, split_pair
 from .simplicial import (
     ProductSSet,
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
-    compose_words,
-    enumerate_maps,
+    extensions,
     horn,
     insert_letter,
-    product,
-    standard_simplex,
 )
 from .util import Budget, UnionFind, ensure_budget
 
@@ -136,27 +130,11 @@ def nerve_product_compare(NJK: NerveSSet, P: ProductSSet) -> SimplicialMap:
     """
     NJ: NerveSSet = P.left
     NK: NerveSSet = P.right
-
-    def split(tok: str):
-        depth = 0
-        for pos, ch in enumerate(tok):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 1:
-                return tok[1:pos], tok[pos + 1:-1]
-        raise ValueError(f"not a pair identifier: {tok!r}")
-
     assignment = {}
     for n in range(NJK.dim_bound + 1):
         for cid in NJK.nondeg(n):
-            c = NJK.chain_of[cid]
-            lefts = [split(t)[0] for t in c]
-            rights = [split(t)[1] for t in c]
-            e1 = NJ.chain_expr(tuple(lefts))
-            e2 = NK.chain_expr(tuple(rights))
-            assignment[cid] = P.pair_expr(e1, e2)
+            lefts, rights = zip(*(split_pair(t) for t in NJK.chain_of[cid]))
+            assignment[cid] = P.pair_expr(NJ.chain_expr(lefts), NK.chain_expr(rights))
     return SimplicialMap(NJK, P, assignment)
 
 
@@ -164,15 +142,11 @@ def nerve_product_compare_inv(P: ProductSSet, NJK: NerveSSet) -> SimplicialMap:
     """Canonical isomorphism N(J) x N(K) -> N(J x K)."""
     NJ: NerveSSet = P.left
     NK: NerveSSet = P.right
-    JK = NJK.cat
     assignment = {}
     for n in range(P.dim_bound + 1):
         for pid in P.nondeg(n):
             e1, e2 = P.pair_of[pid]
-            c1 = NJ.expr_chain(e1)
-            c2 = NK.expr_chain(e2)
-            pair_chain = (f"({c1[0]},{c2[0]})",) + tuple(
-                f"({m1},{m2})" for m1, m2 in zip(c1[1:], c2[1:]))
+            pair_chain = tuple(map(pair_id, NJ.expr_chain(e1), NK.expr_chain(e2)))
             assignment[pid] = NJK.chain_expr(pair_chain)
     return SimplicialMap(P, NJK, assignment)
 
@@ -201,6 +175,25 @@ class QcatReport:
         if self.witness is not None:
             out.append(f"  unfilled horn: {self.witness}")
         return out
+
+    def check_horns(self, S: TruncatedSSet, n: int, indices, budget: Budget) -> None:
+        """Record the fillers of every map horn(n, i) -> S for i in ``indices``."""
+        for i in indices:
+            count = 0
+            unique = True
+            for hmap, fillers in extensions(horn(n, i, max(2, n - 1)), n, S, budget):
+                count += 1
+                if not fillers:
+                    self.ok = False
+                    if self.witness is None:
+                        desc = {x: e.token() for x, e in sorted(hmap.assignment.items())}
+                        self.witness = f"horn({n},{i}) {desc}"
+                if len(fillers) != 1:
+                    unique = False
+            self.by_horn[(n, i)] = (count, unique)
+            self.horns_checked += count
+            if not unique:
+                self.unique_fillers = False
 
 
 def _check_level2_horn(S: TruncatedSSet, report: QcatReport, budget: Budget) -> None:
@@ -243,39 +236,18 @@ def is_quasicategory(S: TruncatedSSet, budget: Budget = None, max_dim: int = Non
     report = QcatReport(S.name, max_dim)
     _check_level2_horn(S, report, budget)
     for n in range(3, max_dim + 1):
-        shape = standard_simplex(n, max(2, n))
-        for i in range(1, n):
-            hn = horn(n, i, max(2, n - 1))
-            unique = True
-            count = 0
-            for hmap in enumerate_maps(hn, S, budget):
-                count += 1
-                fillers = enumerate_maps(shape, S, budget, fixed=hmap.assignment)
-                if not fillers:
-                    report.ok = False
-                    if report.witness is None:
-                        desc = {x: e.token() for x, e in sorted(hmap.assignment.items())}
-                        report.witness = f"horn({n},{i}) {desc}"
-                if len(fillers) != 1:
-                    unique = False
-            report.by_horn[(n, i)] = (count, unique)
-            report.horns_checked += count
-            if not unique:
-                report.unique_fillers = False
+        report.check_horns(S, n, range(1, n), budget)
     return report
 
 
-_QCAT_CACHE: dict = {}
+# checked sets leave the cache when nothing else refers to them
+_QCAT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def require_quasicategory(S: TruncatedSSet, budget: Budget = None) -> QcatReport:
-    key = id(S)
-    report = _QCAT_CACHE.get(key)
-    if report is None or report[0] is not S:
-        rep = is_quasicategory(S, budget)
-        _QCAT_CACHE[key] = (S, rep)
-        report = (S, rep)
-    rep = report[1]
+    rep = _QCAT_CACHE.get(S)
+    if rep is None:
+        rep = _QCAT_CACHE[S] = is_quasicategory(S, budget)
     if not rep.ok:
         raise ValueError(f"{S.name} is not a quasicategory: {rep.witness}")
     return rep

@@ -24,33 +24,29 @@ from .cats import (
     constant_functor,
     enumerate_functors,
     equivalence_inverse,
-    functor_category,
     horizontal_compose,
     identity_functor,
     identity_nat,
+    pair_id,
     poset_simplex,
     product_cat,
     coproduct_cat,
     boundary_two,
     empty_category,
+    split_pair,
+    vertex_functor,
     vertical_compose,
 )
-from .mapping import Exponential, exponential
-from .nerve import (
-    NerveSSet,
-    ho,
-    nerve,
-    nerve_map,
-    nerve_product_compare_inv,
-)
+from .mapping import Exponential
+from .nerve import ho, nerve, nerve_map, nerve_product_compare_inv
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
     ValidationReport,
-    compose_maps,
+    monotone_tuples,
     product,
-    standard_simplex,
+    simplicial_action,
 )
 from .util import Budget, ensure_budget
 
@@ -121,12 +117,6 @@ class DiaSample:
                 return name
         raise ClosureError(f"category {C.name} is not in sample {self.name}")
 
-    def product_name(self, a: str, b: str) -> str:
-        key = (a, b)
-        if key not in self.products:
-            raise ClosureError(f"sample {self.name} lacks the product {a} x {b}")
-        return self.products[key]
-
     def shift_name(self, j: str) -> str:
         if j not in self.shifts:
             raise ClosureError(f"sample {self.name} lacks the shift {j} x [1]")
@@ -181,19 +171,15 @@ class DiaSample:
         return report
 
 
-def _vertex_functor(term: FiniteCategory, J: FiniteCategory, obj: str) -> Functor:
-    return Functor(term, J, {"0": obj}, {}, f"vx_{J.name}_{obj}")
-
-
 def _endpoint_functor(J: FiniteCategory, JxI: FiniteCategory, t: int) -> Functor:
     ids = poset_simplex(1).identities
-    ob = {x: f"({x},{t})" for x in J.objects}
-    mor = {m: f"({m},{ids[str(t)]})" for m in J.nonidentity()}
+    ob = {x: pair_id(x, str(t)) for x in J.objects}
+    mor = {m: pair_id(m, ids[str(t)]) for m in J.nonidentity()}
     return Functor(J, JxI, ob, mor, f"end{t}_{J.name}")
 
 
 def _interval_nat(J: FiniteCategory, JxI: FiniteCategory, i0: Functor, i1: Functor) -> NatTransf:
-    comps = {x: f"({J.identities[x]},m01)" for x in J.objects}
+    comps = {x: pair_id(J.identities[x], "m01") for x in J.objects}
     return NatTransf(i0, i1, comps, f"step_{J.name}")
 
 
@@ -231,7 +217,7 @@ def standard_sample() -> DiaSample:
                           constant_functor(s.cat(name), p0, "0", f"!{name}"))
         for obj in s.cat(name).objects:
             s.add_functor(f"vx_{name}_{obj}", "[0]", name,
-                          _vertex_functor(p0, s.cat(name), obj))
+                          vertex_functor(p0, s.cat(name), obj))
     # simplex operators between [1] and [2]
     for fname, images in [("d0_[2]", ("1", "2")), ("d1_[2]", ("0", "2")), ("d2_[2]", ("0", "1"))]:
         lo, hi = images
@@ -260,8 +246,8 @@ def standard_sample() -> DiaSample:
         JxI = s.cat(s.shifts[j])
         i0 = s.add_functor(f"end0_{j}", j, s.shifts[j], _endpoint_functor(J, JxI, 0))
         i1 = s.add_functor(f"end1_{j}", j, s.shifts[j], _endpoint_functor(J, JxI, 1))
-        pr = Functor(JxI, J, {x: x.split(",")[0][1:] for x in JxI.objects},
-                     {m: _left_component(m) for m in JxI.nonidentity()}, f"proj_{j}")
+        pr = Functor(JxI, J, {x: split_pair(x)[0] for x in JxI.objects},
+                     {m: split_pair(m)[0] for m in JxI.nonidentity()}, f"proj_{j}")
         s.add_functor(f"proj_{j}", s.shifts[j], j, pr)
         s.add_nat(f"step_{j}", f"end0_{j}", f"end1_{j}", _interval_nat(J, JxI, i0, i1))
     # coproduct injections
@@ -281,30 +267,6 @@ def standard_sample() -> DiaSample:
                   NatTransf(s.functors[f"vx_[2]_{i}"], s.functors[f"vx_[2]_{j}"],
                             {"0": f"m{i}{j}"}))
     return s
-
-
-def _left_component(pair_mor: str) -> str:
-    depth = 0
-    for pos, ch in enumerate(pair_mor):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return pair_mor[1:pos]
-    raise ValueError(f"not a pair morphism: {pair_mor!r}")
-
-
-def _right_component(pair_mor: str) -> str:
-    depth = 0
-    for pos, ch in enumerate(pair_mor):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return pair_mor[pos + 1:-1]
-    raise ValueError(f"not a pair morphism: {pair_mor!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +409,13 @@ class HoPrederivator(Prederivator):
         J = self.sample.cat(J_name)
         N = nerve(J, 2)
         try:
-            E = exponential(self.Q, N, 2, self.budget)
+            E = Exponential(self.Q, N, 2, self.budget)
         except ValueError as err:
             raise ValueError(f"evaluation at {J_name} failed: {err}") from None
         pres = ho(E.sset, self.budget)
+        pres.category.name = f"{self.name}({J_name})"
         self._data[J_name] = HoEval(N, E, pres)
-        cat = pres.category
-        renamed = FiniteCategory(cat.objects, cat.morphisms, cat.compose_table,
-                                 cat.identities, f"{self.name}({J_name})")
-        self._data[J_name].pres = HoPresRenamed(pres, renamed)
-        return renamed
+        return pres.category
 
     def _underlying_map(self, cell_map: SimplicialMap, J_name: str) -> SimplicialMap:
         """Extract N(J) -> Q from a level-0 exponential cell."""
@@ -533,19 +492,6 @@ class HoPrederivator(Prederivator):
         return NatTransf(ustar, vstar, comps, f"{self.name}({alpha.name})*")
 
 
-class HoPresRenamed:
-    """Presentation wrapper aligning the Ho data with the renamed category."""
-
-    def __init__(self, pres, category: FiniteCategory):
-        self.sset = pres.sset
-        self.category = category
-        self.class_map = pres.class_map
-        self.reps = pres.reps
-
-    def cls(self, e) -> str:
-        return self.class_map[e.token()]
-
-
 def _mate_functor(alpha: NatTransf, J: FiniteCategory, K: FiniteCategory) -> Functor:
     """The functor J x [1] -> K packaging a natural transformation."""
     u, v = alpha.source, alpha.target
@@ -553,13 +499,11 @@ def _mate_functor(alpha: NatTransf, J: FiniteCategory, K: FiniteCategory) -> Fun
     ids = poset_simplex(1).identities
     ob = {}
     for x in J.objects:
-        ob[f"({x},0)"] = u.ob[x]
-        ob[f"({x},1)"] = v.ob[x]
+        ob[pair_id(x, "0")] = u.ob[x]
+        ob[pair_id(x, "1")] = v.ob[x]
     mor = {}
     for p in JxI.nonidentity():
-        m = _left_component(p)
-        tm = _right_component(p)
-        x = J.dom(m)
+        m, tm = split_pair(p)
         y = J.cod(m)
         if tm == ids["0"]:
             img = u.on_morphism(m)
@@ -661,8 +605,8 @@ def check_der1(D: Prederivator, budget: Budget = None) -> ValidationReport:
         rb = D.on_functor(inr, b, cname)
         C = D.eval(cname)
         P = product_cat(D.eval(a), D.eval(b))
-        ob = {x: f"({la.ob[x]},{rb.ob[x]})" for x in C.objects}
-        mor = {m: f"({la.on_morphism(m)},{rb.on_morphism(m)})" for m in C.nonidentity()}
+        ob = {x: pair_id(la.ob[x], rb.ob[x]) for x in C.objects}
+        mor = {m: pair_id(la.on_morphism(m), rb.on_morphism(m)) for m in C.nonidentity()}
         cmp_functor = Functor(C, P, ob, mor, f"der1_{cname}")
         if not cmp_functor.validate().ok:
             report.add(f"comparison functor at {cname} is not a functor")
@@ -766,22 +710,6 @@ def der_audit(D: Prederivator, budget: Budget = None) -> dict:
 # the Kan-extension comparison
 
 
-def _monotone_tuples(m: int, n: int):
-    from itertools import product as iproduct
-    return [t for t in iproduct(range(n + 1), repeat=m + 1)
-            if all(t[i] <= t[i + 1] for i in range(m))]
-
-
-def simplicial_action(S: TruncatedSSet, alpha: tuple, y: SimplexExpr) -> SimplexExpr:
-    """y . alpha for a monotone map alpha: [m] -> [n] and an n-simplex y."""
-    from .simplicial import compose_words, weak_seq_to_word
-    keep = tuple(sorted(set(alpha)))
-    restricted = S.restrict(y, keep)
-    positions = tuple(keep.index(a) for a in alpha)
-    word, _ = weak_seq_to_word(positions)
-    return SimplexExpr(compose_words(word, restricted.word), restricted.base)
-
-
 class KanExtensionResult:
     def __init__(self, families, maps, pairing, depth):
         self.families = families
@@ -823,7 +751,7 @@ def kan_extension_value(R: TruncatedSSet, J: FiniteCategory, d: int,
     for (n, y) in objects:
         ti = index[(n, y)]
         for m in range(d + 1):
-            for alpha in _monotone_tuples(m, n):
+            for alpha in monotone_tuples(m, n):
                 x = simplicial_action(NJ, alpha, y)
                 si = index[(m, x)]
                 if si == ti:
@@ -1328,7 +1256,7 @@ class ConcreteImage:
             factors = [D.eval(j) for j in self.shapes]
             for name in self.functor_names:
                 src, _ = s.functor_ends[name]
-                factors.append(functor_category(poset_simplex(1), D.eval(src)).category)
+                factors.append(FunctorCategory(poset_simplex(1), D.eval(src)).category)
             if not factors:
                 raise ValueError("no factors to concretize over")
             cat = factors[0]
@@ -1378,10 +1306,6 @@ class ConcreteImage:
                            Xi.at(src).at(ustar1.ob[Y]))
             parts.append((name, tuple(sorted(comp.items()))))
         return tuple(parts)
-
-
-def concretize(D: Prederivator, shapes=None, functor_names=None) -> ConcreteImage:
-    return ConcreteImage(D, shapes, functor_names)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, NamedTuple, Optional
 
 from .util import Budget, ensure_budget
@@ -134,6 +134,11 @@ def valid_words(n: int, m: int):
         if all(comb[t] <= m + t for t in range(len(comb))):
             out.append(tuple(reversed(comb)))
     return out
+
+
+def monotone_tuples(m: int, n: int) -> list:
+    """All weakly increasing maps [m] -> [n] as image tuples, in lexicographic order."""
+    return list(combinations_with_replacement(range(n + 1), m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +358,8 @@ class TruncatedSSet:
     def _check_coskeletal(self, report: ValidationReport, budget: Budget) -> None:
         k = self.coskeletal_from
         for n in range(k + 1, self.dim_bound + 1):
-            shell = boundary(n, max(2, n - 1))
-            simplex = standard_simplex(n, max(2, n))
-            for bmap in enumerate_maps(shell, self, budget=budget):
+            for _, fillers in extensions(boundary(n, max(2, n - 1)), n, self, budget):
                 report.checked += 1
-                fillers = enumerate_maps(simplex, self, budget=budget,
-                                         fixed=bmap.assignment)
                 if len(fillers) != 1:
                     report.add(
                         f"coskeletal_from={k} fails at level {n}: a boundary has "
@@ -369,6 +370,15 @@ class TruncatedSSet:
     def __repr__(self):
         counts = " ".join(f"{n}:{len(self.nondeg(n))}" for n in range(self.dim_bound + 1))
         return f"<sset {self.name} dim<={self.dim_bound} [{counts}]>"
+
+
+def simplicial_action(S: TruncatedSSet, alpha: tuple, y: SimplexExpr) -> SimplexExpr:
+    """y . alpha for a monotone map alpha: [m] -> [n] and an n-simplex y."""
+    keep = tuple(sorted(set(alpha)))
+    restricted = S.restrict(y, keep)
+    positions = tuple(keep.index(a) for a in alpha)
+    word, _ = weak_seq_to_word(positions)
+    return SimplexExpr(compose_words(word, restricted.word), restricted.base)
 
 
 # ---------------------------------------------------------------------------
@@ -578,16 +588,6 @@ def product(S: TruncatedSSet, T: TruncatedSSet) -> ProductSSet:
     return ProductSSet(S, T)
 
 
-def product_map(P: ProductSSet, Q: ProductSSet, f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
-    """The map P -> Q acting by f on left components and g on right ones."""
-    assignment = {}
-    for xs in P.levels.values():
-        for pid in xs:
-            e1, e2 = P.pair_of[pid]
-            assignment[pid] = Q.pair_expr(f.apply(e1), g.apply(e2))
-    return SimplicialMap(P, Q, assignment)
-
-
 def product_swap(P: ProductSSet, Q: ProductSSet) -> SimplicialMap:
     """The symmetry P = SxT -> Q = TxS."""
     assignment = {}
@@ -682,8 +682,8 @@ def enumerate_maps(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None,
     """The complete set of simplicial maps S -> T, canonically ordered.
 
     ``fixed`` pre-assigns images for some nondegenerate simplices of S
-    (used for extension problems such as horn filling); consistency with
-    faces is still enforced.
+    (used for extension problems, see :func:`extensions`); consistency
+    with faces is still enforced.
     """
     budget = ensure_budget(budget, f"maps {S.name} -> {T.name}")
     order = _assignment_order(S)
@@ -737,6 +737,18 @@ def enumerate_maps(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None,
         stack.append(iter(candidates(nxt[1], nxt[2], nxt[3])))
     results.sort(key=lambda m: m.key())
     return results
+
+
+def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
+    """Extension problems along a subset ``shell`` of the n-simplex.
+
+    Yields each map shell -> T, in :func:`enumerate_maps` order, with the
+    list of its fillers Δⁿ -> T.  ``shell`` must be built on the vertex
+    names of :func:`standard_simplex`, as horns and boundaries are.
+    """
+    simplex = standard_simplex(n, max(2, n))
+    for smap in enumerate_maps(shell, T, budget):
+        yield smap, enumerate_maps(simplex, T, budget, fixed=smap.assignment)
 
 
 def find_isomorphism(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None):

@@ -1,4 +1,4 @@
-"""Shared plumbing: budgets, union-find, deterministic helpers."""
+"""Shared plumbing: step budgets and a deterministic union-find."""
 
 from __future__ import annotations
 
@@ -76,8 +76,3 @@ class UnionFind:
             if r not in mins or x < mins[r]:
                 mins[r] = x
         return {x: mins[self.find(x)] for x in self._parent}
-
-
-def stable_lines(pairs) -> str:
-    """Render (label, value) pairs as a deterministic report block."""
-    return "\n".join(f"{k}: {v}" for k, v in pairs)

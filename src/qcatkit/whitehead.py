@@ -14,7 +14,7 @@ from pathlib import Path
 from .cats import Functor, equivalence_inverse
 from .mapping import mapping_space
 from .nerve import ho, require_quasicategory
-from .prederivator import Prederivator, HoPrederivator, StrictMorphism, standard_sample
+from .prederivator import HoPrederivator, StrictMorphism, standard_sample
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
@@ -239,7 +239,6 @@ def agreement_table(rows) -> str:
 
 def parse_map_file(text: str, source: TruncatedSSet, target: TruncatedSSet) -> SimplicialMap:
     """Assignment lines ``<src-id> = [s-words] <target-base>``."""
-    from .simplicial import parse_expr
     assignment = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

@@ -6,6 +6,7 @@ import pytest
 
 from qcatkit.cats import (
     FiniteCategory,
+    FunctorCategory,
     boundary_two,
     cat_from_text,
     cat_to_text,
@@ -17,14 +18,15 @@ from qcatkit.cats import (
     enumerate_functors,
     enumerate_nats,
     equivalence_inverse,
-    functor_category,
     group_z2,
     horizontal_compose,
     identity_functor,
     identity_nat,
     is_homotopy_finite,
+    pair_id,
     poset_simplex,
     product_cat,
+    split_pair,
     validate_category,
     vertical_compose,
 )
@@ -100,13 +102,13 @@ class TestEnumeration:
         assert len(nats) == 1
 
     def test_functor_category_unit(self):
-        fc = functor_category(poset_simplex(0), poset_simplex(2))
+        fc = FunctorCategory(poset_simplex(0), poset_simplex(2))
         assert len(fc.category.objects) == 3
         assert len(fc.category.morphisms) == 6
         assert validate_category(fc.category).ok
 
     def test_functor_category_validates(self):
-        fc = functor_category(poset_simplex(1), poset_simplex(1))
+        fc = FunctorCategory(poset_simplex(1), poset_simplex(1))
         assert len(fc.category.objects) == 3
         assert validate_category(fc.category).ok
 
@@ -116,7 +118,7 @@ class TestEnumeration:
         assert len(fs) == 2
 
     def test_nat_compositions(self):
-        fc = functor_category(poset_simplex(1), poset_simplex(2))
+        fc = FunctorCategory(poset_simplex(1), poset_simplex(2))
         C = fc.category
         assert validate_category(C).ok
         # horizontal composition of identity nats is an identity nat
@@ -166,6 +168,25 @@ class TestEquivalence:
         P = product_cat(J, K)
         fs = enumerate_functors(poset_simplex(1), P)
         assert len(fs) == len(enumerate_functors(J, J)) * len(enumerate_functors(J, K))
+
+
+class TestPairIds:
+    def test_round_trip(self):
+        for a, b in [("0", "1"), ("m01", "id0"), ("(m01,id0)", "a"),
+                     ("a", "(0,(1,2))"), ("((m01,id0),a)", "(b,c)")]:
+            assert split_pair(pair_id(a, b)) == (a, b)
+
+    def test_product_identifiers_split(self):
+        J, K = poset_simplex(1), group_z2()
+        P = product_cat(J, K)
+        for m, ends in P.morphisms.items():
+            a, b = split_pair(m)
+            assert ends == (pair_id(J.dom(a), K.dom(b)), pair_id(J.cod(a), K.cod(b)))
+
+    def test_non_pairs_rejected(self):
+        for token in ["m01", "", "(m01)", "(a,b", "a,b)", "(a,b)(c,d)"]:
+            with pytest.raises(ValueError, match="not a pair"):
+                split_pair(token)
 
 
 class TestTextFormat:

@@ -1,0 +1,70 @@
+"""Command-line driver: exit codes, deterministic reports, loud errors."""
+
+import json
+
+import pytest
+
+from qcatkit.cats import cat_to_text, poset_simplex
+from qcatkit.cli import main
+from qcatkit.corpus import labeled_map_corpus
+from qcatkit.nerve import nerve
+from qcatkit.simplicial import horn, sset_to_text, standard_simplex
+from qcatkit.whitehead import write_labeled_corpus
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    (d / "delta0.sset").write_text(sset_to_text(standard_simplex(0, 2)))
+    (d / "n1.sset").write_text(sset_to_text(nerve(poset_simplex(1), 3)))
+    (d / "horn.sset").write_text(sset_to_text(horn(2, 1, 2)))
+    (d / "interval.cat").write_text(cat_to_text(poset_simplex(1)))
+    (d / "bad.sset").write_text("dim 2\n0: a\nface x y = [] a\n")
+    rows = {name: (name, f, expected) for name, f, expected in labeled_map_corpus()}
+    manifest = write_labeled_corpus([rows["id_delta0"], rows["collapse_N[1]"]], d / "corpus")
+    return d, manifest
+
+
+COMMANDS = [
+    (["validate", "n1.sset"], 0),
+    (["validate", "interval.cat"], 0),
+    (["nerve", "interval.cat", "--dim", "2"], 0),
+    (["ho", "n1.sset"], 0),
+    (["exp", "n1.sset", "delta0.sset"], 0),
+    (["check-qcat", "n1.sset"], 0),
+    (["check-qcat", "horn.sset"], 1),
+    (["der-audit", "delta0.sset"], 0),
+    (["kanext", "n1.sset", "interval.cat"], 0),
+    (["delocalize", "n1.sset"], 0),
+    (["whitehead", "MANIFEST"], 0),
+]
+
+
+def run(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,code", COMMANDS, ids=[c[0][0] + "-" + c[0][1] for c in COMMANDS])
+def test_exit_code_and_identical_reruns(inputs, capsys, argv, code):
+    d, manifest = inputs
+    argv = [str(manifest) if a == "MANIFEST" else
+            str(d / a) if a.endswith((".sset", ".cat")) else a for a in argv]
+    for fmt in ("text", "json"):
+        first = run(["--format", fmt] + argv, capsys)
+        assert first[0] == code
+        assert run(["--format", fmt] + argv, capsys) == first
+    assert json.loads(first[1])["ok"] == (code == 0)
+
+
+def test_malformed_sset_is_an_error_line(inputs, capsys):
+    d, _ = inputs
+    code, out = run(["validate", str(d / "bad.sset")], capsys)
+    assert code == 1
+    assert out.startswith("error: line 3:")
+
+
+def test_verify_suite_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-suite"])
+    assert exc.value.code == 2

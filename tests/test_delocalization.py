@@ -5,7 +5,7 @@ import pytest
 from qcatkit.cats import group_z2, poset_simplex, validate_category
 from qcatkit.corpus import labeled_map_corpus
 from qcatkit.delocalization import (
-    category_of_simplices,
+    SimplexCategory,
     check_inverts_L,
     last_vertex_projection,
     marked_closure_report,
@@ -19,7 +19,7 @@ from qcatkit.simplicial import SimplexExpr, expr, standard_simplex
 
 class TestSimplexCategory:
     def test_point_at_depth_one(self):
-        sc = category_of_simplices(standard_simplex(0, 2), 1)
+        sc = SimplexCategory(standard_simplex(0, 2), 1)
         assert len(sc.category.objects) == 2  # the vertex and its degeneracy
         assert validate_category(sc.category).ok
         # marked exactly when the last vertex goes to the last vertex
@@ -28,23 +28,23 @@ class TestSimplexCategory:
 
     def test_interval_counts(self):
         d1 = standard_simplex(1, 3)
-        sc0 = category_of_simplices(d1, 0)
+        sc0 = SimplexCategory(d1, 0)
         assert len(sc0.category.objects) == 2
-        sc1 = category_of_simplices(d1, 1)
+        sc1 = SimplexCategory(d1, 1)
         assert len(sc1.category.objects) == 5  # 2 vertices + 3 one-simplices
 
     def test_depth_beyond_truncation_rejected(self):
         with pytest.raises(ValueError):
-            category_of_simplices(standard_simplex(1, 2), 3)
+            SimplexCategory(standard_simplex(1, 2), 3)
 
     def test_category_validates(self):
         for S in [standard_simplex(1, 3), nerve(group_z2(), 3)]:
-            sc = category_of_simplices(S, 2)
+            sc = SimplexCategory(S, 2)
             assert validate_category(sc.category).ok, S.name
 
     def test_marked_closure(self):
         for S in [standard_simplex(1, 3), nerve(poset_simplex(2), 3)]:
-            sc = category_of_simplices(S, 2)
+            sc = SimplexCategory(S, 2)
             report = marked_closure_report(sc)
             assert report.ok, report.violations[:2]
 
@@ -118,6 +118,6 @@ class TestInvertsMarked:
 
 class TestExport:
     def test_dot_output(self):
-        sc = category_of_simplices(standard_simplex(0, 2), 1)
+        sc = SimplexCategory(standard_simplex(0, 2), 1)
         text = to_dot(sc)
         assert text.startswith("digraph") and "style=bold" in text

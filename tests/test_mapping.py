@@ -13,11 +13,12 @@ from qcatkit.cats import (
 )
 from qcatkit.mapping import (
     ExactnessError,
+    Exponential,
     Square,
     enumerate_prism_lifts,
-    exponential,
     fill_inner_horn,
     horn_map_from_faces,
+    kan_check,
     kan_core,
     lift_square,
     mapping_space,
@@ -38,14 +39,14 @@ from qcatkit.simplicial import (
 class TestExponential:
     def test_unit_exponent(self):
         n1 = nerve(poset_simplex(1), 3)
-        E = exponential(n1, standard_simplex(0, 2), 2)
+        E = Exponential(n1, standard_simplex(0, 2), 2)
         # maps from delta0 x deltan are n-simplices: recover N([1])
         assert [len(E.sset.nondeg(n)) for n in range(3)] == [2, 1, 0]
         assert E.sset.validate().ok
 
     def test_interval_into_interval(self):
         n1 = nerve(poset_simplex(1), 3)
-        E = exponential(n1, standard_simplex(1, 2), 2)
+        E = Exponential(n1, standard_simplex(1, 2), 2)
         # level 0: maps delta1 -> N[1], one per total 1-simplex: 3 objects
         assert len(E.sset.nondeg(0)) == 3
         assert E.sset.validate().ok
@@ -53,7 +54,7 @@ class TestExponential:
 
     def test_empty_exponent_gives_terminal(self):
         n1 = nerve(poset_simplex(1), 3)
-        E = exponential(n1, empty_sset(), 2)
+        E = Exponential(n1, empty_sset(), 2)
         assert [E.sset.total_count(n) for n in range(3)] == [1, 1, 1]
         assert len(E.sset.nondeg(0)) == 1
         assert not E.sset.nondeg(1) and not E.sset.nondeg(2)
@@ -62,7 +63,7 @@ class TestExponential:
         # definitional cross-check against an independent enumerator
         n1 = nerve(poset_simplex(1), 3)
         S = standard_simplex(1, 2)
-        E = exponential(n1, S, 2)
+        E = Exponential(n1, S, 2)
         for n in range(3):
             P = product(S, standard_simplex(n, max(2, n)))
             direct = enumerate_maps(P, n1.truncate(2))
@@ -71,10 +72,10 @@ class TestExponential:
     def test_exactness_gate(self):
         no_cert = horn(2, 1, 2)
         with pytest.raises(ExactnessError):
-            exponential(no_cert, standard_simplex(0, 2), 2)
+            Exponential(no_cert, standard_simplex(0, 2), 2)
 
     def test_face_and_degeneracy_structure(self):
-        E = exponential(nerve(poset_simplex(1), 3), standard_simplex(1, 2), 2)
+        E = Exponential(nerve(poset_simplex(1), 3), standard_simplex(1, 2), 2)
         assert is_quasicategory(E.sset).ok
         pres = ho(E.sset)
         assert validate_category(pres.category).ok
@@ -147,6 +148,19 @@ class TestMappingSpace:
         M = mapping_space(q, "a", "b", 2)
         assert M.kan_report().ok
 
+    def test_kan_check_of_group_nerve(self):
+        report = kan_check(nerve(group_z2(), 3))
+        assert report.ok and report.horns_checked == 46
+        # a 1-horn is the vertex *, filled by the degenerate edge and by g
+        assert report.by_horn[(1, 0)] == (1, False)
+        assert not report.unique_fillers
+
+    def test_kan_check_names_the_unfilled_outer_horn(self):
+        report = kan_check(nerve(poset_simplex(1), 3))
+        assert not report.ok and report.horns_checked == 38
+        assert report.witness == ("horn(2,0) {'0': '0', '01': 'm01', '02': 's0.0', "
+                                  "'1': '1', '2': '0'}")
+
     def test_nerve_mapping_space_ho_is_discrete(self):
         q = nerve(poset_simplex(2), 3)
         M = mapping_space(q, "0", "2", 2)
@@ -214,11 +228,10 @@ class TestLiftSquare:
         assert result.morphism in result.ho_exp.category.morphisms
 
     def test_all_squares_in_small_nerves(self):
-        from qcatkit.mapping import exponential as make_exp
         for cat in [poset_simplex(1), poset_simplex(2), group_z2()]:
             q = nerve(cat, 3)
             pres = ho(q)
-            E = make_exp(q, standard_simplex(1, 2), 2)
+            E = Exponential(q, standard_simplex(1, 2), 2)
             hoE = ho(E.sset)
             for sq in all_commutative_squares(pres):
                 f = pres.reps[sq.left]

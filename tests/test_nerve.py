@@ -1,5 +1,7 @@
 """Nerves, quasicategory detection, and homotopy categories."""
 
+import gc
+import weakref
 from itertools import product as iproduct
 
 import pytest
@@ -14,6 +16,7 @@ from qcatkit.cats import (
     validate_category,
 )
 from qcatkit.nerve import (
+    _QCAT_CACHE,
     counit_functor,
     functor_is_isomorphism,
     ho,
@@ -27,6 +30,7 @@ from qcatkit.nerve import (
     nerve_product_compare,
     nerve_product_compare_inv,
     one_step_homotopic,
+    require_quasicategory,
 )
 from qcatkit.simplicial import (
     SimplexExpr,
@@ -39,6 +43,7 @@ from qcatkit.simplicial import (
     product,
     standard_simplex,
 )
+from qcatkit.util import Budget
 
 
 def monotone_maps(m, n):
@@ -108,6 +113,19 @@ class TestQuasicategory:
 
     def test_simplex_passes(self):
         assert is_quasicategory(standard_simplex(2, 3)).ok
+
+    def test_cache_charges_once_and_lets_sets_go(self):
+        S = nerve(poset_simplex(2), 3)
+        first, again = Budget(), Budget()
+        report = require_quasicategory(S, first)
+        assert first.used > 0
+        assert require_quasicategory(S, again) is report and again.used == 0
+        ref = weakref.ref(S)
+        gc.collect()
+        cached = len(_QCAT_CACHE)
+        del S
+        gc.collect()
+        assert ref() is None and len(_QCAT_CACHE) == cached - 1
 
 
 class TestHomotopy:

@@ -17,6 +17,7 @@ from qcatkit.corpus import (
 from qcatkit.nerve import nerve
 from qcatkit.prederivator import (
     ClosureError,
+    ConcreteImage,
     DiaSample,
     check_der1,
     check_der2,
@@ -27,7 +28,6 @@ from qcatkit.prederivator import (
     compose_modification,
     compose_pseudonat,
     compose_strict,
-    concretize,
     der_audit,
     dia_arrow,
     enumerate_strict_morphisms,
@@ -267,7 +267,7 @@ class TestConcretize:
     def test_distinct_strict_morphisms_distinct_images(self, d_point, d_interval):
         shapes = ["[0]", "[1]"]
         functors = ["vx_[1]_0", "vx_[1]_1"]
-        U = concretize(d_interval, shapes, functors)
+        U = ConcreteImage(d_interval, shapes, functors)
         images = set()
         for F in enumerate_strict_morphisms(d_point, d_interval):
             img = U.embed_morphism(strict_as_pseudo(F))
@@ -276,7 +276,7 @@ class TestConcretize:
 
     def test_identity_embeds_as_identity_components(self, d_interval):
         shapes = ["[0]", "[1]"]
-        U = concretize(d_interval, shapes, ["id_[0]", "id_[1]"])
+        U = ConcreteImage(d_interval, shapes, ["id_[0]", "id_[1]"])
         P = strict_as_pseudo(identity_strict(d_interval))
         img = dict(U.embed_morphism(P)[:2])
         from qcatkit.cats import identity_functor
@@ -287,10 +287,10 @@ class TestConcretize:
         from qcatkit.prederivator import Modification
         P = strict_as_pseudo(identity_strict(d_interval))
         Xi = Modification(P, P, {j: identity_nat(P.at(j)) for j in SAMPLE.order})
-        U = concretize(d_interval, ["[0]", "[1]"], ["id_[0]", "id_[1]"])
+        U = ConcreteImage(d_interval, ["[0]", "[1]"], ["id_[0]", "id_[1]"])
         emb = dict(U.embed_modification(Xi)[:2])
         assert emb["[1]"] == tuple(sorted(Xi.at("[1]").components.items()))
 
     def test_product_category_is_a_category(self, d_point):
-        U = concretize(d_point, ["[0]"], ["id_[0]"])
+        U = ConcreteImage(d_point, ["[0]"], ["id_[0]"])
         assert validate_category(U.category).ok

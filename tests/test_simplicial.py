@@ -14,10 +14,12 @@ from qcatkit.simplicial import (
     empty_sset,
     enumerate_maps,
     expr,
+    extensions,
     face_through_word,
     find_isomorphism,
     horn,
     identity_map,
+    monotone_tuples,
     normalize_word,
     parse_expr,
     product,
@@ -66,6 +68,11 @@ def word_to_surjection(word, n):
 
 
 class TestWords:
+    def test_monotone_tuples_match_oracle_in_order(self):
+        for m in range(4):
+            for n in range(4):
+                assert monotone_tuples(m, n) == monotone_maps(m, n)
+
     def test_normal_form_counts_surjections(self):
         for n in range(5):
             for m in range(n + 1):
@@ -300,6 +307,17 @@ class TestEnumerateMaps:
         fixed = {x: SimplexExpr((), x) for n in range(3) for x in h.nondeg(n)}
         fillers = enumerate_maps(d2, d2, fixed={k: v for k, v in fixed.items()})
         assert len(fillers) == 1  # only the identity extends it
+
+    def test_extensions_pair_shell_maps_with_fillers(self):
+        # each 2-simplex of the target fills its own boundary and no other
+        t = product(standard_simplex(1, 2), standard_simplex(1, 2))
+        shell = boundary(2, 2)
+        found = list(extensions(shell, 2, t, None))
+        assert [m for m, _ in found] == enumerate_maps(shell, t)
+        d2 = standard_simplex(2, 2)
+        for m, fillers in found:
+            assert fillers == enumerate_maps(d2, t, fixed=m.assignment)
+        assert sum(len(f) for _, f in found) == t.total_count(2)
 
 
 # -- text format ---------------------------------------------------------------
