@@ -306,14 +306,6 @@ class Functor:
             self._key = (tuple(sorted(self.ob.items())), tuple(sorted(self.mor.items())))
         return self._key
 
-    def __eq__(self, other):
-        return (isinstance(other, Functor) and self.key() == other.key()
-                and self.source.name == other.source.name
-                and self.target.name == other.target.name)
-
-    def __hash__(self):
-        return hash((self.source.name, self.target.name, self.key()))
-
     def validate(self) -> ValidationReport:
         report = ValidationReport(f"functor {self.name}")
         for x in self.source.objects:
@@ -376,12 +368,6 @@ class NatTransf:
 
     def key(self) -> tuple:
         return (self.source.key(), self.target.key(), tuple(sorted(self.components.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, NatTransf) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def validate(self) -> ValidationReport:
         report = ValidationReport(f"nat {self.name}")

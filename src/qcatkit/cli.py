@@ -14,16 +14,19 @@ import sys
 from pathlib import Path
 
 from .cats import cat_from_text, validate_category
+from .delocalization import check_inverts_L, last_vertex_projection, marked_closure_report
+from .mapping import Exponential
 from .nerve import ho, is_quasicategory, nerve
 from .prederivator import (
+    HoPrederivator,
     der_audit,
-    ho_prederivator,
     kan_extension_value,
     sample_from_manifest,
     standard_sample,
 )
 from .simplicial import sset_from_text, sset_to_text
-from .util import Budget, BudgetExceeded
+from .util import Budget
+from .whitehead import agreement_table, conservativity_experiment, load_labeled_corpus
 
 
 def _load_sset(path: str):
@@ -99,7 +102,6 @@ def cmd_ho(args, report: Report) -> None:
 
 
 def cmd_exp(args, report: Report) -> None:
-    from .mapping import Exponential
     T = _load_sset(args.base)
     S = _load_sset(args.exponent)
     E = Exponential(T, S, args.level, Budget(args.budget, "exponential"))
@@ -122,7 +124,7 @@ def cmd_check_qcat(args, report: Report) -> None:
 def cmd_der_audit(args, report: Report) -> None:
     S = _load_sset(args.sset)
     sample = _load_sample(args.sample)
-    D = ho_prederivator(S, sample, Budget(args.budget, "der audit"))
+    D = HoPrederivator(S, sample, Budget(args.budget, "der audit"))
     audits = der_audit(D)
     for name in sorted(audits):
         result = audits[name]
@@ -148,7 +150,6 @@ def cmd_kanext(args, report: Report) -> None:
 
 
 def cmd_delocalize(args, report: Report) -> None:
-    from .delocalization import check_inverts_L, last_vertex_projection, marked_closure_report
     S = _load_sset(args.sset)
     sc, N, p = last_vertex_projection(S, args.depth)
     report.add(f"simplex category at depth {args.depth}: "
@@ -168,7 +169,6 @@ def cmd_delocalize(args, report: Report) -> None:
 
 
 def cmd_whitehead(args, report: Report) -> None:
-    from .whitehead import agreement_table, conservativity_experiment, load_labeled_corpus
     corpus = load_labeled_corpus(args.manifest)
     rows = conservativity_experiment(corpus, _load_sample(args.sample),
                                      Budget(args.budget, "whitehead"))
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     report = Report(args.format)
     try:
         args.run(args, report)
-    except (BudgetExceeded, ValueError, KeyError, OSError) as err:
+    except Exception as err:  # any failure of a subcommand is a report line, not a traceback
         report.add(f"error: {err}", ok=False)
     text = report.render()
     if args.report and args.command != "nerve":

@@ -22,7 +22,7 @@ from .cats import (
     product_cat,
 )
 from .nerve import NerveSSet, nerve, nerve_map
-from .prederivator import HoPrederivator, Prederivator
+from .prederivator import HoPrederivator, Prederivator, dia_arrow
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
@@ -215,7 +215,6 @@ def _corestrict_into_sub(mutant, base_image, u, src, dst):
 
 
 def _removal_mutation(base: HoPrederivator, arrow_picker, label: str) -> Prederivator:
-    from .prederivator import dia_arrow
     shape = "[1]x[1]"
     src, on_object, _ = dia_arrow(base, "[1]")
     f0 = arrow_picker(base)

@@ -12,12 +12,13 @@ depth: the construction is depth-free only on paper.
 from __future__ import annotations
 
 from .cats import FiniteCategory, Functor
-from .nerve import ho, nerve, require_quasicategory
+from .nerve import ho, nerve, nerve_map, require_quasicategory
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
     ValidationReport,
+    compose_maps,
     monotone_tuples,
     simplicial_action,
 )
@@ -171,8 +172,6 @@ def naturality_report(f: SimplicialMap, d: int, nerve_dim: int = 2) -> Validatio
     if not F.validate().ok:
         report.add("induced functor on simplex categories is broken")
         return report
-    from .nerve import nerve_map
-    from .simplicial import compose_maps
     NF = nerve_map(F, source=N_s, target=N_t)
     left = compose_maps(p_t, NF)
     right = compose_maps(f, p_s)

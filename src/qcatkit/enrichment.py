@@ -22,6 +22,7 @@ from .cats import (
     split_pair,
     vertex_functor,
 )
+from .mapping import induced_functor
 from .nerve import nerve, nerve_product_compare
 from .prederivator import (
     ClosureError,
@@ -110,10 +111,6 @@ class ShiftedPrederivator(Prederivator):
         ustar = self.on_functor(alpha.source, src, dst)
         vstar = self.on_functor(alpha.target, src, dst)
         return NatTransf(ustar, vstar, dict(base_img.components), base_img.name)
-
-
-def shift(D: Prederivator, J_name: str) -> ShiftedPrederivator:
-    return ShiftedPrederivator(D, J_name)
 
 
 def chain_embedding(sample: DiaSample, J_name: str, K_name: str, pname: str,
@@ -205,7 +202,7 @@ def simplicial_hom(D1: Prederivator, D2: Prederivator, n: int,
     """
     if not 0 <= n <= 3:
         raise ValueError("levels 0..3 only")
-    shifted = shift(D2, f"[{n}]")
+    shifted = ShiftedPrederivator(D2, f"[{n}]")
     if shapes is None:
         shapes = [K for K in D1.sample.order if K in shifted.pairings]
     else:
@@ -216,14 +213,14 @@ def simplicial_hom(D1: Prederivator, D2: Prederivator, n: int,
 def simplicial_operator(D2: Prederivator, F: StrictMorphism, alpha: tuple,
                         m: int, n: int) -> StrictMorphism:
     """Action of a monotone map [m] -> [n] on a level-n morphism."""
-    shifted_m = shift(D2, f"[{m}]")
+    shifted_m = ShiftedPrederivator(D2, f"[{m}]")
     chain_m = D2.sample.cat(f"[{m}]")
     comps = {}
     for K_name in F.components:
         if K_name not in shifted_m.pairings:
             continue
         src_p = shifted_m.paired(K_name)
-        dst_p = shift(D2, f"[{n}]").paired(K_name)
+        dst_p = ShiftedPrederivator(D2, f"[{n}]").paired(K_name)
         P_m = D2.sample.cat(src_p)
         P_n = D2.sample.cat(dst_p)
         ob = {}
@@ -250,7 +247,7 @@ def compose_simplicial(D3: Prederivator, f: StrictMorphism, g: StrictMorphism,
     the double-shift-then-diagonal formula collapsed into one restriction.
     """
     cn = f"[{n}]"
-    target = shift(D3, cn)
+    target = ShiftedPrederivator(D3, cn)
     comps = {}
     for K_name in g.components:
         pn_K = D3.sample.products.get((cn, K_name))
@@ -286,7 +283,7 @@ class EqShiftPrederivator(Prederivator):
     """Full sub-prederivator of a chain shift on pointwise-invertible diagrams."""
 
     def __init__(self, D: Prederivator, n: int):
-        self.inner = shift(D, f"[{n}]")
+        self.inner = ShiftedPrederivator(D, f"[{n}]")
         super().__init__(self.inner.sample, f"{D.name}^eq[{n}]")
         self.base = D
         self.n = n
@@ -329,7 +326,7 @@ class EqShiftPrederivator(Prederivator):
 
 def eq_shift(D: Prederivator, n: int) -> Prederivator:
     if n == 0:
-        return shift(D, "[0]")
+        return ShiftedPrederivator(D, "[0]")
     return EqShiftPrederivator(D, n)
 
 
@@ -444,42 +441,28 @@ def induced_strict_morphism(DQ: HoPrederivator, DR: HoPrederivator, n: int,
     diagram (t, k) -> mu(nu(k), t) of R, splitting nerve cells through the
     product comparison.
     """
-    shifted = shift(DR, f"[{n}]")
+    shifted = ShiftedPrederivator(DR, f"[{n}]")
     chain_nerve = nerve(DR.sample.cat(f"[{n}]"), 2)
     shape_inv = _inverse_iso(_chain_shape_iso(mu.source.right, chain_nerve))
     comps = {}
     for K_name in shapes:
         dq = DQ.data(K_name)
-        pname = shifted.paired(K_name)
-        dr = DR.data(pname)
+        dr = DR.data(shifted.paired(K_name))
         P_split = product(chain_nerve, dq.nerve)
         compare = nerve_product_compare(dr.nerve, P_split)
 
-        def image_cell(level, q_of):
-            P_target = dr.exp.products[level]
-            assignment = {}
-            for xs in P_target.levels.values():
-                for pid in xs:
-                    e1, e2 = P_target.pair_of[pid]
-                    t_part, k_part = P_split.components(compare.apply(e1))
-                    q_part = q_of(k_part, e2)
-                    d_part = shape_inv(t_part)
-                    assignment[pid] = mu.apply(mu.source.pair_expr(q_part, d_part))
-            return SimplicialMap(P_target, dr.exp.T_t, assignment)
+        # level 0 uses the same formula: Δ0 has one simplex in each dimension
+        def image(cell: SimplicialMap, level: int) -> SimplicialMap:
+            P_q = dq.exp.products[level]
 
-        ob = {}
-        for c in dq.pres.category.objects:
-            nu = DQ._underlying_map(dq.exp.cell_map[c], K_name)
-            cell = image_cell(0, lambda k_part, _e2, nu=nu: nu.apply(k_part))
-            ob[c] = dr.exp.locate(cell).base
-        mor = {}
-        P1_q = dq.exp.products[1]
-        for mid in dq.pres.category.nonidentity():
-            edge = dq.exp.map_of(dq.pres.reps[mid])
-            cell = image_cell(
-                1, lambda k_part, e2, edge=edge: edge.apply(P1_q.pair_expr(k_part, e2)))
-            mor[mid] = dr.pres.cls(dr.exp.locate(cell))
-        comps[K_name] = Functor(DQ.eval(K_name), shifted.eval(K_name), ob, mor)
+            def pair_image(e1, e2):
+                t_part, k_part = P_split.components(compare.apply(e1))
+                q_part = cell.apply(P_q.pair_expr(k_part, e2))
+                return mu.apply(mu.source.pair_expr(q_part, shape_inv(t_part)))
+
+            return dr.exp.products[level].map_pairs(dr.exp.T_t, pair_image)
+
+        comps[K_name] = induced_functor(dq.exp, dq.pres, dr.exp, dr.pres, image, "")
     return StrictMorphism(DQ, shifted, comps, "induced")
 
 
@@ -499,7 +482,7 @@ def embedding_check(Q: TruncatedSSet, R: TruncatedSSet, n: int,
     P = product(Q.truncate(2), delta_n)
     maps = enumerate_maps(P, R.truncate(2), budget)
     report.map_count = len(maps)
-    shifted = shift(DR, f"[{n}]")
+    shifted = ShiftedPrederivator(DR, f"[{n}]")
     shapes = [K for K in sample.order if K in shifted.pairings]
     homs = simplicial_hom(DQ, DR, n, budget)
     report.hom_count = len(homs)

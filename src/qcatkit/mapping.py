@@ -9,6 +9,7 @@ certified constructions derived from them.
 
 from __future__ import annotations
 
+from .cats import Functor
 from .nerve import HoPresentation, QcatReport, ho, require_quasicategory
 from .simplicial import (
     SimplexExpr,
@@ -143,12 +144,7 @@ class Exponential:
         """id_S x (the simplex map induced by alpha: [m] -> [n])."""
         Pm, Pn = self.products[m], self.products[n]
         dm = delta_map(alpha, m, n, max(m, n, Pm.right.dim_bound, Pn.right.dim_bound))
-        assignment = {}
-        for xs in Pm.levels.values():
-            for pid in xs:
-                e1, e2 = Pm.pair_of[pid]
-                assignment[pid] = Pn.pair_expr(e1, dm.apply(e2))
-        return SimplicialMap(Pm, Pn, assignment)
+        return Pm.map_pairs(Pn, lambda e1, e2: Pn.pair_expr(e1, dm.apply(e2)))
 
     def _degenerate_at(self, mu: SimplicialMap, n: int, j: int) -> bool:
         endo = self._degeneracy_endos[n][j]
@@ -194,6 +190,21 @@ class Exponential:
         vert = SimplexExpr(full_degeneracy(n), v)
         e = P.pair_expr(vert, SimplexExpr((), top_cell(n)))
         return mu.apply(e)
+
+
+def induced_functor(E1: Exponential, pres1: HoPresentation, E2: Exponential,
+                    pres2: HoPresentation, image, name: str) -> Functor:
+    """The functor Ho(E1) -> Ho(E2) induced by a transport of cells.
+
+    ``image(mu, level)`` sends the underlying map of a level-0 or level-1
+    cell of E1 to the underlying map of a cell of E2 at the same level.
+    Objects go to the located vertices, morphisms to the classes of the
+    located images of their representatives.
+    """
+    ob = {c: E2.locate(image(E1.cell_map[c], 0)).base for c in pres1.category.objects}
+    mor = {m: pres2.cls(E2.locate(image(E1.map_of(pres1.reps[m]), 1)))
+           for m in pres1.category.nonidentity()}
+    return Functor(pres1.category, pres2.category, ob, mor, name)
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +500,12 @@ def enumerate_prism_lifts(E: Exponential, ho_E: HoPresentation, square: Square,
 
 def object_map(E: Exponential, e: SimplexExpr) -> SimplicialMap:
     """The vertex of Q^{Δ1} presented by an edge of Q."""
-    P = E.products[0]
-    Q = E.base
-    verts = Q.vertices(e)
-    assignment = {}
-    for m in range(P.dim_bound + 1):
-        for pid in P.nondeg(m):
-            e1, _ = P.pair_of[pid]
-            if E.S_t.dim_of[e1.base] == 0:
-                assignment[pid] = SimplexExpr(full_degeneracy(m), verts[int(e1.base)])
-            else:
-                assignment[pid] = SimplexExpr(compose_words(e1.word, e.word), e.base)
-    return SimplicialMap(P, E.T_t, assignment)
+    verts = E.base.vertices(e)
+
+    def image(e1, _e2):
+        # an m-simplex over an exponent vertex is that vertex's full degeneracy
+        if E.S_t.dim_of[e1.base] == 0:
+            return SimplexExpr(e1.word, verts[int(e1.base)])
+        return SimplexExpr(compose_words(e1.word, e.word), e.base)
+
+    return E.products[0].map_pairs(E.T_t, image)

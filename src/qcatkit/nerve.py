@@ -142,13 +142,8 @@ def nerve_product_compare_inv(P: ProductSSet, NJK: NerveSSet) -> SimplicialMap:
     """Canonical isomorphism N(J) x N(K) -> N(J x K)."""
     NJ: NerveSSet = P.left
     NK: NerveSSet = P.right
-    assignment = {}
-    for n in range(P.dim_bound + 1):
-        for pid in P.nondeg(n):
-            e1, e2 = P.pair_of[pid]
-            pair_chain = tuple(map(pair_id, NJ.expr_chain(e1), NK.expr_chain(e2)))
-            assignment[pid] = NJK.chain_expr(pair_chain)
-    return SimplicialMap(P, NJK, assignment)
+    return P.map_pairs(NJK, lambda e1, e2: NJK.chain_expr(
+        tuple(map(pair_id, NJ.expr_chain(e1), NK.expr_chain(e2)))))
 
 
 # ---------------------------------------------------------------------------

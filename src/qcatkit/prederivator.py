@@ -32,19 +32,23 @@ from .cats import (
     product_cat,
     coproduct_cat,
     boundary_two,
+    cat_to_text,
     empty_category,
     split_pair,
+    validate_category,
     vertex_functor,
     vertical_compose,
 )
-from .mapping import Exponential
+from .delocalization import SimplexCategory
+from .mapping import Exponential, induced_functor
 from .nerve import ho, nerve, nerve_map, nerve_product_compare_inv
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
     ValidationReport,
-    monotone_tuples,
+    compose_maps,
+    enumerate_maps,
     product,
     simplicial_action,
 )
@@ -132,7 +136,6 @@ class DiaSample:
 
     def validate(self) -> ValidationReport:
         report = ValidationReport(f"sample {self.name}")
-        from .cats import validate_category
         for name, C in self.categories.items():
             report.checked += 1
             sub = validate_category(C)
@@ -430,36 +433,18 @@ class HoPrederivator(Prederivator):
                 assignment[x] = cell_map.apply(e)
         return SimplicialMap(N_t, data.exp.T_t, assignment)
 
-    def _precompose_cell(self, cell_map: SimplicialMap, g: SimplicialMap,
-                         src_name: str, dst_name: str, level: int) -> SimplicialMap:
-        """Precompose an exponential cell with a map of exponent nerves."""
-        Pj = self._data[src_name].exp.products[level]
-        Pk = self._data[dst_name].exp.products[level]
-        assignment = {}
-        for xs in Pj.levels.values():
-            for pid in xs:
-                e1, e2 = Pj.pair_of[pid]
-                assignment[pid] = cell_map.apply(Pk.pair_expr(g.apply(e1), e2))
-        return SimplicialMap(Pj, self._data[dst_name].exp.T_t, assignment)
-
     def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
         # contravariant: u: J -> K induces u*: eval(K) -> eval(J)
-        self.eval(src)
-        self.eval(dst)
-        dj, dk = self._data[src], self._data[dst]
+        dj, dk = self.data(src), self.data(dst)
         nu = nerve_map(u, source=dj.nerve, target=dk.nerve)
-        ob = {}
-        for c in dk.pres.category.objects:
-            mu = self._precompose_cell(dk.exp.cell_map[c], nu, src, dst, 0)
-            ob[c] = dj.exp.locate(mu).base
-        mor = {}
-        for mid in dk.pres.category.nonidentity():
-            rep = dk.pres.reps[mid]
-            edge_map = dk.exp.map_of(rep)
-            mu = self._precompose_cell(edge_map, nu, src, dst, 1)
-            mor[mid] = dj.pres.cls(dj.exp.locate(mu))
-        return Functor(self.eval(dst), self.eval(src), ob, mor,
-                       f"{self.name}({u.name})*")
+
+        def precompose(mu: SimplicialMap, level: int) -> SimplicialMap:
+            Pk = dk.exp.products[level]
+            return dj.exp.products[level].map_pairs(
+                dj.exp.T_t, lambda e1, e2: mu.apply(Pk.pair_expr(nu.apply(e1), e2)))
+
+        return induced_functor(dk.exp, dk.pres, dj.exp, dj.pres, precompose,
+                               f"{self.name}({u.name})*")
 
     def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
         u, v = alpha.source, alpha.target
@@ -476,19 +461,13 @@ class HoPrederivator(Prederivator):
         P_JI = product(dj.nerve, interval_nerve)
         compare = nerve_product_compare_inv(P_JI, NJxI)
         shape_to_nerve = _interval_shape_iso(dj.exp.products[1].right, interval_nerve)
+        # N(J) x Δ1 -> N(K) through the mate; each component precomposes it
+        through_mate = dj.exp.products[1].map_pairs(dk.nerve, lambda e1, e2: nmate.apply(
+            compare.apply(P_JI.pair_expr(e1, shape_to_nerve.apply(e2)))))
         comps = {}
         for c in dk.pres.category.objects:
             base_map = self._underlying_map(dk.exp.cell_map[c], dst)
-            Pj1 = dj.exp.products[1]
-            assignment = {}
-            for xs in Pj1.levels.values():
-                for pid in xs:
-                    e1, e2 = Pj1.pair_of[pid]
-                    z = P_JI.pair_expr(e1, shape_to_nerve.apply(e2))
-                    w = nmate.apply(compare.apply(z))
-                    assignment[pid] = base_map.apply(w)
-            mu = SimplicialMap(Pj1, dj.exp.T_t, assignment)
-            comps[c] = dj.pres.cls(dj.exp.locate(mu))
+            comps[c] = dj.pres.cls(dj.exp.locate(compose_maps(base_map, through_mate)))
         return NatTransf(ustar, vstar, comps, f"{self.name}({alpha.name})*")
 
 
@@ -520,12 +499,6 @@ def _interval_shape_iso(shape: TruncatedSSet, interval_nerve) -> SimplicialMap:
     assignment = {"0": SimplexExpr((), "0"), "1": SimplexExpr((), "1"),
                   "01": SimplexExpr((), "m01")}
     return SimplicialMap(shape, interval_nerve, assignment)
-
-
-def ho_prederivator(Q: TruncatedSSet, sample: DiaSample = None,
-                    budget: Budget = None) -> HoPrederivator:
-    sample = sample if sample is not None else standard_sample()
-    return HoPrederivator(Q, sample, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +704,6 @@ def kan_extension_value(R: TruncatedSSet, J: FiniteCategory, d: int,
     and returns them together with the direct enumeration of simplicial
     maps N(J) -> R and the comparison bijection.
     """
-    from .simplicial import enumerate_maps
     budget = ensure_budget(budget, f"kan extension over {J.name}")
     NJ = nerve(J, max(2, d))
     free_dim = max((n for n in range(NJ.dim_bound + 1) if NJ.nondeg(n)), default=0)
@@ -742,24 +714,20 @@ def kan_extension_value(R: TruncatedSSet, J: FiniteCategory, d: int,
         raise ValueError("target must be coskeletal within the chosen depth")
     if d > R.dim_bound:
         raise ValueError("depth exceeds the target truncation")
-    objects = [(m, y) for m in range(d + 1) for y in NJ.total(m)]
-    objects.sort(key=lambda o: (o[0], o[1].token()))
-    index = {o: i for i, o in enumerate(objects)}
+    sc = SimplexCategory(NJ, d)
+    objects = list(sc.simplex_of.values())
+    index = {oid: i for i, oid in enumerate(sc.simplex_of)}
     # an arrow (m, x) -> (n, y) is a monotone alpha with y . alpha = x;
     # a family must satisfy value[(n, y)] . alpha = value[(m, x)]
     checks: dict = {i: [] for i in range(len(objects))}
-    for (n, y) in objects:
-        ti = index[(n, y)]
-        for m in range(d + 1):
-            for alpha in monotone_tuples(m, n):
-                x = simplicial_action(NJ, alpha, y)
-                si = index[(m, x)]
-                if si == ti:
-                    checks[ti].append(("self", alpha))
-                elif si < ti:
-                    checks[ti].append(("src-known", si, alpha))
-                else:
-                    checks[si].append(("tgt-known", ti, alpha))
+    for mid, (src, tgt) in sc.category.morphisms.items():
+        si, ti, alpha = index[src], index[tgt], sc.alpha_of[mid]
+        if si == ti:
+            checks[ti].append(("self", alpha))
+        elif si < ti:
+            checks[ti].append(("src-known", si, alpha))
+        else:
+            checks[si].append(("tgt-known", ti, alpha))
     values: dict = {}
     families = []
 
@@ -832,12 +800,6 @@ class StrictMorphism:
     def key_on(self, shapes) -> tuple:
         return tuple(sorted((j, F.key()) for j, F in self.components.items()
                             if j in set(shapes)))
-
-    def __eq__(self, other):
-        return isinstance(other, StrictMorphism) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def object_parts(self) -> tuple:
         return tuple(sorted((j, tuple(sorted(F.ob.items())))
@@ -1314,7 +1276,6 @@ class ConcreteImage:
 
 def sample_to_manifest(s: DiaSample, directory: Path) -> dict:
     """Write the categories as .cat files and return the manifest data."""
-    from .cats import cat_to_text
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     cats = {}

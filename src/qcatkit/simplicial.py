@@ -577,6 +577,15 @@ class ProductSSet(TruncatedSSet):
         pid = self.id_of_pair[(r1, r2)]
         return SimplexExpr(tuple(sorted(joint, reverse=True)), pid)
 
+    def map_pairs(self, target: TruncatedSSet, image) -> SimplicialMap:
+        """The map sending each nondegenerate cell (e1|e2) to ``image(e1, e2)``.
+
+        Cells are visited level by level, in ``levels`` order.
+        """
+        pair_of = self.pair_of
+        return SimplicialMap(self, target, {pid: image(*pair_of[pid])
+                                            for xs in self.levels.values() for pid in xs})
+
     def components(self, e: SimplexExpr) -> tuple:
         """Component simplices of an arbitrary simplex of the product."""
         e1, e2 = self.pair_of[e.base]
@@ -590,54 +599,23 @@ def product(S: TruncatedSSet, T: TruncatedSSet) -> ProductSSet:
 
 def product_swap(P: ProductSSet, Q: ProductSSet) -> SimplicialMap:
     """The symmetry P = SxT -> Q = TxS."""
-    assignment = {}
-    for xs in P.levels.values():
-        for pid in xs:
-            e1, e2 = P.pair_of[pid]
-            assignment[pid] = Q.pair_expr(e2, e1)
-    return SimplicialMap(P, Q, assignment)
+    return P.map_pairs(Q, lambda e1, e2: Q.pair_expr(e2, e1))
 
 
 def product_assoc(P: ProductSSet, Q: ProductSSet) -> SimplicialMap:
     """Reassociation (SxT)xU -> Sx(TxU) between given presentations."""
     inner: ProductSSet = Q.right  # TxU
-    assignment = {}
-    for xs in P.levels.values():
-        for pid in xs:
-            e12, e3 = P.pair_of[pid]
-            e1, e2 = P.left.components(e12)
-            assignment[pid] = Q.pair_expr(e1, inner.pair_expr(e2, e3))
-    return SimplicialMap(P, Q, assignment)
 
+    def image(e12, e3):
+        e1, e2 = P.left.components(e12)
+        return Q.pair_expr(e1, inner.pair_expr(e2, e3))
 
-def product_unit_right(P: ProductSSet) -> SimplicialMap:
-    """Projection S x Δ0 -> S (an isomorphism of presentations)."""
-    assignment = {}
-    for xs in P.levels.values():
-        for pid in xs:
-            e1, _ = P.pair_of[pid]
-            assignment[pid] = e1
-    return SimplicialMap(P, P.left, assignment)
-
-
-def product_unit_left(P: ProductSSet) -> SimplicialMap:
-    """Projection Δ0 x T -> T (an isomorphism of presentations)."""
-    assignment = {}
-    for xs in P.levels.values():
-        for pid in xs:
-            _, e2 = P.pair_of[pid]
-            assignment[pid] = e2
-    return SimplicialMap(P, P.right, assignment)
+    return P.map_pairs(Q, image)
 
 
 def projection(P: ProductSSet, side: int) -> SimplicialMap:
     """Projection of a product onto one factor (0 = left, 1 = right)."""
-    assignment = {}
-    for xs in P.levels.values():
-        for pid in xs:
-            pair = P.pair_of[pid]
-            assignment[pid] = pair[side]
-    return SimplicialMap(P, P.left if side == 0 else P.right, assignment)
+    return P.map_pairs(P.left if side == 0 else P.right, lambda *pair: pair[side])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .cats import Functor, equivalence_inverse
-from .mapping import mapping_space
+from .mapping import induced_functor, mapping_space
 from .nerve import ho, require_quasicategory
 from .prederivator import HoPrederivator, StrictMorphism, standard_sample
 from .simplicial import (
@@ -21,6 +21,7 @@ from .simplicial import (
     TruncatedSSet,
     compose_maps,
     sset_from_text,
+    sset_to_text,
 )
 from .util import Budget, ensure_budget
 
@@ -83,19 +84,9 @@ def mapping_space_functor(f: SimplicialMap, x: str, y: str, k: int = 2,
     M_tgt = mapping_space(f.target, f.assignment[x].base, f.assignment[y].base, k, budget)
     level = max(f.target.coskeletal_from or 2, 2)
     f_t = _truncated_map(f, level)
-    pres_src = ho(M_src.sset, budget)
-    pres_tgt = ho(M_tgt.sset, budget)
-    ob = {}
-    for c in pres_src.category.objects:
-        composed = compose_maps(f_t, M_src.exp.cell_map[c])
-        ob[c] = M_tgt.exp.locate(composed).base
-    mor = {}
-    for mid in pres_src.category.nonidentity():
-        edge = M_src.exp.map_of(pres_src.reps[mid])
-        composed = compose_maps(f_t, edge)
-        mor[mid] = pres_tgt.cls(M_tgt.exp.locate(composed))
-    return Functor(pres_src.category, pres_tgt.category, ob, mor,
-                   f"map-space({x},{y})")
+    return induced_functor(M_src.exp, ho(M_src.sset, budget),
+                           M_tgt.exp, ho(M_tgt.sset, budget),
+                           lambda mu, _level: compose_maps(f_t, mu), f"map-space({x},{y})")
 
 
 def is_fully_faithful_1tr(f: SimplicialMap, budget: Budget = None) -> Verdict:
@@ -144,15 +135,9 @@ def induced_prederivator_morphism(DQ: HoPrederivator, DR: HoPrederivator,
     for J_name in DQ.sample.order:
         dq = DQ.data(J_name)
         dr = DR.data(J_name)
-        ob = {}
-        for c in dq.pres.category.objects:
-            ob[c] = dr.exp.locate(compose_maps(f_t, dq.exp.cell_map[c])).base
-        mor = {}
-        for mid in dq.pres.category.nonidentity():
-            edge = dq.exp.map_of(dq.pres.reps[mid])
-            mor[mid] = dr.pres.cls(dr.exp.locate(compose_maps(f_t, edge)))
-        comps[J_name] = Functor(DQ.eval(J_name), DR.eval(J_name), ob, mor,
-                                f"HO(f)_{J_name}")
+        comps[J_name] = induced_functor(dq.exp, dq.pres, dr.exp, dr.pres,
+                                        lambda mu, _level: compose_maps(f_t, mu),
+                                        f"HO(f)_{J_name}")
     return StrictMorphism(DQ, DR, comps, "HO(f)")
 
 
@@ -297,7 +282,6 @@ def load_labeled_corpus(manifest_path) -> list:
 
 def write_labeled_corpus(corpus, directory) -> Path:
     """Write .sset/.map files plus the manifest for a labeled corpus."""
-    from .simplicial import sset_to_text
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     sset_files: dict = {}

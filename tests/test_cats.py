@@ -170,6 +170,17 @@ class TestEquivalence:
         assert len(fs) == len(enumerate_functors(J, J)) * len(enumerate_functors(J, K))
 
 
+class TestFunctorIdentity:
+    def test_same_named_categories_give_distinct_identities(self):
+        # both categories are named "cat" and share their identifiers
+        forward = cat_from_text("objects: 0 1\nmor f: 0 -> 1\nid 0 = i0\nid 1 = i1\n")
+        backward = cat_from_text("objects: 0 1\nmor f: 1 -> 0\nid 0 = i0\nid 1 = i1\n")
+        F, G = identity_functor(forward), identity_functor(backward)
+        assert F.key() == G.key()
+        assert F != G
+        assert F == F
+
+
 class TestPairIds:
     def test_round_trip(self):
         for a, b in [("0", "1"), ("m01", "id0"), ("(m01,id0)", "a"),

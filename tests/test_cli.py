@@ -64,6 +64,16 @@ def test_malformed_sset_is_an_error_line(inputs, capsys):
     assert out.startswith("error: line 3:")
 
 
+def test_unexpected_error_is_an_error_line(inputs, capsys, tmp_path):
+    # a category entry that is not a file name fails with a TypeError
+    d, _ = inputs
+    sample = tmp_path / "m.json"
+    sample.write_text(json.dumps({"categories": {"[0]": 0}}))
+    code, out = run(["der-audit", str(d / "delta0.sset"), "--sample", str(sample)], capsys)
+    assert code == 1
+    assert out.startswith("error: ")
+
+
 def test_verify_suite_is_not_a_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-suite"])

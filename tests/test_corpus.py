@@ -1,0 +1,42 @@
+"""The simplicial-set corpus and its face mutations, run member by member.
+
+The expected verdicts are the ones the benchmark's ``simplices`` workload
+checks against ``perfbench/expected.json``.
+"""
+
+import pytest
+
+from qcatkit.corpus import corpus_quasicategories, corpus_ssets, face_mutations
+from qcatkit.nerve import is_quasicategory
+
+MEMBERS = corpus_ssets()
+# the shells of dimension >= 2 and the horns missing an inner 2- or 3-simplex face
+NOT_QUASICATEGORIES = {"boundary2", "boundary3", "horn2_1",
+                       "horn3_0", "horn3_1", "horn3_2", "horn3_3"}
+
+
+def test_corpus_has_27_members():
+    assert len(MEMBERS) == 27
+    assert len({name for name, _ in MEMBERS}) == 27
+
+
+@pytest.mark.parametrize("name,S", MEMBERS, ids=[name for name, _ in MEMBERS])
+def test_member_validates_with_its_certificate(name, S):
+    report = S.validate(check_coskeletal=True)
+    assert report.ok, report.violations
+
+
+def test_every_face_mutation_fails_validation():
+    mutants = face_mutations()
+    assert len(mutants) == 20
+    assert [M.name for M in mutants if M.validate().ok] == []
+
+
+def test_quasicategory_check_fails_exactly_on_the_expected_members():
+    assert {name for name, S in MEMBERS if not is_quasicategory(S).ok} == NOT_QUASICATEGORIES
+
+
+def test_corpus_quasicategories_pass():
+    members = corpus_quasicategories()
+    assert [name for name, Q in members if not is_quasicategory(Q).ok] == []
+    assert not {name for name, _ in members} & NOT_QUASICATEGORIES

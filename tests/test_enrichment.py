@@ -5,12 +5,12 @@ import pytest
 from qcatkit.cats import compose_functors, identity_functor, poset_simplex
 from qcatkit.enrichment import (
     EqShiftPrederivator,
+    ShiftedPrederivator,
     compose_simplicial,
     embedding_check,
     enrichment_sample,
     eq_shift,
     is_coherent_equivalence,
-    shift,
     simplicial_hom,
     simplicial_operator,
 )
@@ -49,7 +49,7 @@ def deep_point():
 
 
 def find_identity_level0(D):
-    sh = shift(D, "[0]")
+    sh = ShiftedPrederivator(D, "[0]")
     for F in simplicial_hom(D, D, 0):
         if all(F.at(K).key() == identity_functor(sh.eval(K)).key()
                for K in F.components):
@@ -63,24 +63,24 @@ class TestShift:
         assert DEEP.validate().ok
 
     def test_shift_by_point_is_isomorphic(self, d_interval):
-        sh = shift(d_interval, "[0]")
+        sh = ShiftedPrederivator(d_interval, "[0]")
         for K in sh.pairings:
             assert len(sh.eval(K).objects) == len(d_interval.eval(K).objects)
             assert len(sh.eval(K).morphisms) == len(d_interval.eval(K).morphisms)
 
     def test_shift_unit_of_product(self, d_interval):
         # shifting by [1], the value at [0] is the value at [1] x [0]
-        sh = shift(d_interval, "[1]")
+        sh = ShiftedPrederivator(d_interval, "[1]")
         assert sh.eval("[0]") is d_interval.eval("[1]x[0]")
 
     def test_closure_violation_is_loud(self, d_interval):
-        sh = shift(d_interval, "[1]")
+        sh = ShiftedPrederivator(d_interval, "[1]")
         with pytest.raises(ClosureError):
             sh.paired("[1]x[1]")
 
     def test_double_shift_associativity_instance(self, deep_interval):
         # (D^[1])^[1] at [0] agrees with D at [1] x ([1] x [0])
-        outer = shift(deep_interval, "[1]")
+        outer = ShiftedPrederivator(deep_interval, "[1]")
         assert outer.eval("[1]x[0]") is deep_interval.eval("[1]x([1]x[0])")
 
 
@@ -173,7 +173,7 @@ class TestEqShift:
         from qcatkit.cats import contractible_groupoid
         dE = HoPrederivator(nerve(contractible_groupoid(), 3), enrichment_sample(1))
         eq = eq_shift(dE, 1)
-        inner = shift(dE, "[1]")
+        inner = ShiftedPrederivator(dE, "[1]")
         assert len(eq.eval("[0]").objects) == len(inner.eval("[0]").objects)
 
     def test_stable_under_restriction(self, d_interval):

@@ -1,7 +1,7 @@
-"""Source hygiene of the package: no unused imports, no unreferenced definitions."""
+"""Source hygiene of the package: no unused imports, no imports inside
+functions, no unreferenced definitions."""
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -13,10 +13,19 @@ def _trees():
     return [(path.name, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
 
 
-def _word_counts() -> Counter:
-    files = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    files.append(ROOT / "pyproject.toml")
-    return Counter(re.findall(r"\w+", "\n".join(p.read_text() for p in files)))
+def _references(tree) -> Counter:
+    """Names read as variables or attributes, and string constants that are
+    whole identifiers (the benchmark's tracer names what it wraps by string)."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out[node.value] += 1
+    return out
 
 
 def _definitions(tree):
@@ -42,9 +51,18 @@ def test_no_unused_imports():
     assert not unused
 
 
+def test_no_package_imports_inside_functions():
+    local = [f"{module}:{node.lineno}" for module, tree in _trees()
+             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert not local
+
+
 def test_every_definition_is_referenced():
-    counts = _word_counts()
-    # the definition itself is one occurrence
+    files = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    counts = sum((_references(ast.parse(p.read_text())) for p in files), Counter())
+    # a reference from inside the definition itself (recursion) does not count
     dead = [f"{module}:{node.lineno} {node.name}" for module, tree in _trees()
-            for node in _definitions(tree) if counts[node.name] < 2]
+            for node in _definitions(tree)
+            if counts[node.name] - _references(node)[node.name] < 1]
     assert not dead

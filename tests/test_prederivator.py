@@ -19,6 +19,7 @@ from qcatkit.prederivator import (
     ClosureError,
     ConcreteImage,
     DiaSample,
+    HoPrederivator,
     check_der1,
     check_der2,
     check_der5,
@@ -31,7 +32,6 @@ from qcatkit.prederivator import (
     der_audit,
     dia_arrow,
     enumerate_strict_morphisms,
-    ho_prederivator,
     identity_strict,
     kan_extension_value,
     sample_from_manifest,
@@ -48,12 +48,12 @@ SAMPLE = standard_sample()
 
 @pytest.fixture(scope="module")
 def d_point():
-    return ho_prederivator(standard_simplex(0, 2), SAMPLE)
+    return HoPrederivator(standard_simplex(0, 2), SAMPLE)
 
 
 @pytest.fixture(scope="module")
 def d_interval():
-    return ho_prederivator(nerve(poset_simplex(1), 3), SAMPLE)
+    return HoPrederivator(nerve(poset_simplex(1), 3), SAMPLE)
 
 
 class TestSample:
@@ -128,7 +128,7 @@ class TestDerAudits:
         assert report.ok
 
     def test_mutations_fail_exactly_their_axiom(self, d_interval):
-        base_e = ho_prederivator(nerve(contractible_groupoid(), 3), standard_sample())
+        base_e = HoPrederivator(nerve(contractible_groupoid(), 3), standard_sample())
         cases = [
             ("Der1", der1_mutation(d_interval), {"Der1"}),
             ("Der2", der2_mutation(d_interval), {"Der2"}),

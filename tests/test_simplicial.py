@@ -25,8 +25,7 @@ from qcatkit.simplicial import (
     product,
     product_assoc,
     product_swap,
-    product_unit_left,
-    product_unit_right,
+    projection,
     sset_from_text,
     sset_to_text,
     standard_simplex,
@@ -236,11 +235,18 @@ class TestProduct:
 
     def test_unit_laws(self):
         t = standard_simplex(2, 3)
-        for p, unit in [(product(t, standard_simplex(0, 3)), product_unit_right),
-                        (product(standard_simplex(0, 3), t), product_unit_left)]:
-            u = unit(p)
+        for p, side in [(product(t, standard_simplex(0, 3)), 0),
+                        (product(standard_simplex(0, 3), t), 1)]:
+            u = projection(p, side)
             assert u.validate().ok
             assert find_isomorphism(p, t) is not None
+
+    def test_map_pairs_visits_cells_in_level_order(self):
+        p = product(standard_simplex(1, 2), standard_simplex(2, 2))
+        seen = []
+        f = p.map_pairs(p.left, lambda e1, e2: seen.append((e1, e2)) or e1)
+        assert seen == [p.pair_of[pid] for xs in p.levels.values() for pid in xs]
+        assert f.key() == projection(p, 0).key() and f.validate().ok
 
     def test_swap_and_assoc_are_isomorphisms(self):
         a = standard_simplex(1, 2)
