@@ -175,9 +175,9 @@ def group_z2() -> FiniteCategory:
                           {("g", "g"): "e"}, {"*": "e"}, "z2")
 
 
-def contractible_groupoid(labels=("a", "b")) -> FiniteCategory:
-    """The groupoid with the given objects and exactly one morphism between any two."""
-    objects = tuple(sorted(labels))
+def contractible_groupoid() -> FiniteCategory:
+    """The groupoid on objects a, b with exactly one morphism between any two."""
+    objects = ("a", "b")
     morphisms = {}
     identities = {}
     for x in objects:

@@ -75,11 +75,11 @@ def corpus_quasicategories() -> list:
     return out
 
 
-def face_mutations(count: int = 20) -> list:
-    """Single-face mutations of corpus members, each breaking an identity.
+def face_mutations() -> list:
+    """Twenty single-face mutations of corpus members, each breaking an identity.
 
     A face of a 2- or 3-simplex is redirected to a different simplex of
-    the right dimension, deterministically.
+    the right dimension, deterministically; at most two per member.
     """
     out = []
     for name, S in corpus_ssets():
@@ -87,11 +87,11 @@ def face_mutations(count: int = 20) -> list:
         for mutant in _failing_face_mutations(name, S):
             out.append(mutant)
             taken += 1
-            if taken >= 2 or len(out) >= count:
+            if taken >= 2 or len(out) >= 20:
                 break
-        if len(out) >= count:
+        if len(out) >= 20:
             break
-    return out[:count]
+    return out
 
 
 def _failing_face_mutations(name: str, S: TruncatedSSet):
@@ -157,8 +157,9 @@ class PatchedPrederivator(Prederivator):
         return NatTransf(ustar, vstar, comps, base_image.name)
 
 
-def add_idempotent(C: FiniteCategory, obj: str, mid: str = "mut_e") -> FiniteCategory:
-    """A copy of C with one extra non-invertible idempotent endomorphism."""
+def add_idempotent(C: FiniteCategory, obj: str) -> FiniteCategory:
+    """A copy of C with one extra non-invertible idempotent ``mut_e`` at obj."""
+    mid = "mut_e"
     morphisms = dict(C.morphisms)
     morphisms[mid] = (obj, obj)
     compose = dict(C.compose_table)
@@ -171,38 +172,17 @@ def add_idempotent(C: FiniteCategory, obj: str, mid: str = "mut_e") -> FiniteCat
     return FiniteCategory(C.objects, morphisms, compose, C.identities, f"{C.name}+e")
 
 
-def _extend_restriction(mutant, base_image, u, src, dst):
-    """u*: patched -> other when the patch added a morphism."""
-    mor = dict(base_image.mor)
-    target = base_image.target
-    for m in mutant.eval(dst).nonidentity():
-        if m not in mor:
-            mor[m] = target.identities[base_image.ob[mutant.eval(dst).dom(m)]]
-    return Functor(mutant.eval(dst), target, base_image.ob, mor, base_image.name)
+def _restrict_from_patch(mutant, base_image, u, src, dst):
+    """u*: patched -> other on the objects of the patched value.
 
-
-def _retarget_corestriction(mutant, base_image, u, src, dst):
-    """u*: other -> patched when objects and data are unchanged."""
-    return Functor(base_image.source, mutant.eval(src), base_image.ob,
-                   base_image.mor, base_image.name)
-
-
-def der2_mutation(base: HoPrederivator) -> Prederivator:
-    """Adds a pointwise-invisible idempotent: conservativity must fail."""
-    shape = "[1]x[1]"
-    C = base.eval(shape)
-    patched = add_idempotent(C, C.objects[0])
-    return PatchedPrederivator(base, shape, patched,
-                               _extend_restriction, _retarget_corestriction,
-                               f"{base.name}/der2-mutant")
-
-
-def _restrict_restriction(mutant, base_image, u, src, dst):
-    """u*: patched -> other when the patch removed objects."""
+    A morphism that the patch added goes to an identity.
+    """
     sub = mutant.eval(dst)
+    target = base_image.target
     ob = {x: base_image.ob[x] for x in sub.objects}
-    mor = {m: base_image.mor[m] for m in sub.nonidentity()}
-    return Functor(sub, base_image.target, ob, mor, base_image.name)
+    mor = {m: base_image.mor[m] if m in base_image.mor else target.identities[ob[sub.dom(m)]]
+           for m in sub.nonidentity()}
+    return Functor(sub, target, ob, mor, base_image.name)
 
 
 def _corestrict_into_sub(mutant, base_image, u, src, dst):
@@ -214,6 +194,16 @@ def _corestrict_into_sub(mutant, base_image, u, src, dst):
                    base_image.name)
 
 
+def der2_mutation(base: HoPrederivator) -> Prederivator:
+    """Adds a pointwise-invisible idempotent: conservativity must fail."""
+    shape = "[1]x[1]"
+    C = base.eval(shape)
+    patched = add_idempotent(C, C.objects[0])
+    return PatchedPrederivator(base, shape, patched,
+                               _restrict_from_patch, _corestrict_into_sub,
+                               f"{base.name}/der2-mutant")
+
+
 def _removal_mutation(base: HoPrederivator, arrow_picker, label: str) -> Prederivator:
     shape = "[1]x[1]"
     src, on_object, _ = dia_arrow(base, "[1]")
@@ -221,7 +211,7 @@ def _removal_mutation(base: HoPrederivator, arrow_picker, label: str) -> Prederi
     keep = [X for X in src.objects if on_object(X) != f0]
     patched = full_subcategory(base.eval(shape), keep)
     return PatchedPrederivator(base, shape, patched,
-                               _restrict_restriction, _corestrict_into_sub,
+                               _restrict_from_patch, _corestrict_into_sub,
                                f"{base.name}/{label}")
 
 

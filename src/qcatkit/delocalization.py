@@ -96,22 +96,20 @@ class SimplexCategory:
                 f"{len(self.category.morphisms)} morphisms, {len(self.marked)} marked>")
 
 
-def simplex_functor(f: SimplicialMap, d: int, source: SimplexCategory = None,
-                    target: SimplexCategory = None) -> Functor:
+def simplex_functor(f: SimplicialMap, source: SimplexCategory,
+                    target: SimplexCategory) -> Functor:
     """The functor between simplex categories induced by a simplicial map."""
-    src = source if source is not None else SimplexCategory(f.source, d)
-    tgt = target if target is not None else SimplexCategory(f.target, d)
     ob = {}
-    for oid, (m, e) in src.simplex_of.items():
+    for oid, (m, e) in source.simplex_of.items():
         ob[oid] = _obj_id(m, f.apply(e))
     mor = {}
-    for mid in src.category.nonidentity():
-        s_id, t_id = src.category.morphisms[mid]
-        mor[mid] = _mor_id(ob[s_id], ob[t_id], src.alpha_of[mid])
-    return Functor(src.category, tgt.category, ob, mor, f"simplices({f!r})")
+    for mid in source.category.nonidentity():
+        s_id, t_id = source.category.morphisms[mid]
+        mor[mid] = _mor_id(ob[s_id], ob[t_id], source.alpha_of[mid])
+    return Functor(source.category, target.category, ob, mor, f"simplices({f!r})")
 
 
-def last_vertex_projection(S: TruncatedSSet, d: int, nerve_dim: int = 2):
+def last_vertex_projection(S: TruncatedSSet, d: int):
     """The simplicial map from the nerve of the simplex category onto S.
 
     A chain of simplex maps goes to the restriction of its last member
@@ -120,7 +118,7 @@ def last_vertex_projection(S: TruncatedSSet, d: int, nerve_dim: int = 2):
     than repaired.
     """
     sc = SimplexCategory(S, d)
-    N = nerve(sc.category, max(2, nerve_dim))
+    N = nerve(sc.category, 2)
     assignment = {}
     for k in range(N.dim_bound + 1):
         for cid in N.nondeg(k):
@@ -163,16 +161,16 @@ def marked_closure_report(sc: SimplexCategory) -> ValidationReport:
     return report
 
 
-def naturality_report(f: SimplicialMap, d: int, nerve_dim: int = 2) -> ValidationReport:
+def naturality_report(f: SimplicialMap, d: int) -> ValidationReport:
     """p is natural: the square with the induced simplex functor commutes."""
     report = ValidationReport(f"naturality of the projection on {f.source.name}")
-    sc_s, N_s, p_s = last_vertex_projection(f.source, d, nerve_dim)
-    sc_t, N_t, p_t = last_vertex_projection(f.target, d, nerve_dim)
-    F = simplex_functor(f, d, sc_s, sc_t)
+    sc_s, N_s, p_s = last_vertex_projection(f.source, d)
+    sc_t, N_t, p_t = last_vertex_projection(f.target, d)
+    F = simplex_functor(f, sc_s, sc_t)
     if not F.validate().ok:
         report.add("induced functor on simplex categories is broken")
         return report
-    NF = nerve_map(F, source=N_s, target=N_t)
+    NF = nerve_map(F, N_s, N_t)
     left = compose_maps(p_t, NF)
     right = compose_maps(f, p_s)
     report.checked += 1
@@ -182,7 +180,7 @@ def naturality_report(f: SimplicialMap, d: int, nerve_dim: int = 2) -> Validatio
 
 
 def check_inverts_L(Q: TruncatedSSet, d: int, budget: Budget = None,
-                    pres=None, data=None) -> ValidationReport:
+                    data=None) -> ValidationReport:
     """Every marked morphism projects to a Ho-invertible edge of Q.
 
     The report names the depth; the full localization property is out of
@@ -190,7 +188,7 @@ def check_inverts_L(Q: TruncatedSSet, d: int, budget: Budget = None,
     """
     budget = ensure_budget(budget, f"marked-class check on {Q.name}")
     require_quasicategory(Q, budget)
-    pres = pres if pres is not None else ho(Q, budget, verified=True)
+    pres = ho(Q, budget, verified=True)
     sc, N, p = data if data is not None else last_vertex_projection(Q, d)
     report = ValidationReport(f"marked morphisms of {Q.name} at depth {d} invert in Ho")
     for mid in sorted(sc.marked):

@@ -23,7 +23,7 @@ from .cats import (
     vertex_functor,
 )
 from .mapping import induced_functor
-from .nerve import nerve, nerve_product_compare
+from .nerve import chain_shape_iso, nerve, nerve_product_compare
 from .prederivator import (
     ClosureError,
     DiaSample,
@@ -214,13 +214,14 @@ def simplicial_operator(D2: Prederivator, F: StrictMorphism, alpha: tuple,
                         m: int, n: int) -> StrictMorphism:
     """Action of a monotone map [m] -> [n] on a level-n morphism."""
     shifted_m = ShiftedPrederivator(D2, f"[{m}]")
+    shifted_n = ShiftedPrederivator(D2, f"[{n}]")
     chain_m = D2.sample.cat(f"[{m}]")
     comps = {}
     for K_name in F.components:
         if K_name not in shifted_m.pairings:
             continue
         src_p = shifted_m.paired(K_name)
-        dst_p = ShiftedPrederivator(D2, f"[{n}]").paired(K_name)
+        dst_p = shifted_n.paired(K_name)
         P_m = D2.sample.cat(src_p)
         P_n = D2.sample.cat(dst_p)
         ob = {}
@@ -230,7 +231,7 @@ def simplicial_operator(D2: Prederivator, F: StrictMorphism, alpha: tuple,
         mor = {}
         for mm in P_m.nonidentity():
             tm, km = split_pair(mm)
-            lo, hi = chain_m.morphisms[tm] if tm in chain_m.morphisms else (None, None)
+            lo, hi = chain_m.morphisms[tm]
             a, b = alpha[int(lo)], alpha[int(hi)]
             mor[mm] = pair_id(f"m{a}{b}", km)
         alpha_x_id = Functor(P_m, P_n, ob, mor, f"a{alpha}x id_{K_name}")
@@ -411,18 +412,6 @@ class EmbeddingReport:
         ]
 
 
-def _chain_shape_iso(delta_n: TruncatedSSet, chain_nerve) -> SimplicialMap:
-    """Identify the standard simplex with the nerve of the chain poset."""
-    assignment = {}
-    for m in range(delta_n.dim_bound + 1):
-        for x in delta_n.nondeg(m):
-            verts = [int(ch) for ch in x]
-            chain = (str(verts[0]),) + tuple(
-                f"m{verts[i]}{verts[i + 1]}" for i in range(len(verts) - 1))
-            assignment[x] = chain_nerve.chain_expr(chain)
-    return SimplicialMap(delta_n, chain_nerve, assignment)
-
-
 def _inverse_iso(iso: SimplicialMap):
     table = {img: SimplexExpr((), x) for x, img in iso.assignment.items()}
 
@@ -433,48 +422,49 @@ def _inverse_iso(iso: SimplicialMap):
     return apply
 
 
-def induced_strict_morphism(DQ: HoPrederivator, DR: HoPrederivator, n: int,
+def induced_strict_morphism(DQ: HoPrederivator, shifted: ShiftedPrederivator,
                             mu: SimplicialMap, shapes) -> StrictMorphism:
-    """The level-n morphism induced by a map mu: Q x delta_n -> R.
+    """The level-n morphism DQ -> DR^{[n]} induced by a map mu: Q x delta_n -> R.
 
+    ``shifted`` is the shift of DR = ``shifted.base`` by the chain [n].
     Component at K sends a K-shaped diagram nu of Q to the ([n] x K)-shaped
     diagram (t, k) -> mu(nu(k), t) of R, splitting nerve cells through the
     product comparison.
     """
-    shifted = ShiftedPrederivator(DR, f"[{n}]")
-    chain_nerve = nerve(DR.sample.cat(f"[{n}]"), 2)
-    shape_inv = _inverse_iso(_chain_shape_iso(mu.source.right, chain_nerve))
+    chain_nerve = nerve(shifted.J, 2)
+    shape_inv = _inverse_iso(chain_shape_iso(mu.source.right, chain_nerve))
     comps = {}
     for K_name in shapes:
         dq = DQ.data(K_name)
-        dr = DR.data(shifted.paired(K_name))
-        P_split = product(chain_nerve, dq.nerve)
-        compare = nerve_product_compare(dr.nerve, P_split)
+        dr = shifted.base.data(shifted.paired(K_name))
+        P_split = product(chain_nerve, dq.exponent)
+        compare = nerve_product_compare(dr.exponent, P_split)
 
         # level 0 uses the same formula: Δ0 has one simplex in each dimension
         def image(cell: SimplicialMap, level: int) -> SimplicialMap:
-            P_q = dq.exp.products[level]
+            P_q = dq.products[level]
 
             def pair_image(e1, e2):
                 t_part, k_part = P_split.components(compare.apply(e1))
                 q_part = cell.apply(P_q.pair_expr(k_part, e2))
                 return mu.apply(mu.source.pair_expr(q_part, shape_inv(t_part)))
 
-            return dr.exp.products[level].map_pairs(dr.exp.T_t, pair_image)
+            return dr.products[level].map_pairs(dr.T_t, pair_image)
 
-        comps[K_name] = induced_functor(dq.exp, dq.pres, dr.exp, dr.pres, image, "")
+        comps[K_name] = induced_functor(dq, dr, image, "")
     return StrictMorphism(DQ, shifted, comps, "induced")
 
 
 def embedding_check(Q: TruncatedSSet, R: TruncatedSSet, n: int,
-                    sample: DiaSample = None, budget: Budget = None) -> EmbeddingReport:
+                    budget: Budget = None) -> EmbeddingReport:
     """Injectivity of the passage from simplicial maps to strict levels.
 
-    Surjectivity over the sample is reported, never asserted: a finite
-    sample may admit strict families with no simplicial origin.
+    Runs over ``enrichment_sample(max(n, 1))``.  Surjectivity over the
+    sample is reported, never asserted: a finite sample may admit strict
+    families with no simplicial origin.
     """
     budget = ensure_budget(budget, "embedding check")
-    sample = sample if sample is not None else enrichment_sample(max(n, 1))
+    sample = enrichment_sample(max(n, 1))
     DQ = HoPrederivator(Q, sample, budget)
     DR = HoPrederivator(R, sample, budget)
     report = EmbeddingReport(f"{Q.name} -> {R.name} at level {n}")
@@ -488,7 +478,7 @@ def embedding_check(Q: TruncatedSSet, R: TruncatedSSet, n: int,
     report.hom_count = len(homs)
     images = set()
     for mu in maps:
-        F = induced_strict_morphism(DQ, DR, n, mu, shapes)
+        F = induced_strict_morphism(DQ, shifted, mu, shapes)
         images.add(F.key())
     report.image_size = len(images & {F.key() for F in homs})
     report.injective = len(images) == len(maps)

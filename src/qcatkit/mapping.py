@@ -9,6 +9,8 @@ certified constructions derived from them.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .cats import Functor
 from .nerve import HoPresentation, QcatReport, ho, require_quasicategory
 from .simplicial import (
@@ -59,11 +61,14 @@ class Exponential:
     Level n consists of the simplicial maps S x Δn -> T; faces and
     degeneracies are induced by the cosimplicial structure of the standard
     simplices.  Nondegenerate cells get short identifiers ``c{n}_{i}`` in
-    canonical order; ``cell_map`` recovers the underlying map.
+    canonical order; ``cell_map`` recovers the underlying map, and ``ho``
+    is the homotopy category of the presented quasicategory.
     """
 
     def __init__(self, T: TruncatedSSet, S: TruncatedSSet, k: int = 2,
                  budget: Budget = None, fixed_levels=None, name: str = None):
+        # Ho is charged to the caller's budget, or makes its own like ho() does
+        self._budget = budget
         budget = ensure_budget(budget, f"exponential {T.name}^{S.name}")
         level = _check_exactness(T, S, k)
         self.base = T
@@ -76,14 +81,10 @@ class Exponential:
         self.name = name or f"({T.name}^{S.name})"
         fixed_levels = fixed_levels or {}
 
-        self._sections = {}
         self._collapses = {}
         self._face_maps = {}
         self._degeneracy_endos = {}
         for n in range(1, k + 1):
-            self._sections[n] = {
-                j: self._shape_map(self._delta_vertexmap(j, n), n - 1, n)
-                for j in range(n)}
             self._collapses[n] = {
                 j: self._shape_map(self._sigma_vertexmap(j, n), n, n - 1)
                 for j in range(n)}
@@ -160,7 +161,8 @@ class Exponential:
         """Normal form (word, nondegenerate cell) of a total cell."""
         for j in range(n):
             if self._degenerate_at(mu, n, j):
-                nu = compose_maps(mu, self._sections[n][j])
+                # δ_j is a section of σ_j
+                nu = compose_maps(mu, self._face_maps[n][j])
                 inner = self.to_expr.get(nu.key())
                 if inner is None:
                     inner = self._decompose(nu, n - 1)
@@ -168,6 +170,10 @@ class Exponential:
         raise AssertionError("total cell neither nondegenerate nor decomposable")
 
     # -- public queries -----------------------------------------------------
+
+    @cached_property
+    def ho(self) -> HoPresentation:
+        return ho(self.sset, self._budget)
 
     def locate(self, mu: SimplicialMap) -> SimplexExpr:
         e = self.to_expr.get(mu.key())
@@ -192,8 +198,7 @@ class Exponential:
         return mu.apply(e)
 
 
-def induced_functor(E1: Exponential, pres1: HoPresentation, E2: Exponential,
-                    pres2: HoPresentation, image, name: str) -> Functor:
+def induced_functor(E1: Exponential, E2: Exponential, image, name: str) -> Functor:
     """The functor Ho(E1) -> Ho(E2) induced by a transport of cells.
 
     ``image(mu, level)`` sends the underlying map of a level-0 or level-1
@@ -201,10 +206,11 @@ def induced_functor(E1: Exponential, pres1: HoPresentation, E2: Exponential,
     Objects go to the located vertices, morphisms to the classes of the
     located images of their representatives.
     """
-    ob = {c: E2.locate(image(E1.cell_map[c], 0)).base for c in pres1.category.objects}
-    mor = {m: pres2.cls(E2.locate(image(E1.map_of(pres1.reps[m]), 1)))
-           for m in pres1.category.nonidentity()}
-    return Functor(pres1.category, pres2.category, ob, mor, name)
+    ho1, ho2 = E1.ho, E2.ho
+    ob = {c: E2.locate(image(E1.cell_map[c], 0)).base for c in ho1.category.objects}
+    mor = {m: ho2.cls(E2.locate(image(E1.map_of(ho1.reps[m]), 1)))
+           for m in ho1.category.nonidentity()}
+    return Functor(ho1.category, ho2.category, ob, mor, name)
 
 
 # ---------------------------------------------------------------------------
@@ -232,40 +238,27 @@ def kan_core(Q: TruncatedSSet, budget: Budget = None) -> TruncatedSSet:
 # mapping spaces
 
 
-class MappingSpace:
+def mapping_space(Q: TruncatedSSet, x: str, y: str, budget: Budget = None) -> Exponential:
     """Balanced mapping space between two vertices of a quasicategory.
 
     An n-simplex is a prism Δ1 x Δn -> Q restricting to the degeneracies
     of x and y over the two endpoints of the exponent interval.
     """
-
-    def __init__(self, Q: TruncatedSSet, x: str, y: str, k: int = 2, budget: Budget = None):
-        interval = standard_simplex(1, 2)
-        fixed_levels = {}
-        level = max(Q.coskeletal_from if Q.coskeletal_from is not None else 2, 2)
-        for n in range(k + 1):
-            P = product(interval.truncate(level), standard_simplex(n, max(n, level)))
-            fixed = {}
-            for m in range(P.dim_bound + 1):
-                for pid in P.nondeg(m):
-                    e1, _ = P.pair_of[pid]
-                    if interval.dim_of[e1.base] == 0:
-                        target = x if e1.base == "0" else y
-                        fixed[pid] = SimplexExpr(full_degeneracy(m), target)
-            fixed_levels[n] = fixed
-        self.x, self.y = x, y
-        self.exp = Exponential(Q, interval, k, budget, fixed_levels,
-                               name=f"{Q.name}({x},{y})")
-        self.sset = self.exp.sset
-
-    def kan_report(self, budget: Budget = None):
-        return kan_check(self.sset, budget)
-
-
-def mapping_space(Q: TruncatedSSet, x: str, y: str, k: int = 2,
-                  budget: Budget = None) -> MappingSpace:
     require_quasicategory(Q, budget)
-    return MappingSpace(Q, x, y, k, budget)
+    interval = standard_simplex(1, 2)
+    fixed_levels = {}
+    level = max(Q.coskeletal_from if Q.coskeletal_from is not None else 2, 2)
+    for n in range(3):
+        P = product(interval.truncate(level), standard_simplex(n, max(n, level)))
+        fixed = {}
+        for m in range(P.dim_bound + 1):
+            for pid in P.nondeg(m):
+                e1, _ = P.pair_of[pid]
+                if interval.dim_of[e1.base] == 0:
+                    target = x if e1.base == "0" else y
+                    fixed[pid] = SimplexExpr(full_degeneracy(m), target)
+        fixed_levels[n] = fixed
+    return Exponential(Q, interval, 2, budget, fixed_levels, name=f"{Q.name}({x},{y})")
 
 
 def kan_check(S: TruncatedSSet, budget: Budget = None) -> QcatReport:
@@ -320,7 +313,6 @@ def horn_map_from_faces(n: int, i: int, images: dict, Q: TruncatedSSet) -> Simpl
     assignment: dict = {}
     for j in sorted(images):
         face_subset = tuple(t for t in range(n + 1) if t != j)
-        face_id = "".join(str(t) for t in face_subset)
         img = images[j]
         for m in range(n):
             for cid in hn.nondeg(m):
@@ -357,13 +349,12 @@ class Square:
 
 
 class LiftResult:
-    def __init__(self, exponential_: Exponential, ho_exp: HoPresentation,
-                 prism: SimplicialMap, cell: SimplexExpr, steps: dict):
+    def __init__(self, exponential_: Exponential, prism: SimplicialMap, cell: SimplexExpr,
+                 steps: dict):
         self.exponential = exponential_
-        self.ho_exp = ho_exp
         self.prism = prism
         self.cell = cell
-        self.morphism = ho_exp.cls(cell)
+        self.morphism = exponential_.ho.cls(cell)
         self.steps = steps
 
 
@@ -418,8 +409,7 @@ def prism_map(E: Exponential, f: SimplexExpr, g: SimplexExpr,
 
 
 def lift_square(Q: TruncatedSSet, square: Square, f: SimplexExpr, g: SimplexExpr,
-                budget: Budget = None, E: Exponential = None,
-                ho_E: HoPresentation = None) -> LiftResult:
+                budget: Budget = None, E: Exponential = None) -> LiftResult:
     """Lift a commutative Ho-square to a morphism f -> g in Ho(Q^{Δ1}).
 
     Follows the horn-filling construction: compose witnesses for the two
@@ -460,11 +450,9 @@ def lift_square(Q: TruncatedSSet, square: Square, f: SimplexExpr, g: SimplexExpr
     steps["tau"] = tau
     if E is None:
         E = Exponential(Q, standard_simplex(1, 2), 2, budget)
-    if ho_E is None:
-        ho_E = ho(E.sset, budget)
     prism = prism_map(E, f, g, triangle_a=a, triangle_b=tau, h=h, k=k, diag=d1a)
     cell = E.locate(prism)
-    result = LiftResult(E, ho_E, prism, cell, steps)
+    result = LiftResult(E, prism, cell, steps)
     # dia of the lift must reproduce the square on the nose
     top_edge = E.evaluate_at_vertex(prism, "0", 1)
     bottom_edge = E.evaluate_at_vertex(prism, "1", 1)
@@ -473,8 +461,8 @@ def lift_square(Q: TruncatedSSet, square: Square, f: SimplexExpr, g: SimplexExpr
     return result
 
 
-def enumerate_prism_lifts(E: Exponential, ho_E: HoPresentation, square: Square,
-                          f: SimplexExpr, g: SimplexExpr, budget: Budget = None) -> list:
+def enumerate_prism_lifts(E: Exponential, square: Square, f: SimplexExpr, g: SimplexExpr,
+                          budget: Budget = None) -> list:
     """Brute-force search for all lifts of a square, as Ho-classes.
 
     Independent of the horn-filling construction: scans every 1-cell of the
@@ -494,7 +482,7 @@ def enumerate_prism_lifts(E: Exponential, ho_E: HoPresentation, square: Square,
         top_edge = E.evaluate_at_vertex(mu, "0", 1)
         bottom_edge = E.evaluate_at_vertex(mu, "1", 1)
         if pres.cls(top_edge) == square.top and pres.cls(bottom_edge) == square.bottom:
-            found.append(ho_E.cls(sigma))
+            found.append(E.ho.cls(sigma))
     return sorted(set(found))
 
 

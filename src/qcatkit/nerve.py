@@ -108,17 +108,27 @@ def nerve(J: FiniteCategory, D: int = 3) -> NerveSSet:
     return NerveSSet(J, D)
 
 
-def nerve_map(u: Functor, D: int = 3, source: NerveSSet = None, target: NerveSSet = None) -> SimplicialMap:
-    """The simplicial map N(u) between truncated nerves."""
-    src = source if source is not None else nerve(u.source, D)
-    tgt = target if target is not None else nerve(u.target, D)
+def nerve_map(u: Functor, source: NerveSSet, target: NerveSSet) -> SimplicialMap:
+    """The simplicial map N(u) between given truncated nerves of its ends."""
     assignment = {}
-    for n in range(src.dim_bound + 1):
-        for cid in src.nondeg(n):
-            c = src.chain_of[cid]
+    for n in range(source.dim_bound + 1):
+        for cid in source.nondeg(n):
+            c = source.chain_of[cid]
             image = (u.ob[c[0]],) + tuple(u.on_morphism(m) for m in c[1:])
-            assignment[cid] = tgt.chain_expr(image)
-    return SimplicialMap(src, tgt, assignment)
+            assignment[cid] = target.chain_expr(image)
+    return SimplicialMap(source, target, assignment)
+
+
+def chain_shape_iso(delta_n: TruncatedSSet, chain_nerve: NerveSSet) -> SimplicialMap:
+    """Identify the standard simplex with the nerve of the chain poset."""
+    assignment = {}
+    for m in range(delta_n.dim_bound + 1):
+        for x in delta_n.nondeg(m):
+            verts = [int(ch) for ch in x]
+            chain = (str(verts[0]),) + tuple(
+                f"m{verts[i]}{verts[i + 1]}" for i in range(len(verts) - 1))
+            assignment[x] = chain_nerve.chain_expr(chain)
+    return SimplicialMap(delta_n, chain_nerve, assignment)
 
 
 def nerve_product_compare(NJK: NerveSSet, P: ProductSSet) -> SimplicialMap:
@@ -224,13 +234,12 @@ def _check_level2_horn(S: TruncatedSSet, report: QcatReport, budget: Budget) -> 
         report.unique_fillers = False
 
 
-def is_quasicategory(S: TruncatedSSet, budget: Budget = None, max_dim: int = None) -> QcatReport:
-    """Check that every inner horn of dimension 2..max_dim has a filler."""
+def is_quasicategory(S: TruncatedSSet, budget: Budget = None) -> QcatReport:
+    """Check that every inner horn up to the truncation has a filler."""
     budget = ensure_budget(budget, f"quasicategory check on {S.name}")
-    max_dim = max_dim if max_dim is not None else S.dim_bound
-    report = QcatReport(S.name, max_dim)
+    report = QcatReport(S.name, S.dim_bound)
     _check_level2_horn(S, report, budget)
-    for n in range(3, max_dim + 1):
+    for n in range(3, S.dim_bound + 1):
         report.check_horns(S, n, range(1, n), budget)
     return report
 

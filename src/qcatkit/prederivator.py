@@ -40,8 +40,8 @@ from .cats import (
     vertical_compose,
 )
 from .delocalization import SimplexCategory
-from .mapping import Exponential, induced_functor
-from .nerve import ho, nerve, nerve_map, nerve_product_compare_inv
+from .mapping import Exponential, full_degeneracy, induced_functor
+from .nerve import chain_shape_iso, nerve, nerve_map, nerve_product_compare_inv
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
@@ -87,14 +87,12 @@ class DiaSample:
         self.terminal: str | None = None
         self.initial: str | None = None
         self.order: list[str] = []
-        self._by_id: dict[int, str] = {}
 
     def add_category(self, name: str, C: FiniteCategory) -> FiniteCategory:
         if name in self.categories:
             raise ValueError(f"duplicate sample category {name!r}")
         self.categories[name] = C
         self.order.append(name)
-        self._by_id[id(C)] = name
         return C
 
     def add_functor(self, name: str, src: str, dst: str, F: Functor) -> Functor:
@@ -111,15 +109,6 @@ class DiaSample:
         if name not in self.categories:
             raise ClosureError(f"sample {self.name} has no category {name!r}")
         return self.categories[name]
-
-    def name_of(self, C: FiniteCategory) -> str:
-        hit = self._by_id.get(id(C))
-        if hit is not None:
-            return hit
-        for name, D in self.categories.items():
-            if D.canonical_key() == C.canonical_key():
-                return name
-        raise ClosureError(f"category {C.name} is not in sample {self.name}")
 
     def shift_name(self, j: str) -> str:
         if j not in self.shifts:
@@ -198,13 +187,13 @@ def standard_sample() -> DiaSample:
     p0 = s.add_category("[0]", poset_simplex(0))
     p1 = s.add_category("[1]", poset_simplex(1))
     p2 = s.add_category("[2]", poset_simplex(2))
-    p0x1 = s.add_category("[0]x[1]", product_cat(p0, poset_simplex(1)))
-    p1x1 = s.add_category("[1]x[1]", product_cat(p1, poset_simplex(1)))
-    d2 = s.add_category("d[2]", boundary_two())
+    s.add_category("[0]x[1]", product_cat(p0, poset_simplex(1)))
+    s.add_category("[1]x[1]", product_cat(p1, poset_simplex(1)))
+    s.add_category("d[2]", boundary_two())
     s.add_category("0", empty_category())
-    c00 = s.add_category("[0]+[0]", coproduct_cat(p0, p0))
-    c01 = s.add_category("[0]+[1]", coproduct_cat(p0, p1))
-    c11 = s.add_category("[1]+[1]", coproduct_cat(p1, p1))
+    s.add_category("[0]+[0]", coproduct_cat(p0, p0))
+    s.add_category("[0]+[1]", coproduct_cat(p0, p1))
+    s.add_category("[1]+[1]", coproduct_cat(p1, p1))
     s.terminal = "[0]"
     s.initial = "0"
     s.products = {("[0]", "[1]"): "[0]x[1]", ("[1]", "[1]"): "[1]x[1]"}
@@ -310,17 +299,13 @@ class Prederivator:
             self._eval_cache[J_name] = self._eval(J_name)
         return self._eval_cache[J_name]
 
-    def on_functor(self, u: Functor, src: str = None, dst: str = None) -> Functor:
-        src = src if src is not None else self.sample.name_of(u.source)
-        dst = dst if dst is not None else self.sample.name_of(u.target)
+    def on_functor(self, u: Functor, src: str, dst: str) -> Functor:
         key = (src, dst, u.key())
         if key not in self._functor_cache:
             self._functor_cache[key] = self._on_functor(u, src, dst)
         return self._functor_cache[key]
 
-    def on_nat(self, alpha: NatTransf, src: str = None, dst: str = None) -> NatTransf:
-        src = src if src is not None else self.sample.name_of(alpha.source.source)
-        dst = dst if dst is not None else self.sample.name_of(alpha.source.target)
+    def on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
         key = (src, dst, alpha.key())
         if key not in self._nat_cache:
             self._nat_cache[key] = self._on_nat(alpha, src, dst)
@@ -385,15 +370,6 @@ class Prederivator:
         return report
 
 
-class HoEval:
-    """Cached evaluation data for one shape: exponential plus Ho."""
-
-    def __init__(self, nerve_sset, exp: Exponential, pres):
-        self.nerve = nerve_sset
-        self.exp = exp
-        self.pres = pres
-
-
 class HoPrederivator(Prederivator):
     """The prederivator of a quasicategory: J -> Ho(Q^{N(J)})."""
 
@@ -401,50 +377,33 @@ class HoPrederivator(Prederivator):
         super().__init__(sample, f"HO({Q.name})")
         self.Q = Q
         self.budget = budget
-        self._data: dict[str, HoEval] = {}
-        self._interval_iso = None
+        self._data: dict[str, Exponential] = {}
 
-    def data(self, J_name: str) -> HoEval:
+    def data(self, J_name: str) -> Exponential:
+        """The exponential Q^{N(J)} whose Ho is the value at J."""
         self.eval(J_name)
         return self._data[J_name]
 
     def _eval(self, J_name: str) -> FiniteCategory:
-        J = self.sample.cat(J_name)
-        N = nerve(J, 2)
         try:
-            E = Exponential(self.Q, N, 2, self.budget)
+            E = Exponential(self.Q, nerve(self.sample.cat(J_name), 2), 2, self.budget)
         except ValueError as err:
             raise ValueError(f"evaluation at {J_name} failed: {err}") from None
-        pres = ho(E.sset, self.budget)
-        pres.category.name = f"{self.name}({J_name})"
-        self._data[J_name] = HoEval(N, E, pres)
-        return pres.category
-
-    def _underlying_map(self, cell_map: SimplicialMap, J_name: str) -> SimplicialMap:
-        """Extract N(J) -> Q from a level-0 exponential cell."""
-        data = self._data[J_name]
-        P0 = data.exp.products[0]
-        N_t = data.exp.S_t
-        assignment = {}
-        for n in range(N_t.dim_bound + 1):
-            for x in N_t.nondeg(n):
-                e = P0.pair_expr(SimplexExpr((), x),
-                                 SimplexExpr(tuple(range(n - 1, -1, -1)), "0"))
-                assignment[x] = cell_map.apply(e)
-        return SimplicialMap(N_t, data.exp.T_t, assignment)
+        self._data[J_name] = E
+        E.ho.category.name = f"{self.name}({J_name})"
+        return E.ho.category
 
     def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
         # contravariant: u: J -> K induces u*: eval(K) -> eval(J)
         dj, dk = self.data(src), self.data(dst)
-        nu = nerve_map(u, source=dj.nerve, target=dk.nerve)
+        nu = nerve_map(u, dj.exponent, dk.exponent)
 
         def precompose(mu: SimplicialMap, level: int) -> SimplicialMap:
-            Pk = dk.exp.products[level]
-            return dj.exp.products[level].map_pairs(
-                dj.exp.T_t, lambda e1, e2: mu.apply(Pk.pair_expr(nu.apply(e1), e2)))
+            Pk = dk.products[level]
+            return dj.products[level].map_pairs(
+                dj.T_t, lambda e1, e2: mu.apply(Pk.pair_expr(nu.apply(e1), e2)))
 
-        return induced_functor(dk.exp, dk.pres, dj.exp, dj.pres, precompose,
-                               f"{self.name}({u.name})*")
+        return induced_functor(dk, dj, precompose, f"{self.name}({u.name})*")
 
     def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
         u, v = alpha.source, alpha.target
@@ -454,20 +413,19 @@ class HoPrederivator(Prederivator):
         vstar = self.on_functor(v, src, dst)
         dj, dk = self._data[src], self._data[dst]
         mate = _mate_functor(alpha, J, K)
-        JxI = mate.source
-        NJxI = nerve(JxI, 2)
-        nmate = nerve_map(mate, source=NJxI, target=dk.nerve)
+        NJxI = nerve(mate.source, 2)
+        nmate = nerve_map(mate, NJxI, dk.exponent)
         interval_nerve = nerve(poset_simplex(1), 2)
-        P_JI = product(dj.nerve, interval_nerve)
+        P_JI = product(dj.exponent, interval_nerve)
         compare = nerve_product_compare_inv(P_JI, NJxI)
-        shape_to_nerve = _interval_shape_iso(dj.exp.products[1].right, interval_nerve)
-        # N(J) x Δ1 -> N(K) through the mate; each component precomposes it
-        through_mate = dj.exp.products[1].map_pairs(dk.nerve, lambda e1, e2: nmate.apply(
-            compare.apply(P_JI.pair_expr(e1, shape_to_nerve.apply(e2)))))
-        comps = {}
-        for c in dk.pres.category.objects:
-            base_map = self._underlying_map(dk.exp.cell_map[c], dst)
-            comps[c] = dj.pres.cls(dj.exp.locate(compose_maps(base_map, through_mate)))
+        Pj, Pk = dj.products[1], dk.products[0]
+        shape_to_nerve = chain_shape_iso(Pj.right, interval_nerve)
+        # N(J) x Δ1 -> N(K) x Δ0 through the mate; each component precomposes it
+        transport = Pj.map_pairs(Pk, lambda e1, e2: Pk.pair_expr(
+            nmate.apply(compare.apply(P_JI.pair_expr(e1, shape_to_nerve.apply(e2)))),
+            SimplexExpr(full_degeneracy(Pj.left.expr_dim(e1)), "0")))
+        comps = {c: dj.ho.cls(dj.locate(compose_maps(dk.cell_map[c], transport)))
+                 for c in dk.ho.category.objects}
         return NatTransf(ustar, vstar, comps, f"{self.name}({alpha.name})*")
 
 
@@ -492,13 +450,6 @@ def _mate_functor(alpha: NatTransf, J: FiniteCategory, K: FiniteCategory) -> Fun
             img = K.compose(alpha.at(y), u.on_morphism(m))
         mor[p] = img
     return Functor(JxI, K, ob, mor, f"mate({alpha.name})")
-
-
-def _interval_shape_iso(shape: TruncatedSSet, interval_nerve) -> SimplicialMap:
-    """Identify the standard 1-simplex with the nerve of [1]."""
-    assignment = {"0": SimplexExpr((), "0"), "1": SimplexExpr((), "1"),
-                  "01": SimplexExpr((), "m01")}
-    return SimplicialMap(shape, interval_nerve, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -1118,7 +1069,6 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
 
     def walk(pos):
         if pos == len(shapes):
-            F = StrictMorphism(D1, D2, components)
             ok = True
             for name, a in sorted(s.nats.items()):
                 sf, _ = s.nat_ends[name]
@@ -1197,13 +1147,10 @@ class ConcreteImage:
     by their component tuples, faithfully.
     """
 
-    def __init__(self, D: Prederivator, shapes=None, functor_names=None):
+    def __init__(self, D: Prederivator, shapes, functor_names):
         self.D = D
-        s = D.sample
-        self.shapes = list(shapes) if shapes is not None else list(s.order)
-        self.functor_names = (list(functor_names) if functor_names is not None
-                              else [n for n, ends in sorted(s.functor_ends.items())
-                                    if ends[0] in self.shapes and ends[1] in self.shapes])
+        self.shapes = list(shapes)
+        self.functor_names = list(functor_names)
         self._category = None
 
     @property

@@ -293,7 +293,7 @@ class TruncatedSSet:
         v = self.vertices(e)
         return v[0], v[1]
 
-    def truncate(self, c: int, name: Optional[str] = None) -> "TruncatedSSet":
+    def truncate(self, c: int) -> "TruncatedSSet":
         c = max(c, 2)
         if c >= self.dim_bound:
             return self
@@ -302,7 +302,7 @@ class TruncatedSSet:
         cert = self.coskeletal_from
         if cert is not None:
             cert = min(cert, c)
-        return TruncatedSSet(c, levels, faces, cert, name or self.name)
+        return TruncatedSSet(c, levels, faces, cert, self.name)
 
     # -- validation -------------------------------------------------------
 

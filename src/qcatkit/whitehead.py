@@ -51,13 +51,12 @@ class Verdict:
         return out
 
 
-def is_essentially_surjective(f: SimplicialMap, budget: Budget = None,
-                              src_pres=None, tgt_pres=None) -> Verdict:
+def is_essentially_surjective(f: SimplicialMap, budget: Budget = None) -> Verdict:
     """Every target vertex receives a Ho-invertible edge from the image."""
     budget = ensure_budget(budget, "essential surjectivity")
     require_quasicategory(f.source, budget)
     require_quasicategory(f.target, budget)
-    pres = tgt_pres if tgt_pres is not None else ho(f.target, budget, verified=True)
+    pres = ho(f.target, budget, verified=True)
     witnesses = {}
     for z in f.target.nondeg(0):
         budget.spend()
@@ -76,17 +75,15 @@ def is_essentially_surjective(f: SimplicialMap, budget: Budget = None,
                    True, "vertex search", witnesses)
 
 
-def mapping_space_functor(f: SimplicialMap, x: str, y: str, k: int = 2,
-                          budget: Budget = None) -> Functor:
+def mapping_space_functor(f: SimplicialMap, x: str, y: str, budget: Budget = None) -> Functor:
     """The induced comparison on homotopy categories of mapping spaces."""
     budget = ensure_budget(budget, "mapping space comparison")
-    M_src = mapping_space(f.source, x, y, k, budget)
-    M_tgt = mapping_space(f.target, f.assignment[x].base, f.assignment[y].base, k, budget)
+    M_src = mapping_space(f.source, x, y, budget)
+    M_tgt = mapping_space(f.target, f.assignment[x].base, f.assignment[y].base, budget)
     level = max(f.target.coskeletal_from or 2, 2)
     f_t = _truncated_map(f, level)
-    return induced_functor(M_src.exp, ho(M_src.sset, budget),
-                           M_tgt.exp, ho(M_tgt.sset, budget),
-                           lambda mu, _level: compose_maps(f_t, mu), f"map-space({x},{y})")
+    return induced_functor(M_src, M_tgt, lambda mu, _level: compose_maps(f_t, mu),
+                           f"map-space({x},{y})")
 
 
 def is_fully_faithful_1tr(f: SimplicialMap, budget: Budget = None) -> Verdict:
@@ -103,7 +100,7 @@ def is_fully_faithful_1tr(f: SimplicialMap, budget: Budget = None) -> Verdict:
     for x in f.source.nondeg(0):
         for y in f.source.nondeg(0):
             budget.spend()
-            cmp_functor = mapping_space_functor(f, x, y, 2, budget)
+            cmp_functor = mapping_space_functor(f, x, y, budget)
             inverse = equivalence_inverse(cmp_functor, budget)
             if inverse is None:
                 return Verdict(f"fully faithful {f.source.name} -> {f.target.name}",
@@ -133,9 +130,7 @@ def induced_prederivator_morphism(DQ: HoPrederivator, DR: HoPrederivator,
     f_t = _truncated_map(f, level)
     comps = {}
     for J_name in DQ.sample.order:
-        dq = DQ.data(J_name)
-        dr = DR.data(J_name)
-        comps[J_name] = induced_functor(dq.exp, dq.pres, dr.exp, dr.pres,
+        comps[J_name] = induced_functor(DQ.data(J_name), DR.data(J_name),
                                         lambda mu, _level: compose_maps(f_t, mu),
                                         f"HO(f)_{J_name}")
     return StrictMorphism(DQ, DR, comps, "HO(f)")

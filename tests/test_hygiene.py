@@ -66,3 +66,27 @@ def test_every_definition_is_referenced():
             for node in _definitions(tree)
             if counts[node.name] - _references(node)[node.name] < 1]
     assert not dead
+
+
+def _outermost_functions(tree):
+    """Functions not nested in another function: top level and methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def test_no_unread_assignments():
+    """A plain ``name = value`` in a function whose name the function never
+    reads, nested closures included, is dead code."""
+    unread = []
+    for module, tree in _trees():
+        for fn in _outermost_functions(tree):
+            read = {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{module}:{node.lineno} {target.id} in {fn.name}"
+                       for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                       for target in node.targets
+                       if isinstance(target, ast.Name) and target.id not in read]
+    assert not unread

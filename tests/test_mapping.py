@@ -34,6 +34,7 @@ from qcatkit.simplicial import (
     product,
     standard_simplex,
 )
+from qcatkit.util import Budget
 
 
 class TestExponential:
@@ -73,6 +74,18 @@ class TestExponential:
         no_cert = horn(2, 1, 2)
         with pytest.raises(ExactnessError):
             Exponential(no_cert, standard_simplex(0, 2), 2)
+
+    def test_ho_is_built_once_on_the_construction_budget(self):
+        budget = Budget()
+        E = Exponential(nerve(poset_simplex(1), 3), standard_simplex(1, 2), 2, budget)
+        built = budget.used
+        pres = E.ho
+        first = budget.used - built
+        assert E.ho is pres and budget.used - built == first
+        check = Budget()
+        assert is_quasicategory(E.sset, check).ok
+        assert first == check.used > 0
+        assert pres.category.objects == ho(E.sset).category.objects
 
     def test_face_and_degeneracy_structure(self):
         E = Exponential(nerve(poset_simplex(1), 3), standard_simplex(1, 2), 2)
@@ -129,24 +142,25 @@ class TestMappingSpace:
     def test_pi0_matches_hom_set(self):
         q = nerve(poset_simplex(1), 3)
         for x, y, expected in [("0", "1", 1), ("1", "0", 0), ("0", "0", 1)]:
-            M = mapping_space(q, x, y, 2)
+            M = mapping_space(q, x, y)
             count = pi0(M.sset) if M.sset.nondeg(0) else 0
             assert count == expected, (x, y)
 
     def test_point_in_endo_space(self):
         q = nerve(poset_simplex(1), 3)
-        M = mapping_space(q, "0", "0", 2)
+        M = mapping_space(q, "0", "0")
         assert len(M.sset.nondeg(0)) >= 1
 
     def test_group_mapping_space_components(self):
         q = nerve(group_z2(), 3)
-        M = mapping_space(q, "*", "*", 2)
+        M = mapping_space(q, "*", "*")
         assert pi0(M.sset) == 2
 
     def test_kan_report(self):
         q = nerve(contractible_groupoid(), 3)
-        M = mapping_space(q, "a", "b", 2)
-        assert M.kan_report().ok
+        M = mapping_space(q, "a", "b")
+        assert isinstance(M, Exponential) and M.name == f"{q.name}(a,b)"
+        assert kan_check(M.sset).ok
 
     def test_kan_check_of_group_nerve(self):
         report = kan_check(nerve(group_z2(), 3))
@@ -163,7 +177,7 @@ class TestMappingSpace:
 
     def test_nerve_mapping_space_ho_is_discrete(self):
         q = nerve(poset_simplex(2), 3)
-        M = mapping_space(q, "0", "2", 2)
+        M = mapping_space(q, "0", "2")
         pres = ho(M.sset)
         assert not pres.category.nonidentity()
 
@@ -225,19 +239,18 @@ class TestLiftSquare:
         idc = pres.category.identities
         sq = Square(pres, idc["0"], idc["1"], cls, cls)
         result = lift_square(q, sq, f, f)
-        assert result.morphism in result.ho_exp.category.morphisms
+        assert result.morphism in result.exponential.ho.category.morphisms
 
     def test_all_squares_in_small_nerves(self):
         for cat in [poset_simplex(1), poset_simplex(2), group_z2()]:
             q = nerve(cat, 3)
             pres = ho(q)
             E = Exponential(q, standard_simplex(1, 2), 2)
-            hoE = ho(E.sset)
             for sq in all_commutative_squares(pres):
                 f = pres.reps[sq.left]
                 g = pres.reps[sq.right]
-                result = lift_square(q, sq, f, g, E=E, ho_E=hoE)
-                lifts = enumerate_prism_lifts(E, hoE, sq, f, g)
+                result = lift_square(q, sq, f, g, E=E)
+                lifts = enumerate_prism_lifts(E, sq, f, g)
                 assert result.morphism in lifts
 
     def test_lift_rejects_wrong_representatives(self):

@@ -82,8 +82,9 @@ class TestNerve:
 
     def test_nerve_map_functoriality(self):
         J, K = poset_simplex(1), poset_simplex(2)
+        nj, nk = nerve(J, 3), nerve(K, 3)
         for u in enumerate_functors(J, K):
-            f = nerve_map(u, 3)
+            f = nerve_map(u, nj, nk)
             assert f.validate().ok
 
     def test_nerve_product_comparison(self):

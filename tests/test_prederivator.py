@@ -89,6 +89,12 @@ class TestHoPrederivator:
     def test_memoized(self, d_interval):
         assert d_interval.eval("[1]") is d_interval.eval("[1]")
 
+    def test_value_is_the_ho_of_the_shape_exponential(self, d_interval):
+        for J in ("[0]", "[1]", "d[2]"):
+            E = d_interval.data(J)
+            assert E.ho.category is d_interval.eval(J)
+            assert E.exponent.cat is SAMPLE.cat(J) and E.base is d_interval.Q
+
     def test_two_functoriality(self, d_interval):
         report = d_interval.check_two_functoriality()
         assert report.ok, report.violations[:3]
