@@ -293,9 +293,6 @@ class Functor:
         self.name = name or "functor"
         self._key = None
 
-    def on_object(self, x: str) -> str:
-        return self.ob[x]
-
     def on_morphism(self, m: str) -> str:
         if self.source.is_identity(m):
             return self.target.identities[self.ob[self.source.dom(m)]]
@@ -354,6 +351,38 @@ def constant_functor(J: FiniteCategory, C: FiniteCategory, obj: str, name: str =
 def vertex_functor(term: FiniteCategory, J: FiniteCategory, obj: str) -> Functor:
     """The object ``obj`` of J as a functor out of the terminal category [0]."""
     return Functor(term, J, {"0": obj}, {}, f"vx_{J.name}_{obj}")
+
+
+def monotone_functor(source: FiniteCategory, target: FiniteCategory, alpha,
+                     name: str) -> Functor:
+    """The functor of chains [m] -> [n] with i -> ``alpha[i]``.
+
+    The category analogue of :func:`qcatkit.simplicial.delta_map`; each
+    arrow goes to the arrow of ``target`` between the images of its ends.
+    """
+    ob = {x: str(alpha[int(x)]) for x in source.objects}
+    mor = {m: target.hom(ob[source.dom(m)], ob[source.cod(m)])[0]
+           for m in source.nonidentity()}
+    return Functor(source, target, ob, mor, name)
+
+
+def pairing(F: Functor, G: Functor, target: FiniteCategory, name: str) -> Functor:
+    """<F, G>: the functor into the ``product_cat`` target with x -> (F x, G x)."""
+    ob = {x: pair_id(F.ob[x], G.ob[x]) for x in F.source.objects}
+    mor = {m: pair_id(F.on_morphism(m), G.on_morphism(m)) for m in F.source.nonidentity()}
+    return Functor(F.source, target, ob, mor, name)
+
+
+def pair_functor(P: FiniteCategory, target: FiniteCategory, on_object, on_morphism,
+                 name: str) -> Functor:
+    """The functor out of the ``product_cat`` P with (a, b) -> ``on_object(a, b)``
+    on objects and (f, g) -> ``on_morphism(f, g)`` on non-identity morphisms.
+
+    The category analogue of :meth:`qcatkit.simplicial.ProductSSet.map_pairs`.
+    """
+    ob = {x: on_object(*split_pair(x)) for x in P.objects}
+    mor = {m: on_morphism(*split_pair(m)) for m in P.nonidentity()}
+    return Functor(P, target, ob, mor, name)
 
 
 class NatTransf:

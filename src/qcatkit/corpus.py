@@ -4,6 +4,9 @@ Everything the checks run on lives here: the simplicial-set
 corpus, its quasicategory members, single-face mutations that must fail
 validation, prederivator mutations that must each fail one axiom audit,
 and the labeled map corpus for the equivalence-agreement experiment.
+The Der5 and Der5' mutants are full sub-prederivators, so they stay
+2-functors; the Der1 and Der2 mutants patch the value at one shape and
+are not 2-functors.
 """
 
 from __future__ import annotations
@@ -15,14 +18,14 @@ from .cats import (
     boundary_two,
     constant_functor,
     contractible_groupoid,
-    full_subcategory,
     group_z2,
     identity_functor,
+    monotone_functor,
     poset_simplex,
     product_cat,
 )
 from .nerve import NerveSSet, nerve, nerve_map
-from .prederivator import HoPrederivator, Prederivator, dia_arrow
+from .prederivator import FullSubPrederivator, HoPrederivator, Prederivator, dia_arrow
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
@@ -127,8 +130,9 @@ class PatchedPrederivator(Prederivator):
         self.base = base
         self.shape = patched_shape
         self.patched_eval = patched_eval
-        # patch_restriction(F, u): fix up u*: patched -> other
-        # patch_corestriction(F, u): fix up u*: other -> patched
+        # each patch takes the base's u* and returns the mutant's:
+        # patch_restriction for u*: patched -> other,
+        # patch_corestriction for u*: other -> patched
         self._patch_res = patch_restriction
         self._patch_cores = patch_corestriction
 
@@ -142,9 +146,9 @@ class PatchedPrederivator(Prederivator):
             return identity_functor(self.eval(self.shape))
         base_image = self.base.on_functor(u, src, dst)
         if dst == self.shape:   # u: other -> patched, u*: patched -> other
-            return self._patch_res(self, base_image, u, src, dst)
+            return self._patch_res(base_image)
         if src == self.shape:   # u: patched -> other, u*: other -> patched
-            return self._patch_cores(self, base_image, u, src, dst)
+            return self._patch_cores(base_image)
         return base_image
 
     def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
@@ -172,47 +176,30 @@ def add_idempotent(C: FiniteCategory, obj: str) -> FiniteCategory:
     return FiniteCategory(C.objects, morphisms, compose, C.identities, f"{C.name}+e")
 
 
-def _restrict_from_patch(mutant, base_image, u, src, dst):
-    """u*: patched -> other on the objects of the patched value.
-
-    A morphism that the patch added goes to an identity.
-    """
-    sub = mutant.eval(dst)
-    target = base_image.target
-    ob = {x: base_image.ob[x] for x in sub.objects}
-    mor = {m: base_image.mor[m] if m in base_image.mor else target.identities[ob[sub.dom(m)]]
-           for m in sub.nonidentity()}
-    return Functor(sub, target, ob, mor, base_image.name)
-
-
-def _corestrict_into_sub(mutant, base_image, u, src, dst):
-    sub = mutant.eval(src)
-    missing = [x for x in base_image.ob.values() if x not in sub.objects]
-    if missing:
-        raise ValueError(f"mutation breaks the restriction along {u.name}")
-    return Functor(base_image.source, sub, base_image.ob, base_image.mor,
-                   base_image.name)
-
-
 def der2_mutation(base: HoPrederivator) -> Prederivator:
     """Adds a pointwise-invisible idempotent: conservativity must fail."""
     shape = "[1]x[1]"
     C = base.eval(shape)
     patched = add_idempotent(C, C.objects[0])
-    return PatchedPrederivator(base, shape, patched,
-                               _restrict_from_patch, _corestrict_into_sub,
-                               f"{base.name}/der2-mutant")
+
+    def res(big):
+        # the added idempotent goes to an identity
+        mor = {m: big.mor.get(m, big.target.identities[big.ob[patched.dom(m)]])
+               for m in patched.nonidentity()}
+        return Functor(patched, big.target, big.ob, mor, big.name)
+
+    return PatchedPrederivator(
+        base, shape, patched, res,
+        lambda big: Functor(big.source, patched, big.ob, big.mor, big.name),
+        f"{base.name}/der2-mutant")
 
 
 def _removal_mutation(base: HoPrederivator, arrow_picker, label: str) -> Prederivator:
-    shape = "[1]x[1]"
+    """The full sub-prederivator without the diagrams in [1] x [1] of one arrow."""
     src, on_object, _ = dia_arrow(base, "[1]")
     f0 = arrow_picker(base)
     keep = [X for X in src.objects if on_object(X) != f0]
-    patched = full_subcategory(base.eval(shape), keep)
-    return PatchedPrederivator(base, shape, patched,
-                               _restrict_from_patch, _corestrict_into_sub,
-                               f"{base.name}/{label}")
+    return FullSubPrederivator(base, {"[1]x[1]": keep}, f"{base.name}/{label}")
 
 
 def der5prime_mutation(base: HoPrederivator) -> Prederivator:
@@ -246,17 +233,11 @@ def der1_mutation(base: HoPrederivator) -> Prederivator:
     shape = "[0]+[0]"
     patched = poset_simplex(0)
 
-    def res(mutant, base_image, u, src, dst):
-        target = base_image.target
-        first = target.objects[0]
-        return constant_functor(patched, target, first, base_image.name)
-
-    def cores(mutant, base_image, u, src, dst):
-        source = base_image.source
-        return constant_functor(source, patched, "0", base_image.name)
-
-    return PatchedPrederivator(base, shape, patched, res, cores,
-                               f"{base.name}/der1-mutant")
+    return PatchedPrederivator(
+        base, shape, patched,
+        lambda big: constant_functor(patched, big.target, big.target.objects[0], big.name),
+        lambda big: constant_functor(big.source, patched, "0", big.name),
+        f"{base.name}/der1-mutant")
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +278,8 @@ def labeled_map_corpus() -> list:
                    {"eab": "eba", "eba": "eab"}, "swap")
     entries.append(("swap_E", nerve_map(swap, source=nE, target=nE), True))
     entries.append(("collapse_z2", _collapse_map(nz, n0, "0"), False))
-    const1 = Functor(poset_simplex(1), poset_simplex(1),
-                     {"0": "1", "1": "1"}, {"m01": "m11"}, "const1")
+    const1 = monotone_functor(poset_simplex(1), poset_simplex(1), (1, 1), "const1")
     entries.append(("const1_N[1]", nerve_map(const1, source=n1, target=n1), False))
-    incl = Functor(poset_simplex(1), poset_simplex(2),
-                   {"0": "0", "1": "1"}, {"m01": "m01"}, "incl01")
+    incl = monotone_functor(poset_simplex(1), poset_simplex(2), (0, 1), "incl01")
     entries.append(("incl_N[1]_N[2]", nerve_map(incl, source=n1, target=n2), False))
     return entries

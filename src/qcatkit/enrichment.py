@@ -14,19 +14,20 @@ from .cats import (
     NatTransf,
     compose_functors,
     constant_functor,
-    full_subcategory,
     identity_functor,
+    monotone_functor,
+    pair_functor,
     pair_id,
+    pairing,
     poset_simplex,
     product_cat,
-    split_pair,
-    vertex_functor,
 )
 from .mapping import induced_functor
 from .nerve import chain_shape_iso, nerve, nerve_product_compare
 from .prederivator import (
     ClosureError,
     DiaSample,
+    FullSubPrederivator,
     HoPrederivator,
     Prederivator,
     StrictMorphism,
@@ -36,6 +37,7 @@ from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
+    ValidationReport,
     compose_words,
     enumerate_maps,
     product,
@@ -83,17 +85,11 @@ class ShiftedPrederivator(Prederivator):
 
     def _lift_functor(self, u: Functor, src: str, dst: str) -> Functor:
         """id_J x u between the annotated product categories."""
-        P_src = self.base.sample.cat(self.paired(src))
-        P_dst = self.base.sample.cat(self.paired(dst))
-        ob = {}
-        for x in P_src.objects:
-            j, k = split_pair(x)
-            ob[x] = pair_id(j, u.ob[k])
-        mor = {}
-        for m in P_src.nonidentity():
-            jm, km = split_pair(m)
-            mor[m] = pair_id(jm, u.on_morphism(km))
-        return Functor(P_src, P_dst, ob, mor, f"id_{self.J_name}x{u.name}")
+        return pair_functor(self.base.sample.cat(self.paired(src)),
+                            self.base.sample.cat(self.paired(dst)),
+                            lambda j, k: pair_id(j, u.ob[k]),
+                            lambda jm, km: pair_id(jm, u.on_morphism(km)),
+                            f"id_{self.J_name}x{u.name}")
 
     def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
         lifted = self._lift_functor(u, src, dst)
@@ -102,25 +98,18 @@ class ShiftedPrederivator(Prederivator):
     def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
         u_l = self._lift_functor(alpha.source, src, dst)
         v_l = self._lift_functor(alpha.target, src, dst)
-        comps = {}
-        for x in self.base.sample.cat(self.paired(src)).objects:
-            j, k = split_pair(x)
-            comps[x] = pair_id(self.J.identities[j], alpha.at(k))
+        comps = {pair_id(j, k): pair_id(self.J.identities[j], alpha.at(k))
+                 for j in self.J.objects for k in alpha.source.source.objects}
         lifted = NatTransf(u_l, v_l, comps, f"id x {alpha.name}")
-        base_img = self.base.on_nat(lifted, self.paired(src), self.paired(dst))
-        ustar = self.on_functor(alpha.source, src, dst)
-        vstar = self.on_functor(alpha.target, src, dst)
-        return NatTransf(ustar, vstar, dict(base_img.components), base_img.name)
+        return self.base.on_nat(lifted, self.paired(src), self.paired(dst))
 
 
 def chain_embedding(sample: DiaSample, J_name: str, K_name: str, pname: str,
                     t: int) -> Functor:
     """The slice embedding K -> J x K at object t of a chain J = [j]."""
     K = sample.cat(K_name)
-    chain = sample.cat(J_name)
-    ob = {k: pair_id(str(t), k) for k in K.objects}
-    mor = {m: pair_id(chain.identities[str(t)], m) for m in K.nonidentity()}
-    return Functor(K, sample.cat(pname), ob, mor, f"at{t}_{K_name}")
+    return pairing(constant_functor(K, sample.cat(J_name), str(t)), identity_functor(K),
+                   sample.cat(pname), f"at{t}_{K_name}")
 
 
 def chain_step_nat(sample: DiaSample, J_name: str, K_name: str, pname: str,
@@ -129,7 +118,8 @@ def chain_step_nat(sample: DiaSample, J_name: str, K_name: str, pname: str,
     K = sample.cat(K_name)
     e0 = chain_embedding(sample, J_name, K_name, pname, t)
     e1 = chain_embedding(sample, J_name, K_name, pname, t + 1)
-    comps = {k: pair_id(f"m{t}{t + 1}", K.identities[k]) for k in K.objects}
+    step = sample.cat(J_name).hom(str(t), str(t + 1))[0]
+    comps = {k: pair_id(step, K.identities[k]) for k in K.objects}
     return NatTransf(e0, e1, comps, f"step{t}_{K_name}")
 
 
@@ -177,14 +167,7 @@ def enrichment_sample(n_max: int = 1, depth: int = 0) -> DiaSample:
         s.shifts["[0]"] = s.products[("[0]", "[1]")]
     if ("[1]", "[1]") in s.products:
         s.shifts["[1]"] = s.products[("[1]", "[1]")]
-    for name in s.order:
-        s.add_functor(f"id_{name}", name, name, identity_functor(s.cat(name)))
-        if name != "[0]":
-            s.add_functor(f"!{name}", name, "[0]",
-                          constant_functor(s.cat(name), s.cat("[0]"), "0", f"!{name}"))
-        for obj in s.cat(name).objects:
-            s.add_functor(f"vx_{name}_{obj}", "[0]", name,
-                          vertex_functor(s.cat("[0]"), s.cat(name), obj))
+    s.add_unit_functors()
     return s
 
 
@@ -215,26 +198,17 @@ def simplicial_operator(D2: Prederivator, F: StrictMorphism, alpha: tuple,
     """Action of a monotone map [m] -> [n] on a level-n morphism."""
     shifted_m = ShiftedPrederivator(D2, f"[{m}]")
     shifted_n = ShiftedPrederivator(D2, f"[{n}]")
-    chain_m = D2.sample.cat(f"[{m}]")
+    a = monotone_functor(shifted_m.J, shifted_n.J, alpha, f"a{alpha}")
     comps = {}
     for K_name in F.components:
         if K_name not in shifted_m.pairings:
             continue
         src_p = shifted_m.paired(K_name)
         dst_p = shifted_n.paired(K_name)
-        P_m = D2.sample.cat(src_p)
-        P_n = D2.sample.cat(dst_p)
-        ob = {}
-        for x in P_m.objects:
-            t, k = split_pair(x)
-            ob[x] = pair_id(str(alpha[int(t)]), k)
-        mor = {}
-        for mm in P_m.nonidentity():
-            tm, km = split_pair(mm)
-            lo, hi = chain_m.morphisms[tm]
-            a, b = alpha[int(lo)], alpha[int(hi)]
-            mor[mm] = pair_id(f"m{a}{b}", km)
-        alpha_x_id = Functor(P_m, P_n, ob, mor, f"a{alpha}x id_{K_name}")
+        alpha_x_id = pair_functor(D2.sample.cat(src_p), D2.sample.cat(dst_p),
+                                  lambda t, k: pair_id(a.ob[t], k),
+                                  lambda tm, km: pair_id(a.on_morphism(tm), km),
+                                  f"a{alpha}x id_{K_name}")
         restrict = D2.on_functor(alpha_x_id, src_p, dst_p)
         comps[K_name] = compose_functors(restrict, F.at(K_name))
     return StrictMorphism(F.source, shifted_m, comps, f"{F.name}.a{alpha}")
@@ -257,17 +231,10 @@ def compose_simplicial(D3: Prederivator, f: StrictMorphism, g: StrictMorphism,
         nested = D3.sample.products.get((cn, pn_K))
         if nested is None:
             raise ClosureError(f"diagonal composition needs {cn} x ({pn_K}) in the sample")
-        P_nK = D3.sample.cat(pn_K)
-        P_nested = D3.sample.cat(nested)
-        ob = {}
-        for x in P_nK.objects:
-            t, k = split_pair(x)
-            ob[x] = pair_id(t, pair_id(t, k))
-        mor = {}
-        for m in P_nK.nonidentity():
-            tm, km = split_pair(m)
-            mor[m] = pair_id(tm, pair_id(tm, km))
-        diag = Functor(P_nK, P_nested, ob, mor, f"diag_{cn}_{K_name}")
+        diag = pair_functor(D3.sample.cat(pn_K), D3.sample.cat(nested),
+                            lambda t, k: pair_id(t, pair_id(t, k)),
+                            lambda tm, km: pair_id(tm, pair_id(tm, km)),
+                            f"diag_{cn}_{K_name}")
         restrict = D3.on_functor(diag, pn_K, nested)
         comps[K_name] = compose_functors(
             restrict, compose_functors(f.at(pn_K), g.at(K_name)))
@@ -280,49 +247,21 @@ def compose_simplicial(D3: Prederivator, f: StrictMorphism, g: StrictMorphism,
 # the invertible-chain sub-prederivator
 
 
-class EqShiftPrederivator(Prederivator):
+class EqShiftPrederivator(FullSubPrederivator):
     """Full sub-prederivator of a chain shift on pointwise-invertible diagrams."""
 
     def __init__(self, D: Prederivator, n: int):
         self.inner = ShiftedPrederivator(D, f"[{n}]")
-        super().__init__(self.inner.sample, f"{D.name}^eq[{n}]")
-        self.base = D
+        super().__init__(self.inner, {}, f"{D.name}^eq[{n}]")
         self.n = n
-        self._step_cache: dict = {}
-
-    def _chain_arrow(self, K_name: str, t: int, X: str) -> str:
-        key = (K_name, t)
-        if key not in self._step_cache:
-            pname = self.inner.paired(K_name)
-            step = chain_step_nat(self.base.sample, f"[{self.n}]", K_name, pname, t)
-            self._step_cache[key] = self.base.on_nat(step, K_name, pname)
-        return self._step_cache[key].at(X)
 
     def kept_objects(self, K_name: str) -> list:
-        C = self.inner.eval(K_name)
-        CK = self.base.eval(K_name)
-        kept = []
-        for X in C.objects:
-            if all(CK.is_iso(self._chain_arrow(K_name, t, X)) for t in range(self.n)):
-                kept.append(X)
-        return kept
-
-    def _eval(self, K_name: str) -> FiniteCategory:
-        return full_subcategory(self.inner.eval(K_name), self.kept_objects(K_name))
-
-    def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
-        big = self.inner.on_functor(u, src, dst)
-        sub_src = self.eval(dst)
-        ob = {x: big.ob[x] for x in sub_src.objects}
-        mor = {m: big.mor[m] for m in sub_src.nonidentity()}
-        return Functor(sub_src, self.eval(src), ob, mor, big.name)
-
-    def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
-        big = self.inner.on_nat(alpha, src, dst)
-        ustar = self.on_functor(alpha.source, src, dst)
-        vstar = self.on_functor(alpha.target, src, dst)
-        comps = {X: big.at(X) for X in ustar.source.objects}
-        return NatTransf(ustar, vstar, comps, big.name)
+        D, pname = self.inner.base, self.inner.paired(K_name)
+        CK = D.eval(K_name)
+        steps = [D.on_nat(chain_step_nat(D.sample, self.inner.J_name, K_name, pname, t),
+                          K_name, pname) for t in range(self.n)]
+        return [X for X in self.inner.eval(K_name).objects
+                if all(CK.is_iso(step.at(X)) for step in steps)]
 
 
 def eq_shift(D: Prederivator, n: int) -> Prederivator:
@@ -348,25 +287,14 @@ def _vertex_restriction(E, K_name: str, t: int) -> Functor:
     return star
 
 
-class CoherenceVerdict:
-    def __init__(self):
-        self.ok = True
-        self.clauses: list = []
-
-    def record(self, clause: str, passed: bool):
-        self.clauses.append((clause, passed))
-        if not passed:
-            self.ok = False
-
-    def lines(self):
-        return [f"  {'pass' if p else 'FAIL'}: {c}" for c, p in self.clauses]
-
-
 def is_coherent_equivalence(F: StrictMorphism, G: StrictMorphism,
-                            a: StrictMorphism, b: StrictMorphism) -> CoherenceVerdict:
+                            a: StrictMorphism, b: StrictMorphism) -> ValidationReport:
     """Check the quadruple shape: the chains connect the round trips to
-    the identities, vertexwise on every shared shape."""
-    verdict = CoherenceVerdict()
+    the identities, vertexwise on every shared shape.
+
+    One check per clause; a failing clause is a violation.
+    """
+    verdict = ValidationReport(f"coherent equivalence {F.name}, {G.name}")
     for label, chain_mor, left, right in [("a", a, G, F), ("b", b, F, G)]:
         E = chain_mor.target
         for K_name in sorted(chain_mor.components):
@@ -379,10 +307,11 @@ def is_coherent_equivalence(F: StrictMorphism, G: StrictMorphism,
             round_trip = compose_functors(left.at(K_name), right.at(K_name))
             ident = identity_functor(chain_mor.source.eval(K_name))
             pair = {v0.key(), v1.key()}
-            verdict.record(
-                f"{label} at {K_name}: vertices are the round trip and the identity",
-                pair == {round_trip.key(), ident.key()}
-                or (round_trip.key() == ident.key() and pair == {ident.key()}))
+            verdict.checked += 1
+            if not (pair == {round_trip.key(), ident.key()}
+                    or (round_trip.key() == ident.key() and pair == {ident.key()})):
+                verdict.add(f"{label} at {K_name}: vertices are not the round trip "
+                            "and the identity")
     return verdict
 
 
@@ -397,19 +326,6 @@ class EmbeddingReport:
         self.map_count = 0
         self.hom_count = 0
         self.image_size = 0
-
-    @property
-    def bijective_over_sample(self) -> bool:
-        return self.injective and self.image_size == self.hom_count == self.map_count
-
-    def lines(self):
-        return [
-            f"embedding check {self.name}: {self.map_count} simplicial maps, "
-            f"{self.hom_count} strict morphisms over the sample",
-            f"  injective: {'yes' if self.injective else 'NO'}",
-            f"  bijective over this sample: "
-            f"{'yes' if self.bijective_over_sample else 'no (informational)'}",
-        ]
 
 
 def _inverse_iso(iso: SimplicialMap):
@@ -460,8 +376,9 @@ def embedding_check(Q: TruncatedSSet, R: TruncatedSSet, n: int,
     """Injectivity of the passage from simplicial maps to strict levels.
 
     Runs over ``enrichment_sample(max(n, 1))``.  Surjectivity over the
-    sample is reported, never asserted: a finite sample may admit strict
-    families with no simplicial origin.
+    sample is reported as ``image_size`` (strict morphisms hit by some
+    map) against ``hom_count``, never asserted: a finite sample may admit
+    strict families with no simplicial origin.
     """
     budget = ensure_budget(budget, "embedding check")
     sample = enrichment_sample(max(n, 1))
@@ -474,7 +391,7 @@ def embedding_check(Q: TruncatedSSet, R: TruncatedSSet, n: int,
     report.map_count = len(maps)
     shifted = ShiftedPrederivator(DR, f"[{n}]")
     shapes = [K for K in sample.order if K in shifted.pairings]
-    homs = simplicial_hom(DQ, DR, n, budget)
+    homs = enumerate_strict_morphisms(DQ, shifted, budget, shapes=shapes)
     report.hom_count = len(homs)
     images = set()
     for mu in maps:

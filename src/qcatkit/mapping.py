@@ -63,10 +63,14 @@ class Exponential:
     simplices.  Nondegenerate cells get short identifiers ``c{n}_{i}`` in
     canonical order; ``cell_map`` recovers the underlying map, and ``ho``
     is the homotopy category of the presented quasicategory.
+
+    ``pinned`` maps vertices of S to vertices of T: only the maps sending
+    every cell over a pinned vertex v to the degenerate ``pinned[v]`` are
+    cells.
     """
 
     def __init__(self, T: TruncatedSSet, S: TruncatedSSet, k: int = 2,
-                 budget: Budget = None, fixed_levels=None, name: str = None):
+                 budget: Budget = None, pinned=None, name: str = None):
         # Ho is charged to the caller's budget, or makes its own like ho() does
         self._budget = budget
         budget = ensure_budget(budget, f"exponential {T.name}^{S.name}")
@@ -79,7 +83,6 @@ class Exponential:
         self.products = {n: product(self.S_t, standard_simplex(n, max(n, level)))
                          for n in range(k + 1)}
         self.name = name or f"({T.name}^{S.name})"
-        fixed_levels = fixed_levels or {}
 
         self._collapses = {}
         self._face_maps = {}
@@ -98,9 +101,11 @@ class Exponential:
                 for j in range(n)}
 
         raw = {}
-        for n in range(k + 1):
-            raw[n] = enumerate_maps(self.products[n], self.T_t, budget,
-                                    fixed=fixed_levels.get(n))
+        for n, P in self.products.items():
+            fixed = None if pinned is None else {
+                pid: SimplexExpr(full_degeneracy(len(e1.word)), pinned[e1.base])
+                for pid, (e1, _) in P.pair_of.items() if e1.base in pinned}
+            raw[n] = enumerate_maps(P, self.T_t, budget, fixed=fixed)
 
         self.to_expr: dict = {}
         self.cell_map: dict = {}
@@ -161,11 +166,9 @@ class Exponential:
         """Normal form (word, nondegenerate cell) of a total cell."""
         for j in range(n):
             if self._degenerate_at(mu, n, j):
-                # δ_j is a section of σ_j
-                nu = compose_maps(mu, self._face_maps[n][j])
-                inner = self.to_expr.get(nu.key())
-                if inner is None:
-                    inner = self._decompose(nu, n - 1)
+                # δ_j is a section of σ_j; the face keeps the pins, so level
+                # n - 1 enumerated and named it
+                inner = self.to_expr[compose_maps(mu, self._face_maps[n][j]).key()]
                 return SimplexExpr(insert_letter(j, inner.word), inner.base)
         raise AssertionError("total cell neither nondegenerate nor decomposable")
 
@@ -245,20 +248,8 @@ def mapping_space(Q: TruncatedSSet, x: str, y: str, budget: Budget = None) -> Ex
     of x and y over the two endpoints of the exponent interval.
     """
     require_quasicategory(Q, budget)
-    interval = standard_simplex(1, 2)
-    fixed_levels = {}
-    level = max(Q.coskeletal_from if Q.coskeletal_from is not None else 2, 2)
-    for n in range(3):
-        P = product(interval.truncate(level), standard_simplex(n, max(n, level)))
-        fixed = {}
-        for m in range(P.dim_bound + 1):
-            for pid in P.nondeg(m):
-                e1, _ = P.pair_of[pid]
-                if interval.dim_of[e1.base] == 0:
-                    target = x if e1.base == "0" else y
-                    fixed[pid] = SimplexExpr(full_degeneracy(m), target)
-        fixed_levels[n] = fixed
-    return Exponential(Q, interval, 2, budget, fixed_levels, name=f"{Q.name}({x},{y})")
+    return Exponential(Q, standard_simplex(1, 2), 2, budget, {"0": x, "1": y},
+                       name=f"{Q.name}({x},{y})")
 
 
 def kan_check(S: TruncatedSSet, budget: Budget = None) -> QcatReport:
@@ -340,9 +331,6 @@ class Square:
             raise ValueError("square does not commute")
         self.pres = pres
         self.top, self.bottom, self.left, self.right = top, bottom, left, right
-
-    def key(self):
-        return (self.top, self.bottom, self.left, self.right)
 
     def __repr__(self):
         return f"<square top={self.top} bottom={self.bottom} left={self.left} right={self.right}>"

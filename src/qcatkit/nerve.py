@@ -124,9 +124,7 @@ def chain_shape_iso(delta_n: TruncatedSSet, chain_nerve: NerveSSet) -> Simplicia
     assignment = {}
     for m in range(delta_n.dim_bound + 1):
         for x in delta_n.nondeg(m):
-            verts = [int(ch) for ch in x]
-            chain = (str(verts[0]),) + tuple(
-                f"m{verts[i]}{verts[i + 1]}" for i in range(len(verts) - 1))
+            chain = (x[0],) + tuple(chain_nerve.cat.hom(a, b)[0] for a, b in zip(x, x[1:]))
             assignment[x] = chain_nerve.chain_expr(chain)
     return SimplicialMap(delta_n, chain_nerve, assignment)
 

@@ -34,7 +34,10 @@ from .cats import (
     boundary_two,
     cat_to_text,
     empty_category,
-    split_pair,
+    full_subcategory,
+    monotone_functor,
+    pair_functor,
+    pairing,
     validate_category,
     vertex_functor,
     vertical_compose,
@@ -110,6 +113,22 @@ class DiaSample:
             raise ClosureError(f"sample {self.name} has no category {name!r}")
         return self.categories[name]
 
+    def add_unit_functors(self) -> None:
+        """List ``id_``, ``!`` and ``vx_`` for every member.
+
+        ``!`` goes from every non-empty member other than the terminal one.
+        """
+        point = self.cat(self.terminal)
+        for name in self.order:
+            C = self.cat(name)
+            self.add_functor(f"id_{name}", name, name, identity_functor(C))
+            if C.objects and name != self.terminal:
+                self.add_functor(f"!{name}", name, self.terminal,
+                                 constant_functor(C, point, point.objects[0], f"!{name}"))
+            for obj in C.objects:
+                self.add_functor(f"vx_{name}_{obj}", self.terminal, name,
+                                 vertex_functor(point, C, obj))
+
     def shift_name(self, j: str) -> str:
         if j not in self.shifts:
             raise ClosureError(f"sample {self.name} lacks the shift {j} x [1]")
@@ -163,18 +182,6 @@ class DiaSample:
         return report
 
 
-def _endpoint_functor(J: FiniteCategory, JxI: FiniteCategory, t: int) -> Functor:
-    ids = poset_simplex(1).identities
-    ob = {x: pair_id(x, str(t)) for x in J.objects}
-    mor = {m: pair_id(m, ids[str(t)]) for m in J.nonidentity()}
-    return Functor(J, JxI, ob, mor, f"end{t}_{J.name}")
-
-
-def _interval_nat(J: FiniteCategory, JxI: FiniteCategory, i0: Functor, i1: Functor) -> NatTransf:
-    comps = {x: pair_id(J.identities[x], "m01") for x in J.objects}
-    return NatTransf(i0, i1, comps, f"step_{J.name}")
-
-
 def standard_sample() -> DiaSample:
     """The default sample: simplex shapes, one interval shift layer,
     binary coproducts, and the empty shape.
@@ -201,33 +208,19 @@ def standard_sample() -> DiaSample:
     s.coproducts = {("[0]", "[0]"): "[0]+[0]", ("[0]", "[1]"): "[0]+[1]",
                     ("[1]", "[1]"): "[1]+[1]"}
 
-    for name in s.order:
-        s.add_functor(f"id_{name}", name, name, identity_functor(s.cat(name)))
-    for name in s.order:
-        if name not in ("0", "[0]"):
-            s.add_functor(f"!{name}", name, "[0]",
-                          constant_functor(s.cat(name), p0, "0", f"!{name}"))
-        for obj in s.cat(name).objects:
-            s.add_functor(f"vx_{name}_{obj}", "[0]", name,
-                          vertex_functor(p0, s.cat(name), obj))
+    s.add_unit_functors()
+    step = p1.hom("0", "1")[0]
     # simplex operators between [1] and [2]
-    for fname, images in [("d0_[2]", ("1", "2")), ("d1_[2]", ("0", "2")), ("d2_[2]", ("0", "1"))]:
-        lo, hi = images
-        s.add_functor(fname, "[1]", "[2]",
-                      Functor(p1, p2, {"0": lo, "1": hi},
-                              {"m01": f"m{lo}{hi}"}, fname))
-    s.add_functor("s0_[2]", "[2]", "[1]",
-                  Functor(p2, p1, {"0": "0", "1": "0", "2": "1"},
-                          {"m01": "m00", "m02": "m01", "m12": "m01"}, "s0_[2]"))
-    s.add_functor("s1_[2]", "[2]", "[1]",
-                  Functor(p2, p1, {"0": "0", "1": "1", "2": "1"},
-                          {"m01": "m01", "m02": "m01", "m12": "m11"}, "s1_[2]"))
+    for fname, alpha in [("d0_[2]", (1, 2)), ("d1_[2]", (0, 2)), ("d2_[2]", (0, 1))]:
+        s.add_functor(fname, "[1]", "[2]", monotone_functor(p1, p2, alpha, fname))
+    for fname, alpha in [("s0_[2]", (0, 0, 1)), ("s1_[2]", (0, 1, 1))]:
+        s.add_functor(fname, "[2]", "[1]", monotone_functor(p2, p1, alpha, fname))
     # probes of the free boundary
     dd = s.cat("d[2]")
     for fname, gen in [("edge_a", "a"), ("edge_b", "b"), ("edge_c", "c")]:
         lo, hi = dd.morphisms[gen]
         s.add_functor(fname, "[1]", "d[2]",
-                      Functor(p1, dd, {"0": lo, "1": hi}, {"m01": gen}, fname))
+                      Functor(p1, dd, {"0": lo, "1": hi}, {step: gen}, fname))
     s.add_functor("tri_d[2]", "[2]", "d[2]",
                   Functor(p2, s.cat("d[2]"),
                           {"0": "0", "1": "1", "2": "2"},
@@ -236,12 +229,14 @@ def standard_sample() -> DiaSample:
     for j in ("[0]", "[1]"):
         J = s.cat(j)
         JxI = s.cat(s.shifts[j])
-        i0 = s.add_functor(f"end0_{j}", j, s.shifts[j], _endpoint_functor(J, JxI, 0))
-        i1 = s.add_functor(f"end1_{j}", j, s.shifts[j], _endpoint_functor(J, JxI, 1))
-        pr = Functor(JxI, J, {x: split_pair(x)[0] for x in JxI.objects},
-                     {m: split_pair(m)[0] for m in JxI.nonidentity()}, f"proj_{j}")
-        s.add_functor(f"proj_{j}", s.shifts[j], j, pr)
-        s.add_nat(f"step_{j}", f"end0_{j}", f"end1_{j}", _interval_nat(J, JxI, i0, i1))
+        i0, i1 = [s.add_functor(f"end{t}_{j}", j, s.shifts[j],
+                                pairing(identity_functor(J), constant_functor(J, p1, str(t)),
+                                        JxI, f"end{t}_{J.name}"))
+                  for t in (0, 1)]
+        s.add_functor(f"proj_{j}", s.shifts[j], j,
+                      pair_functor(JxI, J, lambda x, t: x, lambda m, tm: m, f"proj_{j}"))
+        s.add_nat(f"step_{j}", f"end0_{j}", f"end1_{j}", NatTransf(
+            i0, i1, {x: pair_id(J.identities[x], step) for x in J.objects}, f"step_{J.name}"))
     # coproduct injections
     for (a, b), cname in sorted(s.coproducts.items()):
         A, B, C = s.cat(a), s.cat(b), s.cat(cname)
@@ -253,11 +248,11 @@ def standard_sample() -> DiaSample:
                               {m: f"r.{m}" for m in B.nonidentity()}, f"inr_{cname}"))
     # vertex steps on [1] and [2]
     s.add_nat("step01_[1]", "vx_[1]_0", "vx_[1]_1",
-              NatTransf(s.functors["vx_[1]_0"], s.functors["vx_[1]_1"], {"0": "m01"}))
+              NatTransf(s.functors["vx_[1]_0"], s.functors["vx_[1]_1"], {"0": step}))
     for (i, j) in (("0", "1"), ("1", "2"), ("0", "2")):
         s.add_nat(f"step{i}{j}_[2]", f"vx_[2]_{i}", f"vx_[2]_{j}",
                   NatTransf(s.functors[f"vx_[2]_{i}"], s.functors[f"vx_[2]_{j}"],
-                            {"0": f"m{i}{j}"}))
+                            {"0": p2.hom(i, j)[0]}))
     return s
 
 
@@ -429,27 +424,59 @@ class HoPrederivator(Prederivator):
         return NatTransf(ustar, vstar, comps, f"{self.name}({alpha.name})*")
 
 
+class FullSubPrederivator(Prederivator):
+    """The full sub-prederivator of ``base`` on the objects ``kept`` names.
+
+    ``kept`` maps shapes to the objects kept there; a shape it does not
+    name keeps the whole base value.  Restrictions and 2-cells are those of
+    the base, restricted; a restriction that leaves the kept objects is an
+    error.
+    """
+
+    def __init__(self, base: Prederivator, kept: dict, name: str):
+        super().__init__(base.sample, name)
+        self.base = base
+        self.kept = kept
+
+    def kept_objects(self, J_name: str):
+        return self.kept.get(J_name)
+
+    def _eval(self, J_name: str) -> FiniteCategory:
+        keep = self.kept_objects(J_name)
+        if keep is None:
+            return self.base.eval(J_name)
+        return full_subcategory(self.base.eval(J_name), keep)
+
+    def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
+        big = self.base.on_functor(u, src, dst)
+        sub, into = self.eval(dst), self.eval(src)
+        ob = {x: big.ob[x] for x in sub.objects}
+        if not set(into.objects).issuperset(ob.values()):
+            raise ValueError(f"the restriction along {u.name} leaves the kept objects "
+                             f"of {self.name} at {src}")
+        return Functor(sub, into, ob, {m: big.mor[m] for m in sub.nonidentity()}, big.name)
+
+    def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
+        big = self.base.on_nat(alpha, src, dst)
+        ustar = self.on_functor(alpha.source, src, dst)
+        vstar = self.on_functor(alpha.target, src, dst)
+        return NatTransf(ustar, vstar, {X: big.at(X) for X in ustar.source.objects}, big.name)
+
+
 def _mate_functor(alpha: NatTransf, J: FiniteCategory, K: FiniteCategory) -> Functor:
     """The functor J x [1] -> K packaging a natural transformation."""
     u, v = alpha.source, alpha.target
-    JxI = product_cat(J, poset_simplex(1))
-    ids = poset_simplex(1).identities
-    ob = {}
-    for x in J.objects:
-        ob[pair_id(x, "0")] = u.ob[x]
-        ob[pair_id(x, "1")] = v.ob[x]
-    mor = {}
-    for p in JxI.nonidentity():
-        m, tm = split_pair(p)
-        y = J.cod(m)
-        if tm == ids["0"]:
-            img = u.on_morphism(m)
-        elif tm == ids["1"]:
-            img = v.on_morphism(m)
-        else:  # the step morphism of the interval
-            img = K.compose(alpha.at(y), u.on_morphism(m))
-        mor[p] = img
-    return Functor(JxI, K, ob, mor, f"mate({alpha.name})")
+    interval = poset_simplex(1)
+
+    def on_morphism(m: str, tm: str) -> str:
+        if interval.is_identity(tm):
+            return (u if interval.dom(tm) == "0" else v).on_morphism(m)
+        # the step morphism of the interval
+        return K.compose(alpha.at(J.cod(m)), u.on_morphism(m))
+
+    return pair_functor(product_cat(J, interval), K,
+                        lambda x, t: (u if t == "0" else v).ob[x], on_morphism,
+                        f"mate({alpha.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +526,8 @@ def dia_arrow(D: Prederivator, J_name: str):
     i0_star = D.on_functor(i0, J_name, shift)
     i1_star = D.on_functor(i1, J_name, shift)
     step_star = D.on_nat(step, J_name, shift)
-    src = D.eval(shift)
-
-    def on_object(X: str) -> str:
-        return step_star.at(X)
-
-    def on_morphism(m: str) -> tuple:
-        return (i0_star.on_morphism(m), i1_star.on_morphism(m))
-
-    return src, on_object, on_morphism
+    return (D.eval(shift), step_star.at,
+            lambda m: (i0_star.on_morphism(m), i1_star.on_morphism(m)))
 
 
 def check_der1(D: Prederivator, budget: Budget = None) -> ValidationReport:
@@ -527,11 +547,7 @@ def check_der1(D: Prederivator, budget: Budget = None) -> ValidationReport:
         inr = s.functors[f"inr_{cname}"]
         la = D.on_functor(inl, a, cname)
         rb = D.on_functor(inr, b, cname)
-        C = D.eval(cname)
-        P = product_cat(D.eval(a), D.eval(b))
-        ob = {x: pair_id(la.ob[x], rb.ob[x]) for x in C.objects}
-        mor = {m: pair_id(la.on_morphism(m), rb.on_morphism(m)) for m in C.nonidentity()}
-        cmp_functor = Functor(C, P, ob, mor, f"der1_{cname}")
+        cmp_functor = pairing(la, rb, product_cat(D.eval(a), D.eval(b)), f"der1_{cname}")
         if not cmp_functor.validate().ok:
             report.add(f"comparison functor at {cname} is not a functor")
             continue
@@ -770,9 +786,6 @@ class PseudoNat:
 
     def at(self, J_name: str) -> Functor:
         return self.components[J_name]
-
-    def cell(self, functor_name: str) -> NatTransf:
-        return self.structure[functor_name]
 
 
 def strict_as_pseudo(F: StrictMorphism) -> PseudoNat:

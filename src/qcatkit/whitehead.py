@@ -41,15 +41,6 @@ class Verdict:
         self.label = label
         self.witnesses = witnesses or {}
 
-    def __bool__(self):
-        return self.ok
-
-    def lines(self):
-        out = [f"{self.name}: {'yes' if self.ok else 'no'} ({self.label})"]
-        for k, v in sorted(self.witnesses.items()):
-            out.append(f"  {k}: {v}")
-        return out
-
 
 def is_essentially_surjective(f: SimplicialMap, budget: Budget = None) -> Verdict:
     """Every target vertex receives a Ho-invertible edge from the image."""

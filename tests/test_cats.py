@@ -23,7 +23,10 @@ from qcatkit.cats import (
     identity_functor,
     identity_nat,
     is_homotopy_finite,
+    monotone_functor,
+    pair_functor,
     pair_id,
+    pairing,
     poset_simplex,
     product_cat,
     split_pair,
@@ -198,6 +201,34 @@ class TestPairIds:
         for token in ["m01", "", "(m01)", "(a,b", "a,b)", "(a,b)(c,d)"]:
             with pytest.raises(ValueError, match="not a pair"):
                 split_pair(token)
+
+
+class TestShapeFunctors:
+    def test_monotone_functor_tables(self):
+        p1, p2 = poset_simplex(1), poset_simplex(2)
+        s0 = monotone_functor(p2, p1, (0, 0, 1), "s0")
+        assert (s0.ob, s0.mor) == ({"0": "0", "1": "0", "2": "1"},
+                                   {"m01": "m00", "m02": "m01", "m12": "m01"})
+        d1 = monotone_functor(p1, p2, (0, 2), "d1")
+        assert (d1.ob, d1.mor) == ({"0": "0", "1": "2"}, {"m01": "m02"})
+        assert s0.validate().ok and d1.validate().ok and s0.name == "s0"
+
+    def test_pairing_table(self):
+        p1 = poset_simplex(1)
+        J = poset_simplex(1)
+        end1 = pairing(identity_functor(J), constant_functor(J, p1, "1"),
+                       product_cat(J, p1), "end1")
+        assert (end1.ob, end1.mor) == ({"0": "(0,1)", "1": "(1,1)"}, {"m01": "(m01,m11)"})
+        assert end1.validate().ok
+
+    def test_pair_functor_table(self):
+        p1 = poset_simplex(1)
+        P = product_cat(poset_simplex(0), p1)
+        swap = pair_functor(P, product_cat(p1, poset_simplex(0)),
+                            lambda a, b: pair_id(b, a), lambda f, g: pair_id(g, f), "swap")
+        assert swap.ob == {"(0,0)": "(0,0)", "(0,1)": "(1,0)"}
+        assert swap.mor == {"(m00,m01)": "(m01,m00)"}
+        assert swap.validate().ok and swap.source is P
 
 
 class TestTextFormat:

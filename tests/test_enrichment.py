@@ -2,7 +2,7 @@
 
 import pytest
 
-from qcatkit.cats import compose_functors, identity_functor, poset_simplex
+from qcatkit.cats import NatTransf, compose_functors, identity_functor, poset_simplex
 from qcatkit.enrichment import (
     EqShiftPrederivator,
     ShiftedPrederivator,
@@ -82,6 +82,28 @@ class TestShift:
         # (D^[1])^[1] at [0] agrees with D at [1] x ([1] x [0])
         outer = ShiftedPrederivator(deep_interval, "[1]")
         assert outer.eval("[1]x[0]") is deep_interval.eval("[1]x([1]x[0])")
+
+
+def stepped_sample():
+    """enrichment_sample(1) with the vertex step 0 -> 1 of [1] listed."""
+    s = enrichment_sample(1)
+    s.add_nat("step01_[1]", "vx_[1]_0", "vx_[1]_1",
+              NatTransf(s.functors["vx_[1]_0"], s.functors["vx_[1]_1"], {"0": "m01"}))
+    return s
+
+
+@pytest.mark.parametrize("make", [lambda D: ShiftedPrederivator(D, "[0]"),
+                                  lambda D: ShiftedPrederivator(D, "[1]"),
+                                  lambda D: eq_shift(D, 1)],
+                         ids=["shift0", "shift1", "eq_shift1"])
+def test_shifts_are_two_functors_on_a_listed_nat(make):
+    D = make(HoPrederivator(nerve(poset_simplex(1), 3), stepped_sample()))
+    report = D.check_two_functoriality()
+    assert report.ok and report.checked == 21, report.violations
+    a = D.sample.nats["step01_[1]"]
+    image = D.on_nat(a, "[0]", "[1]")
+    assert image.source is D.on_functor(a.source, "[0]", "[1]")
+    assert image.target is D.on_functor(a.target, "[0]", "[1]")
 
 
 class TestSimplicialHom:
@@ -190,7 +212,7 @@ class TestCoherentEquivalence:
         # degenerate chain: every object goes to its constant interval diagram
         a = degenerate_chain(d_interval, eq)
         verdict = is_coherent_equivalence(ident, ident, a, a)
-        assert verdict.ok, verdict.lines()
+        assert verdict.ok and verdict.checked > 0, verdict.violations
 
     def test_wrong_endpoint_detected(self, d_interval):
         from qcatkit.prederivator import StrictMorphism
@@ -209,7 +231,7 @@ class TestCoherentEquivalence:
         b = StrictMorphism(a.source, a.target, broken_comp, "broken-chain")
         verdict = is_coherent_equivalence(ident, ident, b, a)
         assert not verdict.ok
-        assert any("vertices" in c and not p for c, p in verdict.clauses)
+        assert any("vertices" in v for v in verdict.violations)
 
 
 def degenerate_chain(D, eq):

@@ -13,13 +13,15 @@ def _trees():
     return [(path.name, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
 
 
-def _references(tree) -> Counter:
-    """Names read as variables or attributes, and string constants that are
-    whole identifiers (the benchmark's tracer names what it wraps by string)."""
+def _references(tree, bare_names: bool = True) -> Counter:
+    """Names read as variables (unless ``bare_names`` is false) or attributes,
+    and string constants that are whole identifiers (the benchmark's tracer
+    names what it wraps by string)."""
     out: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out[node.id] += 1
+            if bare_names:
+                out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
@@ -29,15 +31,16 @@ def _references(tree) -> Counter:
 
 
 def _definitions(tree):
-    """Top-level functions and classes, and the non-dunder methods of the classes."""
+    """Top-level functions and classes, then the non-dunder methods of the
+    classes, each with whether it is a method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
-                    yield item
+                    yield item, True
 
 
 def test_no_unused_imports():
@@ -59,12 +62,16 @@ def test_no_package_imports_inside_functions():
 
 
 def test_every_definition_is_referenced():
-    files = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    counts = sum((_references(ast.parse(p.read_text())) for p in files), Counter())
+    """A method is reached only through an attribute or a string, never
+    through a bare name: a local function of the same name is not a call."""
+    trees = [ast.parse(p.read_text())
+             for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    counts = {bare: sum((_references(t, bare) for t in trees), Counter())
+              for bare in (True, False)}
     # a reference from inside the definition itself (recursion) does not count
     dead = [f"{module}:{node.lineno} {node.name}" for module, tree in _trees()
-            for node in _definitions(tree)
-            if counts[node.name] - _references(node)[node.name] < 1]
+            for node, method in _definitions(tree)
+            if counts[not method][node.name] - _references(node, not method)[node.name] < 1]
     assert not dead
 
 

@@ -17,6 +17,7 @@ from qcatkit.mapping import (
     Square,
     enumerate_prism_lifts,
     fill_inner_horn,
+    full_degeneracy,
     horn_map_from_faces,
     kan_check,
     kan_core,
@@ -174,6 +175,24 @@ class TestMappingSpace:
         assert not report.ok and report.horns_checked == 38
         assert report.witness == ("horn(2,0) {'0': '0', '01': 'm01', '02': 's0.0', "
                                   "'1': '1', '2': '0'}")
+
+    def test_cells_are_the_maps_with_pinned_ends(self):
+        q = nerve(contractible_groupoid(), 3)
+        M = mapping_space(q, "a", "b")
+        whole = Exponential(q, standard_simplex(1, 2), 2)
+        pins = {"0": "a", "1": "b"}
+        for n in range(3):
+            for cid in M.sset.nondeg(n):
+                mu = M.cell_map[cid]
+                for pid, (e1, _) in M.products[n].pair_of.items():
+                    if e1.base in pins:
+                        assert mu.assignment[pid] == SimplexExpr(
+                            full_degeneracy(len(e1.word)), pins[e1.base])
+            # the same count as the cells of the whole exponential with these ends
+            ends = [e for e in whole.sset.total(n)
+                    if all(whole.evaluate_at_vertex(whole.map_of(e), v, n)
+                           == SimplexExpr(full_degeneracy(n), x) for v, x in pins.items())]
+            assert len(ends) == len(M.sset.total(n)) > 0
 
     def test_nerve_mapping_space_ho_is_discrete(self):
         q = nerve(poset_simplex(2), 3)

@@ -19,6 +19,7 @@ from qcatkit.prederivator import (
     ClosureError,
     ConcreteImage,
     DiaSample,
+    FullSubPrederivator,
     HoPrederivator,
     check_der1,
     check_der2,
@@ -54,6 +55,11 @@ def d_point():
 @pytest.fixture(scope="module")
 def d_interval():
     return HoPrederivator(nerve(poset_simplex(1), 3), SAMPLE)
+
+
+@pytest.fixture(scope="module")
+def d_groupoid():
+    return HoPrederivator(nerve(contractible_groupoid(), 3), standard_sample())
 
 
 class TestSample:
@@ -133,8 +139,8 @@ class TestDerAudits:
         report = check_der1(d_point)
         assert report.ok
 
-    def test_mutations_fail_exactly_their_axiom(self, d_interval):
-        base_e = HoPrederivator(nerve(contractible_groupoid(), 3), standard_sample())
+    def test_mutations_fail_exactly_their_axiom(self, d_interval, d_groupoid):
+        base_e = d_groupoid
         cases = [
             ("Der1", der1_mutation(d_interval), {"Der1"}),
             ("Der2", der2_mutation(d_interval), {"Der2"}),
@@ -149,6 +155,11 @@ class TestDerAudits:
             assert failed == expected_failures, (label, failed)
             assert label in failed
 
+    def test_removal_mutants_are_two_functors(self, d_interval, d_groupoid):
+        for mutant in (der5_mutation(d_interval), der5prime_mutation(d_groupoid)):
+            report = mutant.check_two_functoriality()
+            assert report.ok and report.checked == 550, (mutant.name, report.violations[:3])
+
     def test_dia_arrow_shape(self, d_interval):
         src, on_object, on_morphism = dia_arrow(d_interval, "[0]")
         CJ = d_interval.eval("[0]")
@@ -157,6 +168,31 @@ class TestDerAudits:
         for m in src.nonidentity():
             p0, p1 = on_morphism(m)
             assert p0 in CJ.morphisms and p1 in CJ.morphisms
+
+
+class TestFullSubPrederivator:
+    def test_keeping_everything_is_the_base(self, d_interval):
+        D = FullSubPrederivator(d_interval, {}, "all")
+        u = SAMPLE.functors["vx_[1]_1"]
+        assert D.eval("[1]") is d_interval.eval("[1]")
+        assert D.on_functor(u, "[0]", "[1]").key() == d_interval.on_functor(u, "[0]", "[1]").key()
+
+    def test_value_is_the_full_subcategory(self, d_interval):
+        C = d_interval.eval("[1]")
+        keep = list(C.objects[:2])
+        sub = FullSubPrederivator(d_interval, {"[1]": keep}, "sub").eval("[1]")
+        assert sub.objects == tuple(sorted(keep))
+        assert all(sub.hom(a, b) == C.hom(a, b) for a in keep for b in keep)
+
+    def test_restriction_leaving_the_kept_objects_is_an_error(self, d_interval):
+        u = SAMPLE.functors["vx_[1]_1"]
+        hit = sorted(set(d_interval.on_functor(u, "[0]", "[1]").ob.values()))
+        assert len(hit) == 2  # the constant diagrams at 0 and at 1
+        D = FullSubPrederivator(d_interval, {"[0]": hit[:1]}, "sub")
+        with pytest.raises(ValueError, match="vx_"):
+            D.on_functor(u, "[0]", "[1]")
+        # a restriction out of the kept objects is fine
+        assert D.on_functor(SAMPLE.functors["![1]"], "[1]", "[0]").validate().ok
 
 
 class TestKanExtension:
