@@ -338,37 +338,51 @@ def _inverse_iso(iso: SimplicialMap):
     return apply
 
 
-def induced_strict_morphism(DQ: HoPrederivator, shifted: ShiftedPrederivator,
-                            mu: SimplicialMap, shapes) -> StrictMorphism:
-    """The level-n morphism DQ -> DR^{[n]} induced by a map mu: Q x delta_n -> R.
+def induced_strict_morphisms(DQ: HoPrederivator, shifted: ShiftedPrederivator,
+                             maps: list, shapes) -> list:
+    """The level-n morphisms DQ -> DR^{[n]} induced by maps mu: Q x delta_n -> R.
 
-    ``shifted`` is the shift of DR = ``shifted.base`` by the chain [n].
-    Component at K sends a K-shaped diagram nu of Q to the ([n] x K)-shaped
-    diagram (t, k) -> mu(nu(k), t) of R, splitting nerve cells through the
-    product comparison.
+    ``shifted`` is the shift of DR = ``shifted.base`` by the chain [n], and
+    every map in ``maps`` has the same source Q x delta_n.  Component at K
+    sends a K-shaped diagram nu of Q to the ([n] x K)-shaped diagram
+    (t, k) -> mu(nu(k), t) of R.  Each cell (e1|e2) of N([n] x K) x Δl is
+    split once, through the product comparison, into the cell (k|e2) of
+    N(K) x Δl and the simplex t of delta_n; no map or cell changes that.
     """
+    if not maps:
+        return []
+    P = maps[0].source
     chain_nerve = nerve(shifted.J, 2)
-    shape_inv = _inverse_iso(chain_shape_iso(mu.source.right, chain_nerve))
-    comps = {}
+    shape_inv = _inverse_iso(chain_shape_iso(P.right, chain_nerve))
+    parts = []
     for K_name in shapes:
         dq = DQ.data(K_name)
         dr = shifted.base.data(shifted.paired(K_name))
         P_split = product(chain_nerve, dq.exponent)
         compare = nerve_product_compare(dr.exponent, P_split)
-
-        # level 0 uses the same formula: Δ0 has one simplex in each dimension
-        def image(cell: SimplicialMap, level: int) -> SimplicialMap:
-            P_q = dq.products[level]
-
-            def pair_image(e1, e2):
+        splits = []
+        for level in (0, 1):
+            P_r, P_q = dr.products[level], dq.products[level]
+            split = []
+            for pid in P_r.cells:
+                e1, e2 = P_r.pair_of[pid]
                 t_part, k_part = P_split.components(compare.apply(e1))
-                q_part = cell.apply(P_q.pair_expr(k_part, e2))
-                return mu.apply(mu.source.pair_expr(q_part, shape_inv(t_part)))
+                split.append((P_q.pair_expr(k_part, e2), shape_inv(t_part)))
+            splits.append(split)
+        parts.append((K_name, dq, dr, splits))
+    out = []
+    for mu in maps:
+        comps = {}
+        for K_name, dq, dr, splits in parts:
+            # level 0 uses the same formula: Δ0 has one simplex in each dimension
+            def image(cell: SimplicialMap, level: int) -> SimplicialMap:
+                return SimplicialMap(dr.products[level], dr.T_t, tuple(
+                    mu.apply(P.pair_expr(cell.apply(q_part), t_part))
+                    for q_part, t_part in splits[level]))
 
-            return dr.products[level].map_pairs(dr.T_t, pair_image)
-
-        comps[K_name] = induced_functor(dq, dr, image, "")
-    return StrictMorphism(DQ, shifted, comps, "induced")
+            comps[K_name] = induced_functor(dq, dr, image, "")
+        out.append(StrictMorphism(DQ, shifted, comps, "induced"))
+    return out
 
 
 def embedding_check(Q: TruncatedSSet, R: TruncatedSSet, n: int,
@@ -393,10 +407,7 @@ def embedding_check(Q: TruncatedSSet, R: TruncatedSSet, n: int,
     shapes = [K for K in sample.order if K in shifted.pairings]
     homs = enumerate_strict_morphisms(DQ, shifted, budget, shapes=shapes)
     report.hom_count = len(homs)
-    images = set()
-    for mu in maps:
-        F = induced_strict_morphism(DQ, shifted, mu, shapes)
-        images.add(F.key())
+    images = {F.key() for F in induced_strict_morphisms(DQ, shifted, maps, shapes)}
     report.image_size = len(images & {F.key() for F in homs})
     report.injective = len(images) == len(maps)
     return report

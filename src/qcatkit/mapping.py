@@ -111,13 +111,10 @@ class Exponential:
         self.cell_map: dict = {}
         levels = {}
         for n in range(k + 1):
-            nondeg = []
-            for mu in raw[n]:
-                if self._is_nondeg(mu, n):
-                    nondeg.append((mu.key(), mu))
-            nondeg.sort()
+            # raw[n] is in canonical order, so the cell ids follow it
+            nondeg = [mu for mu in raw[n] if self._is_nondeg(mu, n)]
             ids = []
-            for idx, (_, mu) in enumerate(nondeg):
+            for idx, mu in enumerate(nondeg):
                 cid = f"c{n}_{idx}"
                 ids.append(cid)
                 self.cell_map[cid] = mu
@@ -153,11 +150,7 @@ class Exponential:
         return Pm.map_pairs(Pn, lambda e1, e2: Pn.pair_expr(e1, dm.apply(e2)))
 
     def _degenerate_at(self, mu: SimplicialMap, n: int, j: int) -> bool:
-        endo = self._degeneracy_endos[n][j]
-        for x, e in endo.assignment.items():
-            if mu.apply(e) != mu.assignment[x]:
-                return False
-        return True
+        return compose_maps(mu, self._degeneracy_endos[n][j]).images == mu.images
 
     def _is_nondeg(self, mu: SimplicialMap, n: int) -> bool:
         return not any(self._degenerate_at(mu, n, j) for j in range(n))

@@ -392,13 +392,14 @@ class HoPrederivator(Prederivator):
         # contravariant: u: J -> K induces u*: eval(K) -> eval(J)
         dj, dk = self.data(src), self.data(dst)
         nu = nerve_map(u, dj.exponent, dk.exponent)
-
-        def precompose(mu: SimplicialMap, level: int) -> SimplicialMap:
+        # N(u) x Δl: N(J) x Δl -> N(K) x Δl, built once; each cell precomposes it
+        restriction = {}
+        for level in (0, 1):
             Pk = dk.products[level]
-            return dj.products[level].map_pairs(
-                dj.T_t, lambda e1, e2: mu.apply(Pk.pair_expr(nu.apply(e1), e2)))
-
-        return induced_functor(dk, dj, precompose, f"{self.name}({u.name})*")
+            restriction[level] = dj.products[level].map_pairs(
+                Pk, lambda e1, e2: Pk.pair_expr(nu.apply(e1), e2))
+        return induced_functor(dk, dj, lambda mu, level: compose_maps(mu, restriction[level]),
+                               f"{self.name}({u.name})*")
 
     def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
         u, v = alpha.source, alpha.target
@@ -730,15 +731,14 @@ def kan_extension_value(R: TruncatedSSet, J: FiniteCategory, d: int,
     walk(0)
     common = min(NJ.dim_bound, R.dim_bound)
     NJ_c = NJ.truncate(common)
-    maps = enumerate_maps(NJ_c, R.truncate(common), budget)
+    R_c = R.truncate(common)
+    maps = enumerate_maps(NJ_c, R_c, budget)
     map_keys = {m.key(): m for m in maps}
     pairing = []
     for fam in families:
-        assignment = {}
-        for m in range(common + 1):
-            for x in NJ_c.nondeg(m):
-                assignment[x] = fam[(m, SimplexExpr((), x))]
-        key = tuple(sorted(assignment.items()))
+        assignment = {x: fam[(m, SimplexExpr((), x))]
+                      for m in range(common + 1) for x in NJ_c.nondeg(m)}
+        key = SimplicialMap(NJ_c, R_c, assignment).key()
         if key in map_keys:
             pairing.append((fam, map_keys[key]))
     return KanExtensionResult(families, maps, pairing, d)

@@ -6,6 +6,12 @@ in normal form (strictly decreasing indices), which makes the presentation
 unique.  Face data is stored for nondegenerate simplices and pushed through
 degeneracy words with the simplicial identities when needed.
 
+Every set lays its nondegenerate simplices, all levels together, out in
+one canonical cell order: sorted by identifier (``TruncatedSSet.cells``).
+A simplicial map is the tuple of the images of the source's cells in that
+order, so two maps out of the same source compare, sort and hash as their
+image tuples.
+
 Conventions:
     * ``d_i`` forgets the i-th vertex, so for an edge ``f`` the face
       ``d_1 f`` is its initial vertex and ``d_0 f`` its final vertex.
@@ -16,6 +22,7 @@ Conventions:
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, NamedTuple, Optional
 
@@ -186,6 +193,10 @@ class TruncatedSSet:
     coskeletal_from : int, optional
         Declared certificate: the set is to be read as k-coskeletal above
         level k.  Checked by ``validate(check_coskeletal=True)``.
+
+    ``cells`` is the canonical cell order: every nondegenerate identifier,
+    all levels together, sorted.  A :class:`SimplicialMap` out of this set
+    lists its images in that order, at the positions ``cell_index`` gives.
     """
 
     def __init__(self, dim_bound: int, levels, faces, coskeletal_from: Optional[int] = None,
@@ -210,11 +221,30 @@ class TruncatedSSet:
         self._face_cache: dict = {}
         self._vertex_cache: dict = {}
         self._face_index: dict = {}
+        self._degeneracies: dict = {}
 
     # -- basic queries ----------------------------------------------------
 
     def nondeg(self, n: int) -> tuple:
         return self.levels.get(n, ())
+
+    @cached_property
+    def cells(self) -> tuple:
+        """The canonical cell order: all nondegenerate identifiers, sorted."""
+        return tuple(sorted(self.dim_of))
+
+    @cached_property
+    def cell_index(self) -> dict:
+        """Position of each nondegenerate identifier in ``cells``."""
+        return {x: i for i, x in enumerate(self.cells)}
+
+    def degenerate(self, word: tuple, e: SimplexExpr) -> SimplexExpr:
+        """Normal form of the degeneracy operator ``word`` applied to ``e``."""
+        key = (word, e)
+        hit = self._degeneracies.get(key)
+        if hit is None:
+            hit = self._degeneracies[key] = SimplexExpr(compose_words(word, e.word), e.base)
+        return hit
 
     def expr_dim(self, e: SimplexExpr) -> int:
         if e.base not in self.dim_of:
@@ -386,49 +416,62 @@ def simplicial_action(S: TruncatedSSet, alpha: tuple, y: SimplexExpr) -> Simplex
 
 
 class SimplicialMap:
-    """Level-wise assignment on nondegenerate simplices, commuting with faces."""
+    """A map of truncated simplicial sets, commuting with faces.
 
-    def __init__(self, source: TruncatedSSet, target: TruncatedSSet, assignment):
+    ``images`` is the tuple of the images of the source's nondegenerate
+    cells, in the source's canonical cell order (``source.cells``).  The
+    constructor also takes a mapping from cell identifiers to images; a
+    cell it leaves out has image ``None``, which ``validate`` reports.
+    ``key()`` is the image tuple itself: for maps out of one source it
+    orders maps as their sorted ``(identifier, image)`` pairs would.
+    """
+
+    def __init__(self, source: TruncatedSSet, target: TruncatedSSet, images):
         self.source = source
         self.target = target
-        self.assignment = dict(assignment)
-        self._key = None
+        if not isinstance(images, tuple):
+            images = tuple(map(images.get, source.cells))
+        self.images = images
+
+    @cached_property
+    def assignment(self) -> dict:
+        """The images keyed by source cell identifier."""
+        return {x: img for x, img in zip(self.source.cells, self.images) if img is not None}
 
     def apply(self, e: SimplexExpr) -> SimplexExpr:
-        img = self.assignment[e.base]
-        return SimplexExpr(compose_words(e.word, img.word), img.base)
+        img = self.images[self.source.cell_index[e.base]]
+        return self.target.degenerate(e.word, img) if e.word else img
 
     def key(self) -> tuple:
-        if self._key is None:
-            self._key = tuple(sorted(self.assignment.items()))
-        return self._key
+        return self.images
 
     def __eq__(self, other):
-        return isinstance(other, SimplicialMap) and self.key() == other.key()
+        return (isinstance(other, SimplicialMap) and self.images == other.images
+                and self.source.cells == other.source.cells)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.images)
 
     def validate(self) -> ValidationReport:
         report = ValidationReport(f"map {self.source.name} -> {self.target.name}")
         for n in range(self.source.dim_bound + 1):
             for x in self.source.nondeg(n):
                 report.checked += 1
-                if x not in self.assignment:
+                img = self.images[self.source.cell_index[x]]
+                if img is None:
                     report.add(f"no image for {x!r}")
-                    continue
-                img = self.assignment[x]
-                if self.target.expr_dim(img) != n:
+                elif self.target.expr_dim(img) != n:
                     report.add(f"image of {x!r} has wrong dimension")
         if not report.ok:
             return report
         for n in range(1, self.source.dim_bound + 1):
             for x in self.source.nondeg(n):
                 e = SimplexExpr((), x)
+                img = self.images[self.source.cell_index[x]]
                 for i in range(n + 1):
                     report.checked += 1
                     want = self.apply(self.source.face(e, i))
-                    got = self.target.face(self.assignment[x], i)
+                    got = self.target.face(img, i)
                     if want != got:
                         report.add(f"face d_{i} not preserved at {x!r}")
         return report
@@ -438,14 +481,16 @@ class SimplicialMap:
 
 
 def identity_map(S: TruncatedSSet) -> SimplicialMap:
-    return SimplicialMap(S, S, {x: SimplexExpr((), x) for xs in S.levels.values() for x in xs})
+    return SimplicialMap(S, S, tuple(SimplexExpr((), x) for x in S.cells))
 
 
 def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
     if g.source is not f.target and g.source.levels != f.target.levels:
         raise ValueError("maps are not composable")
-    return SimplicialMap(f.source, g.target,
-                         {x: g.apply(e) for x, e in f.assignment.items()})
+    images, index, degenerate = g.images, g.source.cell_index, g.target.degenerate
+    return SimplicialMap(f.source, g.target, tuple(
+        degenerate(e.word, images[index[e.base]]) if e.word else images[index[e.base]]
+        for e in f.images))
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +634,7 @@ class ProductSSet(TruncatedSSet):
     def components(self, e: SimplexExpr) -> tuple:
         """Component simplices of an arbitrary simplex of the product."""
         e1, e2 = self.pair_of[e.base]
-        return (SimplexExpr(compose_words(e.word, e1.word), e1.base),
-                SimplexExpr(compose_words(e.word, e2.word), e2.base))
+        return self.left.degenerate(e.word, e1), self.right.degenerate(e.word, e2)
 
 
 def product(S: TruncatedSSet, T: TruncatedSSet) -> ProductSSet:
@@ -664,27 +708,26 @@ def enumerate_maps(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None,
     with faces is still enforced.
     """
     budget = ensure_budget(budget, f"maps {S.name} -> {T.name}")
-    order = _assignment_order(S)
+    index = S.cell_index
     fixed = fixed or {}
     results = []
-    assign = {}
-    # precomputed per cell: dimension, face expressions, fixed image
+    assign = [None] * len(index)
+    degenerate = T.degenerate
+    # precomputed per cell: its slot, dimension, faces as (word, slot), fixed image
     layout = []
-    for x in order:
+    for x in _assignment_order(S):
         n = S.dim_of[x]
         e = SimplexExpr((), x)
-        faces = tuple(S.face(e, i) for i in range(n + 1)) if n else ()
-        layout.append((x, n, faces, fixed.get(x)))
+        faces = tuple((fe.word, index[fe.base]) for fe in (S.face(e, i) for i in range(n + 1))
+                      ) if n else ()
+        layout.append((index[x], n, faces, fixed.get(x)))
 
     def candidates(n, faces, pinned):
         if n == 0:
             budget.spend()
             return (pinned,) if pinned is not None else T.total(0)
-        required = tuple(
-            assign[fe.base] if not fe.word
-            else SimplexExpr(compose_words(fe.word, assign[fe.base].word),
-                             assign[fe.base].base)
-            for fe in faces)
+        required = tuple(degenerate(word, assign[slot]) if word else assign[slot]
+                         for word, slot in faces)
         if pinned is not None:
             budget.spend()
             ok = all(T.face(pinned, i) == required[i] for i in range(n + 1))
@@ -695,25 +738,21 @@ def enumerate_maps(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None,
 
     total = len(layout)
     if total == 0:
-        return [SimplicialMap(S, T, {})]
+        return [SimplicialMap(S, T, ())]
     # explicit stack: sources can have more cells than the recursion limit
-    stack = [iter(candidates(layout[0][1], layout[0][2], layout[0][3]))]
+    stack = [iter(candidates(*layout[0][1:]))]
     while stack:
         pos = len(stack) - 1
-        x = layout[pos][0]
         cand = next(stack[-1], None)
         if cand is None:
-            assign.pop(x, None)
             stack.pop()
             continue
-        assign[x] = cand
+        assign[layout[pos][0]] = cand
         if pos + 1 == total:
-            results.append(SimplicialMap(S, T, assign))
-            assign.pop(x, None)
+            results.append(SimplicialMap(S, T, tuple(assign)))
             continue
-        nxt = layout[pos + 1]
-        stack.append(iter(candidates(nxt[1], nxt[2], nxt[3])))
-    results.sort(key=lambda m: m.key())
+        stack.append(iter(candidates(*layout[pos + 1][1:])))
+    results.sort(key=SimplicialMap.key)
     return results
 
 
@@ -730,16 +769,24 @@ def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
 
 
 def find_isomorphism(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None):
-    """First isomorphism S -> T in canonical order, or None."""
+    """First isomorphism S -> T in canonical order, or None.
+
+    Only a map sending the nondegenerate cells of S injectively to
+    nondegenerate cells of T can be one; its candidate inverse is read off
+    the inverted image tuple and must be a map whose composites with it
+    are both identities.
+    """
     budget = ensure_budget(budget, f"isomorphism search {S.name} ~ {T.name}")
     if any(len(S.nondeg(n)) != len(T.nondeg(n)) for n in range(min(S.dim_bound, T.dim_bound) + 1)):
         return None
-    ids = identity_map(S).key(), identity_map(T).key()
-    backward = enumerate_maps(T, S, budget)
+    ids = identity_map(S), identity_map(T)
     for f in enumerate_maps(S, T, budget):
-        for g in backward:
-            if compose_maps(g, f).key() == ids[0] and compose_maps(f, g).key() == ids[1]:
-                return f
+        if any(img.word for img in f.images) or len(set(f.images)) != len(f.images):
+            continue
+        g = SimplicialMap(T, S, {img.base: SimplexExpr((), x)
+                                 for x, img in zip(S.cells, f.images)})
+        if g.validate().ok and compose_maps(g, f) == ids[0] and compose_maps(f, g) == ids[1]:
+            return f
     return None
 
 

@@ -97,3 +97,29 @@ def test_no_unread_assignments():
                        for target in node.targets
                        if isinstance(target, ast.Name) and target.id not in read]
     assert not unread
+
+
+MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_FACTORIES = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque",
+                     "WeakValueDictionary"}
+
+
+def test_no_module_level_mutable_state():
+    """Tables live on the objects they describe.  A module-level dict, list
+    or set outlives them; only a ``WeakKeyDictionary``, whose entries leave
+    with their keys, is allowed."""
+    found = []
+    for module, tree in _trees():
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+                continue
+            value = node.value
+            if isinstance(value, ast.Call):
+                func = value.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                mutable = name in MUTABLE_FACTORIES
+            else:
+                mutable = isinstance(value, MUTABLE_LITERALS)
+            if mutable:
+                found.append(f"{module}:{node.lineno}")
+    assert not found

@@ -71,6 +71,18 @@ class TestExponential:
             direct = enumerate_maps(P, n1.truncate(2))
             assert E.sset.total_count(n) == len(direct)
 
+    def test_cell_ids_follow_the_assignment_order(self):
+        # c{n}_{i} is the i-th nondegenerate map in the order of the maps'
+        # sorted (cell id, image) pairs
+        n1 = nerve(poset_simplex(1), 3)
+        E = Exponential(n1, n1, 2)
+        for n in range(3):
+            direct = enumerate_maps(E.products[n], E.T_t)
+            nondeg = sorted((f for f in direct if not E.locate(f).word),
+                            key=lambda f: tuple(sorted(f.assignment.items())))
+            assert len(E.sset.nondeg(n)) == len(nondeg) > 0
+            assert [E.cell_map[f"c{n}_{i}"] for i in range(len(nondeg))] == nondeg
+
     def test_exactness_gate(self):
         no_cert = horn(2, 1, 2)
         with pytest.raises(ExactnessError):

@@ -14,7 +14,8 @@ from qcatkit.corpus import (
     der5_mutation,
     der5prime_mutation,
 )
-from qcatkit.nerve import nerve
+from qcatkit.mapping import induced_functor
+from qcatkit.nerve import nerve, nerve_map
 from qcatkit.prederivator import (
     ClosureError,
     ConcreteImage,
@@ -123,6 +124,29 @@ class TestHoPrederivator:
         # functoriality is inherited on the nose
         act = ds.act("end0_[1]")
         assert set(act) == set(d_interval.eval("[1]x[1]").objects)
+
+
+def per_cell_restriction(D, u, src, dst):
+    """u* built cell by cell: each cell mu of HO(Q)(dst) goes to the map
+    (e1|e2) -> mu(N(u)(e1)|e2) out of N(src) x Δl."""
+    dj, dk = D.data(src), D.data(dst)
+    nu = nerve_map(u, dj.exponent, dk.exponent)
+
+    def precompose(mu, level):
+        Pk = dk.products[level]
+        return dj.products[level].map_pairs(
+            dj.T_t, lambda e1, e2: mu.apply(Pk.pair_expr(nu.apply(e1), e2)))
+
+    return induced_functor(dk, dj, precompose, "per-cell")
+
+
+@pytest.mark.parametrize("cat", [poset_simplex(1), group_z2()], ids=["[1]", "z2"])
+def test_restriction_matches_the_per_cell_formula(cat):
+    D = HoPrederivator(nerve(cat, 3), SAMPLE)
+    for name, u in sorted(SAMPLE.functors.items()):
+        src, dst = SAMPLE.functor_ends[name]
+        got = D.on_functor(u, src, dst)
+        assert got.key() == per_cell_restriction(D, u, src, dst).key(), name
 
 
 class TestDerAudits:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcatkit.corpus import corpus_ssets
 from qcatkit.simplicial import (
     SimplexExpr,
+    SimplicialMap,
     boundary,
     compose_maps,
     compose_words,
@@ -324,6 +326,71 @@ class TestEnumerateMaps:
         for m, fillers in found:
             assert fillers == enumerate_maps(d2, t, fixed=m.assignment)
         assert sum(len(f) for _, f in found) == t.total_count(2)
+
+
+# -- canonical order -----------------------------------------------------------
+
+def assignment_key(f):
+    """The ordering key of a map given as an identifier -> image dict."""
+    return tuple(sorted(f.assignment.items()))
+
+
+def dict_compose(g, f) -> dict:
+    """g o f computed on dicts: each image of f is pushed through g."""
+    out = {}
+    for x, e in f.assignment.items():
+        img = g.assignment[e.base]
+        out[x] = SimplexExpr(compose_words(e.word, img.word), img.base)
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return dict(corpus_ssets())
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("src, tgt", [("delta1", "N([2])"), ("horn2_1", "N(z2)"),
+                                          ("boundary2", "N(E)"), ("delta1xdelta1", "N([1])"),
+                                          ("horn3_1", "N([1]x[1])")])
+    def test_enumeration_order_is_the_assignment_order(self, corpus, src, tgt):
+        S, T = corpus[src], corpus[tgt]
+        maps = enumerate_maps(S, T)
+        keys = [assignment_key(f) for f in maps]
+        assert len(maps) > 1 and keys == sorted(keys) and len(set(keys)) == len(keys)
+        for f in maps:
+            assert len(f.images) == sum(len(S.nondeg(n)) for n in range(S.dim_bound + 1))
+            assert SimplicialMap(S, T, f.assignment) == f
+
+    @pytest.mark.parametrize("src, mid, tgt", [("horn2_1", "N([1])", "N(z2)"),
+                                               ("delta1xdelta1", "N([1])", "N([2])"),
+                                               ("N([2])", "delta2", "N(E)")])
+    def test_compose_is_the_dict_composition(self, corpus, src, mid, tgt):
+        S, M, T = corpus[src], corpus[mid], corpus[tgt]
+        fs, gs = enumerate_maps(S, M), enumerate_maps(M, T)
+        assert any(img.word for f in fs for img in f.images)  # degenerate images occur
+        for f in fs:
+            for g in gs:
+                assert compose_maps(g, f).assignment == dict_compose(g, f)
+
+
+class TestFindIsomorphism:
+    def test_horns_with_equal_counts_are_not_isomorphic(self):
+        # a path 0 -> 1 -> 2 against a span out of 0
+        assert find_isomorphism(horn(2, 1, 2), horn(2, 0, 2)) is None
+
+    def test_a_boundary_is_not_its_simplex(self):
+        # equal counts up to level 2 and a bijective inclusion, but the
+        # 3-cell of the simplex has no preimage
+        assert find_isomorphism(boundary(3, 2), standard_simplex(3, 3)) is None
+
+    def test_the_isomorphism_is_invertible(self):
+        t = standard_simplex(2, 3)
+        p = product(t, standard_simplex(0, 3))
+        f = find_isomorphism(p, t)
+        g = find_isomorphism(t, p)
+        assert compose_maps(g, f) == identity_map(p)
+        assert compose_maps(f, g) == identity_map(t)
 
 
 # -- text format ---------------------------------------------------------------
