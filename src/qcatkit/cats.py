@@ -463,19 +463,14 @@ def enumerate_functors(K: FiniteCategory, J: FiniteCategory, budget: Budget = No
     ob_allowed = ob_allowed or {}
     mor_allowed = mor_allowed or {}
     nonid = K.nonidentity()
-    items = [("ob", x) for x in K.objects] + [("mor", m) for m in nonid]
-    # interleave: a morphism becomes available once its endpoints are mapped
+    # interleave: a morphism follows the later of its endpoints
     order = []
     placed_obs = set()
-    remaining = list(items)
-    while remaining:
-        ready_mors = [it for it in remaining if it[0] == "mor"
-                      and {K.dom(it[1]), K.cod(it[1])} <= placed_obs]
-        pick = min(ready_mors) if ready_mors else min(it for it in remaining if it[0] == "ob")
-        order.append(pick)
-        if pick[0] == "ob":
-            placed_obs.add(pick[1])
-        remaining.remove(pick)
+    for x in K.objects:
+        order.append(("ob", x))
+        placed_obs.add(x)
+        order += [("mor", m) for m in nonid
+                  if x in K.morphisms[m] and set(K.morphisms[m]) <= placed_obs]
 
     pairs_by_mor: dict = {}
     for (g, f), h in K.compose_table.items():

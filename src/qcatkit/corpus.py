@@ -4,9 +4,11 @@ Everything the checks run on lives here: the simplicial-set
 corpus, its quasicategory members, single-face mutations that must fail
 validation, prederivator mutations that must each fail one axiom audit,
 and the labeled map corpus for the equivalence-agreement experiment.
-The Der5 and Der5' mutants are full sub-prederivators, so they stay
-2-functors; the Der1 and Der2 mutants patch the value at one shape and
-are not 2-functors.
+The Der2, Der5 and Der5' mutants are 2-functors: the Der5 and Der5'
+mutants are full sub-prederivators, and the Der2 mutant patches both
+ends of every restriction at its shape.  The Der1 mutant collapses the
+value at a coproduct to a point and cannot be one: HO(! o inl) = id
+would have to factor through the point.
 """
 
 from __future__ import annotations
@@ -132,7 +134,8 @@ class PatchedPrederivator(Prederivator):
         self.patched_eval = patched_eval
         # each patch takes the base's u* and returns the mutant's:
         # patch_restriction for u*: patched -> other,
-        # patch_corestriction for u*: other -> patched
+        # patch_corestriction for u*: other -> patched;
+        # a non-identity u* from the patched shape to itself takes both
         self._patch_res = patch_restriction
         self._patch_cores = patch_corestriction
 
@@ -142,9 +145,11 @@ class PatchedPrederivator(Prederivator):
         return self.base.eval(J_name)
 
     def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
-        if src == self.shape and dst == self.shape:
-            return identity_functor(self.eval(self.shape))
         base_image = self.base.on_functor(u, src, dst)
+        if src == self.shape and dst == self.shape:
+            if base_image.key() == identity_functor(base_image.source).key():
+                return identity_functor(self.eval(self.shape))
+            return self._patch_cores(self._patch_res(base_image))
         if dst == self.shape:   # u: other -> patched, u*: patched -> other
             return self._patch_res(base_image)
         if src == self.shape:   # u: patched -> other, u*: other -> patched

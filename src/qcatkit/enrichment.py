@@ -193,11 +193,14 @@ def simplicial_hom(D1: Prederivator, D2: Prederivator, n: int,
     return enumerate_strict_morphisms(D1, shifted, budget, shapes=shapes)
 
 
-def simplicial_operator(D2: Prederivator, F: StrictMorphism, alpha: tuple,
-                        m: int, n: int) -> StrictMorphism:
-    """Action of a monotone map [m] -> [n] on a level-n morphism."""
+def simplicial_operator(F: StrictMorphism, alpha: tuple, m: int) -> StrictMorphism:
+    """Action of a monotone map [m] -> [n] on a level-n morphism.
+
+    F goes into the shift D2^{[n]}; the result goes into D2^{[m]}.
+    """
+    shifted_n = F.target
+    D2 = shifted_n.base
     shifted_m = ShiftedPrederivator(D2, f"[{m}]")
-    shifted_n = ShiftedPrederivator(D2, f"[{n}]")
     a = monotone_functor(shifted_m.J, shifted_n.J, alpha, f"a{alpha}")
     comps = {}
     for K_name in F.components:
@@ -214,15 +217,15 @@ def simplicial_operator(D2: Prederivator, F: StrictMorphism, alpha: tuple,
     return StrictMorphism(F.source, shifted_m, comps, f"{F.name}.a{alpha}")
 
 
-def compose_simplicial(D3: Prederivator, f: StrictMorphism, g: StrictMorphism,
-                       n: int) -> StrictMorphism:
+def compose_simplicial(f: StrictMorphism, g: StrictMorphism) -> StrictMorphism:
     """Diagonal composition of level-n morphisms g: D1 -> D2^[n], f: D2 -> D3^[n].
 
     Shifts f by the chain and restricts along t -> (t, (t, -)), which is
     the double-shift-then-diagonal formula collapsed into one restriction.
+    The composite goes into f's target D3^[n].
     """
-    cn = f"[{n}]"
-    target = ShiftedPrederivator(D3, cn)
+    target = f.target
+    D3, cn = target.base, target.J_name
     comps = {}
     for K_name in g.components:
         pn_K = D3.sample.products.get((cn, K_name))

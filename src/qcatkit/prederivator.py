@@ -7,6 +7,12 @@ transformations) to finite categories.  The sample replaces the full
 annotations (products with the interval, coproducts, a terminal object)
 it needs, and fails loudly when the sample lacks them.  Audit reports
 always carry the sample scope.
+
+The 2-cell layer is strict only: morphisms of prederivators are strict
+morphisms, whose components commute with every listed restriction on
+the nose, and 2-cells are the modifications between two of them.  Every
+map of quasicategories induces a strict morphism, so nothing here needs
+structure cells.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from pathlib import Path
 from .cats import (
     FiniteCategory,
     Functor,
-    FunctorCategory,
     NatTransf,
     cat_from_text,
     compose_functors,
@@ -26,7 +31,6 @@ from .cats import (
     equivalence_inverse,
     horizontal_compose,
     identity_functor,
-    identity_nat,
     pair_id,
     poset_simplex,
     product_cat,
@@ -481,35 +485,6 @@ def _mate_functor(alpha: NatTransf, J: FiniteCategory, K: FiniteCategory) -> Fun
 
 
 # ---------------------------------------------------------------------------
-# underlying set-valued data
-
-
-class DiaSet:
-    """Object parts only: a presheaf of finite sets on the sample."""
-
-    def __init__(self, sample: DiaSample, values, on_functor, name="diaset"):
-        self.sample = sample
-        self.values = dict(values)          # category name -> tuple of elements
-        self.on_functor_data = dict(on_functor)  # functor name -> dict
-        self.name = name
-
-    def value(self, J_name: str) -> tuple:
-        return self.values[J_name]
-
-    def act(self, functor_name: str) -> dict:
-        return self.on_functor_data[functor_name]
-
-
-def underlying_diaset(D: Prederivator) -> DiaSet:
-    values = {J: tuple(D.eval(J).objects) for J in D.sample.order}
-    acts = {}
-    for name, u in sorted(D.sample.functors.items()):
-        src, dst = D.sample.functor_ends[name]
-        acts[name] = dict(D.on_functor(u, src, dst).ob)
-    return DiaSet(D.sample, values, acts, f"ob({D.name})")
-
-
-# ---------------------------------------------------------------------------
 # partial diagram functors and the Der audits
 
 
@@ -773,35 +748,11 @@ class StrictMorphism:
                             for j, F in self.components.items()))
 
 
-class PseudoNat:
-    """Components plus invertible structure cells, one per listed functor."""
-
-    def __init__(self, source: Prederivator, target: Prederivator, components,
-                 structure, name: str = "pseudonat"):
-        self.source = source
-        self.target = target
-        self.components = dict(components)   # category name -> Functor
-        self.structure = dict(structure)     # functor name -> NatTransf
-        self.name = name
-
-    def at(self, J_name: str) -> Functor:
-        return self.components[J_name]
-
-
-def strict_as_pseudo(F: StrictMorphism) -> PseudoNat:
-    """A strict morphism with identity structure cells."""
-    structure = {}
-    for name, u in F.source.sample.functors.items():
-        src, dst = F.source.sample.functor_ends[name]
-        composite = compose_functors(F.at(src), F.source.on_functor(u, src, dst))
-        structure[name] = identity_nat(composite)
-    return PseudoNat(F.source, F.target, F.components, structure, F.name)
-
-
 class Modification:
-    """One natural transformation per shape, compatible with restriction."""
+    """One natural transformation per shape between two strict morphisms,
+    compatible with restriction."""
 
-    def __init__(self, source: PseudoNat, target: PseudoNat, components,
+    def __init__(self, source: StrictMorphism, target: StrictMorphism, components,
                  name: str = "modification"):
         self.source = source
         self.target = target
@@ -852,86 +803,9 @@ def check_strict(F: StrictMorphism) -> ValidationReport:
     return report
 
 
-def check_pseudonat(F: PseudoNat) -> ValidationReport:
-    report = ValidationReport(f"pseudonaturality of {F.name}")
-    s = F.source.sample
-    for J_name in s.order:
-        report.checked += 1
-        comp = F.components.get(J_name)
-        if comp is None or not comp.validate().ok:
-            report.add(f"component at {J_name} missing or not a functor")
-    if not report.ok:
-        return report
-    cells = {}
-    for name, u in sorted(s.functors.items()):
-        src, dst = s.functor_ends[name]
-        report.checked += 1
-        cell = F.structure.get(name)
-        if cell is None:
-            report.add(f"no structure cell for functor {name}")
-            continue
-        lhs = compose_functors(F.at(src), F.source.on_functor(u, src, dst))
-        rhs = compose_functors(F.target.on_functor(u, src, dst), F.at(dst))
-        if cell.source.key() != lhs.key() or cell.target.key() != rhs.key():
-            report.add(f"structure cell at {name} has wrong endpoints")
-            continue
-        if not cell.validate().ok:
-            report.add(f"structure cell at {name} is not natural")
-            continue
-        C = F.target.eval(src)
-        if not all(C.is_iso(cell.at(X)) for X in cell.components):
-            report.add(f"structure cell at {name} is not invertible")
-            continue
-        cells[name] = cell
-    if not report.ok:
-        return report
-    for name in s.order:
-        report.checked += 1
-        cell = cells.get(f"id_{name}")
-        if cell is not None and any(
-                not F.target.eval(name).is_identity(cell.at(X))
-                for X in cell.components):
-            report.add(f"structure cell at the identity of {name} is not trivial")
-    # pasting coherence on listed composable pairs whose composite is listed
-    for n2, n1 in s.composable_functor_pairs():
-        u = s.functors[n1]
-        v = s.functors[n2]
-        s1, d1 = s.functor_ends[n1]
-        s2, d2 = s.functor_ends[n2]
-        composite = compose_functors(v, u)
-        match = [m for m, w in s.functors.items()
-                 if s.functor_ends[m] == (s1, d2) and w.key() == composite.key()]
-        if not match or n1 not in cells or n2 not in cells or match[0] not in cells:
-            continue
-        report.checked += 1
-        C = F.target.eval(s1)
-        # pasting: restrict the outer cell along u, then apply the inner one
-        for X in F.source.eval(d2).objects:
-            inner = cells[n1].at(F.source.on_functor(v, s2, d2).ob[X])
-            outer = F.target.on_functor(u, s1, d1).on_morphism(cells[n2].at(X))
-            if cells[match[0]].at(X) != C.compose(outer, inner):
-                report.add(f"pasting coherence fails at {n2} o {n1}, object {X!r}")
-                break
-    # respect for 2-morphisms
-    for name, a in sorted(s.nats.items()):
-        sf, df = s.nat_ends[name]
-        if sf not in cells or df not in cells:
-            continue
-        src, dst = s.functor_ends[sf]
-        report.checked += 1
-        a1 = F.source.on_nat(a, src, dst)
-        a2 = F.target.on_nat(a, src, dst)
-        C = F.target.eval(src)
-        for X in F.source.eval(dst).objects:
-            lhs = C.compose(a2.at(F.at(dst).ob[X]), cells[sf].at(X))
-            rhs = C.compose(cells[df].at(X), F.at(src).on_morphism(a1.at(X)))
-            if lhs != rhs:
-                report.add(f"respect for the 2-morphism {name} fails at {X!r}")
-                break
-    return report
-
-
 def check_modification(Xi: Modification) -> ValidationReport:
+    """Naturality and endpoints per shape, and for every listed u: J -> K
+    and object X at K, u*(Xi_K(X)) = Xi_J(u*X)."""
     report = ValidationReport(f"modification {Xi.name}")
     F, G = Xi.source, Xi.target
     s = F.source.sample
@@ -950,38 +824,12 @@ def check_modification(Xi: Modification) -> ValidationReport:
         src, dst = s.functor_ends[name]
         ustar1 = F.source.on_functor(u, src, dst)
         ustar2 = F.target.on_functor(u, src, dst)
-        C = F.target.eval(src)
-        lam = F.structure[name]
-        gam = G.structure[name]
         for X in F.source.eval(dst).objects:
             report.checked += 1
-            left = C.compose(ustar2.on_morphism(Xi.at(dst).at(X)), lam.at(X))
-            right = C.compose(gam.at(X), Xi.at(src).at(ustar1.ob[X]))
-            if left != right:
+            if ustar2.on_morphism(Xi.at(dst).at(X)) != Xi.at(src).at(ustar1.ob[X]):
                 report.add(f"compatibility square at functor {name}, object {X!r} fails")
                 break
     return report
-
-
-def compose_pseudonat(G: PseudoNat, F: PseudoNat, name: str = None) -> PseudoNat:
-    """Composite G after F, structure cells pasted."""
-    comps = {j: compose_functors(G.at(j), F.at(j)) for j in F.components}
-    structure = {}
-    s = F.source.sample
-    for fname, u in s.functors.items():
-        src, dst = s.functor_ends[fname]
-        lamF = F.structure[fname]
-        lamG = G.structure[fname]
-        C = G.target.eval(src)
-        cell = {}
-        for X in F.source.eval(dst).objects:
-            cell[X] = C.compose(lamG.at(F.at(dst).ob[X]),
-                                G.at(src).on_morphism(lamF.at(X)))
-        src_f = compose_functors(comps[src], F.source.on_functor(u, src, dst))
-        dst_f = compose_functors(G.target.on_functor(u, src, dst), comps[dst])
-        structure[fname] = NatTransf(src_f, dst_f, cell)
-    return PseudoNat(F.source, G.target, comps, structure,
-                     name or f"{G.name}.{F.name}")
 
 
 def compose_strict(G: StrictMorphism, F: StrictMorphism, name: str = None) -> StrictMorphism:
@@ -1146,88 +994,6 @@ def strict_rigidity_check(D1: Prederivator, D2: Prederivator,
                         break
     report.enumerated = len(morphisms)
     return report
-
-
-# ---------------------------------------------------------------------------
-# concretization
-
-
-class ConcreteImage:
-    """Product-category embedding of a prederivator over a (small) sample.
-
-    The category has one factor per shape and one arrow-category factor
-    per listed functor; morphisms and 2-morphisms of prederivators embed
-    by their component tuples, faithfully.
-    """
-
-    def __init__(self, D: Prederivator, shapes, functor_names):
-        self.D = D
-        self.shapes = list(shapes)
-        self.functor_names = list(functor_names)
-        self._category = None
-
-    @property
-    def category(self) -> FiniteCategory:
-        """The product category, materialized on first use.
-
-        The factor count multiplies morphism counts, so callers should
-        restrict the shapes and functors to what they actually compare.
-        """
-        if self._category is None:
-            D, s = self.D, self.D.sample
-            factors = [D.eval(j) for j in self.shapes]
-            for name in self.functor_names:
-                src, _ = s.functor_ends[name]
-                factors.append(FunctorCategory(poset_simplex(1), D.eval(src)).category)
-            if not factors:
-                raise ValueError("no factors to concretize over")
-            cat = factors[0]
-            for extra in factors[1:]:
-                cat = product_cat(cat, extra)
-            self._category = cat
-        return self._category
-
-    def embed_morphism(self, F: PseudoNat) -> tuple:
-        """Component data of U(F), enough to compare morphisms faithfully.
-
-        The factor at a functor u: K -> J records, for every arrow f of
-        the J-value, the diagonal of the pseudo-commutative square:
-        the structure cell at dom(f) followed by the restricted image.
-        """
-        s = self.D.sample
-        parts = [(j, F.at(j).key()) for j in self.shapes]
-        for name in self.functor_names:
-            src, dst = s.functor_ends[name]
-            u = s.functors[name]
-            ustar2 = F.target.on_functor(u, src, dst)
-            cell = F.structure[name]
-            C = F.target.eval(src)
-            action = {}
-            for m in F.source.eval(dst).morphisms:
-                X = F.source.eval(dst).dom(m)
-                action[m] = C.compose(
-                    ustar2.on_morphism(F.at(dst).on_morphism(m)), cell.at(X))
-            parts.append((name, tuple(sorted(action.items()))))
-        return tuple(parts)
-
-    def embed_modification(self, Xi: Modification) -> tuple:
-        """Component data of U(Xi): per functor, the squares between images."""
-        parts = [(j, tuple(sorted(Xi.at(j).components.items()))) for j in self.shapes]
-        s = self.D.sample
-        F, G = Xi.source, Xi.target
-        for name in self.functor_names:
-            src, dst = s.functor_ends[name]
-            u = s.functors[name]
-            ustar1 = F.source.on_functor(u, src, dst)
-            ustar2 = F.target.on_functor(u, src, dst)
-            comp = {}
-            for m in F.source.eval(dst).morphisms:
-                X = F.source.eval(dst).dom(m)
-                Y = F.source.eval(dst).cod(m)
-                comp[m] = (ustar2.on_morphism(Xi.at(dst).at(X)),
-                           Xi.at(src).at(ustar1.ob[Y]))
-            parts.append((name, tuple(sorted(comp.items()))))
-        return tuple(parts)
 
 
 # ---------------------------------------------------------------------------

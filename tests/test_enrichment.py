@@ -2,7 +2,14 @@
 
 import pytest
 
-from qcatkit.cats import NatTransf, compose_functors, identity_functor, poset_simplex
+from qcatkit.cats import (
+    Functor,
+    NatTransf,
+    compose_functors,
+    contractible_groupoid,
+    identity_functor,
+    poset_simplex,
+)
 from qcatkit.enrichment import (
     EqShiftPrederivator,
     ShiftedPrederivator,
@@ -18,6 +25,7 @@ from qcatkit.nerve import nerve
 from qcatkit.prederivator import (
     ClosureError,
     HoPrederivator,
+    StrictMorphism,
     check_strict,
     identity_strict,
 )
@@ -129,22 +137,20 @@ class TestSimplicialHom:
         d1 = deep_interval
         homs1 = simplicial_hom(deep_point, d1, 1)
         for F in homs1:
-            d0F = simplicial_operator(d1, F, (1,), 0, 1)
-            d1F = simplicial_operator(d1, F, (0,), 0, 1)
-            s0d0 = simplicial_operator(d1, d0F, (0, 0), 1, 0)
+            d0F = simplicial_operator(F, (1,), 0)
+            d1F = simplicial_operator(F, (0,), 0)
             # re-degenerating a face of a degenerate element recovers it
             for G in [d0F, d1F]:
-                back = simplicial_operator(d1, simplicial_operator(d1, G, (0, 0), 1, 0),
-                                           (0,), 0, 1)
+                back = simplicial_operator(simplicial_operator(G, (0, 0), 1), (0,), 0)
                 assert back.key_on(G.components) == G.key()
 
 
 class TestComposeSimplicial:
     def test_unit_law(self, deep_point, deep_interval):
         ident = find_identity_level0(deep_interval)
-        deg = simplicial_operator(deep_interval, ident, (0, 0), 1, 0)
+        deg = simplicial_operator(ident, (0, 0), 1)
         for g in simplicial_hom(deep_point, deep_interval, 1):
-            comp = compose_simplicial(deep_interval, deg, g, 1)
+            comp = compose_simplicial(deg, g)
             common = sorted(set(comp.components) & set(g.components))
             assert comp.key_on(common) == g.key_on(common)
 
@@ -152,7 +158,7 @@ class TestComposeSimplicial:
         gs = simplicial_hom(deep_point, deep_interval, 0)
         ident = find_identity_level0(deep_interval)
         for g in gs:
-            comp = compose_simplicial(deep_interval, ident, g, 0)
+            comp = compose_simplicial(ident, g)
             for K in comp.components:
                 pn_K = DEEP.products[("[0]", K)]
                 direct = compose_functors(ident.at(pn_K), g.at(K))
@@ -172,10 +178,10 @@ class TestComposeSimplicial:
         for g in homs[:2]:
             for f in endos[:2]:
                 for h in endos[:2]:
-                    fg = compose_simplicial(d1, f, g, 1)
-                    h_fg = compose_simplicial(d1, h, fg, 1)
-                    hf = compose_simplicial(d1, h, f, 1)
-                    hf_g = compose_simplicial(d1, hf, g, 1)
+                    fg = compose_simplicial(f, g)
+                    h_fg = compose_simplicial(h, fg)
+                    hf = compose_simplicial(h, f)
+                    hf_g = compose_simplicial(hf, g)
                     common = sorted(set(h_fg.components) & set(hf_g.components))
                     assert common, "no common scope for the two parenthesizations"
                     assert h_fg.key_on(common) == hf_g.key_on(common)
@@ -192,7 +198,6 @@ class TestEqShift:
         assert len(eq.eval("[0]").objects) == 2  # only the identity arrows
 
     def test_groupoid_keeps_everything(self):
-        from qcatkit.cats import contractible_groupoid
         dE = HoPrederivator(nerve(contractible_groupoid(), 3), enrichment_sample(1))
         eq = eq_shift(dE, 1)
         inner = ShiftedPrederivator(dE, "[1]")
@@ -215,7 +220,6 @@ class TestCoherentEquivalence:
         assert verdict.ok and verdict.checked > 0, verdict.violations
 
     def test_wrong_endpoint_detected(self, d_interval):
-        from qcatkit.prederivator import StrictMorphism
         ident = identity_strict(d_interval)
         eq = eq_shift(d_interval, 1)
         a = degenerate_chain(d_interval, eq)
@@ -224,7 +228,6 @@ class TestCoherentEquivalence:
         broken_comp = dict(a.components)
         C = eq.eval(K)
         other = {X: sorted(C.objects)[0] for X in a.at(K).ob}
-        from qcatkit.cats import Functor
         broken_comp[K] = Functor(a.at(K).source, C, other,
                                  {m: C.identities[sorted(C.objects)[0]]
                                   for m in a.at(K).source.nonidentity()}, "broken")
@@ -236,19 +239,14 @@ class TestCoherentEquivalence:
 
 def degenerate_chain(D, eq):
     """The chain morphism sending an object to its constant interval diagram."""
-    from qcatkit.cats import Functor
-    from qcatkit.prederivator import StrictMorphism
     comps = {}
     for K in eq.inner.pairings:
         if K not in D.sample.categories:
             continue
         pname = eq.inner.paired(K)
         # constant diagrams: restrict along the projection [1] x K -> K
-        proj_ob = {}
         PK = D.sample.cat(pname)
         K_cat = D.sample.cat(K)
-        ob = {x: x.split(",", 1)[1][:-1] for x in PK.objects}
-        ob = {x: ob[x] for x in PK.objects}
         proj = Functor(PK, K_cat,
                        {x: _snd(x) for x in PK.objects},
                        {m: _snd(m) for m in PK.nonidentity()}, f"proj2_{K}")

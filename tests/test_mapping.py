@@ -35,7 +35,7 @@ from qcatkit.simplicial import (
     product,
     standard_simplex,
 )
-from qcatkit.util import Budget
+from qcatkit.util import Budget, UnionFind
 
 
 class TestExponential:
@@ -143,7 +143,6 @@ class TestKanCore:
 
 def pi0(sset):
     """Oracle: path components of a truncated simplicial set."""
-    from qcatkit.util import UnionFind
     uf = UnionFind(sset.nondeg(0))
     for e in sset.nondeg(1):
         a, b = sset.edge_endpoints(SimplexExpr((), e))

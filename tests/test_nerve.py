@@ -8,6 +8,7 @@ import pytest
 
 from qcatkit.cats import (
     boundary_two,
+    compose_functors,
     contractible_groupoid,
     enumerate_functors,
     group_z2,
@@ -201,7 +202,6 @@ class TestHo:
                 lhs = ho_on_map(compose_maps(fv, fu), hj, hl)
                 rhs_a = ho_on_map(fu, hj, hk)
                 rhs_b = ho_on_map(fv, hk, hl)
-                from qcatkit.cats import compose_functors
                 assert lhs.key() == compose_functors(rhs_b, rhs_a).key()
 
     def test_iso_detection(self):

@@ -3,8 +3,11 @@
 import pytest
 
 from qcatkit.cats import (
+    boundary_two,
     contractible_groupoid,
+    enumerate_nats,
     group_z2,
+    identity_nat,
     poset_simplex,
     validate_category,
 )
@@ -18,18 +21,16 @@ from qcatkit.mapping import induced_functor
 from qcatkit.nerve import nerve, nerve_map
 from qcatkit.prederivator import (
     ClosureError,
-    ConcreteImage,
-    DiaSample,
     FullSubPrederivator,
     HoPrederivator,
+    Modification,
+    StrictMorphism,
     check_der1,
     check_der2,
     check_der5,
     check_modification,
-    check_pseudonat,
     check_strict,
     compose_modification,
-    compose_pseudonat,
     compose_strict,
     der_audit,
     dia_arrow,
@@ -39,9 +40,7 @@ from qcatkit.prederivator import (
     sample_from_manifest,
     sample_to_manifest,
     standard_sample,
-    strict_as_pseudo,
     strict_rigidity_check,
-    underlying_diaset,
 )
 from qcatkit.simplicial import standard_simplex
 
@@ -117,14 +116,6 @@ class TestHoPrederivator:
             m = img.at(X)
             assert m in C0.morphisms
 
-    def test_underlying_diaset(self, d_interval):
-        ds = underlying_diaset(d_interval)
-        assert len(ds.value("[0]")) == 2
-        assert len(ds.value("[1]")) == 3
-        # functoriality is inherited on the nose
-        act = ds.act("end0_[1]")
-        assert set(act) == set(d_interval.eval("[1]x[1]").objects)
-
 
 def per_cell_restriction(D, u, src, dst):
     """u* built cell by cell: each cell mu of HO(Q)(dst) goes to the map
@@ -180,7 +171,9 @@ class TestDerAudits:
             assert label in failed
 
     def test_removal_mutants_are_two_functors(self, d_interval, d_groupoid):
-        for mutant in (der5_mutation(d_interval), der5prime_mutation(d_groupoid)):
+        # so is the der2 mutant, which patches both ends of u* at its shape
+        for mutant in (der2_mutation(d_interval), der5_mutation(d_interval),
+                       der5prime_mutation(d_groupoid)):
             report = mutant.check_two_functoriality()
             assert report.ok and report.checked == 550, (mutant.name, report.violations[:3])
 
@@ -192,6 +185,9 @@ class TestDerAudits:
         for m in src.nonidentity():
             p0, p1 = on_morphism(m)
             assert p0 in CJ.morphisms and p1 in CJ.morphisms
+        # the restriction along end0_[1] is defined on every [1] x [1] diagram
+        end0 = d_interval.on_functor(SAMPLE.functors["end0_[1]"], "[1]", "[1]x[1]")
+        assert set(end0.ob) == set(d_interval.eval("[1]x[1]").objects)
 
 
 class TestFullSubPrederivator:
@@ -235,7 +231,7 @@ class TestKanExtension:
 
     def test_free_boundary_target(self):
         # maps [1] -> d[2] correspond to the 7 morphisms of the free category
-        R = nerve(boundary_two_cached(), 3)
+        R = nerve(boundary_two(), 3)
         result = kan_extension_value(R, poset_simplex(1), 2)
         assert len(result.families) == 7
         assert result.bijective
@@ -253,11 +249,6 @@ class TestKanExtension:
             result = kan_extension_value(nerve(R_cat, 3), J, d)
             assert result.bijective
             assert len(result.families) == expected, R_cat.name
-
-
-def boundary_two_cached():
-    from qcatkit.cats import boundary_two
-    return boundary_two()
 
 
 class TestStrictMorphisms:
@@ -289,74 +280,35 @@ class TestStrictMorphisms:
         comp = compose_strict(back[0], fs[0])
         assert check_strict(comp).ok
 
+    def test_mixed_components_detected(self, d_point, d_interval):
+        # the two vertices of N([1]) give two strict morphisms; taking the
+        # second one's components but the first one's at [0] is not strict
+        F0, F1 = enumerate_strict_morphisms(d_point, d_interval)
+        mixed = StrictMorphism(d_point, d_interval, {**F1.components, "[0]": F0.at("[0]")})
+        report = check_strict(mixed)
+        assert not report.ok
+        assert "component square at functor ![0]+[0] does not commute" in report.violations
 
-class TestPseudoNat:
-    def test_identity_pseudonat_passes(self, d_interval):
-        P = strict_as_pseudo(identity_strict(d_interval))
-        assert check_pseudonat(P).ok
 
-    def test_strict_image_passes(self, d_point, d_interval):
-        for F in enumerate_strict_morphisms(d_point, d_interval):
-            assert check_pseudonat(strict_as_pseudo(F)).ok
-
-    def test_broken_structure_cell_detected(self, d_interval):
-        P = strict_as_pseudo(identity_strict(d_interval))
-        # replace one structure cell by a non-natural constant choice
-        bad = dict(P.structure)
-        name = "end0_[1]"
-        cell = bad[name]
-        C = d_interval.eval("[1]")
-        target_obj = cell.components[sorted(cell.components)[0]]
-        comps = {X: target_obj for X in cell.components}
-        from qcatkit.cats import NatTransf
-        bad[name] = NatTransf(cell.source, cell.target, comps, "broken")
-        from qcatkit.prederivator import PseudoNat
-        broken = PseudoNat(P.source, P.target, P.components, bad, "broken")
-        assert not check_pseudonat(broken).ok
-
-    def test_composition_of_pseudonats(self, d_point, d_interval):
-        fs = [strict_as_pseudo(F) for F in enumerate_strict_morphisms(d_point, d_interval)]
-        gs = [strict_as_pseudo(F) for F in enumerate_strict_morphisms(d_interval, d_point)]
-        comp = compose_pseudonat(gs[0], fs[0])
-        assert check_pseudonat(comp).ok
-
-    def test_identity_modification(self, d_point, d_interval):
-        from qcatkit.cats import identity_nat
-        from qcatkit.prederivator import Modification
-        P = strict_as_pseudo(identity_strict(d_interval))
-        Xi = Modification(P, P, {j: identity_nat(P.at(j)) for j in SAMPLE.order})
+class TestModifications:
+    def test_identity_modification(self, d_interval):
+        F = identity_strict(d_interval)
+        Xi = Modification(F, F, {j: identity_nat(F.at(j)) for j in SAMPLE.order})
         assert check_modification(Xi).ok
         assert check_modification(compose_modification(Xi, Xi)).ok
 
-
-class TestConcretize:
-    def test_distinct_strict_morphisms_distinct_images(self, d_point, d_interval):
-        shapes = ["[0]", "[1]"]
-        functors = ["vx_[1]_0", "vx_[1]_1"]
-        U = ConcreteImage(d_interval, shapes, functors)
-        images = set()
-        for F in enumerate_strict_morphisms(d_point, d_interval):
-            img = U.embed_morphism(strict_as_pseudo(F))
-            images.add(img)
-        assert len(images) == 2
-
-    def test_identity_embeds_as_identity_components(self, d_interval):
-        shapes = ["[0]", "[1]"]
-        U = ConcreteImage(d_interval, shapes, ["id_[0]", "id_[1]"])
-        P = strict_as_pseudo(identity_strict(d_interval))
-        img = dict(U.embed_morphism(P)[:2])
-        from qcatkit.cats import identity_functor
-        assert img["[0]"] == identity_functor(d_interval.eval("[0]")).key()
-
-    def test_modification_components_recoverable(self, d_interval):
-        from qcatkit.cats import identity_nat
-        from qcatkit.prederivator import Modification
-        P = strict_as_pseudo(identity_strict(d_interval))
-        Xi = Modification(P, P, {j: identity_nat(P.at(j)) for j in SAMPLE.order})
-        U = ConcreteImage(d_interval, ["[0]", "[1]"], ["id_[0]", "id_[1]"])
-        emb = dict(U.embed_modification(Xi)[:2])
-        assert emb["[1]"] == tuple(sorted(Xi.at("[1]").components.items()))
-
-    def test_product_category_is_a_category(self, d_point):
-        U = ConcreteImage(d_point, ["[0]"], ["id_[0]"])
-        assert validate_category(U.category).ok
+    def test_swapped_component_detected(self):
+        # HO(N(z2))([0]) is z2, so its identity functor has two natural
+        # endomorphisms; the non-identity one alone at [0] is not compatible
+        D = HoPrederivator(nerve(group_z2(), 3), SAMPLE)
+        F = identity_strict(D)
+        comps = {j: identity_nat(F.at(j)) for j in SAMPLE.order}
+        report = check_modification(Modification(F, F, comps))
+        assert report.ok and report.checked == 237, report.violations[:2]
+        others = [a for a in enumerate_nats(F.at("[0]"), F.at("[0]"))
+                  if a.key() != comps["[0]"].key()]
+        assert len(others) == 1
+        comps["[0]"] = others[0]
+        report = check_modification(Modification(F, F, comps))
+        assert not report.ok
+        assert all("compatibility square" in v for v in report.violations)

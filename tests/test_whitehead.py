@@ -2,11 +2,11 @@
 
 import pytest
 
-from qcatkit.cats import contractible_groupoid, poset_simplex
+from qcatkit.cats import Functor, contractible_groupoid, equivalence_inverse, poset_simplex
 from qcatkit.corpus import labeled_map_corpus
 from qcatkit.nerve import nerve
 from qcatkit.prederivator import HoPrederivator, standard_sample
-from qcatkit.simplicial import SimplexExpr, identity_map, standard_simplex
+from qcatkit.simplicial import SimplexExpr, compose_maps, identity_map, standard_simplex
 from qcatkit.whitehead import (
     agreement_table,
     conservativity_experiment,
@@ -74,7 +74,6 @@ class TestEquivalence:
     def test_nerve_maps_agree_with_category_search(self):
         # on nerves the surrogate decides exactly like direct search for
         # an inverse-up-to-natural-isomorphism
-        from qcatkit.cats import Functor, equivalence_inverse
         swap = Functor(contractible_groupoid(), contractible_groupoid(),
                        {"a": "b", "b": "a"}, {"eab": "eba", "eba": "eab"}, "swap")
         assert equivalence_inverse(swap) is not None
@@ -82,7 +81,6 @@ class TestEquivalence:
         assert is_equivalence(f).ok
 
     def test_stability_under_identity_composition(self):
-        from qcatkit.simplicial import compose_maps
         f, expected = BY_NAME["incl_N[1]_N[2]"]
         g = compose_maps(f, identity_map(f.source))
         assert is_equivalence(g).ok == expected
