@@ -116,6 +116,14 @@ class TestHoPrederivator:
             m = img.at(X)
             assert m in C0.morphisms
 
+    def test_underlying_diaset(self, d_interval):
+        # the underlying diagram of sets: the values' objects, and the
+        # restrictions' object maps, read from eval and on_functor
+        assert len(d_interval.eval("[0]").objects) == 2
+        assert len(d_interval.eval("[1]").objects) == 3
+        end0 = d_interval.on_functor(SAMPLE.functors["end0_[1]"], "[1]", "[1]x[1]")
+        assert set(end0.ob) == set(d_interval.eval("[1]x[1]").objects)
+
 
 def per_cell_restriction(D, u, src, dst):
     """u* built cell by cell: each cell mu of HO(Q)(dst) goes to the map
@@ -185,9 +193,6 @@ class TestDerAudits:
         for m in src.nonidentity():
             p0, p1 = on_morphism(m)
             assert p0 in CJ.morphisms and p1 in CJ.morphisms
-        # the restriction along end0_[1] is defined on every [1] x [1] diagram
-        end0 = d_interval.on_functor(SAMPLE.functors["end0_[1]"], "[1]", "[1]x[1]")
-        assert set(end0.ob) == set(d_interval.eval("[1]x[1]").objects)
 
 
 class TestFullSubPrederivator:
