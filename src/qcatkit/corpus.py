@@ -26,6 +26,7 @@ from .cats import (
     poset_simplex,
     product_cat,
 )
+from .mapping import full_degeneracy
 from .nerve import NerveSSet, nerve, nerve_map
 from .prederivator import FullSubPrederivator, HoPrederivator, Prederivator, dia_arrow
 from .simplicial import (
@@ -145,7 +146,7 @@ class PatchedPrederivator(Prederivator):
         return self.base.eval(J_name)
 
     def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
-        base_image = self.base.on_functor(u, src, dst)
+        base_image = self.base.on_functor(u)
         if src == self.shape and dst == self.shape:
             if base_image.key() == identity_functor(base_image.source).key():
                 return identity_functor(self.eval(self.shape))
@@ -157,11 +158,11 @@ class PatchedPrederivator(Prederivator):
         return base_image
 
     def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
-        base_image = self.base.on_nat(alpha, src, dst)
+        base_image = self.base.on_nat(alpha)
         if self.shape not in (src, dst):
             return base_image
-        ustar = self.on_functor(alpha.source, src, dst)
-        vstar = self.on_functor(alpha.target, src, dst)
+        ustar = self.on_functor(alpha.source)
+        vstar = self.on_functor(alpha.target)
         comps = {X: base_image.at(X) for X in ustar.source.objects}
         return NatTransf(ustar, vstar, comps, base_image.name)
 
@@ -253,8 +254,7 @@ def _collapse_map(q: NerveSSet, target: TruncatedSSet, vertex: str) -> Simplicia
     assignment = {}
     for n in range(q.dim_bound + 1):
         for x in q.nondeg(n):
-            word = tuple(range(n - 1, -1, -1))
-            assignment[x] = SimplexExpr(word, vertex)
+            assignment[x] = SimplexExpr(full_degeneracy(n), vertex)
     return SimplicialMap(q, target, assignment)
 
 

@@ -62,13 +62,11 @@ class ShiftedPrederivator(Prederivator):
                 sub.add_category(K_name, D.sample.cat(K_name))
                 self.pairings[K_name] = D.sample.products[key]
         for name, u in D.sample.functors.items():
-            src, dst = D.sample.functor_ends[name]
-            if src in self.pairings and dst in self.pairings:
-                sub.add_functor(name, src, dst, u)
+            if u.source in sub.names and u.target in sub.names:
+                sub.add_functor(name, u)
         for name, a in D.sample.nats.items():
-            sf, df = D.sample.nat_ends[name]
-            if sf in sub.functors and df in sub.functors:
-                sub.add_nat(name, sf, df, a)
+            if a.source.source in sub.names and a.source.target in sub.names:
+                sub.add_nat(name, a)
         super().__init__(sub, f"{D.name}^{J_name}")
         self.base = D
         self.J_name = J_name
@@ -93,7 +91,7 @@ class ShiftedPrederivator(Prederivator):
 
     def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
         lifted = self._lift_functor(u, src, dst)
-        return self.base.on_functor(lifted, self.paired(src), self.paired(dst))
+        return self.base.on_functor(lifted)
 
     def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
         u_l = self._lift_functor(alpha.source, src, dst)
@@ -101,7 +99,7 @@ class ShiftedPrederivator(Prederivator):
         comps = {pair_id(j, k): pair_id(self.J.identities[j], alpha.at(k))
                  for j in self.J.objects for k in alpha.source.source.objects}
         lifted = NatTransf(u_l, v_l, comps, f"id x {alpha.name}")
-        return self.base.on_nat(lifted, self.paired(src), self.paired(dst))
+        return self.base.on_nat(lifted)
 
 
 def chain_embedding(sample: DiaSample, J_name: str, K_name: str, pname: str,
@@ -206,13 +204,12 @@ def simplicial_operator(F: StrictMorphism, alpha: tuple, m: int) -> StrictMorphi
     for K_name in F.components:
         if K_name not in shifted_m.pairings:
             continue
-        src_p = shifted_m.paired(K_name)
-        dst_p = shifted_n.paired(K_name)
-        alpha_x_id = pair_functor(D2.sample.cat(src_p), D2.sample.cat(dst_p),
+        alpha_x_id = pair_functor(D2.sample.cat(shifted_m.paired(K_name)),
+                                  D2.sample.cat(shifted_n.paired(K_name)),
                                   lambda t, k: pair_id(a.ob[t], k),
                                   lambda tm, km: pair_id(a.on_morphism(tm), km),
                                   f"a{alpha}x id_{K_name}")
-        restrict = D2.on_functor(alpha_x_id, src_p, dst_p)
+        restrict = D2.on_functor(alpha_x_id)
         comps[K_name] = compose_functors(restrict, F.at(K_name))
     return StrictMorphism(F.source, shifted_m, comps, f"{F.name}.a{alpha}")
 
@@ -238,7 +235,7 @@ def compose_simplicial(f: StrictMorphism, g: StrictMorphism) -> StrictMorphism:
                             lambda t, k: pair_id(t, pair_id(t, k)),
                             lambda tm, km: pair_id(tm, pair_id(tm, km)),
                             f"diag_{cn}_{K_name}")
-        restrict = D3.on_functor(diag, pn_K, nested)
+        restrict = D3.on_functor(diag)
         comps[K_name] = compose_functors(
             restrict, compose_functors(f.at(pn_K), g.at(K_name)))
     if not comps:
@@ -261,8 +258,8 @@ class EqShiftPrederivator(FullSubPrederivator):
     def kept_objects(self, K_name: str) -> list:
         D, pname = self.inner.base, self.inner.paired(K_name)
         CK = D.eval(K_name)
-        steps = [D.on_nat(chain_step_nat(D.sample, self.inner.J_name, K_name, pname, t),
-                          K_name, pname) for t in range(self.n)]
+        steps = [D.on_nat(chain_step_nat(D.sample, self.inner.J_name, K_name, pname, t))
+                 for t in range(self.n)]
         return [X for X in self.inner.eval(K_name).objects
                 if all(CK.is_iso(step.at(X)) for step in steps)]
 
@@ -282,7 +279,7 @@ def _vertex_restriction(E, K_name: str, t: int) -> Functor:
     inner = E.inner if isinstance(E, EqShiftPrederivator) else E
     pname = inner.paired(K_name)
     emb = chain_embedding(inner.base.sample, inner.J_name, K_name, pname, t)
-    star = inner.base.on_functor(emb, K_name, pname)
+    star = inner.base.on_functor(emb)
     if E is not inner:
         sub = E.eval(K_name)
         star = Functor(sub, star.target, {x: star.ob[x] for x in sub.objects},

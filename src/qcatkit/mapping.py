@@ -86,7 +86,6 @@ class Exponential:
 
         self._collapses = {}
         self._face_maps = {}
-        self._degeneracy_endos = {}
         for n in range(1, k + 1):
             self._collapses[n] = {
                 j: self._shape_map(self._sigma_vertexmap(j, n), n, n - 1)
@@ -94,11 +93,6 @@ class Exponential:
             self._face_maps[n] = {
                 i: self._shape_map(self._delta_vertexmap(i, n), n - 1, n)
                 for i in range(n + 1)}
-            # the idempotent collapsing onto the j-th degenerate image
-            self._degeneracy_endos[n] = {
-                j: self._shape_map(tuple(self._delta_vertexmap(j, n)[t]
-                                         for t in self._sigma_vertexmap(j, n)), n, n)
-                for j in range(n)}
 
         raw = {}
         for n, P in self.products.items():
@@ -111,18 +105,22 @@ class Exponential:
         self.cell_map: dict = {}
         levels = {}
         for n in range(k + 1):
+            # the degenerate cells are the s_j of the cells one level down;
+            # the pins survive the collapse, so level n enumerated them all
+            for mu in raw.get(n - 1, ()):
+                inner = self.to_expr[mu.key()]
+                for j in range(n):
+                    key = compose_maps(mu, self._collapses[n][j]).key()
+                    if key not in self.to_expr:
+                        self.to_expr[key] = SimplexExpr(insert_letter(j, inner.word), inner.base)
             # raw[n] is in canonical order, so the cell ids follow it
-            nondeg = [mu for mu in raw[n] if self._is_nondeg(mu, n)]
-            ids = []
-            for idx, mu in enumerate(nondeg):
-                cid = f"c{n}_{idx}"
-                ids.append(cid)
-                self.cell_map[cid] = mu
-                self.to_expr[mu.key()] = SimplexExpr((), cid)
-            levels[n] = ids
+            levels[n] = []
             for mu in raw[n]:
                 if mu.key() not in self.to_expr:
-                    self.to_expr[mu.key()] = self._decompose(mu, n)
+                    cid = f"c{n}_{len(levels[n])}"
+                    levels[n].append(cid)
+                    self.cell_map[cid] = mu
+                    self.to_expr[mu.key()] = SimplexExpr((), cid)
         faces = {}
         for n in range(1, k + 1):
             for cid in levels[n]:
@@ -148,22 +146,6 @@ class Exponential:
         Pm, Pn = self.products[m], self.products[n]
         dm = delta_map(alpha, m, n, max(m, n, Pm.right.dim_bound, Pn.right.dim_bound))
         return Pm.map_pairs(Pn, lambda e1, e2: Pn.pair_expr(e1, dm.apply(e2)))
-
-    def _degenerate_at(self, mu: SimplicialMap, n: int, j: int) -> bool:
-        return compose_maps(mu, self._degeneracy_endos[n][j]).images == mu.images
-
-    def _is_nondeg(self, mu: SimplicialMap, n: int) -> bool:
-        return not any(self._degenerate_at(mu, n, j) for j in range(n))
-
-    def _decompose(self, mu: SimplicialMap, n: int) -> SimplexExpr:
-        """Normal form (word, nondegenerate cell) of a total cell."""
-        for j in range(n):
-            if self._degenerate_at(mu, n, j):
-                # δ_j is a section of σ_j; the face keeps the pins, so level
-                # n - 1 enumerated and named it
-                inner = self.to_expr[compose_maps(mu, self._face_maps[n][j]).key()]
-                return SimplexExpr(insert_letter(j, inner.word), inner.base)
-        raise AssertionError("total cell neither nondegenerate nor decomposable")
 
     # -- public queries -----------------------------------------------------
 

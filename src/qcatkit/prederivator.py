@@ -13,6 +13,11 @@ morphisms, whose components commute with every listed restriction on
 the nose, and 2-cells are the modifications between two of them.  Every
 map of quasicategories induces a strict morphism, so nothing here needs
 structure cells.
+
+Shape names belong to the sample: a shape functor u: J -> K carries its
+source and target categories, and ``DiaSample.ends`` reads their member
+names by object identity.  So ``on_functor(u)`` and ``on_nat(alpha)`` take
+the morphism alone, and a functor out of the sample is a ``ClosureError``.
 """
 
 from __future__ import annotations
@@ -78,16 +83,16 @@ class DiaSample:
     ``shifts[j]`` names the member playing j x [1]; ``coproducts`` names
     ``coproduct_cat`` members.  ``functors`` and ``nats`` list the
     (named) 1- and 2-morphisms that strictness and functoriality are
-    checked against.
+    checked against.  A member is known by its object, not by an equal
+    copy: ``ends`` names the source and target of a functor by identity.
     """
 
     def __init__(self, name="sample"):
         self.name = name
         self.categories: dict[str, FiniteCategory] = {}
+        self.names: dict[FiniteCategory, str] = {}  # keyed by identity
         self.functors: dict[str, Functor] = {}
-        self.functor_ends: dict[str, tuple] = {}
         self.nats: dict[str, NatTransf] = {}
-        self.nat_ends: dict[str, tuple] = {}
         self.products: dict[tuple, str] = {}
         self.coproducts: dict[tuple, str] = {}
         self.shifts: dict[str, str] = {}
@@ -98,19 +103,26 @@ class DiaSample:
     def add_category(self, name: str, C: FiniteCategory) -> FiniteCategory:
         if name in self.categories:
             raise ValueError(f"duplicate sample category {name!r}")
+        if C in self.names:
+            raise ValueError(f"category {C.name} is already the member {self.names[C]!r}")
         self.categories[name] = C
+        self.names[C] = name
         self.order.append(name)
         return C
 
-    def add_functor(self, name: str, src: str, dst: str, F: Functor) -> Functor:
+    def add_functor(self, name: str, F: Functor) -> Functor:
         self.functors[name] = F
-        self.functor_ends[name] = (src, dst)
         return F
 
-    def add_nat(self, name: str, src_functor: str, dst_functor: str, a: NatTransf) -> NatTransf:
+    def add_nat(self, name: str, a: NatTransf) -> NatTransf:
         self.nats[name] = a
-        self.nat_ends[name] = (src_functor, dst_functor)
         return a
+
+    def ends(self, u: Functor) -> tuple:
+        """The member names of u's source and target."""
+        if u.source not in self.names or u.target not in self.names:
+            raise ClosureError(f"functor {u.name} leaves sample {self.name}")
+        return self.names[u.source], self.names[u.target]
 
     def cat(self, name: str) -> FiniteCategory:
         if name not in self.categories:
@@ -125,13 +137,12 @@ class DiaSample:
         point = self.cat(self.terminal)
         for name in self.order:
             C = self.cat(name)
-            self.add_functor(f"id_{name}", name, name, identity_functor(C))
+            self.add_functor(f"id_{name}", identity_functor(C))
             if C.objects and name != self.terminal:
-                self.add_functor(f"!{name}", name, self.terminal,
+                self.add_functor(f"!{name}",
                                  constant_functor(C, point, point.objects[0], f"!{name}"))
             for obj in C.objects:
-                self.add_functor(f"vx_{name}_{obj}", self.terminal, name,
-                                 vertex_functor(point, C, obj))
+                self.add_functor(f"vx_{name}_{obj}", vertex_functor(point, C, obj))
 
     def shift_name(self, j: str) -> str:
         if j not in self.shifts:
@@ -139,12 +150,8 @@ class DiaSample:
         return self.shifts[j]
 
     def composable_functor_pairs(self):
-        out = []
-        for n2, (s2, d2) in sorted(self.functor_ends.items()):
-            for n1, (s1, d1) in sorted(self.functor_ends.items()):
-                if d1 == s2:
-                    out.append((n2, n1))
-        return out
+        return [(n2, n1) for n2, v in sorted(self.functors.items())
+                for n1, u in sorted(self.functors.items()) if u.target is v.source]
 
     def validate(self) -> ValidationReport:
         report = ValidationReport(f"sample {self.name}")
@@ -155,9 +162,8 @@ class DiaSample:
                 report.add(f"category {name}: {sub.violations[0]}")
         for name, F in self.functors.items():
             report.checked += 1
-            src, dst = self.functor_ends[name]
-            if F.source is not self.categories.get(src) or F.target is not self.categories.get(dst):
-                report.add(f"functor {name} endpoints disagree with declaration")
+            if F.source not in self.names or F.target not in self.names:
+                report.add(f"functor {name} leaves the sample")
             elif not F.validate().ok:
                 report.add(f"functor {name} does not preserve structure")
         for name, a in self.nats.items():
@@ -216,45 +222,44 @@ def standard_sample() -> DiaSample:
     step = p1.hom("0", "1")[0]
     # simplex operators between [1] and [2]
     for fname, alpha in [("d0_[2]", (1, 2)), ("d1_[2]", (0, 2)), ("d2_[2]", (0, 1))]:
-        s.add_functor(fname, "[1]", "[2]", monotone_functor(p1, p2, alpha, fname))
+        s.add_functor(fname, monotone_functor(p1, p2, alpha, fname))
     for fname, alpha in [("s0_[2]", (0, 0, 1)), ("s1_[2]", (0, 1, 1))]:
-        s.add_functor(fname, "[2]", "[1]", monotone_functor(p2, p1, alpha, fname))
+        s.add_functor(fname, monotone_functor(p2, p1, alpha, fname))
     # probes of the free boundary
     dd = s.cat("d[2]")
     for fname, gen in [("edge_a", "a"), ("edge_b", "b"), ("edge_c", "c")]:
         lo, hi = dd.morphisms[gen]
-        s.add_functor(fname, "[1]", "d[2]",
-                      Functor(p1, dd, {"0": lo, "1": hi}, {step: gen}, fname))
-    s.add_functor("tri_d[2]", "[2]", "d[2]",
-                  Functor(p2, s.cat("d[2]"),
+        s.add_functor(fname, Functor(p1, dd, {"0": lo, "1": hi}, {step: gen}, fname))
+    s.add_functor("tri_d[2]",
+                  Functor(p2, dd,
                           {"0": "0", "1": "1", "2": "2"},
                           {"m01": "a", "m02": "ba", "m12": "b"}, "tri_d[2]"))
     # shift structure
     for j in ("[0]", "[1]"):
         J = s.cat(j)
         JxI = s.cat(s.shifts[j])
-        i0, i1 = [s.add_functor(f"end{t}_{j}", j, s.shifts[j],
+        i0, i1 = [s.add_functor(f"end{t}_{j}",
                                 pairing(identity_functor(J), constant_functor(J, p1, str(t)),
                                         JxI, f"end{t}_{J.name}"))
                   for t in (0, 1)]
-        s.add_functor(f"proj_{j}", s.shifts[j], j,
+        s.add_functor(f"proj_{j}",
                       pair_functor(JxI, J, lambda x, t: x, lambda m, tm: m, f"proj_{j}"))
-        s.add_nat(f"step_{j}", f"end0_{j}", f"end1_{j}", NatTransf(
+        s.add_nat(f"step_{j}", NatTransf(
             i0, i1, {x: pair_id(J.identities[x], step) for x in J.objects}, f"step_{J.name}"))
     # coproduct injections
     for (a, b), cname in sorted(s.coproducts.items()):
         A, B, C = s.cat(a), s.cat(b), s.cat(cname)
-        s.add_functor(f"inl_{cname}", a, cname,
+        s.add_functor(f"inl_{cname}",
                       Functor(A, C, {x: f"l.{x}" for x in A.objects},
                               {m: f"l.{m}" for m in A.nonidentity()}, f"inl_{cname}"))
-        s.add_functor(f"inr_{cname}", b, cname,
+        s.add_functor(f"inr_{cname}",
                       Functor(B, C, {x: f"r.{x}" for x in B.objects},
                               {m: f"r.{m}" for m in B.nonidentity()}, f"inr_{cname}"))
     # vertex steps on [1] and [2]
-    s.add_nat("step01_[1]", "vx_[1]_0", "vx_[1]_1",
+    s.add_nat("step01_[1]",
               NatTransf(s.functors["vx_[1]_0"], s.functors["vx_[1]_1"], {"0": step}))
     for (i, j) in (("0", "1"), ("1", "2"), ("0", "2")):
-        s.add_nat(f"step{i}{j}_[2]", f"vx_[2]_{i}", f"vx_[2]_{j}",
+        s.add_nat(f"step{i}{j}_[2]",
                   NatTransf(s.functors[f"vx_[2]_{i}"], s.functors[f"vx_[2]_{j}"],
                             {"0": p2.hom(i, j)[0]}))
     return s
@@ -298,13 +303,15 @@ class Prederivator:
             self._eval_cache[J_name] = self._eval(J_name)
         return self._eval_cache[J_name]
 
-    def on_functor(self, u: Functor, src: str, dst: str) -> Functor:
+    def on_functor(self, u: Functor) -> Functor:
+        src, dst = self.sample.ends(u)
         key = (src, dst, u.key())
         if key not in self._functor_cache:
             self._functor_cache[key] = self._on_functor(u, src, dst)
         return self._functor_cache[key]
 
-    def on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
+    def on_nat(self, alpha: NatTransf) -> NatTransf:
+        src, dst = self.sample.ends(alpha.source)
         key = (src, dst, alpha.key())
         if key not in self._nat_cache:
             self._nat_cache[key] = self._on_nat(alpha, src, dst)
@@ -316,54 +323,43 @@ class Prederivator:
         s = self.sample
         for name in s.order:
             report.checked += 1
-            img = self.on_functor(s.functors[f"id_{name}"], name, name)
+            img = self.on_functor(s.functors[f"id_{name}"])
             if img.key() != identity_functor(self.eval(name)).key():
                 report.add(f"identity of {name} not preserved")
         for n2, n1 in s.composable_functor_pairs():
-            u = s.functors[n1]
-            v = s.functors[n2]
-            s1, d1 = s.functor_ends[n1]
-            s2, d2 = s.functor_ends[n2]
+            u, v = s.functors[n1], s.functors[n2]
             report.checked += 1
-            vu = compose_functors(v, u)
-            lhs = self.on_functor(vu, s1, d2)
-            rhs = compose_functors(self.on_functor(u, s1, d1), self.on_functor(v, s2, d2))
+            lhs = self.on_functor(compose_functors(v, u))
+            rhs = compose_functors(self.on_functor(u), self.on_functor(v))
             if lhs.key() != rhs.key():
                 report.add(f"composition {n2} o {n1} not respected")
         for name, a in sorted(s.nats.items()):
-            sf, df = s.nat_ends[name]
-            src, dst = s.functor_ends[sf]
             report.checked += 1
-            img = self.on_nat(a, src, dst)
+            img = self.on_nat(a)
             if not img.validate().ok:
                 report.add(f"image of {name} is not natural")
-            usrc = self.on_functor(s.functors[sf], src, dst)
-            udst = self.on_functor(s.functors[df], src, dst)
+            usrc = self.on_functor(a.source)
+            udst = self.on_functor(a.target)
             if img.source.key() != usrc.key() or img.target.key() != udst.key():
                 report.add(f"image of {name} has wrong endpoints")
         # vertical composition on composable listed nat pairs
         for n1, a in sorted(s.nats.items()):
             for n2, b in sorted(s.nats.items()):
-                if s.nat_ends[n2][0] != s.nat_ends[n1][1]:
+                if b.source is not a.target:
                     continue
-                sf = s.nat_ends[n1][0]
-                src, dst = s.functor_ends[sf]
                 report.checked += 1
-                lhs = self.on_nat(vertical_compose(b, a), src, dst)
-                rhs = vertical_compose(self.on_nat(b, src, dst), self.on_nat(a, src, dst))
+                lhs = self.on_nat(vertical_compose(b, a))
+                rhs = vertical_compose(self.on_nat(b), self.on_nat(a))
                 if lhs.key()[2] != rhs.key()[2]:
                     report.add(f"vertical composition {n2} . {n1} not respected")
         # horizontal composition on listed nat pairs with matching middles
         for n1, a in sorted(s.nats.items()):
-            src1, dst1 = s.functor_ends[s.nat_ends[n1][0]]
             for n2, b in sorted(s.nats.items()):
-                src2, dst2 = s.functor_ends[s.nat_ends[n2][0]]
-                if src2 != dst1:
+                if b.source.source is not a.source.target:
                     continue
                 report.checked += 1
-                lhs = self.on_nat(horizontal_compose(b, a), src1, dst2)
-                rhs = horizontal_compose(self.on_nat(a, src1, dst1),
-                                         self.on_nat(b, src2, dst2))
+                lhs = self.on_nat(horizontal_compose(b, a))
+                rhs = horizontal_compose(self.on_nat(a), self.on_nat(b))
                 if lhs.key()[2] != rhs.key()[2]:
                     report.add(f"horizontal composition {n2} * {n1} not respected")
         return report
@@ -409,8 +405,8 @@ class HoPrederivator(Prederivator):
         u, v = alpha.source, alpha.target
         J = self.sample.cat(src)
         K = self.sample.cat(dst)
-        ustar = self.on_functor(u, src, dst)
-        vstar = self.on_functor(v, src, dst)
+        ustar = self.on_functor(u)
+        vstar = self.on_functor(v)
         dj, dk = self._data[src], self._data[dst]
         mate = _mate_functor(alpha, J, K)
         NJxI = nerve(mate.source, 2)
@@ -453,7 +449,7 @@ class FullSubPrederivator(Prederivator):
         return full_subcategory(self.base.eval(J_name), keep)
 
     def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
-        big = self.base.on_functor(u, src, dst)
+        big = self.base.on_functor(u)
         sub, into = self.eval(dst), self.eval(src)
         ob = {x: big.ob[x] for x in sub.objects}
         if not set(into.objects).issuperset(ob.values()):
@@ -462,9 +458,9 @@ class FullSubPrederivator(Prederivator):
         return Functor(sub, into, ob, {m: big.mor[m] for m in sub.nonidentity()}, big.name)
 
     def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
-        big = self.base.on_nat(alpha, src, dst)
-        ustar = self.on_functor(alpha.source, src, dst)
-        vstar = self.on_functor(alpha.target, src, dst)
+        big = self.base.on_nat(alpha)
+        ustar = self.on_functor(alpha.source)
+        vstar = self.on_functor(alpha.target)
         return NatTransf(ustar, vstar, {X: big.at(X) for X in ustar.source.objects}, big.name)
 
 
@@ -496,12 +492,9 @@ def dia_arrow(D: Prederivator, J_name: str):
     """
     shift = D.sample.shift_name(J_name)
     s = D.sample
-    i0 = s.functors[f"end0_{J_name}"]
-    i1 = s.functors[f"end1_{J_name}"]
-    step = s.nats[f"step_{J_name}"]
-    i0_star = D.on_functor(i0, J_name, shift)
-    i1_star = D.on_functor(i1, J_name, shift)
-    step_star = D.on_nat(step, J_name, shift)
+    i0_star = D.on_functor(s.functors[f"end0_{J_name}"])
+    i1_star = D.on_functor(s.functors[f"end1_{J_name}"])
+    step_star = D.on_nat(s.nats[f"step_{J_name}"])
     return (D.eval(shift), step_star.at,
             lambda m: (i0_star.on_morphism(m), i1_star.on_morphism(m)))
 
@@ -519,10 +512,8 @@ def check_der1(D: Prederivator, budget: Budget = None) -> ValidationReport:
                        "to the terminal category")
     for (a, b), cname in sorted(s.coproducts.items()):
         report.checked += 1
-        inl = s.functors[f"inl_{cname}"]
-        inr = s.functors[f"inr_{cname}"]
-        la = D.on_functor(inl, a, cname)
-        rb = D.on_functor(inr, b, cname)
+        la = D.on_functor(s.functors[f"inl_{cname}"])
+        rb = D.on_functor(s.functors[f"inr_{cname}"])
         cmp_functor = pairing(la, rb, product_cat(D.eval(a), D.eval(b)), f"der1_{cname}")
         if not cmp_functor.validate().ok:
             report.add(f"comparison functor at {cname} is not a functor")
@@ -541,7 +532,7 @@ def check_der2(D: Prederivator, budget: Budget = None) -> ValidationReport:
         J = s.cat(J_name)
         C = D.eval(J_name)
         vertex_stars = {
-            obj: D.on_functor(s.functors[f"vx_{J_name}_{obj}"], "[0]", J_name)
+            obj: D.on_functor(s.functors[f"vx_{J_name}_{obj}"])
             for obj in J.objects}
         for m in C.nonidentity():
             if C.is_iso(m):
@@ -780,21 +771,20 @@ def check_strict(F: StrictMorphism) -> ValidationReport:
     if not report.ok:
         return report
     for name, u in sorted(s.functors.items()):
-        src, dst = s.functor_ends[name]
+        src, dst = s.ends(u)
         if src not in scope or dst not in scope:
             continue
         report.checked += 1
-        lhs = compose_functors(F.at(src), F.source.on_functor(u, src, dst))
-        rhs = compose_functors(F.target.on_functor(u, src, dst), F.at(dst))
+        lhs = compose_functors(F.at(src), F.source.on_functor(u))
+        rhs = compose_functors(F.target.on_functor(u), F.at(dst))
         if lhs.key() != rhs.key():
             report.add(f"component square at functor {name} does not commute")
     for name, a in sorted(s.nats.items()):
-        sf, df = s.nat_ends[name]
-        src, dst = s.functor_ends[sf]
+        src, dst = s.ends(a.source)
         if src not in scope or dst not in scope:
             continue
-        a1 = F.source.on_nat(a, src, dst)
-        a2 = F.target.on_nat(a, src, dst)
+        a1 = F.source.on_nat(a)
+        a2 = F.target.on_nat(a)
         for X in F.source.eval(dst).objects:
             report.checked += 1
             if F.at(src).on_morphism(a1.at(X)) != a2.at(F.at(dst).ob[X]):
@@ -805,11 +795,16 @@ def check_strict(F: StrictMorphism) -> ValidationReport:
 
 def check_modification(Xi: Modification) -> ValidationReport:
     """Naturality and endpoints per shape, and for every listed u: J -> K
-    and object X at K, u*(Xi_K(X)) = Xi_J(u*X)."""
+    and object X at K, u*(Xi_K(X)) = Xi_J(u*X).
+
+    The scope is the shapes where both strict morphisms have components,
+    as in ``check_strict``; functors leaving it are skipped.
+    """
     report = ValidationReport(f"modification {Xi.name}")
     F, G = Xi.source, Xi.target
     s = F.source.sample
-    for J_name in s.order:
+    scope = set(F.components) & set(G.components)
+    for J_name in [j for j in s.order if j in scope]:
         report.checked += 1
         comp = Xi.components.get(J_name)
         if comp is None or not comp.validate().ok:
@@ -821,9 +816,11 @@ def check_modification(Xi: Modification) -> ValidationReport:
     if not report.ok:
         return report
     for name, u in sorted(s.functors.items()):
-        src, dst = s.functor_ends[name]
-        ustar1 = F.source.on_functor(u, src, dst)
-        ustar2 = F.target.on_functor(u, src, dst)
+        src, dst = s.ends(u)
+        if src not in scope or dst not in scope:
+            continue
+        ustar1 = F.source.on_functor(u)
+        ustar2 = F.target.on_functor(u)
         for X in F.source.eval(dst).objects:
             report.checked += 1
             if ustar2.on_morphism(Xi.at(dst).at(X)) != Xi.at(src).at(ustar1.ob[X]):
@@ -861,9 +858,9 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
     budget = ensure_budget(budget, f"strict morphisms {D1.name} -> {D2.name}")
     s = D1.sample
     shapes = list(shapes) if shapes is not None else list(s.order)
-    functors_between = [
-        (name, u, *s.functor_ends[name]) for name, u in sorted(s.functors.items())
-        if s.functor_ends[name][0] in shapes and s.functor_ends[name][1] in shapes]
+    functors_between = [(u, *s.ends(u)) for _, u in sorted(s.functors.items())]
+    functors_between = [(u, src, dst) for u, src, dst in functors_between
+                        if src in shapes and dst in shapes]
     components: dict = {}
     results = []
 
@@ -887,10 +884,10 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
             prev = mor_allowed.get(m)
             mor_allowed[m] = pool if prev is None else prev & pool
 
-        for name, u, src, dst in functors_between:
+        for u, src, dst in functors_between:
             if dst == J_name and src in components and src != J_name:
-                u1 = D1.on_functor(u, src, dst)
-                u2 = D2.on_functor(u, src, dst)
+                u1 = D1.on_functor(u)
+                u2 = D2.on_functor(u)
                 Fsrc = components[src]
                 by_ob: dict = {}
                 for Y in CJ2.objects:
@@ -905,8 +902,8 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
                     want = Fsrc.on_morphism(u1.on_morphism(m))
                     cut_mor(m, by_mor.get(want, set()))
             elif src == J_name and dst in components and dst != J_name:
-                u1 = D1.on_functor(u, src, dst)
-                u2 = D2.on_functor(u, src, dst)
+                u1 = D1.on_functor(u)
+                u2 = D2.on_functor(u)
                 Fdst = components[dst]
                 for Z in Fdst.source.objects:
                     budget.spend()
@@ -916,14 +913,14 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
         return ob_allowed, mor_allowed
 
     def consistent(J_name: str) -> bool:
-        for name, u, src, dst in functors_between:
+        for u, src, dst in functors_between:
             if src not in components or dst not in components:
                 continue
             if J_name not in (src, dst):
                 continue
             budget.spend()
-            lhs = compose_functors(components[src], D1.on_functor(u, src, dst))
-            rhs = compose_functors(D2.on_functor(u, src, dst), components[dst])
+            lhs = compose_functors(components[src], D1.on_functor(u))
+            rhs = compose_functors(D2.on_functor(u), components[dst])
             if lhs.key() != rhs.key():
                 return False
         return True
@@ -931,13 +928,12 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
     def walk(pos):
         if pos == len(shapes):
             ok = True
-            for name, a in sorted(s.nats.items()):
-                sf, _ = s.nat_ends[name]
-                src, dst = s.functor_ends[sf]
+            for _, a in sorted(s.nats.items()):
+                src, dst = s.ends(a.source)
                 if src not in components or dst not in components:
                     continue
-                a1 = D1.on_nat(a, src, dst)
-                a2 = D2.on_nat(a, src, dst)
+                a1 = D1.on_nat(a)
+                a2 = D2.on_nat(a)
                 for X in D1.eval(dst).objects:
                     budget.spend()
                     if components[src].on_morphism(a1.at(X)) != a2.at(components[dst].ob[X]):
@@ -1009,19 +1005,20 @@ def sample_to_manifest(s: DiaSample, directory: Path) -> dict:
         fname = f"cat{i:02d}.cat"
         (directory / fname).write_text(cat_to_text(s.cat(name)))
         cats[name] = fname
+    # a nat's ends are the names of its listed functors, the first name if several
+    listed = {F: n for n, F in sorted(s.functors.items(), reverse=True)}
     manifest = {
         "name": s.name,
         "order": list(s.order),
         "categories": cats,
         "functors": [
-            {"name": n, "src": s.functor_ends[n][0], "dst": s.functor_ends[n][1],
-             "ob": dict(sorted(s.functors[n].ob.items())),
-             "mor": dict(sorted(s.functors[n].mor.items()))}
-            for n in sorted(s.functors)],
+            {"name": n, "src": s.ends(F)[0], "dst": s.ends(F)[1],
+             "ob": dict(sorted(F.ob.items())), "mor": dict(sorted(F.mor.items()))}
+            for n, F in sorted(s.functors.items())],
         "nats": [
-            {"name": n, "src": s.nat_ends[n][0], "dst": s.nat_ends[n][1],
-             "components": dict(sorted(s.nats[n].components.items()))}
-            for n in sorted(s.nats)],
+            {"name": n, "src": listed[a.source], "dst": listed[a.target],
+             "components": dict(sorted(a.components.items()))}
+            for n, a in sorted(s.nats.items())],
         "products": {f"{a}|{b}": p for (a, b), p in sorted(s.products.items())},
         "coproducts": {f"{a}|{b}": p for (a, b), p in sorted(s.coproducts.items())},
         "shifts": dict(sorted(s.shifts.items())),
@@ -1042,11 +1039,11 @@ def sample_from_manifest(path) -> DiaSample:
     for spec in data.get("functors", []):
         F = Functor(s.cat(spec["src"]), s.cat(spec["dst"]), spec["ob"], spec["mor"],
                     spec["name"])
-        s.add_functor(spec["name"], spec["src"], spec["dst"], F)
+        s.add_functor(spec["name"], F)
     for spec in data.get("nats", []):
         a = NatTransf(s.functors[spec["src"]], s.functors[spec["dst"]],
                       spec["components"], spec["name"])
-        s.add_nat(spec["name"], spec["src"], spec["dst"], a)
+        s.add_nat(spec["name"], a)
     s.products = {tuple(k.split("|")): v for k, v in data.get("products", {}).items()}
     s.coproducts = {tuple(k.split("|")): v for k, v in data.get("coproducts", {}).items()}
     s.shifts = dict(data.get("shifts", {}))

@@ -8,6 +8,7 @@ from qcatkit.cats import (
     compose_functors,
     contractible_groupoid,
     identity_functor,
+    identity_nat,
     poset_simplex,
 )
 from qcatkit.enrichment import (
@@ -25,7 +26,9 @@ from qcatkit.nerve import nerve
 from qcatkit.prederivator import (
     ClosureError,
     HoPrederivator,
+    Modification,
     StrictMorphism,
+    check_modification,
     check_strict,
     identity_strict,
 )
@@ -95,7 +98,7 @@ class TestShift:
 def stepped_sample():
     """enrichment_sample(1) with the vertex step 0 -> 1 of [1] listed."""
     s = enrichment_sample(1)
-    s.add_nat("step01_[1]", "vx_[1]_0", "vx_[1]_1",
+    s.add_nat("step01_[1]",
               NatTransf(s.functors["vx_[1]_0"], s.functors["vx_[1]_1"], {"0": "m01"}))
     return s
 
@@ -109,15 +112,22 @@ def test_shifts_are_two_functors_on_a_listed_nat(make):
     report = D.check_two_functoriality()
     assert report.ok and report.checked == 21, report.violations
     a = D.sample.nats["step01_[1]"]
-    image = D.on_nat(a, "[0]", "[1]")
-    assert image.source is D.on_functor(a.source, "[0]", "[1]")
-    assert image.target is D.on_functor(a.target, "[0]", "[1]")
+    image = D.on_nat(a)
+    assert image.source is D.on_functor(a.source)
+    assert image.target is D.on_functor(a.target)
 
 
 class TestSimplicialHom:
     def test_level0_from_point_counts_objects(self, d_point, d_interval):
         homs = simplicial_hom(d_point, d_interval, 0)
         assert len(homs) == 2
+
+    def test_identity_modification_on_a_shape_restricted_level(self, d_point, d_interval):
+        # the level has components at [0] and [1] only; the check keeps to them
+        F = simplicial_hom(d_point, d_interval, 0)[0]
+        Xi = Modification(F, F, {K: identity_nat(F.at(K)) for K in F.components})
+        report = check_modification(Xi)
+        assert report.ok and report.checked == 8, report.violations
 
     def test_identity_present(self, d_interval):
         find_identity_level0(d_interval)
@@ -206,7 +216,7 @@ class TestEqShift:
     def test_stable_under_restriction(self, d_interval):
         eq = eq_shift(d_interval, 1)
         u = SAMPLE.functors["vx_[1]_0"]
-        F = eq.on_functor(u, "[0]", "[1]")
+        F = eq.on_functor(u)
         assert F.validate().ok
 
 
@@ -250,7 +260,7 @@ def degenerate_chain(D, eq):
         proj = Functor(PK, K_cat,
                        {x: _snd(x) for x in PK.objects},
                        {m: _snd(m) for m in PK.nonidentity()}, f"proj2_{K}")
-        star = D.on_functor(proj, pname, K)
+        star = D.on_functor(proj)
         sub = eq.eval(K)
         comps[K] = Functor(D.eval(K), sub,
                            {X: star.ob[X] for X in D.eval(K).objects},

@@ -13,6 +13,11 @@ def _trees():
     return [(path.name, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
 
 
+def _test_trees():
+    return [(f"tests/{path.name}", ast.parse(path.read_text()))
+            for path in sorted((ROOT / "tests").glob("*.py"))]
+
+
 def _references(tree, bare_names: bool = True) -> Counter:
     """Names read as variables (unless ``bare_names`` is false) or attributes,
     and string constants that are whole identifiers (the benchmark's tracer
@@ -57,9 +62,7 @@ def test_no_unused_imports():
 def test_no_package_imports_inside_functions():
     """In the package and in its tests, every package import sits at the
     top of its module."""
-    tests = [(f"tests/{path.name}", ast.parse(path.read_text()))
-             for path in sorted((ROOT / "tests").glob("*.py"))]
-    local = [f"{module}:{node.lineno}" for module, tree in _trees() + tests
+    local = [f"{module}:{node.lineno}" for module, tree in _trees() + _test_trees()
              for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
              for node in ast.walk(fn) if isinstance(node, ast.ImportFrom)
              and (node.level > 0 or node.module.split(".")[0] == "qcatkit")]
@@ -91,9 +94,10 @@ def _outermost_functions(tree):
 
 def test_no_unread_assignments():
     """A plain ``name = value`` in a function whose name the function never
-    reads, nested closures included, is dead code."""
+    reads, nested closures included, is dead code, in the package and in
+    its tests."""
     unread = []
-    for module, tree in _trees():
+    for module, tree in _trees() + _test_trees():
         for fn in _outermost_functions(tree):
             read = {node.id for node in ast.walk(fn)
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}

@@ -7,7 +7,9 @@ from qcatkit.cats import (
     contractible_groupoid,
     enumerate_nats,
     group_z2,
+    identity_functor,
     identity_nat,
+    monotone_functor,
     poset_simplex,
     validate_category,
 )
@@ -21,6 +23,7 @@ from qcatkit.mapping import induced_functor
 from qcatkit.nerve import nerve, nerve_map
 from qcatkit.prederivator import (
     ClosureError,
+    DiaSample,
     FullSubPrederivator,
     HoPrederivator,
     Modification,
@@ -74,12 +77,34 @@ class TestSample:
             SAMPLE.shift_name("[2]")
 
     def test_manifest_round_trip(self, tmp_path):
-        sample_to_manifest(SAMPLE, tmp_path)
-        back = sample_from_manifest(tmp_path / "sample.json")
+        written = sample_to_manifest(SAMPLE, tmp_path / "first")
+        back = sample_from_manifest(tmp_path / "first" / "sample.json")
         assert back.order == SAMPLE.order
         assert back.shifts == SAMPLE.shifts
         assert set(back.functors) == set(SAMPLE.functors)
         assert back.validate().ok
+        assert sample_to_manifest(back, tmp_path / "again") == written
+
+    def test_ends_are_read_by_identity(self, d_point):
+        assert SAMPLE.ends(SAMPLE.functors["end0_[1]"]) == ("[1]", "[1]x[1]")
+        # equal to the member [1], but not the member itself
+        stray = monotone_functor(poset_simplex(1), SAMPLE.cat("[1]"), (0, 1), "stray")
+        with pytest.raises(ClosureError, match="stray"):
+            d_point.on_functor(stray)
+
+    def test_listed_functor_leaving_the_sample_is_reported(self):
+        s = DiaSample("point")
+        s.add_category("[0]", poset_simplex(0))
+        s.terminal = "[0]"
+        s.add_unit_functors()
+        s.add_functor("stray", identity_functor(poset_simplex(0)))
+        assert s.validate().violations == ["functor stray leaves the sample"]
+
+    def test_a_member_is_registered_once(self):
+        s = DiaSample("point")
+        P = s.add_category("[0]", poset_simplex(0))
+        with pytest.raises(ValueError, match="already the member"):
+            s.add_category("pt", P)
 
 
 class TestHoPrederivator:
@@ -109,7 +134,7 @@ class TestHoPrederivator:
         # the action of the unique 2-morphism of [1] gives the arrow part
         s = d_interval.sample
         step = s.nats["step01_[1]"]
-        img = d_interval.on_nat(step, "[0]", "[1]")
+        img = d_interval.on_nat(step)
         C1 = d_interval.eval("[1]")
         C0 = d_interval.eval("[0]")
         for X in C1.objects:
@@ -121,14 +146,14 @@ class TestHoPrederivator:
         # restrictions' object maps, read from eval and on_functor
         assert len(d_interval.eval("[0]").objects) == 2
         assert len(d_interval.eval("[1]").objects) == 3
-        end0 = d_interval.on_functor(SAMPLE.functors["end0_[1]"], "[1]", "[1]x[1]")
+        end0 = d_interval.on_functor(SAMPLE.functors["end0_[1]"])
         assert set(end0.ob) == set(d_interval.eval("[1]x[1]").objects)
 
 
-def per_cell_restriction(D, u, src, dst):
-    """u* built cell by cell: each cell mu of HO(Q)(dst) goes to the map
-    (e1|e2) -> mu(N(u)(e1)|e2) out of N(src) x Δl."""
-    dj, dk = D.data(src), D.data(dst)
+def per_cell_restriction(D, u):
+    """u* built cell by cell: each cell mu of HO(Q)(K) goes to the map
+    (e1|e2) -> mu(N(u)(e1)|e2) out of N(J) x Δl, for u: J -> K."""
+    dj, dk = (D.data(end) for end in D.sample.ends(u))
     nu = nerve_map(u, dj.exponent, dk.exponent)
 
     def precompose(mu, level):
@@ -143,9 +168,7 @@ def per_cell_restriction(D, u, src, dst):
 def test_restriction_matches_the_per_cell_formula(cat):
     D = HoPrederivator(nerve(cat, 3), SAMPLE)
     for name, u in sorted(SAMPLE.functors.items()):
-        src, dst = SAMPLE.functor_ends[name]
-        got = D.on_functor(u, src, dst)
-        assert got.key() == per_cell_restriction(D, u, src, dst).key(), name
+        assert D.on_functor(u).key() == per_cell_restriction(D, u).key(), name
 
 
 class TestDerAudits:
@@ -200,7 +223,7 @@ class TestFullSubPrederivator:
         D = FullSubPrederivator(d_interval, {}, "all")
         u = SAMPLE.functors["vx_[1]_1"]
         assert D.eval("[1]") is d_interval.eval("[1]")
-        assert D.on_functor(u, "[0]", "[1]").key() == d_interval.on_functor(u, "[0]", "[1]").key()
+        assert D.on_functor(u).key() == d_interval.on_functor(u).key()
 
     def test_value_is_the_full_subcategory(self, d_interval):
         C = d_interval.eval("[1]")
@@ -211,13 +234,13 @@ class TestFullSubPrederivator:
 
     def test_restriction_leaving_the_kept_objects_is_an_error(self, d_interval):
         u = SAMPLE.functors["vx_[1]_1"]
-        hit = sorted(set(d_interval.on_functor(u, "[0]", "[1]").ob.values()))
+        hit = sorted(set(d_interval.on_functor(u).ob.values()))
         assert len(hit) == 2  # the constant diagrams at 0 and at 1
         D = FullSubPrederivator(d_interval, {"[0]": hit[:1]}, "sub")
         with pytest.raises(ValueError, match="vx_"):
-            D.on_functor(u, "[0]", "[1]")
+            D.on_functor(u)
         # a restriction out of the kept objects is fine
-        assert D.on_functor(SAMPLE.functors["![1]"], "[1]", "[0]").validate().ok
+        assert D.on_functor(SAMPLE.functors["![1]"]).validate().ok
 
 
 class TestKanExtension:

@@ -53,11 +53,6 @@ def word_to_surjection(word, n):
     def sigma(j, k):  # collapse j, j+1 in [k]
         return [t if t <= j else t - 1 for t in range(k + 1)]
 
-    seq = list(range(n + 1))
-    k = n
-    for j in reversed(word):
-        # applying s_j last when reading operators means precomposing first
-        pass
     # operator word (i1,...,ik) acts on presheaves by x . (sigma_{ik} ∘ ... ∘ sigma_{i1})
     total = list(range(n + 1))
     cur = n
