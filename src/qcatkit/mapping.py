@@ -5,11 +5,28 @@ certificate c and both operands are known at least up to level c: maps out
 of anything are then determined by their c-truncation, so working at level
 max(c, 2) loses nothing.  All corpus targets are nerves (c = 2) or
 certified constructions derived from them.
+
+Level n of T^S is built through the exponential law
+Hom(S x Δn, T) ≅ Hom(S, T^{Δn}), which holds for L-truncated simplicial
+sets too because the L-truncated Δm is representable.  The path object
+T^{Δn} (:func:`path_object`) is itself an exponential, with a simplex
+exponent; it is built once per base, n and level and kept on the base.
+Each map S -> T^{Δn} is transposed to S x Δn -> T, so the levels, cell
+ids and faces are those of the direct search over S x Δn -> T.  That
+direct search is the base case: for a simplex exponent (currying gives
+back the same search), at level 0, for an exponent with no cells, and for
+pinned exponentials.
+
+Caches charge one way: a miss charges the caller's budget as it runs and
+records the steps it charged, and a hit charges that record.  So the
+steps an operation charges never depend on what ran before it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 from .cats import Functor
 from .nerve import HoPresentation, QcatReport, ho, require_quasicategory
@@ -58,9 +75,10 @@ def _check_exactness(T: TruncatedSSet, S: TruncatedSSet, k: int):
 class Exponential:
     """Levels 0..k of T^S, presented as a truncated simplicial set.
 
-    Level n consists of the simplicial maps S x Δn -> T; faces and
-    degeneracies are induced by the cosimplicial structure of the standard
-    simplices.  Nondegenerate cells get short identifiers ``c{n}_{i}`` in
+    Level n consists of the simplicial maps S x Δn -> T, found as the
+    transposes of the maps S -> T^{Δn} (see the module docstring); faces
+    and degeneracies are induced by the cosimplicial structure of the
+    standard simplices.  Nondegenerate cells get short identifiers ``c{n}_{i}`` in
     canonical order; ``cell_map`` recovers the underlying map, and ``ho``
     is the homotopy category of the presented quasicategory.
 
@@ -94,13 +112,17 @@ class Exponential:
                 i: self._shape_map(self._delta_vertexmap(i, n), n - 1, n)
                 for i in range(n + 1)}
 
+        # a path object is an exponential, so it exists only at levels 2..3
+        direct = pinned is not None or not S.cells or _is_simplex(S) or level > 3
         raw = {}
         for n, P in self.products.items():
-            fixed = None if pinned is None else {
-                pid: SimplexExpr(full_degeneracy(len(e1.word)), pinned[e1.base])
-                for pid, (e1, _) in P.pair_of.items() if e1.base in pinned}
-            raw[n] = enumerate_maps(P, self.T_t, budget, fixed=fixed)
-
+            if direct or n == 0:
+                fixed = None if pinned is None else {
+                    pid: SimplexExpr(full_degeneracy(len(e1.word)), pinned[e1.base])
+                    for pid, (e1, _) in P.pair_of.items() if e1.base in pinned}
+                raw[n] = enumerate_maps(P, self.T_t, budget, fixed=fixed)
+            else:
+                raw[n] = self._curried_maps(n, path_object(T, n, level, budget), budget)
         self.to_expr: dict = {}
         self.cell_map: dict = {}
         levels = {}
@@ -131,6 +153,46 @@ class Exponential:
         cert = T.coskeletal_from if T.coskeletal_from <= k else None
         self.sset = TruncatedSSet(k, levels, faces, cert, self.name)
 
+    def _curried_maps(self, n: int, path: Exponential, budget: Budget) -> list:
+        """Level n as the transposes of the maps S -> T^{Δn}, canonically ordered.
+
+        The image of a cell (e1|e2) at level m is the image of ν(e1) at the
+        cell (e2|ι_m) of Δn x Δm.
+        """
+        P = self.products[n]
+        slot = self.S_t.cell_index
+        # per cell x of S, the cells (e1|e2) of P with e1 over x, as
+        # (e1's word, position of (e2|ι_m)); and where each cell of P went
+        over = [[] for _ in slot]
+        went = []
+        for pid in P.cells:
+            e1, e2 = P.pair_of[pid]
+            m = P.dim_of[pid]
+            Q = path.products[m]
+            cells = over[slot[e1.base]]
+            went.append((slot[e1.base], len(cells)))
+            cells.append((e1.word, Q.cell_index[Q.id_of_pair[(e2, SimplexExpr((), top_cell(m)))]]))
+        # an image tuple is the parts over the cells of S laid end to end, reordered
+        start = [0]
+        for cells in over:
+            start.append(start[-1] + len(cells))
+        reorder = itemgetter(*(start[s] + i for s, i in went))
+        images_of, degenerate = path.images_of, path.sset.degenerate
+        parts = [{} for _ in over]  # per cell x of S: image of x -> the part over x
+
+        def part(s, x):
+            made = parts[s][x] = tuple(images_of[degenerate(w, x) if w else x][at]
+                                       for w, at in over[s])
+            return made
+
+        maps = []
+        for nu in enumerate_maps(self.S_t, path.sset, budget):
+            flat = tuple(chain.from_iterable(
+                known.get(x) or part(s, x) for s, (known, x) in enumerate(zip(parts, nu.images))))
+            maps.append(SimplicialMap(P, self.T_t, reorder(flat)))
+        maps.sort(key=SimplicialMap.key)
+        return maps
+
     # -- internal shape maps ------------------------------------------------
 
     @staticmethod
@@ -148,6 +210,11 @@ class Exponential:
         return Pm.map_pairs(Pn, lambda e1, e2: Pn.pair_expr(e1, dm.apply(e2)))
 
     # -- public queries -----------------------------------------------------
+
+    @cached_property
+    def images_of(self) -> dict:
+        """The image tuple of the underlying map of every cell expression."""
+        return {e: key for key, e in self.to_expr.items()}
 
     @cached_property
     def ho(self) -> HoPresentation:
@@ -174,6 +241,30 @@ class Exponential:
         vert = SimplexExpr(full_degeneracy(n), v)
         e = P.pair_expr(vert, SimplexExpr((), top_cell(n)))
         return mu.apply(e)
+
+
+def _is_simplex(S: TruncatedSSet) -> bool:
+    """Whether S has exactly the cells and faces of a standard simplex."""
+    n = len(S.nondeg(0)) - 1
+    if not 0 <= n <= S.dim_bound:
+        return False
+    simplex = standard_simplex(n, S.dim_bound)
+    return S.levels == simplex.levels and S.faces == simplex.faces
+
+
+def path_object(T: TruncatedSSet, n: int, level: int, budget: Budget) -> Exponential:
+    """T^{Δn} at ``level``, built once per base, n and level and kept on T.
+
+    A hit charges ``budget`` the steps the miss charged.
+    """
+    hit = T._path_objects.get((n, level))
+    if hit is None:
+        start = budget.used
+        E = Exponential(T, standard_simplex(n, max(n, level)), level, budget)
+        hit = T._path_objects[(n, level)] = (E, budget.used - start)
+    else:
+        budget.spend(hit[1])
+    return hit[0]
 
 
 def induced_functor(E1: Exponential, E2: Exponential, image, name: str) -> Functor:

@@ -167,6 +167,7 @@ class QcatReport:
         self.witness = None
         self.horns_checked = 0
         self.by_horn: dict = {}
+        self.steps = 0  # what the check charged, see require_quasicategory
 
     def lines(self) -> list:
         head = (f"quasicategory check on {self.name} up to dim {self.max_dim}: "
@@ -235,10 +236,12 @@ def _check_level2_horn(S: TruncatedSSet, report: QcatReport, budget: Budget) -> 
 def is_quasicategory(S: TruncatedSSet, budget: Budget = None) -> QcatReport:
     """Check that every inner horn up to the truncation has a filler."""
     budget = ensure_budget(budget, f"quasicategory check on {S.name}")
+    start = budget.used
     report = QcatReport(S.name, S.dim_bound)
     _check_level2_horn(S, report, budget)
     for n in range(3, S.dim_bound + 1):
         report.check_horns(S, n, range(1, n), budget)
+    report.steps = budget.used - start
     return report
 
 
@@ -247,9 +250,15 @@ _QCAT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def require_quasicategory(S: TruncatedSSet, budget: Budget = None) -> QcatReport:
+    """The cached :func:`is_quasicategory` report; raise unless it passes.
+
+    A hit charges ``budget`` the steps the check charged when it ran.
+    """
     rep = _QCAT_CACHE.get(S)
     if rep is None:
         rep = _QCAT_CACHE[S] = is_quasicategory(S, budget)
+    elif budget is not None:
+        budget.spend(rep.steps)
     if not rep.ok:
         raise ValueError(f"{S.name} is not a quasicategory: {rep.witness}")
     return rep

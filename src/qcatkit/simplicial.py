@@ -222,6 +222,8 @@ class TruncatedSSet:
         self._vertex_cache: dict = {}
         self._face_index: dict = {}
         self._degeneracies: dict = {}
+        # (n, level) -> this set's path object T^{Δn}, see mapping.path_object
+        self._path_objects: dict = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -237,6 +239,23 @@ class TruncatedSSet:
     def cell_index(self) -> dict:
         """Position of each nondegenerate identifier in ``cells``."""
         return {x: i for i, x in enumerate(self.cells)}
+
+    @cached_property
+    def search_plan(self) -> tuple:
+        """The cells in :func:`enumerate_maps`'s placement order.
+
+        One entry per cell: (identifier, slot in ``cells``, dimension,
+        faces as (degeneracy word, slot)).
+        """
+        index = self.cell_index
+        plan = []
+        for x in _assignment_order(self):
+            n = self.dim_of[x]
+            e = SimplexExpr((), x)
+            faces = tuple((fe.word, index[fe.base])
+                          for fe in (self.face(e, i) for i in range(n + 1))) if n else ()
+            plan.append((x, index[x], n, faces))
+        return tuple(plan)
 
     def degenerate(self, word: tuple, e: SimplexExpr) -> SimplexExpr:
         """Normal form of the degeneracy operator ``word`` applied to ``e``."""
@@ -708,19 +727,12 @@ def enumerate_maps(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None,
     with faces is still enforced.
     """
     budget = ensure_budget(budget, f"maps {S.name} -> {T.name}")
-    index = S.cell_index
     fixed = fixed or {}
     results = []
-    assign = [None] * len(index)
+    assign = [None] * len(S.cells)
     degenerate = T.degenerate
-    # precomputed per cell: its slot, dimension, faces as (word, slot), fixed image
-    layout = []
-    for x in _assignment_order(S):
-        n = S.dim_of[x]
-        e = SimplexExpr((), x)
-        faces = tuple((fe.word, index[fe.base]) for fe in (S.face(e, i) for i in range(n + 1))
-                      ) if n else ()
-        layout.append((index[x], n, faces, fixed.get(x)))
+    # per cell: its slot, dimension, faces as (word, slot), fixed image
+    layout = [(slot, n, faces, fixed.get(x)) for x, slot, n, faces in S.search_plan]
 
     def candidates(n, faces, pinned):
         if n == 0:

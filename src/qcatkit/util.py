@@ -20,7 +20,12 @@ class BudgetExceeded(Exception):
 
 
 class Budget:
-    """Mutable step counter shared by the enumerations of one operation."""
+    """Mutable step counter shared by the enumerations of one operation.
+
+    A cached result charges what computing it charged: the miss charges
+    as it runs and records the count, and every hit spends that count.  So
+    an operation's steps never depend on what ran before it.
+    """
 
     def __init__(self, limit: int = DEFAULT_BUDGET, context: str = "enumeration"):
         self.limit = limit

@@ -1,6 +1,8 @@
 """Exponentials, Kan cores, mapping spaces, and square lifting."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -24,8 +26,10 @@ from qcatkit.mapping import (
     lift_square,
     mapping_space,
     object_map,
+    path_object,
 )
 from qcatkit.nerve import ho, is_quasicategory, nerve
+from qcatkit.prederivator import standard_sample
 from qcatkit.simplicial import (
     SimplexExpr,
     empty_sset,
@@ -33,9 +37,25 @@ from qcatkit.simplicial import (
     expr,
     horn,
     product,
+    sset_to_text,
     standard_simplex,
 )
 from qcatkit.util import Budget, UnionFind
+
+
+def assert_matches_direct_search(E):
+    """Every level of E is the direct search over S x Δn -> T, in order, and
+    the cells and faces are those of the direct construction (pinning no
+    vertex keeps to the direct search)."""
+    for n in range(E.k + 1):
+        direct = enumerate_maps(E.products[n], E.T_t)
+        located = [E.locate(f) for f in direct]
+        assert E.sset.total_count(n) == len(direct)
+        nondeg = [e.base for e in located if E.sset.expr_dim(e) == n and not e.word]
+        assert nondeg == [f"c{n}_{i}" for i in range(len(E.sset.nondeg(n)))]
+    D = Exponential(E.base, E.exponent, E.k, pinned={})
+    assert sset_to_text(E.sset) == sset_to_text(D.sset)
+    assert E.to_expr == D.to_expr
 
 
 class TestExponential:
@@ -82,6 +102,47 @@ class TestExponential:
                             key=lambda f: tuple(sorted(f.assignment.items())))
             assert len(E.sset.nondeg(n)) == len(nondeg) > 0
             assert [E.cell_map[f"c{n}_{i}"] for i in range(len(nondeg))] == nondeg
+
+    def test_curried_levels_match_direct_enumeration(self):
+        # every shape but [0] (the cells of Δ0) and the empty one goes through T^{Δn}
+        sample = standard_sample()
+        bases = [standard_simplex(0, 2), nerve(poset_simplex(1), 3),
+                 nerve(contractible_groupoid(), 3), nerve(group_z2(), 3),
+                 nerve(poset_simplex(2), 3)]
+        for T in bases:
+            for J in sorted(sample.categories):
+                assert_matches_direct_search(Exponential(T, nerve(sample.cat(J), 2), 2))
+
+    def test_curried_level_three_and_empty_exponent(self):
+        n1 = nerve(poset_simplex(1), 3)
+        assert_matches_direct_search(Exponential(n1, n1, 3))
+        assert_matches_direct_search(Exponential(nerve(group_z2(), 3), nerve(poset_simplex(1), 2), 3))
+        assert_matches_direct_search(Exponential(n1, empty_sset(), 2))
+
+    def test_path_object_hits_charge_what_the_miss_charged(self):
+        T = nerve(poset_simplex(1), 3)
+        S = nerve(boundary_two(), 2)
+        cold, warm = Budget(), Budget()
+        Exponential(T, S, 2, cold)
+        Exponential(T, S, 2, warm)
+        assert warm.used == cold.used > 0
+        # a cache warmed by another exponent changes nothing either
+        S2 = nerve(poset_simplex(2), 2)
+        fresh, rewarmed = Budget(), Budget()
+        Exponential(nerve(poset_simplex(1), 3), S2, 2, fresh)
+        Exponential(T, S2, 2, rewarmed)
+        assert rewarmed.used == fresh.used > 0
+        first, again = Budget(), Budget()
+        P = path_object(T, 2, 2, first)
+        assert path_object(T, 2, 2, again) is P and again.used == first.used
+
+    def test_dropped_base_frees_its_path_objects(self):
+        T = nerve(poset_simplex(1), 3)
+        Exponential(T, nerve(boundary_two(), 2), 2)
+        refs = [weakref.ref(path_object(T, n, 2, Budget())) for n in (1, 2)]
+        del T
+        gc.collect()
+        assert all(r() is None for r in refs)
 
     def test_exactness_gate(self):
         no_cert = horn(2, 1, 2)

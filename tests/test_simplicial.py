@@ -311,6 +311,17 @@ class TestEnumerateMaps:
         fillers = enumerate_maps(d2, d2, fixed={k: v for k, v in fixed.items()})
         assert len(fillers) == 1  # only the identity extends it
 
+    def test_search_plan_is_kept_and_fixed_applies_per_call(self):
+        d2 = standard_simplex(2, 2)
+        t = product(standard_simplex(1, 2), standard_simplex(1, 2))
+        every = enumerate_maps(d2, t)
+        plan = d2.search_plan
+        vertex = every[-1].assignment["0"]
+        pinned = enumerate_maps(d2, t, fixed={"0": vertex})
+        assert d2.search_plan is plan
+        assert enumerate_maps(d2, t) == every
+        assert pinned == [f for f in every if f.assignment["0"] == vertex] != every
+
     def test_extensions_pair_shell_maps_with_fillers(self):
         # each 2-simplex of the target fills its own boundary and no other
         t = product(standard_simplex(1, 2), standard_simplex(1, 2))
