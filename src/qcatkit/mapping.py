@@ -12,14 +12,20 @@ sets too because the L-truncated Δm is representable.  The path object
 T^{Δn} (:func:`path_object`) is itself an exponential, with a simplex
 exponent; it is built once per base, n and level and kept on the base.
 Each map S -> T^{Δn} is transposed to S x Δn -> T, so the levels, cell
-ids and faces are those of the direct search over S x Δn -> T.  That
-direct search is the base case: for a simplex exponent (currying gives
-back the same search), at level 0, for an exponent with no cells, and for
-pinned exponentials.
+ids and faces are those of the direct search over S x Δn -> T.
 
-Caches charge one way: a miss charges the caller's budget as it runs and
-records the steps it charged, and a hit charges that record.  So the
-steps an operation charges never depend on what ran before it.
+That direct search is the base case: at level 0, for pinned exponentials,
+and for an exponent with at most L + 1 vertices, L the working level.
+Building T^{Δn} searches Δn x ΔL -> T, whose source has at least as many
+vertices as S x Δn, so for such an exponent currying cannot pay: it is
+built by the direct search, steps included.  This covers the exponent
+with no cells and Δm up to relabelling for m <= L, so the path objects
+too, except T^{Δ3} at L = 2, which is curried through T^{Δ1} and T^{Δ2}.
+
+A path object charges one way: the miss charges the caller's budget as it
+runs and records the steps it charged, and a hit charges that record.  So
+the steps an exponential charges never depend on which path objects were
+built before it.
 """
 
 from __future__ import annotations
@@ -112,8 +118,9 @@ class Exponential:
                 i: self._shape_map(self._delta_vertexmap(i, n), n - 1, n)
                 for i in range(n + 1)}
 
-        # a path object is an exponential, so it exists only at levels 2..3
-        direct = pinned is not None or not S.cells or _is_simplex(S) or level > 3
+        # a path object is an exponential, so it exists only at levels 2..3;
+        # up to L + 1 vertices currying cannot pay (module docstring)
+        direct = pinned is not None or level > 3 or len(S.nondeg(0)) <= level + 1
         raw = {}
         for n, P in self.products.items():
             if direct or n == 0:
@@ -241,15 +248,6 @@ class Exponential:
         vert = SimplexExpr(full_degeneracy(n), v)
         e = P.pair_expr(vert, SimplexExpr((), top_cell(n)))
         return mu.apply(e)
-
-
-def _is_simplex(S: TruncatedSSet) -> bool:
-    """Whether S has exactly the cells and faces of a standard simplex."""
-    n = len(S.nondeg(0)) - 1
-    if not 0 <= n <= S.dim_bound:
-        return False
-    simplex = standard_simplex(n, S.dim_bound)
-    return S.levels == simplex.levels and S.faces == simplex.faces
 
 
 def path_object(T: TruncatedSSet, n: int, level: int, budget: Budget) -> Exponential:

@@ -22,9 +22,12 @@ class BudgetExceeded(Exception):
 class Budget:
     """Mutable step counter shared by the enumerations of one operation.
 
-    A cached result charges what computing it charged: the miss charges
-    as it runs and records the count, and every hit spends that count.  So
-    an operation's steps never depend on what ran before it.
+    The path objects of :mod:`qcatkit.mapping` and the reports of
+    :func:`qcatkit.nerve.require_quasicategory` are cached with their cost:
+    the miss charges as it runs and records the count, and every hit spends
+    that count, so a hit charges the same steps as the miss.  The other
+    memos (the values of a prederivator, ``Exponential.ho``) charge nothing
+    on a hit.
     """
 
     def __init__(self, limit: int = DEFAULT_BUDGET, context: str = "enumeration"):

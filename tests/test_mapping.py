@@ -9,8 +9,10 @@ import pytest
 from qcatkit.cats import (
     boundary_two,
     contractible_groupoid,
+    coproduct_cat,
     group_z2,
     poset_simplex,
+    product_cat,
     validate_category,
 )
 from qcatkit.mapping import (
@@ -104,7 +106,8 @@ class TestExponential:
             assert [E.cell_map[f"c{n}_{i}"] for i in range(len(nondeg))] == nondeg
 
     def test_curried_levels_match_direct_enumeration(self):
-        # every shape but [0] (the cells of Δ0) and the empty one goes through T^{Δn}
+        # [1]+[1] and [1]x[1] have more vertices than Δ2 and go through T^{Δn};
+        # the other shapes keep to the direct search
         sample = standard_sample()
         bases = [standard_simplex(0, 2), nerve(poset_simplex(1), 3),
                  nerve(contractible_groupoid(), 3), nerve(group_z2(), 3),
@@ -114,20 +117,44 @@ class TestExponential:
                 assert_matches_direct_search(Exponential(T, nerve(sample.cat(J), 2), 2))
 
     def test_curried_level_three_and_empty_exponent(self):
+        # at level 3 the path object T^{Δ3} is itself curried through T^{Δ1}, T^{Δ2}
         n1 = nerve(poset_simplex(1), 3)
+        p1 = poset_simplex(1)
+        assert_matches_direct_search(Exponential(n1, nerve(product_cat(p1, poset_simplex(1)), 3), 3))
+        assert_matches_direct_search(Exponential(n1, nerve(coproduct_cat(p1, p1), 3), 3))
         assert_matches_direct_search(Exponential(n1, n1, 3))
         assert_matches_direct_search(Exponential(nerve(group_z2(), 3), nerve(poset_simplex(1), 2), 3))
         assert_matches_direct_search(Exponential(n1, empty_sset(), 2))
 
+    def test_exponents_with_few_vertices_skip_the_path_object(self):
+        # at most as many vertices as Δ2: simplices up to relabelling, a group,
+        # the free boundary, a coproduct, the empty exponent; the direct
+        # search's steps, and no path object is built
+        p1 = poset_simplex(1)
+        few = [nerve(p1, 3), nerve(group_z2(), 3), nerve(poset_simplex(2), 3),
+               nerve(boundary_two(), 3), nerve(coproduct_cat(p1, poset_simplex(0)), 3),
+               empty_sset()]
+        cases = [(nerve(poset_simplex(1), 3), S, k) for S in few for k in (2, 3)]
+        cases.append((nerve(contractible_groupoid(), 3), nerve(p1, 3), 3))
+        for T, S, k in cases:
+            used, direct = Budget(), Budget()
+            Exponential(T, S, k, used)
+            assert T._path_objects == {}
+            Exponential(T, S, k, direct, pinned={})
+            assert used.used == direct.used
+        T = nerve(contractible_groupoid(), 3)
+        Exponential(T, nerve(product_cat(p1, poset_simplex(1)), 2), 2)
+        assert set(T._path_objects) == {(1, 2), (2, 2)}
+
     def test_path_object_hits_charge_what_the_miss_charged(self):
         T = nerve(poset_simplex(1), 3)
-        S = nerve(boundary_two(), 2)
+        S = nerve(coproduct_cat(poset_simplex(1), poset_simplex(1)), 2)
         cold, warm = Budget(), Budget()
         Exponential(T, S, 2, cold)
         Exponential(T, S, 2, warm)
         assert warm.used == cold.used > 0
         # a cache warmed by another exponent changes nothing either
-        S2 = nerve(poset_simplex(2), 2)
+        S2 = nerve(product_cat(poset_simplex(1), poset_simplex(1)), 2)
         fresh, rewarmed = Budget(), Budget()
         Exponential(nerve(poset_simplex(1), 3), S2, 2, fresh)
         Exponential(T, S2, 2, rewarmed)
@@ -138,7 +165,7 @@ class TestExponential:
 
     def test_dropped_base_frees_its_path_objects(self):
         T = nerve(poset_simplex(1), 3)
-        Exponential(T, nerve(boundary_two(), 2), 2)
+        Exponential(T, nerve(coproduct_cat(poset_simplex(1), poset_simplex(1)), 2), 2)
         refs = [weakref.ref(path_object(T, n, 2, Budget())) for n in (1, 2)]
         del T
         gc.collect()
