@@ -26,6 +26,15 @@ A path object charges one way: the miss charges the caller's budget as it
 runs and records the steps it charged, and a hit charges that record.  So
 the steps an exponential charges never depend on which path objects were
 built before it.
+
+The exponent side of a level does not depend on the base.  So each
+exponent S keeps one frame per working level and height
+(:class:`ExponentFrame`, built by :func:`exponent_frame` and kept on S):
+S truncated, the products S x Δn, and the shape maps id x δi and
+id x σj compiled into index plans.  Every exponential over S shares it:
+the exponentials of a prederivator over one sample share the sample's
+nerves, and a base's mapping spaces share the base's Δ1.  Building a
+frame charges no steps, as building a product never did.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
-    compose_maps,
     compose_words,
     delta_map,
     enumerate_maps,
@@ -88,6 +96,12 @@ class Exponential:
     canonical order; ``cell_map`` recovers the underlying map, and ``ho``
     is the homotopy category of the presented quasicategory.
 
+    ``frame`` is S's :class:`ExponentFrame` at the working level, kept on S
+    and shared with every other exponential over S; ``S_t`` and
+    ``products`` are its.  The faces of a cell and the degenerate cells are
+    read through its plans, which charge no steps.  ``to_expr[n]`` maps
+    the image tuple of every level-n map to its cell expression.
+
     ``pinned`` maps vertices of S to vertices of T: only the maps sending
     every cell over a pinned vertex v to the degenerate ``pinned[v]`` are
     cells.
@@ -102,21 +116,10 @@ class Exponential:
         self.base = T
         self.exponent = S
         self.k = k
-        self.S_t = S.truncate(level)
+        self.frame = frame = exponent_frame(S, level, k)
+        self.S_t, self.products = frame.S_t, frame.products
         self.T_t = T.truncate(level)
-        self.products = {n: product(self.S_t, standard_simplex(n, max(n, level)))
-                         for n in range(k + 1)}
         self.name = name or f"({T.name}^{S.name})"
-
-        self._collapses = {}
-        self._face_maps = {}
-        for n in range(1, k + 1):
-            self._collapses[n] = {
-                j: self._shape_map(self._sigma_vertexmap(j, n), n, n - 1)
-                for j in range(n)}
-            self._face_maps[n] = {
-                i: self._shape_map(self._delta_vertexmap(i, n), n - 1, n)
-                for i in range(n + 1)}
 
         # a path object is an exponential, so it exists only at levels 2..3;
         # up to L + 1 vertices currying cannot pay (module docstring)
@@ -134,29 +137,30 @@ class Exponential:
         self.cell_map: dict = {}
         levels = {}
         for n in range(k + 1):
+            known = self.to_expr[n] = {}
             # the degenerate cells are the s_j of the cells one level down;
             # the pins survive the collapse, so level n enumerated them all
             for mu in raw.get(n - 1, ()):
-                inner = self.to_expr[mu.key()]
+                inner = self.to_expr[n - 1][mu.images]
                 for j in range(n):
-                    key = compose_maps(mu, self._collapses[n][j]).key()
-                    if key not in self.to_expr:
-                        self.to_expr[key] = SimplexExpr(insert_letter(j, inner.word), inner.base)
+                    key = frame.degenerate(self.T_t, mu.images, n, j)
+                    if key not in known:
+                        known[key] = SimplexExpr(insert_letter(j, inner.word), inner.base)
             # raw[n] is in canonical order, so the cell ids follow it
             levels[n] = []
             for mu in raw[n]:
-                if mu.key() not in self.to_expr:
+                if mu.images not in known:
                     cid = f"c{n}_{len(levels[n])}"
                     levels[n].append(cid)
                     self.cell_map[cid] = mu
-                    self.to_expr[mu.key()] = SimplexExpr((), cid)
+                    known[mu.images] = SimplexExpr((), cid)
         faces = {}
         for n in range(1, k + 1):
+            below = self.to_expr[n - 1]
             for cid in levels[n]:
-                mu = self.cell_map[cid]
-                for i in range(n + 1):
-                    face_mu = compose_maps(mu, self._face_maps[n][i])
-                    faces[(cid, i)] = self.to_expr[face_mu.key()]
+                images = self.cell_map[cid].images
+                for i, face in enumerate(frame.faces[n]):
+                    faces[(cid, i)] = below[face(images)]
         cert = T.coskeletal_from if T.coskeletal_from <= k else None
         self.sset = TruncatedSSet(k, levels, faces, cert, self.name)
 
@@ -200,35 +204,20 @@ class Exponential:
         maps.sort(key=SimplicialMap.key)
         return maps
 
-    # -- internal shape maps ------------------------------------------------
-
-    @staticmethod
-    def _delta_vertexmap(i: int, n: int) -> tuple:
-        return tuple(t for t in range(n + 1) if t != i)
-
-    @staticmethod
-    def _sigma_vertexmap(j: int, n: int) -> tuple:
-        return tuple(t if t <= j else t - 1 for t in range(n + 1))
-
-    def _shape_map(self, alpha: tuple, m: int, n: int) -> SimplicialMap:
-        """id_S x (the simplex map induced by alpha: [m] -> [n])."""
-        Pm, Pn = self.products[m], self.products[n]
-        dm = delta_map(alpha, m, n, max(m, n, Pm.right.dim_bound, Pn.right.dim_bound))
-        return Pm.map_pairs(Pn, lambda e1, e2: Pn.pair_expr(e1, dm.apply(e2)))
-
     # -- public queries -----------------------------------------------------
 
     @cached_property
     def images_of(self) -> dict:
         """The image tuple of the underlying map of every cell expression."""
-        return {e: key for key, e in self.to_expr.items()}
+        return {e: key for known in self.to_expr.values() for key, e in known.items()}
 
     @cached_property
     def ho(self) -> HoPresentation:
         return ho(self.sset, self._budget)
 
     def locate(self, mu: SimplicialMap) -> SimplexExpr:
-        e = self.to_expr.get(mu.key())
+        # mu comes out of S x Δn: its level is read off the simplex factor
+        e = self.to_expr.get(len(mu.source.right.nondeg(0)) - 1, {}).get(mu.key())
         if e is None:
             raise KeyError(f"map is not a cell of {self.name}")
         return e
@@ -236,11 +225,13 @@ class Exponential:
     def map_of(self, e: SimplexExpr) -> SimplicialMap:
         """The underlying map of an arbitrary cell expression."""
         mu = self.cell_map[e.base]
-        n = self.sset.dim_of[e.base]
+        if not e.word:
+            return mu
+        n, images = self.sset.dim_of[e.base], mu.images
         for j in reversed(e.word):
-            mu = compose_maps(mu, self._collapses[n + 1][j])
             n += 1
-        return mu
+            images = self.frame.degenerate(self.T_t, images, n, j)
+        return SimplicialMap(self.products[n], self.T_t, images)
 
     def evaluate_at_vertex(self, mu: SimplicialMap, v: str, n: int) -> SimplexExpr:
         """Restrict a level-n cell along an exponent vertex: an n-simplex of T."""
@@ -248,6 +239,60 @@ class Exponential:
         vert = SimplexExpr(full_degeneracy(n), v)
         e = P.pair_expr(vert, SimplexExpr((), top_cell(n)))
         return mu.apply(e)
+
+
+class ExponentFrame:
+    """The exponent side of T^S at one working level and height k.
+
+    ``S_t`` is S truncated at the level and ``products[n]`` is S_t x Δn for
+    n <= k.  The shape maps id x δi: S_t x Δ(n-1) -> S_t x Δn and
+    id x σj: S_t x Δn -> S_t x Δ(n-1) are compiled into index plans over
+    the canonical cell orders.  id x δi sends nondegenerate cells to
+    nondegenerate cells, so ``faces[n][i]`` picks the image tuple of the
+    i-th face of a level-n map straight out of the map's image tuple;
+    ``degeneracies[n][j]`` lists, per cell of S_t x Δn, the slot and the
+    degeneracy word of its image under id x σj.  Built once per exponent,
+    level and height by :func:`exponent_frame`; building it charges no steps.
+    """
+
+    def __init__(self, S: TruncatedSSet, level: int, k: int):
+        self.S_t = S.truncate(level)
+        self.products = {n: product(self.S_t, standard_simplex(n, max(n, level)))
+                         for n in range(k + 1)}
+        self.faces, self.degeneracies = {}, {}
+        for n in range(1, k + 1):
+            self.faces[n] = [_gather(tuple(slot for slot, _ in self._plan(
+                tuple(t for t in range(n + 1) if t != i), n - 1, n))) for i in range(n + 1)]
+            self.degeneracies[n] = [self._plan(
+                tuple(t if t <= j else t - 1 for t in range(n + 1)), n, n - 1) for j in range(n)]
+
+    def _plan(self, alpha: tuple, m: int, n: int) -> tuple:
+        """id_S x (alpha: [m] -> [n]) as (slot, word) per cell of S_t x Δm."""
+        Pm, Pn = self.products[m], self.products[n]
+        dm = delta_map(alpha, m, n, max(m, n, Pm.right.dim_bound, Pn.right.dim_bound))
+        shape_map = Pm.map_pairs(Pn, lambda e1, e2: Pn.pair_expr(e1, dm.apply(e2)))
+        return tuple((Pn.cell_index[e.base], e.word) for e in shape_map.images)
+
+    def degenerate(self, T: TruncatedSSet, images: tuple, n: int, j: int) -> tuple:
+        """The image tuple of s_j mu, for mu: S_t x Δ(n-1) -> T given by its images."""
+        degenerate = T.degenerate
+        return tuple([degenerate(w, images[s]) if w else images[s]
+                      for s, w in self.degeneracies[n][j]])
+
+
+def _gather(slots: tuple):
+    """The function picking the entries at ``slots`` out of a tuple, as a tuple."""
+    if len(slots) == 1:
+        return lambda images: (images[slots[0]],)
+    return itemgetter(*slots) if slots else lambda images: ()
+
+
+def exponent_frame(S: TruncatedSSet, level: int, k: int) -> ExponentFrame:
+    """S's frame at ``level`` and height k, built once and kept on S."""
+    frame = S._frames.get((level, k))
+    if frame is None:
+        frame = S._frames[(level, k)] = ExponentFrame(S, level, k)
+    return frame
 
 
 def path_object(T: TruncatedSSet, n: int, level: int, budget: Budget) -> Exponential:
@@ -312,7 +357,7 @@ def mapping_space(Q: TruncatedSSet, x: str, y: str, budget: Budget = None) -> Ex
     of x and y over the two endpoints of the exponent interval.
     """
     require_quasicategory(Q, budget)
-    return Exponential(Q, standard_simplex(1, 2), 2, budget, {"0": x, "1": y},
+    return Exponential(Q, Q.interval, 2, budget, {"0": x, "1": y},
                        name=f"{Q.name}({x},{y})")
 
 
@@ -501,7 +546,7 @@ def lift_square(Q: TruncatedSSet, square: Square, f: SimplexExpr, g: SimplexExpr
     tau = filler.target.face(filler.assignment[top_cell(3)], 1)
     steps["tau"] = tau
     if E is None:
-        E = Exponential(Q, standard_simplex(1, 2), 2, budget)
+        E = Exponential(Q, Q.interval, 2, budget)
     prism = prism_map(E, f, g, triangle_a=a, triangle_b=tau, h=h, k=k, diag=d1a)
     cell = E.locate(prism)
     result = LiftResult(E, prism, cell, steps)

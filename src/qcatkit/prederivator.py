@@ -85,6 +85,8 @@ class DiaSample:
     (named) 1- and 2-morphisms that strictness and functoriality are
     checked against.  A member is known by its object, not by an equal
     copy: ``ends`` names the source and target of a functor by identity.
+    The sample owns its members' nerves (``nerve``), so every exponential
+    over one member shares one nerve and with it one exponent frame.
     """
 
     def __init__(self, name="sample"):
@@ -99,6 +101,7 @@ class DiaSample:
         self.terminal: str | None = None
         self.initial: str | None = None
         self.order: list[str] = []
+        self._nerves: dict[str, TruncatedSSet] = {}
 
     def add_category(self, name: str, C: FiniteCategory) -> FiniteCategory:
         if name in self.categories:
@@ -128,6 +131,13 @@ class DiaSample:
         if name not in self.categories:
             raise ClosureError(f"sample {self.name} has no category {name!r}")
         return self.categories[name]
+
+    def nerve(self, name: str) -> TruncatedSSet:
+        """N(name) truncated at 2, built once."""
+        N = self._nerves.get(name)
+        if N is None:
+            N = self._nerves[name] = nerve(self.cat(name), 2)
+        return N
 
     def add_unit_functors(self) -> None:
         """List ``id_``, ``!`` and ``vx_`` for every member.
@@ -381,7 +391,7 @@ class HoPrederivator(Prederivator):
 
     def _eval(self, J_name: str) -> FiniteCategory:
         try:
-            E = Exponential(self.Q, nerve(self.sample.cat(J_name), 2), 2, self.budget)
+            E = Exponential(self.Q, self.sample.nerve(J_name), 2, self.budget)
         except ValueError as err:
             raise ValueError(f"evaluation at {J_name} failed: {err}") from None
         self._data[J_name] = E

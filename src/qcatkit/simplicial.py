@@ -224,6 +224,8 @@ class TruncatedSSet:
         self._degeneracies: dict = {}
         # (n, level) -> this set's path object T^{Δn}, see mapping.path_object
         self._path_objects: dict = {}
+        # (level, k) -> this set's exponent frame, see mapping.exponent_frame
+        self._frames: dict = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -256,6 +258,11 @@ class TruncatedSSet:
                           for fe in (self.face(e, i) for i in range(n + 1))) if n else ()
             plan.append((x, index[x], n, faces))
         return tuple(plan)
+
+    @cached_property
+    def interval(self) -> "TruncatedSSet":
+        """The Δ1 this set's mapping spaces share, and with it one exponent frame."""
+        return standard_simplex(1, 2)
 
     def degenerate(self, word: tuple, e: SimplexExpr) -> SimplexExpr:
         """Normal form of the degeneracy operator ``word`` applied to ``e``."""

@@ -31,9 +31,11 @@ from qcatkit.mapping import (
     path_object,
 )
 from qcatkit.nerve import ho, is_quasicategory, nerve
-from qcatkit.prederivator import standard_sample
+from qcatkit.prederivator import HoPrederivator, standard_sample
 from qcatkit.simplicial import (
     SimplexExpr,
+    compose_maps,
+    delta_map,
     empty_sset,
     enumerate_maps,
     expr,
@@ -53,11 +55,39 @@ def assert_matches_direct_search(E):
         direct = enumerate_maps(E.products[n], E.T_t)
         located = [E.locate(f) for f in direct]
         assert E.sset.total_count(n) == len(direct)
-        nondeg = [e.base for e in located if E.sset.expr_dim(e) == n and not e.word]
+        nondeg = [e.base for e in located if not e.word]
         assert nondeg == [f"c{n}_{i}" for i in range(len(E.sset.nondeg(n)))]
     D = Exponential(E.base, E.exponent, E.k, pinned={})
     assert sset_to_text(E.sset) == sset_to_text(D.sset)
     assert E.to_expr == D.to_expr
+
+
+def shape_map(E, alpha, m, n):
+    """id x alpha: S x Δm -> S x Δn for a monotone alpha: [m] -> [n]."""
+    Pm, Pn = E.products[m], E.products[n]
+    dm = delta_map(alpha, m, n, max(m, n, 2))
+    return Pm.map_pairs(Pn, lambda e1, e2: Pn.pair_expr(e1, dm.apply(e2)))
+
+
+def assert_structure_matches_shape_maps(E):
+    """Faces and degeneracies of E are those the shape maps id x δi and
+    id x σj induce, composed cell by cell; ``map_of`` agrees."""
+    maps = {}
+    for n in range(E.k + 1):
+        deltas = [shape_map(E, tuple(t for t in range(n + 1) if t != i), n - 1, n)
+                  for i in range(n + 1)] if n else []
+        sigmas = [shape_map(E, tuple(t if t <= j else t - 1 for t in range(n + 1)), n, n - 1)
+                  for j in range(n)]
+        for e in E.sset.total(n):
+            if e.word:
+                # e = s_j of the cell its other letters name
+                maps[e] = compose_maps(maps[SimplexExpr(e.word[1:], e.base)], sigmas[e.word[0]])
+                assert E.locate(maps[e]) == e
+                assert E.map_of(e) == maps[e]
+                continue
+            maps[e] = E.cell_map[e.base]
+            for i, delta in enumerate(deltas):
+                assert E.sset.faces[(e.base, i)] == E.locate(compose_maps(maps[e], delta))
 
 
 class TestExponential:
@@ -170,6 +200,38 @@ class TestExponential:
         del T
         gc.collect()
         assert all(r() is None for r in refs)
+
+    def test_structure_matches_the_shape_maps(self):
+        sample = standard_sample()
+        bases = [nerve(poset_simplex(1), 3), nerve(contractible_groupoid(), 3),
+                 nerve(group_z2(), 3)]
+        for T in bases:
+            for J in ("[1]x[1]", "d[2]", "[1]+[1]"):
+                assert_structure_matches_shape_maps(Exponential(T, nerve(sample.cat(J), 2), 2))
+        assert_structure_matches_shape_maps(mapping_space(bases[1], "a", "b"))
+        assert_structure_matches_shape_maps(Exponential(bases[0], bases[0], 3))
+
+    def test_locate_keeps_the_levels_of_the_empty_exponent_apart(self):
+        # every level has one map, with the empty image tuple
+        E = Exponential(nerve(poset_simplex(1), 3), empty_sset(), 2)
+        for n in range(3):
+            (e,) = E.sset.total(n)
+            assert E.locate(E.map_of(e)) == e
+            assert E.images_of[e] == ()
+
+    def test_exponents_share_one_frame(self):
+        sample = standard_sample()
+        bases = [nerve(poset_simplex(1), 3), nerve(group_z2(), 3)]
+        D1, D2 = (HoPrederivator(Q, sample) for Q in bases)
+        for J in sample.order:
+            assert D1.data(J).products is D2.data(J).products
+            for D, Q in zip((D1, D2), bases):
+                fresh = Exponential(Q, nerve(sample.cat(J), 2), 2)
+                assert fresh.products is not D.data(J).products
+                assert fresh.ho.category.canonical_key() == D.eval(J).canonical_key()
+        q = nerve(contractible_groupoid(), 3)
+        spaces = [mapping_space(q, x, y) for x in ("a", "b") for y in ("a", "b")]
+        assert all(M.exponent is q.interval and M.frame is spaces[0].frame for M in spaces)
 
     def test_exactness_gate(self):
         no_cert = horn(2, 1, 2)
