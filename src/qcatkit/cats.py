@@ -8,6 +8,8 @@ dictionaries validated against the tables.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .simplicial import ValidationReport
 from .util import Budget, ensure_budget
 
@@ -20,8 +22,9 @@ class FiniteCategory:
         self.identities = dict(identities)      # object -> morphism id
         self.name = name
         self._identity_set = frozenset(self.identities.values())
-        self._homs: dict = {}
+        self._homs = None
         self._iso_cache: dict = {}
+        self._nonidentity = None
 
     # -- structure queries -------------------------------------------------
 
@@ -35,14 +38,19 @@ class FiniteCategory:
         return m in self._identity_set
 
     def hom(self, a: str, b: str) -> tuple:
-        key = (a, b)
-        if key not in self._homs:
-            self._homs[key] = tuple(sorted(
-                m for m, (d, c) in self.morphisms.items() if d == a and c == b))
-        return self._homs[key]
+        if self._homs is None:  # every hom set in one pass over the morphisms
+            homs: dict = {}
+            for m in sorted(self.morphisms):
+                homs.setdefault(self.morphisms[m], []).append(m)
+            self._homs = {ends: tuple(ms) for ends, ms in homs.items()}
+        return self._homs.get((a, b), ())
 
-    def nonidentity(self) -> list:
-        return sorted(m for m in self.morphisms if not self.is_identity(m))
+    def nonidentity(self) -> tuple:
+        """The non-identity morphisms, sorted once."""
+        if self._nonidentity is None:
+            self._nonidentity = tuple(sorted(m for m in self.morphisms
+                                             if not self.is_identity(m)))
+        return self._nonidentity
 
     def compose(self, g: str, f: str) -> str:
         """g ∘ f for cod(f) = dom(g)."""
@@ -69,6 +77,33 @@ class FiniteCategory:
 
     def isos_between(self, a: str, b: str) -> list:
         return [m for m in self.hom(a, b) if self.is_iso(m)]
+
+    @cached_property
+    def search_plan(self) -> tuple:
+        """The placements of :func:`enumerate_functors` out of this category.
+
+        Objects come in sorted order, each followed by the morphisms whose
+        later endpoint it is.  An object x is (x, None, identity of x); a
+        morphism m is (m, (dom, cod), triples), where ``triples`` lists the
+        entries (g, f, g . f) of the composition table, in table order, whose
+        last member to get an image is m: an identity gets its image with
+        its object.
+        """
+        placed, at, order = set(), {}, []  # at: morphism -> position of its image
+        for x in self.objects:
+            placed.add(x)
+            at[self.identities[x]] = len(order)
+            order.append((x, None, self.identities[x]))
+            for m in self.nonidentity():
+                if x in self.morphisms[m] and set(self.morphisms[m]) <= placed:
+                    at[m] = len(order)
+                    order.append((m, self.morphisms[m], []))
+        for (g, f), h in self.compose_table.items():
+            _, ends, triples = order[max(at[g], at[f], at[h])]
+            if ends is not None:  # a triple of identities is never checked
+                triples.append((g, f, h))
+        return tuple((name, ends, tuple(last) if ends else last)
+                     for name, ends, last in order)
 
     def canonical_key(self) -> tuple:
         return (self.objects, tuple(sorted(self.morphisms.items())),
@@ -294,8 +329,9 @@ class Functor:
         self._key = None
 
     def on_morphism(self, m: str) -> str:
-        if self.source.is_identity(m):
-            return self.target.identities[self.ob[self.source.dom(m)]]
+        source = self.source
+        if m in source._identity_set:
+            return self.target.identities[self.ob[source.morphisms[m][0]]]
         return self.mor[m]
 
     def key(self) -> tuple:
@@ -457,69 +493,46 @@ def enumerate_functors(K: FiniteCategory, J: FiniteCategory, budget: Budget = No
 
     ``ob_allowed`` and ``mor_allowed`` optionally restrict the images of
     individual objects and morphisms (used to push naturality constraints
-    into the search instead of filtering afterwards).
+    into the search instead of filtering afterwards).  The placements and
+    the composites checked at each are K's ``search_plan``.
     """
     budget = ensure_budget(budget, f"functors {K.name} -> {J.name}")
     ob_allowed = ob_allowed or {}
     mor_allowed = mor_allowed or {}
+    plan = K.search_plan
     nonid = K.nonidentity()
-    # interleave: a morphism follows the later of its endpoints
-    order = []
-    placed_obs = set()
-    for x in K.objects:
-        order.append(("ob", x))
-        placed_obs.add(x)
-        order += [("mor", m) for m in nonid
-                  if x in K.morphisms[m] and set(K.morphisms[m]) <= placed_obs]
-
-    pairs_by_mor: dict = {}
-    for (g, f), h in K.compose_table.items():
-        for m in {g, f, h}:
-            pairs_by_mor.setdefault(m, []).append((g, f, h))
-
     ob: dict = {}
-    mor: dict = {}
+    image: dict = {}  # morphism of K -> its image, identities included
     results = []
 
-    def image(m):
-        if K.is_identity(m):
-            x = K.dom(m)
-            return J.identities[ob[x]] if x in ob else None
-        return mor.get(m)
-
-    def consistent(m) -> bool:
-        for (g, f, h) in pairs_by_mor.get(m, ()):
-            ig, if_, ih = image(g), image(f), image(h)
-            if ig is None or if_ is None or ih is None:
-                continue
+    def consistent(triples) -> bool:
+        for g, f, h in triples:
             budget.spend()
-            if J.compose(ig, if_) != ih:
+            if J.compose(image[g], image[f]) != image[h]:
                 return False
         return True
 
     def walk(pos):
-        if pos == len(order):
-            results.append(Functor(K, J, ob, mor))
+        if pos == len(plan):
+            results.append(Functor(K, J, ob, {m: image[m] for m in nonid}))
             return
-        kind, name = order[pos]
-        if kind == "ob":
+        name, ends, last = plan[pos]
+        if ends is None:
             pool = ob_allowed.get(name)
             for y in (J.objects if pool is None else sorted(pool)):
                 budget.spend()
                 ob[name] = y
+                image[last] = J.identities[y]
                 walk(pos + 1)
-            ob.pop(name, None)
         else:
-            d, c = K.morphisms[name]
             pool = mor_allowed.get(name)
-            for y in J.hom(ob[d], ob[c]):
+            for y in J.hom(ob[ends[0]], ob[ends[1]]):
                 if pool is not None and y not in pool:
                     continue
                 budget.spend()
-                mor[name] = y
-                if consistent(name):
+                image[name] = y
+                if consistent(last):
                     walk(pos + 1)
-            mor.pop(name, None)
 
     walk(0)
     results.sort(key=lambda F: F.key())

@@ -132,7 +132,8 @@ class Exponential:
                     for pid, (e1, _) in P.pair_of.items() if e1.base in pinned}
                 raw[n] = enumerate_maps(P, self.T_t, budget, fixed=fixed)
             else:
-                raw[n] = self._curried_maps(n, path_object(T, n, level, budget), budget)
+                path = path_object(T, self.products[n].right, level, budget)
+                raw[n] = self._curried_maps(n, path, budget)
         self.to_expr: dict = {}
         self.cell_map: dict = {}
         levels = {}
@@ -270,14 +271,27 @@ class ExponentFrame:
         """id_S x (alpha: [m] -> [n]) as (slot, word) per cell of S_t x Δm."""
         Pm, Pn = self.products[m], self.products[n]
         dm = delta_map(alpha, m, n, max(m, n, Pm.right.dim_bound, Pn.right.dim_bound))
-        shape_map = Pm.map_pairs(Pn, lambda e1, e2: Pn.pair_expr(e1, dm.apply(e2)))
-        return tuple((Pn.cell_index[e.base], e.word) for e in shape_map.images)
+        return slot_plan(Pm.map_pairs(Pn, lambda e1, e2: Pn.pair_expr(e1, dm.apply(e2))))
 
     def degenerate(self, T: TruncatedSSet, images: tuple, n: int, j: int) -> tuple:
         """The image tuple of s_j mu, for mu: S_t x Δ(n-1) -> T given by its images."""
-        degenerate = T.degenerate
-        return tuple([degenerate(w, images[s]) if w else images[s]
-                      for s, w in self.degeneracies[n][j]])
+        return precompose(T, images, self.degeneracies[n][j])
+
+
+def slot_plan(f: SimplicialMap) -> tuple:
+    """f as (slot, word) per source cell: the position in the target's
+    canonical cell order of the base of its image, and the image's
+    degeneracy word."""
+    index = f.target.cell_index
+    return tuple((index[e.base], e.word) for e in f.images)
+
+
+def precompose(T: TruncatedSSet, images: tuple, plan: tuple) -> tuple:
+    """The image tuple of mu . f, for mu into T given by its ``images`` and
+    f by its :func:`slot_plan`: the gather ``compose_maps`` does, with the
+    slots looked up once."""
+    degenerate = T.degenerate
+    return tuple([degenerate(w, images[s]) if w else images[s] for s, w in plan])
 
 
 def _gather(slots: tuple):
@@ -295,15 +309,20 @@ def exponent_frame(S: TruncatedSSet, level: int, k: int) -> ExponentFrame:
     return frame
 
 
-def path_object(T: TruncatedSSet, n: int, level: int, budget: Budget) -> Exponential:
+def path_object(T: TruncatedSSet, delta: TruncatedSSet, level: int,
+                budget: Budget) -> Exponential:
     """T^{Δn} at ``level``, built once per base, n and level and kept on T.
 
-    A hit charges ``budget`` the steps the miss charged.
+    ``delta`` is the Δn, truncated at max(n, level), that the miss builds
+    over: an exponent frame's Δn, so the path objects of every base over
+    one exponent share its frame.  A hit charges ``budget`` the steps the
+    miss charged.
     """
+    n = len(delta.nondeg(0)) - 1
     hit = T._path_objects.get((n, level))
     if hit is None:
         start = budget.used
-        E = Exponential(T, standard_simplex(n, max(n, level)), level, budget)
+        E = Exponential(T, delta, level, budget)
         hit = T._path_objects[(n, level)] = (E, budget.used - start)
     else:
         budget.spend(hit[1])

@@ -18,6 +18,14 @@ Shape names belong to the sample: a shape functor u: J -> K carries its
 source and target categories, and ``DiaSample.ends`` reads their member
 names by object identity.  So ``on_functor(u)`` and ``on_nat(alpha)`` take
 the morphism alone, and a functor out of the sample is a ``ClosureError``.
+
+What depends on the shapes alone is built once per sample, not once per
+base: the sample owns its members' nerves (and through them the exponent
+frames) and the restriction plans, which compile N(u) x Δl into index
+plans over the frames' cell orders, so u* of every base over the sample
+is one gather per cell.  The strict-morphism search likewise builds each
+listed functor's fibre tables once per call, and the functor search out
+of a category follows the category's own ``search_plan``.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from .cats import (
     vertical_compose,
 )
 from .delocalization import SimplexCategory
-from .mapping import Exponential, full_degeneracy, induced_functor
+from .mapping import Exponential, full_degeneracy, induced_functor, precompose, slot_plan
 from .nerve import chain_shape_iso, nerve, nerve_map, nerve_product_compare_inv
 from .simplicial import (
     SimplexExpr,
@@ -86,7 +94,9 @@ class DiaSample:
     checked against.  A member is known by its object, not by an equal
     copy: ``ends`` names the source and target of a functor by identity.
     The sample owns its members' nerves (``nerve``), so every exponential
-    over one member shares one nerve and with it one exponent frame.
+    over one member shares one nerve and with it one exponent frame, and
+    the restriction plans of the listed functors and their composites
+    (``restriction``), so every base over the sample shares those too.
     """
 
     def __init__(self, name="sample"):
@@ -102,6 +112,7 @@ class DiaSample:
         self.initial: str | None = None
         self.order: list[str] = []
         self._nerves: dict[str, TruncatedSSet] = {}
+        self._restrictions: dict = {}
 
     def add_category(self, name: str, C: FiniteCategory) -> FiniteCategory:
         if name in self.categories:
@@ -138,6 +149,16 @@ class DiaSample:
         if N is None:
             N = self._nerves[name] = nerve(self.cat(name), 2)
         return N
+
+    def restriction(self, u: Functor, dj: Exponential, dk: Exponential) -> Restriction:
+        """The plan of u*: Q^{N(K)} -> Q^{N(J)} for exponentials dj over N(J)
+        and dk over N(K), built once per functor and pair of frames."""
+        key = (u.key(), dj.frame, dk.frame)
+        plan = self._restrictions.get(key)
+        if plan is None:
+            plan = self._restrictions[key] = Restriction(
+                nerve_map(u, dj.exponent, dk.exponent), dj.products, dk.products)
+        return plan
 
     def add_unit_functors(self) -> None:
         """List ``id_``, ``!`` and ``vx_`` for every member.
@@ -375,8 +396,31 @@ class Prederivator:
         return report
 
 
+class Restriction:
+    """N(u) x Δl: N(J) x Δl -> N(K) x Δl for l = 0, 1, compiled.
+
+    ``plans[l]`` is the map's :func:`qcatkit.mapping.slot_plan` over the
+    canonical cell orders of the two frames' products, so a cell mu of
+    Q^{N(K)} restricts to the map with image tuple
+    ``precompose(T, mu.images, plans[l])``, whatever the base Q.
+    """
+
+    def __init__(self, nu: SimplicialMap, source_products: dict, target_products: dict):
+        self.plans = {}
+        for level in (0, 1):
+            Pk = target_products[level]
+            self.plans[level] = slot_plan(source_products[level].map_pairs(
+                Pk, lambda e1, e2: Pk.pair_expr(nu.apply(e1), e2)))
+
+
 class HoPrederivator(Prederivator):
-    """The prederivator of a quasicategory: J -> Ho(Q^{N(J)})."""
+    """The prederivator of a quasicategory: J -> Ho(Q^{N(J)}).
+
+    u*: Ho(Q^{N(K)}) -> Ho(Q^{N(J)}) precomposes each cell with
+    N(u) x Δl through the sample's :class:`Restriction` of u, which
+    depends on the shapes alone and so is built once for every base over
+    the sample.
+    """
 
     def __init__(self, Q: TruncatedSSet, sample: DiaSample, budget: Budget = None):
         super().__init__(sample, f"HO({Q.name})")
@@ -401,15 +445,10 @@ class HoPrederivator(Prederivator):
     def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
         # contravariant: u: J -> K induces u*: eval(K) -> eval(J)
         dj, dk = self.data(src), self.data(dst)
-        nu = nerve_map(u, dj.exponent, dk.exponent)
-        # N(u) x Δl: N(J) x Δl -> N(K) x Δl, built once; each cell precomposes it
-        restriction = {}
-        for level in (0, 1):
-            Pk = dk.products[level]
-            restriction[level] = dj.products[level].map_pairs(
-                Pk, lambda e1, e2: Pk.pair_expr(nu.apply(e1), e2))
-        return induced_functor(dk, dj, lambda mu, level: compose_maps(mu, restriction[level]),
-                               f"{self.name}({u.name})*")
+        plans = self.sample.restriction(u, dj, dk).plans
+        return induced_functor(dk, dj, lambda mu, level: SimplicialMap(
+            dj.products[level], mu.target, precompose(mu.target, mu.images, plans[level])),
+            f"{self.name}({u.name})*")
 
     def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
         u, v = alpha.source, alpha.target
@@ -785,9 +824,7 @@ def check_strict(F: StrictMorphism) -> ValidationReport:
         if src not in scope or dst not in scope:
             continue
         report.checked += 1
-        lhs = compose_functors(F.at(src), F.source.on_functor(u))
-        rhs = compose_functors(F.target.on_functor(u), F.at(dst))
-        if lhs.key() != rhs.key():
+        if not _commutes(F.at(src), F.source.on_functor(u), F.target.on_functor(u), F.at(dst)):
             report.add(f"component square at functor {name} does not commute")
     for name, a in sorted(s.nats.items()):
         src, dst = s.ends(a.source)
@@ -801,6 +838,13 @@ def check_strict(F: StrictMorphism) -> ValidationReport:
                 report.add(f"2-morphism {name} not respected at object {X!r}")
                 break
     return report
+
+
+def _commutes(F_src: Functor, u1: Functor, u2: Functor, F_dst: Functor) -> bool:
+    """F_src . u1 = u2 . F_dst, compared on u1's object and morphism maps."""
+    return (all(F_src.ob[y] == u2.ob[F_dst.ob[x]] for x, y in u1.ob.items())
+            and all(F_src.on_morphism(y) == u2.on_morphism(F_dst.mor[m])
+                    for m, y in u1.mor.items()))
 
 
 def check_modification(Xi: Modification) -> ValidationReport:
@@ -873,13 +917,30 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
                         if src in shapes and dst in shapes]
     components: dict = {}
     results = []
+    fibres: dict = {}  # listed u -> D2's u* as fibre tables over objects and morphisms
+
+    def fibres_of(u, CJ2: FiniteCategory) -> tuple:
+        hit = fibres.get(u)
+        if hit is None:
+            u2 = D2.on_functor(u)
+            by_ob: dict = {}
+            for Y in CJ2.objects:
+                by_ob.setdefault(u2.ob[Y], set()).add(Y)
+            by_mor: dict = {}
+            for mm in CJ2.morphisms:
+                by_mor.setdefault(u2.on_morphism(mm), set()).add(mm)
+            hit = fibres[u] = ({y: frozenset(xs) for y, xs in by_ob.items()},
+                               {m: frozenset(ms) for m, ms in by_mor.items()})
+        return hit
 
     def allowed_images(J_name: str):
         """Per-object and per-morphism image pools from placed components.
 
         A listed u: K -> J with K placed pins the whole restriction of the
         J-component; u: J -> K with K placed pins it on the image of the
-        restriction.  Both cut the functor search to near-singletons.
+        restriction.  Both cut the functor search to near-singletons.  The
+        fibres of D2's u* are built once per call, and each use charges one
+        step per object of D2 at J, as building them does.
         """
         CJ1 = D1.eval(J_name)
         CJ2 = D2.eval(J_name)
@@ -897,20 +958,14 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
         for u, src, dst in functors_between:
             if dst == J_name and src in components and src != J_name:
                 u1 = D1.on_functor(u)
-                u2 = D2.on_functor(u)
                 Fsrc = components[src]
-                by_ob: dict = {}
-                for Y in CJ2.objects:
-                    budget.spend()
-                    by_ob.setdefault(u2.ob[Y], set()).add(Y)
+                budget.spend(len(CJ2.objects))
+                by_ob, by_mor = fibres_of(u, CJ2)
                 for X in CJ1.objects:
-                    cut_ob(X, by_ob.get(Fsrc.ob[u1.ob[X]], set()))
-                by_mor: dict = {}
-                for mm in CJ2.morphisms:
-                    by_mor.setdefault(u2.on_morphism(mm), set()).add(mm)
+                    cut_ob(X, by_ob.get(Fsrc.ob[u1.ob[X]], frozenset()))
                 for m in CJ1.nonidentity():
                     want = Fsrc.on_morphism(u1.on_morphism(m))
-                    cut_mor(m, by_mor.get(want, set()))
+                    cut_mor(m, by_mor.get(want, frozenset()))
             elif src == J_name and dst in components and dst != J_name:
                 u1 = D1.on_functor(u)
                 u2 = D2.on_functor(u)
@@ -929,9 +984,8 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
             if J_name not in (src, dst):
                 continue
             budget.spend()
-            lhs = compose_functors(components[src], D1.on_functor(u))
-            rhs = compose_functors(D2.on_functor(u), components[dst])
-            if lhs.key() != rhs.key():
+            if not _commutes(components[src], D1.on_functor(u), D2.on_functor(u),
+                             components[dst]):
                 return False
         return True
 

@@ -6,6 +6,7 @@ import pytest
 
 from qcatkit.cats import (
     FiniteCategory,
+    Functor,
     FunctorCategory,
     boundary_two,
     cat_from_text,
@@ -33,11 +34,69 @@ from qcatkit.cats import (
     validate_category,
     vertical_compose,
 )
+from qcatkit.corpus import add_idempotent
+from qcatkit.util import Budget
 
 
 def monotone_maps(m, n):
     return [t for t in iproduct(range(n + 1), repeat=m + 1)
             if all(t[i] <= t[i + 1] for i in range(m))]
+
+
+def functors_by_validation(K, J, ob_allowed, mor_allowed):
+    """Every object and morphism assignment K -> J inside the pools that
+    passes ``Functor.validate``, canonically ordered.  A morphism is only
+    tried on the images with the right ends: validate rejects the others."""
+    found = []
+    for obs in iproduct(*(sorted(ob_allowed.get(x, J.objects)) for x in K.objects)):
+        ob = dict(zip(K.objects, obs))
+        pools = [[y for y in J.hom(ob[K.dom(m)], ob[K.cod(m)])
+                  if y in mor_allowed.get(m, J.morphisms)] for m in K.nonidentity()]
+        for mors in iproduct(*pools):
+            F = Functor(K, J, ob, dict(zip(K.nonidentity(), mors)))
+            if F.validate().ok:
+                found.append(F)
+    return sorted(found, key=Functor.key)
+
+
+# (source, target, pools); the steps of the search without and with the
+# pools.  z2 -> z2 and E -> z2 have composites that are identities; the
+# idempotent of [3] -> idem does not cancel, so two composites checked at
+# one placement can disagree, and their order shows in the steps.
+FUNCTOR_SEARCHES = {
+    "[3]->idem": (lambda: poset_simplex(3), lambda: add_idempotent(poset_simplex(0), "0"),
+                  ({"3": {"0"}}, {"m01": {"mut_e"}, "m23": {"m00", "mut_e"}}), (114, 60)),
+    "z2->z2": (group_z2, group_z2, ({"*": {"*"}}, {"g": {"e"}}), (5, 3)),
+    "E->z2": (contractible_groupoid, group_z2, ({"b": {"*"}}, {"eab": {"g"}}), (14, 8)),
+    "[1]x[1]->[2]": (lambda: product_cat(poset_simplex(1), poset_simplex(1)),
+                     lambda: poset_simplex(2),
+                     ({"(0,0)": {"0", "1"}, "(1,1)": {"1", "2"}},
+                      {"(m01,m11)": {"m01", "m12", "m11"}, "(m01,m01)": {"m02", "m12"}}),
+                     (218, 100)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUNCTOR_SEARCHES))
+def test_functor_search_matches_validation(case):
+    make_K, make_J, pools, steps = FUNCTOR_SEARCHES[case]
+    K, J = make_K(), make_J()
+    for (ob_allowed, mor_allowed), want_steps in zip([({}, {}), pools], steps):
+        budget = Budget()
+        found = enumerate_functors(K, J, budget, ob_allowed, mor_allowed)
+        want = functors_by_validation(K, J, ob_allowed, mor_allowed)
+        assert [F.key() for F in found] == [F.key() for F in want]
+        assert budget.used == want_steps
+    # the pools cut the search
+    assert len(enumerate_functors(K, J, None, *pools)) < len(enumerate_functors(K, J))
+
+
+def test_functor_search_plan_is_kept():
+    K = product_cat(poset_simplex(1), poset_simplex(1))
+    assert K.search_plan is K.search_plan
+    assert K.nonidentity() is K.nonidentity()
+    # every composite is checked once, at the placement that completes it
+    checked = [t for _, ends, last in K.search_plan if ends for t in last]
+    assert sorted(checked) == sorted((g, f, h) for (g, f), h in K.compose_table.items())
 
 
 class TestBuilders:

@@ -190,16 +190,26 @@ class TestExponential:
         Exponential(T, S2, 2, rewarmed)
         assert rewarmed.used == fresh.used > 0
         first, again = Budget(), Budget()
-        P = path_object(T, 2, 2, first)
-        assert path_object(T, 2, 2, again) is P and again.used == first.used
+        P = path_object(T, standard_simplex(2, 2), 2, first)
+        assert path_object(T, standard_simplex(2, 2), 2, again) is P and again.used == first.used
 
     def test_dropped_base_frees_its_path_objects(self):
         T = nerve(poset_simplex(1), 3)
         Exponential(T, nerve(coproduct_cat(poset_simplex(1), poset_simplex(1)), 2), 2)
-        refs = [weakref.ref(path_object(T, n, 2, Budget())) for n in (1, 2)]
+        refs = [weakref.ref(path_object(T, standard_simplex(n, 2), 2, Budget())) for n in (1, 2)]
         del T
         gc.collect()
         assert all(r() is None for r in refs)
+
+    def test_path_objects_are_built_over_the_frames_simplices(self):
+        S = nerve(product_cat(poset_simplex(1), poset_simplex(1)), 2)
+        bases = [nerve(poset_simplex(1), 3), nerve(contractible_groupoid(), 3)]
+        frame = Exponential(bases[0], S, 2).frame
+        assert Exponential(bases[1], S, 2).frame is frame
+        for n in (1, 2):
+            paths = [T._path_objects[(n, 2)][0] for T in bases]
+            assert all(P.exponent is frame.products[n].right for P in paths)
+            assert paths[0].frame is paths[1].frame
 
     def test_structure_matches_the_shape_maps(self):
         sample = standard_sample()

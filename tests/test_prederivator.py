@@ -1,9 +1,13 @@
 """Prederivator layer: evaluation, audits, rigidity, Kan extension."""
 
+import gc
+import weakref
+
 import pytest
 
 from qcatkit.cats import (
     boundary_two,
+    compose_functors,
     contractible_groupoid,
     enumerate_nats,
     group_z2,
@@ -46,6 +50,7 @@ from qcatkit.prederivator import (
     strict_rigidity_check,
 )
 from qcatkit.simplicial import standard_simplex
+from qcatkit.util import Budget
 
 SAMPLE = standard_sample()
 
@@ -58,6 +63,11 @@ def d_point():
 @pytest.fixture(scope="module")
 def d_interval():
     return HoPrederivator(nerve(poset_simplex(1), 3), SAMPLE)
+
+
+@pytest.fixture(scope="module")
+def d_z2():
+    return HoPrederivator(nerve(group_z2(), 3), SAMPLE)
 
 
 @pytest.fixture(scope="module")
@@ -155,20 +165,68 @@ def per_cell_restriction(D, u):
     (e1|e2) -> mu(N(u)(e1)|e2) out of N(J) x Δl, for u: J -> K."""
     dj, dk = (D.data(end) for end in D.sample.ends(u))
     nu = nerve_map(u, dj.exponent, dk.exponent)
+    # the cell (N(u)(e1)|e2) of N(K) x Δl, once per cell (e1|e2) of N(J) x Δl
+    under = {level: {pair: dk.products[level].pair_expr(nu.apply(pair[0]), pair[1])
+                     for pair in dj.products[level].pair_of.values()} for level in (0, 1)}
 
     def precompose(mu, level):
-        Pk = dk.products[level]
         return dj.products[level].map_pairs(
-            dj.T_t, lambda e1, e2: mu.apply(Pk.pair_expr(nu.apply(e1), e2)))
+            dj.T_t, lambda e1, e2: mu.apply(under[level][(e1, e2)]))
 
     return induced_functor(dk, dj, precompose, "per-cell")
 
 
-@pytest.mark.parametrize("cat", [poset_simplex(1), group_z2()], ids=["[1]", "z2"])
-def test_restriction_matches_the_per_cell_formula(cat):
-    D = HoPrederivator(nerve(cat, 3), SAMPLE)
-    for name, u in sorted(SAMPLE.functors.items()):
-        assert D.on_functor(u).key() == per_cell_restriction(D, u).key(), name
+@pytest.mark.parametrize("Q", [standard_simplex(0, 2), nerve(poset_simplex(1), 3),
+                               nerve(poset_simplex(2), 3), nerve(group_z2(), 3)],
+                         ids=["delta0", "[1]", "[2]", "z2"])
+def test_restriction_matches_the_per_cell_formula(Q):
+    D = HoPrederivator(Q, SAMPLE)
+    # the listed functors, then every composite of two that is not one of them
+    functors = {(SAMPLE.ends(u), u.key()): name for name, u in sorted(SAMPLE.functors.items())}
+    composites = {}
+    for n2, n1 in SAMPLE.composable_functor_pairs():
+        vu = compose_functors(SAMPLE.functors[n2], SAMPLE.functors[n1])
+        if (SAMPLE.ends(vu), vu.key()) not in functors:
+            composites.setdefault((SAMPLE.ends(vu), vu.key()), (vu, (n2, n1)))
+    assert len(composites) == 218
+    cases = [(SAMPLE.functors[name], name) for name in functors.values()]
+    for u, label in cases + list(composites.values()):
+        assert D.on_functor(u).key() == per_cell_restriction(D, u).key(), label
+
+
+def plan_of(D, u):
+    """The sample's restriction plan of u between D's exponentials."""
+    return D.sample.restriction(u, *(D.data(end) for end in D.sample.ends(u)))
+
+
+def test_restriction_plans_are_built_once_per_sample():
+    sample = standard_sample()
+    D1, D2 = (HoPrederivator(Q, sample) for Q in (nerve(poset_simplex(1), 3),
+                                                   nerve(group_z2(), 3)))
+    for u in sample.functors.values():
+        D1.on_functor(u)
+    built = dict(sample._restrictions)
+    assert len(built) == len({(sample.ends(u), u.key()) for u in sample.functors.values()})
+    # the second base builds none: it restricts through the first one's plans
+    for u in sample.functors.values():
+        D2.on_functor(u)
+        assert plan_of(D2, u) is plan_of(D1, u)
+    assert sample._restrictions == built
+    # a composite is a functor like any other: one more plan, for both bases
+    ds = compose_functors(sample.functors["d1_[2]"], sample.functors["s0_[2]"])
+    D1.on_functor(ds)
+    D2.on_functor(ds)
+    assert len(sample._restrictions) == len(built) + 1
+    # a fresh sample builds its own
+    D3 = HoPrederivator(nerve(poset_simplex(1), 3), standard_sample())
+    D3.on_functor(D3.sample.functors["d0_[2]"])
+    mine, theirs = plan_of(D3, D3.sample.functors["d0_[2]"]), plan_of(D1, sample.functors["d0_[2]"])
+    assert mine is not theirs and mine.plans == theirs.plans
+    # and the sample frees them with itself
+    refs = [weakref.ref(plan) for plan in sample._restrictions.values()]
+    del sample, D1, D2, built, theirs
+    gc.collect()
+    assert all(r() is None for r in refs)
 
 
 class TestDerAudits:
@@ -292,6 +350,13 @@ class TestStrictMorphisms:
         morphisms = enumerate_strict_morphisms(d_point, d_interval)
         assert len(morphisms) == 2  # one per vertex of the interval
 
+    def test_enumeration_steps(self, d_point, d_interval, d_z2):
+        # the steps of the search alone: the prederivators charge their own budgets
+        for D1, D2, count, steps in [(d_point, d_interval, 2, 594), (d_z2, d_z2, 2, 8295)]:
+            budget = Budget()
+            assert len(enumerate_strict_morphisms(D1, D2, budget)) == count
+            assert budget.used == steps
+
     def test_all_enumerated_are_strict(self, d_point, d_interval):
         for F in enumerate_strict_morphisms(d_point, d_interval):
             assert check_strict(F).ok
@@ -316,6 +381,16 @@ class TestStrictMorphisms:
         report = check_strict(mixed)
         assert not report.ok
         assert "component square at functor ![0]+[0] does not commute" in report.violations
+
+    def test_components_agreeing_on_objects_only_are_detected(self, d_z2):
+        # HO(N(z2))([0]) is z2: the identity and the collapse of HO(N(z2))
+        # agree there on the one object and differ on the morphism
+        identity, collapse = enumerate_strict_morphisms(d_z2, d_z2)
+        assert identity.at("[0]").ob == collapse.at("[0]").ob
+        mixed = StrictMorphism(d_z2, d_z2, {**identity.components, "[0]": collapse.at("[0]")})
+        report = check_strict(mixed)
+        assert "component square at functor ![1] does not commute" in report.violations
+        assert not check_strict(collapse).violations
 
 
 class TestModifications:
