@@ -35,13 +35,24 @@ id x σj compiled into index plans.  Every exponential over S shares it:
 the exponentials of a prederivator over one sample share the sample's
 nerves, and a base's mapping spaces share the base's Δ1.  Building a
 frame charges no steps, as building a product never did.
+
+The base side is coded.  An exponential works over T truncated at the
+working level, which T keeps, so all exponentials of T there share its
+level tables (see :mod:`qcatkit.simplicial`).  A level-n map is kept as
+its code tuple: the search returns code tuples, the degenerate cells and
+faces are gathered over them, and the transposition reads a path object's
+maps through its per-level table from codes of T^{Δn} to code tuples
+(``Exponential.code_rows``).  So cells are keyed by code tuples;
+``cell_map`` decodes a cell's map on first use and ``locate`` encodes the
+map it is given.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .cats import Functor
 from .nerve import HoPresentation, QcatReport, ho, require_quasicategory
@@ -54,6 +65,7 @@ from .simplicial import (
     enumerate_maps,
     horn,
     insert_letter,
+    map_codes,
     product,
     standard_simplex,
 )
@@ -96,11 +108,18 @@ class Exponential:
     canonical order; ``cell_map`` recovers the underlying map, and ``ho``
     is the homotopy category of the presented quasicategory.
 
+    A level-n map is kept as its code tuple (the module docstring of
+    :mod:`qcatkit.simplicial`) over the level tables of ``T_t``, T
+    truncated at the working level and shared with every exponential of T
+    there.  ``to_expr[n]`` maps the code tuple of every level-n map to its
+    cell expression; ``cell_map`` (a :class:`CellMaps`) decodes the map of
+    a nondegenerate cell on first use, and ``locate`` encodes the map it is
+    given.
+
     ``frame`` is S's :class:`ExponentFrame` at the working level, kept on S
     and shared with every other exponential over S; ``S_t`` and
     ``products`` are its.  The faces of a cell and the degenerate cells are
-    read through its plans, which charge no steps.  ``to_expr[n]`` maps
-    the image tuple of every level-n map to its cell expression.
+    read through its plans, which charge no steps.
 
     ``pinned`` maps vertices of S to vertices of T: only the maps sending
     every cell over a pinned vertex v to the degenerate ``pinned[v]`` are
@@ -118,8 +137,15 @@ class Exponential:
         self.k = k
         self.frame = frame = exponent_frame(S, level, k)
         self.S_t, self.products = frame.S_t, frame.products
-        self.T_t = T.truncate(level)
+        self.T_t = T_t = T.truncate(level)
         self.name = name or f"({T.name}^{S.name})"
+        # id x σj as (the gather of the slots, the degeneracy codes of T_t
+        # per cell of S_t x Δn)
+        self._degeneracies = {n: [(_gather(tuple(s for s, _ in plan)),
+                                   tuple(T_t.degeneracy_codes(w, P.dim_of[x] - len(w))
+                                         for x, (_, w) in zip(P.cells, plan)))
+                                  for plan in frame.degeneracies[n]]
+                              for n, P in self.products.items() if n}
 
         # a path object is an exponential, so it exists only at levels 2..3;
         # up to L + 1 vertices currying cannot pay (module docstring)
@@ -130,51 +156,55 @@ class Exponential:
                 fixed = None if pinned is None else {
                     pid: SimplexExpr(full_degeneracy(len(e1.word)), pinned[e1.base])
                     for pid, (e1, _) in P.pair_of.items() if e1.base in pinned}
-                raw[n] = enumerate_maps(P, self.T_t, budget, fixed=fixed)
+                raw[n] = map_codes(P, T_t, budget, fixed)
             else:
-                path = path_object(T, self.products[n].right, level, budget)
+                path = path_object(T, P.right, level, budget)
                 raw[n] = self._curried_maps(n, path, budget)
         self.to_expr: dict = {}
-        self.cell_map: dict = {}
+        cells = {}
         levels = {}
         for n in range(k + 1):
             known = self.to_expr[n] = {}
             # the degenerate cells are the s_j of the cells one level down;
             # the pins survive the collapse, so level n enumerated them all
-            for mu in raw.get(n - 1, ()):
-                inner = self.to_expr[n - 1][mu.images]
-                for j in range(n):
-                    key = frame.degenerate(self.T_t, mu.images, n, j)
+            for codes in raw.get(n - 1, ()):
+                inner = self.to_expr[n - 1][codes]
+                for j, plan in enumerate(self._degeneracies.get(n, ())):
+                    key = _degenerate(codes, plan)
                     if key not in known:
                         known[key] = SimplexExpr(insert_letter(j, inner.word), inner.base)
             # raw[n] is in canonical order, so the cell ids follow it
             levels[n] = []
-            for mu in raw[n]:
-                if mu.images not in known:
+            for codes in raw[n]:
+                if codes not in known:
                     cid = f"c{n}_{len(levels[n])}"
                     levels[n].append(cid)
-                    self.cell_map[cid] = mu
-                    known[mu.images] = SimplexExpr((), cid)
+                    cells[cid] = (n, codes)
+                    known[codes] = SimplexExpr((), cid)
         faces = {}
         for n in range(1, k + 1):
             below = self.to_expr[n - 1]
             for cid in levels[n]:
-                images = self.cell_map[cid].images
+                codes = cells[cid][1]
                 for i, face in enumerate(frame.faces[n]):
-                    faces[(cid, i)] = below[face(images)]
+                    faces[(cid, i)] = below[face(codes)]
+        self.cell_map = CellMaps(self.products, T_t, cells)
         cert = T.coskeletal_from if T.coskeletal_from <= k else None
         self.sset = TruncatedSSet(k, levels, faces, cert, self.name)
+        self._code_rows: dict = {}
+        self._encoders: dict = {}
 
     def _curried_maps(self, n: int, path: Exponential, budget: Budget) -> list:
-        """Level n as the transposes of the maps S -> T^{Δn}, canonically ordered.
+        """Level n as the transposes of the maps S -> T^{Δn}, as sorted code tuples.
 
         The image of a cell (e1|e2) at level m is the image of ν(e1) at the
         cell (e2|ι_m) of Δn x Δm.
         """
         P = self.products[n]
         slot = self.S_t.cell_index
-        # per cell x of S, the cells (e1|e2) of P with e1 over x, as
-        # (e1's word, position of (e2|ι_m)); and where each cell of P went
+        # per cell x of S, the cells (e1|e2) of P with e1 over x, as (the
+        # codes of e1's word at x's level, the maps of the path object's
+        # level m, position of (e2|ι_m)); and where each cell of P went
         over = [[] for _ in slot]
         went = []
         for pid in P.cells:
@@ -183,34 +213,44 @@ class Exponential:
             Q = path.products[m]
             cells = over[slot[e1.base]]
             went.append((slot[e1.base], len(cells)))
-            cells.append((e1.word, Q.cell_index[Q.id_of_pair[(e2, SimplexExpr((), top_cell(m)))]]))
+            cells.append((path.sset.degeneracy_codes(e1.word, m - len(e1.word)),
+                          path.code_rows(m),
+                          Q.cell_index[Q.id_of_pair[(e2, SimplexExpr((), top_cell(m)))]]))
         # an image tuple is the parts over the cells of S laid end to end, reordered
         start = [0]
         for cells in over:
             start.append(start[-1] + len(cells))
         reorder = itemgetter(*(start[s] + i for s, i in went))
-        images_of, degenerate = path.images_of, path.sset.degenerate
-        parts = [{} for _ in over]  # per cell x of S: image of x -> the part over x
+        parts = [{} for _ in over]  # per cell x of S: code of x's image -> the part over x
 
-        def part(s, x):
-            made = parts[s][x] = tuple(images_of[degenerate(w, x) if w else x][at]
-                                       for w, at in over[s])
+        def part(s, y):
+            made = parts[s][y] = tuple([rows[codes[y]][at] for codes, rows, at in over[s]])
             return made
 
-        maps = []
-        for nu in enumerate_maps(self.S_t, path.sset, budget):
-            flat = tuple(chain.from_iterable(
-                known.get(x) or part(s, x) for s, (known, x) in enumerate(zip(parts, nu.images))))
-            maps.append(SimplicialMap(P, self.T_t, reorder(flat)))
-        maps.sort(key=SimplicialMap.key)
+        maps = [reorder(tuple(chain.from_iterable(
+                    known.get(y) or part(s, y) for s, (known, y) in enumerate(zip(parts, nu)))))
+                for nu in map_codes(self.S_t, path.sset, budget)]
+        maps.sort()
         return maps
 
     # -- public queries -----------------------------------------------------
 
+    def code_rows(self, n: int) -> list:
+        """Per code of ``sset.table(n)``, the code tuple of its map."""
+        rows = self._code_rows.get(n)
+        if rows is None:
+            code = self.sset.table(n).code
+            rows = self._code_rows[n] = [None] * len(code)
+            for key, e in self.to_expr[n].items():
+                rows[code[e]] = key
+        return rows
+
     @cached_property
     def images_of(self) -> dict:
         """The image tuple of the underlying map of every cell expression."""
-        return {e: key for known in self.to_expr.values() for key, e in known.items()}
+        decode = self.cell_map.decode
+        return {e: decode(n, key).images for n, known in self.to_expr.items()
+                for key, e in known.items()}
 
     @cached_property
     def ho(self) -> HoPresentation:
@@ -218,21 +258,29 @@ class Exponential:
 
     def locate(self, mu: SimplicialMap) -> SimplexExpr:
         # mu comes out of S x Δn: its level is read off the simplex factor
-        e = self.to_expr.get(len(mu.source.right.nondeg(0)) - 1, {}).get(mu.key())
+        n = len(mu.source.right.nondeg(0)) - 1
+        e = None
+        if n in self.to_expr:
+            encoders = self._encoders.get(n)
+            if encoders is None:
+                P = self.products[n]
+                encoders = self._encoders[n] = [self.T_t.table(P.dim_of[x]).code
+                                                for x in P.cells]
+            if len(mu.images) == len(encoders):
+                e = self.to_expr[n].get(tuple(map(dict.get, encoders, mu.images)))
         if e is None:
             raise KeyError(f"map is not a cell of {self.name}")
         return e
 
     def map_of(self, e: SimplexExpr) -> SimplicialMap:
         """The underlying map of an arbitrary cell expression."""
-        mu = self.cell_map[e.base]
         if not e.word:
-            return mu
-        n, images = self.sset.dim_of[e.base], mu.images
+            return self.cell_map[e.base]
+        n, codes = self.cell_map.codes[e.base]
         for j in reversed(e.word):
             n += 1
-            images = self.frame.degenerate(self.T_t, images, n, j)
-        return SimplicialMap(self.products[n], self.T_t, images)
+            codes = _degenerate(codes, self._degeneracies[n][j])
+        return self.cell_map.decode(n, codes)
 
     def evaluate_at_vertex(self, mu: SimplicialMap, v: str, n: int) -> SimplexExpr:
         """Restrict a level-n cell along an exponent vertex: an n-simplex of T."""
@@ -242,6 +290,49 @@ class Exponential:
         return mu.apply(e)
 
 
+class CellMaps(Mapping):
+    """The underlying maps of an exponential's nondegenerate cells.
+
+    ``codes`` sends each cell id to its level and code tuple; a map is
+    decoded on first use and kept.  Holds the products and the truncated
+    base, never the exponential, so that it keeps nothing else alive.
+    """
+
+    def __init__(self, products: dict, T: TruncatedSSet, codes: dict):
+        self.products = products
+        self.target = T
+        self.codes = codes
+        self._decoders: dict = {}
+        self._maps: dict = {}
+
+    def decode(self, n: int, codes: tuple) -> SimplicialMap:
+        """The level-n map with the given code tuple."""
+        P = self.products[n]
+        decoders = self._decoders.get(n)
+        if decoders is None:
+            decoders = self._decoders[n] = [self.target.table(P.dim_of[x]).cells
+                                            for x in P.cells]
+        return SimplicialMap(P, self.target, tuple(map(getitem, decoders, codes)))
+
+    def __getitem__(self, cid: str) -> SimplicialMap:
+        mu = self._maps.get(cid)
+        if mu is None:
+            mu = self._maps[cid] = self.decode(*self.codes[cid])
+        return mu
+
+    def __iter__(self):
+        return iter(self.codes)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+def _degenerate(codes: tuple, plan: tuple) -> tuple:
+    """The code tuple of s_j mu, for mu by its codes and id x σj by its coded plan."""
+    gather, ups = plan
+    return tuple(map(getitem, ups, gather(codes)))
+
+
 class ExponentFrame:
     """The exponent side of T^S at one working level and height k.
 
@@ -249,8 +340,8 @@ class ExponentFrame:
     n <= k.  The shape maps id x δi: S_t x Δ(n-1) -> S_t x Δn and
     id x σj: S_t x Δn -> S_t x Δ(n-1) are compiled into index plans over
     the canonical cell orders.  id x δi sends nondegenerate cells to
-    nondegenerate cells, so ``faces[n][i]`` picks the image tuple of the
-    i-th face of a level-n map straight out of the map's image tuple;
+    nondegenerate cells, so ``faces[n][i]`` picks the image tuple (or the
+    code tuple) of the i-th face of a level-n map straight out of the map's;
     ``degeneracies[n][j]`` lists, per cell of S_t x Δn, the slot and the
     degeneracy word of its image under id x σj.  Built once per exponent,
     level and height by :func:`exponent_frame`; building it charges no steps.
@@ -272,10 +363,6 @@ class ExponentFrame:
         Pm, Pn = self.products[m], self.products[n]
         dm = delta_map(alpha, m, n, max(m, n, Pm.right.dim_bound, Pn.right.dim_bound))
         return slot_plan(Pm.map_pairs(Pn, lambda e1, e2: Pn.pair_expr(e1, dm.apply(e2))))
-
-    def degenerate(self, T: TruncatedSSet, images: tuple, n: int, j: int) -> tuple:
-        """The image tuple of s_j mu, for mu: S_t x Δ(n-1) -> T given by its images."""
-        return precompose(T, images, self.degeneracies[n][j])
 
 
 def slot_plan(f: SimplicialMap) -> tuple:
@@ -551,12 +638,13 @@ def lift_square(Q: TruncatedSSet, square: Square, f: SimplexExpr, g: SimplexExpr
     x00 = Q.vertices(f)[0]
     degenerate = SimplexExpr((0,), x00)
     want = (d1b, d1a, degenerate)
-    cands = Q.by_faces(2).get(want, [])
+    code = Q.table(1).code
+    cands = Q.by_faces(2).get(tuple(code[e] for e in want), [])
     budget.spend(1)
     if not cands:
         raise ValueError("square lifting failed at step homotopy c: the composites "
                          f"{d1a.token()} and {d1b.token()} admit no one-step homotopy")
-    c = cands[0]
+    c = Q.table(2).cells[cands[0]]
     steps["c"] = c
     s0f = SimplexExpr(insert_letter(0, f.word), f.base)
     H = horn_map_from_faces(3, 1, {0: b, 2: c, 3: s0f}, Q)

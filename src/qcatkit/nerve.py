@@ -200,31 +200,42 @@ class QcatReport:
                 self.unique_fillers = False
 
 
+def _token_order(S: TruncatedSSet, n: int) -> list:
+    """The codes of the n-simplices in ``total`` order, the order reports use."""
+    code = S.table(n).code
+    return [code[e] for e in S.total(n)]
+
+
 def _check_level2_horn(S: TruncatedSSet, report: QcatReport, budget: Budget) -> None:
     """Inner 2-horns without the generic map enumeration.
 
     A map from the 2-horn is exactly a composable pair of edges; a filler
-    is a 2-simplex with those outer faces.
+    is a 2-simplex with those outer faces.  Runs over the face rows of the
+    level tables.
     """
+    edges = S.table(1)
+    order = _token_order(S, 1)
+    # an edge's face row is (d_0, d_1): its final, then its initial vertex
     by_source: dict = {}
-    for e in S.total(1):
-        by_source.setdefault(S.edge_endpoints(e)[0], []).append(e)
+    for f in order:
+        by_source.setdefault(edges.faces[f][1], []).append(f)
     fillers: dict = {}
-    for sigma in S.total(2):
+    for d0, _, d2 in S.table(2).faces:
         budget.spend()
-        key = (S.face(sigma, 2), S.face(sigma, 0))
+        key = (d2, d0)
         fillers[key] = fillers.get(key, 0) + 1
     count = 0
     unique = True
-    for f in S.total(1):
-        for g in by_source.get(S.edge_endpoints(f)[1], ()):
+    for f in order:
+        for g in by_source.get(edges.faces[f][0], ()):
             budget.spend()
             count += 1
             hits = fillers.get((f, g), 0)
             if hits == 0:
                 report.ok = False
                 if report.witness is None:
-                    report.witness = f"horn(2,1) d2={f.token()} d0={g.token()}"
+                    report.witness = (f"horn(2,1) d2={edges.cells[f].token()} "
+                                      f"d0={edges.cells[g].token()}")
             if hits != 1:
                 unique = False
     report.by_horn[(2, 1)] = (count, unique)
@@ -272,18 +283,23 @@ def _is_degenerate_edge(S: TruncatedSSet, e: SimplexExpr) -> bool:
     return len(e.word) == 1 and S.dim_of[e.base] == 0
 
 
-def homotopy_classes(Q: TruncatedSSet) -> dict:
-    """Map each 1-simplex to the canonical representative of its class."""
-    uf = UnionFind(e for e in Q.total(1))
-    for sigma in Q.total(2):
-        d0 = Q.face(sigma, 0)
-        d1 = Q.face(sigma, 1)
-        d2 = Q.face(sigma, 2)
-        if _is_degenerate_edge(Q, d2):
+def _class_codes(Q: TruncatedSSet) -> dict:
+    """Per level-1 code, in ``total`` order, the code of its class's
+    representative: the minimal code, so the minimal simplex."""
+    uf = UnionFind(_token_order(Q, 1))
+    degenerate = set(Q.degeneracy_codes((0,), 0))
+    for d0, d1, d2 in Q.table(2).faces:
+        if d2 in degenerate:
             uf.union(d0, d1)
-        if _is_degenerate_edge(Q, d0):
+        if d0 in degenerate:
             uf.union(d1, d2)
     return uf.classes()
+
+
+def homotopy_classes(Q: TruncatedSSet) -> dict:
+    """Map each 1-simplex to the canonical representative of its class."""
+    cells = Q.table(1).cells
+    return {cells[c]: cells[r] for c, r in _class_codes(Q).items()}
 
 
 def one_step_homotopic(Q: TruncatedSSet, f: SimplexExpr, g: SimplexExpr) -> bool:
@@ -336,13 +352,15 @@ def ho(Q: TruncatedSSet, budget: Budget = None, verified: bool = False) -> HoPre
     """
     if not verified:
         require_quasicategory(Q, budget)
-    classes = homotopy_classes(Q)
+    edges = Q.table(1)
+    tokens = [e.token() for e in edges.cells]
     objects = list(Q.nondeg(0))
     class_map = {}
     reps = {}
-    for e, rep in classes.items():
-        class_map[e.token()] = rep.token()
-        reps.setdefault(rep.token(), rep)
+    cls = [None] * len(tokens)  # per level-1 code, its morphism id
+    for c, r in _class_codes(Q).items():
+        cls[c] = class_map[tokens[c]] = tokens[r]
+        reps.setdefault(tokens[r], edges.cells[r])
     morphisms = {}
     identities = {}
     for mid, rep in reps.items():
@@ -352,11 +370,12 @@ def ho(Q: TruncatedSSet, budget: Budget = None, verified: bool = False) -> HoPre
         degenerate = SimplexExpr((0,), x)
         identities[x] = class_map[degenerate.token()]
     compose = {}
-    for sigma in Q.total(2):
-        f = class_map[Q.face(sigma, 2).token()]
-        g = class_map[Q.face(sigma, 0).token()]
-        h = class_map[Q.face(sigma, 1).token()]
-        if f in identities.values() or g in identities.values():
+    units = set(identities.values())
+    faces = Q.table(2).faces
+    for sigma in _token_order(Q, 2):
+        d0, d1, d2 = faces[sigma]
+        f, g, h = cls[d2], cls[d0], cls[d1]
+        if f in units or g in units:
             continue
         prev = compose.get((g, f))
         if prev is None:

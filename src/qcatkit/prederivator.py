@@ -21,11 +21,13 @@ the morphism alone, and a functor out of the sample is a ``ClosureError``.
 
 What depends on the shapes alone is built once per sample, not once per
 base: the sample owns its members' nerves (and through them the exponent
-frames) and the restriction plans, which compile N(u) x Δl into index
-plans over the frames' cell orders, so u* of every base over the sample
-is one gather per cell.  The strict-morphism search likewise builds each
-listed functor's fibre tables once per call, and the functor search out
-of a category follows the category's own ``search_plan``.
+frames), the restriction plans, which compile N(u) x Δl into index plans
+over the frames' cell orders, so u* of every base over the sample is one
+gather per cell, and likewise the transports through the mates of the
+listed 2-cells, so a component of alpha* is one gather too.  The
+strict-morphism search likewise builds each listed functor's fibre tables
+once per call, and the functor search out of a category follows the
+category's own ``search_plan``.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from .simplicial import (
     SimplicialMap,
     TruncatedSSet,
     ValidationReport,
-    compose_maps,
     enumerate_maps,
     product,
     simplicial_action,
@@ -96,7 +97,8 @@ class DiaSample:
     The sample owns its members' nerves (``nerve``), so every exponential
     over one member shares one nerve and with it one exponent frame, and
     the restriction plans of the listed functors and their composites
-    (``restriction``), so every base over the sample shares those too.
+    (``restriction``) and the transports of the natural transformations
+    (``transport``), so every base over the sample shares those too.
     """
 
     def __init__(self, name="sample"):
@@ -113,6 +115,7 @@ class DiaSample:
         self.order: list[str] = []
         self._nerves: dict[str, TruncatedSSet] = {}
         self._restrictions: dict = {}
+        self._transports: dict = {}
 
     def add_category(self, name: str, C: FiniteCategory) -> FiniteCategory:
         if name in self.categories:
@@ -158,6 +161,28 @@ class DiaSample:
         if plan is None:
             plan = self._restrictions[key] = Restriction(
                 nerve_map(u, dj.exponent, dk.exponent), dj.products, dk.products)
+        return plan
+
+    def transport(self, alpha: NatTransf, dj: Exponential, dk: Exponential) -> tuple:
+        """N(J) x Δ1 -> N(K) x Δ0 through the mate of alpha: J x [1] -> K, as
+        the :func:`qcatkit.mapping.slot_plan` over the frames of dj (over
+        N(J)) and dk (over N(K)); built once per transformation and pair of
+        frames.  A vertex mu of Q^{N(K)} is sent to the level-1 cell of
+        Q^{N(J)} with image tuple ``precompose(T, mu.images, plan)``."""
+        key = (alpha.key(), dj.frame, dk.frame)
+        plan = self._transports.get(key)
+        if plan is None:
+            mate = _mate_functor(alpha, dj.exponent.cat, dk.exponent.cat)
+            NJxI = nerve(mate.source, 2)
+            nmate = nerve_map(mate, NJxI, dk.exponent)
+            interval_nerve = nerve(poset_simplex(1), 2)
+            P_JI = product(dj.exponent, interval_nerve)
+            compare = nerve_product_compare_inv(P_JI, NJxI)
+            Pj, Pk = dj.products[1], dk.products[0]
+            shape_to_nerve = chain_shape_iso(Pj.right, interval_nerve)
+            plan = self._transports[key] = slot_plan(Pj.map_pairs(Pk, lambda e1, e2: Pk.pair_expr(
+                nmate.apply(compare.apply(P_JI.pair_expr(e1, shape_to_nerve.apply(e2)))),
+                SimplexExpr(full_degeneracy(Pj.left.expr_dim(e1)), "0"))))
         return plan
 
     def add_unit_functors(self) -> None:
@@ -451,25 +476,13 @@ class HoPrederivator(Prederivator):
             f"{self.name}({u.name})*")
 
     def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
-        u, v = alpha.source, alpha.target
-        J = self.sample.cat(src)
-        K = self.sample.cat(dst)
-        ustar = self.on_functor(u)
-        vstar = self.on_functor(v)
+        ustar = self.on_functor(alpha.source)
+        vstar = self.on_functor(alpha.target)
         dj, dk = self._data[src], self._data[dst]
-        mate = _mate_functor(alpha, J, K)
-        NJxI = nerve(mate.source, 2)
-        nmate = nerve_map(mate, NJxI, dk.exponent)
-        interval_nerve = nerve(poset_simplex(1), 2)
-        P_JI = product(dj.exponent, interval_nerve)
-        compare = nerve_product_compare_inv(P_JI, NJxI)
-        Pj, Pk = dj.products[1], dk.products[0]
-        shape_to_nerve = chain_shape_iso(Pj.right, interval_nerve)
-        # N(J) x Δ1 -> N(K) x Δ0 through the mate; each component precomposes it
-        transport = Pj.map_pairs(Pk, lambda e1, e2: Pk.pair_expr(
-            nmate.apply(compare.apply(P_JI.pair_expr(e1, shape_to_nerve.apply(e2)))),
-            SimplexExpr(full_degeneracy(Pj.left.expr_dim(e1)), "0")))
-        comps = {c: dj.ho.cls(dj.locate(compose_maps(dk.cell_map[c], transport)))
+        # each component precomposes the sample's transport through the mate
+        plan, T = self.sample.transport(alpha, dj, dk), dk.T_t
+        comps = {c: dj.ho.cls(dj.locate(SimplicialMap(
+                     dj.products[1], T, precompose(T, dk.cell_map[c].images, plan))))
                  for c in dk.ho.category.objects}
         return NatTransf(ustar, vstar, comps, f"{self.name}({alpha.name})*")
 

@@ -12,6 +12,19 @@ A simplicial map is the tuple of the images of the source's cells in that
 order, so two maps out of the same source compare, sort and hash as their
 image tuples.
 
+Each level also has a coded table (``TruncatedSSet.table``), built once and
+kept on the set: the n-simplices, degenerate ones included, sorted as
+``SimplexExpr``s, so that the code of a simplex is its position; and each
+simplex's faces as a row of codes one level down.  The set also keeps, per
+degeneracy word and level, the codes of the degenerate simplices
+(``degeneracy_codes``), and for the levels a map search targets, an index
+of codes by face row (``by_faces``).  Every slot of an image tuple holds a
+simplex of one fixed level, the dimension of its source cell, and codes
+follow the order of the simplices they name; so a map coded slot by slot
+compares, sorts and hashes as its image tuple does.  The map search
+(:func:`map_codes`) and the exponentials of :mod:`qcatkit.mapping` run
+over such code tuples and decode them only where a map is asked for.
+
 Conventions:
     * ``d_i`` forgets the i-th vertex, so for an edge ``f`` the face
       ``d_1 f`` is its initial vertex and ``d_0 f`` its final vertex.
@@ -24,9 +37,24 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .util import Budget, ensure_budget
+
+
+class LevelTable(NamedTuple):
+    """One level of a set, coded.
+
+    ``cells`` lists the n-simplices, degenerate ones included, in
+    ``SimplexExpr`` order: the code of a simplex is its position, and
+    ``code`` maps it back.  ``faces[c]`` holds the codes of d_0 .. d_n of the
+    simplex with code c at level n - 1; it is empty at level 0.
+    """
+
+    cells: tuple
+    code: dict
+    faces: tuple
 
 
 class SimplexExpr(NamedTuple):
@@ -220,8 +248,13 @@ class TruncatedSSet:
         self._totals: dict[int, list] = {}
         self._face_cache: dict = {}
         self._vertex_cache: dict = {}
-        self._face_index: dict = {}
         self._degeneracies: dict = {}
+        # level -> LevelTable; level -> codes by face row; (word, level) -> codes
+        self._tables: dict = {}
+        self._face_index: dict = {}
+        self._degeneracy_codes: dict = {}
+        # level -> this set truncated there, see truncate
+        self._truncations: dict = {}
         # (n, level) -> this set's path object T^{Δn}, see mapping.path_object
         self._path_objects: dict = {}
         # (level, k) -> this set's exponent frame, see mapping.exponent_frame
@@ -292,15 +325,62 @@ class TruncatedSSet:
     def total_count(self, n: int) -> int:
         return len(self.total(n))
 
+    def table(self, n: int) -> LevelTable:
+        """Level n coded, built once (see the module docstring).
+
+        The face row of a nondegenerate simplex is read off ``faces``; that
+        of s_j y, y one level down, follows from y's row by the simplicial
+        identities d_i s_j = s_{j-1} d_i (i < j), id (i = j, j + 1) and
+        s_j d_{i-1} (i > j + 1).
+        """
+        hit = self._tables.get(n)
+        if hit is None:
+            cells = tuple(sorted(self.total(n)))
+            faces: tuple = ((),) * len(cells)
+            if n:
+                below = self.table(n - 1)
+                faces = tuple(self._face_row(e, n, below) for e in cells)
+            hit = self._tables[n] = LevelTable(cells, {e: c for c, e in enumerate(cells)}, faces)
+        return hit
+
+    def _face_row(self, e: SimplexExpr, n: int, below: LevelTable) -> tuple:
+        code = below.code
+        if not e.word:
+            return tuple(code[self.faces[(e.base, i)]] for i in range(n + 1))
+        j = e.word[0]
+        y = code[SimplexExpr(e.word[1:], e.base)]
+        if n == 1:
+            return (y, y)
+        fy = below.faces[y]
+        return tuple(self.degeneracy_codes((j - 1,), n - 2)[fy[i]] if i < j
+                     else y if i <= j + 1
+                     else self.degeneracy_codes((j,), n - 2)[fy[i - 1]]
+                     for i in range(n + 1))
+
     def by_faces(self, n: int) -> dict:
-        """Index of n-simplices by their face tuple (d_0, ..., d_n)."""
-        if n not in self._face_index:
-            index: dict = {}
+        """The codes of the n-simplices by face row, each list in ``total`` order."""
+        index = self._face_index.get(n)
+        if index is None:
+            table = self.table(n)
+            index = self._face_index[n] = {}
             for e in self.total(n):
-                key = tuple(self.face(e, i) for i in range(n + 1))
-                index.setdefault(key, []).append(e)
-            self._face_index[n] = index
-        return self._face_index[n]
+                c = table.code[e]
+                index.setdefault(table.faces[c], []).append(c)
+        return index
+
+    def degeneracy_codes(self, word: tuple, m: int):
+        """Per level-m code, the code of the degenerate simplex ``word`` makes of it."""
+        key = (word, m)
+        hit = self._degeneracy_codes.get(key)
+        if hit is None:
+            cells = self.table(m).cells
+            if word:
+                up = self.table(m + len(word)).code
+                hit = tuple(up[SimplexExpr(compose_words(word, e.word), e.base)] for e in cells)
+            else:
+                hit = range(len(cells))
+            self._degeneracy_codes[key] = hit
+        return hit
 
     def face(self, e: SimplexExpr, i: int) -> SimplexExpr:
         """Apply d_i to a simplex expression, renormalizing."""
@@ -350,15 +430,19 @@ class TruncatedSSet:
         return v[0], v[1]
 
     def truncate(self, c: int) -> "TruncatedSSet":
+        """This set truncated at max(c, 2), built once per level and kept here."""
         c = max(c, 2)
         if c >= self.dim_bound:
             return self
-        levels = {n: self.levels[n] for n in range(c + 1)}
-        faces = {(x, i): f for (x, i), f in self.faces.items() if self.dim_of[x] <= c}
-        cert = self.coskeletal_from
-        if cert is not None:
-            cert = min(cert, c)
-        return TruncatedSSet(c, levels, faces, cert, self.name)
+        hit = self._truncations.get(c)
+        if hit is None:
+            levels = {n: self.levels[n] for n in range(c + 1)}
+            faces = {(x, i): f for (x, i), f in self.faces.items() if self.dim_of[x] <= c}
+            cert = self.coskeletal_from
+            if cert is not None:
+                cert = min(cert, c)
+            hit = self._truncations[c] = TruncatedSSet(c, levels, faces, cert, self.name)
+        return hit
 
     # -- validation -------------------------------------------------------
 
@@ -725,54 +809,90 @@ def _assignment_order(S: TruncatedSSet) -> list:
     return order
 
 
+def map_codes(S: TruncatedSSet, T: TruncatedSSet, budget: Budget, fixed=None) -> list:
+    """The simplicial maps S -> T as code tuples, sorted, so canonically ordered.
+
+    The entry at a cell's slot in ``S.cells`` is the code of its image in
+    ``T.table(n)``, n the cell's dimension.  ``fixed`` pre-assigns images,
+    as ``SimplexExpr``s, to some cells of S; consistency with faces is still
+    enforced, and an image that is no simplex of the cell's dimension admits
+    no map.  Each vertex or pinned cell charges one step, each lookup of the
+    candidates by face row one plus their number.
+    """
+    fixed = fixed or {}
+    spend = budget.spend
+    vertices = range(len(T.table(0).cells))
+    # per cell in placement order: its slot; then the getter of the slots
+    # of its faces and their degeneracy codes (None when every face word
+    # is empty), the code pinned or None (-1 for no simplex), and T's face
+    # rows (pinned) or face index at the cell's level; a vertex has no faces
+    slots, steps = [], []
+    for x, slot, n, faces in S.search_plan:
+        pinned = fixed.get(x)
+        if pinned is not None:
+            pinned = T.table(n).code.get(pinned, -1)
+        slots.append(slot)
+        if not n:
+            steps.append((None, None, pinned, None))
+            continue
+        codes = tuple(T.degeneracy_codes(w, n - 1 - len(w)) for w, _ in faces)
+        steps.append((itemgetter(*(s for _, s in faces)),
+                      codes if any(w for w, _ in faces) else None, pinned,
+                      T.table(n).faces if pinned is not None else T.by_faces(n)))
+    assign = [None] * len(S.cells)
+
+    def candidates(pos):
+        pick, codes, pinned, lookup = steps[pos]
+        if pick is None:
+            spend()
+            if pinned is None:
+                return vertices
+            return (pinned,) if pinned >= 0 else ()
+        required = pick(assign)
+        if codes is not None:
+            required = tuple(map(getitem, codes, required))
+        if pinned is not None:
+            spend()
+            return (pinned,) if pinned >= 0 and lookup[pinned] == required else ()
+        out = lookup.get(required, ())
+        spend(1 + len(out))
+        return out
+
+    total = len(steps)
+    if total == 0:
+        return [()]
+    results = []
+    # explicit stack: sources can have more cells than the recursion limit
+    stack = [iter(candidates(0))]
+    last = total - 1
+    while stack:
+        pos = len(stack) - 1
+        cand = next(stack[-1], None)
+        if cand is None:
+            stack.pop()
+        elif pos == last:
+            assign[slots[pos]] = cand
+            results.append(tuple(assign))
+        else:
+            assign[slots[pos]] = cand
+            stack.append(iter(candidates(pos + 1)))
+    results.sort()
+    return results
+
+
 def enumerate_maps(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None,
                    fixed=None) -> list:
     """The complete set of simplicial maps S -> T, canonically ordered.
 
     ``fixed`` pre-assigns images for some nondegenerate simplices of S
     (used for extension problems, see :func:`extensions`); consistency
-    with faces is still enforced.
+    with faces is still enforced.  The search is :func:`map_codes`; this
+    decodes its result.
     """
     budget = ensure_budget(budget, f"maps {S.name} -> {T.name}")
-    fixed = fixed or {}
-    results = []
-    assign = [None] * len(S.cells)
-    degenerate = T.degenerate
-    # per cell: its slot, dimension, faces as (word, slot), fixed image
-    layout = [(slot, n, faces, fixed.get(x)) for x, slot, n, faces in S.search_plan]
-
-    def candidates(n, faces, pinned):
-        if n == 0:
-            budget.spend()
-            return (pinned,) if pinned is not None else T.total(0)
-        required = tuple(degenerate(word, assign[slot]) if word else assign[slot]
-                         for word, slot in faces)
-        if pinned is not None:
-            budget.spend()
-            ok = all(T.face(pinned, i) == required[i] for i in range(n + 1))
-            return (pinned,) if ok else ()
-        out = T.by_faces(n).get(required, ())
-        budget.spend(1 + len(out))
-        return out
-
-    total = len(layout)
-    if total == 0:
-        return [SimplicialMap(S, T, ())]
-    # explicit stack: sources can have more cells than the recursion limit
-    stack = [iter(candidates(*layout[0][1:]))]
-    while stack:
-        pos = len(stack) - 1
-        cand = next(stack[-1], None)
-        if cand is None:
-            stack.pop()
-            continue
-        assign[layout[pos][0]] = cand
-        if pos + 1 == total:
-            results.append(SimplicialMap(S, T, tuple(assign)))
-            continue
-        stack.append(iter(candidates(*layout[pos + 1][1:])))
-    results.sort(key=SimplicialMap.key)
-    return results
+    decode = [T.table(S.dim_of[x]).cells for x in S.cells]
+    return [SimplicialMap(S, T, tuple(map(getitem, decode, codes)))
+            for codes in map_codes(S, T, budget, fixed)]
 
 
 def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):

@@ -1,6 +1,7 @@
 """Exponentials, Kan cores, mapping spaces, and square lifting."""
 
 import gc
+import hashlib
 import random
 import weakref
 
@@ -200,6 +201,56 @@ class TestExponential:
         del T
         gc.collect()
         assert all(r() is None for r in refs)
+
+    def test_exponentials_of_a_base_share_its_truncation(self):
+        T = nerve(poset_simplex(1), 3)
+        S = nerve(coproduct_cat(poset_simplex(1), poset_simplex(1)), 2)
+        first, second = Budget(), Budget()
+        E1 = Exponential(T, S, 2, first)
+        E2 = Exponential(T, nerve(poset_simplex(2), 2), 2)
+        again = Exponential(T, S, 2, second)
+        assert E1.T_t is E2.T_t is again.T_t is T.truncate(2)
+        # steps as recorded before the truncation was kept
+        assert first.used == second.used == 4181
+        ref = weakref.ref(E1.T_t)
+        del T, E1, E2, again
+        gc.collect()
+        assert ref() is None
+
+    def test_cell_maps_decode_without_the_exponential(self):
+        E = Exponential(nerve(group_z2(), 3), nerve(poset_simplex(1), 2), 2)
+        cells = E.cell_map
+        assert sorted(cells) == sorted(x for n in range(3) for x in E.sset.nondeg(n))
+        mu = cells["c1_0"]
+        assert cells["c1_0"] is mu and E.locate(mu) == SimplexExpr((), "c1_0")
+        ref = weakref.ref(E)
+        del E
+        gc.collect()
+        assert ref() is None and cells["c0_0"].validate().ok
+        with pytest.raises(KeyError):
+            Exponential(nerve(poset_simplex(1), 3), standard_simplex(1, 2), 2).locate(mu)
+
+    def test_ids_and_ho_match_the_digests_recorded_before_the_codes(self):
+        # sset_to_text of every level and Ho's canonical key, over the sample
+        sample = standard_sample()
+        recorded = {
+            "delta0": ("eaa74c75030f8b3b35d06c30ed01cd136d6b3b7bf94b5f0e36a862b1678c8dc4",
+                       "46c7efe859fc78acf757b01271f35ac49494737208247c996850d861877dfe56"),
+            "N([1])": ("60cf6b79ffbea1af5700548aed73c89fb6ebb2204c814ca17f174a6a44ca05ae",
+                       "01f3248889901fb2e6b2dd28d6b035d14e9ef262344a37dbe0ff5fa68dd8812a"),
+            "N(E)": ("25c563e7cb4ba4014e943a3b6270bf6f311011613a3419ca0de9ddef1829eb22",
+                     "d0266f97c70727202c02678e311a421333c42e865e577219f99373fc4c4055b8"),
+            "N(z2)": ("ab05ed68699d37af75f456df4fff9a17ef9ef24d81c21357cf902192d7a42b53",
+                      "8bfcc7d7b3b3539ee977e1ab180920fd668042a3fb7862573c084d4559d5ae44"),
+        }
+        bases = {"delta0": standard_simplex(0, 2), "N([1])": nerve(poset_simplex(1), 3),
+                 "N(E)": nerve(contractible_groupoid(), 3), "N(z2)": nerve(group_z2(), 3)}
+        for name, T in bases.items():
+            exps = [Exponential(T, nerve(sample.cat(J), 2), 2) for J in sample.order]
+            texts = "".join(sset_to_text(E.sset) for E in exps)
+            keys = "\n".join(repr(E.ho.category.canonical_key()) for E in exps)
+            assert (hashlib.sha256(texts.encode()).hexdigest(),
+                    hashlib.sha256(keys.encode()).hexdigest()) == recorded[name], name
 
     def test_path_objects_are_built_over_the_frames_simplices(self):
         S = nerve(product_cat(poset_simplex(1), poset_simplex(1)), 2)

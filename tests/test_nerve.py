@@ -42,6 +42,7 @@ from qcatkit.simplicial import (
     horn,
     identity_map,
     product,
+    sset_from_text,
     standard_simplex,
 )
 from qcatkit.util import Budget
@@ -163,6 +164,18 @@ class TestHomotopy:
 
 
 class TestHo:
+    def test_classes_are_listed_in_token_order(self):
+        # vertices named after "s": the degenerate edges' tokens sort first,
+        # while as SimplexExprs (and as codes) they sort last
+        q = sset_from_text("dim 2\ncoskeletal 2\n0: x y\n1: xy\nface xy 0 = [] y\n"
+                           "face xy 1 = [] x\n", "interval")
+        tokens = [e.token() for e in q.total(1)]
+        assert tokens != [e.token() for e in sorted(q.total(1))]
+        pres = ho(q)
+        assert list(pres.class_map) == tokens
+        assert list(homotopy_classes(q)) == q.total(1)
+        assert pres.class_map == {"s0.x": "s0.x", "s0.y": "s0.y", "xy": "xy"}
+
     def test_counit_is_isomorphism(self):
         for cat in [poset_simplex(0), poset_simplex(2), boundary_two(),
                     group_z2(), contractible_groupoid()]:

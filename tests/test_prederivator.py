@@ -229,6 +229,37 @@ def test_restriction_plans_are_built_once_per_sample():
     assert all(r() is None for r in refs)
 
 
+def test_on_nat_transports_are_built_once_per_sample():
+    sample = standard_sample()
+    D1, D2 = (HoPrederivator(Q, sample) for Q in (nerve(poset_simplex(1), 3),
+                                                   nerve(group_z2(), 3)))
+
+    def transport_of(D, alpha):
+        return D.sample.transport(alpha, *(D.data(end) for end in D.sample.ends(alpha.source)))
+
+    for alpha in sample.nats.values():
+        D1.on_nat(alpha)
+    built = dict(sample._transports)
+    assert len(built) == len({(sample.ends(a.source), a.key()) for a in sample.nats.values()})
+    # the second base builds none: its components gather through the first one's
+    for alpha in sample.nats.values():
+        D2.on_nat(alpha)
+        assert transport_of(D2, alpha) is transport_of(D1, alpha)
+    assert sample._transports == built
+    # a fresh sample builds its own, equal one
+    D3 = HoPrederivator(nerve(poset_simplex(1), 3), standard_sample())
+    step = D3.sample.nats["step_[1]"]
+    D3.on_nat(step)
+    mine, theirs = transport_of(D3, step), transport_of(D1, sample.nats["step_[1]"])
+    assert mine is not theirs and mine == theirs
+    assert D3.on_nat(step).key() == D1.on_nat(sample.nats["step_[1]"]).key()
+    # and the sample frees them with itself
+    refs = [weakref.ref(D1.data(J).frame) for J in sample.order]
+    del sample, D1, D2, built, theirs
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
 class TestDerAudits:
     def test_axioms_hold_for_interval(self, d_interval):
         audits = der_audit(d_interval)

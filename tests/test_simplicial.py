@@ -1,12 +1,16 @@
 """Core simplicial machinery against brute-force combinatorial oracles."""
 
+import gc
+import weakref
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcatkit.cats import contractible_groupoid, group_z2, poset_simplex
 from qcatkit.corpus import corpus_ssets
+from qcatkit.nerve import nerve
 from qcatkit.simplicial import (
     SimplexExpr,
     SimplicialMap,
@@ -34,6 +38,7 @@ from qcatkit.simplicial import (
     valid_words,
     weak_seq_to_word,
 )
+from qcatkit.util import Budget
 
 
 def monotone_maps(m, n):
@@ -332,6 +337,119 @@ class TestEnumerateMaps:
         for m, fillers in found:
             assert fillers == enumerate_maps(d2, t, fixed=m.assignment)
         assert sum(len(f) for _, f in found) == t.total_count(2)
+
+
+# -- the coded search against brute force --------------------------------------
+
+def brute_force_maps(S, T):
+    """Oracle: every assignment of S's nondegenerate cells to T-simplices of
+    the same dimension that passes ``SimplicialMap.validate()``, sorted by
+    key.  Assignments are grown a dimension at a time and cut as soon as a
+    face d_i x of a placed cell x has an image other than d_i of x's image,
+    the condition ``validate`` checks, so that the cut loses no valid map."""
+    partial = [{}]
+    for n in range(S.dim_bound + 1):
+        cells = S.nondeg(n)
+        grown = []
+        for known in partial:
+            for images in iproduct(T.total(n), repeat=len(cells)):
+                f = dict(known, **dict(zip(cells, images)))
+                if all(T.face(f[x], i) == T.degenerate(fe.word, f[fe.base])
+                       for x in cells for i in range(n + 1) if n
+                       for fe in [S.face(SimplexExpr((), x), i)]):
+                    grown.append(f)
+        partial = grown
+    maps = [SimplicialMap(S, T, f) for f in partial]
+    assert all(f.validate().ok for f in maps)
+    return sorted(maps, key=SimplicialMap.key)
+
+
+SEARCH_SOURCES = {"horn(2,1)": lambda: horn(2, 1, 2), "boundary(2)": lambda: boundary(2, 2),
+                  "delta2": lambda: standard_simplex(2, 2),
+                  "delta1xdelta1": lambda: product(standard_simplex(1, 2), standard_simplex(1, 2))}
+# an interval whose names sort after "s": its tokens sort s1.s0.x before s1.xy,
+# while as SimplexExprs (and as codes) s1 xy comes first
+NAMED_AFTER_S = ("dim 2\ncoskeletal 2\n0: x y\n1: xy\n"
+                 "face xy 0 = [] y\nface xy 1 = [] x\n")
+SEARCH_TARGETS = {"delta0": lambda: standard_simplex(0, 2),
+                  "N([1])": lambda: nerve(poset_simplex(1), 3),
+                  "N(z2)": lambda: nerve(group_z2(), 3),
+                  "N(E)": lambda: nerve(contractible_groupoid(), 3),
+                  "xy": lambda: sset_from_text(NAMED_AFTER_S, "xy")}
+
+
+class TestCodedSearch:
+    @pytest.mark.parametrize("src", sorted(SEARCH_SOURCES))
+    @pytest.mark.parametrize("tgt", sorted(SEARCH_TARGETS))
+    def test_search_is_the_brute_force(self, src, tgt):
+        S, T = SEARCH_SOURCES[src](), SEARCH_TARGETS[tgt]()
+        brute = brute_force_maps(S, T)
+        assert enumerate_maps(S, T) == brute and brute
+        # pins taken from the brute-force maps: all vertices, one top cell, everything
+        for f in (brute[0], brute[len(brute) // 2], brute[-1]):
+            tops = S.nondeg(max(n for n in range(S.dim_bound + 1) if S.nondeg(n)))
+            for keep in (S.nondeg(0), tops[-1:], S.cells):
+                pins = {x: f.assignment[x] for x in keep}
+                want = [g for g in brute if all(g.assignment[x] == e for x, e in pins.items())]
+                assert enumerate_maps(S, T, fixed=pins) == want
+
+    def test_a_pin_that_is_no_simplex_of_its_dimension_admits_no_map(self):
+        S, T = standard_simplex(2, 2), nerve(poset_simplex(1), 3)
+        assert enumerate_maps(S, T, fixed={"01": SimplexExpr((), "0")}) == []
+        assert enumerate_maps(S, T, fixed={"0": SimplexExpr((), "m01")}) == []
+
+    def test_steps_match_the_counts_recorded_before_the_codes(self):
+        # 1 per vertex or pin, 1 + |candidates| per lookup by face row
+        square = product(standard_simplex(1, 2), standard_simplex(1, 2))
+        groupoid = nerve(contractible_groupoid(), 3)
+        cases = [(square, groupoid, None, 199),
+                 (boundary(2, 2), nerve(poset_simplex(1), 3), None, 33)]
+        maps = enumerate_maps(square, groupoid)
+        cases.append((square, groupoid, {x: maps[8].assignment[x] for x in square.nondeg(0)}, 18))
+        for S, T, pins, steps in cases:
+            budget = Budget()
+            enumerate_maps(S, T, budget, fixed=pins)
+            assert budget.used == steps
+
+
+class TestLevelTables:
+    def test_codes_are_positions_in_the_sorted_level(self):
+        xy = sset_from_text(NAMED_AFTER_S, "xy")
+        assert xy.total(2) != sorted(xy.total(2))
+        for name, S in corpus_ssets() + [("xy", xy)]:
+            for n in range(S.dim_bound + 2):
+                table = S.table(n)
+                assert list(table.cells) == sorted(S.total(n)), (name, n)
+                assert all(table.code[e] == c for c, e in enumerate(table.cells))
+                assert S.table(n) is table
+                if n:
+                    below = S.table(n - 1).code
+                    assert table.faces == tuple(tuple(below[S.face(e, i)] for i in range(n + 1))
+                                                for e in table.cells), (name, n)
+
+    def test_degeneracy_codes_and_face_index(self):
+        for name, S in corpus_ssets():
+            for m in range(S.dim_bound):
+                for word in [(j,) for j in range(m + 1)] + [(m + 1, j) for j in range(m + 1)]:
+                    up = S.table(m + len(word))
+                    assert [up.cells[c] for c in S.degeneracy_codes(word, m)] == \
+                        [S.degenerate(word, e) for e in S.table(m).cells], (name, word, m)
+            index = S.by_faces(2)
+            table = S.table(2)
+            assert sorted(c for cs in index.values() for c in cs) == list(range(len(table.cells)))
+            for row, cs in index.items():
+                assert [table.cells[c] for c in cs] == [e for e in S.total(2)
+                                                        if table.faces[table.code[e]] == row]
+
+    def test_a_truncation_is_built_once_and_leaves_with_its_set(self):
+        N = nerve(group_z2(), 3)
+        low = N.truncate(2)
+        assert N.truncate(2) is low and N.truncate(3) is N
+        assert low.levels == {n: N.levels[n] for n in range(3)}
+        ref = weakref.ref(low)
+        del N, low
+        gc.collect()
+        assert ref() is None
 
 
 # -- canonical order -----------------------------------------------------------
