@@ -151,7 +151,7 @@ def cmd_kanext(args, report: Report) -> None:
 
 def cmd_delocalize(args, report: Report) -> None:
     S = _load_sset(args.sset)
-    sc, N, p = last_vertex_projection(S, args.depth)
+    sc, _, _ = last_vertex_projection(S, args.depth)
     report.add(f"simplex category at depth {args.depth}: "
                f"{len(sc.category.objects)} objects, "
                f"{len(sc.category.morphisms)} morphisms, {len(sc.marked)} marked")
@@ -159,8 +159,7 @@ def cmd_delocalize(args, report: Report) -> None:
     report.add(f"marked class closed under composition: "
                f"{'yes' if closure.ok else 'NO'}", ok=closure.ok)
     report.add("last-vertex projection is simplicial: yes")
-    inv = check_inverts_L(S, args.depth, Budget(args.budget, "delocalization"),
-                          data=(sc, N, p))
+    inv = check_inverts_L(S, args.depth, Budget(args.budget, "delocalization"))
     status = 'pass' if inv.ok else 'FAIL'
     report.add(f"marked morphisms invert in the homotopy category "
                f"[marked-inversion]: {status} ({inv.checked} checked)", ok=inv.ok)

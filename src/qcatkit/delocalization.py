@@ -109,32 +109,41 @@ def simplex_functor(f: SimplicialMap, source: SimplexCategory,
     return Functor(source.category, target.category, ob, mor, f"simplices({f!r})")
 
 
+def last_vertex_image(sc: SimplexCategory, chain: tuple) -> SimplexExpr:
+    """p on a chain (object, morphism, ...): the last simplex restricted
+    along the track of the last vertices of the stages."""
+    mors = chain[1:]
+    stages = chain[:1] + tuple(sc.category.cod(mid) for mid in mors)
+    track = []
+    for i, obj in enumerate(stages):
+        pos = sc.simplex_of[obj][0]  # last vertex of stage i
+        for mid in mors[i:]:
+            pos = sc.alpha_of[mid][pos]
+        track.append(pos)
+    return simplicial_action(sc.sset, tuple(track), sc.simplex_of[stages[-1]][1])
+
+
+def projected_edge(sc: SimplexCategory, mid: str) -> SimplexExpr:
+    """p on the 1-chain of mid, its faces checked against p on its ends."""
+    src, tgt = sc.category.morphisms[mid]
+    edge = last_vertex_image(sc, (src, mid))
+    for i, end in ((1, src), (0, tgt)):
+        if sc.sset.face(edge, i) != last_vertex_image(sc, (end,)):
+            raise AssertionError(f"last-vertex projection is not simplicial: "
+                                 f"face d_{i} not preserved at {mid!r}")
+    return edge
+
+
 def last_vertex_projection(S: TruncatedSSet, d: int):
     """The simplicial map from the nerve of the simplex category onto S.
 
-    A chain of simplex maps goes to the restriction of its last member
-    along the track of the last vertices.  Returns (simplex category,
-    nerve, map); the map is validated, and a failure is surfaced rather
-    than repaired.
+    Every chain goes to its ``last_vertex_image``.  Returns (simplex
+    category, nerve, map); the map is validated here, where it is built.
     """
     sc = SimplexCategory(S, d)
     N = nerve(sc.category, 2)
-    assignment = {}
-    for k in range(N.dim_bound + 1):
-        for cid in N.nondeg(k):
-            chain = N.chain_of[cid]
-            src_obj, mors = chain[0], chain[1:]
-            stages = [src_obj]
-            for mid in mors:
-                stages.append(sc.category.cod(mid))
-            track = []
-            for i in range(len(stages)):
-                pos = sc.simplex_of[stages[i]][0]  # last vertex of stage i
-                for mid in mors[i:]:
-                    pos = sc.alpha_of[mid][pos]
-                track.append(pos)
-            n_last, last = sc.simplex_of[stages[-1]]
-            assignment[cid] = simplicial_action(S, tuple(track), last)
+    assignment = {cid: last_vertex_image(sc, N.chain_of[cid])
+                  for k in range(N.dim_bound + 1) for cid in N.nondeg(k)}
     p = SimplicialMap(N, S, assignment)
     report = p.validate()
     if not report.ok:
@@ -179,37 +188,24 @@ def naturality_report(f: SimplicialMap, d: int) -> ValidationReport:
     return report
 
 
-def check_inverts_L(Q: TruncatedSSet, d: int, budget: Budget = None,
-                    data=None) -> ValidationReport:
+def check_inverts_L(Q: TruncatedSSet, d: int, budget: Budget = None) -> ValidationReport:
     """Every marked morphism projects to a Ho-invertible edge of Q.
 
-    The report names the depth; the full localization property is out of
-    scope and never claimed here.
+    p is read on marked 1-chains only (``projected_edge``); it is validated
+    where it is built.  The report names the depth; the full localization
+    property is out of scope and never claimed here.
     """
     budget = ensure_budget(budget, f"marked-class check on {Q.name}")
     require_quasicategory(Q, budget)
     pres = ho(Q, budget, verified=True)
-    sc, N, p = data if data is not None else last_vertex_projection(Q, d)
+    sc = SimplexCategory(Q, d)
     report = ValidationReport(f"marked morphisms of {Q.name} at depth {d} invert in Ho")
     for mid in sorted(sc.marked):
         if sc.category.is_identity(mid):
             continue
         report.checked += 1
-        edge = p.apply(N.chain_expr((sc.category.dom(mid), mid)))
+        edge = projected_edge(sc, mid)
         if not pres.category.is_iso(pres.cls(edge)):
             report.add(f"marked morphism {mid!r} projects to the "
                        f"non-invertible edge {edge.token()}")
     return report
-
-
-def to_dot(sc: SimplexCategory) -> str:
-    """Graph export, marked morphisms drawn bold."""
-    lines = ["digraph simplices {"]
-    for oid in sc.category.objects:
-        lines.append(f'  "{oid}";')
-    for mid in sc.category.nonidentity():
-        src, tgt = sc.category.morphisms[mid]
-        style = " [style=bold]" if mid in sc.marked else ""
-        lines.append(f'  "{src}" -> "{tgt}"{style};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

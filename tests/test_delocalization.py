@@ -3,15 +3,16 @@
 import pytest
 
 from qcatkit.cats import group_z2, poset_simplex, validate_category
-from qcatkit.corpus import labeled_map_corpus
+from qcatkit.corpus import corpus_quasicategories, labeled_map_corpus
 from qcatkit.delocalization import (
     SimplexCategory,
     check_inverts_L,
+    last_vertex_image,
     last_vertex_projection,
     marked_closure_report,
     naturality_report,
+    projected_edge,
     simplex_functor,
-    to_dot,
 )
 from qcatkit.nerve import ho, nerve
 from qcatkit.simplicial import SimplexExpr, expr, standard_simplex
@@ -77,6 +78,21 @@ class TestProjection:
             sc, N, p = last_vertex_projection(q, 2)
             assert p.validate().ok
 
+    def test_edge_formula_matches_the_projection(self):
+        # the marked-class check reads p on 1-chains through the per-chain
+        # formula; on every corpus quasicategory it agrees with the whole,
+        # validated projection
+        for name, q in corpus_quasicategories():
+            sc, N, p = last_vertex_projection(q, 2)
+            assert p.validate().ok, name
+            for mid in sorted(sc.marked):
+                if sc.category.is_identity(mid):
+                    continue
+                chain = (sc.category.dom(mid), mid)
+                edge = p.apply(N.chain_expr(chain))
+                assert last_vertex_image(sc, chain) == edge, (name, mid)
+                assert projected_edge(sc, mid) == edge, (name, mid)
+
     def test_induced_functor_and_naturality(self):
         corpus = labeled_map_corpus()
         checked = 0
@@ -91,10 +107,30 @@ class TestProjection:
 
 class TestInvertsMarked:
     def test_corpus_quasicategories_pass(self):
-        for cat in [poset_simplex(0), poset_simplex(1), poset_simplex(2), group_z2()]:
-            q = nerve(cat, 3)
+        expected = {
+            "delta0": 16, "N([0])": 16, "N([1])": 55, "N([2])": 126,
+            "N([3])": 238, "N(z2)": 48, "N(E)": 96, "N(d[2])": 149,
+            "N([1]x[1])": 197, "N([1])xN([1])": 197, "N([1])xN(z2)": 178,
+            "delta1xdelta1": 197,
+        }
+        checked = {}
+        for name, q in corpus_quasicategories():
             report = check_inverts_L(q, 2)
-            assert report.ok, (cat.name, report.violations[:2])
+            assert report.ok, (name, report.violations[:2])
+            checked[name] = report.checked
+        assert checked == expected
+
+    def test_edge_faces_checked(self):
+        # send the vertex 1 -> m01 map through the initial vertex instead:
+        # the edge it reads no longer starts at the last vertex of its source
+        q = nerve(poset_simplex(1), 3)
+        sc = SimplexCategory(q, 1)
+        mid = "0:1->1:m01:1"
+        assert mid in sc.marked
+        assert projected_edge(sc, mid) == SimplexExpr((0,), "1")
+        sc.alpha_of[mid] = (0,)
+        with pytest.raises(AssertionError, match="not simplicial: face d_1"):
+            projected_edge(sc, mid)
 
     def test_point_trivially_passes(self):
         report = check_inverts_L(standard_simplex(0, 2), 1)
@@ -115,9 +151,3 @@ class TestInvertsMarked:
         edge = p.apply(N.chain_expr((sc.category.dom(bad), bad)))
         assert not pres.category.is_iso(pres.cls(edge))
 
-
-class TestExport:
-    def test_dot_output(self):
-        sc = SimplexCategory(standard_simplex(0, 2), 1)
-        text = to_dot(sc)
-        assert text.startswith("digraph") and "style=bold" in text
