@@ -375,10 +375,11 @@ def induced_strict_morphisms(DQ: HoPrederivator, shifted: ShiftedPrederivator,
         comps = {}
         for K_name, dq, dr, splits in parts:
             # level 0 uses the same formula: Δ0 has one simplex in each dimension
-            def image(cell: SimplicialMap, level: int) -> SimplicialMap:
-                return SimplicialMap(dr.products[level], dr.T_t, tuple(
+            def image(codes: tuple, level: int) -> tuple:
+                cell = dq.cell_map.decode(level, codes)
+                return dr.codes_of(dr.locate(SimplicialMap(dr.products[level], dr.T_t, tuple(
                     mu.apply(P.pair_expr(cell.apply(q_part), t_part))
-                    for q_part, t_part in splits[level]))
+                    for q_part, t_part in splits[level]))))
 
             comps[K_name] = induced_functor(dq, dr, image, "")
         out.append(StrictMorphism(DQ, shifted, comps, "induced"))

@@ -44,7 +44,8 @@ faces are gathered over them, and the transposition reads a path object's
 maps through its per-level table from codes of T^{Δn} to code tuples
 (``Exponential.code_rows``).  So cells are keyed by code tuples;
 ``cell_map`` decodes a cell's map on first use and ``locate`` encodes the
-map it is given.
+map it is given.  The functors that restriction and postcomposition
+induce on Ho transport code tuples (:func:`induced_functor`).
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ class Exponential:
     truncated at the working level and shared with every exponential of T
     there.  ``to_expr[n]`` maps the code tuple of every level-n map to its
     cell expression; ``cell_map`` (a :class:`CellMaps`) decodes the map of
-    a nondegenerate cell on first use, and ``locate`` encodes the map it is
-    given.
+    a nondegenerate cell on first use, ``locate`` encodes the map it is
+    given, and ``codes_of`` gives the code tuple of any cell expression.
 
     ``frame`` is S's :class:`ExponentFrame` at the working level, kept on S
     and shared with every other exponential over S; ``S_t`` and
@@ -139,12 +140,8 @@ class Exponential:
         self.S_t, self.products = frame.S_t, frame.products
         self.T_t = T_t = T.truncate(level)
         self.name = name or f"({T.name}^{S.name})"
-        # id x σj as (the gather of the slots, the degeneracy codes of T_t
-        # per cell of S_t x Δn)
-        self._degeneracies = {n: [(_gather(tuple(s for s, _ in plan)),
-                                   tuple(T_t.degeneracy_codes(w, P.dim_of[x] - len(w))
-                                         for x, (_, w) in zip(P.cells, plan)))
-                                  for plan in frame.degeneracies[n]]
+        # id x σj on the code tuples of the maps into T_t
+        self._degeneracies = {n: [coded_gather(plan, P, T_t) for plan in frame.degeneracies[n]]
                               for n, P in self.products.items() if n}
 
         # a path object is an exponential, so it exists only at levels 2..3;
@@ -169,8 +166,8 @@ class Exponential:
             # the pins survive the collapse, so level n enumerated them all
             for codes in raw.get(n - 1, ()):
                 inner = self.to_expr[n - 1][codes]
-                for j, plan in enumerate(self._degeneracies.get(n, ())):
-                    key = _degenerate(codes, plan)
+                for j, degenerate in enumerate(self._degeneracies.get(n, ())):
+                    key = degenerate(codes)
                     if key not in known:
                         known[key] = SimplexExpr(insert_letter(j, inner.word), inner.base)
             # raw[n] is in canonical order, so the cell ids follow it
@@ -256,10 +253,17 @@ class Exponential:
     def ho(self) -> HoPresentation:
         return ho(self.sset, self._budget)
 
+    def expr_at(self, n: int, codes: tuple) -> SimplexExpr:
+        """The cell expression of the level-n map with the given code tuple."""
+        e = self.to_expr[n].get(codes) if n in self.to_expr else None
+        if e is None:
+            raise KeyError(f"map is not a cell of {self.name}")
+        return e
+
     def locate(self, mu: SimplicialMap) -> SimplexExpr:
         # mu comes out of S x Δn: its level is read off the simplex factor
         n = len(mu.source.right.nondeg(0)) - 1
-        e = None
+        codes = None
         if n in self.to_expr:
             encoders = self._encoders.get(n)
             if encoders is None:
@@ -267,20 +271,22 @@ class Exponential:
                 encoders = self._encoders[n] = [self.T_t.table(P.dim_of[x]).code
                                                 for x in P.cells]
             if len(mu.images) == len(encoders):
-                e = self.to_expr[n].get(tuple(map(dict.get, encoders, mu.images)))
-        if e is None:
-            raise KeyError(f"map is not a cell of {self.name}")
-        return e
+                codes = tuple(map(dict.get, encoders, mu.images))
+        return self.expr_at(n, codes)
+
+    def codes_of(self, e: SimplexExpr) -> tuple:
+        """The code tuple of the underlying map of an arbitrary cell expression."""
+        n, codes = self.cell_map.codes[e.base]
+        for j in reversed(e.word):
+            n += 1
+            codes = self._degeneracies[n][j](codes)
+        return codes
 
     def map_of(self, e: SimplexExpr) -> SimplicialMap:
         """The underlying map of an arbitrary cell expression."""
         if not e.word:
             return self.cell_map[e.base]
-        n, codes = self.cell_map.codes[e.base]
-        for j in reversed(e.word):
-            n += 1
-            codes = _degenerate(codes, self._degeneracies[n][j])
-        return self.cell_map.decode(n, codes)
+        return self.cell_map.decode(self.sset.expr_dim(e), self.codes_of(e))
 
     def evaluate_at_vertex(self, mu: SimplicialMap, v: str, n: int) -> SimplexExpr:
         """Restrict a level-n cell along an exponent vertex: an n-simplex of T."""
@@ -327,12 +333,6 @@ class CellMaps(Mapping):
         return len(self.codes)
 
 
-def _degenerate(codes: tuple, plan: tuple) -> tuple:
-    """The code tuple of s_j mu, for mu by its codes and id x σj by its coded plan."""
-    gather, ups = plan
-    return tuple(map(getitem, ups, gather(codes)))
-
-
 class ExponentFrame:
     """The exponent side of T^S at one working level and height k.
 
@@ -373,12 +373,15 @@ def slot_plan(f: SimplicialMap) -> tuple:
     return tuple((index[e.base], e.word) for e in f.images)
 
 
-def precompose(T: TruncatedSSet, images: tuple, plan: tuple) -> tuple:
-    """The image tuple of mu . f, for mu into T given by its ``images`` and
-    f by its :func:`slot_plan`: the gather ``compose_maps`` does, with the
-    slots looked up once."""
-    degenerate = T.degenerate
-    return tuple([degenerate(w, images[s]) if w else images[s] for s, w in plan])
+def coded_gather(plan: tuple, P: TruncatedSSet, T: TruncatedSSet):
+    """f by its :func:`slot_plan`, P its source, compiled against T: the
+    function sending the code tuple of a map mu into T to that of mu . f.
+
+    The slot of a cell x of P is gathered and sent through the codes of T's
+    degenerate simplices that x's degeneracy word makes of it."""
+    gather = _gather(tuple(s for s, _ in plan))
+    ups = tuple(T.degeneracy_codes(w, P.dim_of[x] - len(w)) for x, (_, w) in zip(P.cells, plan))
+    return lambda codes: tuple(map(getitem, ups, gather(codes)))
 
 
 def _gather(slots: tuple):
@@ -419,14 +422,16 @@ def path_object(T: TruncatedSSet, delta: TruncatedSSet, level: int,
 def induced_functor(E1: Exponential, E2: Exponential, image, name: str) -> Functor:
     """The functor Ho(E1) -> Ho(E2) induced by a transport of cells.
 
-    ``image(mu, level)`` sends the underlying map of a level-0 or level-1
-    cell of E1 to the underlying map of a cell of E2 at the same level.
-    Objects go to the located vertices, morphisms to the classes of the
-    located images of their representatives.
+    ``image(codes, level)`` sends the code tuple of a level-0 or level-1
+    cell of E1 to the code tuple of a cell of E2 at the same level; one that
+    is not a cell is a ``KeyError`` naming E2.  Objects go to the image
+    vertices, morphisms to the classes of the images of their
+    representatives.  Nothing is decoded or located.
     """
     ho1, ho2 = E1.ho, E2.ho
-    ob = {c: E2.locate(image(E1.cell_map[c], 0)).base for c in ho1.category.objects}
-    mor = {m: ho2.cls(E2.locate(image(E1.map_of(ho1.reps[m]), 1)))
+    codes = E1.cell_map.codes
+    ob = {c: E2.expr_at(0, image(codes[c][1], 0)).base for c in ho1.category.objects}
+    mor = {m: ho2.cls(E2.expr_at(1, image(E1.codes_of(ho1.reps[m]), 1)))
            for m in ho1.category.nonidentity()}
     return Functor(ho1.category, ho2.category, ob, mor, name)
 

@@ -22,9 +22,10 @@ the morphism alone, and a functor out of the sample is a ``ClosureError``.
 What depends on the shapes alone is built once per sample, not once per
 base: the sample owns its members' nerves (and through them the exponent
 frames), the restriction plans, which compile N(u) x Δl into index plans
-over the frames' cell orders, so u* of every base over the sample is one
-gather per cell, and likewise the transports through the mates of the
-listed 2-cells, so a component of alpha* is one gather too.  The
+over the frames' cell orders, and likewise the transports through the
+mates of the listed 2-cells.  Compiled against a base, a plan sends the
+code tuple of a cell to that of its image, so u* of every base over the
+sample is one coded gather per cell, and so is a component of alpha*.  The
 strict-morphism search likewise builds each listed functor's fibre tables
 once per call, and the functor search out of a category follows the
 category's own ``search_plan``.
@@ -62,7 +63,7 @@ from .cats import (
     vertical_compose,
 )
 from .delocalization import SimplexCategory
-from .mapping import Exponential, full_degeneracy, induced_functor, precompose, slot_plan
+from .mapping import Exponential, coded_gather, full_degeneracy, induced_functor, slot_plan
 from .nerve import chain_shape_iso, nerve, nerve_map, nerve_product_compare_inv
 from .simplicial import (
     SimplexExpr,
@@ -167,8 +168,9 @@ class DiaSample:
         """N(J) x Δ1 -> N(K) x Δ0 through the mate of alpha: J x [1] -> K, as
         the :func:`qcatkit.mapping.slot_plan` over the frames of dj (over
         N(J)) and dk (over N(K)); built once per transformation and pair of
-        frames.  A vertex mu of Q^{N(K)} is sent to the level-1 cell of
-        Q^{N(J)} with image tuple ``precompose(T, mu.images, plan)``."""
+        frames.  Its :func:`qcatkit.mapping.coded_gather` against a base
+        sends the code tuple of a vertex mu of Q^{N(K)} to that of the
+        level-1 cell of Q^{N(J)} that mu precomposed with the transport is."""
         key = (alpha.key(), dj.frame, dk.frame)
         plan = self._transports.get(key)
         if plan is None:
@@ -425,9 +427,9 @@ class Restriction:
     """N(u) x Δl: N(J) x Δl -> N(K) x Δl for l = 0, 1, compiled.
 
     ``plans[l]`` is the map's :func:`qcatkit.mapping.slot_plan` over the
-    canonical cell orders of the two frames' products, so a cell mu of
-    Q^{N(K)} restricts to the map with image tuple
-    ``precompose(T, mu.images, plans[l])``, whatever the base Q.
+    canonical cell orders of the two frames' products.  It depends on the
+    shapes alone; its :func:`qcatkit.mapping.coded_gather` against a base Q
+    sends the code tuple of a cell mu of Q^{N(K)} to that of mu . N(u) x Δl.
     """
 
     def __init__(self, nu: SimplicialMap, source_products: dict, target_products: dict):
@@ -470,19 +472,18 @@ class HoPrederivator(Prederivator):
     def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
         # contravariant: u: J -> K induces u*: eval(K) -> eval(J)
         dj, dk = self.data(src), self.data(dst)
-        plans = self.sample.restriction(u, dj, dk).plans
-        return induced_functor(dk, dj, lambda mu, level: SimplicialMap(
-            dj.products[level], mu.target, precompose(mu.target, mu.images, plans[level])),
-            f"{self.name}({u.name})*")
+        restrict = {level: coded_gather(plan, dj.products[level], dj.T_t)
+                    for level, plan in self.sample.restriction(u, dj, dk).plans.items()}
+        return induced_functor(dk, dj, lambda codes, level: restrict[level](codes),
+                               f"{self.name}({u.name})*")
 
     def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
         ustar = self.on_functor(alpha.source)
         vstar = self.on_functor(alpha.target)
         dj, dk = self._data[src], self._data[dst]
         # each component precomposes the sample's transport through the mate
-        plan, T = self.sample.transport(alpha, dj, dk), dk.T_t
-        comps = {c: dj.ho.cls(dj.locate(SimplicialMap(
-                     dj.products[1], T, precompose(T, dk.cell_map[c].images, plan))))
+        transport = coded_gather(self.sample.transport(alpha, dj, dk), dj.products[1], dj.T_t)
+        comps = {c: dj.ho.cls(dj.expr_at(1, transport(dk.cell_map.codes[c][1])))
                  for c in dk.ho.category.objects}
         return NatTransf(ustar, vstar, comps, f"{self.name}({alpha.name})*")
 

@@ -9,29 +9,36 @@ labeled corpus the prederivator verdict must imply the surrogate verdict.
 
 from __future__ import annotations
 
+from operator import getitem
 from pathlib import Path
 
 from .cats import Functor, equivalence_inverse
-from .mapping import induced_functor, mapping_space
+from .mapping import Exponential, induced_functor, mapping_space
 from .nerve import ho, require_quasicategory
 from .prederivator import HoPrederivator, StrictMorphism, standard_sample
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
-    compose_maps,
     sset_from_text,
     sset_to_text,
 )
 from .util import Budget, ensure_budget
 
 
-def _truncated_map(f: SimplicialMap, level: int) -> SimplicialMap:
-    src = f.source.truncate(level)
-    tgt = f.target.truncate(level)
-    assignment = {x: f.assignment[x]
-                  for n in range(src.dim_bound + 1) for x in src.nondeg(n)}
-    return SimplicialMap(src, tgt, assignment)
+def _postcomposition(f: SimplicialMap, E1: Exponential, E2: Exponential, name: str) -> Functor:
+    """The functor Ho(E1) -> Ho(E2) that postcomposition with f induces.
+
+    A slot of a code tuple holds a d-simplex of ``E1.T_t``, d the dimension
+    of its cell, so f acts on it through the table sending the level-d
+    codes of ``E1.T_t`` to those of ``E2.T_t``.
+    """
+    src, tgt = E1.T_t, E2.T_t
+    tables = [[tgt.table(d).code[f.apply(e)] for e in src.table(d).cells]
+              for d in range(E1.products[1].dim_bound + 1)]
+    slots = [[tables[P.dim_of[x]] for x in P.cells] for P in (E1.products[0], E1.products[1])]
+    return induced_functor(E1, E2, lambda codes, level: tuple(map(getitem, slots[level], codes)),
+                           name)
 
 
 class Verdict:
@@ -71,10 +78,7 @@ def mapping_space_functor(f: SimplicialMap, x: str, y: str, budget: Budget = Non
     budget = ensure_budget(budget, "mapping space comparison")
     M_src = mapping_space(f.source, x, y, budget)
     M_tgt = mapping_space(f.target, f.assignment[x].base, f.assignment[y].base, budget)
-    level = max(f.target.coskeletal_from or 2, 2)
-    f_t = _truncated_map(f, level)
-    return induced_functor(M_src, M_tgt, lambda mu, _level: compose_maps(f_t, mu),
-                           f"map-space({x},{y})")
+    return _postcomposition(f, M_src, M_tgt, f"map-space({x},{y})")
 
 
 def is_fully_faithful_1tr(f: SimplicialMap, budget: Budget = None) -> Verdict:
@@ -117,13 +121,8 @@ def is_equivalence(f: SimplicialMap, budget: Budget = None) -> Verdict:
 def induced_prederivator_morphism(DQ: HoPrederivator, DR: HoPrederivator,
                                   f: SimplicialMap) -> StrictMorphism:
     """HO(f): postcomposition with f, shape by shape."""
-    level = max(f.target.coskeletal_from or 2, 2)
-    f_t = _truncated_map(f, level)
-    comps = {}
-    for J_name in DQ.sample.order:
-        comps[J_name] = induced_functor(DQ.data(J_name), DR.data(J_name),
-                                        lambda mu, _level: compose_maps(f_t, mu),
-                                        f"HO(f)_{J_name}")
+    comps = {J_name: _postcomposition(f, DQ.data(J_name), DR.data(J_name), f"HO(f)_{J_name}")
+             for J_name in DQ.sample.order}
     return StrictMorphism(DQ, DR, comps, "HO(f)")
 
 

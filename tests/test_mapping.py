@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import random
+import re
 import weakref
 
 import pytest
@@ -24,6 +25,7 @@ from qcatkit.mapping import (
     fill_inner_horn,
     full_degeneracy,
     horn_map_from_faces,
+    induced_functor,
     kan_check,
     kan_core,
     lift_square,
@@ -271,6 +273,12 @@ class TestExponential:
                 assert_structure_matches_shape_maps(Exponential(T, nerve(sample.cat(J), 2), 2))
         assert_structure_matches_shape_maps(mapping_space(bases[1], "a", "b"))
         assert_structure_matches_shape_maps(Exponential(bases[0], bases[0], 3))
+
+    def test_induced_functor_rejects_an_image_that_is_not_a_cell(self):
+        E = Exponential(nerve(poset_simplex(1), 3), nerve(poset_simplex(1), 2), 2)
+        # codes past the end of every level table name no simplex at all
+        with pytest.raises(KeyError, match=re.escape(f"map is not a cell of {E.name}")):
+            induced_functor(E, E, lambda codes, level: tuple(c + 1000 for c in codes), "bad")
 
     def test_locate_keeps_the_levels_of_the_empty_exponent_apart(self):
         # every level has one map, with the empty image tuple

@@ -14,7 +14,9 @@ from qcatkit.cats import (
     identity_functor,
     identity_nat,
     monotone_functor,
+    pair_functor,
     poset_simplex,
+    product_cat,
     validate_category,
 )
 from qcatkit.corpus import (
@@ -23,8 +25,8 @@ from qcatkit.corpus import (
     der5_mutation,
     der5prime_mutation,
 )
-from qcatkit.mapping import induced_functor
-from qcatkit.nerve import nerve, nerve_map
+from qcatkit.mapping import full_degeneracy, induced_functor
+from qcatkit.nerve import chain_shape_iso, nerve, nerve_map, nerve_product_compare_inv
 from qcatkit.prederivator import (
     ClosureError,
     DiaSample,
@@ -49,7 +51,7 @@ from qcatkit.prederivator import (
     standard_sample,
     strict_rigidity_check,
 )
-from qcatkit.simplicial import standard_simplex
+from qcatkit.simplicial import SimplexExpr, compose_maps, product, standard_simplex
 from qcatkit.util import Budget
 
 SAMPLE = standard_sample()
@@ -162,16 +164,19 @@ class TestHoPrederivator:
 
 def per_cell_restriction(D, u):
     """u* built cell by cell: each cell mu of HO(Q)(K) goes to the map
-    (e1|e2) -> mu(N(u)(e1)|e2) out of N(J) x Δl, for u: J -> K."""
+    (e1|e2) -> mu(N(u)(e1)|e2) out of N(J) x Δl, for u: J -> K.  The code
+    tuples are decoded to maps and the image map located, so neither the
+    restriction plans nor their coded gathers take part."""
     dj, dk = (D.data(end) for end in D.sample.ends(u))
     nu = nerve_map(u, dj.exponent, dk.exponent)
     # the cell (N(u)(e1)|e2) of N(K) x Δl, once per cell (e1|e2) of N(J) x Δl
     under = {level: {pair: dk.products[level].pair_expr(nu.apply(pair[0]), pair[1])
                      for pair in dj.products[level].pair_of.values()} for level in (0, 1)}
 
-    def precompose(mu, level):
-        return dj.products[level].map_pairs(
-            dj.T_t, lambda e1, e2: mu.apply(under[level][(e1, e2)]))
+    def precompose(codes, level):
+        mu = dk.cell_map.decode(level, codes)
+        return dj.codes_of(dj.locate(dj.products[level].map_pairs(
+            dj.T_t, lambda e1, e2: mu.apply(under[level][(e1, e2)]))))
 
     return induced_functor(dk, dj, precompose, "per-cell")
 
@@ -192,6 +197,45 @@ def test_restriction_matches_the_per_cell_formula(Q):
     cases = [(SAMPLE.functors[name], name) for name in functors.values()]
     for u, label in cases + list(composites.values()):
         assert D.on_functor(u).key() == per_cell_restriction(D, u).key(), label
+
+
+def per_cell_transport(D, alpha):
+    """alpha* built map by map: the component at a vertex mu of HO(Q)(K) is
+    the class of mu precomposed with N(J) x Δ1 -> N(J x [1]) -> N(K), the
+    inverse product comparison followed by the nerve of the mate of alpha.
+    The mate is written here through naturality, as v(m) . alpha at dom m on
+    a step morphism (m, 0 -> 1)."""
+    dj, dk = (D.data(end) for end in D.sample.ends(alpha.source))
+    J, K, interval = dj.exponent.cat, dk.exponent.cat, poset_simplex(1)
+    u, v = alpha.source, alpha.target
+
+    def on_morphism(m, tm):
+        if interval.is_identity(tm):
+            return (u if interval.dom(tm) == "0" else v).on_morphism(m)
+        return K.compose(v.on_morphism(m), alpha.at(J.dom(m)))
+
+    mate = pair_functor(product_cat(J, interval), K, lambda x, t: (u if t == "0" else v).ob[x],
+                        on_morphism, "mate")
+    NJI = nerve(mate.source, 2)
+    nmate = nerve_map(mate, NJI, dk.exponent)
+    P_JI = product(dj.exponent, nerve(interval, 2))
+    compare = nerve_product_compare_inv(P_JI, NJI)
+    Pj, Pk = dj.products[1], dk.products[0]
+    shape = chain_shape_iso(Pj.right, P_JI.right)
+    to_k = Pj.map_pairs(Pk, lambda e1, e2: Pk.pair_expr(
+        nmate.apply(compare.apply(P_JI.pair_expr(e1, shape.apply(e2)))),
+        SimplexExpr(full_degeneracy(Pj.left.expr_dim(e1)), "0")))
+    return {c: dj.ho.cls(dj.locate(compose_maps(dk.cell_map[c], to_k)))
+            for c in dk.ho.category.objects}
+
+
+@pytest.mark.parametrize("Q", [standard_simplex(0, 2), nerve(poset_simplex(1), 3),
+                               nerve(group_z2(), 3)], ids=["delta0", "[1]", "z2"])
+def test_on_nat_matches_the_per_cell_formula(Q):
+    D = HoPrederivator(Q, SAMPLE)
+    assert len(SAMPLE.nats) == 6
+    for name, alpha in sorted(SAMPLE.nats.items()):
+        assert D.on_nat(alpha).components == per_cell_transport(D, alpha), name
 
 
 def plan_of(D, u):

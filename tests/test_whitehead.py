@@ -4,9 +4,16 @@ import pytest
 
 from qcatkit.cats import Functor, contractible_groupoid, equivalence_inverse, poset_simplex
 from qcatkit.corpus import labeled_map_corpus
+from qcatkit.mapping import induced_functor, mapping_space
 from qcatkit.nerve import nerve
 from qcatkit.prederivator import HoPrederivator, standard_sample
-from qcatkit.simplicial import SimplexExpr, compose_maps, identity_map, standard_simplex
+from qcatkit.simplicial import (
+    SimplexExpr,
+    SimplicialMap,
+    compose_maps,
+    identity_map,
+    standard_simplex,
+)
 from qcatkit.whitehead import (
     agreement_table,
     conservativity_experiment,
@@ -15,6 +22,7 @@ from qcatkit.whitehead import (
     is_essentially_surjective,
     is_fully_faithful_1tr,
     load_labeled_corpus,
+    mapping_space_functor,
     prederivator_equivalence,
     write_labeled_corpus,
 )
@@ -103,6 +111,38 @@ class TestPrederivatorEquivalence:
         verdict = prederivator_equivalence(F)
         assert not verdict.ok
         assert verdict.witnesses["failing shape"] == "[0]"
+
+
+def postcomposed_map_by_map(f, E1, E2, name):
+    """Ho(E1) -> Ho(E2), postcomposition with f: each code tuple is decoded,
+    composed with f and located, so no code table takes part."""
+    f_t = SimplicialMap(E1.T_t, E2.T_t, f.assignment)
+    return induced_functor(E1, E2, lambda codes, level: E2.codes_of(E2.locate(
+        compose_maps(f_t, E1.cell_map.decode(level, codes)))), name)
+
+
+class TestCodedPostcomposition:
+    def test_ho_f_matches_composing_maps(self):
+        sample = standard_sample()
+        by_base = {}
+        for name, f, _ in CORPUS:
+            DQ, DR = (by_base.setdefault(id(Q), HoPrederivator(Q, sample))
+                      for Q in (f.source, f.target))
+            F = induced_prederivator_morphism(DQ, DR, f)
+            for J in sample.order:
+                want = postcomposed_map_by_map(f, DQ.data(J), DR.data(J), f"HO(f)_{J}")
+                assert F.components[J].key() == want.key(), (name, J)
+
+    @pytest.mark.parametrize("row", ["swap_E", "incl_N[1]_N[2]"])
+    def test_mapping_space_functor_matches_composing_maps(self, row):
+        f, _ = BY_NAME[row]
+        for x in f.source.nondeg(0):
+            for y in f.source.nondeg(0):
+                fx, fy = f.assignment[x].base, f.assignment[y].base
+                want = postcomposed_map_by_map(f, mapping_space(f.source, x, y),
+                                               mapping_space(f.target, fx, fy),
+                                               f"map-space({x},{y})")
+                assert mapping_space_functor(f, x, y).key() == want.key(), (x, y)
 
 
 @pytest.fixture(scope="module")
