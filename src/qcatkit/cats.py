@@ -9,6 +9,7 @@ dictionaries validated against the tables.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
 from .simplicial import ValidationReport
 from .util import Budget, ensure_budget
@@ -591,6 +592,8 @@ class FunctorCategory:
         identities = {}
         self.nat_by_id = {}
         nat_ids: dict = {}
+        # the non-identity nats out of each functor, in id order
+        by_source: dict = {}
         for fid, F in sorted(self.functor_by_id.items()):
             for gid, G in sorted(self.functor_by_id.items()):
                 for n in enumerate_nats(F, G, budget):
@@ -600,19 +603,14 @@ class FunctorCategory:
                     morphisms[nid] = (fid, gid)
                     if fid == gid and all(J.is_identity(m) for m in n.components.values()):
                         identities[fid] = nid
+                    else:
+                        by_source.setdefault(fid, []).append(nid)
         compose = {}
-        for nid, n in self.nat_by_id.items():
-            if nid in identities.values():
-                continue
+        for nid in chain.from_iterable(by_source.values()):
             fid, gid = morphisms[nid]
-            for mid, m in self.nat_by_id.items():
-                if mid in identities.values():
-                    continue
-                gid2, hid = morphisms[mid]
-                if gid2 != gid:
-                    continue
-                comp = vertical_compose(m, n)
-                cid = nat_ids[(fid, hid, tuple(sorted(comp.components.items())))]
+            for mid in by_source.get(gid, ()):
+                comp = vertical_compose(self.nat_by_id[mid], self.nat_by_id[nid])
+                cid = nat_ids[(fid, morphisms[mid][1], tuple(sorted(comp.components.items())))]
                 compose[(mid, nid)] = cid
         self.category = FiniteCategory(self.functor_by_id.keys(), morphisms, compose,
                                        identities, f"{J.name}^{K.name}")

@@ -159,7 +159,7 @@ def cmd_delocalize(args, report: Report) -> None:
     report.add(f"marked class closed under composition: "
                f"{'yes' if closure.ok else 'NO'}", ok=closure.ok)
     report.add("last-vertex projection is simplicial: yes")
-    inv = check_inverts_L(S, args.depth, Budget(args.budget, "delocalization"))
+    inv = check_inverts_L(S, args.depth, Budget(args.budget, "delocalization"), sc)
     status = 'pass' if inv.ok else 'FAIL'
     report.add(f"marked morphisms invert in the homotopy category "
                f"[marked-inversion]: {status} ({inv.checked} checked)", ok=inv.ok)

@@ -188,17 +188,18 @@ def naturality_report(f: SimplicialMap, d: int) -> ValidationReport:
     return report
 
 
-def check_inverts_L(Q: TruncatedSSet, d: int, budget: Budget = None) -> ValidationReport:
+def check_inverts_L(Q: TruncatedSSet, d: int, budget: Budget = None,
+                    sc: SimplexCategory = None) -> ValidationReport:
     """Every marked morphism projects to a Ho-invertible edge of Q.
 
-    p is read on marked 1-chains only (``projected_edge``); it is validated
-    where it is built.  The report names the depth; the full localization
-    property is out of scope and never claimed here.
+    p is read on the marked 1-chains of ``sc`` (``projected_edge``), the
+    caller's ``SimplexCategory(Q, d)`` or else a new one.  The report names
+    the depth; the full localization property is never claimed here.
     """
     budget = ensure_budget(budget, f"marked-class check on {Q.name}")
     require_quasicategory(Q, budget)
     pres = ho(Q, budget, verified=True)
-    sc = SimplexCategory(Q, d)
+    sc = sc or SimplexCategory(Q, d)
     report = ValidationReport(f"marked morphisms of {Q.name} at depth {d} invert in Ho")
     for mid in sorted(sc.marked):
         if sc.category.is_identity(mid):

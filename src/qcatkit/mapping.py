@@ -67,6 +67,7 @@ from .simplicial import (
     horn,
     insert_letter,
     map_codes,
+    map_decoder,
     product,
     standard_simplex,
 )
@@ -313,12 +314,10 @@ class CellMaps(Mapping):
 
     def decode(self, n: int, codes: tuple) -> SimplicialMap:
         """The level-n map with the given code tuple."""
-        P = self.products[n]
-        decoders = self._decoders.get(n)
-        if decoders is None:
-            decoders = self._decoders[n] = [self.target.table(P.dim_of[x]).cells
-                                            for x in P.cells]
-        return SimplicialMap(P, self.target, tuple(map(getitem, decoders, codes)))
+        decode = self._decoders.get(n)
+        if decode is None:
+            decode = self._decoders[n] = map_decoder(self.products[n], self.target)
+        return decode(codes)
 
     def __getitem__(self, cid: str) -> SimplicialMap:
         mu = self._maps.get(cid)

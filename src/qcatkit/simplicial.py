@@ -24,6 +24,9 @@ follow the order of the simplices they name; so a map coded slot by slot
 compares, sorts and hashes as its image tuple does.  The map search
 (:func:`map_codes`) and the exponentials of :mod:`qcatkit.mapping` run
 over such code tuples and decode them only where a map is asked for.
+Extension problems (:func:`extensions`) search for the shell maps only and
+read the fillers off the target's n-simplices, charging the search's steps
+and one step per n-simplex of the target and per shell map.
 
 Conventions:
     * ``d_i`` forgets the i-th vertex, so for an edge ``f`` the face
@@ -880,31 +883,60 @@ def map_codes(S: TruncatedSSet, T: TruncatedSSet, budget: Budget, fixed=None) ->
     return results
 
 
+def map_decoder(S: TruncatedSSet, T: TruncatedSSet):
+    """The map S -> T of a code tuple, as :func:`map_codes` lays it out."""
+    tables = [T.table(S.dim_of[x]).cells for x in S.cells]
+    return lambda codes: SimplicialMap(S, T, tuple(map(getitem, tables, codes)))
+
+
 def enumerate_maps(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None,
                    fixed=None) -> list:
     """The complete set of simplicial maps S -> T, canonically ordered.
 
-    ``fixed`` pre-assigns images for some nondegenerate simplices of S
-    (used for extension problems, see :func:`extensions`); consistency
-    with faces is still enforced.  The search is :func:`map_codes`; this
-    decodes its result.
+    ``fixed`` pre-assigns images for some nondegenerate simplices of S;
+    consistency with faces is still enforced.  The search is
+    :func:`map_codes`; this decodes its result.
     """
     budget = ensure_budget(budget, f"maps {S.name} -> {T.name}")
-    decode = [T.table(S.dim_of[x]).cells for x in S.cells]
-    return [SimplicialMap(S, T, tuple(map(getitem, decode, codes)))
-            for codes in map_codes(S, T, budget, fixed)]
+    return list(map(map_decoder(S, T), map_codes(S, T, budget, fixed)))
 
 
 def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
     """Extension problems along a subset ``shell`` of the n-simplex.
 
-    Yields each map shell -> T, in :func:`enumerate_maps` order, with the
-    list of its fillers Δⁿ -> T.  ``shell`` must be built on the vertex
-    names of :func:`standard_simplex`, as horns and boundaries are.
+    Yields each map shell -> T, in :func:`enumerate_maps` order, with its
+    fillers Δⁿ -> T in that order.  ``shell`` must be built on the cell
+    names of :func:`standard_simplex`, as horns and boundaries are.  A map
+    Δⁿ -> T is its top simplex (Yoneda), so the fillers are read off
+    ``T.table(n)``, indexed by their restriction to the shell.  Steps: the
+    shell search's, one per n-simplex of T and one per shell map.
     """
+    budget = ensure_budget(budget, f"extensions {shell.name} -> {T.name}")
     simplex = standard_simplex(n, max(2, n))
-    for smap in enumerate_maps(shell, T, budget):
-        yield smap, enumerate_maps(simplex, T, budget, fixed=smap.assignment)
+    slot = simplex.cell_index
+    # top down, a cell's code is read off T's face row of the first cell it is a
+    # face of; a top simplex is a map only if every row agrees, as in a simplicial T
+    plan, rows, seen = [], [], set()
+    for k in range(n, 0, -1):
+        faces = T.table(k).faces
+        for x in simplex.nondeg(k):
+            slots = [slot[simplex.faces[(x, i)].base] for i in range(k + 1)]
+            plan += [(f, slot[x], faces, i) for i, f in enumerate(slots) if f not in seen]
+            seen.update(slots)
+            rows.append((slot[x], faces, itemgetter(*slots)))
+    shell_slots = [slot[x] for x in shell.cells]
+    fillers: dict = {}
+    for sigma in range(len(T.table(n).cells)):
+        budget.spend()
+        codes = [sigma] * len(slot)
+        for s, up, faces, i in plan:
+            codes[s] = faces[codes[up]][i]
+        if all(faces[codes[s]] == pick(codes) for s, faces, pick in rows):
+            fillers.setdefault(tuple(codes[s] for s in shell_slots), []).append(tuple(codes))
+    of_shell, of_simplex = map_decoder(shell, T), map_decoder(simplex, T)
+    for key in map_codes(shell, T, budget):
+        budget.spend()
+        yield of_shell(key), list(map(of_simplex, sorted(fillers.get(key, ()))))
 
 
 def find_isomorphism(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None):

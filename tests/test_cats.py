@@ -188,6 +188,29 @@ class TestEnumeration:
         h = horizontal_compose(identity_nat(identity_functor(F.target)), identity_nat(F))
         assert h.validate().ok
 
+    @pytest.mark.parametrize("K,J", [
+        (poset_simplex(1), poset_simplex(1)),
+        (poset_simplex(1), poset_simplex(2)),
+        (poset_simplex(1), group_z2()),
+        (coproduct_cat(poset_simplex(1), poset_simplex(1)), poset_simplex(2)),
+    ], ids=["[1]^[1]", "[2]^[1]", "z2^[1]", "[2]^([1]+[1])"])
+    def test_functor_category_composes_every_composable_pair(self, K, J):
+        # brute force: vertical_compose over all pairs of non-identity nats,
+        # the composite named by the nat with its ends and components
+        fc = FunctorCategory(K, J)
+        C, nats = fc.category, fc.nat_by_id
+        expected = {}
+        for nid in nats:
+            for mid in nats:
+                if C.is_identity(nid) or C.is_identity(mid) or C.cod(nid) != C.dom(mid):
+                    continue
+                comp = vertical_compose(nats[mid], nats[nid])
+                [cid] = [t for t in nats if C.morphisms[t] == (C.dom(nid), C.cod(mid))
+                         and nats[t].components == comp.components]
+                expected[(mid, nid)] = cid
+        assert expected and list(C.compose_table.items()) == list(expected.items())
+        assert validate_category(C).ok
+
 
 class TestHomotopyFinite:
     def test_poset_is(self):

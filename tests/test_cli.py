@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import qcatkit.delocalization as delocalization
 from qcatkit.cats import cat_to_text, poset_simplex
 from qcatkit.cli import main
 from qcatkit.corpus import labeled_map_corpus
@@ -78,3 +79,18 @@ def test_verify_suite_is_not_a_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-suite"])
     assert exc.value.code == 2
+
+
+def test_delocalize_builds_the_simplex_category_once(inputs, capsys, monkeypatch):
+    built = []
+    init = delocalization.SimplexCategory.__init__
+
+    def counting_init(self, S, depth):
+        built.append((S.name, depth))
+        init(self, S, depth)
+
+    monkeypatch.setattr(delocalization.SimplexCategory, "__init__", counting_init)
+    d, _ = inputs
+    code, out = run(["delocalize", str(d / "n1.sset"), "--depth", "2"], capsys)
+    assert code == 0 and "[marked-inversion]: pass" in out
+    assert built == [("n1", 2)]

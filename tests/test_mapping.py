@@ -400,6 +400,13 @@ class TestMappingSpace:
         assert report.by_horn[(1, 0)] == (1, False)
         assert not report.unique_fillers
 
+    def test_kan_check_charges_the_indexed_fillers(self):
+        # each of the 46 horns: its shell search, one step per n-simplex of the
+        # nerve and one per horn map; no search of Δⁿ pinned to a horn map
+        budget = Budget()
+        report = kan_check(nerve(group_z2(), 3), budget)
+        assert report.horns_checked == 46 and budget.used == 902
+
     def test_kan_check_names_the_unfilled_outer_horn(self):
         report = kan_check(nerve(poset_simplex(1), 3))
         assert not report.ok and report.horns_checked == 38

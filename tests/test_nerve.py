@@ -130,6 +130,15 @@ class TestQuasicategory:
         gc.collect()
         assert ref() is None and len(_QCAT_CACHE) == cached - 1
 
+    def test_cache_hit_charges_the_indexed_check(self):
+        # the dim-3 horns of N(z2) are answered from its 3-simplices; a hit
+        # charges that smaller count, as the miss did
+        S = nerve(group_z2(), 3)
+        miss, hit = Budget(), Budget()
+        require_quasicategory(S, miss)
+        require_quasicategory(S, hit)
+        assert miss.used == hit.used == 386
+
 
 class TestHomotopy:
     def test_reflexive(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcatkit.cats import contractible_groupoid, group_z2, poset_simplex
-from qcatkit.corpus import corpus_ssets
+from qcatkit.corpus import corpus_ssets, face_mutations
 from qcatkit.nerve import nerve
 from qcatkit.simplicial import (
     SimplexExpr,
@@ -25,6 +25,7 @@ from qcatkit.simplicial import (
     find_isomorphism,
     horn,
     identity_map,
+    map_codes,
     monotone_tuples,
     normalize_word,
     parse_expr,
@@ -337,6 +338,50 @@ class TestEnumerateMaps:
         for m, fillers in found:
             assert fillers == enumerate_maps(d2, t, fixed=m.assignment)
         assert sum(len(f) for _, f in found) == t.total_count(2)
+
+    def test_extensions_match_the_pinned_search(self):
+        # fillers by index against the pinned search over Δⁿ, every horn and
+        # boundary up to each member's truncation
+        shell_maps = found = 0
+        for name, T in corpus_ssets():
+            for shell, n in extension_problems(T.dim_bound):
+                got = list(extensions(shell, n, T, None))
+                assert got == pinned_extensions(shell, n, T), (name, shell.name)
+                shell_maps += len(got)
+                found += sum(len(fillers) for _, fillers in got)
+        assert (shell_maps, found) == (3901, 3665)
+        # among them, outer horns: N([1]) leaves some unfilled, N(z2) fills some twice
+        outer = [(horn(n, i, 2), n) for n in (1, 2) for i in (0, n)]
+        n1, z2 = dict(corpus_ssets())["N([1])"], dict(corpus_ssets())["N(z2)"]
+        assert any(not f for h, n in outer for _, f in extensions(h, n, n1, None))
+        assert any(len(f) > 1 for h, n in outer for _, f in extensions(h, n, z2, None))
+
+    def test_extensions_match_the_pinned_search_where_identities_fail(self):
+        # a top simplex whose faces disagree is no map; both sides drop it
+        for M in face_mutations():
+            for shell, n in extension_problems(M.dim_bound):
+                assert list(extensions(shell, n, M, None)) == pinned_extensions(shell, n, M)
+
+    def test_extensions_charge_the_search_the_index_and_the_lookups(self):
+        for name, T in corpus_ssets():
+            for shell, n in extension_problems(T.dim_bound):
+                search, spent = Budget(), Budget()
+                shell_maps = map_codes(shell, T, search)
+                list(extensions(shell, n, T, spent))
+                assert spent.used == search.used + T.total_count(n) + len(shell_maps), name
+
+
+def extension_problems(D):
+    """Every horn and boundary of Δⁿ, n = 1 .. D, with its n."""
+    for n in range(1, D + 1):
+        for shell in [horn(n, i, max(2, n - 1)) for i in range(n + 1)] + [boundary(n, max(2, n - 1))]:
+            yield shell, n
+
+
+def pinned_extensions(shell, n, T):
+    """Oracle: each shell map with the maps Δⁿ -> T the search pins to it."""
+    simplex = standard_simplex(n, max(2, n))
+    return [(m, enumerate_maps(simplex, T, fixed=m.assignment)) for m in enumerate_maps(shell, T)]
 
 
 # -- the coded search against brute force --------------------------------------
