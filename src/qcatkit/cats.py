@@ -616,21 +616,6 @@ class FunctorCategory:
                                        identities, f"{J.name}^{K.name}")
 
 
-def is_homotopy_finite(J: FiniteCategory):
-    """Finite + skeletal + no nontrivial endomorphisms, with a witness on failure."""
-    for m in J.nonidentity():
-        d, c = J.morphisms[m]
-        if d == c:
-            return False, f"nontrivial endomorphism {m!r} on {d!r}"
-    for i, x in enumerate(J.objects):
-        for y in J.objects[i + 1:]:
-            for f in J.hom(x, y):
-                g = J.inverse(f)
-                if g is not None:
-                    return False, f"isomorphism {f!r} between distinct objects {x!r}, {y!r}"
-    return True, None
-
-
 def equivalence_inverse(F: Functor, budget: Budget = None):
     """Inverse-up-to-isomorphism of an equivalence, or None.
 

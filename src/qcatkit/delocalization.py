@@ -11,14 +11,13 @@ depth: the construction is depth-free only on paper.
 
 from __future__ import annotations
 
-from .cats import FiniteCategory, Functor
-from .nerve import ho, nerve, nerve_map, require_quasicategory
+from .cats import FiniteCategory
+from .nerve import ho, nerve, require_quasicategory
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
     ValidationReport,
-    compose_maps,
     monotone_tuples,
     simplicial_action,
 )
@@ -96,19 +95,6 @@ class SimplexCategory:
                 f"{len(self.category.morphisms)} morphisms, {len(self.marked)} marked>")
 
 
-def simplex_functor(f: SimplicialMap, source: SimplexCategory,
-                    target: SimplexCategory) -> Functor:
-    """The functor between simplex categories induced by a simplicial map."""
-    ob = {}
-    for oid, (m, e) in source.simplex_of.items():
-        ob[oid] = _obj_id(m, f.apply(e))
-    mor = {}
-    for mid in source.category.nonidentity():
-        s_id, t_id = source.category.morphisms[mid]
-        mor[mid] = _mor_id(ob[s_id], ob[t_id], source.alpha_of[mid])
-    return Functor(source.category, target.category, ob, mor, f"simplices({f!r})")
-
-
 def last_vertex_image(sc: SimplexCategory, chain: tuple) -> SimplexExpr:
     """p on a chain (object, morphism, ...): the last simplex restricted
     along the track of the last vertices of the stages."""
@@ -167,24 +153,6 @@ def marked_closure_report(sc: SimplexCategory) -> ValidationReport:
             report.checked += 1
             if C.compose(g, f) not in sc.marked:
                 report.add(f"composite of marked {g!r} . {f!r} is not marked")
-    return report
-
-
-def naturality_report(f: SimplicialMap, d: int) -> ValidationReport:
-    """p is natural: the square with the induced simplex functor commutes."""
-    report = ValidationReport(f"naturality of the projection on {f.source.name}")
-    sc_s, N_s, p_s = last_vertex_projection(f.source, d)
-    sc_t, N_t, p_t = last_vertex_projection(f.target, d)
-    F = simplex_functor(f, sc_s, sc_t)
-    if not F.validate().ok:
-        report.add("induced functor on simplex categories is broken")
-        return report
-    NF = nerve_map(F, N_s, N_t)
-    left = compose_maps(p_t, NF)
-    right = compose_maps(f, p_s)
-    report.checked += 1
-    if left.key() != right.key():
-        report.add("p . N(simplices(f)) differs from f . p")
     return report
 
 

@@ -2,8 +2,8 @@
 
 The mapping object between two prederivators has, in level n, the strict
 morphisms into the shift of the target by the chain [n].  Shifts, the
-diagonal composition, the invertible-chain sub-prederivator, coherent
-equivalences, and the desk-scale embedding check all live here.
+simplicial operators, the diagonal composition, and the desk-scale
+embedding check all live here.
 """
 
 from __future__ import annotations
@@ -13,12 +13,9 @@ from .cats import (
     Functor,
     NatTransf,
     compose_functors,
-    constant_functor,
-    identity_functor,
     monotone_functor,
     pair_functor,
     pair_id,
-    pairing,
     poset_simplex,
     product_cat,
 )
@@ -27,7 +24,6 @@ from .nerve import chain_shape_iso, nerve, nerve_product_compare
 from .prederivator import (
     ClosureError,
     DiaSample,
-    FullSubPrederivator,
     HoPrederivator,
     Prederivator,
     StrictMorphism,
@@ -37,7 +33,6 @@ from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
-    ValidationReport,
     compose_words,
     enumerate_maps,
     product,
@@ -100,25 +95,6 @@ class ShiftedPrederivator(Prederivator):
                  for j in self.J.objects for k in alpha.source.source.objects}
         lifted = NatTransf(u_l, v_l, comps, f"id x {alpha.name}")
         return self.base.on_nat(lifted)
-
-
-def chain_embedding(sample: DiaSample, J_name: str, K_name: str, pname: str,
-                    t: int) -> Functor:
-    """The slice embedding K -> J x K at object t of a chain J = [j]."""
-    K = sample.cat(K_name)
-    return pairing(constant_functor(K, sample.cat(J_name), str(t)), identity_functor(K),
-                   sample.cat(pname), f"at{t}_{K_name}")
-
-
-def chain_step_nat(sample: DiaSample, J_name: str, K_name: str, pname: str,
-                   t: int) -> NatTransf:
-    """The natural transformation between slice embeddings at t and t+1."""
-    K = sample.cat(K_name)
-    e0 = chain_embedding(sample, J_name, K_name, pname, t)
-    e1 = chain_embedding(sample, J_name, K_name, pname, t + 1)
-    step = sample.cat(J_name).hom(str(t), str(t + 1))[0]
-    comps = {k: pair_id(step, K.identities[k]) for k in K.objects}
-    return NatTransf(e0, e1, comps, f"step{t}_{K_name}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,78 +217,6 @@ def compose_simplicial(f: StrictMorphism, g: StrictMorphism) -> StrictMorphism:
     if not comps:
         raise ClosureError("diagonal composition has no shape with complete data")
     return StrictMorphism(g.source, target, comps, f"({f.name})*({g.name})")
-
-
-# ---------------------------------------------------------------------------
-# the invertible-chain sub-prederivator
-
-
-class EqShiftPrederivator(FullSubPrederivator):
-    """Full sub-prederivator of a chain shift on pointwise-invertible diagrams."""
-
-    def __init__(self, D: Prederivator, n: int):
-        self.inner = ShiftedPrederivator(D, f"[{n}]")
-        super().__init__(self.inner, {}, f"{D.name}^eq[{n}]")
-        self.n = n
-
-    def kept_objects(self, K_name: str) -> list:
-        D, pname = self.inner.base, self.inner.paired(K_name)
-        CK = D.eval(K_name)
-        steps = [D.on_nat(chain_step_nat(D.sample, self.inner.J_name, K_name, pname, t))
-                 for t in range(self.n)]
-        return [X for X in self.inner.eval(K_name).objects
-                if all(CK.is_iso(step.at(X)) for step in steps)]
-
-
-def eq_shift(D: Prederivator, n: int) -> Prederivator:
-    if n == 0:
-        return ShiftedPrederivator(D, "[0]")
-    return EqShiftPrederivator(D, n)
-
-
-# ---------------------------------------------------------------------------
-# coherent equivalences
-
-
-def _vertex_restriction(E, K_name: str, t: int) -> Functor:
-    """(slice at t)* on the value of an interval (eq-)shift."""
-    inner = E.inner if isinstance(E, EqShiftPrederivator) else E
-    pname = inner.paired(K_name)
-    emb = chain_embedding(inner.base.sample, inner.J_name, K_name, pname, t)
-    star = inner.base.on_functor(emb)
-    if E is not inner:
-        sub = E.eval(K_name)
-        star = Functor(sub, star.target, {x: star.ob[x] for x in sub.objects},
-                       {m: star.mor[m] for m in sub.nonidentity()}, star.name)
-    return star
-
-
-def is_coherent_equivalence(F: StrictMorphism, G: StrictMorphism,
-                            a: StrictMorphism, b: StrictMorphism) -> ValidationReport:
-    """Check the quadruple shape: the chains connect the round trips to
-    the identities, vertexwise on every shared shape.
-
-    One check per clause; a failing clause is a violation.
-    """
-    verdict = ValidationReport(f"coherent equivalence {F.name}, {G.name}")
-    for label, chain_mor, left, right in [("a", a, G, F), ("b", b, F, G)]:
-        E = chain_mor.target
-        for K_name in sorted(chain_mor.components):
-            if K_name not in left.components or K_name not in right.components:
-                continue
-            v0 = compose_functors(_vertex_restriction(E, K_name, 0),
-                                  chain_mor.at(K_name))
-            v1 = compose_functors(_vertex_restriction(E, K_name, 1),
-                                  chain_mor.at(K_name))
-            round_trip = compose_functors(left.at(K_name), right.at(K_name))
-            ident = identity_functor(chain_mor.source.eval(K_name))
-            pair = {v0.key(), v1.key()}
-            verdict.checked += 1
-            if not (pair == {round_trip.key(), ident.key()}
-                    or (round_trip.key() == ident.key() and pair == {ident.key()})):
-                verdict.add(f"{label} at {K_name}: vertices are not the round trip "
-                            "and the identity")
-    return verdict
 
 
 # ---------------------------------------------------------------------------

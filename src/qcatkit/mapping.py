@@ -1,4 +1,4 @@
-"""Exponentials, mapping spaces, horn filling, and square lifting.
+"""Exponentials, mapping spaces, and the Kan check.
 
 Truncated exponentials are exact when the target carries a coskeletal
 certificate c and both operands are known at least up to level c: maps out
@@ -61,10 +61,7 @@ from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
-    compose_words,
     delta_map,
-    enumerate_maps,
-    horn,
     insert_letter,
     map_codes,
     map_decoder,
@@ -242,13 +239,6 @@ class Exponential:
             for key, e in self.to_expr[n].items():
                 rows[code[e]] = key
         return rows
-
-    @cached_property
-    def images_of(self) -> dict:
-        """The image tuple of the underlying map of every cell expression."""
-        decode = self.cell_map.decode
-        return {e: decode(n, key).images for n, known in self.to_expr.items()
-                for key, e in known.items()}
 
     @cached_property
     def ho(self) -> HoPresentation:
@@ -436,27 +426,6 @@ def induced_functor(E1: Exponential, E2: Exponential, image, name: str) -> Funct
 
 
 # ---------------------------------------------------------------------------
-# Kan core
-
-
-def kan_core(Q: TruncatedSSet, budget: Budget = None) -> TruncatedSSet:
-    """The largest simplicial subset whose edges are all Ho-invertible."""
-    require_quasicategory(Q, budget)
-    pres = ho(Q, budget, verified=True)
-    iso_edges = {e for e in Q.total(1) if pres.category.is_iso(pres.cls(e))}
-
-    def in_core(x: str, n: int) -> bool:
-        e = SimplexExpr((), x)
-        return all(Q.restrict(e, (a, b)) in iso_edges
-                   for a in range(n + 1) for b in range(a + 1, n + 1))
-
-    levels = {n: [x for x in Q.nondeg(n) if in_core(x, n)] for n in range(Q.dim_bound + 1)}
-    kept = {x for xs in levels.values() for x in xs}
-    faces = {(x, i): f for (x, i), f in Q.faces.items() if x in kept}
-    return TruncatedSSet(Q.dim_bound, levels, faces, Q.coskeletal_from, f"core({Q.name})")
-
-
-# ---------------------------------------------------------------------------
 # mapping spaces
 
 
@@ -482,226 +451,3 @@ def kan_check(S: TruncatedSSet, budget: Budget = None) -> QcatReport:
     for n in range(1, S.dim_bound + 1):
         report.check_horns(S, n, range(n + 1), budget)
     return report
-
-
-# ---------------------------------------------------------------------------
-# horn filling
-
-
-def fill_inner_horn(Q: TruncatedSSet, h: SimplicialMap, budget: Budget = None):
-    """Extend an inner horn into Q; first filler in canonical order.
-
-    ``h`` must be a map from a horn built by :func:`qcatkit.simplicial.horn`.
-    Returns (filler map, image of the top cell).
-    """
-    budget = ensure_budget(budget, f"horn filling in {Q.name}")
-    name = h.source.name
-    if not name.startswith("horn"):
-        raise ValueError("source of the horn map is not a horn")
-    n, i = (int(p) for p in name[4:].split("_"))
-    if not 0 < i < n:
-        raise ValueError(f"horn({n},{i}) is not inner")
-    if n > Q.dim_bound:
-        raise ValueError("horn dimension exceeds the truncation")
-    shape = standard_simplex(n, max(2, n))
-    fillers = enumerate_maps(shape, Q, budget, fixed=h.assignment)
-    if not fillers:
-        desc = {k: v.token() for k, v in sorted(h.assignment.items())}
-        raise ValueError(f"no filler within truncation for horn({n},{i}) {desc}")
-    filler = fillers[0]
-    return filler, filler.assignment[top_cell(n)]
-
-
-def horn_map_from_faces(n: int, i: int, images: dict, Q: TruncatedSSet) -> SimplicialMap:
-    """Assemble a horn map from its top-dimensional faces.
-
-    ``images[j]`` is the (n-1)-simplex of Q to be placed on the face
-    d_j of the simplex, for every j != i; lower cells are derived and
-    cross-checked for consistency.
-    """
-    hn = horn(n, i, max(2, n - 1))
-    assignment: dict = {}
-    for j in sorted(images):
-        face_subset = tuple(t for t in range(n + 1) if t != j)
-        img = images[j]
-        for m in range(n):
-            for cid in hn.nondeg(m):
-                verts = tuple(int(ch) for ch in cid)
-                if not set(verts) <= set(face_subset):
-                    continue
-                positions = tuple(face_subset.index(v) for v in verts)
-                e = Q.restrict(img, positions)
-                if cid in assignment and assignment[cid] != e:
-                    raise ValueError(f"incompatible faces at cell {cid}")
-                assignment[cid] = e
-    return SimplicialMap(hn, Q, assignment)
-
-
-# ---------------------------------------------------------------------------
-# square lifting
-
-
-class Square:
-    """A commutative square in a homotopy category, tracked by morphism ids."""
-
-    def __init__(self, pres: HoPresentation, top: str, bottom: str, left: str, right: str):
-        cat = pres.category
-        if cat.compose(right, top) != cat.compose(bottom, left):
-            raise ValueError("square does not commute")
-        self.pres = pres
-        self.top, self.bottom, self.left, self.right = top, bottom, left, right
-
-    def __repr__(self):
-        return f"<square top={self.top} bottom={self.bottom} left={self.left} right={self.right}>"
-
-
-class LiftResult:
-    def __init__(self, exponential_: Exponential, prism: SimplicialMap, cell: SimplexExpr,
-                 steps: dict):
-        self.exponential = exponential_
-        self.prism = prism
-        self.cell = cell
-        self.morphism = exponential_.ho.cls(cell)
-        self.steps = steps
-
-
-def _find_triangle(Q: TruncatedSSet, d0: SimplexExpr, d2: SimplexExpr,
-                   budget: Budget, step: str) -> SimplexExpr:
-    for sigma in Q.total(2):
-        budget.spend()
-        if Q.face(sigma, 0) == d0 and Q.face(sigma, 2) == d2:
-            return sigma
-    raise ValueError(f"square lifting failed at step {step}: no 2-simplex with "
-                     f"d0={d0.token()}, d2={d2.token()}")
-
-
-def prism_map(E: Exponential, f: SimplexExpr, g: SimplexExpr,
-              triangle_a: SimplexExpr, triangle_b: SimplexExpr,
-              h: SimplexExpr, k: SimplexExpr, diag: SimplexExpr) -> SimplicialMap:
-    """The level-1 cell of Q^{Δ1} built from two compatible triangles.
-
-    Triangle a covers the top-then-right half (faces g, diag, h), triangle
-    b the left-then-bottom half (faces k, diag, f).
-    """
-    Q = E.base
-    P = E.products[1]
-    fv = Q.vertices(f)
-    gv = Q.vertices(g)
-    grid = {("0", "0"): fv[0], ("1", "0"): fv[1],
-            ("0", "1"): gv[0], ("1", "1"): gv[1]}
-    edges = {
-        ("01", (), "0", (0,)): f,   # exponent edge over direction vertex 0
-        ("01", (), "1", (0,)): g,
-        ("0", (0,), "01", ()): h,   # direction edge at exponent vertex 0
-        ("1", (0,), "01", ()): k,
-        ("01", (), "01", ()): diag,
-    }
-    assignment = {}
-    for m in range(P.dim_bound + 1):
-        for pid in P.nondeg(m):
-            e1, e2 = P.pair_of[pid]
-            if m == 0:
-                assignment[pid] = SimplexExpr((), grid[(e1.base, e2.base)])
-            elif m == 1:
-                assignment[pid] = edges[(e1.base, e1.word, e2.base, e2.word)]
-            else:
-                # the two triangles: (s0 exp, s1 dir) and (s1 exp, s0 dir)
-                if e1.word == (0,) and e2.word == (1,):
-                    assignment[pid] = triangle_a
-                elif e1.word == (1,) and e2.word == (0,):
-                    assignment[pid] = triangle_b
-                else:
-                    raise AssertionError(f"unexpected prism cell {pid}")
-    return SimplicialMap(P, E.T_t, assignment)
-
-
-def lift_square(Q: TruncatedSSet, square: Square, f: SimplexExpr, g: SimplexExpr,
-                budget: Budget = None, E: Exponential = None) -> LiftResult:
-    """Lift a commutative Ho-square to a morphism f -> g in Ho(Q^{Δ1}).
-
-    Follows the horn-filling construction: compose witnesses for the two
-    composites, a homotopy 2-simplex between them, one inner 3-horn, and
-    the assembly of the resulting triangles into a prism.  All intermediate
-    choices are first-in-canonical-order.
-    """
-    budget = ensure_budget(budget, f"square lifting in {Q.name}")
-    if Q.dim_bound < 3:
-        raise ValueError("square lifting needs dim_bound >= 3")
-    pres = square.pres
-    if pres.cls(f) != square.left or pres.cls(g) != square.right:
-        raise ValueError("f, g do not represent the vertical edges of the square")
-    steps = {}
-    h = pres.reps[square.top]
-    k = pres.reps[square.bottom]
-    steps["h"] = h
-    steps["k"] = k
-    a = _find_triangle(Q, d0=g, d2=h, budget=budget, step="composition witness a")
-    b = _find_triangle(Q, d0=k, d2=f, budget=budget, step="composition witness b")
-    steps["a"], steps["b"] = a, b
-    d1a, d1b = Q.face(a, 1), Q.face(b, 1)
-    x00 = Q.vertices(f)[0]
-    degenerate = SimplexExpr((0,), x00)
-    want = (d1b, d1a, degenerate)
-    code = Q.table(1).code
-    cands = Q.by_faces(2).get(tuple(code[e] for e in want), [])
-    budget.spend(1)
-    if not cands:
-        raise ValueError("square lifting failed at step homotopy c: the composites "
-                         f"{d1a.token()} and {d1b.token()} admit no one-step homotopy")
-    c = Q.table(2).cells[cands[0]]
-    steps["c"] = c
-    s0f = SimplexExpr(insert_letter(0, f.word), f.base)
-    H = horn_map_from_faces(3, 1, {0: b, 2: c, 3: s0f}, Q)
-    filler, _ = fill_inner_horn(Q, H, budget)
-    steps["H"] = filler
-    tau = filler.target.face(filler.assignment[top_cell(3)], 1)
-    steps["tau"] = tau
-    if E is None:
-        E = Exponential(Q, Q.interval, 2, budget)
-    prism = prism_map(E, f, g, triangle_a=a, triangle_b=tau, h=h, k=k, diag=d1a)
-    cell = E.locate(prism)
-    result = LiftResult(E, prism, cell, steps)
-    # dia of the lift must reproduce the square on the nose
-    top_edge = E.evaluate_at_vertex(prism, "0", 1)
-    bottom_edge = E.evaluate_at_vertex(prism, "1", 1)
-    if pres.cls(top_edge) != square.top or pres.cls(bottom_edge) != square.bottom:
-        raise AssertionError("lift does not restrict to the given square")
-    return result
-
-
-def enumerate_prism_lifts(E: Exponential, square: Square, f: SimplexExpr, g: SimplexExpr,
-                          budget: Budget = None) -> list:
-    """Brute-force search for all lifts of a square, as Ho-classes.
-
-    Independent of the horn-filling construction: scans every 1-cell of the
-    exponential whose endpoints are exactly f and g and whose restrictions
-    to the exponent endpoints land in the square's horizontal classes.
-    """
-    budget = ensure_budget(budget, "prism search")
-    pres = square.pres
-    fcell = E.locate(object_map(E, f))
-    gcell = E.locate(object_map(E, g))
-    found = []
-    for sigma in E.sset.total(1):
-        budget.spend()
-        if E.sset.face(sigma, 1) != fcell or E.sset.face(sigma, 0) != gcell:
-            continue
-        mu = E.map_of(sigma)
-        top_edge = E.evaluate_at_vertex(mu, "0", 1)
-        bottom_edge = E.evaluate_at_vertex(mu, "1", 1)
-        if pres.cls(top_edge) == square.top and pres.cls(bottom_edge) == square.bottom:
-            found.append(E.ho.cls(sigma))
-    return sorted(set(found))
-
-
-def object_map(E: Exponential, e: SimplexExpr) -> SimplicialMap:
-    """The vertex of Q^{Δ1} presented by an edge of Q."""
-    verts = E.base.vertices(e)
-
-    def image(e1, _e2):
-        # an m-simplex over an exponent vertex is that vertex's full degeneracy
-        if E.S_t.dim_of[e1.base] == 0:
-            return SimplexExpr(e1.word, verts[int(e1.base)])
-        return SimplexExpr(compose_words(e1.word, e.word), e.base)
-
-    return E.products[0].map_pairs(E.T_t, image)

@@ -296,12 +296,6 @@ def _class_codes(Q: TruncatedSSet) -> dict:
     return uf.classes()
 
 
-def homotopy_classes(Q: TruncatedSSet) -> dict:
-    """Map each 1-simplex to the canonical representative of its class."""
-    cells = Q.table(1).cells
-    return {cells[c]: cells[r] for c, r in _class_codes(Q).items()}
-
-
 def one_step_homotopic(Q: TruncatedSSet, f: SimplexExpr, g: SimplexExpr) -> bool:
     """The unclosured relation: some 2-simplex exhibits f and g directly."""
     for sigma in Q.total(2):
@@ -311,15 +305,6 @@ def one_step_homotopic(Q: TruncatedSSet, f: SimplexExpr, g: SimplexExpr) -> bool
         if _is_degenerate_edge(Q, d0) and {f, g} <= {d1, d2}:
             return True
     return False
-
-
-def homotopic(Q: TruncatedSSet, f: SimplexExpr, g: SimplexExpr,
-              budget: Budget = None) -> bool:
-    require_quasicategory(Q, budget)
-    if Q.edge_endpoints(f) != Q.edge_endpoints(g):
-        raise ValueError("edges do not share endpoints")
-    classes = homotopy_classes(Q)
-    return classes[f] == classes[g]
 
 
 class HoPresentation:
@@ -399,10 +384,6 @@ def ho_on_map(f: SimplicialMap, src_ho: HoPresentation = None,
         rep = src_ho.reps[mid]
         mor[mid] = tgt_ho.cls(f.apply(rep))
     return Functor(src_ho.category, tgt_ho.category, ob, mor, f"Ho({f.source.name}->{f.target.name})")
-
-
-def is_iso_in_ho(hopres: HoPresentation, e: SimplexExpr) -> bool:
-    return hopres.category.is_iso(hopres.cls(e))
 
 
 def counit_functor(N: NerveSSet, hopres: HoPresentation = None) -> Functor:

@@ -502,11 +502,8 @@ class FullSubPrederivator(Prederivator):
         self.base = base
         self.kept = kept
 
-    def kept_objects(self, J_name: str):
-        return self.kept.get(J_name)
-
     def _eval(self, J_name: str) -> FiniteCategory:
-        keep = self.kept_objects(J_name)
+        keep = self.kept.get(J_name)
         if keep is None:
             return self.base.eval(J_name)
         return full_subcategory(self.base.eval(J_name), keep)
@@ -897,19 +894,9 @@ def check_modification(Xi: Modification) -> ValidationReport:
     return report
 
 
-def compose_strict(G: StrictMorphism, F: StrictMorphism, name: str = None) -> StrictMorphism:
-    comps = {j: compose_functors(G.at(j), F.at(j)) for j in F.components}
-    return StrictMorphism(F.source, G.target, comps, name or f"{G.name}.{F.name}")
-
-
 def identity_strict(D: Prederivator) -> StrictMorphism:
     return StrictMorphism(D, D, {j: identity_functor(D.eval(j)) for j in D.sample.order},
                           f"id_{D.name}")
-
-
-def compose_modification(Y: Modification, X: Modification, name: str = None) -> Modification:
-    comps = {j: vertical_compose(Y.at(j), X.at(j)) for j in X.components}
-    return Modification(X.source, Y.target, comps, name or f"{Y.name}.{X.name}")
 
 
 # ---------------------------------------------------------------------------

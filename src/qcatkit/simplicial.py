@@ -635,8 +635,7 @@ def standard_simplex(n: int, D: int) -> TruncatedSSet:
 
 def _simplex_subset(n: int, D: int, keep, name: str) -> TruncatedSSet:
     full = standard_simplex(n, max(D, n))
-    levels = {k: [x for x in full.nondeg(k)
-                  if keep(tuple(int(ch) for ch in x))]
+    levels = {k: [_tuple_id(c) for c in combinations(range(n + 1), k + 1) if keep(c)]
               for k in range(D + 1)}
     kept = {x for xs in levels.values() for x in xs}
     faces = {(x, i): f for (x, i), f in full.faces.items() if x in kept}
@@ -752,22 +751,6 @@ class ProductSSet(TruncatedSSet):
 
 def product(S: TruncatedSSet, T: TruncatedSSet) -> ProductSSet:
     return ProductSSet(S, T)
-
-
-def product_swap(P: ProductSSet, Q: ProductSSet) -> SimplicialMap:
-    """The symmetry P = SxT -> Q = TxS."""
-    return P.map_pairs(Q, lambda e1, e2: Q.pair_expr(e2, e1))
-
-
-def product_assoc(P: ProductSSet, Q: ProductSSet) -> SimplicialMap:
-    """Reassociation (SxT)xU -> Sx(TxU) between given presentations."""
-    inner: ProductSSet = Q.right  # TxU
-
-    def image(e12, e3):
-        e1, e2 = P.left.components(e12)
-        return Q.pair_expr(e1, inner.pair_expr(e2, e3))
-
-    return P.map_pairs(Q, image)
 
 
 def projection(P: ProductSSet, side: int) -> SimplicialMap:

@@ -23,7 +23,6 @@ from qcatkit.cats import (
     horizontal_compose,
     identity_functor,
     identity_nat,
-    is_homotopy_finite,
     monotone_functor,
     pair_functor,
     pair_id,
@@ -210,23 +209,6 @@ class TestEnumeration:
                 expected[(mid, nid)] = cid
         assert expected and list(C.compose_table.items()) == list(expected.items())
         assert validate_category(C).ok
-
-
-class TestHomotopyFinite:
-    def test_poset_is(self):
-        ok, witness = is_homotopy_finite(poset_simplex(2))
-        assert ok and witness is None
-
-    def test_group_is_not(self):
-        ok, witness = is_homotopy_finite(group_z2())
-        assert not ok and "endomorphism" in witness
-
-    def test_groupoid_is_not(self):
-        ok, witness = is_homotopy_finite(contractible_groupoid())
-        assert not ok and "isomorphism" in witness
-
-    def test_boundary_two_is(self):
-        assert is_homotopy_finite(boundary_two())[0]
 
 
 class TestEquivalence:

@@ -3,16 +3,14 @@
 import pytest
 
 from qcatkit.cats import group_z2, poset_simplex, validate_category
-from qcatkit.corpus import corpus_quasicategories, labeled_map_corpus
+from qcatkit.corpus import corpus_quasicategories
 from qcatkit.delocalization import (
     SimplexCategory,
     check_inverts_L,
     last_vertex_image,
     last_vertex_projection,
     marked_closure_report,
-    naturality_report,
     projected_edge,
-    simplex_functor,
 )
 from qcatkit.nerve import ho, nerve
 from qcatkit.simplicial import SimplexExpr, expr, standard_simplex
@@ -92,17 +90,6 @@ class TestProjection:
                 edge = p.apply(N.chain_expr(chain))
                 assert last_vertex_image(sc, chain) == edge, (name, mid)
                 assert projected_edge(sc, mid) == edge, (name, mid)
-
-    def test_induced_functor_and_naturality(self):
-        corpus = labeled_map_corpus()
-        checked = 0
-        for name, f, _ in corpus:
-            report = naturality_report(f, 1)
-            assert report.ok, (name, report.violations)
-            checked += 1
-            if checked >= 5:
-                break
-        assert checked == 5
 
 
 class TestInvertsMarked:

@@ -1,24 +1,19 @@
-"""Shifts, simplicial hom levels, diagonal composition, coherent equivalences."""
+"""Shifts, simplicial hom levels, diagonal composition, the embedding check."""
 
 import pytest
 
 from qcatkit.cats import (
-    Functor,
     NatTransf,
     compose_functors,
-    contractible_groupoid,
     identity_functor,
     identity_nat,
     poset_simplex,
 )
 from qcatkit.enrichment import (
-    EqShiftPrederivator,
     ShiftedPrederivator,
     compose_simplicial,
     embedding_check,
     enrichment_sample,
-    eq_shift,
-    is_coherent_equivalence,
     simplicial_hom,
     simplicial_operator,
 )
@@ -27,10 +22,8 @@ from qcatkit.prederivator import (
     ClosureError,
     HoPrederivator,
     Modification,
-    StrictMorphism,
     check_modification,
     check_strict,
-    identity_strict,
 )
 from qcatkit.simplicial import standard_simplex
 
@@ -104,9 +97,8 @@ def stepped_sample():
 
 
 @pytest.mark.parametrize("make", [lambda D: ShiftedPrederivator(D, "[0]"),
-                                  lambda D: ShiftedPrederivator(D, "[1]"),
-                                  lambda D: eq_shift(D, 1)],
-                         ids=["shift0", "shift1", "eq_shift1"])
+                                  lambda D: ShiftedPrederivator(D, "[1]")],
+                         ids=["shift0", "shift1"])
 def test_shifts_are_two_functors_on_a_listed_nat(make):
     D = make(HoPrederivator(nerve(poset_simplex(1), 3), stepped_sample()))
     report = D.check_two_functoriality()
@@ -197,88 +189,6 @@ class TestComposeSimplicial:
                     assert h_fg.key_on(common) == hf_g.key_on(common)
                     checked += 1
         assert checked == 8
-
-
-class TestEqShift:
-    def test_level_zero_is_plain_shift(self, d_interval):
-        assert not isinstance(eq_shift(d_interval, 0), EqShiftPrederivator)
-
-    def test_interval_invertible_arrows(self, d_interval):
-        eq = eq_shift(d_interval, 1)
-        assert len(eq.eval("[0]").objects) == 2  # only the identity arrows
-
-    def test_groupoid_keeps_everything(self):
-        dE = HoPrederivator(nerve(contractible_groupoid(), 3), enrichment_sample(1))
-        eq = eq_shift(dE, 1)
-        inner = ShiftedPrederivator(dE, "[1]")
-        assert len(eq.eval("[0]").objects) == len(inner.eval("[0]").objects)
-
-    def test_stable_under_restriction(self, d_interval):
-        eq = eq_shift(d_interval, 1)
-        u = SAMPLE.functors["vx_[1]_0"]
-        F = eq.on_functor(u)
-        assert F.validate().ok
-
-
-class TestCoherentEquivalence:
-    def test_identity_quadruple(self, d_interval):
-        ident = identity_strict(d_interval)
-        eq = eq_shift(d_interval, 1)
-        # degenerate chain: every object goes to its constant interval diagram
-        a = degenerate_chain(d_interval, eq)
-        verdict = is_coherent_equivalence(ident, ident, a, a)
-        assert verdict.ok and verdict.checked > 0, verdict.violations
-
-    def test_wrong_endpoint_detected(self, d_interval):
-        ident = identity_strict(d_interval)
-        eq = eq_shift(d_interval, 1)
-        a = degenerate_chain(d_interval, eq)
-        # break one endpoint: swap a component with a non-chain functor
-        K = "[0]"
-        broken_comp = dict(a.components)
-        C = eq.eval(K)
-        other = {X: sorted(C.objects)[0] for X in a.at(K).ob}
-        broken_comp[K] = Functor(a.at(K).source, C, other,
-                                 {m: C.identities[sorted(C.objects)[0]]
-                                  for m in a.at(K).source.nonidentity()}, "broken")
-        b = StrictMorphism(a.source, a.target, broken_comp, "broken-chain")
-        verdict = is_coherent_equivalence(ident, ident, b, a)
-        assert not verdict.ok
-        assert any("vertices" in v for v in verdict.violations)
-
-
-def degenerate_chain(D, eq):
-    """The chain morphism sending an object to its constant interval diagram."""
-    comps = {}
-    for K in eq.inner.pairings:
-        if K not in D.sample.categories:
-            continue
-        pname = eq.inner.paired(K)
-        # constant diagrams: restrict along the projection [1] x K -> K
-        PK = D.sample.cat(pname)
-        K_cat = D.sample.cat(K)
-        proj = Functor(PK, K_cat,
-                       {x: _snd(x) for x in PK.objects},
-                       {m: _snd(m) for m in PK.nonidentity()}, f"proj2_{K}")
-        star = D.on_functor(proj)
-        sub = eq.eval(K)
-        comps[K] = Functor(D.eval(K), sub,
-                           {X: star.ob[X] for X in D.eval(K).objects},
-                           {m: star.mor[m] for m in D.eval(K).nonidentity()},
-                           f"const_{K}")
-    return StrictMorphism(D, eq, comps, "degenerate-chain")
-
-
-def _snd(pair_token: str) -> str:
-    depth = 0
-    for pos, ch in enumerate(pair_token):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return pair_token[pos + 1:-1]
-    raise ValueError(pair_token)
 
 
 class TestEmbedding:

@@ -18,12 +18,17 @@ def _test_trees():
             for path in sorted((ROOT / "tests").glob("*.py"))]
 
 
-def _references(tree, bare_names: bool = True) -> Counter:
+def _references(tree, bare_names: bool, skip: frozenset) -> Counter:
     """Names read as variables (unless ``bare_names`` is false) or attributes,
     and string constants that are whole identifiers (the benchmark's tracer
-    names what it wraps by string)."""
+    names what it wraps by string).  Nodes in ``skip`` are not entered."""
     out: Counter = Counter()
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Name):
             if bare_names:
                 out[node.id] += 1
@@ -37,15 +42,15 @@ def _references(tree, bare_names: bool = True) -> Counter:
 
 def _definitions(tree):
     """Top-level functions and classes, then the non-dunder methods of the
-    classes, each with whether it is a method."""
+    classes, each with its qualified name and whether it is a method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node, False
+            yield node, node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
-                    yield item, True
+                    yield item, f"{node.name}.{item.name}", True
 
 
 def test_no_unused_imports():
@@ -69,18 +74,65 @@ def test_no_package_imports_inside_functions():
     assert not local
 
 
+# Definitions that only the tests reach, each with why it stays.
+TEST_ONLY = {
+    # oracles for HO(N(C))(J) = C^J
+    "FunctorCategory": "oracle: the functor category C^J that HO(N(C))(J) is compared with",
+    "counit_functor": "oracle: the comparison Ho(N(J)) -> J",
+    "functor_is_isomorphism": "oracle: decides that a comparison functor is an isomorphism",
+    "find_isomorphism": "oracle: isomorphism search, until explicit comparisons replace it",
+    # other oracles
+    "enumerate_nats": "oracle: all natural transformations, behind FunctorCategory",
+    "one_step_homotopic": "oracle: the unclosed homotopy relation the Ho classes are checked on",
+    "_is_degenerate_edge": "oracle: behind one_step_homotopic",
+    "normalize_word": "oracle: normal form of any letter sequence, checks insert_letter",
+    "projection": "oracle: product projections, check map_pairs and the product's faces",
+    "Exponential.evaluate_at_vertex": "oracle: reads a cell of T^S at an exponent vertex",
+    # claim checks of the paper's statements
+    "check_strict": "claim check: strict 2-naturality of a morphism",
+    "check_modification": "claim check: a modification between strict morphisms",
+    "Modification": "claim check: the 2-cells check_modification audits",
+    "StrictMorphism.key_on": "claim check: compares morphisms on a shared scope",
+    "simplicial_operator": "claim check: the simplicial structure of the enrichment",
+    "compose_simplicial": "claim check: associativity of the enrichment's composition",
+    "ho_on_map": "claim check: Ho of a simplicial map, for delocalization",
+    # test inputs and text formats
+    "identity_nat": "test input: identity 2-cell",
+    "identity_strict": "test input: identity strict morphism",
+    "cat_to_text": "text format: writes a category, behind sample_to_manifest",
+    "sample_to_manifest": "text format: writes a sample the CLI reads back",
+    "expr": "test input: a simplex from a base and a word",
+    "parse_expr": "text format: reads a simplex token",
+    "empty_sset": "test input: the empty simplicial set",
+}
+
+
 def test_every_definition_is_referenced():
-    """A method is reached only through an attribute or a string, never
-    through a bare name: a local function of the same name is not a call."""
-    trees = [ast.parse(p.read_text())
-             for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    counts = {bare: sum((_references(t, bare) for t in trees), Counter())
+    """Every definition is reached from the package or the benchmark,
+    outside the bodies of the ``TEST_ONLY`` definitions, or is listed there;
+    a reference from a test is not a use.  A method is reached only through
+    an attribute or a string, never through a bare name: a local function of
+    the same name is not a call."""
+    package = _trees()
+    defined = [(module, node, name, method) for module, tree in package
+               for node, name, method in _definitions(tree)]
+    test_only = frozenset(node for _, node, name, _ in defined if name in TEST_ONLY)
+    trees = [tree for _, tree in package] + [
+        ast.parse(p.read_text()) for p in (ROOT / "perfbench").rglob("*.py")
+        if "tests" not in p.relative_to(ROOT).parts]
+    counts = {bare: sum((_references(t, bare, test_only) for t in trees), Counter())
               for bare in (True, False)}
-    # a reference from inside the definition itself (recursion) does not count
-    dead = [f"{module}:{node.lineno} {node.name}" for module, tree in _trees()
-            for node, method in _definitions(tree)
-            if counts[not method][node.name] - _references(node, not method)[node.name] < 1]
+    dead, stale = [], sorted(set(TEST_ONLY) - {name for _, _, name, _ in defined})
+    for module, node, name, method in defined:
+        # a reference from inside the definition itself (recursion) does not count
+        own = _references(node, not method, test_only)[node.name]
+        used = counts[not method][node.name] - own
+        if name in TEST_ONLY and used > 0:
+            stale.append(name)
+        elif name not in TEST_ONLY and used < 1:
+            dead.append(f"{module}:{node.lineno} {name}")
     assert not dead
+    assert not stale
 
 
 def _outermost_functions(tree):

@@ -1,4 +1,4 @@
-"""Exponentials, Kan cores, mapping spaces, and square lifting."""
+"""Exponentials, mapping spaces, the Kan check, and inner horn filling."""
 
 import gc
 import hashlib
@@ -20,17 +20,10 @@ from qcatkit.cats import (
 from qcatkit.mapping import (
     ExactnessError,
     Exponential,
-    Square,
-    enumerate_prism_lifts,
-    fill_inner_horn,
     full_degeneracy,
-    horn_map_from_faces,
     induced_functor,
     kan_check,
-    kan_core,
-    lift_square,
     mapping_space,
-    object_map,
     path_object,
 )
 from qcatkit.nerve import ho, is_quasicategory, nerve
@@ -41,7 +34,7 @@ from qcatkit.simplicial import (
     delta_map,
     empty_sset,
     enumerate_maps,
-    expr,
+    extensions,
     horn,
     product,
     sset_to_text,
@@ -286,7 +279,7 @@ class TestExponential:
         for n in range(3):
             (e,) = E.sset.total(n)
             assert E.locate(E.map_of(e)) == e
-            assert E.images_of[e] == ()
+            assert E.map_of(e).images == ()
 
     def test_exponents_share_one_frame(self):
         sample = standard_sample()
@@ -326,38 +319,6 @@ class TestExponential:
         assert validate_category(pres.category).ok
         # Ho of the exponential is the arrow category of [1]: 3 objects
         assert len(pres.category.objects) == 3
-
-
-class TestKanCore:
-    def test_core_of_interval_is_discrete(self):
-        q = nerve(poset_simplex(1), 3)
-        core = kan_core(q)
-        assert [len(core.nondeg(n)) for n in range(4)] == [2, 0, 0, 0]
-        assert core.validate().ok
-
-    def test_core_of_group_is_everything(self):
-        q = nerve(group_z2(), 3)
-        core = kan_core(q)
-        assert core.levels == q.levels
-
-    def test_core_of_point(self):
-        q = standard_simplex(0, 2)
-        assert kan_core(q).levels == q.levels
-
-    def test_core_idempotent(self):
-        q = nerve(boundary_two(), 3)
-        core = kan_core(q)
-        again = kan_core(core)
-        assert again.levels == core.levels
-
-    def test_core_preserved_by_products(self):
-        a = nerve(poset_simplex(1), 3)
-        b = nerve(group_z2(), 3)
-        p = product(a, b)
-        core_p = kan_core(p)
-        direct = product(kan_core(a), kan_core(b))
-        assert {n: len(core_p.nondeg(n)) for n in range(3)} == \
-               {n: len(direct.nondeg(n)) for n in range(3)}
 
 
 def pi0(sset):
@@ -439,88 +400,31 @@ class TestMappingSpace:
 
 
 class TestHornFilling:
+    """Inner horns through ``extensions``, the one horn-filling path."""
+
     def test_nerve_fillers_unique(self):
-        q = nerve(poset_simplex(2), 3)
-        h = horn_map_from_faces(2, 1, {0: expr("m12"), 2: expr("m01")}, q)
-        assert h.validate().ok
-        filler, top = fill_inner_horn(q, h)
-        assert q.face(top, 1) == expr("m02")
+        for cat in [poset_simplex(2), boundary_two(), group_z2(), contractible_groupoid()]:
+            q = nerve(cat, 3)
+            for n in (2, 3):
+                for i in range(1, n):
+                    found = list(extensions(horn(n, i, 2), n, q, None))
+                    assert found and all(len(fillers) == 1 for _, fillers in found), cat.name
 
     def test_degenerate_horn_filling(self):
         q = nerve(poset_simplex(1), 3)
         s0x = SimplexExpr((0,), "0")
-        h = horn_map_from_faces(2, 1, {0: s0x, 2: s0x}, q)
-        filler, top = fill_inner_horn(q, h)
-        assert top == SimplexExpr((1, 0), "0")
+        (fillers,) = [fillers for h, fillers in extensions(horn(2, 1, 2), 2, q, None)
+                      if h.assignment["01"] == h.assignment["12"] == s0x]
+        assert [f.assignment["012"] for f in fillers] == [SimplexExpr((1, 0), "0")]
 
     def test_filler_face_is_ho_composite(self):
         q = nerve(boundary_two(), 3)
         pres = ho(q)
-        h = horn_map_from_faces(2, 1, {0: expr("b"), 2: expr("a")}, q)
-        _, top = fill_inner_horn(q, h)
-        composite = pres.cls(q.face(top, 1))
-        assert composite == pres.category.compose(pres.cls(expr("b")), pres.cls(expr("a")))
-
-    def test_outer_horn_rejected(self):
-        q = nerve(poset_simplex(2), 3)
-        h = horn_map_from_faces(2, 0, {1: expr("m02"), 2: expr("m01")}, q)
-        with pytest.raises(ValueError, match="inner"):
-            fill_inner_horn(q, h)
-
-
-def all_commutative_squares(pres):
-    cat = pres.category
-    squares = []
-    for top in sorted(cat.morphisms):
-        for left in sorted(cat.morphisms):
-            if cat.dom(top) != cat.dom(left):
-                continue
-            for right in sorted(cat.morphisms):
-                if cat.dom(right) != cat.cod(top):
-                    continue
-                for bottom in sorted(cat.morphisms):
-                    if (cat.dom(bottom) == cat.cod(left)
-                            and cat.cod(bottom) == cat.cod(right)
-                            and cat.compose(right, top) == cat.compose(bottom, left)):
-                        squares.append(Square(pres, top, bottom, left, right))
-    return squares
-
-
-class TestLiftSquare:
-    def test_identity_square(self):
-        q = nerve(poset_simplex(1), 3)
-        pres = ho(q)
-        f = expr("m01")
-        cls = pres.cls(f)
-        idc = pres.category.identities
-        sq = Square(pres, idc["0"], idc["1"], cls, cls)
-        result = lift_square(q, sq, f, f)
-        assert result.morphism in result.exponential.ho.category.morphisms
-
-    def test_all_squares_in_small_nerves(self):
-        for cat in [poset_simplex(1), poset_simplex(2), group_z2()]:
-            q = nerve(cat, 3)
-            pres = ho(q)
-            E = Exponential(q, standard_simplex(1, 2), 2)
-            for sq in all_commutative_squares(pres):
-                f = pres.reps[sq.left]
-                g = pres.reps[sq.right]
-                result = lift_square(q, sq, f, g, E=E)
-                lifts = enumerate_prism_lifts(E, sq, f, g)
-                assert result.morphism in lifts
-
-    def test_lift_rejects_wrong_representatives(self):
-        q = nerve(poset_simplex(1), 3)
-        pres = ho(q)
-        idc = pres.category.identities
-        f = expr("m01")
-        sq = Square(pres, idc["0"], idc["1"], pres.cls(f), pres.cls(f))
-        with pytest.raises(ValueError):
-            lift_square(q, sq, expr("0", (0,)), f)
-
-    def test_noncommutative_square_rejected(self):
-        q = nerve(boundary_two(), 3)
-        pres = ho(q)
-        idc = pres.category.identities
-        with pytest.raises(ValueError, match="commute"):
-            Square(pres, idc["0"], idc["2"], pres.cls(expr("c")), pres.cls(expr("ba")))
+        checked = 0
+        for h, fillers in extensions(horn(2, 1, 2), 2, q, None):
+            composite = pres.category.compose(pres.cls(h.assignment["12"]),
+                                              pres.cls(h.assignment["01"]))
+            for filler in fillers:
+                assert pres.cls(q.face(filler.assignment["012"], 1)) == composite
+                checked += 1
+        assert checked == q.total_count(2)

@@ -30,8 +30,6 @@ from qcatkit.simplicial import (
     normalize_word,
     parse_expr,
     product,
-    product_assoc,
-    product_swap,
     projection,
     sset_from_text,
     sset_to_text,
@@ -143,6 +141,12 @@ class TestStandardObjects:
         b = boundary(2, 2)
         assert [len(b.nondeg(n)) for n in range(3)] == [3, 3, 0]
 
+    def test_horn_and_boundary_past_nine_vertices(self):
+        # cells of Δ¹⁰ are named with separators; both hold its 2-skeleton
+        for shell in (horn(10, 3, 2), boundary(10, 2)):
+            assert shell.validate().ok
+            assert [len(shell.nondeg(n)) for n in range(3)] == [11, 55, 165]
+
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
             standard_simplex(-1, 2)
@@ -250,19 +254,6 @@ class TestProduct:
         f = p.map_pairs(p.left, lambda e1, e2: seen.append((e1, e2)) or e1)
         assert seen == [p.pair_of[pid] for xs in p.levels.values() for pid in xs]
         assert f.key() == projection(p, 0).key() and f.validate().ok
-
-    def test_swap_and_assoc_are_isomorphisms(self):
-        a = standard_simplex(1, 2)
-        b = standard_simplex(2, 2)
-        ab, ba = product(a, b), product(b, a)
-        sw = product_swap(ab, ba)
-        assert sw.validate().ok
-        c = standard_simplex(0, 2)
-        left = product(product(a, b), c)
-        right = product(a, product(b, c))
-        assoc = product_assoc(left, right)
-        assert assoc.validate().ok
-        assert len(left.nondeg(2)) == len(right.nondeg(2))
 
 
 # -- map enumeration ----------------------------------------------------------
