@@ -775,13 +775,19 @@ def kan_extension_value(R: TruncatedSSet, J: FiniteCategory, d: int,
 
 
 class StrictMorphism:
-    """Components commuting with every listed restriction on the nose."""
+    """Components commuting with every listed restriction on the nose.
+
+    ``components`` is kept as given, not copied, so a mapping that builds
+    each component on first read (HO(f) in :mod:`qcatkit.whitehead`) stays
+    lazy: ``at(J)`` and ``key_on(shapes)`` build only the shapes they read,
+    while ``key()`` and ``object_parts()`` read, and so build, them all.
+    """
 
     def __init__(self, source: Prederivator, target: Prederivator, components,
                  name: str = "strict"):
         self.source = source
         self.target = target
-        self.components = dict(components)  # category name -> Functor
+        self.components = components  # category name -> Functor
         self.name = name
 
     def at(self, J_name: str) -> Functor:
@@ -791,8 +797,8 @@ class StrictMorphism:
         return tuple(sorted((j, F.key()) for j, F in self.components.items()))
 
     def key_on(self, shapes) -> tuple:
-        return tuple(sorted((j, F.key()) for j, F in self.components.items()
-                            if j in set(shapes)))
+        return tuple(sorted((j, self.components[j].key()) for j in set(shapes)
+                            if j in self.components))
 
     def object_parts(self) -> tuple:
         return tuple(sorted((j, tuple(sorted(F.ob.items())))

@@ -5,10 +5,16 @@ Two detectors are compared: the vertex-and-mapping-space criterion
 mapping spaces, a 1-truncated surrogate of the full criterion) and
 componentwise equivalence of the induced prederivator morphism.  On the
 labeled corpus the prederivator verdict must imply the surrogate verdict.
+
+One failing shape decides a non-equivalence, so HO(f) is built one shape
+at a time: a component, and the two exponentials under it, is built when
+its shape is first read, and the prederivator verdict stops at the first
+shape that fails.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from operator import getitem
 from pathlib import Path
 
@@ -118,17 +124,54 @@ def is_equivalence(f: SimplicialMap, budget: Budget = None) -> Verdict:
                    {} if ff.ok else ff.witnesses)
 
 
+class _Components(Mapping):
+    """The components of HO(f) by shape, each built on first read and kept.
+
+    A membership test reads the shape list only, so it builds nothing.
+    """
+
+    def __init__(self, shapes, build):
+        self.shapes = tuple(shapes)
+        self.build = build
+        self._built: dict = {}
+
+    def __getitem__(self, J_name: str) -> Functor:
+        F = self._built.get(J_name)
+        if F is None:
+            if J_name not in self.shapes:
+                raise KeyError(J_name)
+            F = self._built[J_name] = self.build(J_name)
+        return F
+
+    def __contains__(self, J_name) -> bool:
+        return J_name in self.shapes
+
+    def __iter__(self):
+        return iter(self.shapes)
+
+    def __len__(self) -> int:
+        return len(self.shapes)
+
+
 def induced_prederivator_morphism(DQ: HoPrederivator, DR: HoPrederivator,
                                   f: SimplicialMap) -> StrictMorphism:
-    """HO(f): postcomposition with f, shape by shape."""
-    comps = {J_name: _postcomposition(f, DQ.data(J_name), DR.data(J_name), f"HO(f)_{J_name}")
-             for J_name in DQ.sample.order}
-    return StrictMorphism(DQ, DR, comps, "HO(f)")
+    """HO(f): postcomposition with f, shape by shape.
+
+    The component at J, with Q^{N(J)} and R^{N(J)} under it, is built when
+    J is first read, so a verdict that stops at a failing shape never
+    builds the shapes after it.
+    """
+    def component(J_name: str) -> Functor:
+        return _postcomposition(f, DQ.data(J_name), DR.data(J_name), f"HO(f)_{J_name}")
+
+    return StrictMorphism(DQ, DR, _Components(DQ.sample.order, component), "HO(f)")
 
 
 def prederivator_equivalence(F: StrictMorphism, budget: Budget = None) -> Verdict:
     """Each component is an equivalence of finite categories.
 
+    The shapes are read in sample order and the verdict stops at the first
+    one that fails, so a lazily built morphism builds nothing after it.
     The inverse-up-to-isomorphism is produced by the deterministic
     canonical-choice construction from essential surjectivity and full
     faithfulness.
@@ -150,19 +193,19 @@ def prederivator_equivalence(F: StrictMorphism, budget: Budget = None) -> Verdic
 
 
 class AgreementRow:
-    def __init__(self, name, expected, joyal, prederivator):
+    def __init__(self, name, expected, surrogate, prederivator):
         self.name = name
         self.expected = expected
-        self.joyal = joyal
+        self.surrogate = surrogate
         self.prederivator = prederivator
 
     @property
     def implication_ok(self) -> bool:
-        return (not self.prederivator) or self.joyal
+        return (not self.prederivator) or self.surrogate
 
     @property
     def matches_ground_truth(self) -> bool:
-        return self.joyal == self.expected
+        return self.surrogate == self.expected
 
 
 def conservativity_experiment(corpus, sample=None, budget: Budget = None) -> list:
@@ -183,12 +226,12 @@ def conservativity_experiment(corpus, sample=None, budget: Budget = None) -> lis
 
     rows = []
     for name, f, expected in corpus:
-        joyal = is_equivalence(f, budget)
+        surrogate = is_equivalence(f, budget)
         DQ = pred_of(f.source)
         DR = pred_of(f.target)
         HOf = induced_prederivator_morphism(DQ, DR, f)
         pred = prederivator_equivalence(HOf, budget)
-        rows.append(AgreementRow(name, expected, joyal.ok, pred.ok))
+        rows.append(AgreementRow(name, expected, surrogate.ok, pred.ok))
     return rows
 
 
@@ -198,7 +241,7 @@ def agreement_table(rows) -> str:
     for r in rows:
         lines.append(
             f"{r.name.ljust(width)}"
-            f"{str(r.expected).ljust(10)}{str(r.joyal).ljust(11)}"
+            f"{str(r.expected).ljust(10)}{str(r.surrogate).ljust(11)}"
             f"{str(r.prederivator).ljust(14)}{'ok' if r.implication_ok else 'VIOLATED'}")
     return "\n".join(lines)
 

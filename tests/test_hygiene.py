@@ -54,13 +54,17 @@ def _definitions(tree):
 
 
 def test_no_unused_imports():
+    """Every name an ``import`` or ``from ... import`` binds is read, in the
+    package and in its tests."""
     unused = []
-    for module, tree in _trees():
+    for module, tree in _trees() + _test_trees():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                unused += [f"{module}:{node.lineno} {alias.asname or alias.name}"
-                           for alias in node.names if (alias.asname or alias.name) not in used]
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                # ``import a.b`` binds ``a``
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{module}:{node.lineno} {name}" for name in bound if name not in used]
     assert not unused
 
 

@@ -2,7 +2,6 @@
 
 import gc
 import hashlib
-import random
 import re
 import weakref
 

@@ -31,7 +31,6 @@ from qcatkit.nerve import (
     require_quasicategory,
 )
 from qcatkit.simplicial import (
-    SimplexExpr,
     boundary,
     compose_maps,
     expr,

@@ -35,7 +35,6 @@ from qcatkit.prederivator import (
     Modification,
     StrictMorphism,
     check_der1,
-    check_der2,
     check_der5,
     check_modification,
     check_strict,

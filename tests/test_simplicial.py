@@ -5,7 +5,7 @@ import weakref
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qcatkit.cats import contractible_groupoid, group_z2, poset_simplex
@@ -35,7 +35,6 @@ from qcatkit.simplicial import (
     sset_to_text,
     standard_simplex,
     valid_words,
-    weak_seq_to_word,
 )
 from qcatkit.util import Budget
 

@@ -7,13 +7,8 @@ from qcatkit.corpus import labeled_map_corpus
 from qcatkit.mapping import induced_functor, mapping_space
 from qcatkit.nerve import nerve
 from qcatkit.prederivator import HoPrederivator, standard_sample
-from qcatkit.simplicial import (
-    SimplexExpr,
-    SimplicialMap,
-    compose_maps,
-    identity_map,
-    standard_simplex,
-)
+from qcatkit.simplicial import SimplicialMap, compose_maps, identity_map
+from qcatkit.util import Budget
 from qcatkit.whitehead import (
     agreement_table,
     conservativity_experiment,
@@ -94,6 +89,21 @@ class TestEquivalence:
         assert is_equivalence(g).ok == expected
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The shapes at which each base's HO is evaluated, by base name, while
+    the test runs."""
+    shapes = {}
+    evaluate = HoPrederivator._eval
+
+    def recording(D, J_name):
+        shapes.setdefault(D.Q.name, []).append(J_name)
+        return evaluate(D, J_name)
+
+    monkeypatch.setattr(HoPrederivator, "_eval", recording)
+    return shapes
+
+
 class TestPrederivatorEquivalence:
     def test_identity_prederivator_morphism(self):
         sample = standard_sample()
@@ -102,15 +112,31 @@ class TestPrederivatorEquivalence:
         F = induced_prederivator_morphism(D, D, identity_map(q))
         assert prederivator_equivalence(F).ok
 
-    def test_collapse_fails_at_base_shape(self):
+    def test_non_equivalences_fail_at_base_shape(self):
         sample = standard_sample()
-        f, _ = BY_NAME["collapse_N[1]"]
-        DQ = HoPrederivator(f.source, sample)
-        DR = HoPrederivator(f.target, sample)
-        F = induced_prederivator_morphism(DQ, DR, f)
-        verdict = prederivator_equivalence(F)
-        assert not verdict.ok
-        assert verdict.witnesses["failing shape"] == "[0]"
+        by_base = {}
+        for name, f, expected in CORPUS:
+            if expected:
+                continue
+            DQ, DR = (by_base.setdefault(id(Q), HoPrederivator(Q, sample))
+                      for Q in (f.source, f.target))
+            verdict = prederivator_equivalence(induced_prederivator_morphism(DQ, DR, f))
+            assert not verdict.ok, name
+            assert verdict.witnesses == {"failing shape": "[0]"}, name
+
+    def test_components_are_built_on_first_read(self, evaluations):
+        sample = standard_sample()
+        f, _ = BY_NAME["collapse_z2"]
+        F = induced_prederivator_morphism(HoPrederivator(f.source, sample),
+                                          HoPrederivator(f.target, sample), f)
+        assert all(J in F.components for J in sample.order)
+        assert "[3]" not in F.components
+        assert list(F.components) == sample.order and len(F.components) == 10
+        assert evaluations == {}
+        F.at("[1]")
+        assert evaluations == {"N(z2)": ["[1]"], "delta0": ["[1]"]}
+        with pytest.raises(KeyError):
+            F.at("[3]")
 
 
 def postcomposed_map_by_map(f, E1, E2, name):
@@ -151,6 +177,24 @@ def rows():
 
 
 class TestAgreement:
+    def test_ho_is_evaluated_only_where_a_verdict_reads_it(self, evaluations):
+        conservativity_experiment(CORPUS)
+        order = standard_sample().order
+        # every non-equivalence fails at [0]; N(z2) and N([2]) appear in no other row
+        assert evaluations.pop("N(z2)") == ["[0]"]
+        assert evaluations.pop("N([2])") == ["[0]"]
+        # the equivalence rows read every shape of their bases
+        equiv_bases = {Q.name for _, f, expected in CORPUS if expected
+                       for Q in (f.source, f.target)}
+        assert set(evaluations) == equiv_bases
+        assert all(sorted(shapes) == sorted(order) for shapes in evaluations.values())
+
+    def test_budget_does_not_depend_on_corpus_order(self):
+        forward, backward = Budget(), Budget()
+        conservativity_experiment(CORPUS, budget=forward)
+        conservativity_experiment(CORPUS[::-1], budget=backward)
+        assert forward.used == backward.used
+
     def test_zero_implication_violations(self, rows):
         assert all(r.implication_ok for r in rows)
 
