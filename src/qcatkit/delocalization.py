@@ -6,10 +6,14 @@ marked morphisms are the ones carrying the last vertex of the source to
 the last vertex of the target; the projection collapses every simplex to
 its last vertex and sends marked morphisms to degenerate edges, hence to
 isomorphisms in any homotopy category.  Reports carry the truncation
-depth: the construction is depth-free only on paper.
+depth: the construction is depth-free only on paper.  Only the whole
+projection and ``marked_closure_report`` compose simplex maps; p on one
+chain, ``check_inverts_L`` and Kan extensions read the morphism lists.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .cats import FiniteCategory
 from .nerve import ho, nerve, require_quasicategory
@@ -33,73 +37,68 @@ def _mor_id(src: str, dst: str, alpha: tuple) -> str:
 
 
 class SimplexCategory:
-    """Truncated category of simplices with the last-vertex class marked."""
+    """Truncated category of simplices with the last-vertex class marked.
+
+    Objects (``simplex_of``), ``morphisms``, ``identities``, ``alpha_of``
+    and ``marked`` are listed here; ``category``, the composition table
+    with them, is built when first read, by ``last_vertex_projection`` or
+    ``marked_closure_report``."""
 
     def __init__(self, S: TruncatedSSet, depth: int):
         if depth > S.dim_bound:
             raise ValueError("depth exceeds the truncation of the simplicial set")
         self.sset = S
         self.depth = depth
-        objects = []
-        self.simplex_of = {}
-        for m in range(depth + 1):
-            for e in S.total(m):
-                oid = _obj_id(m, e)
-                objects.append(oid)
-                self.simplex_of[oid] = (m, e)
-        morphisms = {}
-        identities = {}
+        self.simplex_of = {_obj_id(m, e): (m, e)
+                           for m in range(depth + 1) for e in S.total(m)}
+        self.morphisms = {}
+        self.identities = {}
         self.alpha_of = {}
-        for tgt in objects:
-            n, y = self.simplex_of[tgt]
+        for tgt, (n, y) in self.simplex_of.items():
             for m in range(depth + 1):
                 for alpha in monotone_tuples(m, n):
-                    x = simplicial_action(S, alpha, y)
-                    src = _obj_id(m, x)
+                    src = _obj_id(m, simplicial_action(S, alpha, y))
                     mid = _mor_id(src, tgt, alpha)
-                    morphisms[mid] = (src, tgt)
+                    self.morphisms[mid] = (src, tgt)
                     self.alpha_of[mid] = alpha
                     if src == tgt and alpha == tuple(range(n + 1)):
-                        identities[tgt] = mid
-        compose = {}
-        idset = set(identities.values())
+                        self.identities[tgt] = mid
+        self.marked = frozenset(filter(self._is_last_vertex, self.morphisms))
+
+    @cached_property
+    def category(self) -> FiniteCategory:
+        """The category, composed on first read.  A morphism is fixed by its
+        target and α, so g ∘ f is the listed one into g's target along α_g ∘ α_f."""
+        named = {(tgt, self.alpha_of[mid]): mid for mid, (_, tgt) in self.morphisms.items()}
+        idset = set(self.identities.values())
         by_src: dict = {}
-        for mid, (src, tgt) in morphisms.items():
-            by_src.setdefault(src, []).append(mid)
-        for f, (fsrc, ftgt) in morphisms.items():
+        for mid, (src, tgt) in self.morphisms.items():
+            if mid not in idset:
+                by_src.setdefault(src, []).append((mid, tgt, self.alpha_of[mid]))
+        compose = {}
+        for f, (_, ftgt) in self.morphisms.items():
             if f in idset:
                 continue
-            for g in by_src.get(ftgt, ()):
-                if g in idset:
-                    continue
-                gsrc, gtgt = morphisms[g]
-                alpha_g = self.alpha_of[g]
-                alpha_f = self.alpha_of[f]
-                composite_alpha = tuple(alpha_g[a] for a in alpha_f)
-                compose[(g, f)] = _mor_id(fsrc, gtgt, composite_alpha)
-        self.category = FiniteCategory(objects, morphisms, compose, identities,
-                                       f"simplices({S.name})<= {depth}")
-        self.marked = frozenset(
-            mid for mid, (src, tgt) in morphisms.items()
-            if self._is_last_vertex(mid))
+            alpha_f = self.alpha_of[f]
+            for g, gtgt, alpha_g in by_src.get(ftgt, ()):
+                compose[(g, f)] = named[(gtgt, tuple(alpha_g[a] for a in alpha_f))]
+        return FiniteCategory(self.simplex_of, self.morphisms, compose, self.identities,
+                              f"simplices({self.sset.name})<= {self.depth}")
 
     def _is_last_vertex(self, mid: str) -> bool:
-        alpha = self.alpha_of[mid]
-        src, tgt = self.category.morphisms[mid]
-        n = self.simplex_of[tgt][0]
-        return alpha[-1] == n
+        return self.alpha_of[mid][-1] == self.simplex_of[self.morphisms[mid][1]][0]
 
     def __repr__(self):
         return (f"<simplex category of {self.sset.name} at depth {self.depth}: "
-                f"{len(self.category.objects)} objects, "
-                f"{len(self.category.morphisms)} morphisms, {len(self.marked)} marked>")
+                f"{len(self.simplex_of)} objects, "
+                f"{len(self.morphisms)} morphisms, {len(self.marked)} marked>")
 
 
 def last_vertex_image(sc: SimplexCategory, chain: tuple) -> SimplexExpr:
     """p on a chain (object, morphism, ...): the last simplex restricted
     along the track of the last vertices of the stages."""
     mors = chain[1:]
-    stages = chain[:1] + tuple(sc.category.cod(mid) for mid in mors)
+    stages = chain[:1] + tuple(sc.morphisms[mid][1] for mid in mors)
     track = []
     for i, obj in enumerate(stages):
         pos = sc.simplex_of[obj][0]  # last vertex of stage i
@@ -111,7 +110,7 @@ def last_vertex_image(sc: SimplexCategory, chain: tuple) -> SimplexExpr:
 
 def projected_edge(sc: SimplexCategory, mid: str) -> SimplexExpr:
     """p on the 1-chain of mid, its faces checked against p on its ends."""
-    src, tgt = sc.category.morphisms[mid]
+    src, tgt = sc.morphisms[mid]
     edge = last_vertex_image(sc, (src, mid))
     for i, end in ((1, src), (0, tgt)):
         if sc.sset.face(edge, i) != last_vertex_image(sc, (end,)):
@@ -161,17 +160,19 @@ def check_inverts_L(Q: TruncatedSSet, d: int, budget: Budget = None,
     """Every marked morphism projects to a Ho-invertible edge of Q.
 
     p is read on the marked 1-chains of ``sc`` (``projected_edge``), the
-    caller's ``SimplexCategory(Q, d)`` or else a new one.  The report names
-    the depth; the full localization property is never claimed here.
+    caller's ``SimplexCategory(Q, d)`` or else a new one; an ``sc`` of
+    another set or depth is a ``ValueError``.  The composition table is
+    not built.  The report names the depth; the full localization property
+    is never claimed here.
     """
+    if sc is not None and (sc.sset is not Q or sc.depth != d):
+        raise ValueError(f"{sc!r} is not the simplex category of {Q.name} at depth {d}")
     budget = ensure_budget(budget, f"marked-class check on {Q.name}")
     require_quasicategory(Q, budget)
     pres = ho(Q, budget, verified=True)
     sc = sc or SimplexCategory(Q, d)
     report = ValidationReport(f"marked morphisms of {Q.name} at depth {d} invert in Ho")
-    for mid in sorted(sc.marked):
-        if sc.category.is_identity(mid):
-            continue
+    for mid in sorted(sc.marked.difference(sc.identities.values())):
         report.checked += 1
         edge = projected_edge(sc, mid)
         if not pres.category.is_iso(pres.cls(edge)):

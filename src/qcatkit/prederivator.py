@@ -714,7 +714,7 @@ def kan_extension_value(R: TruncatedSSet, J: FiniteCategory, d: int,
     # an arrow (m, x) -> (n, y) is a monotone alpha with y . alpha = x;
     # a family must satisfy value[(n, y)] . alpha = value[(m, x)]
     checks: dict = {i: [] for i in range(len(objects))}
-    for mid, (src, tgt) in sc.category.morphisms.items():
+    for mid, (src, tgt) in sc.morphisms.items():
         si, ti, alpha = index[src], index[tgt], sc.alpha_of[mid]
         if si == ti:
             checks[ti].append(("self", alpha))

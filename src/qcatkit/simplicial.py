@@ -38,7 +38,7 @@ Conventions:
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement
 from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple, Optional
@@ -634,24 +634,30 @@ def standard_simplex(n: int, D: int) -> TruncatedSSet:
 
 
 def _simplex_subset(n: int, D: int, keep, name: str) -> TruncatedSSet:
-    full = standard_simplex(n, max(D, n))
+    full = standard_simplex(n, max(2, n))
     levels = {k: [_tuple_id(c) for c in combinations(range(n + 1), k + 1) if keep(c)]
               for k in range(D + 1)}
     kept = {x for xs in levels.values() for x in xs}
     faces = {(x, i): f for (x, i), f in full.faces.items() if x in kept}
-    return TruncatedSSet(D, levels, faces, coskeletal_from=None, name=name)
+    shell = TruncatedSSet(D, levels, faces, coskeletal_from=None, name=name)
+    shell.simplex = full  # the Δⁿ that extensions fills the shell into
+    return shell
 
 
+@cache
 def boundary(n: int, D: int) -> TruncatedSSet:
-    """The union of all faces of the n-simplex."""
+    """The union of all faces of the n-simplex, built once per (n, D) and
+    shared (no set is changed once built); it keeps that Δⁿ as ``simplex``."""
     if n < 1:
         raise ValueError("boundary needs n >= 1")
     top = tuple(range(n + 1))
     return _simplex_subset(n, D, lambda c: c != top, f"boundary{n}")
 
 
+@cache
 def horn(n: int, i: int, D: int) -> TruncatedSSet:
-    """The subset of the n-simplex generated by the faces d_j with j != i."""
+    """The subset of the n-simplex generated by the faces d_j with j != i,
+    built once per (n, i, D) and shared as ``boundary`` is, Δⁿ and all."""
     if n < 1:
         raise ValueError("horn needs n >= 1")
     if not 0 <= i <= n:
@@ -888,14 +894,15 @@ def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
     """Extension problems along a subset ``shell`` of the n-simplex.
 
     Yields each map shell -> T, in :func:`enumerate_maps` order, with its
-    fillers Δⁿ -> T in that order.  ``shell`` must be built on the cell
-    names of :func:`standard_simplex`, as horns and boundaries are.  A map
-    Δⁿ -> T is its top simplex (Yoneda), so the fillers are read off
+    fillers Δⁿ -> T in that order.  ``shell`` is a :func:`horn` or a
+    :func:`boundary`: the fillers are maps out of the Δⁿ it keeps as
+    ``simplex``, one per shell, so repeated problems build no simplex.  A
+    map Δⁿ -> T is its top simplex (Yoneda), so the fillers are read off
     ``T.table(n)``, indexed by their restriction to the shell.  Steps: the
     shell search's, one per n-simplex of T and one per shell map.
     """
     budget = ensure_budget(budget, f"extensions {shell.name} -> {T.name}")
-    simplex = standard_simplex(n, max(2, n))
+    simplex = shell.simplex
     slot = simplex.cell_index
     # top down, a cell's code is read off T's face row of the first cell it is a
     # face of; a top simplex is a map only if every row agrees, as in a simplicial T

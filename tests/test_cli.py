@@ -1,11 +1,12 @@
 """Command-line driver: exit codes, deterministic reports, loud errors."""
 
+import hashlib
 import json
 
 import pytest
 
 import qcatkit.delocalization as delocalization
-from qcatkit.cats import cat_to_text, poset_simplex
+from qcatkit.cats import cat_to_text, group_z2, poset_simplex
 from qcatkit.cli import main
 from qcatkit.corpus import labeled_map_corpus
 from qcatkit.nerve import nerve
@@ -18,6 +19,7 @@ def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
     (d / "delta0.sset").write_text(sset_to_text(standard_simplex(0, 2)))
     (d / "n1.sset").write_text(sset_to_text(nerve(poset_simplex(1), 3)))
+    (d / "nz2.sset").write_text(sset_to_text(nerve(group_z2(), 3)))
     (d / "horn.sset").write_text(sset_to_text(horn(2, 1, 2)))
     (d / "interval.cat").write_text(cat_to_text(poset_simplex(1)))
     (d / "bad.sset").write_text("dim 2\n0: a\nface x y = [] a\n")
@@ -56,6 +58,35 @@ def test_exit_code_and_identical_reruns(inputs, capsys, argv, code):
         assert first[0] == code
         assert run(["--format", fmt] + argv, capsys) == first
     assert json.loads(first[1])["ok"] == (code == 0)
+
+
+# sha256 of the text and json reports: identical reruns do not show that a
+# report stayed the same across a change of the code behind it
+GOLDEN = [
+    (["delocalize", "n1.sset", "--depth", "1"],
+     "1cd092f1874aec8fb46094fa73d2d6fc35915bc80264396a8dab793db69ae1a6",
+     "f3f0298bd0dfa2ffb8d8cfec057e955ec08f8b7bf3df27dfa039a01db63acd58"),
+    (["delocalize", "n1.sset", "--depth", "2"],
+     "76248ab369877c590f3a7eef9912936495bc0e5cef36d5f78fa94b7794d996f1",
+     "e034ee705e1374378e0aae5e1132656a2fdedefde72ec412f7543e6cd09a7122"),
+    (["delocalize", "nz2.sset"],
+     "2e33c3a70045e0f2e5ca131f4b3ca53affb9df32eed55dfaa8b87f63945f3e79",
+     "d994726e87bce8fd2d3e4406e8039dae14b85f707a86628831e0cdec3b2b9889"),
+    (["kanext", "n1.sset", "interval.cat"],
+     "98f20a4dbb714c30b15ad9e1ba7893f1dc3d2e1d018beb7d756b48671559f632",
+     "d3c393d5662a4543c2db29cfcb21bd6fe5cf222cf656c4413eb5c32b871fb10a"),
+]
+
+
+@pytest.mark.parametrize("argv,text_sha,json_sha", GOLDEN,
+                         ids=["-".join(g[0][:2] + g[0][3:]) for g in GOLDEN])
+def test_golden_reports(inputs, capsys, argv, text_sha, json_sha):
+    d, _ = inputs
+    argv = [str(d / a) if a.endswith((".sset", ".cat")) else a for a in argv]
+    for fmt, digest in (("text", text_sha), ("json", json_sha)):
+        code, out = run(["--format", fmt] + argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, out)
 
 
 def test_malformed_sset_is_an_error_line(inputs, capsys):

@@ -1,8 +1,17 @@
 """Categories of simplices, last-vertex projections, marked-class checks."""
 
+import hashlib
+
 import pytest
 
-from qcatkit.cats import group_z2, poset_simplex, validate_category
+import qcatkit.prederivator as prederivator
+from qcatkit.cats import (
+    boundary_two,
+    contractible_groupoid,
+    group_z2,
+    poset_simplex,
+    validate_category,
+)
 from qcatkit.corpus import corpus_quasicategories
 from qcatkit.delocalization import (
     SimplexCategory,
@@ -13,6 +22,7 @@ from qcatkit.delocalization import (
     projected_edge,
 )
 from qcatkit.nerve import ho, nerve
+from qcatkit.prederivator import kan_extension_value
 from qcatkit.simplicial import SimplexExpr, expr, standard_simplex
 
 
@@ -46,6 +56,70 @@ class TestSimplexCategory:
             sc = SimplexCategory(S, 2)
             report = marked_closure_report(sc)
             assert report.ok, report.violations[:2]
+
+
+# the first 16 hex digits of the sha256 of repr(category.canonical_key()) at
+# depths 1 and 2: composing on first read must give the table, ids included,
+# that composing every pair on construction gave
+CANONICAL_DIGESTS = {
+    "delta0": ("5374add15802211a", "b7ce33bfa84208cf"),
+    "N([0])": ("5374add15802211a", "b7ce33bfa84208cf"),
+    "N([1])": ("ab0c7788cc80cab3", "220c84e606bc0184"),
+    "N([2])": ("4c4824caffeb8867", "843b487214b1eb10"),
+    "N([3])": ("67475c61ff31f0f2", "d81fa82ad8ba82a0"),
+    "N([1]x[1])": ("587aae1d36315df7", "9e2fadbf95289541"),
+    "N(d[2])": ("7339872ccd18e509", "f10fc2ef36531035"),
+    "N(z2)": ("2c637da9c3c11bd7", "a1d039d0209e6ade"),
+    "N(E)": ("b16f705031cd9e88", "608834ea9457dccb"),
+    "delta1xdelta1": ("8db62c1ed1ce0fc5", "f99528719731fa58"),
+    "N([1])xN([1])": ("3a138a75b05dee25", "e456e0145fbe77d1"),
+    "N([1])xN(z2)": ("f65bb1a440a1030c", "e94629f9a9b14b28"),
+}
+KANEXT_TARGETS = [poset_simplex(1), poset_simplex(2), group_z2(),
+                  contractible_groupoid(), boundary_two()]
+
+
+class TestLazyComposition:
+    def test_marked_checks_leave_the_table_unbuilt(self):
+        digests = {}
+        for name, q in corpus_quasicategories():
+            sc = SimplexCategory(q, 2)
+            assert check_inverts_L(q, 2, sc=sc).ok, name
+            assert "category" not in vars(sc), name
+            pair = []
+            for c in (SimplexCategory(q, 1), sc):
+                assert validate_category(c.category).ok, (name, c.depth)
+                key = repr(c.category.canonical_key()).encode()
+                pair.append(hashlib.sha256(key).hexdigest()[:16])
+            digests[name] = tuple(pair)
+        assert digests == CANONICAL_DIGESTS
+
+    def test_kan_extensions_leave_the_table_unbuilt(self, monkeypatch):
+        built = []
+
+        class Recorded(SimplexCategory):
+            def __init__(self, S, depth):
+                super().__init__(S, depth)
+                built.append(self)
+
+        monkeypatch.setattr(prederivator, "SimplexCategory", Recorded)
+        for C in KANEXT_TARGETS:
+            for j in (0, 1):
+                res = kan_extension_value(nerve(C, 3), poset_simplex(j), 2)
+                assert res.bijective, (C.name, j)
+        assert len(built) == 10
+        assert not any("category" in vars(sc) for sc in built)
+
+    def test_mismatched_simplex_category_rejected(self):
+        # a caller's category must be of the checked set at the checked depth,
+        # or the report would name a depth it did not check
+        q = nerve(poset_simplex(1), 3)
+        sc = SimplexCategory(q, 1)
+        with pytest.raises(ValueError, match="depth 2"):
+            check_inverts_L(q, 2, sc=sc)
+        with pytest.raises(ValueError, match="not the simplex category"):
+            check_inverts_L(nerve(poset_simplex(1), 3), 1, sc=sc)
+        assert check_inverts_L(q, 1, sc=sc).ok
 
 
 class TestProjection:

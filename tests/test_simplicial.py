@@ -2,18 +2,22 @@
 
 import gc
 import weakref
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcatkit.simplicial as simplicial
 from qcatkit.cats import contractible_groupoid, group_z2, poset_simplex
 from qcatkit.corpus import corpus_ssets, face_mutations
-from qcatkit.nerve import nerve
+from qcatkit.mapping import kan_check
+from qcatkit.nerve import is_quasicategory, nerve
 from qcatkit.simplicial import (
     SimplexExpr,
     SimplicialMap,
+    TruncatedSSet,
     boundary,
     compose_maps,
     compose_words,
@@ -372,6 +376,80 @@ def pinned_extensions(shell, n, T):
     """Oracle: each shell map with the maps Δⁿ -> T the search pins to it."""
     simplex = standard_simplex(n, max(2, n))
     return [(m, enumerate_maps(simplex, T, fixed=m.assignment)) for m in enumerate_maps(shell, T)]
+
+
+DELTA3 = standard_simplex(3, 3)
+
+
+@st.composite
+def subcomplexes_of_delta3(draw):
+    """A proper face-closed subcomplex of Δ³: every face of some drawn
+    simplices below the top one (Δ³ itself is the corpus member delta3)."""
+    below_top = [x for x in DELTA3.cells if len(x) < 4]
+    tops = draw(st.lists(st.sampled_from(below_top), max_size=5, unique=True))
+    kept = {"".join(c) for x in tops for k in range(1, len(x) + 1) for c in combinations(x, k)}
+    levels = {k: [x for x in kept if len(x) == k + 1] for k in range(4)}
+    faces = {(x, i): f for (x, i), f in DELTA3.faces.items() if x in kept}
+    return TruncatedSSet(3, levels, faces, None, "sub(" + ",".join(sorted(tops)) + ")")
+
+
+# steps of is_quasicategory and kan_check on each corpus member: where the
+# shells and their Δⁿ come from must not change what a check charges
+CORPUS_CHECK_STEPS = {
+    "delta0": (2, 33), "delta1": (8, 117), "delta2": (20, 288), "delta3": (1622, 3801),
+    "boundary1": (4, 81), "boundary2": (19, 285), "boundary3": (1620, 3797),
+    "horn1_0": (2, 33), "horn1_1": (2, 33),
+    "horn2_0": (14, 239), "horn2_1": (15, 237), "horn2_2": (14, 239),
+    "horn3_0": (1547, 3662), "horn3_1": (1543, 3652),
+    "horn3_2": (1535, 3632), "horn3_3": (1529, 3632),
+    "N([0])": (50, 129), "N([1])": (238, 581), "N([2])": (702, 1672),
+    "N([3])": (1622, 3801), "N([1]x[1])": (1250, 2991), "N(d[2])": (1038, 2501),
+    "N(z2)": (386, 902), "N(E)": (542, 1231), "delta1xdelta1": (1250, 2991),
+    "N([1])xN([1])": (1250, 2991), "N([1])xN(z2)": (2014, 4739),
+}
+
+
+class TestSharedShells:
+    def test_shells_are_built_once_with_their_simplex(self):
+        for n in range(1, 4):
+            for D in (max(2, n - 1), max(2, n)):
+                shells = [boundary(n, D)] + [horn(n, i, D) for i in range(n + 1)]
+                assert shells[0] is boundary(n, D)
+                assert all(h is horn(n, i, D) for i, h in enumerate(shells[1:]))
+                for shell in shells:
+                    assert shell.simplex.cells == standard_simplex(n, max(2, n)).cells
+                    assert set(shell.cells) < set(shell.simplex.cells)
+        assert horn(2, 1, 2) is not horn(2, 1, 3)
+
+    def test_repeated_kan_check_builds_no_simplex(self, monkeypatch):
+        S = dict(corpus_ssets())["N([1])xN(z2)"]
+        first = kan_check(S)
+        built = []
+        build = simplicial.standard_simplex
+
+        def counting(n, D):
+            built.append((n, D))
+            return build(n, D)
+
+        monkeypatch.setattr(simplicial, "standard_simplex", counting)
+        assert kan_check(S).lines() == first.lines()
+        assert built == []
+
+    def test_check_steps_per_corpus_member(self):
+        steps = {}
+        for name, S in corpus_ssets():
+            qcat, kan = Budget(), Budget()
+            is_quasicategory(S, qcat)
+            kan_check(S, kan)
+            steps[name] = (qcat.used, kan.used)
+        assert steps == CORPUS_CHECK_STEPS
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(subcomplexes_of_delta3())
+    def test_extensions_into_subcomplexes_of_delta3(self, T):
+        for shell, n in extension_problems(3):
+            assert list(extensions(shell, n, T, None)) == pinned_extensions(shell, n, T), \
+                (T.name, shell.name)
 
 
 # -- the coded search against brute force --------------------------------------
