@@ -33,7 +33,6 @@ from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
-    compose_words,
     enumerate_maps,
     product,
     standard_simplex,
@@ -232,16 +231,6 @@ class EmbeddingReport:
         self.image_size = 0
 
 
-def _inverse_iso(iso: SimplicialMap):
-    table = {img: SimplexExpr((), x) for x, img in iso.assignment.items()}
-
-    def apply(e: SimplexExpr) -> SimplexExpr:
-        base = table[SimplexExpr((), e.base)]
-        return SimplexExpr(compose_words(e.word, base.word), base.base)
-
-    return apply
-
-
 def induced_strict_morphisms(DQ: HoPrederivator, shifted: ShiftedPrederivator,
                              maps: list, shapes) -> list:
     """The level-n morphisms DQ -> DR^{[n]} induced by maps mu: Q x delta_n -> R.
@@ -257,7 +246,9 @@ def induced_strict_morphisms(DQ: HoPrederivator, shifted: ShiftedPrederivator,
         return []
     P = maps[0].source
     chain_nerve = nerve(shifted.J, 2)
-    shape_inv = _inverse_iso(chain_shape_iso(P.right, chain_nerve))
+    shape = chain_shape_iso(P.right, chain_nerve)
+    shape_inv = SimplicialMap(chain_nerve, P.right, {img.base: SimplexExpr((), x)
+                                                     for x, img in shape.assignment.items()})
     parts = []
     for K_name in shapes:
         dq = DQ.data(K_name)
@@ -271,7 +262,7 @@ def induced_strict_morphisms(DQ: HoPrederivator, shifted: ShiftedPrederivator,
             for pid in P_r.cells:
                 e1, e2 = P_r.pair_of[pid]
                 t_part, k_part = P_split.components(compare.apply(e1))
-                split.append((P_q.pair_expr(k_part, e2), shape_inv(t_part)))
+                split.append((P_q.pair_expr(k_part, e2), shape_inv.apply(t_part)))
             splits.append(split)
         parts.append((K_name, dq, dr, splits))
     out = []
@@ -280,10 +271,9 @@ def induced_strict_morphisms(DQ: HoPrederivator, shifted: ShiftedPrederivator,
         for K_name, dq, dr, splits in parts:
             # level 0 uses the same formula: Δ0 has one simplex in each dimension
             def image(codes: tuple, level: int) -> tuple:
-                cell = dq.cell_map.decode(level, codes)
-                return dr.codes_of(dr.locate(SimplicialMap(dr.products[level], dr.T_t, tuple(
-                    mu.apply(P.pair_expr(cell.apply(q_part), t_part))
-                    for q_part, t_part in splits[level]))))
+                cell = SimplicialMap(dq.products[level], dq.T_t, codes)
+                return tuple(mu.code(P.pair_expr(cell.apply(q_part), t_part))
+                             for q_part, t_part in splits[level])
 
             comps[K_name] = induced_functor(dq, dr, image, "")
         out.append(StrictMorphism(DQ, shifted, comps, "induced"))

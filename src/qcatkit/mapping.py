@@ -42,15 +42,15 @@ level tables (see :mod:`qcatkit.simplicial`).  A level-n map is kept as
 its code tuple: the search returns code tuples, the degenerate cells and
 faces are gathered over them, and the transposition reads a path object's
 maps through its per-level table from codes of T^{Δn} to code tuples
-(``Exponential.code_rows``).  So cells are keyed by code tuples;
-``cell_map`` decodes a cell's map on first use and ``locate`` encodes the
-map it is given.  The functors that restriction and postcomposition
-induce on Ho transport code tuples (:func:`induced_functor`).
+(``Exponential.code_rows``).  So cells are keyed by code tuples, and the
+functors that restriction and postcomposition induce on Ho transport code
+tuples (:func:`induced_functor`).  A map is decoded or encoded only by
+:class:`qcatkit.simplicial.SimplicialMap`, the one converter between a
+code tuple and its images.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import cached_property
 from itertools import chain
 from operator import getitem, itemgetter
@@ -58,13 +58,13 @@ from operator import getitem, itemgetter
 from .cats import Functor
 from .nerve import HoPresentation, QcatReport, ho, require_quasicategory
 from .simplicial import (
+    ProductSSet,
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
     delta_map,
     insert_letter,
     map_codes,
-    map_decoder,
     product,
     standard_simplex,
 )
@@ -104,16 +104,17 @@ class Exponential:
     transposes of the maps S -> T^{Δn} (see the module docstring); faces
     and degeneracies are induced by the cosimplicial structure of the
     standard simplices.  Nondegenerate cells get short identifiers ``c{n}_{i}`` in
-    canonical order; ``cell_map`` recovers the underlying map, and ``ho``
-    is the homotopy category of the presented quasicategory.
+    canonical order, and ``ho`` is the homotopy category of the presented
+    quasicategory.
 
     A level-n map is kept as its code tuple (the module docstring of
     :mod:`qcatkit.simplicial`) over the level tables of ``T_t``, T
     truncated at the working level and shared with every exponential of T
     there.  ``to_expr[n]`` maps the code tuple of every level-n map to its
-    cell expression; ``cell_map`` (a :class:`CellMaps`) decodes the map of
-    a nondegenerate cell on first use, ``locate`` encodes the map it is
-    given, and ``codes_of`` gives the code tuple of any cell expression.
+    cell expression, ``cell_codes`` each nondegenerate cell to its level
+    and code tuple, and ``codes_of`` any cell expression to its code tuple;
+    ``map_of`` and ``locate`` pass code tuples to and from
+    :class:`SimplicialMap`, which alone decodes and encodes them.
 
     ``frame`` is S's :class:`ExponentFrame` at the working level, kept on S
     and shared with every other exponential over S; ``S_t`` and
@@ -156,7 +157,7 @@ class Exponential:
                 path = path_object(T, P.right, level, budget)
                 raw[n] = self._curried_maps(n, path, budget)
         self.to_expr: dict = {}
-        cells = {}
+        cells = self.cell_codes = {}
         levels = {}
         for n in range(k + 1):
             known = self.to_expr[n] = {}
@@ -183,11 +184,9 @@ class Exponential:
                 codes = cells[cid][1]
                 for i, face in enumerate(frame.faces[n]):
                     faces[(cid, i)] = below[face(codes)]
-        self.cell_map = CellMaps(self.products, T_t, cells)
         cert = T.coskeletal_from if T.coskeletal_from <= k else None
         self.sset = TruncatedSSet(k, levels, faces, cert, self.name)
         self._code_rows: dict = {}
-        self._encoders: dict = {}
 
     def _curried_maps(self, n: int, path: Exponential, budget: Budget) -> list:
         """Level n as the transposes of the maps S -> T^{Δn}, as sorted code tuples.
@@ -252,22 +251,15 @@ class Exponential:
         return e
 
     def locate(self, mu: SimplicialMap) -> SimplexExpr:
-        # mu comes out of S x Δn: its level is read off the simplex factor
+        """The cell expression of a map out of S x Δn, n read off its simplex factor."""
         n = len(mu.source.right.nondeg(0)) - 1
-        codes = None
-        if n in self.to_expr:
-            encoders = self._encoders.get(n)
-            if encoders is None:
-                P = self.products[n]
-                encoders = self._encoders[n] = [self.T_t.table(P.dim_of[x]).code
-                                                for x in P.cells]
-            if len(mu.images) == len(encoders):
-                codes = tuple(map(dict.get, encoders, mu.images))
-        return self.expr_at(n, codes)
+        if n not in self.products or mu.source.cells != self.products[n].cells:
+            raise KeyError(f"map is not a cell of {self.name}")
+        return self.expr_at(n, mu.images)
 
     def codes_of(self, e: SimplexExpr) -> tuple:
         """The code tuple of the underlying map of an arbitrary cell expression."""
-        n, codes = self.cell_map.codes[e.base]
+        n, codes = self.cell_codes[e.base]
         for j in reversed(e.word):
             n += 1
             codes = self._degeneracies[n][j](codes)
@@ -275,9 +267,7 @@ class Exponential:
 
     def map_of(self, e: SimplexExpr) -> SimplicialMap:
         """The underlying map of an arbitrary cell expression."""
-        if not e.word:
-            return self.cell_map[e.base]
-        return self.cell_map.decode(self.sset.expr_dim(e), self.codes_of(e))
+        return SimplicialMap(self.products[self.sset.expr_dim(e)], self.T_t, self.codes_of(e))
 
     def evaluate_at_vertex(self, mu: SimplicialMap, v: str, n: int) -> SimplexExpr:
         """Restrict a level-n cell along an exponent vertex: an n-simplex of T."""
@@ -285,41 +275,6 @@ class Exponential:
         vert = SimplexExpr(full_degeneracy(n), v)
         e = P.pair_expr(vert, SimplexExpr((), top_cell(n)))
         return mu.apply(e)
-
-
-class CellMaps(Mapping):
-    """The underlying maps of an exponential's nondegenerate cells.
-
-    ``codes`` sends each cell id to its level and code tuple; a map is
-    decoded on first use and kept.  Holds the products and the truncated
-    base, never the exponential, so that it keeps nothing else alive.
-    """
-
-    def __init__(self, products: dict, T: TruncatedSSet, codes: dict):
-        self.products = products
-        self.target = T
-        self.codes = codes
-        self._decoders: dict = {}
-        self._maps: dict = {}
-
-    def decode(self, n: int, codes: tuple) -> SimplicialMap:
-        """The level-n map with the given code tuple."""
-        decode = self._decoders.get(n)
-        if decode is None:
-            decode = self._decoders[n] = map_decoder(self.products[n], self.target)
-        return decode(codes)
-
-    def __getitem__(self, cid: str) -> SimplicialMap:
-        mu = self._maps.get(cid)
-        if mu is None:
-            mu = self._maps[cid] = self.decode(*self.codes[cid])
-        return mu
-
-    def __iter__(self):
-        return iter(self.codes)
-
-    def __len__(self) -> int:
-        return len(self.codes)
 
 
 class ExponentFrame:
@@ -351,15 +306,15 @@ class ExponentFrame:
         """id_S x (alpha: [m] -> [n]) as (slot, word) per cell of S_t x Δm."""
         Pm, Pn = self.products[m], self.products[n]
         dm = delta_map(alpha, m, n, max(m, n, Pm.right.dim_bound, Pn.right.dim_bound))
-        return slot_plan(Pm.map_pairs(Pn, lambda e1, e2: Pn.pair_expr(e1, dm.apply(e2))))
+        return slot_plan(Pm, Pn, lambda e1, e2: Pn.pair_expr(e1, dm.apply(e2)))
 
 
-def slot_plan(f: SimplicialMap) -> tuple:
-    """f as (slot, word) per source cell: the position in the target's
-    canonical cell order of the base of its image, and the image's
-    degeneracy word."""
-    index = f.target.cell_index
-    return tuple((index[e.base], e.word) for e in f.images)
+def slot_plan(P: ProductSSet, Q: TruncatedSSet, image) -> tuple:
+    """The map P -> Q sending each cell (e1|e2) to ``image(e1, e2)``, as
+    (slot, word) per cell of P: the position in Q's canonical cell order of
+    the base of its image, and the image's degeneracy word."""
+    index, pair_of = Q.cell_index, P.pair_of
+    return tuple((index[e.base], e.word) for e in (image(*pair_of[x]) for x in P.cells))
 
 
 def coded_gather(plan: tuple, P: TruncatedSSet, T: TruncatedSSet):
@@ -418,7 +373,7 @@ def induced_functor(E1: Exponential, E2: Exponential, image, name: str) -> Funct
     representatives.  Nothing is decoded or located.
     """
     ho1, ho2 = E1.ho, E2.ho
-    codes = E1.cell_map.codes
+    codes = E1.cell_codes
     ob = {c: E2.expr_at(0, image(codes[c][1], 0)).base for c in ho1.category.objects}
     mor = {m: ho2.cls(E2.expr_at(1, image(E1.codes_of(ho1.reps[m]), 1)))
            for m in ho1.category.nonidentity()}

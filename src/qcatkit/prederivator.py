@@ -182,9 +182,9 @@ class DiaSample:
             compare = nerve_product_compare_inv(P_JI, NJxI)
             Pj, Pk = dj.products[1], dk.products[0]
             shape_to_nerve = chain_shape_iso(Pj.right, interval_nerve)
-            plan = self._transports[key] = slot_plan(Pj.map_pairs(Pk, lambda e1, e2: Pk.pair_expr(
+            plan = self._transports[key] = slot_plan(Pj, Pk, lambda e1, e2: Pk.pair_expr(
                 nmate.apply(compare.apply(P_JI.pair_expr(e1, shape_to_nerve.apply(e2)))),
-                SimplexExpr(full_degeneracy(Pj.left.expr_dim(e1)), "0"))))
+                SimplexExpr(full_degeneracy(Pj.left.expr_dim(e1)), "0")))
         return plan
 
     def add_unit_functors(self) -> None:
@@ -436,8 +436,8 @@ class Restriction:
         self.plans = {}
         for level in (0, 1):
             Pk = target_products[level]
-            self.plans[level] = slot_plan(source_products[level].map_pairs(
-                Pk, lambda e1, e2: Pk.pair_expr(nu.apply(e1), e2)))
+            self.plans[level] = slot_plan(source_products[level], Pk,
+                                          lambda e1, e2: Pk.pair_expr(nu.apply(e1), e2))
 
 
 class HoPrederivator(Prederivator):
@@ -483,7 +483,7 @@ class HoPrederivator(Prederivator):
         dj, dk = self._data[src], self._data[dst]
         # each component precomposes the sample's transport through the mate
         transport = coded_gather(self.sample.transport(alpha, dj, dk), dj.products[1], dj.T_t)
-        comps = {c: dj.ho.cls(dj.expr_at(1, transport(dk.cell_map.codes[c][1])))
+        comps = {c: dj.ho.cls(dj.expr_at(1, transport(dk.cell_codes[c][1])))
                  for c in dk.ho.category.objects}
         return NatTransf(ustar, vstar, comps, f"{self.name}({alpha.name})*")
 

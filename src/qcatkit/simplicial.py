@@ -8,22 +8,22 @@ degeneracy words with the simplicial identities when needed.
 
 Every set lays its nondegenerate simplices, all levels together, out in
 one canonical cell order: sorted by identifier (``TruncatedSSet.cells``).
-A simplicial map is the tuple of the images of the source's cells in that
-order, so two maps out of the same source compare, sort and hash as their
-image tuples.
-
 Each level also has a coded table (``TruncatedSSet.table``), built once and
 kept on the set: the n-simplices, degenerate ones included, sorted as
 ``SimplexExpr``s, so that the code of a simplex is its position; and each
 simplex's faces as a row of codes one level down.  The set also keeps, per
 degeneracy word and level, the codes of the degenerate simplices
 (``degeneracy_codes``), and for the levels a map search targets, an index
-of codes by face row (``by_faces``).  Every slot of an image tuple holds a
-simplex of one fixed level, the dimension of its source cell, and codes
-follow the order of the simplices they name; so a map coded slot by slot
-compares, sorts and hashes as its image tuple does.  The map search
-(:func:`map_codes`) and the exponentials of :mod:`qcatkit.mapping` run
-over such code tuples and decode them only where a map is asked for.
+of codes by face row (``by_faces``).
+
+A simplicial map is its code tuple: per cell of the source, in that
+order, the code of its image at the cell's dimension.  Codes follow the
+order of the simplices they name, so two maps out of one source compare,
+sort and hash as their tuples of images would.  :class:`SimplicialMap`
+holds that code tuple or the images as ``SimplexExpr``s, whichever it was
+built from, and is the only code that converts between the two.  The map
+search (:func:`map_codes`) and the exponentials of :mod:`qcatkit.mapping`
+run over code tuples.
 Extension problems (:func:`extensions`) search for the shell maps only and
 read the fillers off the target's n-simplices, charging the search's steps
 and one step per n-simplex of the target and per shell map.
@@ -531,29 +531,54 @@ def simplicial_action(S: TruncatedSSet, alpha: tuple, y: SimplexExpr) -> Simplex
 class SimplicialMap:
     """A map of truncated simplicial sets, commuting with faces.
 
-    ``images`` is the tuple of the images of the source's nondegenerate
-    cells, in the source's canonical cell order (``source.cells``).  The
-    constructor also takes a mapping from cell identifiers to images; a
-    cell it leaves out has image ``None``, which ``validate`` reports.
-    ``key()`` is the image tuple itself: for maps out of one source it
-    orders maps as their sorted ``(identifier, image)`` pairs would.
+    The one converter between a map's two forms.  ``images`` is the code
+    tuple: per source cell, in ``source.cells`` order, the code of its image
+    in ``target.table(n)``, n the cell's dimension (None if it has none).
+    ``assignment`` maps cell identifiers to images as ``SimplexExpr``s.  The
+    constructor takes either (a tuple is codes, a mapping an assignment);
+    the other is derived on first read and kept.  ``key()`` is the code
+    tuple, which orders the maps out of one source as their sorted
+    ``(identifier, image)`` pairs would.
     """
 
     def __init__(self, source: TruncatedSSet, target: TruncatedSSet, images):
         self.source = source
         self.target = target
-        if not isinstance(images, tuple):
-            images = tuple(map(images.get, source.cells))
-        self.images = images
+        self._code_tables: dict = {}
+        if isinstance(images, tuple):
+            self.images = images
+        else:
+            self.assignment = {x: images[x] for x in source.cells if images.get(x) is not None}
+
+    @cached_property
+    def images(self) -> tuple:
+        """The code tuple, encoded from ``assignment``."""
+        get, dim, table = self.assignment.get, self.source.dim_of, self.target.table
+        return tuple(table(dim[x]).code.get(get(x)) for x in self.source.cells)
 
     @cached_property
     def assignment(self) -> dict:
-        """The images keyed by source cell identifier."""
-        return {x: img for x, img in zip(self.source.cells, self.images) if img is not None}
+        """The images as expressions keyed by source cell, decoded from ``images``."""
+        dim, table = self.source.dim_of, self.target.table
+        return {x: table(dim[x]).cells[c]
+                for x, c in zip(self.source.cells, self.images) if c is not None}
 
     def apply(self, e: SimplexExpr) -> SimplexExpr:
-        img = self.images[self.source.cell_index[e.base]]
+        img = self.assignment[e.base]
         return self.target.degenerate(e.word, img) if e.word else img
+
+    def code(self, e: SimplexExpr) -> int:
+        """The code of the image of e in the target's table at e's dimension."""
+        S = self.source
+        return self.target.degeneracy_codes(e.word, S.dim_of[e.base])[
+            self.images[S.cell_index[e.base]]]
+
+    def code_table(self, n: int) -> tuple:
+        """Per code of ``source.table(n)``, the code of its image."""
+        hit = self._code_tables.get(n)
+        if hit is None:
+            hit = self._code_tables[n] = tuple(map(self.code, self.source.table(n).cells))
+        return hit
 
     def key(self) -> tuple:
         return self.images
@@ -566,26 +591,29 @@ class SimplicialMap:
         return hash(self.images)
 
     def validate(self) -> ValidationReport:
-        report = ValidationReport(f"map {self.source.name} -> {self.target.name}")
-        for n in range(self.source.dim_bound + 1):
-            for x in self.source.nondeg(n):
+        """Every cell has an image of its dimension, and faces are preserved.
+
+        An image that is no simplex of the target, dangling base included,
+        has no code, so it is reported, never raised."""
+        S, T, images = self.source, self.target, self.images
+        report = ValidationReport(f"map {S.name} -> {T.name}")
+        for n in range(S.dim_bound + 1):
+            for x in S.nondeg(n):
                 report.checked += 1
-                img = self.images[self.source.cell_index[x]]
-                if img is None:
-                    report.add(f"no image for {x!r}")
-                elif self.target.expr_dim(img) != n:
-                    report.add(f"image of {x!r} has wrong dimension")
+                if images[S.cell_index[x]] is None:
+                    img = self.assignment.get(x)
+                    report.add(f"no image for {x!r}" if img is None else
+                               f"image {img.token()} of {x!r} is no {n}-simplex of {T.name}")
         if not report.ok:
             return report
-        for n in range(1, self.source.dim_bound + 1):
-            for x in self.source.nondeg(n):
+        for n in range(1, S.dim_bound + 1):
+            faces = T.table(n).faces
+            for x in S.nondeg(n):
+                row = faces[images[S.cell_index[x]]]
                 e = SimplexExpr((), x)
-                img = self.images[self.source.cell_index[x]]
                 for i in range(n + 1):
                     report.checked += 1
-                    want = self.apply(self.source.face(e, i))
-                    got = self.target.face(img, i)
-                    if want != got:
+                    if self.code(S.face(e, i)) != row[i]:
                         report.add(f"face d_{i} not preserved at {x!r}")
         return report
 
@@ -594,16 +622,13 @@ class SimplicialMap:
 
 
 def identity_map(S: TruncatedSSet) -> SimplicialMap:
-    return SimplicialMap(S, S, tuple(SimplexExpr((), x) for x in S.cells))
+    return SimplicialMap(S, S, {x: SimplexExpr((), x) for x in S.cells})
 
 
 def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
     if g.source is not f.target and g.source.levels != f.target.levels:
         raise ValueError("maps are not composable")
-    images, index, degenerate = g.images, g.source.cell_index, g.target.degenerate
-    return SimplicialMap(f.source, g.target, tuple(
-        degenerate(e.word, images[index[e.base]]) if e.word else images[index[e.base]]
-        for e in f.images))
+    return SimplicialMap(f.source, g.target, {x: g.apply(e) for x, e in f.assignment.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -872,22 +897,16 @@ def map_codes(S: TruncatedSSet, T: TruncatedSSet, budget: Budget, fixed=None) ->
     return results
 
 
-def map_decoder(S: TruncatedSSet, T: TruncatedSSet):
-    """The map S -> T of a code tuple, as :func:`map_codes` lays it out."""
-    tables = [T.table(S.dim_of[x]).cells for x in S.cells]
-    return lambda codes: SimplicialMap(S, T, tuple(map(getitem, tables, codes)))
-
-
 def enumerate_maps(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None,
                    fixed=None) -> list:
     """The complete set of simplicial maps S -> T, canonically ordered.
 
     ``fixed`` pre-assigns images for some nondegenerate simplices of S;
     consistency with faces is still enforced.  The search is
-    :func:`map_codes`; this decodes its result.
+    :func:`map_codes`; this wraps its code tuples.
     """
     budget = ensure_budget(budget, f"maps {S.name} -> {T.name}")
-    return list(map(map_decoder(S, T), map_codes(S, T, budget, fixed)))
+    return [SimplicialMap(S, T, codes) for codes in map_codes(S, T, budget, fixed)]
 
 
 def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
@@ -923,10 +942,10 @@ def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
             codes[s] = faces[codes[up]][i]
         if all(faces[codes[s]] == pick(codes) for s, faces, pick in rows):
             fillers.setdefault(tuple(codes[s] for s in shell_slots), []).append(tuple(codes))
-    of_shell, of_simplex = map_decoder(shell, T), map_decoder(simplex, T)
     for key in map_codes(shell, T, budget):
         budget.spend()
-        yield of_shell(key), list(map(of_simplex, sorted(fillers.get(key, ()))))
+        yield SimplicialMap(shell, T, key), [SimplicialMap(simplex, T, codes)
+                                             for codes in sorted(fillers.get(key, ()))]
 
 
 def find_isomorphism(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None):
@@ -942,10 +961,10 @@ def find_isomorphism(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None):
         return None
     ids = identity_map(S), identity_map(T)
     for f in enumerate_maps(S, T, budget):
-        if any(img.word for img in f.images) or len(set(f.images)) != len(f.images):
+        images = f.assignment.values()
+        if any(img.word for img in images) or len(set(images)) != len(images):
             continue
-        g = SimplicialMap(T, S, {img.base: SimplexExpr((), x)
-                                 for x, img in zip(S.cells, f.images)})
+        g = SimplicialMap(T, S, {img.base: SimplexExpr((), x) for x, img in f.assignment.items()})
         if g.validate().ok and compose_maps(g, f) == ids[0] and compose_maps(f, g) == ids[1]:
             return f
     return None

@@ -36,13 +36,11 @@ def _postcomposition(f: SimplicialMap, E1: Exponential, E2: Exponential, name: s
     """The functor Ho(E1) -> Ho(E2) that postcomposition with f induces.
 
     A slot of a code tuple holds a d-simplex of ``E1.T_t``, d the dimension
-    of its cell, so f acts on it through the table sending the level-d
-    codes of ``E1.T_t`` to those of ``E2.T_t``.
+    of its cell, so f acts on it through its level-d code table: ``E1.T_t``
+    and ``E2.T_t`` are f's ends truncated, with the same tables up to there.
     """
-    src, tgt = E1.T_t, E2.T_t
-    tables = [[tgt.table(d).code[f.apply(e)] for e in src.table(d).cells]
-              for d in range(E1.products[1].dim_bound + 1)]
-    slots = [[tables[P.dim_of[x]] for x in P.cells] for P in (E1.products[0], E1.products[1])]
+    slots = [[f.code_table(P.dim_of[x]) for x in P.cells]
+             for P in (E1.products[0], E1.products[1])]
     return induced_functor(E1, E2, lambda codes, level: tuple(map(getitem, slots[level], codes)),
                            name)
 
@@ -277,7 +275,10 @@ def map_to_text(f: SimplicialMap) -> str:
 
 
 def load_labeled_corpus(manifest_path) -> list:
-    """Lines: ``map <name>: <sset-file> -> <sset-file> via <map-file> expect <label>``."""
+    """Lines: ``map <name>: <sset-file> -> <sset-file> via <map-file> expect <label>``.
+
+    A map that fails validation is a ``ValueError`` naming the line, the
+    map file and the first violation."""
     path = Path(manifest_path)
     out = []
     cache: dict = {}
@@ -302,6 +303,9 @@ def load_labeled_corpus(manifest_path) -> list:
             source = load_sset(src_file)
             target = load_sset(tgt_file)
             f = parse_map_file((path.parent / map_file).read_text(), source, target)
+            report = f.validate()
+            if not report.ok:
+                raise ValueError(f"{map_file}: {report.violations[0]}")
             out.append((name, f, expect == "equiv"))
         except (ValueError, IndexError) as err:
             raise ValueError(f"{path.name} line {lineno}: {err}") from None

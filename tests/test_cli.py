@@ -25,6 +25,7 @@ def inputs(tmp_path_factory):
     (d / "bad.sset").write_text("dim 2\n0: a\nface x y = [] a\n")
     rows = {name: (name, f, expected) for name, f, expected in labeled_map_corpus()}
     manifest = write_labeled_corpus([rows["id_delta0"], rows["collapse_N[1]"]], d / "corpus")
+    write_labeled_corpus(labeled_map_corpus(), d / "full")
     return d, manifest
 
 
@@ -75,6 +76,18 @@ GOLDEN = [
     (["kanext", "n1.sset", "interval.cat"],
      "98f20a4dbb714c30b15ad9e1ba7893f1dc3d2e1d018beb7d756b48671559f632",
      "d3c393d5662a4543c2db29cfcb21bd6fe5cf222cf656c4413eb5c32b871fb10a"),
+    (["whitehead", "full/corpus.manifest"],
+     "4f93acbcda0529b895c1a7757ff90475b6f14a23daf95d8e0ea8325482c3a766",
+     "9abb0e6ce017de8b85b820c381a7139c47ad7d530da5a5da36469a06bef3dcf3"),
+    (["der-audit", "n1.sset"],
+     "06456f18250e597547945edcb543e0607d5113913f3748bed5f749c5fdf33151",
+     "6056e4859faa00ac653ad0f67ad30792d64538223f4b056e013fe8e95e2705ee"),
+    (["der-audit", "nz2.sset"],
+     "193cb2b5dfe0a7dee5d3a685abad86b309daa261db6602b518bcbc9d7a7e3eef",
+     "6e5df61fb80fd22a867966f8fc638b3b06f09783f81d6d9c92748177970baed0"),
+    (["exp", "nz2.sset", "n1.sset"],
+     "98722f25f66dcb99c46c913219597effb29323bcd7056e726363a969f0032b79",
+     "8d6b3989ba063c33cfdacc2d2a8c65052221335a3fd9c71e6d0eceee7daebbbc"),
 ]
 
 
@@ -82,7 +95,7 @@ GOLDEN = [
                          ids=["-".join(g[0][:2] + g[0][3:]) for g in GOLDEN])
 def test_golden_reports(inputs, capsys, argv, text_sha, json_sha):
     d, _ = inputs
-    argv = [str(d / a) if a.endswith((".sset", ".cat")) else a for a in argv]
+    argv = [str(d / a) if a.endswith((".sset", ".cat", ".manifest")) else a for a in argv]
     for fmt, digest in (("text", text_sha), ("json", json_sha)):
         code, out = run(["--format", fmt] + argv, capsys)
         assert code == 0
@@ -125,3 +138,20 @@ def test_delocalize_builds_the_simplex_category_once(inputs, capsys, monkeypatch
     code, out = run(["delocalize", str(d / "n1.sset"), "--depth", "2"], capsys)
     assert code == 0 and "[marked-inversion]: pass" in out
     assert built == [("n1", 2)]
+
+
+@pytest.mark.parametrize("map_file,old,new,where", [
+    ("m06.map", "eab|eba|eab = eba|eab|eba", "eab|eba|eab = eab|eba|eab",
+     "line 7: m06.map: face d_0 not preserved at 'eab|eba|eab'"),
+    ("m00.map", "m01 = m01\n", "", "line 1: m00.map: no image for 'm01'"),
+], ids=["face-not-preserved", "missing-image"])
+def test_whitehead_rejects_a_map_that_is_not_simplicial(tmp_path, capsys, map_file, old, new,
+                                                        where):
+    manifest = write_labeled_corpus(labeled_map_corpus(), tmp_path)
+    path = tmp_path / map_file
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    code, out = run(["whitehead", str(manifest)], capsys)
+    assert code == 1
+    assert out == f"error: corpus.manifest {where}\n"

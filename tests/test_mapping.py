@@ -80,7 +80,7 @@ def assert_structure_matches_shape_maps(E):
                 assert E.locate(maps[e]) == e
                 assert E.map_of(e) == maps[e]
                 continue
-            maps[e] = E.cell_map[e.base]
+            maps[e] = E.map_of(e)
             for i, delta in enumerate(deltas):
                 assert E.sset.faces[(e.base, i)] == E.locate(compose_maps(maps[e], delta))
 
@@ -128,7 +128,7 @@ class TestExponential:
             nondeg = sorted((f for f in direct if not E.locate(f).word),
                             key=lambda f: tuple(sorted(f.assignment.items())))
             assert len(E.sset.nondeg(n)) == len(nondeg) > 0
-            assert [E.cell_map[f"c{n}_{i}"] for i in range(len(nondeg))] == nondeg
+            assert [E.map_of(SimplexExpr((), f"c{n}_{i}")) for i in range(len(nondeg))] == nondeg
 
     def test_curried_levels_match_direct_enumeration(self):
         # [1]+[1] and [1]x[1] have more vertices than Δ2 and go through T^{Δn};
@@ -213,14 +213,15 @@ class TestExponential:
 
     def test_cell_maps_decode_without_the_exponential(self):
         E = Exponential(nerve(group_z2(), 3), nerve(poset_simplex(1), 2), 2)
-        cells = E.cell_map
-        assert sorted(cells) == sorted(x for n in range(3) for x in E.sset.nondeg(n))
-        mu = cells["c1_0"]
-        assert cells["c1_0"] is mu and E.locate(mu) == SimplexExpr((), "c1_0")
+        assert sorted(E.cell_codes) == sorted(x for n in range(3) for x in E.sset.nondeg(n))
+        mu, vertex = (E.map_of(SimplexExpr((), cid)) for cid in ("c1_0", "c0_0"))
+        assert mu.images == E.cell_codes["c1_0"][1] and E.locate(mu) == SimplexExpr((), "c1_0")
         ref = weakref.ref(E)
         del E
         gc.collect()
-        assert ref() is None and cells["c0_0"].validate().ok
+        # the maps hold the product and the truncated base, not the exponential,
+        # and decode only now
+        assert ref() is None and "assignment" not in vars(vertex) and vertex.validate().ok
         with pytest.raises(KeyError):
             Exponential(nerve(poset_simplex(1), 3), standard_simplex(1, 2), 2).locate(mu)
 
@@ -380,7 +381,7 @@ class TestMappingSpace:
         pins = {"0": "a", "1": "b"}
         for n in range(3):
             for cid in M.sset.nondeg(n):
-                mu = M.cell_map[cid]
+                mu = M.map_of(SimplexExpr((), cid))
                 for pid, (e1, _) in M.products[n].pair_of.items():
                     if e1.base in pins:
                         assert mu.assignment[pid] == SimplexExpr(

@@ -48,7 +48,7 @@ from qcatkit.prederivator import (
     standard_sample,
     strict_rigidity_check,
 )
-from qcatkit.simplicial import SimplexExpr, compose_maps, product, standard_simplex
+from qcatkit.simplicial import SimplexExpr, SimplicialMap, compose_maps, product, standard_simplex
 from qcatkit.util import Budget
 
 SAMPLE = standard_sample()
@@ -162,8 +162,8 @@ class TestHoPrederivator:
 def per_cell_restriction(D, u):
     """u* built cell by cell: each cell mu of HO(Q)(K) goes to the map
     (e1|e2) -> mu(N(u)(e1)|e2) out of N(J) x Δl, for u: J -> K.  The code
-    tuples are decoded to maps and the image map located, so neither the
-    restriction plans nor their coded gathers take part."""
+    tuples are decoded to maps and the image map encoded again, so neither
+    the restriction plans nor their coded gathers take part."""
     dj, dk = (D.data(end) for end in D.sample.ends(u))
     nu = nerve_map(u, dj.exponent, dk.exponent)
     # the cell (N(u)(e1)|e2) of N(K) x Δl, once per cell (e1|e2) of N(J) x Δl
@@ -171,9 +171,9 @@ def per_cell_restriction(D, u):
                      for pair in dj.products[level].pair_of.values()} for level in (0, 1)}
 
     def precompose(codes, level):
-        mu = dk.cell_map.decode(level, codes)
-        return dj.codes_of(dj.locate(dj.products[level].map_pairs(
-            dj.T_t, lambda e1, e2: mu.apply(under[level][(e1, e2)]))))
+        mu = SimplicialMap(dk.products[level], dk.T_t, codes)
+        return dj.products[level].map_pairs(
+            dj.T_t, lambda e1, e2: mu.apply(under[level][(e1, e2)])).images
 
     return induced_functor(dk, dj, precompose, "per-cell")
 
@@ -222,7 +222,7 @@ def per_cell_transport(D, alpha):
     to_k = Pj.map_pairs(Pk, lambda e1, e2: Pk.pair_expr(
         nmate.apply(compare.apply(P_JI.pair_expr(e1, shape.apply(e2)))),
         SimplexExpr(full_degeneracy(Pj.left.expr_dim(e1)), "0")))
-    return {c: dj.ho.cls(dj.locate(compose_maps(dk.cell_map[c], to_k)))
+    return {c: dj.ho.cls(dj.locate(compose_maps(dk.map_of(SimplexExpr((), c)), to_k)))
             for c in dk.ho.category.objects}
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import qcatkit.simplicial as simplicial
 from qcatkit.cats import contractible_groupoid, group_z2, poset_simplex
-from qcatkit.corpus import corpus_ssets, face_mutations
+from qcatkit.corpus import corpus_ssets, face_mutations, labeled_map_corpus
 from qcatkit.mapping import kan_check
 from qcatkit.nerve import is_quasicategory, nerve
 from qcatkit.simplicial import (
@@ -525,6 +525,45 @@ class TestCodedSearch:
             assert budget.used == steps
 
 
+def assert_two_forms_agree(f):
+    """f built from either form is the same map, and its coded and
+    expression readings agree on every simplex up to the source's bound."""
+    S, T = f.source, f.target
+    for g in (SimplicialMap(S, T, f.assignment), SimplicialMap(S, T, f.images)):
+        assert g == f and g.images == f.images and g.assignment == f.assignment
+        for n in range(S.dim_bound + 1):
+            cells = S.table(n).cells
+            assert [g.apply(e) for e in cells] == \
+                [T.degenerate(e.word, f.assignment[e.base]) for e in cells], n
+            assert g.code_table(n) == tuple(T.table(n).code[g.apply(e)] for e in cells), n
+
+
+class TestTwoForms:
+    @pytest.mark.parametrize("src", sorted(SEARCH_SOURCES))
+    @pytest.mark.parametrize("tgt", sorted(SEARCH_TARGETS))
+    def test_searched_maps(self, src, tgt):
+        maps = enumerate_maps(SEARCH_SOURCES[src](), SEARCH_TARGETS[tgt]())
+        assert maps
+        for f in maps:
+            assert_two_forms_agree(f)
+
+    def test_labeled_corpus_maps(self):
+        for name, f, _ in labeled_map_corpus():
+            assert f.validate().ok, name
+            assert_two_forms_agree(f)
+
+    def test_malformed_maps_are_reported_not_raised(self):
+        N = nerve(poset_simplex(1), 3)
+        good = {"0": expr("0"), "1": expr("1"), "m01": expr("m01")}
+        for image, message in ((None, "no image for 'm01'"),
+                               (expr("0"), "image 0 of 'm01' is no 1-simplex of N([1])"),
+                               (expr("zz"), "image zz of 'm01' is no 1-simplex of N([1])")):
+            f = SimplicialMap(N, N, dict(good, m01=image))
+            report = f.validate()
+            assert report.violations == [message]
+        assert SimplicialMap(N, N, good).validate().ok
+
+
 class TestLevelTables:
     def test_codes_are_positions_in_the_sorted_level(self):
         xy = sset_from_text(NAMED_AFTER_S, "xy")
@@ -605,7 +644,7 @@ class TestCanonicalOrder:
     def test_compose_is_the_dict_composition(self, corpus, src, mid, tgt):
         S, M, T = corpus[src], corpus[mid], corpus[tgt]
         fs, gs = enumerate_maps(S, M), enumerate_maps(M, T)
-        assert any(img.word for f in fs for img in f.images)  # degenerate images occur
+        assert any(img.word for f in fs for img in f.assignment.values())  # degenerate images
         for f in fs:
             for g in gs:
                 assert compose_maps(g, f).assignment == dict_compose(g, f)
