@@ -9,6 +9,10 @@ isomorphisms in any homotopy category.  Reports carry the truncation
 depth: the construction is depth-free only on paper.  Only the whole
 projection and ``marked_closure_report`` compose simplex maps; p on one
 chain, ``check_inverts_L`` and Kan extensions read the morphism lists.
+Every simplex operator y . α they apply (a morphism's source, p on a
+chain, a Kan extension's compatibility checks) is read off the set's level
+tables through ``TruncatedSSet.action_codes``, one code table per (α, n),
+kept on the set.
 """
 
 from __future__ import annotations
@@ -32,17 +36,16 @@ def _obj_id(m: int, e: SimplexExpr) -> str:
     return f"{m}:{e.token()}"
 
 
-def _mor_id(src: str, dst: str, alpha: tuple) -> str:
-    return f"{src}->{dst}:" + "".join(str(a) for a in alpha)
-
-
 class SimplexCategory:
     """Truncated category of simplices with the last-vertex class marked.
 
     Objects (``simplex_of``), ``morphisms``, ``identities``, ``alpha_of``
     and ``marked`` are listed here; ``category``, the composition table
     with them, is built when first read, by ``last_vertex_projection`` or
-    ``marked_closure_report``."""
+    ``marked_closure_report``.  A morphism α: (m, x) -> (n, y) is named
+    ``"<x's id>-><y's id>:<α's digits>"``; x = y . α is read off the set's
+    ``action_codes(α, n)`` and named from one list of object ids per level,
+    by code."""
 
     def __init__(self, S: TruncatedSSet, depth: int):
         if depth > S.dim_bound:
@@ -51,18 +54,24 @@ class SimplexCategory:
         self.depth = depth
         self.simplex_of = {_obj_id(m, e): (m, e)
                            for m in range(depth + 1) for e in S.total(m)}
+        ids = [[_obj_id(m, e) for e in S.table(m).cells] for m in range(depth + 1)]
+        # per target level n: each α into [n] with its sources' ids, action and digits
+        arrows = [[(alpha, ids[m], S.action_codes(alpha, n), "".join(map(str, alpha)))
+                   for m in range(depth + 1) for alpha in monotone_tuples(m, n)]
+                  for n in range(depth + 1)]
         self.morphisms = {}
         self.identities = {}
         self.alpha_of = {}
         for tgt, (n, y) in self.simplex_of.items():
-            for m in range(depth + 1):
-                for alpha in monotone_tuples(m, n):
-                    src = _obj_id(m, simplicial_action(S, alpha, y))
-                    mid = _mor_id(src, tgt, alpha)
-                    self.morphisms[mid] = (src, tgt)
-                    self.alpha_of[mid] = alpha
-                    if src == tgt and alpha == tuple(range(n + 1)):
-                        self.identities[tgt] = mid
+            c = S.table(n).code[y]
+            identity = tuple(range(n + 1))
+            for alpha, sources, act, digits in arrows[n]:
+                src = sources[act[c]]
+                mid = f"{src}->{tgt}:{digits}"
+                self.morphisms[mid] = (src, tgt)
+                self.alpha_of[mid] = alpha
+                if alpha == identity:
+                    self.identities[tgt] = mid
         self.marked = frozenset(filter(self._is_last_vertex, self.morphisms))
 
     @cached_property

@@ -72,7 +72,6 @@ from .simplicial import (
     ValidationReport,
     enumerate_maps,
     product,
-    simplicial_action,
 )
 from .util import Budget, ensure_budget
 
@@ -711,48 +710,35 @@ def kan_extension_value(R: TruncatedSSet, J: FiniteCategory, d: int,
     sc = SimplexCategory(NJ, d)
     objects = list(sc.simplex_of.values())
     index = {oid: i for i, oid in enumerate(sc.simplex_of)}
-    # an arrow (m, x) -> (n, y) is a monotone alpha with y . alpha = x;
-    # a family must satisfy value[(n, y)] . alpha = value[(m, x)]
+    # an arrow (m, x) -> (n, y) is a monotone alpha with y . alpha = x; a
+    # family must satisfy value[(n, y)] . alpha = value[(m, x)], checked, on
+    # codes, once both are placed: per object, (target, source, action codes)
     checks: dict = {i: [] for i in range(len(objects))}
     for mid, (src, tgt) in sc.morphisms.items():
-        si, ti, alpha = index[src], index[tgt], sc.alpha_of[mid]
-        if si == ti:
-            checks[ti].append(("self", alpha))
-        elif si < ti:
-            checks[ti].append(("src-known", si, alpha))
-        else:
-            checks[si].append(("tgt-known", ti, alpha))
-    values: dict = {}
+        si, ti = index[src], index[tgt]
+        checks[max(si, ti)].append((ti, si, R.action_codes(sc.alpha_of[mid], objects[ti][0])))
+    # per level, the codes in ``total`` order and the simplices by code
+    order = [[R.table(n).code[e] for e in R.total(n)] for n in range(d + 1)]
+    cells = [R.table(n).cells for n in range(d + 1)]
+    values = [None] * len(objects)
     families = []
 
-    def admissible(pos, v) -> bool:
-        n, y = objects[pos]
-        for check in checks[pos]:
+    def admissible(pos) -> bool:
+        for t, s, act in checks[pos]:
             budget.spend()
-            if check[0] == "self":
-                if simplicial_action(R, check[1], v) != v:
-                    return False
-            elif check[0] == "src-known":
-                _, si, alpha = check
-                if simplicial_action(R, alpha, v) != values[objects[si]]:
-                    return False
-            else:
-                _, ti, alpha = check
-                if simplicial_action(R, alpha, values[objects[ti]]) != v:
-                    return False
+            if act[values[t]] != values[s]:
+                return False
         return True
 
     def walk(pos):
         if pos == len(objects):
-            families.append(dict(values))
+            families.append({obj: cells[obj[0]][c] for obj, c in zip(objects, values)})
             return
-        n, y = objects[pos]
-        for v in R.total(n):
+        for v in order[objects[pos][0]]:
             budget.spend()
-            if admissible(pos, v):
-                values[objects[pos]] = v
+            values[pos] = v
+            if admissible(pos):
                 walk(pos + 1)
-                values.pop(objects[pos], None)
 
     walk(0)
     common = min(NJ.dim_bound, R.dim_bound)

@@ -13,7 +13,8 @@ kept on the set: the n-simplices, degenerate ones included, sorted as
 ``SimplexExpr``s, so that the code of a simplex is its position; and each
 simplex's faces as a row of codes one level down.  The set also keeps, per
 degeneracy word and level, the codes of the degenerate simplices
-(``degeneracy_codes``), and for the levels a map search targets, an index
+(``degeneracy_codes``), per monotone α: [m] -> [n] the codes of the action
+y . α (``action_codes``), and for the levels a map search targets, an index
 of codes by face row (``by_faces``).
 
 A simplicial map is its code tuple: per cell of the source, in that
@@ -26,7 +27,9 @@ search (:func:`map_codes`) and the exponentials of :mod:`qcatkit.mapping`
 run over code tuples.
 Extension problems (:func:`extensions`) search for the shell maps only and
 read the fillers off the target's n-simplices, charging the search's steps
-and one step per n-simplex of the target and per shell map.
+and one step per n-simplex of the target and per shell map.  The target
+keeps its index of n-simplices per level and each shell's answer, and a
+repeated problem charges what the first one charged.
 
 Conventions:
     * ``d_i`` forgets the i-th vertex, so for an edge ``f`` the face
@@ -262,6 +265,11 @@ class TruncatedSSet:
         self._path_objects: dict = {}
         # (level, k) -> this set's exponent frame, see mapping.exponent_frame
         self._frames: dict = {}
+        # (alpha, n) -> codes, see action_codes
+        self._actions: dict = {}
+        # level n -> the maps Δⁿ -> this set; shell -> its answer, see extensions
+        self._fillers: dict = {}
+        self._shells: dict = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -383,6 +391,32 @@ class TruncatedSSet:
             else:
                 hit = range(len(cells))
             self._degeneracy_codes[key] = hit
+        return hit
+
+    def action_codes(self, alpha: tuple, n: int) -> tuple:
+        """Per code of ``table(n)``, the code of y . α in ``table(m)``, for a
+        monotone α: [m] -> [n]; built once per (α, n) and kept.
+
+        y . α is y restricted to the vertices α hits, then degenerated where
+        α repeats a vertex: the faces d_i, i missed, are read off the face
+        rows top down, and the normal word lists each p with α(p) = α(p + 1),
+        largest first.  Any other α is a ``ValueError``.
+        """
+        key = (alpha, n)
+        hit = self._actions.get(key)
+        if hit is None:
+            if not alpha or alpha[0] < 0 or alpha[-1] > n or list(alpha) != sorted(alpha):
+                raise ValueError(f"alpha={alpha!r} is not a monotone map into [{n}]")
+            codes = range(len(self.table(n).cells))
+            level = n
+            for i in range(n, -1, -1):
+                if i not in alpha:
+                    faces = self.table(level).faces
+                    codes = [faces[c][i] for c in codes]
+                    level -= 1
+            word = tuple(p for p in range(len(alpha) - 2, -1, -1) if alpha[p] == alpha[p + 1])
+            up = self.degeneracy_codes(word, level)
+            hit = self._actions[key] = tuple(up[c] for c in codes)
         return hit
 
     def face(self, e: SimplexExpr, i: int) -> SimplexExpr:
@@ -516,12 +550,11 @@ class TruncatedSSet:
 
 
 def simplicial_action(S: TruncatedSSet, alpha: tuple, y: SimplexExpr) -> SimplexExpr:
-    """y . alpha for a monotone map alpha: [m] -> [n] and an n-simplex y."""
-    keep = tuple(sorted(set(alpha)))
-    restricted = S.restrict(y, keep)
-    positions = tuple(keep.index(a) for a in alpha)
-    word, _ = weak_seq_to_word(positions)
-    return SimplexExpr(compose_words(word, restricted.word), restricted.base)
+    """y . alpha for a monotone map alpha: [m] -> [n] and an n-simplex y of S,
+    read off ``S.action_codes(alpha, n)``; any other alpha is a ``ValueError``."""
+    n = S.expr_dim(y)
+    codes = S.action_codes(tuple(alpha), n)
+    return S.table(len(alpha) - 1).cells[codes[S.table(n).code[y]]]
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +691,14 @@ def standard_simplex(n: int, D: int) -> TruncatedSSet:
     return TruncatedSSet(D, levels, faces, coskeletal_from=n, name=f"delta{n}")
 
 
+@cache
+def _simplex(n: int) -> TruncatedSSet:
+    """The Δⁿ that every horn and boundary of the n-simplex keeps, one per n."""
+    return standard_simplex(n, max(2, n))
+
+
 def _simplex_subset(n: int, D: int, keep, name: str) -> TruncatedSSet:
-    full = standard_simplex(n, max(2, n))
+    full = _simplex(n)
     levels = {k: [_tuple_id(c) for c in combinations(range(n + 1), k + 1) if keep(c)]
               for k in range(D + 1)}
     kept = {x for xs in levels.values() for x in xs}
@@ -672,7 +711,8 @@ def _simplex_subset(n: int, D: int, keep, name: str) -> TruncatedSSet:
 @cache
 def boundary(n: int, D: int) -> TruncatedSSet:
     """The union of all faces of the n-simplex, built once per (n, D) and
-    shared (no set is changed once built); it keeps that Δⁿ as ``simplex``."""
+    shared (no set is changed once built); it keeps as ``simplex`` the Δⁿ
+    that every shell of the n-simplex shares."""
     if n < 1:
         raise ValueError("boundary needs n >= 1")
     top = tuple(range(n + 1))
@@ -909,43 +949,73 @@ def enumerate_maps(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None,
     return [SimplicialMap(S, T, codes) for codes in map_codes(S, T, budget, fixed)]
 
 
+def _simplex_maps(T: TruncatedSSet, n: int) -> list:
+    """The maps Δⁿ -> T as sorted code tuples, built once per (T, n) and
+    kept on T.
+
+    By Yoneda a map is its top simplex σ.  Top down, a cell's code is read
+    off T's face row of the first cell it is a face of; σ is a map only if
+    every row agrees, as in a simplicial T.
+    """
+    hit = T._fillers.get(n)
+    if hit is None:
+        simplex = _simplex(n)
+        slot = simplex.cell_index
+        plan, rows, seen = [], [], set()
+        for k in range(n, 0, -1):
+            faces = T.table(k).faces
+            for x in simplex.nondeg(k):
+                slots = [slot[simplex.faces[(x, i)].base] for i in range(k + 1)]
+                plan += [(f, slot[x], faces, i) for i, f in enumerate(slots) if f not in seen]
+                seen.update(slots)
+                rows.append((slot[x], faces, itemgetter(*slots)))
+        hit = []
+        for sigma in range(len(T.table(n).cells)):
+            codes = [sigma] * len(slot)
+            for s, up, faces, i in plan:
+                codes[s] = faces[codes[up]][i]
+            if all(faces[codes[s]] == pick(codes) for s, faces, pick in rows):
+                hit.append(tuple(codes))
+        hit.sort()
+        T._fillers[n] = hit
+    return hit
+
+
 def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
     """Extension problems along a subset ``shell`` of the n-simplex.
 
     Yields each map shell -> T, in :func:`enumerate_maps` order, with its
     fillers Δⁿ -> T in that order.  ``shell`` is a :func:`horn` or a
     :func:`boundary`: the fillers are maps out of the Δⁿ it keeps as
-    ``simplex``, one per shell, so repeated problems build no simplex.  A
-    map Δⁿ -> T is its top simplex (Yoneda), so the fillers are read off
-    ``T.table(n)``, indexed by their restriction to the shell.  Steps: the
-    shell search's, one per n-simplex of T and one per shell map.
+    ``simplex``, which every shell of the n-simplex shares.  They are read
+    off T's index of the maps Δⁿ -> T (one per n-simplex that is a map,
+    built once per (T, n) and kept on T), grouped by their restriction to
+    the shell.  T also keeps each shell's answer as codes (the shell maps,
+    each with its fillers, and the steps of the search), so a repeated
+    problem runs no second search.  Steps, the same on a miss and on a
+    hit: one per n-simplex of T and the search's at the first read, then
+    one per shell map as it is yielded.  A search that overruns its budget
+    keeps nothing.
     """
     budget = ensure_budget(budget, f"extensions {shell.name} -> {T.name}")
+    budget.spend(len(T.table(n).cells))
+    kept = T._shells.get(shell)
+    if kept is None:
+        start = budget.used
+        keys = map_codes(shell, T, budget)
+        slot = shell.simplex.cell_index
+        slots = [slot[x] for x in shell.cells]
+        by_key: dict = {}
+        for codes in _simplex_maps(T, n):
+            by_key.setdefault(tuple(codes[s] for s in slots), []).append(codes)
+        kept = T._shells[shell] = (budget.used - start, keys,
+                                   [by_key.get(key, ()) for key in keys])
+    else:
+        budget.spend(kept[0])
     simplex = shell.simplex
-    slot = simplex.cell_index
-    # top down, a cell's code is read off T's face row of the first cell it is a
-    # face of; a top simplex is a map only if every row agrees, as in a simplicial T
-    plan, rows, seen = [], [], set()
-    for k in range(n, 0, -1):
-        faces = T.table(k).faces
-        for x in simplex.nondeg(k):
-            slots = [slot[simplex.faces[(x, i)].base] for i in range(k + 1)]
-            plan += [(f, slot[x], faces, i) for i, f in enumerate(slots) if f not in seen]
-            seen.update(slots)
-            rows.append((slot[x], faces, itemgetter(*slots)))
-    shell_slots = [slot[x] for x in shell.cells]
-    fillers: dict = {}
-    for sigma in range(len(T.table(n).cells)):
+    for key, fillers in zip(kept[1], kept[2]):
         budget.spend()
-        codes = [sigma] * len(slot)
-        for s, up, faces, i in plan:
-            codes[s] = faces[codes[up]][i]
-        if all(faces[codes[s]] == pick(codes) for s, faces, pick in rows):
-            fillers.setdefault(tuple(codes[s] for s in shell_slots), []).append(tuple(codes))
-    for key in map_codes(shell, T, budget):
-        budget.spend()
-        yield SimplicialMap(shell, T, key), [SimplicialMap(simplex, T, codes)
-                                             for codes in sorted(fillers.get(key, ()))]
+        yield SimplicialMap(shell, T, key), [SimplicialMap(simplex, T, codes) for codes in fillers]
 
 
 def find_isomorphism(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None):

@@ -22,8 +22,9 @@ class BudgetExceeded(Exception):
 class Budget:
     """Mutable step counter shared by the enumerations of one operation.
 
-    The path objects of :mod:`qcatkit.mapping` and the reports of
-    :func:`qcatkit.nerve.require_quasicategory` are cached with their cost:
+    The path objects of :mod:`qcatkit.mapping`, the reports of
+    :func:`qcatkit.nerve.require_quasicategory` and the shell answers of
+    :func:`qcatkit.simplicial.extensions` are cached with their cost:
     the miss charges as it runs and records the count, and every hit spends
     that count, so a hit charges the same steps as the miss.  The other
     memos (the values of a prederivator, ``Exponential.ho``) charge nothing

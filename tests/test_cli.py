@@ -61,44 +61,54 @@ def test_exit_code_and_identical_reruns(inputs, capsys, argv, code):
     assert json.loads(first[1])["ok"] == (code == 0)
 
 
-# sha256 of the text and json reports: identical reruns do not show that a
-# report stayed the same across a change of the code behind it
+# argv, exit code, and the sha256 of the text and json reports: identical
+# reruns do not show that a report stayed the same across a change of the
+# code behind it
 GOLDEN = [
-    (["delocalize", "n1.sset", "--depth", "1"],
+    (["delocalize", "n1.sset", "--depth", "1"], 0,
      "1cd092f1874aec8fb46094fa73d2d6fc35915bc80264396a8dab793db69ae1a6",
      "f3f0298bd0dfa2ffb8d8cfec057e955ec08f8b7bf3df27dfa039a01db63acd58"),
-    (["delocalize", "n1.sset", "--depth", "2"],
+    (["delocalize", "n1.sset", "--depth", "2"], 0,
      "76248ab369877c590f3a7eef9912936495bc0e5cef36d5f78fa94b7794d996f1",
      "e034ee705e1374378e0aae5e1132656a2fdedefde72ec412f7543e6cd09a7122"),
-    (["delocalize", "nz2.sset"],
+    (["delocalize", "nz2.sset"], 0,
      "2e33c3a70045e0f2e5ca131f4b3ca53affb9df32eed55dfaa8b87f63945f3e79",
      "d994726e87bce8fd2d3e4406e8039dae14b85f707a86628831e0cdec3b2b9889"),
-    (["kanext", "n1.sset", "interval.cat"],
+    (["kanext", "n1.sset", "interval.cat"], 0,
      "98f20a4dbb714c30b15ad9e1ba7893f1dc3d2e1d018beb7d756b48671559f632",
      "d3c393d5662a4543c2db29cfcb21bd6fe5cf222cf656c4413eb5c32b871fb10a"),
-    (["whitehead", "full/corpus.manifest"],
+    (["whitehead", "full/corpus.manifest"], 0,
      "4f93acbcda0529b895c1a7757ff90475b6f14a23daf95d8e0ea8325482c3a766",
      "9abb0e6ce017de8b85b820c381a7139c47ad7d530da5a5da36469a06bef3dcf3"),
-    (["der-audit", "n1.sset"],
+    (["der-audit", "n1.sset"], 0,
      "06456f18250e597547945edcb543e0607d5113913f3748bed5f749c5fdf33151",
      "6056e4859faa00ac653ad0f67ad30792d64538223f4b056e013fe8e95e2705ee"),
-    (["der-audit", "nz2.sset"],
+    (["der-audit", "nz2.sset"], 0,
      "193cb2b5dfe0a7dee5d3a685abad86b309daa261db6602b518bcbc9d7a7e3eef",
      "6e5df61fb80fd22a867966f8fc638b3b06f09783f81d6d9c92748177970baed0"),
-    (["exp", "nz2.sset", "n1.sset"],
+    (["exp", "nz2.sset", "n1.sset"], 0,
      "98722f25f66dcb99c46c913219597effb29323bcd7056e726363a969f0032b79",
      "8d6b3989ba063c33cfdacc2d2a8c65052221335a3fd9c71e6d0eceee7daebbbc"),
+    (["check-qcat", "n1.sset"], 0,
+     "bcdcd6ea9a8b3f47ee20dc6f5fbf89782d6026199aedfb71c70fcb441de8ba04",
+     "ded3d56582164f385880d3d7f605ebea91caae362ae72a62fada0a028a5ffb3a"),
+    (["check-qcat", "horn.sset"], 1,
+     "c90799167f3edfea44b06f39d6cf61956ddfb79792ba8baf9cf9aa22960a439f",
+     "4ef58e9b320e5bcf93402788893d2d858dc515a31a28896a5907cd4d31adb4d4"),
+    (["validate", "n1.sset"], 0,
+     "a455a537ea564bf1917a42d9589b4042ab0ae11982fba33912af846d8cd5b521",
+     "061e1c14b6c8aef2f34e70be43b08fb07e6cc52a1caf616c65c7a48a1450ea8b"),
 ]
 
 
-@pytest.mark.parametrize("argv,text_sha,json_sha", GOLDEN,
+@pytest.mark.parametrize("argv,exit_code,text_sha,json_sha", GOLDEN,
                          ids=["-".join(g[0][:2] + g[0][3:]) for g in GOLDEN])
-def test_golden_reports(inputs, capsys, argv, text_sha, json_sha):
+def test_golden_reports(inputs, capsys, argv, exit_code, text_sha, json_sha):
     d, _ = inputs
     argv = [str(d / a) if a.endswith((".sset", ".cat", ".manifest")) else a for a in argv]
     for fmt, digest in (("text", text_sha), ("json", json_sha)):
         code, out = run(["--format", fmt] + argv, capsys)
-        assert code == 0
+        assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, out)
 
 

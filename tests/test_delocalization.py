@@ -58,6 +58,27 @@ class TestSimplexCategory:
             assert report.ok, report.violations[:2]
 
 
+# sha256 of repr(list(morphisms.items())) and of repr(sorted(marked)) at
+# depth 2, recorded before the sources were read off the level tables
+MORPHISM_DIGESTS = {
+    "N([1])": ("33be39ae6ed234227a5331fd38b0a82e00fd2e713ab7c7165ea9c76898e1e2cf",
+               "f13a39dbbce84996daf2b169582f3f7f29d016e8a371d2cf554ff0eb254be6e8"),
+    "N(z2)": ("611763b3adad6fcf9b479455c3fa06e1302871fdd8a5811f96e4948e52b8d23b",
+              "ec950ef3e1b0741aa99d10bc706329fdd823ce2d7a2a077190740b5c0286538a"),
+    "N(E)": ("ad477c311d1e66744a0cfcfb76fbc3b19187cd549600918554dcb1d3d8cb8458",
+             "e1443afdff9ab29448c59de19ec5b857d9a033fe036b8217f3aeddb283784014"),
+}
+
+
+def test_morphisms_and_marked_as_recorded():
+    for name, C in (("N([1])", poset_simplex(1)), ("N(z2)", group_z2()),
+                    ("N(E)", contractible_groupoid())):
+        sc = SimplexCategory(nerve(C, 3), 2)
+        got = tuple(hashlib.sha256(repr(x).encode()).hexdigest()
+                    for x in (list(sc.morphisms.items()), sorted(sc.marked)))
+        assert got == MORPHISM_DIGESTS[name], name
+
+
 # the first 16 hex digits of the sha256 of repr(category.canonical_key()) at
 # depths 1 and 2: composing on first read must give the table, ids included,
 # that composing every pair on construction gave

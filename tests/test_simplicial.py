@@ -1,6 +1,9 @@
 """Core simplicial machinery against brute-force combinatorial oracles."""
 
 import gc
+import hashlib
+import re
+import sys
 import weakref
 from itertools import combinations
 from itertools import product as iproduct
@@ -35,12 +38,14 @@ from qcatkit.simplicial import (
     parse_expr,
     product,
     projection,
+    simplicial_action,
     sset_from_text,
     sset_to_text,
     standard_simplex,
     valid_words,
+    weak_seq_to_word,
 )
-from qcatkit.util import Budget
+from qcatkit.util import Budget, BudgetExceeded
 
 
 def monotone_maps(m, n):
@@ -393,20 +398,88 @@ def subcomplexes_of_delta3(draw):
     return TruncatedSSet(3, levels, faces, None, "sub(" + ",".join(sorted(tops)) + ")")
 
 
-# steps of is_quasicategory and kan_check on each corpus member: where the
-# shells and their Δⁿ come from must not change what a check charges
-CORPUS_CHECK_STEPS = {
-    "delta0": (2, 33), "delta1": (8, 117), "delta2": (20, 288), "delta3": (1622, 3801),
-    "boundary1": (4, 81), "boundary2": (19, 285), "boundary3": (1620, 3797),
-    "horn1_0": (2, 33), "horn1_1": (2, 33),
-    "horn2_0": (14, 239), "horn2_1": (15, 237), "horn2_2": (14, 239),
-    "horn3_0": (1547, 3662), "horn3_1": (1543, 3652),
-    "horn3_2": (1535, 3632), "horn3_3": (1529, 3632),
-    "N([0])": (50, 129), "N([1])": (238, 581), "N([2])": (702, 1672),
-    "N([3])": (1622, 3801), "N([1]x[1])": (1250, 2991), "N(d[2])": (1038, 2501),
-    "N(z2)": (386, 902), "N(E)": (542, 1231), "delta1xdelta1": (1250, 2991),
-    "N([1])xN([1])": (1250, 2991), "N([1])xN(z2)": (2014, 4739),
+# per corpus member and face mutation: the steps charged by validate,
+# is_quasicategory and kan_check, each on a fresh budget in that order, and
+# the first 16 hex digits of the sha256 of their verdicts (``check_record``),
+# all recorded before the shells and the target's answers were kept
+CHECK_RECORDS = {
+    "delta0": (15, 2, 33, "992e4f159893839c"),
+    "delta1": (41, 8, 117, "735023fd55da31af"),
+    "delta2": (0, 20, 288, "fe452512462d92bb"),
+    "delta3": (0, 1622, 3801, "a905f4aaaedcb534"),
+    "boundary1": (0, 4, 81, "cd54aca6fd2cf451"),
+    "boundary2": (0, 19, 285, "9978491cea343f04"),
+    "boundary3": (0, 1620, 3797, "904d6b3dd0cc5c8c"),
+    "horn1_0": (0, 2, 33, "5b0057a5cf3825d1"),
+    "horn1_1": (0, 2, 33, "5b0057a5cf3825d1"),
+    "horn2_0": (0, 14, 239, "ef69b5083f723dcc"),
+    "horn2_1": (0, 15, 237, "88e9ce05a6d58c32"),
+    "horn2_2": (0, 14, 239, "58aafad591146460"),
+    "horn3_0": (0, 1547, 3662, "2b0427be7b383fd9"),
+    "horn3_1": (0, 1543, 3652, "353f3ba95468f49e"),
+    "horn3_2": (0, 1535, 3632, "49ef7655a4c37eb2"),
+    "horn3_3": (0, 1529, 3632, "4627b3c223ae635c"),
+    "N([0])": (26, 50, 129, "95e86d826a934c9e"),
+    "N([1])": (126, 238, 581, "aab9e85ba3057c78"),
+    "N([2])": (376, 702, 1672, "569bcf40b5396afc"),
+    "N([3])": (876, 1622, 3801, "39dcac974046ff4f"),
+    "N([1]x[1])": (670, 1250, 2991, "219d23e0d9aab90f"),
+    "N(d[2])": (534, 1038, 2501, "ed7dcfb1d925d056"),
+    "N(z2)": (181, 386, 902, "2490228634ee8c51"),
+    "N(E)": (295, 542, 1231, "bbb4301e951c8636"),
+    "delta1xdelta1": (843, 1250, 2991, "07570568eec01a56"),
+    "N([1])xN([1])": (670, 1250, 2991, "916e432c1afc2f44"),
+    "N([1])xN(z2)": (959, 2014, 4739, "df2fd8c256be52d8"),
+    "delta2/d0(012)->01": (0, 20, 288, "62f16b99d46962fd"),
+    "delta2/d1(012)->01": (0, 20, 288, "9abc728b11f5bea4"),
+    "delta3/d0(012)->01": (0, 1538, 3651, "8b31167c1d9565d6"),
+    "delta3/d1(012)->01": (0, 1538, 3651, "572ab7cecd48f35a"),
+    "boundary3/d0(012)->01": (0, 1536, 3647, "adf998d82d0c501b"),
+    "boundary3/d1(012)->01": (0, 1536, 3647, "88755b33dca9181c"),
+    "horn3_0/d0(012)->01": (0, 1467, 3516, "5333b0be50c1f474"),
+    "horn3_0/d1(012)->01": (0, 1467, 3516, "f209d2473be3b5d4"),
+    "horn3_1/d0(012)->01": (0, 1463, 3508, "5333b0be50c1f474"),
+    "horn3_1/d1(012)->01": (0, 1463, 3508, "d0c68776925e40b1"),
+    "horn3_2/d0(012)->01": (0, 1459, 3498, "5333b0be50c1f474"),
+    "horn3_2/d1(012)->01": (0, 1459, 3498, "d8b6fb168ad0f30e"),
+    "horn3_3/d0(013)->01": (0, 1459, 3498, "51110c0b0f9527b3"),
+    "horn3_3/d1(013)->01": (0, 1459, 3498, "1ca843fb3b37302d"),
+    "N([2])/d0(m01|m12)->m01": (0, 642, 1561, "d93ce850de4dd688"),
+    "N([2])/d1(m01|m12)->m01": (0, 642, 1561, "d3ae589b72265ef3"),
+    "N([3])/d0(m01|m12)->m01": (0, 1538, 3651, "29674a46e98314a5"),
+    "N([3])/d1(m01|m12)->m01": (0, 1538, 3651, "7a6bd6958bed0bc9"),
+    "N([1]x[1])/d0((m00,m01)|(m01,m11))->(m00,m01)": (0, 1184, 2871, "81a77edc0ff5ae9d"),
+    "N([1]x[1])/d1((m00,m01)|(m01,m11))->(m00,m01)": (0, 1184, 2871, "13b79a555ccf8612"),
 }
+
+
+def check_record(S):
+    """(steps per check, repr of the verdicts) of validate, is_quasicategory
+    and kan_check on S, run in that order."""
+    budgets = [Budget() for _ in range(3)]
+    v = S.validate(budget=budgets[0])
+    q, k = is_quasicategory(S, budgets[1]), kan_check(S, budgets[2])
+    verdicts = ([v.ok, v.checked, v.violations],) + tuple(
+        [r.ok, r.horns_checked, sorted(r.by_horn.items()), r.witness] for r in (q, k))
+    return tuple(b.used for b in budgets), repr(verdicts)
+
+
+def fresh(S):
+    """A copy of S that shares none of its kept tables and answers."""
+    return TruncatedSSet(S.dim_bound, S.levels, S.faces, S.coskeletal_from, S.name)
+
+
+def counted_searches(monkeypatch):
+    """The sources of every shell search from here on."""
+    sources = []
+    search = simplicial.map_codes
+
+    def counting(S, T, budget, fixed=None):
+        sources.append(S)
+        return search(S, T, budget, fixed)
+
+    monkeypatch.setattr(simplicial, "map_codes", counting)
+    return sources
 
 
 class TestSharedShells:
@@ -442,7 +515,7 @@ class TestSharedShells:
             is_quasicategory(S, qcat)
             kan_check(S, kan)
             steps[name] = (qcat.used, kan.used)
-        assert steps == CORPUS_CHECK_STEPS
+        assert steps == {name: CHECK_RECORDS[name][1:3] for name, _ in corpus_ssets()}
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(subcomplexes_of_delta3())
@@ -450,6 +523,115 @@ class TestSharedShells:
         for shell, n in extension_problems(3):
             assert list(extensions(shell, n, T, None)) == pinned_extensions(shell, n, T), \
                 (T.name, shell.name)
+
+
+class TestKeptAnswers:
+    def test_verdicts_and_steps_as_recorded(self):
+        sets = corpus_ssets() + [(M.name, M) for M in face_mutations()]
+        for _ in range(2):  # the second round reads the answers the first one kept
+            got = {}
+            for name, S in sets:
+                steps, verdicts = check_record(S)
+                got[name] = steps + (hashlib.sha256(verdicts.encode()).hexdigest()[:16],)
+            assert got == CHECK_RECORDS
+
+    def test_repeats_charge_the_same_and_search_no_shell_twice(self, monkeypatch):
+        sources = counted_searches(monkeypatch)
+        for name, S in corpus_ssets():
+            T, D = fresh(S), S.dim_bound
+            inner = sum(n - 1 for n in range(3, D + 1))  # level 2 is checked without a search
+            qcat, kan = Budget(), Budget()
+            first = is_quasicategory(T, qcat)
+            assert len(sources) == inner, name
+            # kan_check reads the inner horns is_quasicategory solved: between
+            # them, each horn is searched once
+            kan_first = kan_check(T, kan)
+            assert len(sources) == sum(n + 1 for n in range(1, D + 1)), name
+            assert (qcat.used, kan.used) == CHECK_RECORDS[name][1:3], name
+            sources.clear()
+            for check, report, steps in ((is_quasicategory, first, qcat.used),
+                                         (kan_check, kan_first, kan.used)):
+                again = Budget()
+                assert check(T, again).lines() == report.lines() and again.used == steps, name
+            assert sources == [], name
+
+    def test_a_failing_coskeletal_check_charges_the_same_on_a_hit(self, monkeypatch):
+        N = nerve(group_z2(), 3)
+        T = TruncatedSSet(3, N.levels, N.faces, 1, "N(z2) read as 1-coskeletal")
+        sources = counted_searches(monkeypatch)
+        miss, hit, whole = Budget(), Budget(), Budget()
+        first = T.validate(budget=miss)
+        assert not first.ok and sources == [boundary(2, 2)]
+        assert T.validate(budget=hit).lines() == first.lines() and hit.used == miss.used
+        # both stopped at the first boundary without one filler
+        list(extensions(boundary(2, 2), 2, T, whole))
+        assert whole.used > miss.used and sources == [boundary(2, 2)]
+
+    def test_an_overrun_search_keeps_nothing(self):
+        T = fresh(dict(corpus_ssets())["N(z2)"])
+        shell = horn(3, 1, 2)
+        with pytest.raises(BudgetExceeded):
+            list(extensions(shell, 3, T, Budget(T.total_count(3) + 5)))
+        assert shell not in T._shells
+        spent, search = Budget(), Budget()
+        assert list(extensions(shell, 3, T, spent)) == pinned_extensions(shell, 3, T)
+        assert spent.used == T.total_count(3) + len(map_codes(shell, T, search)) + search.used
+
+    def test_shells_of_one_n_share_one_simplex(self):
+        for n in range(1, 5):
+            shells = [shell for D in (max(2, n - 1), max(2, n)) for shell in
+                      [boundary(n, D)] + [horn(n, i, D) for i in range(n + 1)]]
+            assert all(shell.simplex is shells[0].simplex for shell in shells), n
+
+    def test_one_index_per_level_kept_and_freed_with_the_set(self):
+        T = fresh(dict(corpus_ssets())["N([1])xN(z2)"])
+        T.validate()
+        is_quasicategory(T)
+        kan_check(T)
+        index = dict(T._fillers)
+        assert sorted(index) == [1, 2, 3]
+        kan_check(T)
+        assert T._fillers == index and all(T._fillers[n] is index[n] for n in index)
+        # every horn, and the boundaries validate checks above the certificate
+        assert len(T._shells) == sum(n + 1 for n in range(1, 4)) + 1
+        top, kept = index[3], T._shells[horn(3, 1, 2)]
+        del index
+        ref = weakref.ref(T)
+        del T
+        gc.collect()
+        assert ref() is None
+        # only the names here still hold them
+        assert sys.getrefcount(top) == sys.getrefcount(kept) == 2
+
+
+def expr_action(S, alpha, y):
+    """Oracle: y . alpha on expressions: y restricted to the vertices alpha
+    hits, then degenerated by the word of the positions alpha repeats."""
+    keep = tuple(sorted(set(alpha)))
+    restricted = S.restrict(y, keep)
+    word, _ = weak_seq_to_word(tuple(keep.index(a) for a in alpha))
+    return SimplexExpr(compose_words(word, restricted.word), restricted.base)
+
+
+class TestSimplexOperators:
+    def test_coded_action_is_the_expression_formula(self):
+        for name, S in corpus_ssets():
+            top = min(S.dim_bound, 3)
+            for n in range(top + 1):
+                cells = S.table(n).cells
+                for m in range(top + 1):
+                    for alpha in monotone_tuples(m, n):
+                        want = [expr_action(S, alpha, y) for y in cells]
+                        assert [simplicial_action(S, alpha, y) for y in cells] == want, \
+                            (name, alpha)
+                        assert S.action_codes(alpha, n) == tuple(map(S.table(m).code.get, want))
+
+    def test_an_alpha_that_is_not_monotone_is_an_error(self):
+        d2, top = standard_simplex(2, 2), SimplexExpr((), "012")
+        assert simplicial_action(d2, (0, 2, 2), top) == SimplexExpr((1,), "02")
+        for alpha in [(1, 0), (0, 5), (-1, 0), ()]:
+            with pytest.raises(ValueError, match=re.escape(f"alpha={alpha!r}") + r".*\[2\]"):
+                simplicial_action(d2, alpha, top)
 
 
 # -- the coded search against brute force --------------------------------------
