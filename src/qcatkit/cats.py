@@ -53,8 +53,33 @@ class FiniteCategory:
                                              if not self.is_identity(m)))
         return self._nonidentity
 
+    @cached_property
+    def composites(self) -> dict:
+        """g ∘ f for every composable pair (g, f), identities included: the
+        pairs on which ``compose`` answers, each with its answer.  Built on
+        first read, from ``compose_table`` and one pass over the morphisms
+        for the identity pairs."""
+        morphisms, ids = self.morphisms, self._identity_set
+        table = {(g, f): h for (g, f), h in self.compose_table.items()
+                 if g in morphisms and f in morphisms and g not in ids and f not in ids
+                 and morphisms[f][1] == morphisms[g][0]}
+        out_of: dict = {}  # object -> the morphisms out of it
+        for m, (d, _) in morphisms.items():
+            out_of.setdefault(d, []).append(m)
+        for f, (_, c) in morphisms.items():
+            if f in ids:
+                table.update(((g, f), g) for g in out_of.get(c, ()))
+            else:
+                table.update(((g, f), f) for g in out_of.get(c, ()) if g in ids)
+        return table
+
     def compose(self, g: str, f: str) -> str:
-        """g ∘ f for cod(f) = dom(g)."""
+        """g ∘ f for cod(f) = dom(g), read off ``composites``; any other pair
+        raises as the rule below does."""
+        h = self.composites.get((g, f))
+        return h if h is not None else self._compose(g, f)
+
+    def _compose(self, g: str, f: str) -> str:
         if self.cod(f) != self.dom(g):
             raise ValueError(f"morphisms {g!r} and {f!r} are not composable")
         if self.is_identity(f):
@@ -329,7 +354,26 @@ class Functor:
         self.name = name or "functor"
         self._key = None
 
+    @cached_property
+    def images(self) -> dict:
+        """The image of every morphism of the source, identities included:
+        the morphisms on which ``on_morphism`` answers, each with its
+        answer.  Built on first read."""
+        source, ob, identities = self.source, self.ob, self.target.identities
+        table = {m: y for m, y in self.mor.items() if m not in source._identity_set}
+        for m in source._identity_set:
+            x = source.morphisms.get(m, (None,))[0]
+            if ob.get(x) in identities:
+                table[m] = identities[ob[x]]
+        return table
+
     def on_morphism(self, m: str) -> str:
+        """The image of m, read off ``images``; any other m raises as the
+        rule below does."""
+        y = self.images.get(m)
+        return y if y is not None else self._on_morphism(m)
+
+    def _on_morphism(self, m: str) -> str:
         source = self.source
         if m in source._identity_set:
             return self.target.identities[self.ob[source.morphisms[m][0]]]

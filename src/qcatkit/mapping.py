@@ -47,12 +47,22 @@ functors that restriction and postcomposition induce on Ho transport code
 tuples (:func:`induced_functor`).  A map is decoded or encoded only by
 :class:`qcatkit.simplicial.SimplicialMap`, the one converter between a
 code tuple and its images.
+
+The build runs in bulk, over tables.  The transposition works out, per
+cell x of S and per image of x that some map S -> T^{Δn} takes, the part
+of the transposed map over x once, and assembles each map from those
+parts with C-level calls.  A level's cells are named, and their faces
+gathered, a whole level at a time.  The functors on Ho read two tables
+that each exponential derives once from its ``ho``: the Ho morphism of
+every level-1 code tuple (``Exponential.ho_morphisms``) and the code
+tuple of every morphism's representative (``Exponential.ho_reps``).  So
+a morphism costs one transport of its representative and one lookup.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import getitem, itemgetter
 
 from .cats import Functor
@@ -115,6 +125,7 @@ class Exponential:
     and code tuple, and ``codes_of`` any cell expression to its code tuple;
     ``map_of`` and ``locate`` pass code tuples to and from
     :class:`SimplicialMap`, which alone decodes and encodes them.
+    ``ho_morphisms`` and ``ho_reps`` key ``ho`` by code tuples.
 
     ``frame`` is S's :class:`ExponentFrame` at the working level, kept on S
     and shared with every other exponential over S; ``S_t`` and
@@ -156,34 +167,30 @@ class Exponential:
             else:
                 path = path_object(T, P.right, level, budget)
                 raw[n] = self._curried_maps(n, path, budget)
+        # level by level: the degenerate cells are the s_j of the cells one
+        # level down (the pins survive the collapse, so level n enumerated
+        # them all); the others, in raw[n]'s canonical order, are named in it
         self.to_expr: dict = {}
         cells = self.cell_codes = {}
-        levels = {}
+        levels, faces = {}, {}
         for n in range(k + 1):
             known = self.to_expr[n] = {}
-            # the degenerate cells are the s_j of the cells one level down;
-            # the pins survive the collapse, so level n enumerated them all
-            for codes in raw.get(n - 1, ()):
-                inner = self.to_expr[n - 1][codes]
-                for j, degenerate in enumerate(self._degeneracies.get(n, ())):
-                    key = degenerate(codes)
-                    if key not in known:
-                        known[key] = SimplexExpr(insert_letter(j, inner.word), inner.base)
-            # raw[n] is in canonical order, so the cell ids follow it
-            levels[n] = []
-            for codes in raw[n]:
-                if codes not in known:
-                    cid = f"c{n}_{len(levels[n])}"
-                    levels[n].append(cid)
-                    cells[cid] = (n, codes)
-                    known[codes] = SimplexExpr((), cid)
-        faces = {}
-        for n in range(1, k + 1):
-            below = self.to_expr[n - 1]
-            for cid in levels[n]:
-                codes = cells[cid][1]
+            if n:
+                inner = list(map(self.to_expr[n - 1].__getitem__, raw[n - 1]))
+                words = [e.word for e in inner]
+                bases = [e.base for e in inner]
+                for j, degenerate in enumerate(self._degeneracies[n]):
+                    lifted = {w: insert_letter(j, w) for w in set(words)}
+                    known.update(zip(map(degenerate, raw[n - 1]),
+                                     map(SimplexExpr, map(lifted.__getitem__, words), bases)))
+            new = [codes for codes in raw[n] if codes not in known]
+            ids = levels[n] = [f"c{n}_{i}" for i in range(len(new))]
+            cells.update(zip(ids, zip(repeat(n), new)))
+            known.update(zip(new, map(SimplexExpr, repeat((), len(ids)), ids)))
+            if n:
+                below = self.to_expr[n - 1].__getitem__
                 for i, face in enumerate(frame.faces[n]):
-                    faces[(cid, i)] = below[face(codes)]
+                    faces.update(zip(zip(ids, repeat(i)), map(below, map(face, new))))
         cert = T.coskeletal_from if T.coskeletal_from <= k else None
         self.sset = TruncatedSSet(k, levels, faces, cert, self.name)
         self._code_rows: dict = {}
@@ -215,15 +222,11 @@ class Exponential:
         for cells in over:
             start.append(start[-1] + len(cells))
         reorder = itemgetter(*(start[s] + i for s, i in went))
-        parts = [{} for _ in over]  # per cell x of S: code of x's image -> the part over x
-
-        def part(s, y):
-            made = parts[s][y] = tuple([rows[codes[y]][at] for codes, rows, at in over[s]])
-            return made
-
-        maps = [reorder(tuple(chain.from_iterable(
-                    known.get(y) or part(s, y) for s, (known, y) in enumerate(zip(parts, nu)))))
-                for nu in map_codes(self.S_t, path.sset, budget)]
+        nus = map_codes(self.S_t, path.sset, budget)
+        # per cell x of S: for each image of x that a map takes, the part over x
+        parts = [{y: tuple([rows[codes[y]][at] for codes, rows, at in cells]) for y in set(images)}
+                 for cells, images in zip(over, zip(*nus))]
+        maps = [reorder(tuple(chain.from_iterable(map(getitem, parts, nu)))) for nu in nus]
         maps.sort()
         return maps
 
@@ -233,15 +236,33 @@ class Exponential:
         """Per code of ``sset.table(n)``, the code tuple of its map."""
         rows = self._code_rows.get(n)
         if rows is None:
-            code = self.sset.table(n).code
-            rows = self._code_rows[n] = [None] * len(code)
-            for key, e in self.to_expr[n].items():
-                rows[code[e]] = key
+            known = self.to_expr[n]
+            key_of = dict(zip(known.values(), known))
+            rows = self._code_rows[n] = list(map(key_of.__getitem__, self.sset.table(n).cells))
         return rows
 
     @cached_property
     def ho(self) -> HoPresentation:
         return ho(self.sset, self._budget)
+
+    @cached_property
+    def ho_morphisms(self) -> dict:
+        """Per level-1 code tuple, the morphism of ``ho`` its cell represents,
+        read off ``ho.classes`` once."""
+        return dict(zip(self.code_rows(1), self.ho.classes))
+
+    @cached_property
+    def ho_reps(self) -> dict:
+        """Per morphism of ``ho``, the code tuple of its representative."""
+        rows = self.code_rows(1)
+        return {m: rows[c] for m, c in self.ho.rep_codes.items()}
+
+    def ho_morphism(self, codes: tuple) -> str:
+        """The morphism of ``ho`` that the level-1 map with these codes represents."""
+        m = self.ho_morphisms.get(codes)
+        if m is None:
+            raise KeyError(f"map is not a cell of {self.name}")
+        return m
 
     def expr_at(self, n: int, codes: tuple) -> SimplexExpr:
         """The cell expression of the level-n map with the given code tuple."""
@@ -322,10 +343,21 @@ def coded_gather(plan: tuple, P: TruncatedSSet, T: TruncatedSSet):
     function sending the code tuple of a map mu into T to that of mu . f.
 
     The slot of a cell x of P is gathered and sent through the codes of T's
-    degenerate simplices that x's degeneracy word makes of it."""
-    gather = _gather(tuple(s for s, _ in plan))
-    ups = tuple(T.degeneracy_codes(w, P.dim_of[x] - len(w)) for x, (_, w) in zip(P.cells, plan))
-    return lambda codes: tuple(map(getitem, ups, gather(codes)))
+    degenerate simplices that x's degeneracy word makes of it.  The cells
+    with an empty word are only gathered; the others are gathered apart and
+    sent through those codes, and the two parts are laid back in cell order.
+    """
+    moved = [p for p, (_, w) in enumerate(plan) if w]
+    if not moved:
+        return _gather(tuple(s for s, _ in plan))
+    kept = [p for p, (_, w) in enumerate(plan) if not w]
+    ups = tuple(T.degeneracy_codes(plan[p][1], P.dim_of[P.cells[p]] - len(plan[p][1]))
+                for p in moved)
+    plain = _gather(tuple(plan[p][0] for p in kept))
+    shifted = _gather(tuple(plan[p][0] for p in moved))
+    where = {p: i for i, p in enumerate(kept + moved)}
+    back = _gather(tuple(map(where.__getitem__, range(len(plan)))))
+    return lambda codes: back(plain(codes) + tuple(map(getitem, ups, shifted(codes))))
 
 
 def _gather(slots: tuple):
@@ -370,13 +402,13 @@ def induced_functor(E1: Exponential, E2: Exponential, image, name: str) -> Funct
     cell of E1 to the code tuple of a cell of E2 at the same level; one that
     is not a cell is a ``KeyError`` naming E2.  Objects go to the image
     vertices, morphisms to the classes of the images of their
-    representatives.  Nothing is decoded or located.
+    representatives: one transport and one lookup in E2's ``ho_morphisms``
+    per morphism, out of E1's ``ho_reps``.  Nothing is decoded or located.
     """
     ho1, ho2 = E1.ho, E2.ho
-    codes = E1.cell_codes
+    codes, reps = E1.cell_codes, E1.ho_reps
     ob = {c: E2.expr_at(0, image(codes[c][1], 0)).base for c in ho1.category.objects}
-    mor = {m: ho2.cls(E2.expr_at(1, image(E1.codes_of(ho1.reps[m]), 1)))
-           for m in ho1.category.nonidentity()}
+    mor = {m: E2.ho_morphism(image(reps[m], 1)) for m in ho1.category.nonidentity()}
     return Functor(ho1.category, ho2.category, ob, mor, name)
 
 

@@ -15,6 +15,9 @@ which the tests assert on the corpus).
 from __future__ import annotations
 
 import weakref
+from collections import Counter
+from functools import cached_property
+from operator import itemgetter
 
 from .cats import FiniteCategory, Functor, pair_id, split_pair
 from .simplicial import (
@@ -211,7 +214,7 @@ def _check_level2_horn(S: TruncatedSSet, report: QcatReport, budget: Budget) -> 
 
     A map from the 2-horn is exactly a composable pair of edges; a filler
     is a 2-simplex with those outer faces.  Runs over the face rows of the
-    level tables.
+    level tables: one step per 2-simplex, then one per composable pair.
     """
     edges = S.table(1)
     order = _token_order(S, 1)
@@ -219,27 +222,21 @@ def _check_level2_horn(S: TruncatedSSet, report: QcatReport, budget: Budget) -> 
     by_source: dict = {}
     for f in order:
         by_source.setdefault(edges.faces[f][1], []).append(f)
-    fillers: dict = {}
-    for d0, _, d2 in S.table(2).faces:
-        budget.spend()
-        key = (d2, d0)
-        fillers[key] = fillers.get(key, 0) + 1
-    count = 0
-    unique = True
-    for f in order:
-        for g in by_source.get(edges.faces[f][0], ()):
-            budget.spend()
-            count += 1
-            hits = fillers.get((f, g), 0)
-            if hits == 0:
-                report.ok = False
-                if report.witness is None:
-                    report.witness = (f"horn(2,1) d2={edges.cells[f].token()} "
-                                      f"d0={edges.cells[g].token()}")
-            if hits != 1:
-                unique = False
-    report.by_horn[(2, 1)] = (count, unique)
-    report.horns_checked += count
+    faces = S.table(2).faces
+    budget.spend_each(len(faces))
+    fillers = Counter(map(itemgetter(2, 0), faces))  # (d2, d0) -> its 2-simplices
+    pairs = [(f, g) for f in order for g in by_source.get(edges.faces[f][0], ())]
+    budget.spend_each(len(pairs))
+    hits = list(map(fillers.__getitem__, pairs))
+    if 0 in hits:
+        report.ok = False
+        if report.witness is None:
+            f, g = pairs[hits.index(0)]
+            report.witness = (f"horn(2,1) d2={edges.cells[f].token()} "
+                              f"d0={edges.cells[g].token()}")
+    unique = hits.count(1) == len(hits)
+    report.by_horn[(2, 1)] = (len(pairs), unique)
+    report.horns_checked += len(pairs)
     if not unique:
         report.unique_fillers = False
 
@@ -310,15 +307,26 @@ def one_step_homotopic(Q: TruncatedSSet, f: SimplexExpr, g: SimplexExpr) -> bool
 class HoPresentation:
     """The homotopy category of a quasicategory, with its class data.
 
-    ``class_map`` sends the token of every 1-simplex to the morphism
-    identifier (the token of the canonical class representative).
+    ``classes`` holds, per code of ``Q.table(1)``, the morphism identifier
+    (the token of the canonical class representative) of that 1-simplex;
+    ``reps`` maps each morphism to its representative and ``rep_codes`` to
+    the representative's code.  ``class_map`` sends the token of every
+    1-simplex, in ``total`` order, to its morphism; it is built from
+    ``classes`` when first read.
     """
 
-    def __init__(self, Q: TruncatedSSet, category: FiniteCategory, class_map, reps):
+    def __init__(self, Q: TruncatedSSet, category: FiniteCategory, classes: list, rep_codes: dict):
         self.sset = Q
         self.category = category
-        self.class_map = dict(class_map)
-        self.reps = dict(reps)  # morphism id -> representative SimplexExpr
+        self.classes = classes
+        self.rep_codes = rep_codes  # morphism id -> code of its representative
+        cells = Q.table(1).cells
+        self.reps = {m: cells[c] for m, c in rep_codes.items()}
+
+    @cached_property
+    def class_map(self) -> dict:
+        cells = self.sset.table(1).cells
+        return {cells[c].token(): self.classes[c] for c in _token_order(self.sset, 1)}
 
     def cls(self, e: SimplexExpr) -> str:
         return self.class_map[e.token()]
@@ -333,27 +341,24 @@ def ho(Q: TruncatedSSet, budget: Budget = None, verified: bool = False) -> HoPre
     Composition of classes is read off the 2-simplices: any 2-simplex
     witnesses that its d_1-face is a composite of its d_2 and d_0 faces.
     Filler independence is checked on the fly; a conflict means the input
-    was not a quasicategory.
+    was not a quasicategory.  The classes are kept per level-1 code, and
+    an object's identity is the class of its degenerate edge.
     """
     if not verified:
         require_quasicategory(Q, budget)
     edges = Q.table(1)
-    tokens = [e.token() for e in edges.cells]
-    objects = list(Q.nondeg(0))
-    class_map = {}
-    reps = {}
-    cls = [None] * len(tokens)  # per level-1 code, its morphism id
+    objects = [e.base for e in Q.table(0).cells]  # level 0 is nondegenerate
+    cls = [None] * len(edges.cells)  # per level-1 code, its morphism id
+    rep_codes, morphisms = {}, {}
+    named: dict = {}  # representative code -> morphism id
     for c, r in _class_codes(Q).items():
-        cls[c] = class_map[tokens[c]] = tokens[r]
-        reps.setdefault(tokens[r], edges.cells[r])
-    morphisms = {}
-    identities = {}
-    for mid, rep in reps.items():
-        a, b = Q.edge_endpoints(rep)
-        morphisms[mid] = (a, b)
-    for x in objects:
-        degenerate = SimplexExpr((0,), x)
-        identities[x] = class_map[degenerate.token()]
+        mid = named.get(r)
+        if mid is None:
+            mid = named[r] = edges.cells[r].token()
+            rep_codes[mid] = r
+            morphisms[mid] = Q.edge_endpoints(edges.cells[r])
+        cls[c] = mid
+    identities = dict(zip(objects, map(cls.__getitem__, Q.degeneracy_codes((0,), 0))))
     compose = {}
     units = set(identities.values())
     faces = Q.table(2).faces
@@ -370,7 +375,7 @@ def ho(Q: TruncatedSSet, budget: Budget = None, verified: bool = False) -> HoPre
                 f"composition in Ho({Q.name}) depends on the filler: "
                 f"[{g}] o [{f}] gave {prev} and {h}")
     category = FiniteCategory(objects, morphisms, compose, identities, f"Ho({Q.name})")
-    return HoPresentation(Q, category, class_map, reps)
+    return HoPresentation(Q, category, cls, rep_codes)
 
 
 def ho_on_map(f: SimplicialMap, src_ho: HoPresentation = None,

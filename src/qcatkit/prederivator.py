@@ -482,7 +482,7 @@ class HoPrederivator(Prederivator):
         dj, dk = self._data[src], self._data[dst]
         # each component precomposes the sample's transport through the mate
         transport = coded_gather(self.sample.transport(alpha, dj, dk), dj.products[1], dj.T_t)
-        comps = {c: dj.ho.cls(dj.expr_at(1, transport(dk.cell_codes[c][1])))
+        comps = {c: dj.ho_morphism(transport(dk.cell_codes[c][1]))
                  for c in dk.ho.category.objects}
         return NatTransf(ustar, vstar, comps, f"{self.name}({alpha.name})*")
 

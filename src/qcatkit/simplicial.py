@@ -11,11 +11,14 @@ one canonical cell order: sorted by identifier (``TruncatedSSet.cells``).
 Each level also has a coded table (``TruncatedSSet.table``), built once and
 kept on the set: the n-simplices, degenerate ones included, sorted as
 ``SimplexExpr``s, so that the code of a simplex is its position; and each
-simplex's faces as a row of codes one level down.  The set also keeps, per
-degeneracy word and level, the codes of the degenerate simplices
-(``degeneracy_codes``), per monotone α: [m] -> [n] the codes of the action
-y . α (``action_codes``), and for the levels a map search targets, an index
-of codes by face row (``by_faces``).
+simplex's faces as a row of codes one level down.  In that order a level
+comes in blocks, one per degeneracy word, each holding the word applied
+to every nondegenerate simplex of one level in turn; face rows and the
+codes of degenerate simplices are worked out a block at a time.  The set
+also keeps, per degeneracy word and level, the codes of the degenerate
+simplices (``degeneracy_codes``), per monotone α: [m] -> [n] the codes of
+the action y . α (``action_codes``), and for the levels a map search
+targets, an index of codes by face row (``by_faces``).
 
 A simplicial map is its code tuple: per cell of the source, in that
 order, the code of its image at the cell's dimension.  Codes follow the
@@ -41,8 +44,9 @@ Conventions:
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import cache, cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, repeat
 from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -252,6 +256,8 @@ class TruncatedSSet:
                     raise ValueError(f"duplicate simplex identifier {x!r}")
                 self.dim_of[x] = n
         self._totals: dict[int, list] = {}
+        # level -> its simplices in blocks, see _blocks
+        self._level_blocks: dict = {}
         self._face_cache: dict = {}
         self._vertex_cache: dict = {}
         self._degeneracies: dict = {}
@@ -323,50 +329,79 @@ class TruncatedSSet:
 
     def total(self, n: int) -> list:
         """All n-simplices (degenerate included) in canonical order."""
-        if n not in self._totals:
-            out = []
-            for m in range(min(n, self.dim_bound) + 1):
-                for base in self.nondeg(m):
-                    for w in valid_words(n, m):
-                        out.append(SimplexExpr(w, base))
-            out.sort(key=lambda e: e.token())
-            self._totals[n] = out
-        return self._totals[n]
+        hit = self._totals.get(n)
+        if hit is None:
+            hit = self._totals[n] = sorted(self._blocks(n)[0], key=SimplexExpr.token)
+        return hit
 
     def total_count(self, n: int) -> int:
         return len(self.total(n))
 
+    def _blocks(self, n: int) -> tuple:
+        """Level n in blocks, built once: one block per normal word w whose
+        level m = n - len(w) has simplices, holding s_w of each of them in
+        ``levels`` order; the blocks follow the order of their words.
+
+        Returns the n-simplices in that order, which is ``SimplexExpr``
+        order, and per word the position its block starts at.
+        """
+        hit = self._level_blocks.get(n)
+        if hit is None:
+            words = sorted(w for m in range(min(n, self.dim_bound) + 1) if self.nondeg(m)
+                           for w in valid_words(n, m))
+            cells, starts = [], {}
+            for w in words:
+                starts[w] = len(cells)
+                xs = self.nondeg(n - len(w))
+                cells += map(SimplexExpr, repeat(w, len(xs)), xs)
+            hit = self._level_blocks[n] = (tuple(cells), starts)
+        return hit
+
     def table(self, n: int) -> LevelTable:
         """Level n coded, built once (see the module docstring).
 
-        The face row of a nondegenerate simplex is read off ``faces``; that
-        of s_j y, y one level down, follows from y's row by the simplicial
-        identities d_i s_j = s_{j-1} d_i (i < j), id (i = j, j + 1) and
-        s_j d_{i-1} (i > j + 1).
+        The face rows are built a block of ``_blocks`` at a time.  Those of
+        the nondegenerate simplices are read off ``faces``; the block of
+        s_j ∘ w holds s_j y for y in the block of w one level down, in the
+        same order, so its rows follow from the rows of that block by the
+        simplicial identities d_i s_j = s_{j-1} d_i (i < j), id (i = j,
+        j + 1) and s_j d_{i-1} (i > j + 1).
         """
         hit = self._tables.get(n)
         if hit is None:
-            cells = tuple(sorted(self.total(n)))
+            cells = self._blocks(n)[0]
             faces: tuple = ((),) * len(cells)
             if n:
-                below = self.table(n - 1)
-                faces = tuple(self._face_row(e, n, below) for e in cells)
-            hit = self._tables[n] = LevelTable(cells, {e: c for c, e in enumerate(cells)}, faces)
+                faces = self._face_rows(n)
+            hit = self._tables[n] = LevelTable(cells, dict(zip(cells, range(len(cells)))), faces)
         return hit
 
-    def _face_row(self, e: SimplexExpr, n: int, below: LevelTable) -> tuple:
-        code = below.code
-        if not e.word:
-            return tuple(code[self.faces[(e.base, i)]] for i in range(n + 1))
-        j = e.word[0]
-        y = code[SimplexExpr(e.word[1:], e.base)]
-        if n == 1:
-            return (y, y)
-        fy = below.faces[y]
-        return tuple(self.degeneracy_codes((j - 1,), n - 2)[fy[i]] if i < j
-                     else y if i <= j + 1
-                     else self.degeneracy_codes((j,), n - 2)[fy[i - 1]]
-                     for i in range(n + 1))
+    def _face_rows(self, n: int) -> tuple:
+        below = self.table(n - 1)
+        starts = self._blocks(n - 1)[1]
+        rows: list = []
+        for w, start in self._blocks(n)[1].items():
+            xs = self.nondeg(n - len(w))
+            if not w:
+                code, faces = below.code, self.faces
+                rows += zip(*(map(code.__getitem__, map(faces.__getitem__, zip(xs, repeat(i))))
+                              for i in range(n + 1)))
+                continue
+            j, y = w[0], starts[w[1:]]
+            ys = range(y, y + len(xs))
+            if n == 1:
+                rows += zip(ys, ys)
+                continue
+            fy = below.faces[y:y + len(xs)]
+            columns = [ys] * (n + 1)
+            if j:
+                down = self.degeneracy_codes((j - 1,), n - 2).__getitem__
+                columns[:j] = (map(down, map(itemgetter(i), fy)) for i in range(j))
+            if j + 2 <= n:
+                up = self.degeneracy_codes((j,), n - 2).__getitem__
+                columns[j + 2:] = (map(up, map(itemgetter(i - 1), fy)) for i in range(j + 2, n + 1))
+            rows += zip(*columns)
+        return tuple(rows)
 
     def by_faces(self, n: int) -> dict:
         """The codes of the n-simplices by face row, each list in ``total`` order."""
@@ -380,16 +415,25 @@ class TruncatedSSet:
         return index
 
     def degeneracy_codes(self, word: tuple, m: int):
-        """Per level-m code, the code of the degenerate simplex ``word`` makes of it."""
+        """Per level-m code, the code of the degenerate simplex ``word`` makes of it.
+
+        s_word sends the block of u at level m onto the block of the normal
+        form of word ∘ u, simplex by simplex (see ``_blocks``)."""
         key = (word, m)
         hit = self._degeneracy_codes.get(key)
         if hit is None:
-            cells = self.table(m).cells
             if word:
-                up = self.table(m + len(word)).code
-                hit = tuple(up[SimplexExpr(compose_words(word, e.word), e.base)] for e in cells)
+                up = self._blocks(m + len(word))[1]
+                hit = []
+                for u in self._blocks(m)[1]:
+                    xs = self.nondeg(m - len(u))
+                    w = compose_words(word, u)
+                    if w not in up:
+                        raise KeyError(SimplexExpr(w, xs[0]))
+                    hit += range(up[w], up[w] + len(xs))
+                hit = tuple(hit)
             else:
-                hit = range(len(cells))
+                hit = range(len(self.table(m).cells))
             self._degeneracy_codes[key] = hit
         return hit
 
@@ -788,6 +832,7 @@ class ProductSSet(TruncatedSSet):
         super().__init__(D, levels, {}, cert, name)
         self.pair_of = pair_of
         self.id_of_pair = id_of_pair
+        self._pair_exprs: dict = {}  # (e1, e2) -> pair_expr's answer
         for n in range(1, D + 1):
             for pid in self.nondeg(n):
                 e1, e2 = pair_of[pid]
@@ -798,12 +843,17 @@ class ProductSSet(TruncatedSSet):
         self.faces = faces
 
     def pair_expr(self, e1: SimplexExpr, e2: SimplexExpr) -> SimplexExpr:
-        """Simplex of the product presented by a pair of component simplices."""
-        joint = collapse_set(e1.word) & collapse_set(e2.word)
-        r1 = SimplexExpr(strip_letters(e1.word, joint), e1.base)
-        r2 = SimplexExpr(strip_letters(e2.word, joint), e2.base)
-        pid = self.id_of_pair[(r1, r2)]
-        return SimplexExpr(tuple(sorted(joint, reverse=True)), pid)
+        """Simplex of the product presented by a pair of component simplices,
+        worked out once per pair and kept."""
+        key = (e1, e2)
+        hit = self._pair_exprs.get(key)
+        if hit is None:
+            joint = collapse_set(e1.word) & collapse_set(e2.word)
+            r1 = SimplexExpr(strip_letters(e1.word, joint), e1.base)
+            r2 = SimplexExpr(strip_letters(e2.word, joint), e2.base)
+            pid = self.id_of_pair[(r1, r2)]
+            hit = self._pair_exprs[key] = SimplexExpr(tuple(sorted(joint, reverse=True)), pid)
+        return hit
 
     def map_pairs(self, target: TruncatedSSet, image) -> SimplicialMap:
         """The map sending each nondegenerate cell (e1|e2) to ``image(e1, e2)``.
@@ -837,32 +887,39 @@ def _assignment_order(S: TruncatedSSet) -> list:
     """Deterministic order interleaving dimensions so constraints bind early.
 
     Among simplices whose face supports are already placed, the highest
-    dimension is taken first; this prunes the search as soon as any two
-    endpoints of an edge are known.
+    dimension is taken first, then the smallest id; this prunes the search
+    as soon as any two endpoints of an edge are known.  When none is ready,
+    the smallest (dimension, id) not yet placed is taken.  The ready cells
+    wait in a sorted list, each added when the last of its supports is placed.
     """
-    remaining = [x for n in range(S.dim_bound + 1) for x in S.nondeg(n)]
-    supports = {}
-    for x in remaining:
+    cells = sorted(S.dim_of, key=lambda x: (S.dim_of[x], x))
+    waiting, users = {}, {}  # cell -> supports not yet placed; support -> its cells
+    ready = []  # (-dimension, id) of the ready cells, sorted
+    for x in cells:
         n = S.dim_of[x]
-        if n == 0:
-            supports[x] = frozenset()
-        else:
-            e = SimplexExpr((), x)
-            supports[x] = frozenset(S.face(e, i).base for i in range(n + 1))
-    placed = set()
-    order = []
-    remaining.sort(key=lambda x: (S.dim_of[x], x))
-    while remaining:
-        ready = [x for x in remaining if supports[x] <= placed]
+        support = {S.face(SimplexExpr((), x), i).base for i in range(n + 1)} if n else set()
+        waiting[x] = len(support)
+        for y in support:
+            users.setdefault(y, []).append(x)
+        if not support:
+            ready.append((-n, x))
+    ready.sort()
+    placed, order, first = set(), [], 0
+    while len(order) < len(cells):
         if ready:
-            # highest dimension first, then smallest id: constraints bind early
-            best_dim = max(S.dim_of[x] for x in ready)
-            pick = min(x for x in ready if S.dim_of[x] == best_dim)
+            pick = ready.pop(0)[1]
+            if pick in placed:
+                continue
         else:
-            pick = remaining[0]
+            while cells[first] in placed:
+                first += 1
+            pick = cells[first]
         order.append(pick)
         placed.add(pick)
-        remaining.remove(pick)
+        for x in users.get(pick, ()):
+            waiting[x] -= 1
+            if not waiting[x] and x not in placed:
+                insort(ready, (-S.dim_of[x], x))
     return order
 
 
@@ -875,64 +932,81 @@ def map_codes(S: TruncatedSSet, T: TruncatedSSet, budget: Budget, fixed=None) ->
     enforced, and an image that is no simplex of the cell's dimension admits
     no map.  Each vertex or pinned cell charges one step, each lookup of the
     candidates by face row one plus their number.
+
+    The search places the cells in ``S.search_plan`` order, depth first, in
+    one flat loop over per-position candidate lists.  It counts its steps
+    itself and hands them to ``budget`` once at the end, or at the first
+    placement that takes the count past what the budget has left, which
+    then raises with ``budget.used`` where one charge per placement would
+    have left it.
     """
     fixed = fixed or {}
-    spend = budget.spend
     vertices = range(len(T.table(0).cells))
-    # per cell in placement order: its slot; then the getter of the slots
-    # of its faces and their degeneracy codes (None when every face word
-    # is empty), the code pinned or None (-1 for no simplex), and T's face
-    # rows (pinned) or face index at the cell's level; a vertex has no faces
-    slots, steps = [], []
+    # per cell in placement order: its slot; and a vertex's candidates, or
+    # the getter of the slots of its faces, their degeneracy codes (None
+    # when every face word is empty), the code pinned or None (-1 for no
+    # simplex), and T's face rows (pinned) or face index at the cell's level
+    slots, plan = [], []
     for x, slot, n, faces in S.search_plan:
         pinned = fixed.get(x)
         if pinned is not None:
             pinned = T.table(n).code.get(pinned, -1)
         slots.append(slot)
         if not n:
-            steps.append((None, None, pinned, None))
+            plan.append((vertices if pinned is None else (pinned,) if pinned >= 0 else (),
+                         None, None, None, None))
             continue
         codes = tuple(T.degeneracy_codes(w, n - 1 - len(w)) for w, _ in faces)
-        steps.append((itemgetter(*(s for _, s in faces)),
-                      codes if any(w for w, _ in faces) else None, pinned,
-                      T.table(n).faces if pinned is not None else T.by_faces(n)))
-    assign = [None] * len(S.cells)
-
-    def candidates(pos):
-        pick, codes, pinned, lookup = steps[pos]
-        if pick is None:
-            spend()
-            if pinned is None:
-                return vertices
-            return (pinned,) if pinned >= 0 else ()
-        required = pick(assign)
-        if codes is not None:
-            required = tuple(map(getitem, codes, required))
-        if pinned is not None:
-            spend()
-            return (pinned,) if pinned >= 0 and lookup[pinned] == required else ()
-        out = lookup.get(required, ())
-        spend(1 + len(out))
-        return out
-
-    total = len(steps)
-    if total == 0:
+        plan.append(((), itemgetter(*(s for _, s in faces)),
+                     codes if any(w for w, _ in faces) else None, pinned,
+                     T.table(n).faces if pinned is not None else T.by_faces(n)))
+    if not plan:
         return [()]
+    room = budget.limit - budget.used
+    used = 0
+    assign = [None] * len(S.cells)
     results = []
-    # explicit stack: sources can have more cells than the recursion limit
-    stack = [iter(candidates(0))]
-    last = total - 1
-    while stack:
-        pos = len(stack) - 1
-        cand = next(stack[-1], None)
-        if cand is None:
-            stack.pop()
-        elif pos == last:
-            assign[slots[pos]] = cand
-            results.append(tuple(assign))
+    # the candidates placed at each position, and the index of the one placed
+    placing, at = [()] * len(plan), [0] * len(plan)
+    last = len(plan) - 1
+    pos = 0
+    while pos >= 0:
+        out, pick, codes, pinned, lookup = plan[pos]
+        if pick is None:
+            used += 1
         else:
-            assign[slots[pos]] = cand
-            stack.append(iter(candidates(pos + 1)))
+            required = pick(assign)
+            if codes is not None:
+                required = tuple(map(getitem, codes, required))
+            if pinned is None:
+                out = lookup.get(required, ())
+                used += 1 + len(out)
+            else:
+                used += 1
+                out = (pinned,) if pinned >= 0 and lookup[pinned] == required else ()
+        if used > room:
+            budget.spend(used)  # raises
+        if pos < last and out:
+            placing[pos], at[pos] = out, 0
+            assign[slots[pos]] = out[0]
+            pos += 1
+            continue
+        if pos == last:
+            slot = slots[pos]
+            for c in out:
+                assign[slot] = c
+                results.append(tuple(assign))
+        # back to the deepest position with a candidate left
+        pos -= 1
+        while pos >= 0:
+            i = at[pos] + 1
+            if i < len(placing[pos]):
+                at[pos] = i
+                assign[slots[pos]] = placing[pos][i]
+                pos += 1
+                break
+            pos -= 1
+    budget.spend(used)
     results.sort()
     return results
 

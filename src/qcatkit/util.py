@@ -29,6 +29,13 @@ class Budget:
     that count, so a hit charges the same steps as the miss.  The other
     memos (the values of a prederivator, ``Exponential.ho``) charge nothing
     on a hit.
+
+    A loop that takes many steps may count them itself and charge them in
+    one call, as long as it raises where charging each step as it comes
+    would, with ``used`` where that would leave it.  The map search
+    (:func:`qcatkit.simplicial.map_codes`) charges its count once at the
+    end, or at the placement that takes it past the limit; ``spend_each``
+    charges a run of single steps at once.
     """
 
     def __init__(self, limit: int = DEFAULT_BUDGET, context: str = "enumeration"):
@@ -40,6 +47,11 @@ class Budget:
         self.used += steps
         if self.used > self.limit:
             raise BudgetExceeded(self.context, self.limit)
+
+    def spend_each(self, steps: int) -> None:
+        """Charge ``steps`` single steps in one call: it raises where
+        charging them one at a time would, with ``used`` one past the limit."""
+        self.spend(min(steps, self.limit - self.used + 1))
 
 
 def ensure_budget(budget, context: str = "enumeration") -> Budget:

@@ -1,5 +1,6 @@
 """Finite category layer: tables, enumeration, homotopy finiteness."""
 
+import re
 from itertools import product as iproduct
 
 import pytest
@@ -33,7 +34,8 @@ from qcatkit.cats import (
     validate_category,
     vertical_compose,
 )
-from qcatkit.corpus import add_idempotent
+from qcatkit.corpus import add_idempotent, corpus_categories
+from qcatkit.nerve import ho, nerve
 from qcatkit.util import Budget
 
 
@@ -293,6 +295,83 @@ class TestShapeFunctors:
         assert swap.ob == {"(0,0)": "(0,0)", "(0,1)": "(1,0)"}
         assert swap.mor == {"(m00,m01)": "(m01,m00)"}
         assert swap.validate().ok and swap.source is P
+
+
+def compose_rule(C, g, f):
+    """Oracle: g . f by the definition, ValueError for a pair that does not
+    compose (a morphism C does not have is a KeyError)."""
+    if C.morphisms[f][1] != C.morphisms[g][0]:
+        raise ValueError(f"morphisms {g!r} and {f!r} are not composable")
+    if f in C.identities.values():
+        return g
+    if g in C.identities.values():
+        return f
+    return C.compose_table[(g, f)]
+
+
+def image_rule(F, m):
+    """Oracle: the image of m, identities sent to the identity of the image object."""
+    if m in F.source.identities.values():
+        return F.target.identities[F.ob[F.source.morphisms[m][0]]]
+    return F.mor[m]
+
+
+def table_categories():
+    cats = [c for _, c in corpus_categories()] + [empty_category(), coproduct_cat(
+        group_z2(), boundary_two()), add_idempotent(poset_simplex(1), "0")]
+    return cats + [ho(nerve(c, 3)).category for c in cats[1:4]]
+
+
+class TestTotalTables:
+    def test_compose_is_the_rule_on_every_pair(self):
+        for C in table_categories():
+            answered = 0
+            for g, f in iproduct(C.morphisms, repeat=2):
+                try:
+                    want = compose_rule(C, g, f)
+                except ValueError as err:
+                    with pytest.raises(ValueError, match=re.escape(str(err))):
+                        C.compose(g, f)
+                    assert (g, f) not in C.composites
+                    continue
+                assert C.compose(g, f) == C.composites[(g, f)] == want, (C.name, g, f)
+                answered += 1
+            assert answered == len(C.composites), C.name
+
+    def test_compose_fails_as_the_rule_does(self):
+        C = boundary_two()
+        with pytest.raises(ValueError, match="'a' and 'b' are not composable"):
+            C.compose("a", "b")
+        with pytest.raises(KeyError, match="'zz'"):
+            C.compose("a", "zz")
+        # a composite the table lacks, and one declared for a pair that does not compose
+        broken = FiniteCategory(C.objects, C.morphisms, {("a", "b"): "c"}, C.identities, "broken")
+        with pytest.raises(KeyError):
+            broken.compose("b", "a")
+        with pytest.raises(ValueError, match="not composable"):
+            broken.compose("a", "b")
+        assert ("a", "b") not in broken.composites and broken.compose("b", "id1") == "b"
+
+    def test_on_morphism_is_the_rule_on_every_morphism(self):
+        functors = [F for K, J in ((poset_simplex(1), poset_simplex(2)),
+                                   (boundary_two(), contractible_groupoid()),
+                                   (group_z2(), group_z2()))
+                    for F in enumerate_functors(K, J)]
+        functors += [identity_functor(C) for C in table_categories()]
+        for F in functors:
+            assert F.images == {m: image_rule(F, m) for m in F.source.morphisms}, F.name
+            assert all(F.on_morphism(m) == F.images[m] for m in F.source.morphisms)
+
+    def test_on_morphism_fails_as_the_rule_does(self):
+        J = poset_simplex(1)
+        F = Functor(J, J, {"0": "0"}, {}, "partial")
+        assert F.images == {"m00": "m00"}
+        with pytest.raises(KeyError, match="'1'"):
+            F.on_morphism("m11")
+        with pytest.raises(KeyError, match="'m01'"):
+            F.on_morphism("m01")
+        with pytest.raises(KeyError, match="'zz'"):
+            F.on_morphism("zz")
 
 
 class TestTextFormat:

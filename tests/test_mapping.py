@@ -19,6 +19,7 @@ from qcatkit.cats import (
 from qcatkit.mapping import (
     ExactnessError,
     Exponential,
+    coded_gather,
     full_degeneracy,
     induced_functor,
     kan_check,
@@ -36,6 +37,7 @@ from qcatkit.simplicial import (
     extensions,
     horn,
     product,
+    sset_from_text,
     sset_to_text,
     standard_simplex,
 )
@@ -272,6 +274,11 @@ class TestExponential:
         # codes past the end of every level table name no simplex at all
         with pytest.raises(KeyError, match=re.escape(f"map is not a cell of {E.name}")):
             induced_functor(E, E, lambda codes, level: tuple(c + 1000 for c in codes), "bad")
+        # the objects go through, the morphisms do not
+        with pytest.raises(KeyError, match=re.escape(f"map is not a cell of {E.name}")):
+            induced_functor(E, E, lambda codes, level: tuple(c + 1000 * level for c in codes),
+                            "bad")
+        assert induced_functor(E, E, lambda codes, level: codes, "id").validate().ok
 
     def test_locate_keeps_the_levels_of_the_empty_exponent_apart(self):
         # every level has one map, with the empty image tuple
@@ -319,6 +326,63 @@ class TestExponential:
         assert validate_category(pres.category).ok
         # Ho of the exponential is the arrow category of [1]: 3 objects
         assert len(pres.category.objects) == 3
+
+
+# two parallel edges f, g: x -> y and a 2-simplex making them homotopic,
+# so that Ho and the exponentials over it have classes of more than one edge
+HOMOTOPIC_PAIR = ("dim 2\ncoskeletal 2\n0: x y\n1: f g\n2: h\n"
+                  "face f 0 = [] y\nface f 1 = [] x\nface g 0 = [] y\nface g 1 = [] x\n"
+                  "face h 0 = [s0] y\nface h 1 = [] g\nface h 2 = [] f\n")
+
+
+class TestHoTables:
+    def test_class_tables_are_the_classes_of_the_cells(self):
+        Q = sset_from_text(HOMOTOPIC_PAIR, "fg")
+        D = HoPrederivator(Q, standard_sample())
+        sizes = []
+        for J in ("[0]", "[1]", "[2]", "[0]x[1]", "[1]x[1]"):
+            E = D.data(J)
+            assert len(E.ho_morphisms) == E.sset.total_count(1)
+            for key, e in E.to_expr[1].items():
+                assert E.ho_morphisms[key] == E.ho.cls(e) == E.ho_morphism(key)
+            assert E.ho_reps == {m: E.codes_of(r) for m, r in E.ho.reps.items()}
+            assert sorted(E.ho_reps) == sorted(E.ho.category.morphisms)
+            sizes.append((len(E.ho_morphisms), len(E.ho.category.morphisms)))
+        assert sizes == [(4, 3), (15, 10), (41, 27), (15, 10), (149, 99)]
+        with pytest.raises(KeyError, match=re.escape(f"map is not a cell of {E.name}")):
+            E.ho_morphism(E.ho_reps[sorted(E.ho_reps)[0]][:-1])
+
+    def test_ho_keeps_the_class_of_every_code(self):
+        Q = sset_from_text(HOMOTOPIC_PAIR, "fg")
+        pres, edges = ho(Q), Q.table(1)
+        assert pres.classes == [pres.cls(e) for e in edges.cells]
+        assert pres.classes[edges.code[SimplexExpr((), "g")]] == "f"
+        assert pres.reps == {m: edges.cells[c] for m, c in pres.rep_codes.items()}
+        assert list(pres.class_map) == [e.token() for e in Q.total(1)]
+        assert pres.category.morphisms == {"f": ("x", "y"), "s0.x": ("x", "x"),
+                                           "s0.y": ("y", "y")}
+
+    def test_transports_read_the_class_tables(self):
+        # u* against the rule that locates each restricted representative
+        # and asks Ho for the class of its cell by token
+        Q = sset_from_text(HOMOTOPIC_PAIR, "fg")
+        sample = standard_sample()
+        D = HoPrederivator(Q, sample)
+        shapes = {"[0]", "[1]", "[2]", "[0]x[1]", "[1]x[1]"}
+        checked = []
+        for name, u in sorted(sample.functors.items()):
+            src, dst = sample.ends(u)
+            if src not in shapes or dst not in shapes:
+                continue
+            dj, dk = D.data(src), D.data(dst)
+            plan = sample.restriction(u, dj, dk).plans[1]
+            restrict = coded_gather(plan, dj.products[1], dj.T_t)
+            F = D.on_functor(u)
+            for m in dk.ho.category.nonidentity():
+                e = dj.expr_at(1, restrict(dk.codes_of(dk.ho.reps[m])))
+                assert F.on_morphism(m) == dj.ho.cls(e), (name, m)
+            checked.append(name)
+        assert len(checked) == 32
 
 
 def pi0(sset):

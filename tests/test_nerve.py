@@ -41,7 +41,7 @@ from qcatkit.simplicial import (
     sset_from_text,
     standard_simplex,
 )
-from qcatkit.util import Budget
+from qcatkit.util import Budget, BudgetExceeded
 
 
 def monotone_maps(m, n):
@@ -134,6 +134,28 @@ class TestQuasicategory:
         require_quasicategory(S, miss)
         require_quasicategory(S, hit)
         assert miss.used == hit.used == 386
+
+    # per category: 2-simplices, horns, steps, and (limit, budget.used at
+    # the overrun), all recorded when every 2-simplex and every composable
+    # pair of edges charged its own step
+    OVERRUNS = {"E": (contractible_groupoid, 8, 40, 542, ((0, 1), (4, 5), (11, 12), (541, 542))),
+                "[2]": (lambda: poset_simplex(2), 10, 40, 702,
+                        ((0, 1), (5, 6), (13, 14), (701, 702))),
+                "z2": (group_z2, 4, 20, 386, ((0, 1), (2, 3), (7, 8), (385, 386)))}
+
+    @pytest.mark.parametrize("name", sorted(OVERRUNS))
+    def test_an_overrun_raises_where_it_was_recorded(self, name):
+        make, simplices, horns, steps, overruns = self.OVERRUNS[name]
+        S = nerve(make(), 3)
+        budget = Budget(steps)
+        report = is_quasicategory(S, budget)
+        assert len(S.table(2).cells) == simplices and report.horns_checked == horns
+        assert report.ok and budget.used == report.steps == steps
+        for limit, used in overruns:
+            budget = Budget(limit)
+            with pytest.raises(BudgetExceeded):
+                is_quasicategory(S, budget)
+            assert budget.used == used, limit
 
 
 class TestHomotopy:

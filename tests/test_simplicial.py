@@ -7,6 +7,7 @@ import sys
 import weakref
 from itertools import combinations
 from itertools import product as iproduct
+from operator import getitem, itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 import qcatkit.simplicial as simplicial
 from qcatkit.cats import contractible_groupoid, group_z2, poset_simplex
 from qcatkit.corpus import corpus_ssets, face_mutations, labeled_map_corpus
-from qcatkit.mapping import kan_check
+from qcatkit.mapping import exponent_frame, kan_check
 from qcatkit.nerve import is_quasicategory, nerve
+from qcatkit.prederivator import HoPrederivator, standard_sample
 from qcatkit.simplicial import (
     SimplexExpr,
     SimplicialMap,
@@ -707,6 +709,163 @@ class TestCodedSearch:
             assert budget.used == steps
 
 
+def reference_order(S):
+    """Oracle: the placement order as the search first computed it, by
+    rescanning the unplaced cells for ready ones at every step."""
+    remaining = [x for n in range(S.dim_bound + 1) for x in S.nondeg(n)]
+    supports = {x: frozenset(S.face(SimplexExpr((), x), i).base for i in range(S.dim_of[x] + 1))
+                if S.dim_of[x] else frozenset() for x in remaining}
+    placed, order = set(), []
+    remaining.sort(key=lambda x: (S.dim_of[x], x))
+    while remaining:
+        ready = [x for x in remaining if supports[x] <= placed]
+        if ready:
+            best_dim = max(S.dim_of[x] for x in ready)
+            pick = min(x for x in ready if S.dim_of[x] == best_dim)
+        else:
+            pick = remaining[0]
+        order.append(pick)
+        placed.add(pick)
+        remaining.remove(pick)
+    return order
+
+
+def reference_map_codes(S, T, budget, fixed=None):
+    """Oracle: the map search as first written over codes, one ``candidates``
+    call and one charge per placement, over a stack of iterators, in
+    ``reference_order``."""
+    fixed = fixed or {}
+    spend = budget.spend
+    vertices = range(len(T.table(0).cells))
+    slots, steps = [], []
+    for x in reference_order(S):
+        n = S.dim_of[x]
+        faces = tuple((fe.word, S.cell_index[fe.base])
+                      for fe in (S.face(SimplexExpr((), x), i) for i in range(n + 1))) if n else ()
+        pinned = fixed.get(x)
+        if pinned is not None:
+            pinned = T.table(n).code.get(pinned, -1)
+        slots.append(S.cell_index[x])
+        if not n:
+            steps.append((None, None, pinned, None))
+            continue
+        codes = tuple(T.degeneracy_codes(w, n - 1 - len(w)) for w, _ in faces)
+        steps.append((itemgetter(*(s for _, s in faces)),
+                      codes if any(w for w, _ in faces) else None, pinned,
+                      T.table(n).faces if pinned is not None else T.by_faces(n)))
+    assign = [None] * len(S.cells)
+
+    def candidates(pos):
+        pick, codes, pinned, lookup = steps[pos]
+        if pick is None:
+            spend()
+            if pinned is None:
+                return vertices
+            return (pinned,) if pinned >= 0 else ()
+        required = pick(assign)
+        if codes is not None:
+            required = tuple(map(getitem, codes, required))
+        if pinned is not None:
+            spend()
+            return (pinned,) if pinned >= 0 and lookup[pinned] == required else ()
+        out = lookup.get(required, ())
+        spend(1 + len(out))
+        return out
+
+    if not steps:
+        return [()]
+    results = []
+    stack = [iter(candidates(0))]
+    last = len(steps) - 1
+    while stack:
+        pos = len(stack) - 1
+        cand = next(stack[-1], None)
+        if cand is None:
+            stack.pop()
+        elif pos == last:
+            assign[slots[pos]] = cand
+            results.append(tuple(assign))
+        else:
+            assign[slots[pos]] = cand
+            stack.append(iter(candidates(pos + 1)))
+    results.sort()
+    return results
+
+
+FRAME_TARGETS = {"N([1])": lambda: nerve(poset_simplex(1), 3),
+                 "N(z2)": lambda: nerve(group_z2(), 3),
+                 "N(E)": lambda: nerve(contractible_groupoid(), 3)}
+
+
+@pytest.fixture(scope="module")
+def frame_products():
+    """S x Δn for every shape S of the standard sample, n <= 2, at level 2."""
+    sample = standard_sample()
+    return [(J, n, P) for J in sample.order
+            for n, P in exponent_frame(sample.nerve(J), 2, 2).products.items()]
+
+
+class TestFlatSearch:
+    def test_placement_order_is_the_reference_order(self, frame_products):
+        sets = [S for _, S in corpus_ssets()] + [P for _, _, P in frame_products]
+        for S in sets:
+            assert [x for x, *_ in S.search_plan] == reference_order(S), S.name
+
+    @pytest.mark.parametrize("tgt", sorted(FRAME_TARGETS))
+    def test_search_is_the_reference_loop_on_the_frames(self, frame_products, tgt):
+        T = FRAME_TARGETS[tgt]()
+        for J, n, P in frame_products:
+            flat, loop = Budget(), Budget()
+            assert map_codes(P, T, flat) == reference_map_codes(P, T, loop), (J, n)
+            assert flat.used == loop.used, (J, n)
+
+    def test_pinned_search_is_the_reference_loop(self, frame_products):
+        T = FRAME_TARGETS["N(E)"]()
+        for J, n, P in frame_products[:12]:
+            f = SimplicialMap(P, T, map_codes(P, T, Budget())[-1])
+            # two vertices, a top cell, and every cell over a degenerate simplex of the shape
+            over_degenerate = [x for x in P.cells if x.startswith("(s")]
+            for keep in (P.nondeg(0)[:2], P.nondeg(n)[-1:], over_degenerate):
+                pins = {x: f.assignment[x] for x in keep}
+                flat, loop = Budget(), Budget()
+                assert map_codes(P, T, flat, pins) == reference_map_codes(P, T, loop, pins)
+                assert flat.used == loop.used, (J, n)
+
+    # (shape, n, target): (maps, steps, (limit, budget.used at the overrun) ...),
+    # all recorded with the search that charged each placement as it went
+    OVERRUNS = {("[1]x[1]", 1, "N(E)"): (256, 12151, ((0, 1), (4050, 4051), (6075, 6076))),
+                ("[1]+[1]", 2, "N(z2)"): (1024, 42933, ((0, 1), (14311, 14312), (21466, 21467))),
+                ("d[2]", 2, "N([1])"): (20, 3139, ((0, 1), (1046, 1047), (1569, 1570))),
+                ("[2]", 2, "N(E)"): (512, 37015, ((0, 1), (12338, 12340), (18507, 18508)))}
+
+    @pytest.mark.parametrize("case", sorted(OVERRUNS))
+    def test_an_overrun_raises_where_it_was_recorded(self, case):
+        J, n, tgt = case
+        P = exponent_frame(standard_sample().nerve(J), 2, 2).products[n]
+        T = FRAME_TARGETS[tgt]()
+        count, steps, overruns = self.OVERRUNS[case]
+        budget = Budget(steps)
+        assert len(map_codes(P, T, budget)) == count and budget.used == steps
+        for limit, used in overruns + ((steps - 1, steps),):
+            budget = Budget(limit)
+            with pytest.raises(BudgetExceeded):
+                map_codes(P, T, budget)
+            assert budget.used == used, limit
+
+    def test_a_search_charges_a_shared_budget_from_where_it_stands(self):
+        square = product(standard_simplex(1, 2), standard_simplex(1, 2))
+        groupoid = nerve(contractible_groupoid(), 3)
+        budget = Budget(250)
+        budget.spend(51)
+        enumerate_maps(square, groupoid, budget)
+        assert budget.used == 250
+        budget = Budget(249)
+        budget.spend(51)
+        with pytest.raises(BudgetExceeded):
+            enumerate_maps(square, groupoid, budget)
+        assert budget.used == 250
+
+
 def assert_two_forms_agree(f):
     """f built from either form is the same map, and its coded and
     expression readings agree on every simplex up to the source's bound."""
@@ -746,6 +905,35 @@ class TestTwoForms:
         assert SimplicialMap(N, N, good).validate().ok
 
 
+def reference_face_row(S, e, n, below):
+    """Oracle: the face row of one n-simplex as the tables were first built,
+    cell by cell: a nondegenerate simplex's row read off ``faces``, that of
+    s_j y from y's row by the simplicial identities, with the degenerate
+    codes looked up as expressions."""
+    code = below.code
+    if not e.word:
+        return tuple(code[S.faces[(e.base, i)]] for i in range(n + 1))
+    j = e.word[0]
+    y = code[SimplexExpr(e.word[1:], e.base)]
+    if n == 1:
+        return (y, y)
+    fy, two_down = below.faces[y], S.table(n - 2).cells
+
+    def s(k, c):
+        f = two_down[c]
+        return code[SimplexExpr(compose_words((k,), f.word), f.base)]
+
+    return tuple(s(j - 1, fy[i]) if i < j else y if i <= j + 1 else s(j, fy[i - 1])
+                 for i in range(n + 1))
+
+
+def assert_face_rows_are_the_reference(S):
+    for n in range(1, S.dim_bound + 1):
+        below = S.table(n - 1)
+        assert S.table(n).faces == tuple(reference_face_row(S, e, n, below)
+                                         for e in S.table(n).cells), (S.name, n)
+
+
 class TestLevelTables:
     def test_codes_are_positions_in_the_sorted_level(self):
         xy = sset_from_text(NAMED_AFTER_S, "xy")
@@ -760,6 +948,33 @@ class TestLevelTables:
                     below = S.table(n - 1).code
                     assert table.faces == tuple(tuple(below[S.face(e, i)] for i in range(n + 1))
                                                 for e in table.cells), (name, n)
+
+    def test_face_rows_are_the_rows_built_cell_by_cell(self):
+        for name, S in corpus_ssets():
+            assert_face_rows_are_the_reference(S)
+
+    def test_face_rows_of_the_exponentials_of_one_ho(self):
+        D = HoPrederivator(nerve(contractible_groupoid(), 3), standard_sample())
+        for J in D.sample.order:
+            assert_face_rows_are_the_reference(D.data(J).sset)
+
+    def test_levels_come_in_blocks_of_one_word(self):
+        # per normal word, its block: s_w of every simplex of the level below
+        for name, S in corpus_ssets():
+            for n in range(S.dim_bound + 2):
+                cells, starts = S._blocks(n)
+                assert cells == S.table(n).cells
+                for w, start in starts.items():
+                    xs = S.nondeg(n - len(w))
+                    assert cells[start:start + len(xs)] == tuple(SimplexExpr(w, x) for x in xs)
+                assert sum(len(S.nondeg(n - len(w))) for w in starts) == len(cells)
+
+    def test_an_operator_that_does_not_apply_is_the_same_error(self):
+        S = standard_simplex(1, 3)
+        with pytest.raises(KeyError, match=re.escape(repr(SimplexExpr((1,), "0")))):
+            S.degeneracy_codes((1,), 0)
+        with pytest.raises(KeyError, match=re.escape(repr(SimplexExpr((3, 0), "0")))):
+            S.degeneracy_codes((3, 0), 0)
 
     def test_degeneracy_codes_and_face_index(self):
         for name, S in corpus_ssets():
