@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import chain
 
 from .simplicial import ValidationReport
-from .util import Budget, ensure_budget
+from .util import Budget, ensure_budget, memo
 
 
 class FiniteCategory:
@@ -23,9 +23,6 @@ class FiniteCategory:
         self.identities = dict(identities)      # object -> morphism id
         self.name = name
         self._identity_set = frozenset(self.identities.values())
-        self._homs = None
-        self._iso_cache: dict = {}
-        self._nonidentity = None
 
     # -- structure queries -------------------------------------------------
 
@@ -38,20 +35,21 @@ class FiniteCategory:
     def is_identity(self, m: str) -> bool:
         return m in self._identity_set
 
-    def hom(self, a: str, b: str) -> tuple:
-        if self._homs is None:  # every hom set in one pass over the morphisms
-            homs: dict = {}
-            for m in sorted(self.morphisms):
-                homs.setdefault(self.morphisms[m], []).append(m)
-            self._homs = {ends: tuple(ms) for ends, ms in homs.items()}
-        return self._homs.get((a, b), ())
+    @cached_property
+    def homs(self) -> dict:
+        """Every nonempty hom set, sorted, by its ends: one pass over the morphisms."""
+        homs: dict = {}
+        for m in sorted(self.morphisms):
+            homs.setdefault(self.morphisms[m], []).append(m)
+        return {ends: tuple(ms) for ends, ms in homs.items()}
 
+    def hom(self, a: str, b: str) -> tuple:
+        return self.homs.get((a, b), ())
+
+    @memo
     def nonidentity(self) -> tuple:
         """The non-identity morphisms, sorted once."""
-        if self._nonidentity is None:
-            self._nonidentity = tuple(sorted(m for m in self.morphisms
-                                             if not self.is_identity(m)))
-        return self._nonidentity
+        return tuple(sorted(m for m in self.morphisms if not self.is_identity(m)))
 
     @cached_property
     def composites(self) -> dict:
@@ -88,11 +86,9 @@ class FiniteCategory:
             return f
         return self.compose_table[(g, f)]
 
+    @memo
     def is_iso(self, m: str) -> bool:
-        if m in self._iso_cache:
-            return self._iso_cache[m]
-        self._iso_cache[m] = self.inverse(m) is not None
-        return self._iso_cache[m]
+        return self.inverse(m) is not None
 
     def inverse(self, m: str):
         a, b = self.morphisms[m]
@@ -352,7 +348,6 @@ class Functor:
         self.ob = dict(ob)
         self.mor = dict(mor)  # defined on non-identity morphisms
         self.name = name or "functor"
-        self._key = None
 
     @cached_property
     def images(self) -> dict:
@@ -379,10 +374,9 @@ class Functor:
             return self.target.identities[self.ob[source.morphisms[m][0]]]
         return self.mor[m]
 
+    @memo
     def key(self) -> tuple:
-        if self._key is None:
-            self._key = (tuple(sorted(self.ob.items())), tuple(sorted(self.mor.items())))
-        return self._key
+        return tuple(sorted(self.ob.items())), tuple(sorted(self.mor.items()))
 
     def validate(self) -> ValidationReport:
         report = ValidationReport(f"functor {self.name}")

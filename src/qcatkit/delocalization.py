@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .cats import FiniteCategory
-from .nerve import ho, nerve, require_quasicategory
+from .nerve import ho, nerve
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
@@ -177,8 +177,7 @@ def check_inverts_L(Q: TruncatedSSet, d: int, budget: Budget = None,
     if sc is not None and (sc.sset is not Q or sc.depth != d):
         raise ValueError(f"{sc!r} is not the simplex category of {Q.name} at depth {d}")
     budget = ensure_budget(budget, f"marked-class check on {Q.name}")
-    require_quasicategory(Q, budget)
-    pres = ho(Q, budget, verified=True)
+    pres = ho(Q, budget)
     sc = sc or SimplexCategory(Q, d)
     report = ValidationReport(f"marked morphisms of {Q.name} at depth {d} invert in Ho")
     for mid in sorted(sc.marked.difference(sc.identities.values())):

@@ -22,14 +22,16 @@ built by the direct search, steps included.  This covers the exponent
 with no cells and Δm up to relabelling for m <= L, so the path objects
 too, except T^{Δ3} at L = 2, which is curried through T^{Δ1} and T^{Δ2}.
 
-A path object charges one way: the miss charges the caller's budget as it
-runs and records the steps it charged, and a hit charges that record.  So
-the steps an exponential charges never depend on which path objects were
-built before it.
+A path object is kept on its base by the one charged cache,
+:meth:`qcatkit.util.Budget.cached`: the miss charges the caller's budget as
+it runs and records the steps it charged, and a hit charges that record.
+So the steps an exponential charges never depend on which path objects
+were built before it.
 
 The exponent side of a level does not depend on the base.  So each
 exponent S keeps one frame per working level and height
-(:class:`ExponentFrame`, built by :func:`exponent_frame` and kept on S):
+(:class:`ExponentFrame`, built by :func:`exponent_frame` and kept on S by
+:func:`qcatkit.util.memo`):
 S truncated, the products S x Δn, and the shape maps id x δi and
 id x σj compiled into index plans.  Every exponential over S shares it:
 the exponentials of a prederivator over one sample share the sample's
@@ -78,7 +80,7 @@ from .simplicial import (
     product,
     standard_simplex,
 )
-from .util import Budget, ensure_budget
+from .util import Budget, ensure_budget, memo
 
 
 def full_degeneracy(n: int) -> tuple:
@@ -193,7 +195,6 @@ class Exponential:
                     faces.update(zip(zip(ids, repeat(i)), map(below, map(face, new))))
         cert = T.coskeletal_from if T.coskeletal_from <= k else None
         self.sset = TruncatedSSet(k, levels, faces, cert, self.name)
-        self._code_rows: dict = {}
 
     def _curried_maps(self, n: int, path: Exponential, budget: Budget) -> list:
         """Level n as the transposes of the maps S -> T^{Δn}, as sorted code tuples.
@@ -232,14 +233,12 @@ class Exponential:
 
     # -- public queries -----------------------------------------------------
 
+    @memo
     def code_rows(self, n: int) -> list:
         """Per code of ``sset.table(n)``, the code tuple of its map."""
-        rows = self._code_rows.get(n)
-        if rows is None:
-            known = self.to_expr[n]
-            key_of = dict(zip(known.values(), known))
-            rows = self._code_rows[n] = list(map(key_of.__getitem__, self.sset.table(n).cells))
-        return rows
+        known = self.to_expr[n]
+        key_of = dict(zip(known.values(), known))
+        return list(map(key_of.__getitem__, self.sset.table(n).cells))
 
     @cached_property
     def ho(self) -> HoPresentation:
@@ -367,12 +366,10 @@ def _gather(slots: tuple):
     return itemgetter(*slots) if slots else lambda images: ()
 
 
+@memo
 def exponent_frame(S: TruncatedSSet, level: int, k: int) -> ExponentFrame:
     """S's frame at ``level`` and height k, built once and kept on S."""
-    frame = S._frames.get((level, k))
-    if frame is None:
-        frame = S._frames[(level, k)] = ExponentFrame(S, level, k)
-    return frame
+    return ExponentFrame(S, level, k)
 
 
 def path_object(T: TruncatedSSet, delta: TruncatedSSet, level: int,
@@ -385,14 +382,8 @@ def path_object(T: TruncatedSSet, delta: TruncatedSSet, level: int,
     miss charged.
     """
     n = len(delta.nondeg(0)) - 1
-    hit = T._path_objects.get((n, level))
-    if hit is None:
-        start = budget.used
-        E = Exponential(T, delta, level, budget)
-        hit = T._path_objects[(n, level)] = (E, budget.used - start)
-    else:
-        budget.spend(hit[1])
-    return hit[0]
+    return budget.cached(T, ("path_object", n, level),
+                         lambda: Exponential(T, delta, level, budget))
 
 
 def induced_functor(E1: Exponential, E2: Exponential, image, name: str) -> Functor:

@@ -14,7 +14,6 @@ which the tests assert on the corpus).
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from functools import cached_property
 from operator import itemgetter
@@ -170,7 +169,6 @@ class QcatReport:
         self.witness = None
         self.horns_checked = 0
         self.by_horn: dict = {}
-        self.steps = 0  # what the check charged, see require_quasicategory
 
     def lines(self) -> list:
         head = (f"quasicategory check on {self.name} up to dim {self.max_dim}: "
@@ -244,29 +242,21 @@ def _check_level2_horn(S: TruncatedSSet, report: QcatReport, budget: Budget) -> 
 def is_quasicategory(S: TruncatedSSet, budget: Budget = None) -> QcatReport:
     """Check that every inner horn up to the truncation has a filler."""
     budget = ensure_budget(budget, f"quasicategory check on {S.name}")
-    start = budget.used
     report = QcatReport(S.name, S.dim_bound)
     _check_level2_horn(S, report, budget)
     for n in range(3, S.dim_bound + 1):
         report.check_horns(S, n, range(1, n), budget)
-    report.steps = budget.used - start
     return report
 
 
-# checked sets leave the cache when nothing else refers to them
-_QCAT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def require_quasicategory(S: TruncatedSSet, budget: Budget = None) -> QcatReport:
-    """The cached :func:`is_quasicategory` report; raise unless it passes.
+    """The :func:`is_quasicategory` report, kept on S by
+    :meth:`qcatkit.util.Budget.cached`; raise unless it passes.
 
     A hit charges ``budget`` the steps the check charged when it ran.
     """
-    rep = _QCAT_CACHE.get(S)
-    if rep is None:
-        rep = _QCAT_CACHE[S] = is_quasicategory(S, budget)
-    elif budget is not None:
-        budget.spend(rep.steps)
+    budget = ensure_budget(budget, f"quasicategory check on {S.name}")
+    rep = budget.cached(S, ("is_quasicategory",), lambda: is_quasicategory(S, budget))
     if not rep.ok:
         raise ValueError(f"{S.name} is not a quasicategory: {rep.witness}")
     return rep
@@ -335,17 +325,18 @@ class HoPresentation:
         return f"<Ho({self.sset.name}): {self.category!r}>"
 
 
-def ho(Q: TruncatedSSet, budget: Budget = None, verified: bool = False) -> HoPresentation:
+def ho(Q: TruncatedSSet, budget: Budget = None) -> HoPresentation:
     """The homotopy category, by horn filling.
 
     Composition of classes is read off the 2-simplices: any 2-simplex
     witnesses that its d_1-face is a composite of its d_2 and d_0 faces.
     Filler independence is checked on the fly; a conflict means the input
     was not a quasicategory.  The classes are kept per level-1 code, and
-    an object's identity is the class of its degenerate edge.
+    an object's identity is the class of its degenerate edge.  A
+    morphism's ends are read off its face row (d_1, the initial vertex,
+    and d_0, the final one).
     """
-    if not verified:
-        require_quasicategory(Q, budget)
+    require_quasicategory(Q, budget)
     edges = Q.table(1)
     objects = [e.base for e in Q.table(0).cells]  # level 0 is nondegenerate
     cls = [None] * len(edges.cells)  # per level-1 code, its morphism id
@@ -356,7 +347,7 @@ def ho(Q: TruncatedSSet, budget: Budget = None, verified: bool = False) -> HoPre
         if mid is None:
             mid = named[r] = edges.cells[r].token()
             rep_codes[mid] = r
-            morphisms[mid] = Q.edge_endpoints(edges.cells[r])
+            morphisms[mid] = (objects[edges.faces[r][1]], objects[edges.faces[r][0]])
         cls[c] = mid
     identities = dict(zip(objects, map(cls.__getitem__, Q.degeneracy_codes((0,), 0))))
     compose = {}

@@ -73,7 +73,7 @@ from .simplicial import (
     enumerate_maps,
     product,
 )
-from .util import Budget, ensure_budget
+from .util import Budget, ensure_budget, memo
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,6 @@ class DiaSample:
         self.terminal: str | None = None
         self.initial: str | None = None
         self.order: list[str] = []
-        self._nerves: dict[str, TruncatedSSet] = {}
         self._restrictions: dict = {}
         self._transports: dict = {}
 
@@ -146,12 +145,10 @@ class DiaSample:
             raise ClosureError(f"sample {self.name} has no category {name!r}")
         return self.categories[name]
 
+    @memo
     def nerve(self, name: str) -> TruncatedSSet:
         """N(name) truncated at 2, built once."""
-        N = self._nerves.get(name)
-        if N is None:
-            N = self._nerves[name] = nerve(self.cat(name), 2)
-        return N
+        return nerve(self.cat(name), 2)
 
     def restriction(self, u: Functor, dj: Exponential, dk: Exponential) -> Restriction:
         """The plan of u*: Q^{N(K)} -> Q^{N(J)} for exponentials dj over N(J)
@@ -331,13 +328,14 @@ class Prederivator:
 
     Subclasses provide ``_eval``, ``_on_functor`` and ``_on_nat``; results
     are cached write-once per key, so repeated queries return identical
-    values.
+    values.  ``eval`` is a :func:`qcatkit.util.memo`; ``on_functor`` and
+    ``on_nat`` key their answers by ``key()``, as composites arrive as
+    fresh objects.
     """
 
     def __init__(self, sample: DiaSample, name: str = "prederivator"):
         self.sample = sample
         self.name = name
-        self._eval_cache: dict = {}
         self._functor_cache: dict = {}
         self._nat_cache: dict = {}
 
@@ -354,11 +352,10 @@ class Prederivator:
 
     # public API ----------------------------------------------------------
 
+    @memo
     def eval(self, J_name: str) -> FiniteCategory:
-        if J_name not in self._eval_cache:
-            self.sample.cat(J_name)
-            self._eval_cache[J_name] = self._eval(J_name)
-        return self._eval_cache[J_name]
+        self.sample.cat(J_name)
+        return self._eval(J_name)
 
     def on_functor(self, u: Functor) -> Functor:
         src, dst = self.sample.ends(u)
@@ -844,10 +841,11 @@ def check_strict(F: StrictMorphism) -> ValidationReport:
 
 
 def _commutes(F_src: Functor, u1: Functor, u2: Functor, F_dst: Functor) -> bool:
-    """F_src . u1 = u2 . F_dst, compared on u1's object and morphism maps."""
+    """F_src . u1 = u2 . F_dst, compared on u1's object and morphism maps,
+    read off the functors' ``images`` tables."""
+    src, dst = F_src.images, u2.images
     return (all(F_src.ob[y] == u2.ob[F_dst.ob[x]] for x, y in u1.ob.items())
-            and all(F_src.on_morphism(y) == u2.on_morphism(F_dst.mor[m])
-                    for m, y in u1.mor.items()))
+            and all(src[y] == dst[F_dst.mor[m]] for m, y in u1.mor.items()))
 
 
 def check_modification(Xi: Modification) -> ValidationReport:
@@ -900,7 +898,9 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
     """All strict morphisms D1 -> D2 with components over the given shapes.
 
     Backtracks over the sample in declaration order; commutation with every
-    listed functor between already-placed shapes prunes the search.
+    listed functor between already-placed shapes prunes the search.  The
+    functors are read through their ``images`` tables, one morphism per
+    lookup.
     """
     budget = ensure_budget(budget, f"strict morphisms {D1.name} -> {D2.name}")
     s = D1.sample
@@ -920,8 +920,9 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
             for Y in CJ2.objects:
                 by_ob.setdefault(u2.ob[Y], set()).add(Y)
             by_mor: dict = {}
+            images = u2.images
             for mm in CJ2.morphisms:
-                by_mor.setdefault(u2.on_morphism(mm), set()).add(mm)
+                by_mor.setdefault(images[mm], set()).add(mm)
             hit = fibres[u] = ({y: frozenset(xs) for y, xs in by_ob.items()},
                                {m: frozenset(ms) for m, ms in by_mor.items()})
         return hit
@@ -956,9 +957,9 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
                 by_ob, by_mor = fibres_of(u, CJ2)
                 for X in CJ1.objects:
                     cut_ob(X, by_ob.get(Fsrc.ob[u1.ob[X]], frozenset()))
+                along, into = u1.images, Fsrc.images
                 for m in CJ1.nonidentity():
-                    want = Fsrc.on_morphism(u1.on_morphism(m))
-                    cut_mor(m, by_mor.get(want, frozenset()))
+                    cut_mor(m, by_mor.get(into[along[m]], frozenset()))
             elif src == J_name and dst in components and dst != J_name:
                 u1 = D1.on_functor(u)
                 u2 = D2.on_functor(u)
@@ -966,8 +967,9 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
                 for Z in Fdst.source.objects:
                     budget.spend()
                     cut_ob(u1.ob[Z], {u2.ob[Fdst.ob[Z]]})
+                along, into, image = u1.images, u2.images, Fdst.images
                 for m in Fdst.source.nonidentity():
-                    cut_mor(u1.on_morphism(m), {u2.on_morphism(Fdst.on_morphism(m))})
+                    cut_mor(along[m], {into[image[m]]})
         return ob_allowed, mor_allowed
 
     def consistent(J_name: str) -> bool:

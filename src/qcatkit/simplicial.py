@@ -31,8 +31,9 @@ run over code tuples.
 Extension problems (:func:`extensions`) search for the shell maps only and
 read the fillers off the target's n-simplices, charging the search's steps
 and one step per n-simplex of the target and per shell map.  The target
-keeps its index of n-simplices per level and each shell's answer, and a
-repeated problem charges what the first one charged.
+keeps its index of n-simplices per level (:func:`qcatkit.util.memo`) and
+each shell's answer (:meth:`qcatkit.util.Budget.cached`), so a repeated
+problem charges what the first one charged.
 
 Conventions:
     * ``d_i`` forgets the i-th vertex, so for an edge ``f`` the face
@@ -50,7 +51,7 @@ from itertools import combinations, combinations_with_replacement, repeat
 from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .util import Budget, ensure_budget
+from .util import Budget, ensure_budget, memo
 
 
 class LevelTable(NamedTuple):
@@ -143,11 +144,6 @@ def face_through_word(i: int, word: tuple):
             out.append(a)
             cur -= 1
     return tuple(out), cur
-
-
-def collapse_set(word: tuple) -> frozenset:
-    """Positions collapsed by the surjection encoded by a normal word."""
-    return frozenset(word)
 
 
 def strip_letters(word: tuple, letters: frozenset) -> tuple:
@@ -255,27 +251,6 @@ class TruncatedSSet:
                 if x in self.dim_of:
                     raise ValueError(f"duplicate simplex identifier {x!r}")
                 self.dim_of[x] = n
-        self._totals: dict[int, list] = {}
-        # level -> its simplices in blocks, see _blocks
-        self._level_blocks: dict = {}
-        self._face_cache: dict = {}
-        self._vertex_cache: dict = {}
-        self._degeneracies: dict = {}
-        # level -> LevelTable; level -> codes by face row; (word, level) -> codes
-        self._tables: dict = {}
-        self._face_index: dict = {}
-        self._degeneracy_codes: dict = {}
-        # level -> this set truncated there, see truncate
-        self._truncations: dict = {}
-        # (n, level) -> this set's path object T^{Δn}, see mapping.path_object
-        self._path_objects: dict = {}
-        # (level, k) -> this set's exponent frame, see mapping.exponent_frame
-        self._frames: dict = {}
-        # (alpha, n) -> codes, see action_codes
-        self._actions: dict = {}
-        # level n -> the maps Δⁿ -> this set; shell -> its answer, see extensions
-        self._fillers: dict = {}
-        self._shells: dict = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -314,29 +289,25 @@ class TruncatedSSet:
         """The Δ1 this set's mapping spaces share, and with it one exponent frame."""
         return standard_simplex(1, 2)
 
+    @memo
     def degenerate(self, word: tuple, e: SimplexExpr) -> SimplexExpr:
         """Normal form of the degeneracy operator ``word`` applied to ``e``."""
-        key = (word, e)
-        hit = self._degeneracies.get(key)
-        if hit is None:
-            hit = self._degeneracies[key] = SimplexExpr(compose_words(word, e.word), e.base)
-        return hit
+        return SimplexExpr(compose_words(word, e.word), e.base)
 
     def expr_dim(self, e: SimplexExpr) -> int:
         if e.base not in self.dim_of:
             raise KeyError(f"dangling base identifier {e.base!r} in {self.name}")
         return self.dim_of[e.base] + len(e.word)
 
+    @memo
     def total(self, n: int) -> list:
         """All n-simplices (degenerate included) in canonical order."""
-        hit = self._totals.get(n)
-        if hit is None:
-            hit = self._totals[n] = sorted(self._blocks(n)[0], key=SimplexExpr.token)
-        return hit
+        return sorted(self._blocks(n)[0], key=SimplexExpr.token)
 
     def total_count(self, n: int) -> int:
         return len(self.total(n))
 
+    @memo
     def _blocks(self, n: int) -> tuple:
         """Level n in blocks, built once: one block per normal word w whose
         level m = n - len(w) has simplices, holding s_w of each of them in
@@ -345,18 +316,16 @@ class TruncatedSSet:
         Returns the n-simplices in that order, which is ``SimplexExpr``
         order, and per word the position its block starts at.
         """
-        hit = self._level_blocks.get(n)
-        if hit is None:
-            words = sorted(w for m in range(min(n, self.dim_bound) + 1) if self.nondeg(m)
-                           for w in valid_words(n, m))
-            cells, starts = [], {}
-            for w in words:
-                starts[w] = len(cells)
-                xs = self.nondeg(n - len(w))
-                cells += map(SimplexExpr, repeat(w, len(xs)), xs)
-            hit = self._level_blocks[n] = (tuple(cells), starts)
-        return hit
+        words = sorted(w for m in range(min(n, self.dim_bound) + 1) if self.nondeg(m)
+                       for w in valid_words(n, m))
+        cells, starts = [], {}
+        for w in words:
+            starts[w] = len(cells)
+            xs = self.nondeg(n - len(w))
+            cells += map(SimplexExpr, repeat(w, len(xs)), xs)
+        return tuple(cells), starts
 
+    @memo
     def table(self, n: int) -> LevelTable:
         """Level n coded, built once (see the module docstring).
 
@@ -367,14 +336,11 @@ class TruncatedSSet:
         simplicial identities d_i s_j = s_{j-1} d_i (i < j), id (i = j,
         j + 1) and s_j d_{i-1} (i > j + 1).
         """
-        hit = self._tables.get(n)
-        if hit is None:
-            cells = self._blocks(n)[0]
-            faces: tuple = ((),) * len(cells)
-            if n:
-                faces = self._face_rows(n)
-            hit = self._tables[n] = LevelTable(cells, dict(zip(cells, range(len(cells)))), faces)
-        return hit
+        cells = self._blocks(n)[0]
+        faces: tuple = ((),) * len(cells)
+        if n:
+            faces = self._face_rows(n)
+        return LevelTable(cells, dict(zip(cells, range(len(cells)))), faces)
 
     def _face_rows(self, n: int) -> tuple:
         below = self.table(n - 1)
@@ -403,40 +369,35 @@ class TruncatedSSet:
             rows += zip(*columns)
         return tuple(rows)
 
+    @memo
     def by_faces(self, n: int) -> dict:
         """The codes of the n-simplices by face row, each list in ``total`` order."""
-        index = self._face_index.get(n)
-        if index is None:
-            table = self.table(n)
-            index = self._face_index[n] = {}
-            for e in self.total(n):
-                c = table.code[e]
-                index.setdefault(table.faces[c], []).append(c)
+        table = self.table(n)
+        index: dict = {}
+        for e in self.total(n):
+            c = table.code[e]
+            index.setdefault(table.faces[c], []).append(c)
         return index
 
+    @memo
     def degeneracy_codes(self, word: tuple, m: int):
         """Per level-m code, the code of the degenerate simplex ``word`` makes of it.
 
         s_word sends the block of u at level m onto the block of the normal
         form of word ∘ u, simplex by simplex (see ``_blocks``)."""
-        key = (word, m)
-        hit = self._degeneracy_codes.get(key)
-        if hit is None:
-            if word:
-                up = self._blocks(m + len(word))[1]
-                hit = []
-                for u in self._blocks(m)[1]:
-                    xs = self.nondeg(m - len(u))
-                    w = compose_words(word, u)
-                    if w not in up:
-                        raise KeyError(SimplexExpr(w, xs[0]))
-                    hit += range(up[w], up[w] + len(xs))
-                hit = tuple(hit)
-            else:
-                hit = range(len(self.table(m).cells))
-            self._degeneracy_codes[key] = hit
-        return hit
+        if not word:
+            return range(len(self.table(m).cells))
+        up = self._blocks(m + len(word))[1]
+        codes = []
+        for u in self._blocks(m)[1]:
+            xs = self.nondeg(m - len(u))
+            w = compose_words(word, u)
+            if w not in up:
+                raise KeyError(SimplexExpr(w, xs[0]))
+            codes += range(up[w], up[w] + len(xs))
+        return tuple(codes)
 
+    @memo
     def action_codes(self, alpha: tuple, n: int) -> tuple:
         """Per code of ``table(n)``, the code of y . α in ``table(m)``, for a
         monotone α: [m] -> [n]; built once per (α, n) and kept.
@@ -446,29 +407,22 @@ class TruncatedSSet:
         rows top down, and the normal word lists each p with α(p) = α(p + 1),
         largest first.  Any other α is a ``ValueError``.
         """
-        key = (alpha, n)
-        hit = self._actions.get(key)
-        if hit is None:
-            if not alpha or alpha[0] < 0 or alpha[-1] > n or list(alpha) != sorted(alpha):
-                raise ValueError(f"alpha={alpha!r} is not a monotone map into [{n}]")
-            codes = range(len(self.table(n).cells))
-            level = n
-            for i in range(n, -1, -1):
-                if i not in alpha:
-                    faces = self.table(level).faces
-                    codes = [faces[c][i] for c in codes]
-                    level -= 1
-            word = tuple(p for p in range(len(alpha) - 2, -1, -1) if alpha[p] == alpha[p + 1])
-            up = self.degeneracy_codes(word, level)
-            hit = self._actions[key] = tuple(up[c] for c in codes)
-        return hit
+        if not alpha or alpha[0] < 0 or alpha[-1] > n or list(alpha) != sorted(alpha):
+            raise ValueError(f"alpha={alpha!r} is not a monotone map into [{n}]")
+        codes = range(len(self.table(n).cells))
+        level = n
+        for i in range(n, -1, -1):
+            if i not in alpha:
+                faces = self.table(level).faces
+                codes = [faces[c][i] for c in codes]
+                level -= 1
+        word = tuple(p for p in range(len(alpha) - 2, -1, -1) if alpha[p] == alpha[p + 1])
+        up = self.degeneracy_codes(word, level)
+        return tuple(up[c] for c in codes)
 
+    @memo
     def face(self, e: SimplexExpr, i: int) -> SimplexExpr:
         """Apply d_i to a simplex expression, renormalizing."""
-        key = (e, i)
-        hit = self._face_cache.get(key)
-        if hit is not None:
-            return hit
         n = self.expr_dim(e)
         if n < 1:
             raise ValueError("cannot take a face of a vertex")
@@ -476,54 +430,25 @@ class TruncatedSSet:
             raise ValueError(f"face index {i} out of range for dimension {n}")
         prefix, j = face_through_word(i, e.word)
         if j is None:
-            out = SimplexExpr(prefix, e.base)
-        else:
-            base_face = self.faces.get((e.base, j))
-            if base_face is None:
-                raise KeyError(f"missing face ({e.base!r}, {j}) in {self.name}")
-            out = SimplexExpr(compose_words(prefix, base_face.word), base_face.base)
-        self._face_cache[key] = out
-        return out
-
-    def restrict(self, e: SimplexExpr, keep: tuple) -> SimplexExpr:
-        """Restrict along the vertex subset ``keep`` (strictly increasing)."""
-        n = self.expr_dim(e)
-        out = e
-        for i in range(n, -1, -1):
-            if i not in keep:
-                out = self.face(out, i)
-        return out
-
-    def vertices(self, e: SimplexExpr) -> tuple:
-        """Vertex identifiers of a simplex, in order."""
-        key = e
-        hit = self._vertex_cache.get(key)
-        if hit is not None:
-            return hit
-        n = self.expr_dim(e)
-        out = tuple(self.restrict(e, (j,)).base for j in range(n + 1))
-        self._vertex_cache[key] = out
-        return out
-
-    def edge_endpoints(self, e: SimplexExpr) -> tuple:
-        """(initial, final) vertices of a 1-simplex."""
-        v = self.vertices(e)
-        return v[0], v[1]
+            return SimplexExpr(prefix, e.base)
+        base_face = self.faces.get((e.base, j))
+        if base_face is None:
+            raise KeyError(f"missing face ({e.base!r}, {j}) in {self.name}")
+        return SimplexExpr(compose_words(prefix, base_face.word), base_face.base)
 
     def truncate(self, c: int) -> "TruncatedSSet":
         """This set truncated at max(c, 2), built once per level and kept here."""
         c = max(c, 2)
-        if c >= self.dim_bound:
-            return self
-        hit = self._truncations.get(c)
-        if hit is None:
-            levels = {n: self.levels[n] for n in range(c + 1)}
-            faces = {(x, i): f for (x, i), f in self.faces.items() if self.dim_of[x] <= c}
-            cert = self.coskeletal_from
-            if cert is not None:
-                cert = min(cert, c)
-            hit = self._truncations[c] = TruncatedSSet(c, levels, faces, cert, self.name)
-        return hit
+        return self if c >= self.dim_bound else self._truncated(c)
+
+    @memo
+    def _truncated(self, c: int) -> "TruncatedSSet":
+        levels = {n: self.levels[n] for n in range(c + 1)}
+        faces = {(x, i): f for (x, i), f in self.faces.items() if self.dim_of[x] <= c}
+        cert = self.coskeletal_from
+        if cert is not None:
+            cert = min(cert, c)
+        return TruncatedSSet(c, levels, faces, cert, self.name)
 
     # -- validation -------------------------------------------------------
 
@@ -621,7 +546,6 @@ class SimplicialMap:
     def __init__(self, source: TruncatedSSet, target: TruncatedSSet, images):
         self.source = source
         self.target = target
-        self._code_tables: dict = {}
         if isinstance(images, tuple):
             self.images = images
         else:
@@ -650,12 +574,10 @@ class SimplicialMap:
         return self.target.degeneracy_codes(e.word, S.dim_of[e.base])[
             self.images[S.cell_index[e.base]]]
 
+    @memo
     def code_table(self, n: int) -> tuple:
         """Per code of ``source.table(n)``, the code of its image."""
-        hit = self._code_tables.get(n)
-        if hit is None:
-            hit = self._code_tables[n] = tuple(map(self.code, self.source.table(n).cells))
-        return hit
+        return tuple(map(self.code, self.source.table(n).cells))
 
     def key(self) -> tuple:
         return self.images
@@ -815,7 +737,7 @@ class ProductSSet(TruncatedSSet):
             ids = []
             for e1 in left.total(n):
                 for e2 in right.total(n):
-                    if collapse_set(e1.word) & collapse_set(e2.word):
+                    if frozenset(e1.word) & frozenset(e2.word):
                         continue
                     pid = f"({e1.token()}|{e2.token()})"
                     ids.append(pid)
@@ -832,7 +754,6 @@ class ProductSSet(TruncatedSSet):
         super().__init__(D, levels, {}, cert, name)
         self.pair_of = pair_of
         self.id_of_pair = id_of_pair
-        self._pair_exprs: dict = {}  # (e1, e2) -> pair_expr's answer
         for n in range(1, D + 1):
             for pid in self.nondeg(n):
                 e1, e2 = pair_of[pid]
@@ -842,18 +763,14 @@ class ProductSSet(TruncatedSSet):
                     faces[(pid, i)] = self.pair_expr(f1, f2)
         self.faces = faces
 
+    @memo
     def pair_expr(self, e1: SimplexExpr, e2: SimplexExpr) -> SimplexExpr:
         """Simplex of the product presented by a pair of component simplices,
         worked out once per pair and kept."""
-        key = (e1, e2)
-        hit = self._pair_exprs.get(key)
-        if hit is None:
-            joint = collapse_set(e1.word) & collapse_set(e2.word)
-            r1 = SimplexExpr(strip_letters(e1.word, joint), e1.base)
-            r2 = SimplexExpr(strip_letters(e2.word, joint), e2.base)
-            pid = self.id_of_pair[(r1, r2)]
-            hit = self._pair_exprs[key] = SimplexExpr(tuple(sorted(joint, reverse=True)), pid)
-        return hit
+        joint = frozenset(e1.word) & frozenset(e2.word)
+        r1 = SimplexExpr(strip_letters(e1.word, joint), e1.base)
+        r2 = SimplexExpr(strip_letters(e2.word, joint), e2.base)
+        return SimplexExpr(tuple(sorted(joint, reverse=True)), self.id_of_pair[(r1, r2)])
 
     def map_pairs(self, target: TruncatedSSet, image) -> SimplicialMap:
         """The map sending each nondegenerate cell (e1|e2) to ``image(e1, e2)``.
@@ -1023,6 +940,7 @@ def enumerate_maps(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None,
     return [SimplicialMap(S, T, codes) for codes in map_codes(S, T, budget, fixed)]
 
 
+@memo
 def _simplex_maps(T: TruncatedSSet, n: int) -> list:
     """The maps Δⁿ -> T as sorted code tuples, built once per (T, n) and
     kept on T.
@@ -1031,28 +949,25 @@ def _simplex_maps(T: TruncatedSSet, n: int) -> list:
     off T's face row of the first cell it is a face of; σ is a map only if
     every row agrees, as in a simplicial T.
     """
-    hit = T._fillers.get(n)
-    if hit is None:
-        simplex = _simplex(n)
-        slot = simplex.cell_index
-        plan, rows, seen = [], [], set()
-        for k in range(n, 0, -1):
-            faces = T.table(k).faces
-            for x in simplex.nondeg(k):
-                slots = [slot[simplex.faces[(x, i)].base] for i in range(k + 1)]
-                plan += [(f, slot[x], faces, i) for i, f in enumerate(slots) if f not in seen]
-                seen.update(slots)
-                rows.append((slot[x], faces, itemgetter(*slots)))
-        hit = []
-        for sigma in range(len(T.table(n).cells)):
-            codes = [sigma] * len(slot)
-            for s, up, faces, i in plan:
-                codes[s] = faces[codes[up]][i]
-            if all(faces[codes[s]] == pick(codes) for s, faces, pick in rows):
-                hit.append(tuple(codes))
-        hit.sort()
-        T._fillers[n] = hit
-    return hit
+    simplex = _simplex(n)
+    slot = simplex.cell_index
+    plan, rows, seen = [], [], set()
+    for k in range(n, 0, -1):
+        faces = T.table(k).faces
+        for x in simplex.nondeg(k):
+            slots = [slot[simplex.faces[(x, i)].base] for i in range(k + 1)]
+            plan += [(f, slot[x], faces, i) for i, f in enumerate(slots) if f not in seen]
+            seen.update(slots)
+            rows.append((slot[x], faces, itemgetter(*slots)))
+    maps = []
+    for sigma in range(len(T.table(n).cells)):
+        codes = [sigma] * len(slot)
+        for s, up, faces, i in plan:
+            codes[s] = faces[codes[up]][i]
+        if all(faces[codes[s]] == pick(codes) for s, faces, pick in rows):
+            maps.append(tuple(codes))
+    maps.sort()
+    return maps
 
 
 def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
@@ -1064,32 +979,30 @@ def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
     ``simplex``, which every shell of the n-simplex shares.  They are read
     off T's index of the maps Δⁿ -> T (one per n-simplex that is a map,
     built once per (T, n) and kept on T), grouped by their restriction to
-    the shell.  T also keeps each shell's answer as codes (the shell maps,
-    each with its fillers, and the steps of the search), so a repeated
-    problem runs no second search.  Steps, the same on a miss and on a
-    hit: one per n-simplex of T and the search's at the first read, then
-    one per shell map as it is yielded.  A search that overruns its budget
-    keeps nothing.
+    the shell.  T also keeps each shell's answer as codes, the shell maps
+    each with its fillers, through :meth:`qcatkit.util.Budget.cached`, so a
+    repeated problem runs no second search.  Steps, the same on a miss and
+    on a hit: one per n-simplex of T and the search's at the first read,
+    then one per shell map as it is yielded.  A search that overruns its
+    budget keeps nothing.
     """
     budget = ensure_budget(budget, f"extensions {shell.name} -> {T.name}")
     budget.spend(len(T.table(n).cells))
-    kept = T._shells.get(shell)
-    if kept is None:
-        start = budget.used
+
+    def search() -> tuple:
         keys = map_codes(shell, T, budget)
         slot = shell.simplex.cell_index
         slots = [slot[x] for x in shell.cells]
         by_key: dict = {}
         for codes in _simplex_maps(T, n):
             by_key.setdefault(tuple(codes[s] for s in slots), []).append(codes)
-        kept = T._shells[shell] = (budget.used - start, keys,
-                                   [by_key.get(key, ()) for key in keys])
-    else:
-        budget.spend(kept[0])
+        return keys, [by_key.get(key, ()) for key in keys]
+
+    keys, fillers = budget.cached(T, ("extensions", shell), search)
     simplex = shell.simplex
-    for key, fillers in zip(kept[1], kept[2]):
+    for key, row in zip(keys, fillers):
         budget.spend()
-        yield SimplicialMap(shell, T, key), [SimplicialMap(simplex, T, codes) for codes in fillers]
+        yield SimplicialMap(shell, T, key), [SimplicialMap(simplex, T, codes) for codes in row]
 
 
 def find_isomorphism(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None):

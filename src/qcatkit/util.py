@@ -1,6 +1,8 @@
-"""Shared plumbing: step budgets and a deterministic union-find."""
+"""Shared plumbing: step budgets, the memo rule and a deterministic union-find."""
 
 from __future__ import annotations
+
+from functools import wraps
 
 
 DEFAULT_BUDGET = 10**7
@@ -22,13 +24,14 @@ class BudgetExceeded(Exception):
 class Budget:
     """Mutable step counter shared by the enumerations of one operation.
 
-    The path objects of :mod:`qcatkit.mapping`, the reports of
-    :func:`qcatkit.nerve.require_quasicategory` and the shell answers of
-    :func:`qcatkit.simplicial.extensions` are cached with their cost:
-    the miss charges as it runs and records the count, and every hit spends
-    that count, so a hit charges the same steps as the miss.  The other
-    memos (the values of a prederivator, ``Exponential.ho``) charge nothing
-    on a hit.
+    What is derived once is kept by one of two rules.  :meth:`cached` is
+    the one charged cache: the path objects of :mod:`qcatkit.mapping`, the
+    reports of :func:`qcatkit.nerve.require_quasicategory` and the shell
+    answers of :func:`qcatkit.simplicial.extensions` are kept with the
+    steps their miss charged, and every hit spends that count, so a hit
+    charges the same steps as the miss.  :func:`memo` is the free one:
+    its hits (level tables, frames, the values of a prederivator, and the
+    like) charge nothing.
 
     A loop that takes many steps may count them itself and charge them in
     one call, as long as it raises where charging each step as it comes
@@ -53,9 +56,49 @@ class Budget:
         charging them one at a time would, with ``used`` one past the limit."""
         self.spend(min(steps, self.limit - self.used + 1))
 
+    def cached(self, owner, key, build):
+        """``build()``, kept on ``owner`` under ``key`` with the steps it
+        charged this budget; a hit charges those steps again.
+
+        The answers live in ``owner.__dict__["memo.charged"]``, so they are
+        freed with the owner.  A build that raises keeps nothing.
+        """
+        kept = owner.__dict__.setdefault("memo.charged", {})
+        hit = kept.get(key)
+        if hit is None:
+            start = self.used
+            answer = build()
+            kept[key] = (answer, self.used - start)
+            return answer
+        self.spend(hit[1])
+        return hit[0]
+
 
 def ensure_budget(budget, context: str = "enumeration") -> Budget:
     return budget if budget is not None else Budget(context=context)
+
+
+def memo(fn):
+    """Keep the answers of a method, or of a function whose first argument
+    owns them, on the owner.
+
+    An answer is keyed by the positional arguments after the owner and kept
+    in ``owner.__dict__["memo." + fn.__name__]``, so it is freed with the
+    owner.  A call that raises keeps nothing.  A hit charges no steps; the
+    charged rule is :meth:`Budget.cached`.
+    """
+    slot = "memo." + fn.__name__
+
+    @wraps(fn)
+    def kept(owner, *args):
+        try:
+            return owner.__dict__[slot][args]
+        except KeyError:
+            pass
+        answer = owner.__dict__.setdefault(slot, {})[args] = fn(owner, *args)
+        return answer
+
+    return kept
 
 
 class UnionFind:

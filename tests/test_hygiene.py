@@ -166,13 +166,14 @@ def test_no_unread_assignments():
 
 MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 MUTABLE_FACTORIES = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque",
-                     "WeakValueDictionary"}
+                     "WeakValueDictionary", "WeakKeyDictionary"}
 
 
 def test_no_module_level_mutable_state():
-    """Tables live on the objects they describe.  A module-level dict, list
-    or set outlives them; only a ``WeakKeyDictionary``, whose entries leave
-    with their keys, is allowed."""
+    """Tables live on the objects they describe (``util.memo`` and
+    ``util.Budget.cached`` keep them there).  A module-level dict, list, set
+    or weak dictionary outlives them or keeps them apart from their owner,
+    so none is allowed."""
     found = []
     for module, tree in _trees():
         for node in tree.body:

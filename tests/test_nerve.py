@@ -17,7 +17,6 @@ from qcatkit.cats import (
     validate_category,
 )
 from qcatkit.nerve import (
-    _QCAT_CACHE,
     counit_functor,
     functor_is_isomorphism,
     ho,
@@ -119,12 +118,12 @@ class TestQuasicategory:
         report = require_quasicategory(S, first)
         assert first.used > 0
         assert require_quasicategory(S, again) is report and again.used == first.used
-        ref = weakref.ref(S)
+        # the report is kept on S with its steps, and leaves with S
+        assert vars(S)["memo.charged"][("is_quasicategory",)] == (report, first.used)
+        refs = [weakref.ref(S), weakref.ref(report)]
+        del S, report
         gc.collect()
-        cached = len(_QCAT_CACHE)
-        del S
-        gc.collect()
-        assert ref() is None and len(_QCAT_CACHE) == cached - 1
+        assert all(ref() is None for ref in refs)
 
     def test_cache_hit_charges_the_indexed_check(self):
         # the dim-3 horns of N(z2) are answered from its 3-simplices; a hit
@@ -150,7 +149,7 @@ class TestQuasicategory:
         budget = Budget(steps)
         report = is_quasicategory(S, budget)
         assert len(S.table(2).cells) == simplices and report.horns_checked == horns
-        assert report.ok and budget.used == report.steps == steps
+        assert report.ok and budget.used == steps
         for limit, used in overruns:
             budget = Budget(limit)
             with pytest.raises(BudgetExceeded):
@@ -174,9 +173,10 @@ class TestHomotopy:
             q = nerve(cat, 3)
             pres = ho(q)
             edges = q.total(1)
+            ends = {e: (q.face(e, 1), q.face(e, 0)) for e in edges}
             for e in edges:
                 for f in edges:
-                    if q.edge_endpoints(e) == q.edge_endpoints(f):
+                    if ends[e] == ends[f]:
                         assert (pres.cls(e) == pres.cls(f)) == one_step_homotopic(q, e, f)
 
 
