@@ -411,9 +411,10 @@ def identity_functor(C: FiniteCategory) -> Functor:
 
 
 def compose_functors(G: Functor, F: Functor) -> Functor:
+    nonid = F.source.nonidentity()
     return Functor(F.source, G.target,
-                   {x: G.ob[y] for x, y in F.ob.items()},
-                   {m: G.on_morphism(F.on_morphism(m)) for m in F.source.nonidentity()},
+                   dict(zip(F.ob, map(G.ob.__getitem__, F.ob.values()))),
+                   dict(zip(nonid, map(G.images.__getitem__, map(F.images.__getitem__, nonid)))),
                    f"{G.name}.{F.name}")
 
 
@@ -432,8 +433,8 @@ def monotone_functor(source: FiniteCategory, target: FiniteCategory, alpha,
                      name: str) -> Functor:
     """The functor of chains [m] -> [n] with i -> ``alpha[i]``.
 
-    The category analogue of :func:`qcatkit.simplicial.delta_map`; each
-    arrow goes to the arrow of ``target`` between the images of its ends.
+    The category analogue of the map Δm -> Δn of ``alpha``; each arrow
+    goes to the arrow of ``target`` between the images of its ends.
     """
     ob = {x: str(alpha[int(x)]) for x in source.objects}
     mor = {m: target.hom(ob[source.dom(m)], ob[source.cod(m)])[0]
@@ -533,48 +534,59 @@ def enumerate_functors(K: FiniteCategory, J: FiniteCategory, budget: Budget = No
     ``ob_allowed`` and ``mor_allowed`` optionally restrict the images of
     individual objects and morphisms (used to push naturality constraints
     into the search instead of filtering afterwards).  The placements and
-    the composites checked at each are K's ``search_plan``.
+    the composites checked at each are K's ``search_plan``; each candidate
+    image charges one step, and so does each composite checked.  One flat
+    depth-first loop, as in :func:`qcatkit.simplicial.map_codes`, charges the
+    count at the end, or through ``Budget.spend_each`` once it passes the limit.
     """
     budget = ensure_budget(budget, f"functors {K.name} -> {J.name}")
-    ob_allowed = ob_allowed or {}
-    mor_allowed = mor_allowed or {}
-    plan = K.search_plan
-    nonid = K.nonidentity()
-    ob: dict = {}
-    image: dict = {}  # morphism of K -> its image, identities included
+    ob_allowed, mor_allowed = ob_allowed or {}, mor_allowed or {}
+    composites, homs, identities = J.composites, J.homs, J.identities
+    plan, nonid = K.search_plan, K.nonidentity()
+    ob, image = {}, {}  # the images of K's objects, and of its morphisms, identities included
+    room, used, pos, end = budget.limit - budget.used, 0, 0, len(plan)
     results = []
-
-    def consistent(triples) -> bool:
-        for g, f, h in triples:
-            budget.spend()
-            if J.compose(image[g], image[f]) != image[h]:
-                return False
-        return True
-
-    def walk(pos):
-        if pos == len(plan):
+    placing = [None] * end  # the candidates left at each position
+    while pos >= 0:
+        if pos == end:
             results.append(Functor(K, J, ob, {m: image[m] for m in nonid}))
-            return
-        name, ends, last = plan[pos]
-        if ends is None:
-            pool = ob_allowed.get(name)
-            for y in (J.objects if pool is None else sorted(pool)):
-                budget.spend()
-                ob[name] = y
-                image[last] = J.identities[y]
-                walk(pos + 1)
+            pos -= 1
         else:
-            pool = mor_allowed.get(name)
-            for y in J.hom(ob[ends[0]], ob[ends[1]]):
-                if pool is not None and y not in pool:
-                    continue
-                budget.spend()
-                image[name] = y
-                if consistent(last):
-                    walk(pos + 1)
-
-    walk(0)
-    results.sort(key=lambda F: F.key())
+            name, ends, last = plan[pos]
+            if ends is None:
+                pool = ob_allowed.get(name)
+                out = J.objects if pool is None else sorted(pool)
+                used += len(out)
+            else:
+                pool, out = mor_allowed.get(name), []
+                for y in homs.get((ob[ends[0]], ob[ends[1]]), ()):
+                    if pool is not None and y not in pool:
+                        continue
+                    image[name] = y
+                    used += 1
+                    for g, f, h in last:
+                        used += 1
+                        if composites[image[g], image[f]] != image[h]:
+                            break
+                    else:
+                        out.append(y)
+            if used > room:
+                budget.spend_each(used)  # raises
+            placing[pos] = iter(out)
+        # on to the next candidate at the deepest position that has one left
+        while pos >= 0:
+            y = next(placing[pos], None)
+            if y is not None:
+                name, ends, last = plan[pos]
+                if ends is None:
+                    ob[name], image[last] = y, identities[y]
+                else:
+                    image[name] = y
+                pos += 1
+                break
+            pos -= 1
+    budget.spend(used)
+    results.sort(key=Functor.key)
     return results
 
 

@@ -19,7 +19,7 @@ from .cats import (
     poset_simplex,
     product_cat,
 )
-from .mapping import induced_functor
+from .mapping import induced_functor, transport
 from .nerve import chain_shape_iso, nerve, nerve_product_compare
 from .prederivator import (
     ClosureError,
@@ -249,7 +249,7 @@ def induced_strict_morphisms(DQ: HoPrederivator, shifted: ShiftedPrederivator,
     shape = chain_shape_iso(P.right, chain_nerve)
     shape_inv = SimplicialMap(chain_nerve, P.right, {img.base: SimplexExpr((), x)
                                                      for x, img in shape.assignment.items()})
-    parts = []
+    parts, at = [], set()
     for K_name in shapes:
         dq = DQ.data(K_name)
         dr = shifted.base.data(shifted.paired(K_name))
@@ -258,24 +258,30 @@ def induced_strict_morphisms(DQ: HoPrederivator, shifted: ShiftedPrederivator,
         splits = []
         for level in (0, 1):
             P_r, P_q = dr.products[level], dq.products[level]
+            # per cell: the slot of (k|e2), the codes its word makes of Q's, and (t, dim)
             split = []
             for pid in P_r.cells:
                 e1, e2 = P_r.pair_of[pid]
                 t_part, k_part = P_split.components(compare.apply(e1))
-                split.append((P_q.pair_expr(k_part, e2), shape_inv.apply(t_part)))
+                q, d = P_q.pair_expr(k_part, e2), P_r.dim_of[pid]
+                split.append((P_q.cell_index[q.base],
+                              dq.T_t.degeneracy_codes(q.word, d - len(q.word)),
+                              (shape_inv.apply(t_part), d)))
+                at.add(split[-1][2])
             splits.append(split)
         parts.append((K_name, dq, dr, splits))
     out = []
     for mu in maps:
+        # per (t, d): per code of a d-simplex c of Q, the code of mu at (c|t)
+        tables = {(t, d): tuple(mu.code(P.pair_expr(c, t)) for c in P.left.table(d).cells)
+                  for t, d in at}
         comps = {}
         for K_name, dq, dr, splits in parts:
+            columns = [[(slot, tuple(map(tables[key].__getitem__, up))) for slot, up, key in split]
+                       for split in splits]
             # level 0 uses the same formula: Δ0 has one simplex in each dimension
-            def image(codes: tuple, level: int) -> tuple:
-                cell = SimplicialMap(dq.products[level], dq.T_t, codes)
-                return tuple(mu.code(P.pair_expr(cell.apply(q_part), t_part))
-                             for q_part, t_part in splits[level])
-
-            comps[K_name] = induced_functor(dq, dr, image, "")
+            comps[K_name] = induced_functor(
+                dq, dr, lambda batch, level: transport(batch, columns[level]), "")
         out.append(StrictMorphism(DQ, shifted, comps, "induced"))
     return out
 

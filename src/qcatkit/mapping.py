@@ -54,11 +54,12 @@ The build runs in bulk, over tables.  The transposition works out, per
 cell x of S and per image of x that some map S -> T^{Δn} takes, the part
 of the transposed map over x once, and assembles each map from those
 parts with C-level calls.  A level's cells are named, and their faces
-gathered, a whole level at a time.  The functors on Ho read two tables
-that each exponential derives once from its ``ho``: the Ho morphism of
-every level-1 code tuple (``Exponential.ho_morphisms``) and the code
-tuple of every morphism's representative (``Exponential.ho_reps``).  So
-a morphism costs one transport of its representative and one lookup.
+gathered, a whole level at a time.  So are the functors on Ho:
+:func:`transport` sends a batch of code tuples through a map a column at a
+time, and each exponential keeps the code tuples of its Ho objects and of
+its morphisms' representatives (``Exponential.ho_batches``), beside the
+morphism of every level-1 code tuple (``Exponential.ho_morphisms``).  So
+a functor on Ho costs two transports and one lookup per object and morphism.
 """
 
 from __future__ import annotations
@@ -74,11 +75,12 @@ from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
-    delta_map,
+    compose_words,
     insert_letter,
     map_codes,
     product,
     standard_simplex,
+    weak_seq_to_word,
 )
 from .util import Budget, ensure_budget, memo
 
@@ -152,8 +154,8 @@ class Exponential:
         self.S_t, self.products = frame.S_t, frame.products
         self.T_t = T_t = T.truncate(level)
         self.name = name or f"({T.name}^{S.name})"
-        # id x σj on the code tuples of the maps into T_t
-        self._degeneracies = {n: [coded_gather(plan, P, T_t) for plan in frame.degeneracies[n]]
+        # id x σj on the code tuples of the maps into T_t, as transport columns
+        self._degeneracies = {n: [plan_columns(plan, P, T_t) for plan in frame.degeneracies[n]]
                               for n, P in self.products.items() if n}
 
         # a path object is an exponential, so it exists only at levels 2..3;
@@ -183,7 +185,7 @@ class Exponential:
                 bases = [e.base for e in inner]
                 for j, degenerate in enumerate(self._degeneracies[n]):
                     lifted = {w: insert_letter(j, w) for w in set(words)}
-                    known.update(zip(map(degenerate, raw[n - 1]),
+                    known.update(zip(transport(raw[n - 1], degenerate),
                                      map(SimplexExpr, map(lifted.__getitem__, words), bases)))
             new = [codes for codes in raw[n] if codes not in known]
             ids = levels[n] = [f"c{n}_{i}" for i in range(len(new))]
@@ -256,6 +258,14 @@ class Exponential:
         rows = self.code_rows(1)
         return {m: rows[c] for m, c in self.ho.rep_codes.items()}
 
+    @cached_property
+    def ho_batches(self) -> tuple:
+        """The code tuples of ``ho``'s objects and of its non-identity
+        morphisms' representatives, in category order, for :func:`induced_functor`."""
+        C, codes = self.ho.category, self.cell_codes
+        return ([codes[x][1] for x in C.objects],
+                list(map(self.ho_reps.__getitem__, C.nonidentity())))
+
     def ho_morphism(self, codes: tuple) -> str:
         """The morphism of ``ho`` that the level-1 map with these codes represents."""
         m = self.ho_morphisms.get(codes)
@@ -282,7 +292,7 @@ class Exponential:
         n, codes = self.cell_codes[e.base]
         for j in reversed(e.word):
             n += 1
-            codes = self._degeneracies[n][j](codes)
+            (codes,) = transport([codes], self._degeneracies[n][j])
         return codes
 
     def map_of(self, e: SimplexExpr) -> SimplicialMap:
@@ -304,8 +314,8 @@ class ExponentFrame:
     n <= k.  The shape maps id x δi: S_t x Δ(n-1) -> S_t x Δn and
     id x σj: S_t x Δn -> S_t x Δ(n-1) are compiled into index plans over
     the canonical cell orders.  id x δi sends nondegenerate cells to
-    nondegenerate cells, so ``faces[n][i]`` picks the image tuple (or the
-    code tuple) of the i-th face of a level-n map straight out of the map's;
+    nondegenerate cells, so ``faces[n][i]`` picks the code tuple of the i-th
+    face of a level-n map straight out of the map's, one tuple at a time;
     ``degeneracies[n][j]`` lists, per cell of S_t x Δn, the slot and the
     degeneracy word of its image under id x σj.  Built once per exponent,
     level and height by :func:`exponent_frame`; building it charges no steps.
@@ -323,10 +333,17 @@ class ExponentFrame:
                 tuple(t if t <= j else t - 1 for t in range(n + 1)), n, n - 1) for j in range(n)]
 
     def _plan(self, alpha: tuple, m: int, n: int) -> tuple:
-        """id_S x (alpha: [m] -> [n]) as (slot, word) per cell of S_t x Δm."""
+        """id_S x (alpha: [m] -> [n]) as (slot, word) per cell of S_t x Δm:
+        s_w y, y on the vertices c (digits, as n <= 3), goes to s_w of the
+        simplex that ``weak_seq_to_word`` reads off alpha . c."""
         Pm, Pn = self.products[m], self.products[n]
-        dm = delta_map(alpha, m, n, max(m, n, Pm.right.dim_bound, Pn.right.dim_bound))
-        return slot_plan(Pm, Pn, lambda e1, e2: Pn.pair_expr(e1, dm.apply(e2)))
+
+        def image(e1: SimplexExpr, e2: SimplexExpr) -> SimplexExpr:
+            word, strict = weak_seq_to_word([alpha[int(v)] for v in e2.base])
+            return Pn.pair_expr(e1, SimplexExpr(compose_words(e2.word, word),
+                                                "".join(map(str, strict))))
+
+        return slot_plan(Pm, Pn, image)
 
 
 def slot_plan(P: ProductSSet, Q: TruncatedSSet, image) -> tuple:
@@ -337,33 +354,32 @@ def slot_plan(P: ProductSSet, Q: TruncatedSSet, image) -> tuple:
     return tuple((index[e.base], e.word) for e in (image(*pair_of[x]) for x in P.cells))
 
 
-def coded_gather(plan: tuple, P: TruncatedSSet, T: TruncatedSSet):
-    """f by its :func:`slot_plan`, P its source, compiled against T: the
-    function sending the code tuple of a map mu into T to that of mu . f.
+def plan_columns(plan: tuple, P: TruncatedSSet, T: TruncatedSSet) -> list:
+    """A :func:`slot_plan` out of P as :func:`transport` columns against T:
+    per cell of P, its slot and the codes of the degenerate simplices of T
+    that its word makes, or None for the empty word."""
+    return [(s, T.degeneracy_codes(w, P.dim_of[x] - len(w)) if w else None)
+            for (s, w), x in zip(plan, P.cells)]
 
-    The slot of a cell x of P is gathered and sent through the codes of T's
-    degenerate simplices that x's degeneracy word makes of it.  The cells
-    with an empty word are only gathered; the others are gathered apart and
-    sent through those codes, and the two parts are laid back in cell order.
+
+def transport(batch: list, columns: list) -> list:
+    """Every code tuple of ``batch`` sent through ``columns``, in order.
+
+    ``columns`` lists, per slot of an image, the slot of the source tuple it
+    reads and the table its codes go through, or None to keep them.  The
+    batch is transposed once, each column is reused or mapped through its
+    table, and the columns are zipped back into tuples.
     """
-    moved = [p for p, (_, w) in enumerate(plan) if w]
-    if not moved:
-        return _gather(tuple(s for s, _ in plan))
-    kept = [p for p, (_, w) in enumerate(plan) if not w]
-    ups = tuple(T.degeneracy_codes(plan[p][1], P.dim_of[P.cells[p]] - len(plan[p][1]))
-                for p in moved)
-    plain = _gather(tuple(plan[p][0] for p in kept))
-    shifted = _gather(tuple(plan[p][0] for p in moved))
-    where = {p: i for i, p in enumerate(kept + moved)}
-    back = _gather(tuple(map(where.__getitem__, range(len(plan)))))
-    return lambda codes: back(plain(codes) + tuple(map(getitem, ups, shifted(codes))))
+    if not batch or not columns:
+        return [()] * len(batch)
+    source = list(zip(*batch))
+    return list(zip(*[source[s] if table is None else map(table.__getitem__, source[s])
+                      for s, table in columns]))
 
 
 def _gather(slots: tuple):
     """The function picking the entries at ``slots`` out of a tuple, as a tuple."""
-    if len(slots) == 1:
-        return lambda images: (images[slots[0]],)
-    return itemgetter(*slots) if slots else lambda images: ()
+    return itemgetter(*slots) if len(slots) > 1 else lambda c: tuple(map(c.__getitem__, slots))
 
 
 @memo
@@ -389,18 +405,22 @@ def path_object(T: TruncatedSSet, delta: TruncatedSSet, level: int,
 def induced_functor(E1: Exponential, E2: Exponential, image, name: str) -> Functor:
     """The functor Ho(E1) -> Ho(E2) induced by a transport of cells.
 
-    ``image(codes, level)`` sends the code tuple of a level-0 or level-1
-    cell of E1 to the code tuple of a cell of E2 at the same level; one that
-    is not a cell is a ``KeyError`` naming E2.  Objects go to the image
-    vertices, morphisms to the classes of the images of their
-    representatives: one transport and one lookup in E2's ``ho_morphisms``
-    per morphism, out of E1's ``ho_reps``.  Nothing is decoded or located.
+    ``image(batch, level)`` sends a list of code tuples of level-0 or
+    level-1 cells of E1 to the list of those of their images, cells of E2 at
+    the same level; a tuple that is not a cell is a ``KeyError`` naming E2.
+    It gets E1's ``ho_batches``: every object's code tuple, then every
+    representative's, in one call each.  Objects go to the image vertices,
+    morphisms to the classes of the images of their representatives, one
+    lookup each.  Nothing is decoded or located.
     """
-    ho1, ho2 = E1.ho, E2.ho
-    codes, reps = E1.cell_codes, E1.ho_reps
-    ob = {c: E2.expr_at(0, image(codes[c][1], 0)).base for c in ho1.category.objects}
-    mor = {m: E2.ho_morphism(image(reps[m], 1)) for m in ho1.category.nonidentity()}
-    return Functor(ho1.category, ho2.category, ob, mor, name)
+    C = E1.ho.category
+    vertices, morphisms = map(image, E1.ho_batches, (0, 1))
+    try:
+        ob = dict(zip(C.objects, [E2.to_expr[0][codes].base for codes in vertices]))
+        mor = dict(zip(C.nonidentity(), map(E2.ho_morphisms.__getitem__, morphisms)))
+    except KeyError:
+        raise KeyError(f"map is not a cell of {E2.name}") from None
+    return Functor(C, E2.ho.category, ob, mor, name)
 
 
 # ---------------------------------------------------------------------------

@@ -24,16 +24,19 @@ base: the sample owns its members' nerves (and through them the exponent
 frames), the restriction plans, which compile N(u) x Δl into index plans
 over the frames' cell orders, and likewise the transports through the
 mates of the listed 2-cells.  Compiled against a base, a plan sends the
-code tuple of a cell to that of its image, so u* of every base over the
-sample is one coded gather per cell, and so is a component of alpha*.  The
-strict-morphism search likewise builds each listed functor's fibre tables
-once per call, and the functor search out of a category follows the
-category's own ``search_plan``.
+code tuples of a whole batch of cells to those of their images a column at
+a time (:func:`qcatkit.mapping.transport`), so u* of every base over the
+sample is two transports, one per level, and alpha* is one.  The
+strict-morphism search likewise keeps the fibre tables of the restrictions
+it reads and builds its image pools a table at a time, and the functor
+search out of a category follows the category's own ``search_plan``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import compress, repeat
+from operator import and_, ne
 from pathlib import Path
 
 from .cats import (
@@ -63,7 +66,8 @@ from .cats import (
     vertical_compose,
 )
 from .delocalization import SimplexCategory
-from .mapping import Exponential, coded_gather, full_degeneracy, induced_functor, slot_plan
+from .mapping import (Exponential, full_degeneracy, induced_functor, plan_columns, slot_plan,
+                      transport)
 from .nerve import chain_shape_iso, nerve, nerve_map, nerve_product_compare_inv
 from .simplicial import (
     SimplexExpr,
@@ -164,9 +168,9 @@ class DiaSample:
         """N(J) x Δ1 -> N(K) x Δ0 through the mate of alpha: J x [1] -> K, as
         the :func:`qcatkit.mapping.slot_plan` over the frames of dj (over
         N(J)) and dk (over N(K)); built once per transformation and pair of
-        frames.  Its :func:`qcatkit.mapping.coded_gather` against a base
-        sends the code tuple of a vertex mu of Q^{N(K)} to that of the
-        level-1 cell of Q^{N(J)} that mu precomposed with the transport is."""
+        frames.  Its :func:`qcatkit.mapping.transport` against a base sends
+        the code tuples of vertices mu of Q^{N(K)} to those of the level-1
+        cells of Q^{N(J)} that the mu precomposed with the transport are."""
         key = (alpha.key(), dj.frame, dk.frame)
         plan = self._transports.get(key)
         if plan is None:
@@ -378,14 +382,14 @@ class Prederivator:
         for name in s.order:
             report.checked += 1
             img = self.on_functor(s.functors[f"id_{name}"])
-            if img.key() != identity_functor(self.eval(name)).key():
+            if not _same(img, identity_functor(self.eval(name))):
                 report.add(f"identity of {name} not preserved")
         for n2, n1 in s.composable_functor_pairs():
             u, v = s.functors[n1], s.functors[n2]
             report.checked += 1
             lhs = self.on_functor(compose_functors(v, u))
             rhs = compose_functors(self.on_functor(u), self.on_functor(v))
-            if lhs.key() != rhs.key():
+            if not _same(lhs, rhs):
                 report.add(f"composition {n2} o {n1} not respected")
         for name, a in sorted(s.nats.items()):
             report.checked += 1
@@ -394,7 +398,7 @@ class Prederivator:
                 report.add(f"image of {name} is not natural")
             usrc = self.on_functor(a.source)
             udst = self.on_functor(a.target)
-            if img.source.key() != usrc.key() or img.target.key() != udst.key():
+            if not (_same(img.source, usrc) and _same(img.target, udst)):
                 report.add(f"image of {name} has wrong endpoints")
         # vertical composition on composable listed nat pairs
         for n1, a in sorted(s.nats.items()):
@@ -404,7 +408,7 @@ class Prederivator:
                 report.checked += 1
                 lhs = self.on_nat(vertical_compose(b, a))
                 rhs = vertical_compose(self.on_nat(b), self.on_nat(a))
-                if lhs.key()[2] != rhs.key()[2]:
+                if lhs.components != rhs.components:
                     report.add(f"vertical composition {n2} . {n1} not respected")
         # horizontal composition on listed nat pairs with matching middles
         for n1, a in sorted(s.nats.items()):
@@ -414,9 +418,13 @@ class Prederivator:
                 report.checked += 1
                 lhs = self.on_nat(horizontal_compose(b, a))
                 rhs = horizontal_compose(self.on_nat(a), self.on_nat(b))
-                if lhs.key()[2] != rhs.key()[2]:
+                if lhs.components != rhs.components:
                     report.add(f"horizontal composition {n2} * {n1} not respected")
         return report
+
+
+def _same(F: Functor, G: Functor) -> bool:
+    return F.ob == G.ob and F.mor == G.mor  # equal key()s, unsorted
 
 
 class Restriction:
@@ -424,8 +432,9 @@ class Restriction:
 
     ``plans[l]`` is the map's :func:`qcatkit.mapping.slot_plan` over the
     canonical cell orders of the two frames' products.  It depends on the
-    shapes alone; its :func:`qcatkit.mapping.coded_gather` against a base Q
-    sends the code tuple of a cell mu of Q^{N(K)} to that of mu . N(u) x Δl.
+    shapes alone; compiled against a base Q (:func:`qcatkit.mapping.plan_columns`)
+    it transports the code tuples of cells mu of Q^{N(K)} to those of the
+    mu . N(u) x Δl, a batch at a time (:func:`qcatkit.mapping.transport`).
     """
 
     def __init__(self, nu: SimplicialMap, source_products: dict, target_products: dict):
@@ -439,10 +448,11 @@ class Restriction:
 class HoPrederivator(Prederivator):
     """The prederivator of a quasicategory: J -> Ho(Q^{N(J)}).
 
-    u*: Ho(Q^{N(K)}) -> Ho(Q^{N(J)}) precomposes each cell with
-    N(u) x Δl through the sample's :class:`Restriction` of u, which
-    depends on the shapes alone and so is built once for every base over
-    the sample.
+    u*: Ho(Q^{N(K)}) -> Ho(Q^{N(J)}) precomposes cells with N(u) x Δl
+    through the sample's :class:`Restriction` of u, which depends on the
+    shapes alone and so is built once for every base over the sample.  The
+    objects of Ho(Q^{N(K)}) go through in one batch, the representatives of
+    its morphisms in another, and alpha* transports the objects likewise.
     """
 
     def __init__(self, Q: TruncatedSSet, sample: DiaSample, budget: Budget = None):
@@ -468,19 +478,19 @@ class HoPrederivator(Prederivator):
     def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
         # contravariant: u: J -> K induces u*: eval(K) -> eval(J)
         dj, dk = self.data(src), self.data(dst)
-        restrict = {level: coded_gather(plan, dj.products[level], dj.T_t)
-                    for level, plan in self.sample.restriction(u, dj, dk).plans.items()}
-        return induced_functor(dk, dj, lambda codes, level: restrict[level](codes),
-                               f"{self.name}({u.name})*")
+        plans = self.sample.restriction(u, dj, dk).plans
+        return induced_functor(dk, dj, lambda batch, level: transport(
+            batch, plan_columns(plans[level], dj.products[level], dj.T_t)),
+            f"{self.name}({u.name})*")
 
     def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
         ustar = self.on_functor(alpha.source)
         vstar = self.on_functor(alpha.target)
         dj, dk = self._data[src], self._data[dst]
         # each component precomposes the sample's transport through the mate
-        transport = coded_gather(self.sample.transport(alpha, dj, dk), dj.products[1], dj.T_t)
-        comps = {c: dj.ho_morphism(transport(dk.cell_codes[c][1]))
-                 for c in dk.ho.category.objects}
+        columns = plan_columns(self.sample.transport(alpha, dj, dk), dj.products[1], dj.T_t)
+        comps = dict(zip(dk.ho.category.objects,
+                         map(dj.ho_morphism, transport(dk.ho_batches[0], columns))))
         return NatTransf(ustar, vstar, comps, f"{self.name}({alpha.name})*")
 
 
@@ -841,11 +851,12 @@ def check_strict(F: StrictMorphism) -> ValidationReport:
 
 
 def _commutes(F_src: Functor, u1: Functor, u2: Functor, F_dst: Functor) -> bool:
-    """F_src . u1 = u2 . F_dst, compared on u1's object and morphism maps,
-    read off the functors' ``images`` tables."""
-    src, dst = F_src.images, u2.images
-    return (all(F_src.ob[y] == u2.ob[F_dst.ob[x]] for x, y in u1.ob.items())
-            and all(src[y] == dst[F_dst.mor[m]] for m, y in u1.mor.items()))
+    """F_src . u1 = u2 . F_dst on u1's object and morphism tables, a table at a time."""
+    ob, mor = u1.ob, u1.mor
+    return (list(map(F_src.ob.__getitem__, ob.values()))
+            == list(map(u2.ob.__getitem__, map(F_dst.ob.__getitem__, ob)))
+            and list(map(F_src.images.__getitem__, mor.values()))
+            == list(map(u2.images.__getitem__, map(F_dst.mor.__getitem__, mor))))
 
 
 def check_modification(Xi: Modification) -> ValidationReport:
@@ -899,8 +910,9 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
 
     Backtracks over the sample in declaration order; commutation with every
     listed functor between already-placed shapes prunes the search.  The
-    functors are read through their ``images`` tables, one morphism per
-    lookup.
+    image pools that the placed components impose on the next one are
+    built a table at a time from the functors' ``ob`` and ``images``, and
+    intersected key by key (:func:`_meet`).
     """
     budget = ensure_budget(budget, f"strict morphisms {D1.name} -> {D2.name}")
     s = D1.sample
@@ -910,66 +922,46 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
                         if src in shapes and dst in shapes]
     components: dict = {}
     results = []
-    fibres: dict = {}  # listed u -> D2's u* as fibre tables over objects and morphisms
-
-    def fibres_of(u, CJ2: FiniteCategory) -> tuple:
-        hit = fibres.get(u)
-        if hit is None:
-            u2 = D2.on_functor(u)
-            by_ob: dict = {}
-            for Y in CJ2.objects:
-                by_ob.setdefault(u2.ob[Y], set()).add(Y)
-            by_mor: dict = {}
-            images = u2.images
-            for mm in CJ2.morphisms:
-                by_mor.setdefault(images[mm], set()).add(mm)
-            hit = fibres[u] = ({y: frozenset(xs) for y, xs in by_ob.items()},
-                               {m: frozenset(ms) for m, ms in by_mor.items()})
-        return hit
 
     def allowed_images(J_name: str):
         """Per-object and per-morphism image pools from placed components.
 
         A listed u: K -> J with K placed pins the whole restriction of the
-        J-component; u: J -> K with K placed pins it on the image of the
-        restriction.  Both cut the functor search to near-singletons.  The
-        fibres of D2's u* are built once per call, and each use charges one
-        step per object of D2 at J, as building them does.
+        J-component: its pools are the fibres of all such u* of D2 together
+        (:func:`_fibres`), each u charging one step per object of D2 at J.
+        A listed u: J -> K with K placed pins it on the image of the
+        restriction, one step per object of D1 at K.  Both cut the functor
+        search to near-singletons.
         """
         CJ1 = D1.eval(J_name)
         CJ2 = D2.eval(J_name)
+        objects, nonid = CJ1.objects, CJ1.nonidentity()
         ob_allowed: dict = {}
         mor_allowed: dict = {}
-
-        def cut_ob(x, pool):
-            prev = ob_allowed.get(x)
-            ob_allowed[x] = pool if prev is None else prev & pool
-
-        def cut_mor(m, pool):
-            prev = mor_allowed.get(m)
-            mor_allowed[m] = pool if prev is None else prev & pool
-
+        into, obs, mors = [], [], []  # per u: K -> J, D2's u* and the images it must give
         for u, src, dst in functors_between:
             if dst == J_name and src in components and src != J_name:
                 u1 = D1.on_functor(u)
                 Fsrc = components[src]
                 budget.spend(len(CJ2.objects))
-                by_ob, by_mor = fibres_of(u, CJ2)
-                for X in CJ1.objects:
-                    cut_ob(X, by_ob.get(Fsrc.ob[u1.ob[X]], frozenset()))
-                along, into = u1.images, Fsrc.images
-                for m in CJ1.nonidentity():
-                    cut_mor(m, by_mor.get(into[along[m]], frozenset()))
+                into.append(D2.on_functor(u))
+                obs.append(map(Fsrc.ob.__getitem__, map(u1.ob.__getitem__, objects)))
+                mors.append(map(Fsrc.images.__getitem__, map(u1.images.__getitem__, nonid)))
             elif src == J_name and dst in components and dst != J_name:
                 u1 = D1.on_functor(u)
                 u2 = D2.on_functor(u)
                 Fdst = components[dst]
-                for Z in Fdst.source.objects:
-                    budget.spend()
-                    cut_ob(u1.ob[Z], {u2.ob[Fdst.ob[Z]]})
-                along, into, image = u1.images, u2.images, Fdst.images
-                for m in Fdst.source.nonidentity():
-                    cut_mor(along[m], {into[image[m]]})
+                zs, ms = Fdst.source.objects, Fdst.source.nonidentity()
+                budget.spend_each(len(zs))
+                _meet(ob_allowed, _pins(map(u1.ob.__getitem__, zs),
+                                        map(u2.ob.__getitem__, map(Fdst.ob.__getitem__, zs))))
+                _meet(mor_allowed, _pins(map(u1.images.__getitem__, ms),
+                                         map(u2.images.__getitem__,
+                                             map(Fdst.images.__getitem__, ms))))
+        if into:
+            by_ob, by_mor = _fibres(D2, tuple(into))
+            _meet(ob_allowed, dict(zip(objects, map(by_ob.get, zip(*obs), repeat(frozenset())))))
+            _meet(mor_allowed, dict(zip(nonid, map(by_mor.get, zip(*mors), repeat(frozenset())))))
         return ob_allowed, mor_allowed
 
     def consistent(J_name: str) -> bool:
@@ -1015,6 +1007,33 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
     walk(0)
     results.sort(key=lambda F: F.key())
     return results
+
+
+@memo
+def _fibres(D: Prederivator, us: tuple) -> tuple:
+    """The objects and morphisms of a value of D by their images under ``us``; kept on D."""
+    fibres: tuple = ({}, {})
+    for preimages, tables in zip(fibres, ([u.ob for u in us], [u.images for u in us])):
+        for x in tables[0]:
+            preimages.setdefault(tuple(t[x] for t in tables), set()).add(x)
+    return fibres
+
+
+def _meet(pools: dict, new: dict) -> None:
+    """Intersect ``pools`` with ``new`` key by key; a key new to ``pools`` takes new's."""
+    shared = list(filter(pools.__contains__, new))
+    met = list(map(and_, map(pools.__getitem__, shared), map(new.__getitem__, shared)))
+    pools.update(new)
+    pools.update(zip(shared, met))
+
+
+def _pins(keys, values) -> dict:
+    """Per key, the one value paired with it as a pool; empty if they differ."""
+    keys, pools = list(keys), list(map(frozenset, zip(values)))
+    pins = dict(zip(keys, pools))
+    pins.update(dict.fromkeys(compress(keys, map(ne, map(pins.__getitem__, keys), pools)),
+                              frozenset()))
+    return pins
 
 
 def strict_rigidity_check(D1: Prederivator, D2: Prederivator,

@@ -702,22 +702,6 @@ def empty_sset(D: int = 2) -> TruncatedSSet:
     return TruncatedSSet(D, {}, {}, coskeletal_from=0, name="empty")
 
 
-def delta_map(alpha, n: int, target_n: int, D: int) -> SimplicialMap:
-    """The map of standard simplices induced by a monotone vertex map.
-
-    ``alpha`` lists the images of 0..n inside 0..target_n.
-    """
-    src = standard_simplex(n, D)
-    tgt = standard_simplex(target_n, D)
-    assignment = {}
-    for k in range(min(n, D) + 1):
-        for c in combinations(range(n + 1), k + 1):
-            seq = [alpha[v] for v in c]
-            word, strict = weak_seq_to_word(seq)
-            assignment[_tuple_id(c)] = SimplexExpr(word, _tuple_id(strict))
-    return SimplicialMap(src, tgt, assignment)
-
-
 # ---------------------------------------------------------------------------
 # products
 

@@ -15,11 +15,10 @@ shape that fails.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from operator import getitem
 from pathlib import Path
 
 from .cats import Functor, equivalence_inverse
-from .mapping import Exponential, induced_functor, mapping_space
+from .mapping import Exponential, induced_functor, mapping_space, transport
 from .nerve import ho, require_quasicategory
 from .prederivator import HoPrederivator, StrictMorphism, standard_sample
 from .simplicial import (
@@ -39,10 +38,9 @@ def _postcomposition(f: SimplicialMap, E1: Exponential, E2: Exponential, name: s
     of its cell, so f acts on it through its level-d code table: ``E1.T_t``
     and ``E2.T_t`` are f's ends truncated, with the same tables up to there.
     """
-    slots = [[f.code_table(P.dim_of[x]) for x in P.cells]
-             for P in (E1.products[0], E1.products[1])]
-    return induced_functor(E1, E2, lambda codes, level: tuple(map(getitem, slots[level], codes)),
-                           name)
+    columns = [list(enumerate(f.code_table(P.dim_of[x]) for x in P.cells))
+               for P in (E1.products[0], E1.products[1])]
+    return induced_functor(E1, E2, lambda batch, level: transport(batch, columns[level]), name)
 
 
 class Verdict:

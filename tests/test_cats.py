@@ -4,6 +4,8 @@ import re
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcatkit.cats import (
     FiniteCategory,
@@ -36,7 +38,7 @@ from qcatkit.cats import (
 )
 from qcatkit.corpus import add_idempotent, corpus_categories
 from qcatkit.nerve import ho, nerve
-from qcatkit.util import Budget
+from qcatkit.util import Budget, BudgetExceeded, ensure_budget
 
 
 def monotone_maps(m, n):
@@ -98,6 +100,124 @@ def test_functor_search_plan_is_kept():
     # every composite is checked once, at the placement that completes it
     checked = [t for _, ends, last in K.search_plan if ends for t in last]
     assert sorted(checked) == sorted((g, f, h) for (g, f), h in K.compose_table.items())
+
+
+def reference_functors(K, J, budget=None, ob_allowed=None, mor_allowed=None):
+    """The functor search as it was before the flat loop: recursive over K's
+    ``search_plan``, one ``budget.spend()`` per candidate and per composite."""
+    budget = ensure_budget(budget)
+    ob_allowed = ob_allowed or {}
+    mor_allowed = mor_allowed or {}
+    plan = K.search_plan
+    nonid = K.nonidentity()
+    ob: dict = {}
+    image: dict = {}
+    results = []
+
+    def consistent(triples) -> bool:
+        for g, f, h in triples:
+            budget.spend()
+            if J.compose(image[g], image[f]) != image[h]:
+                return False
+        return True
+
+    def walk(pos):
+        if pos == len(plan):
+            results.append(Functor(K, J, ob, {m: image[m] for m in nonid}))
+            return
+        name, ends, last = plan[pos]
+        if ends is None:
+            pool = ob_allowed.get(name)
+            for y in (J.objects if pool is None else sorted(pool)):
+                budget.spend()
+                ob[name] = y
+                image[last] = J.identities[y]
+                walk(pos + 1)
+        else:
+            pool = mor_allowed.get(name)
+            for y in J.hom(ob[ends[0]], ob[ends[1]]):
+                if pool is not None and y not in pool:
+                    continue
+                budget.spend()
+                image[name] = y
+                if consistent(last):
+                    walk(pos + 1)
+
+    walk(0)
+    results.sort(key=lambda F: F.key())
+    return results
+
+
+def assert_searches_agree(K, J, limit=None, ob_allowed=None, mor_allowed=None):
+    """Both searches under a budget of ``limit`` (none if None): the same
+    functors in the same order, or both raise; the same ``used`` either way.
+    Returns the steps charged."""
+    outcomes = []
+    for search in (enumerate_functors, reference_functors):
+        budget = Budget() if limit is None else Budget(limit)
+        try:
+            found = [(F.key(), list(F.ob.items()), list(F.mor.items()))
+                     for F in search(K, J, budget, ob_allowed, mor_allowed)]
+        except BudgetExceeded:
+            found = "exceeded"
+        outcomes.append((found, budget.used))
+    assert outcomes[0] == outcomes[1], (K.name, J.name, limit)
+    return outcomes[0][1]
+
+
+SEARCH_CATEGORIES = {"[1]": lambda: poset_simplex(1), "[2]": lambda: poset_simplex(2),
+                     "z2": group_z2, "E": contractible_groupoid, "d[2]": boundary_two}
+
+
+def test_flat_functor_search_matches_the_recursive_one():
+    cases = 0
+    for k, make_K in SEARCH_CATEGORIES.items():
+        for j, make_J in SEARCH_CATEGORIES.items():
+            K, J = make_K(), make_J()
+            total = assert_searches_agree(K, J)
+            # every limit up to the steps it takes and one past: a raise at
+            # the same used, then the full answer
+            for limit in range(total + 2):
+                assert_searches_agree(K, J, limit)
+            cases += 1 + total + 2
+    assert cases == 831
+
+
+def poset(n: int, below: set) -> FiniteCategory:
+    """The poset on 0..n-1 generated by ``below`` (pairs i < j), as a category."""
+    le = {(i, i) for i in range(n)} | set(below)
+    for k in range(n):
+        le |= {(i, j) for i, m in le for m2, j in le if m == m2 == k}
+    compose = {(f"m{j}{k}", f"m{i}{j}"): f"m{i}{k}"
+               for i, j in le for j2, k in le if j == j2 and i != j != k}
+    return FiniteCategory([str(i) for i in range(n)],
+                          {f"m{i}{j}": (str(i), str(j)) for i, j in le}, compose,
+                          {str(i): f"m{i}{i}" for i in range(n)}, f"P{n}")
+
+
+@st.composite
+def posets(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return poset(n, draw(st.sets(st.sampled_from(pairs))) if pairs else set())
+
+
+def pools(names, values):
+    """A strategy for pools on some of ``names``, each a set of ``values``."""
+    if not names or not values:
+        return st.just({})
+    return st.dictionaries(st.sampled_from(names), st.sets(st.sampled_from(values)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_flat_functor_search_matches_the_recursive_one_on_posets(data):
+    K, J = data.draw(posets()), data.draw(posets())
+    ob_allowed = data.draw(pools(K.objects, J.objects))
+    mor_allowed = data.draw(pools(K.nonidentity(), sorted(J.morphisms)))
+    total = assert_searches_agree(K, J, None, ob_allowed, mor_allowed)
+    assert_searches_agree(K, J, data.draw(st.integers(min_value=0, max_value=total + 1)),
+                          ob_allowed, mor_allowed)
 
 
 class TestBuilders:

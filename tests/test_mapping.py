@@ -4,6 +4,7 @@ import gc
 import hashlib
 import re
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -19,19 +20,20 @@ from qcatkit.cats import (
 from qcatkit.mapping import (
     ExactnessError,
     Exponential,
-    coded_gather,
     full_degeneracy,
     induced_functor,
     kan_check,
     mapping_space,
     path_object,
+    plan_columns,
+    transport,
 )
 from qcatkit.nerve import ho, is_quasicategory, nerve
 from qcatkit.prederivator import HoPrederivator, standard_sample
 from qcatkit.simplicial import (
     SimplexExpr,
+    SimplicialMap,
     compose_maps,
-    delta_map,
     empty_sset,
     enumerate_maps,
     extensions,
@@ -40,6 +42,7 @@ from qcatkit.simplicial import (
     sset_from_text,
     sset_to_text,
     standard_simplex,
+    weak_seq_to_word,
 )
 from qcatkit.util import Budget, UnionFind
 
@@ -57,6 +60,26 @@ def assert_matches_direct_search(E):
     D = Exponential(E.base, E.exponent, E.k, pinned={})
     assert sset_to_text(E.sset) == sset_to_text(D.sset)
     assert E.to_expr == D.to_expr
+
+
+def delta_map(alpha, n: int, target_n: int, D: int) -> SimplicialMap:
+    """The map of standard simplices induced by a monotone vertex map: each
+    simplex of Δn, on the vertices c, goes to the simplex that the weakly
+    increasing alpha . c presents.  ``alpha`` lists the images of 0..n."""
+    assignment = {}
+    for k in range(min(n, D) + 1):
+        for c in combinations(range(n + 1), k + 1):
+            word, strict = weak_seq_to_word([alpha[v] for v in c])
+            assignment["".join(map(str, c))] = SimplexExpr(word, "".join(map(str, strict)))
+    return SimplicialMap(standard_simplex(n, D), standard_simplex(target_n, D), assignment)
+
+
+def gather_one(codes, plan, P, T):
+    """The code tuple of mu . f for the code tuple of mu, f given by its slot
+    plan out of P, one tuple at a time: each cell's slot, sent through the
+    codes of T's degenerate simplices that the cell's word makes."""
+    return tuple(T.degeneracy_codes(w, P.dim_of[x] - len(w))[codes[s]] if w else codes[s]
+                 for (s, w), x in zip(plan, P.cells))
 
 
 def shape_map(E, alpha, m, n):
@@ -277,14 +300,16 @@ class TestExponential:
 
     def test_induced_functor_rejects_an_image_that_is_not_a_cell(self):
         E = Exponential(nerve(poset_simplex(1), 3), nerve(poset_simplex(1), 2), 2)
+        def shifted(by):
+            return lambda batch, level: [tuple(c + by(level) for c in codes) for codes in batch]
+
         # codes past the end of every level table name no simplex at all
         with pytest.raises(KeyError, match=re.escape(f"map is not a cell of {E.name}")):
-            induced_functor(E, E, lambda codes, level: tuple(c + 1000 for c in codes), "bad")
+            induced_functor(E, E, shifted(lambda level: 1000), "bad")
         # the objects go through, the morphisms do not
         with pytest.raises(KeyError, match=re.escape(f"map is not a cell of {E.name}")):
-            induced_functor(E, E, lambda codes, level: tuple(c + 1000 * level for c in codes),
-                            "bad")
-        assert induced_functor(E, E, lambda codes, level: codes, "id").validate().ok
+            induced_functor(E, E, shifted(lambda level: 1000 * level), "bad")
+        assert induced_functor(E, E, lambda batch, level: batch, "id").validate().ok
 
     def test_locate_keeps_the_levels_of_the_empty_exponent_apart(self):
         # every level has one map, with the empty image tuple
@@ -382,11 +407,13 @@ class TestHoTables:
                 continue
             dj, dk = D.data(src), D.data(dst)
             plan = sample.restriction(u, dj, dk).plans[1]
-            restrict = coded_gather(plan, dj.products[1], dj.T_t)
             F = D.on_functor(u)
-            for m in dk.ho.category.nonidentity():
-                e = dj.expr_at(1, restrict(dk.codes_of(dk.ho.reps[m])))
-                assert F.on_morphism(m) == dj.ho.cls(e), (name, m)
+            nonid = dk.ho.category.nonidentity()
+            reps = [dk.codes_of(dk.ho.reps[m]) for m in nonid]
+            moved = transport(reps, plan_columns(plan, dj.products[1], dj.T_t))
+            assert moved == [gather_one(codes, plan, dj.products[1], dj.T_t) for codes in reps]
+            for m, codes in zip(nonid, moved):
+                assert F.on_morphism(m) == dj.ho.cls(dj.expr_at(1, codes)), (name, m)
             checked.append(name)
         assert len(checked) == 32
 

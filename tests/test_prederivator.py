@@ -34,6 +34,8 @@ from qcatkit.prederivator import (
     HoPrederivator,
     Modification,
     StrictMorphism,
+    _meet,
+    _pins,
     check_der1,
     check_der5,
     check_modification,
@@ -162,8 +164,8 @@ class TestHoPrederivator:
 def per_cell_restriction(D, u):
     """u* built cell by cell: each cell mu of HO(Q)(K) goes to the map
     (e1|e2) -> mu(N(u)(e1)|e2) out of N(J) x Δl, for u: J -> K.  The code
-    tuples are decoded to maps and the image map encoded again, so neither
-    the restriction plans nor their coded gathers take part."""
+    tuples are decoded to maps and the image map encoded again, one tuple at
+    a time, so neither the restriction plans nor their transports take part."""
     dj, dk = (D.data(end) for end in D.sample.ends(u))
     nu = nerve_map(u, dj.exponent, dk.exponent)
     # the cell (N(u)(e1)|e2) of N(K) x Δl, once per cell (e1|e2) of N(J) x Δl
@@ -175,7 +177,8 @@ def per_cell_restriction(D, u):
         return dj.products[level].map_pairs(
             dj.T_t, lambda e1, e2: mu.apply(under[level][(e1, e2)])).images
 
-    return induced_functor(dk, dj, precompose, "per-cell")
+    return induced_functor(dk, dj, lambda batch, level: [precompose(codes, level)
+                                                         for codes in batch], "per-cell")
 
 
 @pytest.mark.parametrize("Q", [standard_simplex(0, 2), nerve(poset_simplex(1), 3),
@@ -436,6 +439,36 @@ class TestStrictMorphisms:
             budget = Budget()
             assert len(enumerate_strict_morphisms(D1, D2, budget)) == count
             assert budget.used == steps
+
+    def test_rigidity_steps_over_the_audit_bases(self):
+        # every HO value first, so each budget holds the search's steps alone
+        sample = standard_sample()
+        bases = [HoPrederivator(Q, sample) for Q in (
+            standard_simplex(0, 2), nerve(poset_simplex(1), 3), nerve(poset_simplex(2), 3),
+            nerve(group_z2(), 3))]
+        for D in bases:
+            for J in sample.order:
+                D.eval(J)
+        found = []
+        for D1 in bases:
+            for D2 in bases:
+                budget = Budget()
+                report = strict_rigidity_check(D1, D2, budget)
+                assert report.ok, (D1.name, D2.name)
+                found.append((budget.used, report.enumerated))
+        assert found == list(zip(
+            [131, 594, 2157, 269, 348, 1542, 5616, 980,
+             3906, 16288, 44940, 16254, 3901, 8134, 13467, 8295],
+            [1, 2, 3, 1, 1, 3, 6, 2, 1, 4, 10, 4, 1, 2, 3, 2]))
+        assert sum(used for used, _ in found) == 126822
+
+    def test_pools_are_met_key_by_key(self):
+        # a pin holds the one value its key is paired with, none on a clash
+        pins = _pins(["x", "y", "x", "z", "z"], [1, 2, 1, 3, 4])
+        assert pins == {"x": {1}, "y": {2}, "z": set()}
+        pools = {"x": {1, 2}, "w": {5}}
+        _meet(pools, pins)
+        assert pools == {"x": {1}, "y": {2}, "z": set(), "w": {5}}
 
     def test_all_enumerated_are_strict(self, d_point, d_interval):
         for F in enumerate_strict_morphisms(d_point, d_interval):

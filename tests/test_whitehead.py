@@ -141,10 +141,11 @@ class TestPrederivatorEquivalence:
 
 def postcomposed_map_by_map(f, E1, E2, name):
     """Ho(E1) -> Ho(E2), postcomposition with f: each code tuple is decoded,
-    composed with f and encoded again, so f's code tables take no part."""
+    composed with f and encoded again, one tuple at a time, so f's code
+    tables take no part."""
     f_t = SimplicialMap(E1.T_t, E2.T_t, f.assignment)
-    return induced_functor(E1, E2, lambda codes, level: compose_maps(
-        f_t, SimplicialMap(E1.products[level], E1.T_t, codes)).images, name)
+    return induced_functor(E1, E2, lambda batch, level: [compose_maps(
+        f_t, SimplicialMap(E1.products[level], E1.T_t, codes)).images for codes in batch], name)
 
 
 class TestCodedPostcomposition:
