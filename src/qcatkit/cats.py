@@ -80,10 +80,6 @@ class FiniteCategory:
     def _compose(self, g: str, f: str) -> str:
         if self.cod(f) != self.dom(g):
             raise ValueError(f"morphisms {g!r} and {f!r} are not composable")
-        if self.is_identity(f):
-            return g
-        if self.is_identity(g):
-            return f
         return self.compose_table[(g, f)]
 
     @memo

@@ -124,8 +124,8 @@ def cmd_check_qcat(args, report: Report) -> None:
 def cmd_der_audit(args, report: Report) -> None:
     S = _load_sset(args.sset)
     sample = _load_sample(args.sample)
-    D = HoPrederivator(S, sample, Budget(args.budget, "der audit"))
-    audits = der_audit(D)
+    budget = Budget(args.budget, "der audit")
+    audits = der_audit(HoPrederivator(S, sample, budget), budget)
     for name in sorted(audits):
         result = audits[name]
         status = "pass" if result.ok else "FAIL"

@@ -4,11 +4,13 @@ Everything the checks run on lives here: the simplicial-set
 corpus, its quasicategory members, single-face mutations that must fail
 validation, prederivator mutations that must each fail one axiom audit,
 and the labeled map corpus for the equivalence-agreement experiment.
+Every prederivator mutant is one ``PatchedPrederivator``: the base with
+its value, and both ends of its restrictions, replaced at one shape.
 The Der2, Der5 and Der5' mutants are 2-functors: the Der5 and Der5'
-mutants are full sub-prederivators, and the Der2 mutant patches both
-ends of every restriction at its shape.  The Der1 mutant collapses the
-value at a coproduct to a point and cannot be one: HO(! o inl) = id
-would have to factor through the point.
+mutants are full sub-prederivators (``full_sub_mutant``), and the Der2
+mutant patches both ends of every restriction at its shape.  The Der1
+mutant collapses the value at a coproduct to a point and cannot be one:
+HO(! o inl) = id would have to factor through the point.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .cats import (
     boundary_two,
     constant_functor,
     contractible_groupoid,
+    full_subcategory,
     group_z2,
     identity_functor,
     monotone_functor,
@@ -28,7 +31,7 @@ from .cats import (
 )
 from .mapping import full_degeneracy
 from .nerve import NerveSSet, nerve, nerve_map
-from .prederivator import FullSubPrederivator, HoPrederivator, Prederivator, dia_arrow
+from .prederivator import HoPrederivator, Prederivator, dia_arrow
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
@@ -200,12 +203,33 @@ def der2_mutation(base: HoPrederivator) -> Prederivator:
         f"{base.name}/der2-mutant")
 
 
+def full_sub_mutant(base: Prederivator, shape: str, keep, name: str) -> Prederivator:
+    """The full sub-prederivator of ``base`` on the objects ``keep`` at ``shape``.
+
+    Restrictions and 2-cells are those of the base, restricted at the
+    source and corestricted at the target; a restriction that leaves the
+    kept objects is a ``ValueError``.
+    """
+    sub = full_subcategory(base.eval(shape), keep)
+
+    def restrict(big: Functor) -> Functor:
+        return Functor(sub, big.target, {x: big.ob[x] for x in sub.objects},
+                       {m: big.mor[m] for m in sub.nonidentity()}, big.name)
+
+    def corestrict(big: Functor) -> Functor:
+        if not set(sub.objects).issuperset(big.ob.values()):
+            raise ValueError(f"{big.name} leaves the kept objects of {name} at {shape}")
+        return Functor(big.source, sub, big.ob, big.mor, big.name)
+
+    return PatchedPrederivator(base, shape, sub, restrict, corestrict, name)
+
+
 def _removal_mutation(base: HoPrederivator, arrow_picker, label: str) -> Prederivator:
     """The full sub-prederivator without the diagrams in [1] x [1] of one arrow."""
     src, on_object, _ = dia_arrow(base, "[1]")
     f0 = arrow_picker(base)
     keep = [X for X in src.objects if on_object(X) != f0]
-    return FullSubPrederivator(base, {"[1]x[1]": keep}, f"{base.name}/{label}")
+    return full_sub_mutant(base, "[1]x[1]", keep, f"{base.name}/{label}")
 
 
 def der5prime_mutation(base: HoPrederivator) -> Prederivator:

@@ -18,9 +18,9 @@ from .cats import (
     pair_id,
     poset_simplex,
     product_cat,
+    split_pair,
 )
 from .mapping import induced_functor, transport
-from .nerve import chain_shape_iso, nerve, nerve_product_compare
 from .prederivator import (
     ClosureError,
     DiaSample,
@@ -31,11 +31,11 @@ from .prederivator import (
 )
 from .simplicial import (
     SimplexExpr,
-    SimplicialMap,
     TruncatedSSet,
     enumerate_maps,
     product,
     standard_simplex,
+    weak_seq_to_word,
 )
 from .util import Budget, ensure_budget
 
@@ -238,23 +238,20 @@ def induced_strict_morphisms(DQ: HoPrederivator, shifted: ShiftedPrederivator,
     ``shifted`` is the shift of DR = ``shifted.base`` by the chain [n], and
     every map in ``maps`` has the same source Q x delta_n.  Component at K
     sends a K-shaped diagram nu of Q to the ([n] x K)-shaped diagram
-    (t, k) -> mu(nu(k), t) of R.  Each cell (e1|e2) of N([n] x K) x Δl is
-    split once, through the product comparison, into the cell (k|e2) of
-    N(K) x Δl and the simplex t of delta_n; no map or cell changes that.
+    (t, k) -> mu(nu(k), t) of R.  A simplex of N([n] x K) is a chain of
+    pairs, so each cell (e1|e2) of N([n] x K) x Δl is split once, by
+    reading e1's chain: its K side is the cell (k|e2) of N(K) x Δl, and the
+    vertices of its [n] side are the simplex t of delta_n; no map or cell
+    changes that.
     """
     if not maps:
         return []
     P = maps[0].source
-    chain_nerve = nerve(shifted.J, 2)
-    shape = chain_shape_iso(P.right, chain_nerve)
-    shape_inv = SimplicialMap(chain_nerve, P.right, {img.base: SimplexExpr((), x)
-                                                     for x, img in shape.assignment.items()})
+    J = shifted.J
     parts, at = [], set()
     for K_name in shapes:
         dq = DQ.data(K_name)
         dr = shifted.base.data(shifted.paired(K_name))
-        P_split = product(chain_nerve, dq.exponent)
-        compare = nerve_product_compare(dr.exponent, P_split)
         splits = []
         for level in (0, 1):
             P_r, P_q = dr.products[level], dq.products[level]
@@ -262,11 +259,12 @@ def induced_strict_morphisms(DQ: HoPrederivator, shifted: ShiftedPrederivator,
             split = []
             for pid in P_r.cells:
                 e1, e2 = P_r.pair_of[pid]
-                t_part, k_part = P_split.components(compare.apply(e1))
-                q, d = P_q.pair_expr(k_part, e2), P_r.dim_of[pid]
+                ts, ks = zip(*map(split_pair, dr.exponent.expr_chain(e1)))
+                word, strict = weak_seq_to_word([ts[0], *map(J.cod, ts[1:])])
+                q, d = P_q.pair_expr(dq.exponent.chain_expr(ks), e2), P_r.dim_of[pid]
                 split.append((P_q.cell_index[q.base],
                               dq.T_t.degeneracy_codes(q.word, d - len(q.word)),
-                              (shape_inv.apply(t_part), d)))
+                              (SimplexExpr(word, "".join(strict)), d)))
                 at.add(split[-1][2])
             splits.append(split)
         parts.append((K_name, dq, dr, splits))

@@ -18,7 +18,7 @@ from collections import Counter
 from functools import cached_property
 from operator import itemgetter
 
-from .cats import FiniteCategory, Functor, pair_id, split_pair
+from .cats import FiniteCategory, Functor, pair_id
 from .simplicial import (
     ProductSSet,
     SimplexExpr,
@@ -129,23 +129,6 @@ def chain_shape_iso(delta_n: TruncatedSSet, chain_nerve: NerveSSet) -> Simplicia
             chain = (x[0],) + tuple(chain_nerve.cat.hom(a, b)[0] for a, b in zip(x, x[1:]))
             assignment[x] = chain_nerve.chain_expr(chain)
     return SimplicialMap(delta_n, chain_nerve, assignment)
-
-
-def nerve_product_compare(NJK: NerveSSet, P: ProductSSet) -> SimplicialMap:
-    """Canonical isomorphism N(J x K) -> N(J) x N(K) of presentations.
-
-    ``NJK`` must be the nerve of a ``product_cat`` whose object and
-    morphism identifiers are literal pairs, and ``P`` the product of the
-    factor nerves.
-    """
-    NJ: NerveSSet = P.left
-    NK: NerveSSet = P.right
-    assignment = {}
-    for n in range(NJK.dim_bound + 1):
-        for cid in NJK.nondeg(n):
-            lefts, rights = zip(*(split_pair(t) for t in NJK.chain_of[cid]))
-            assignment[cid] = P.pair_expr(NJ.chain_expr(lefts), NK.chain_expr(rights))
-    return SimplicialMap(NJK, P, assignment)
 
 
 def nerve_product_compare_inv(P: ProductSSet, NJK: NerveSSet) -> SimplicialMap:

@@ -23,7 +23,10 @@ What depends on the shapes alone is built once per sample, not once per
 base: the sample owns its members' nerves (and through them the exponent
 frames), the restriction plans, which compile N(u) x Δl into index plans
 over the frames' cell orders, and likewise the transports through the
-mates of the listed 2-cells.  Compiled against a base, a plan sends the
+mates J x [1] -> K of the listed 2-cells.  A simplex of N(J x [1]) is a
+chain of pairs, so a transport reads the mate off the chains of N(J) and
+the vertices of Δ1 and builds no product category, nerve or comparison
+map for it.  Compiled against a base, a plan sends the
 code tuples of a whole batch of cells to those of their images a column at
 a time (:func:`qcatkit.mapping.transport`), so u* of every base over the
 sample is two transports, one per level, and alpha* is one.  The
@@ -57,7 +60,6 @@ from .cats import (
     boundary_two,
     cat_to_text,
     empty_category,
-    full_subcategory,
     monotone_functor,
     pair_functor,
     pairing,
@@ -68,14 +70,13 @@ from .cats import (
 from .delocalization import SimplexCategory
 from .mapping import (Exponential, full_degeneracy, induced_functor, plan_columns, slot_plan,
                       transport)
-from .nerve import chain_shape_iso, nerve, nerve_map, nerve_product_compare_inv
+from .nerve import nerve, nerve_map
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
     ValidationReport,
     enumerate_maps,
-    product,
 )
 from .util import Budget, ensure_budget, memo
 
@@ -170,21 +171,32 @@ class DiaSample:
         N(J)) and dk (over N(K)); built once per transformation and pair of
         frames.  Its :func:`qcatkit.mapping.transport` against a base sends
         the code tuples of vertices mu of Q^{N(K)} to those of the level-1
-        cells of Q^{N(J)} that the mu precomposed with the transport are."""
+        cells of Q^{N(J)} that the mu precomposed with the transport are.
+
+        A simplex of N(J x [1]) is a chain of pairs, so a cell (e1|e2) goes
+        to the K-chain the mate makes of e1's J-chain and e2's vertices:
+        steps over 0 take u, steps over 1 take v, and the step from 0 to 1
+        over m takes alpha at the codomain of m after u(m)."""
         key = (alpha.key(), dj.frame, dk.frame)
         plan = self._transports.get(key)
         if plan is None:
-            mate = _mate_functor(alpha, dj.exponent.cat, dk.exponent.cat)
-            NJxI = nerve(mate.source, 2)
-            nmate = nerve_map(mate, NJxI, dk.exponent)
-            interval_nerve = nerve(poset_simplex(1), 2)
-            P_JI = product(dj.exponent, interval_nerve)
-            compare = nerve_product_compare_inv(P_JI, NJxI)
-            Pj, Pk = dj.products[1], dk.products[0]
-            shape_to_nerve = chain_shape_iso(Pj.right, interval_nerve)
-            plan = self._transports[key] = slot_plan(Pj, Pk, lambda e1, e2: Pk.pair_expr(
-                nmate.apply(compare.apply(P_JI.pair_expr(e1, shape_to_nerve.apply(e2)))),
-                SimplexExpr(full_degeneracy(Pj.left.expr_dim(e1)), "0")))
+            u, v = alpha.source, alpha.target
+            J, K = dj.exponent.cat, dk.exponent.cat
+            Pk = dk.products[0]
+
+            def image(e1: SimplexExpr, e2: SimplexExpr) -> SimplexExpr:
+                x, *ms = dj.exponent.expr_chain(e1)
+                times = list(e2.base)
+                for j in reversed(e2.word):  # s_j repeats vertex j
+                    times.insert(j, times[j])
+                chain = [(u if times[0] == "0" else v).ob[x]]
+                for m, s, t in zip(ms, times, times[1:]):
+                    chain.append(K.compose(alpha.at(J.cod(m)), u.on_morphism(m)) if s != t
+                                 else (u if s == "0" else v).on_morphism(m))
+                return Pk.pair_expr(dk.exponent.chain_expr(chain),
+                                    SimplexExpr(full_degeneracy(len(ms)), "0"))
+
+            plan = self._transports[key] = slot_plan(dj.products[1], Pk, image)
         return plan
 
     def add_unit_functors(self) -> None:
@@ -494,58 +506,6 @@ class HoPrederivator(Prederivator):
         return NatTransf(ustar, vstar, comps, f"{self.name}({alpha.name})*")
 
 
-class FullSubPrederivator(Prederivator):
-    """The full sub-prederivator of ``base`` on the objects ``kept`` names.
-
-    ``kept`` maps shapes to the objects kept there; a shape it does not
-    name keeps the whole base value.  Restrictions and 2-cells are those of
-    the base, restricted; a restriction that leaves the kept objects is an
-    error.
-    """
-
-    def __init__(self, base: Prederivator, kept: dict, name: str):
-        super().__init__(base.sample, name)
-        self.base = base
-        self.kept = kept
-
-    def _eval(self, J_name: str) -> FiniteCategory:
-        keep = self.kept.get(J_name)
-        if keep is None:
-            return self.base.eval(J_name)
-        return full_subcategory(self.base.eval(J_name), keep)
-
-    def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
-        big = self.base.on_functor(u)
-        sub, into = self.eval(dst), self.eval(src)
-        ob = {x: big.ob[x] for x in sub.objects}
-        if not set(into.objects).issuperset(ob.values()):
-            raise ValueError(f"the restriction along {u.name} leaves the kept objects "
-                             f"of {self.name} at {src}")
-        return Functor(sub, into, ob, {m: big.mor[m] for m in sub.nonidentity()}, big.name)
-
-    def _on_nat(self, alpha: NatTransf, src: str, dst: str) -> NatTransf:
-        big = self.base.on_nat(alpha)
-        ustar = self.on_functor(alpha.source)
-        vstar = self.on_functor(alpha.target)
-        return NatTransf(ustar, vstar, {X: big.at(X) for X in ustar.source.objects}, big.name)
-
-
-def _mate_functor(alpha: NatTransf, J: FiniteCategory, K: FiniteCategory) -> Functor:
-    """The functor J x [1] -> K packaging a natural transformation."""
-    u, v = alpha.source, alpha.target
-    interval = poset_simplex(1)
-
-    def on_morphism(m: str, tm: str) -> str:
-        if interval.is_identity(tm):
-            return (u if interval.dom(tm) == "0" else v).on_morphism(m)
-        # the step morphism of the interval
-        return K.compose(alpha.at(J.cod(m)), u.on_morphism(m))
-
-    return pair_functor(product_cat(J, interval), K,
-                        lambda x, t: (u if t == "0" else v).ob[x], on_morphism,
-                        f"mate({alpha.name})")
-
-
 # ---------------------------------------------------------------------------
 # partial diagram functors and the Der audits
 
@@ -635,10 +595,11 @@ def check_der5(D: Prederivator, strict_surjectivity: bool,
         src, on_object, on_morphism = dia_arrow(D, J_name)
         CJ = D.eval(J_name)
         images = {X: on_object(X) for X in src.objects}
+        hit = set(images.values())
         # surjectivity on objects: every arrow of eval(J) is a diagram
         for f in sorted(CJ.morphisms):
             report.checked += 1
-            if f in set(images.values()):
+            if f in hit:
                 continue
             if strict_surjectivity:
                 report.add(f"{J_name}: arrow {f!r} of eval({J_name}) has no "

@@ -765,11 +765,6 @@ class ProductSSet(TruncatedSSet):
         return SimplicialMap(self, target, {pid: image(*pair_of[pid])
                                             for xs in self.levels.values() for pid in xs})
 
-    def components(self, e: SimplexExpr) -> tuple:
-        """Component simplices of an arbitrary simplex of the product."""
-        e1, e2 = self.pair_of[e.base]
-        return self.left.degenerate(e.word, e1), self.right.degenerate(e.word, e2)
-
 
 def product(S: TruncatedSSet, T: TruncatedSSet) -> ProductSSet:
     return ProductSSet(S, T)

@@ -14,10 +14,12 @@ from qcatkit.enrichment import (
     compose_simplicial,
     embedding_check,
     enrichment_sample,
+    induced_strict_morphisms,
     simplicial_hom,
     simplicial_operator,
 )
-from qcatkit.nerve import nerve
+from qcatkit.mapping import induced_functor
+from qcatkit.nerve import chain_shape_iso, nerve, nerve_product_compare_inv
 from qcatkit.prederivator import (
     ClosureError,
     HoPrederivator,
@@ -25,7 +27,13 @@ from qcatkit.prederivator import (
     check_modification,
     check_strict,
 )
-from qcatkit.simplicial import standard_simplex
+from qcatkit.simplicial import (
+    SimplexExpr,
+    SimplicialMap,
+    enumerate_maps,
+    product,
+    standard_simplex,
+)
 
 SAMPLE = enrichment_sample(1)
 DEEP = enrichment_sample(1, depth=1)
@@ -213,3 +221,56 @@ class TestEmbedding:
         assert report.injective
         assert report.map_count == 6  # monotone square maps
         assert report.hom_count >= report.image_size
+
+
+def per_cell_induced(DQ, shifted, mu, K_name):
+    """The component at K of the level-n morphism that mu: Q x delta_n -> R
+    induces, built map by map: a cell nu of HO(Q)(K) goes to the map
+    (e1|e2) -> mu(nu(k|e2), t) out of N([n] x K) x Δl, where e1 is split
+    into the simplex t of delta_n and k of N(K) by inverting the product
+    comparison N([n]) x N(K) -> N([n] x K) and the identification of delta_n
+    with N([n]), one nondegenerate cell at a time."""
+    dq = DQ.data(K_name)
+    dr = shifted.base.data(shifted.paired(K_name))
+    P = mu.source
+    NJ, NK = nerve(shifted.J, 2), dq.exponent
+    to_delta = {image.base: SimplexExpr((), x)
+                for x, image in chain_shape_iso(P.right, NJ).assignment.items()}
+    split = product(NJ, NK)
+    to_pair = {image.base: split.pair_of[x] for x, image
+               in nerve_product_compare_inv(split, dr.exponent).assignment.items()}
+
+    def precompose(codes, level):
+        P_r, P_q = dr.products[level], dq.products[level]
+        nu = SimplicialMap(P_q, dq.T_t, codes)
+
+        def image(e1, e2):
+            t, k = to_pair[e1.base]
+            t = NJ.degenerate(e1.word, t)
+            t = P.right.degenerate(t.word, to_delta[t.base])
+            q = nu.apply(P_q.pair_expr(NK.degenerate(e1.word, k), e2))
+            return mu.apply(P.pair_expr(q, t))
+
+        return P_r.map_pairs(dr.T_t, image).images
+
+    return induced_functor(dq, dr, lambda batch, level: [precompose(codes, level)
+                                                         for codes in batch], "per-cell")
+
+
+@pytest.mark.parametrize("q,r,n", [("pt", "pt", 0), ("pt", "pt", 1), ("pt", "n1", 0),
+                                   ("pt", "n1", 1), ("n1", "n1", 1)])
+def test_induced_strict_morphisms_match_the_per_cell_formula(q, r, n):
+    # the cases of embedding_check above, which include the benchmark's three
+    sets = {"pt": standard_simplex(0, 2), "n1": nerve(poset_simplex(1), 3)}
+    Q, R = sets[q], sets[r]
+    sample = enrichment_sample(max(n, 1))
+    DQ, DR = HoPrederivator(Q, sample), HoPrederivator(R, sample)
+    maps = enumerate_maps(product(Q.truncate(2), standard_simplex(n, 2)), R.truncate(2))
+    shifted = ShiftedPrederivator(DR, f"[{n}]")
+    shapes = [K for K in sample.order if K in shifted.pairings]
+    induced = induced_strict_morphisms(DQ, shifted, maps, shapes)
+    assert len(induced) == len(maps) and shapes
+    for mu, F in zip(maps, induced):
+        assert sorted(F.components) == sorted(shapes)
+        for K in shapes:
+            assert F.at(K).key() == per_cell_induced(DQ, shifted, mu, K).key(), K

@@ -91,6 +91,10 @@ TEST_ONLY = {
     "_is_degenerate_edge": "oracle: behind one_step_homotopic",
     "normalize_word": "oracle: normal form of any letter sequence, checks insert_letter",
     "projection": "oracle: product projections, check map_pairs and the product's faces",
+    "ProductSSet.map_pairs": "oracle: cellwise maps out of a product, behind the comparisons",
+    "nerve_product_compare_inv": "oracle: N(J) x N(K) -> N(J x K), checks the chain split "
+                                 "of transports and enrichment levels",
+    "chain_shape_iso": "oracle: the standard simplex as the nerve of the chain poset",
     "Exponential.evaluate_at_vertex": "oracle: reads a cell of T^S at an exponent vertex",
     # claim checks of the paper's statements
     "check_strict": "claim check: strict 2-naturality of a morphism",

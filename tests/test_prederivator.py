@@ -11,6 +11,7 @@ from qcatkit.cats import (
     contractible_groupoid,
     enumerate_nats,
     group_z2,
+    horizontal_compose,
     identity_functor,
     identity_nat,
     monotone_functor,
@@ -18,19 +19,20 @@ from qcatkit.cats import (
     poset_simplex,
     product_cat,
     validate_category,
+    vertical_compose,
 )
 from qcatkit.corpus import (
     der1_mutation,
     der2_mutation,
     der5_mutation,
     der5prime_mutation,
+    full_sub_mutant,
 )
 from qcatkit.mapping import full_degeneracy, induced_functor
 from qcatkit.nerve import chain_shape_iso, nerve, nerve_map, nerve_product_compare_inv
 from qcatkit.prederivator import (
     ClosureError,
     DiaSample,
-    FullSubPrederivator,
     HoPrederivator,
     Modification,
     StrictMorphism,
@@ -234,7 +236,18 @@ def per_cell_transport(D, alpha):
 def test_on_nat_matches_the_per_cell_formula(Q):
     D = HoPrederivator(Q, SAMPLE)
     assert len(SAMPLE.nats) == 6
-    for name, alpha in sorted(SAMPLE.nats.items()):
+    # the listed 2-cells, then the vertical and horizontal composites of two
+    # of them that check_two_functoriality transports
+    cases = sorted(SAMPLE.nats.items())
+    for n1, a in sorted(SAMPLE.nats.items()):
+        for n2, b in sorted(SAMPLE.nats.items()):
+            if b.source is a.target:
+                cases.append((f"{n2} . {n1}", vertical_compose(b, a)))
+            if b.source.source is a.source.target:
+                cases.append((f"{n2} * {n1}", horizontal_compose(b, a)))
+    assert [name for name, _ in cases[6:]] == ["step_[1] * step01_[1]",
+                                               "step12_[2] . step01_[2]"]
+    for name, alpha in cases:
         assert D.on_nat(alpha).components == per_cell_transport(D, alpha), name
 
 
@@ -361,15 +374,21 @@ class TestDerAudits:
 
 class TestFullSubPrederivator:
     def test_keeping_everything_is_the_base(self, d_interval):
-        D = FullSubPrederivator(d_interval, {}, "all")
-        u = SAMPLE.functors["vx_[1]_1"]
-        assert D.eval("[1]") is d_interval.eval("[1]")
-        assert D.on_functor(u).key() == d_interval.on_functor(u).key()
+        C = d_interval.eval("[1]")
+        D = full_sub_mutant(d_interval, "[1]", C.objects, "all")
+        assert D.eval("[0]") is d_interval.eval("[0]")
+        sub = D.eval("[1]")
+        assert (sub.objects, sub.morphisms, sub.identities) == (C.objects, C.morphisms,
+                                                                 C.identities)
+        # restrictions out of, into and at the kept shape are the base's
+        for name in ("vx_[1]_1", "![1]", "id_[1]"):
+            u = SAMPLE.functors[name]
+            assert D.on_functor(u).key() == d_interval.on_functor(u).key(), name
 
     def test_value_is_the_full_subcategory(self, d_interval):
         C = d_interval.eval("[1]")
         keep = list(C.objects[:2])
-        sub = FullSubPrederivator(d_interval, {"[1]": keep}, "sub").eval("[1]")
+        sub = full_sub_mutant(d_interval, "[1]", keep, "sub").eval("[1]")
         assert sub.objects == tuple(sorted(keep))
         assert all(sub.hom(a, b) == C.hom(a, b) for a in keep for b in keep)
 
@@ -377,7 +396,7 @@ class TestFullSubPrederivator:
         u = SAMPLE.functors["vx_[1]_1"]
         hit = sorted(set(d_interval.on_functor(u).ob.values()))
         assert len(hit) == 2  # the constant diagrams at 0 and at 1
-        D = FullSubPrederivator(d_interval, {"[0]": hit[:1]}, "sub")
+        D = full_sub_mutant(d_interval, "[0]", hit[:1], "sub")
         with pytest.raises(ValueError, match="vx_"):
             D.on_functor(u)
         # a restriction out of the kept objects is fine
