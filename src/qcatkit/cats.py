@@ -338,6 +338,9 @@ def coproduct_cat(J: FiniteCategory, K: FiniteCategory) -> FiniteCategory:
 
 
 class Functor:
+    """A functor by its tables.  It compares by value: the same source and
+    target objects, as a sample knows its members, and equal tables."""
+
     def __init__(self, source: FiniteCategory, target: FiniteCategory, ob, mor, name: str = ""):
         self.source = source
         self.target = target
@@ -373,6 +376,13 @@ class Functor:
     @memo
     def key(self) -> tuple:
         return tuple(sorted(self.ob.items())), tuple(sorted(self.mor.items()))
+
+    def __eq__(self, other):
+        return (isinstance(other, Functor) and self.source is other.source
+                and self.target is other.target and self.ob == other.ob and self.mor == other.mor)
+
+    def __hash__(self):
+        return hash(self.key())
 
     def validate(self) -> ValidationReport:
         report = ValidationReport(f"functor {self.name}")
@@ -458,6 +468,8 @@ def pair_functor(P: FiniteCategory, target: FiniteCategory, on_object, on_morphi
 
 
 class NatTransf:
+    """A natural transformation by its components; compares as Functor does."""
+
     def __init__(self, source: Functor, target: Functor, components, name: str = ""):
         self.source = source
         self.target = target
@@ -467,8 +479,16 @@ class NatTransf:
     def at(self, x: str) -> str:
         return self.components[x]
 
+    @memo
     def key(self) -> tuple:
         return (self.source.key(), self.target.key(), tuple(sorted(self.components.items())))
+
+    def __eq__(self, other):
+        return (isinstance(other, NatTransf) and self.source == other.source
+                and self.target == other.target and self.components == other.components)
+
+    def __hash__(self):
+        return hash(self.key())
 
     def validate(self) -> ValidationReport:
         report = ValidationReport(f"nat {self.name}")

@@ -25,7 +25,7 @@ from .prederivator import (
     standard_sample,
 )
 from .simplicial import sset_from_text, sset_to_text
-from .util import Budget
+from .util import DEFAULT_BUDGET, Budget
 from .whitehead import agreement_table, conservativity_experiment, load_labeled_corpus
 
 
@@ -107,9 +107,9 @@ def cmd_exp(args, report: Report) -> None:
     E = Exponential(T, S, args.level, Budget(args.budget, "exponential"))
     for n in range(args.level + 1):
         report.add(f"level {n}: {len(E.sset.nondeg(n))} nondegenerate, "
-                   f"{E.sset.total_count(n)} total",
+                   f"{len(E.sset.total(n))} total",
                    {"level": n, "nondegenerate": len(E.sset.nondeg(n)),
-                    "total": E.sset.total_count(n)})
+                    "total": len(E.sset.total(n))})
 
 
 def cmd_check_qcat(args, report: Report) -> None:
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite simplicial sets, finite categories, prederivators")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--report", help="write the report to this path")
-    parser.add_argument("--budget", type=int, default=10**7,
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="elementary enumeration steps per operation")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -151,7 +151,7 @@ class PatchedPrederivator(Prederivator):
     def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
         base_image = self.base.on_functor(u)
         if src == self.shape and dst == self.shape:
-            if base_image.key() == identity_functor(base_image.source).key():
+            if base_image == identity_functor(base_image.source):
                 return identity_functor(self.eval(self.shape))
             return self._patch_cores(self._patch_res(base_image))
         if dst == self.shape:   # u: other -> patched, u*: patched -> other

@@ -310,19 +310,20 @@ class Exponential:
 class ExponentFrame:
     """The exponent side of T^S at one working level and height k.
 
-    ``S_t`` is S truncated at the level and ``products[n]`` is S_t x Δn for
-    n <= k.  The shape maps id x δi: S_t x Δ(n-1) -> S_t x Δn and
-    id x σj: S_t x Δn -> S_t x Δ(n-1) are compiled into index plans over
-    the canonical cell orders.  id x δi sends nondegenerate cells to
-    nondegenerate cells, so ``faces[n][i]`` picks the code tuple of the i-th
-    face of a level-n map straight out of the map's, one tuple at a time;
-    ``degeneracies[n][j]`` lists, per cell of S_t x Δn, the slot and the
-    degeneracy word of its image under id x σj.  Built once per exponent,
-    level and height by :func:`exponent_frame`; building it charges no steps.
+    ``exponent`` is S, ``S_t`` is S truncated at the level and
+    ``products[n]`` is S_t x Δn for n <= k.  The shape maps id x δi:
+    S_t x Δ(n-1) -> S_t x Δn and id x σj: S_t x Δn -> S_t x Δ(n-1) are
+    compiled into index plans over the canonical cell orders.  id x δi
+    sends nondegenerate cells to nondegenerate cells, so ``faces[n][i]``
+    picks the code tuple of the i-th face of a level-n map straight out of
+    the map's, one tuple at a time; ``degeneracies[n][j]`` lists, per cell
+    of S_t x Δn, the slot and the degeneracy word of its image under
+    id x σj.  Built once per exponent, level and height by
+    :func:`exponent_frame`; building it charges no steps.
     """
 
     def __init__(self, S: TruncatedSSet, level: int, k: int):
-        self.S_t = S.truncate(level)
+        self.exponent, self.S_t = S, S.truncate(level)
         self.products = {n: product(self.S_t, standard_simplex(n, max(n, level)))
                          for n in range(k + 1)}
         self.faces, self.degeneracies = {}, {}

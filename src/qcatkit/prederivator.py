@@ -68,8 +68,8 @@ from .cats import (
     vertical_compose,
 )
 from .delocalization import SimplexCategory
-from .mapping import (Exponential, full_degeneracy, induced_functor, plan_columns, slot_plan,
-                      transport)
+from .mapping import (Exponential, ExponentFrame, full_degeneracy, induced_functor, plan_columns,
+                      slot_plan, transport)
 from .nerve import nerve, nerve_map
 from .simplicial import (
     SimplexExpr,
@@ -99,11 +99,11 @@ class DiaSample:
     (named) 1- and 2-morphisms that strictness and functoriality are
     checked against.  A member is known by its object, not by an equal
     copy: ``ends`` names the source and target of a functor by identity.
-    The sample owns its members' nerves (``nerve``), so every exponential
-    over one member shares one nerve and with it one exponent frame, and
-    the restriction plans of the listed functors and their composites
-    (``restriction``) and the transports of the natural transformations
-    (``transport``), so every base over the sample shares those too.
+    The sample memoizes its members' nerves (``nerve``), so every
+    exponential over one member shares one nerve and with it one exponent
+    frame, and per morphism and pair of frames the restriction plans
+    (``restriction``) and 2-cell transports (``transport``), so every base
+    over the sample shares those too; morphisms compare by value.
     """
 
     def __init__(self, name="sample"):
@@ -118,8 +118,6 @@ class DiaSample:
         self.terminal: str | None = None
         self.initial: str | None = None
         self.order: list[str] = []
-        self._restrictions: dict = {}
-        self._transports: dict = {}
 
     def add_category(self, name: str, C: FiniteCategory) -> FiniteCategory:
         if name in self.categories:
@@ -155,49 +153,46 @@ class DiaSample:
         """N(name) truncated at 2, built once."""
         return nerve(self.cat(name), 2)
 
-    def restriction(self, u: Functor, dj: Exponential, dk: Exponential) -> Restriction:
-        """The plan of u*: Q^{N(K)} -> Q^{N(J)} for exponentials dj over N(J)
-        and dk over N(K), built once per functor and pair of frames."""
-        key = (u.key(), dj.frame, dk.frame)
-        plan = self._restrictions.get(key)
-        if plan is None:
-            plan = self._restrictions[key] = Restriction(
-                nerve_map(u, dj.exponent, dk.exponent), dj.products, dk.products)
-        return plan
+    @memo
+    def restriction(self, u: Functor, fj: ExponentFrame, fk: ExponentFrame) -> tuple:
+        """N(u) x Δl: N(J) x Δl -> N(K) x Δl for l = 0, 1, as the
+        :func:`qcatkit.mapping.slot_plan` over the exponent frames fj of N(J)
+        and fk of N(K).  Against a base Q (:func:`qcatkit.mapping.plan_columns`)
+        entry l sends the code tuples of cells mu of Q^{N(K)} to those of the
+        mu . N(u) x Δl, a batch at a time (:func:`qcatkit.mapping.transport`)."""
+        nu = nerve_map(u, fj.exponent, fk.exponent)
+        return tuple(slot_plan(Pj, Pk, lambda e1, e2: Pk.pair_expr(nu.apply(e1), e2))
+                     for Pj, Pk in ((fj.products[level], fk.products[level]) for level in (0, 1)))
 
-    def transport(self, alpha: NatTransf, dj: Exponential, dk: Exponential) -> tuple:
+    @memo
+    def transport(self, alpha: NatTransf, fj: ExponentFrame, fk: ExponentFrame) -> tuple:
         """N(J) x Δ1 -> N(K) x Δ0 through the mate of alpha: J x [1] -> K, as
-        the :func:`qcatkit.mapping.slot_plan` over the frames of dj (over
-        N(J)) and dk (over N(K)); built once per transformation and pair of
-        frames.  Its :func:`qcatkit.mapping.transport` against a base sends
-        the code tuples of vertices mu of Q^{N(K)} to those of the level-1
-        cells of Q^{N(J)} that the mu precomposed with the transport are.
+        the :func:`qcatkit.mapping.slot_plan` over the exponent frames fj of
+        N(J) and fk of N(K).  Its :func:`qcatkit.mapping.transport` against a
+        base sends the code tuples of vertices mu of Q^{N(K)} to those of the
+        level-1 cells of Q^{N(J)} that the mu precomposed with the transport are.
 
         A simplex of N(J x [1]) is a chain of pairs, so a cell (e1|e2) goes
         to the K-chain the mate makes of e1's J-chain and e2's vertices:
         steps over 0 take u, steps over 1 take v, and the step from 0 to 1
         over m takes alpha at the codomain of m after u(m)."""
-        key = (alpha.key(), dj.frame, dk.frame)
-        plan = self._transports.get(key)
-        if plan is None:
-            u, v = alpha.source, alpha.target
-            J, K = dj.exponent.cat, dk.exponent.cat
-            Pk = dk.products[0]
+        u, v = alpha.source, alpha.target
+        J, K = fj.exponent.cat, fk.exponent.cat
+        Pk = fk.products[0]
 
-            def image(e1: SimplexExpr, e2: SimplexExpr) -> SimplexExpr:
-                x, *ms = dj.exponent.expr_chain(e1)
-                times = list(e2.base)
-                for j in reversed(e2.word):  # s_j repeats vertex j
-                    times.insert(j, times[j])
-                chain = [(u if times[0] == "0" else v).ob[x]]
-                for m, s, t in zip(ms, times, times[1:]):
-                    chain.append(K.compose(alpha.at(J.cod(m)), u.on_morphism(m)) if s != t
-                                 else (u if s == "0" else v).on_morphism(m))
-                return Pk.pair_expr(dk.exponent.chain_expr(chain),
-                                    SimplexExpr(full_degeneracy(len(ms)), "0"))
+        def image(e1: SimplexExpr, e2: SimplexExpr) -> SimplexExpr:
+            x, *ms = fj.exponent.expr_chain(e1)
+            times = list(e2.base)
+            for j in reversed(e2.word):  # s_j repeats vertex j
+                times.insert(j, times[j])
+            chain = [(u if times[0] == "0" else v).ob[x]]
+            for m, s, t in zip(ms, times, times[1:]):
+                chain.append(K.compose(alpha.at(J.cod(m)), u.on_morphism(m)) if s != t
+                             else (u if s == "0" else v).on_morphism(m))
+            return Pk.pair_expr(fk.exponent.chain_expr(chain),
+                                SimplexExpr(full_degeneracy(len(ms)), "0"))
 
-            plan = self._transports[key] = slot_plan(dj.products[1], Pk, image)
-        return plan
+        return slot_plan(fj.products[1], Pk, image)
 
     def add_unit_functors(self) -> None:
         """List ``id_``, ``!`` and ``vx_`` for every member.
@@ -342,18 +337,15 @@ def standard_sample() -> DiaSample:
 class Prederivator:
     """Memoized contravariant 2-functor on a diagram sample.
 
-    Subclasses provide ``_eval``, ``_on_functor`` and ``_on_nat``; results
-    are cached write-once per key, so repeated queries return identical
-    values.  ``eval`` is a :func:`qcatkit.util.memo`; ``on_functor`` and
-    ``on_nat`` key their answers by ``key()``, as composites arrive as
-    fresh objects.
+    Subclasses provide ``_eval``, ``_on_functor`` and ``_on_nat``.  ``eval``,
+    ``on_functor`` and ``on_nat`` are :func:`qcatkit.util.memo` methods, so
+    repeated queries return identical values.  Shape functors and 2-cells
+    compare by value, so a composite built twice finds the first answer.
     """
 
     def __init__(self, sample: DiaSample, name: str = "prederivator"):
         self.sample = sample
         self.name = name
-        self._functor_cache: dict = {}
-        self._nat_cache: dict = {}
 
     # subclass hooks ------------------------------------------------------
 
@@ -373,19 +365,13 @@ class Prederivator:
         self.sample.cat(J_name)
         return self._eval(J_name)
 
+    @memo
     def on_functor(self, u: Functor) -> Functor:
-        src, dst = self.sample.ends(u)
-        key = (src, dst, u.key())
-        if key not in self._functor_cache:
-            self._functor_cache[key] = self._on_functor(u, src, dst)
-        return self._functor_cache[key]
+        return self._on_functor(u, *self.sample.ends(u))
 
+    @memo
     def on_nat(self, alpha: NatTransf) -> NatTransf:
-        src, dst = self.sample.ends(alpha.source)
-        key = (src, dst, alpha.key())
-        if key not in self._nat_cache:
-            self._nat_cache[key] = self._on_nat(alpha, src, dst)
-        return self._nat_cache[key]
+        return self._on_nat(alpha, *self.sample.ends(alpha.source))
 
     def check_two_functoriality(self) -> ValidationReport:
         """Exhaustive 2-functor laws over the listed sample morphisms."""
@@ -439,29 +425,11 @@ def _same(F: Functor, G: Functor) -> bool:
     return F.ob == G.ob and F.mor == G.mor  # equal key()s, unsorted
 
 
-class Restriction:
-    """N(u) x Δl: N(J) x Δl -> N(K) x Δl for l = 0, 1, compiled.
-
-    ``plans[l]`` is the map's :func:`qcatkit.mapping.slot_plan` over the
-    canonical cell orders of the two frames' products.  It depends on the
-    shapes alone; compiled against a base Q (:func:`qcatkit.mapping.plan_columns`)
-    it transports the code tuples of cells mu of Q^{N(K)} to those of the
-    mu . N(u) x Δl, a batch at a time (:func:`qcatkit.mapping.transport`).
-    """
-
-    def __init__(self, nu: SimplicialMap, source_products: dict, target_products: dict):
-        self.plans = {}
-        for level in (0, 1):
-            Pk = target_products[level]
-            self.plans[level] = slot_plan(source_products[level], Pk,
-                                          lambda e1, e2: Pk.pair_expr(nu.apply(e1), e2))
-
-
 class HoPrederivator(Prederivator):
     """The prederivator of a quasicategory: J -> Ho(Q^{N(J)}).
 
     u*: Ho(Q^{N(K)}) -> Ho(Q^{N(J)}) precomposes cells with N(u) x Δl
-    through the sample's :class:`Restriction` of u, which depends on the
+    through the sample's ``restriction`` of u, which depends on the
     shapes alone and so is built once for every base over the sample.  The
     objects of Ho(Q^{N(K)}) go through in one batch, the representatives of
     its morphisms in another, and alpha* transports the objects likewise.
@@ -490,7 +458,7 @@ class HoPrederivator(Prederivator):
     def _on_functor(self, u: Functor, src: str, dst: str) -> Functor:
         # contravariant: u: J -> K induces u*: eval(K) -> eval(J)
         dj, dk = self.data(src), self.data(dst)
-        plans = self.sample.restriction(u, dj, dk).plans
+        plans = self.sample.restriction(u, dj.frame, dk.frame)
         return induced_functor(dk, dj, lambda batch, level: transport(
             batch, plan_columns(plans[level], dj.products[level], dj.T_t)),
             f"{self.name}({u.name})*")
@@ -500,7 +468,8 @@ class HoPrederivator(Prederivator):
         vstar = self.on_functor(alpha.target)
         dj, dk = self._data[src], self._data[dst]
         # each component precomposes the sample's transport through the mate
-        columns = plan_columns(self.sample.transport(alpha, dj, dk), dj.products[1], dj.T_t)
+        columns = plan_columns(self.sample.transport(alpha, dj.frame, dk.frame),
+                               dj.products[1], dj.T_t)
         comps = dict(zip(dk.ho.category.objects,
                          map(dj.ho_morphism, transport(dk.ho_batches[0], columns))))
         return NatTransf(ustar, vstar, comps, f"{self.name}({alpha.name})*")
@@ -1069,6 +1038,8 @@ def sample_to_manifest(s: DiaSample, directory: Path) -> dict:
 
 
 def sample_from_manifest(path) -> DiaSample:
+    """The sample a manifest describes; a sample that fails ``validate`` is a
+    ``ClosureError`` naming its first violation."""
     path = Path(path)
     data = json.loads(path.read_text())
     s = DiaSample(data.get("name", "sample"))
@@ -1088,4 +1059,7 @@ def sample_from_manifest(path) -> DiaSample:
     s.shifts = dict(data.get("shifts", {}))
     s.terminal = data.get("terminal")
     s.initial = data.get("initial")
+    report = s.validate()
+    if not report.ok:
+        raise ClosureError(f"{report.name}: {report.violations[0]}")
     return s

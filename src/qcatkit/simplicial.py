@@ -304,9 +304,6 @@ class TruncatedSSet:
         """All n-simplices (degenerate included) in canonical order."""
         return sorted(self._blocks(n)[0], key=SimplexExpr.token)
 
-    def total_count(self, n: int) -> int:
-        return len(self.total(n))
-
     @memo
     def _blocks(self, n: int) -> tuple:
         """Level n in blocks, built once: one block per normal word w whose
@@ -982,28 +979,6 @@ def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
     for key, row in zip(keys, fillers):
         budget.spend()
         yield SimplicialMap(shell, T, key), [SimplicialMap(simplex, T, codes) for codes in row]
-
-
-def find_isomorphism(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None):
-    """First isomorphism S -> T in canonical order, or None.
-
-    Only a map sending the nondegenerate cells of S injectively to
-    nondegenerate cells of T can be one; its candidate inverse is read off
-    the inverted image tuple and must be a map whose composites with it
-    are both identities.
-    """
-    budget = ensure_budget(budget, f"isomorphism search {S.name} ~ {T.name}")
-    if any(len(S.nondeg(n)) != len(T.nondeg(n)) for n in range(min(S.dim_bound, T.dim_bound) + 1)):
-        return None
-    ids = identity_map(S), identity_map(T)
-    for f in enumerate_maps(S, T, budget):
-        images = f.assignment.values()
-        if any(img.word for img in images) or len(set(images)) != len(images):
-            continue
-        g = SimplicialMap(T, S, {img.base: SimplexExpr((), x) for x, img in f.assignment.items()})
-        if g.validate().ok and compose_maps(g, f) == ids[0] and compose_maps(f, g) == ids[1]:
-            return f
-    return None
 
 
 # ---------------------------------------------------------------------------

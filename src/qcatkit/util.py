@@ -30,8 +30,9 @@ class Budget:
     answers of :func:`qcatkit.simplicial.extensions` are kept with the
     steps their miss charged, and every hit spends that count, so a hit
     charges the same steps as the miss.  :func:`memo` is the free one:
-    its hits (level tables, frames, the values of a prederivator, and the
-    like) charge nothing.
+    its hits (level tables, frames, a prederivator's values, u* and alpha*,
+    a sample's restriction plans and transports, and the like) charge
+    nothing.
 
     A loop that takes many steps may count them itself and charge them in
     one call, as long as it raises where charging each step as it comes

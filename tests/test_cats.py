@@ -11,6 +11,7 @@ from qcatkit.cats import (
     FiniteCategory,
     Functor,
     FunctorCategory,
+    NatTransf,
     boundary_two,
     cat_from_text,
     cat_to_text,
@@ -34,6 +35,7 @@ from qcatkit.cats import (
     product_cat,
     split_pair,
     validate_category,
+    vertex_functor,
     vertical_compose,
 )
 from qcatkit.corpus import add_idempotent, corpus_categories
@@ -368,6 +370,22 @@ class TestFunctorIdentity:
         assert F.key() == G.key()
         assert F != G
         assert F == F
+
+    def test_morphisms_compare_by_value_over_the_same_categories(self):
+        point, J = poset_simplex(0), poset_simplex(1)
+        u, v = (vertex_functor(point, J, x) for x in "01")
+        alpha = NatTransf(u, v, {"0": J.hom("0", "1")[0]})
+        # built again over the same categories: equal, with equal hashes
+        u2 = vertex_functor(point, J, "0")
+        alpha2 = NatTransf(u2, vertex_functor(point, J, "1"), alpha.components)
+        assert u2 is not u and u2 == u and hash(u2) == hash(u)
+        assert alpha2 == alpha and hash(alpha2) == hash(alpha)
+        # equal tables over an equal but distinct copy of J: not equal
+        copy = poset_simplex(1)
+        w, x = (vertex_functor(point, copy, y) for y in "01")
+        beta = NatTransf(w, x, alpha.components)
+        assert w.key() == u.key() and w != u
+        assert beta.key() == alpha.key() and beta != alpha
 
 
 class TestPairIds:

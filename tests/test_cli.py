@@ -10,6 +10,7 @@ from qcatkit.cats import cat_to_text, group_z2, poset_simplex
 from qcatkit.cli import main
 from qcatkit.corpus import labeled_map_corpus
 from qcatkit.nerve import nerve
+from qcatkit.prederivator import sample_to_manifest, standard_sample
 from qcatkit.simplicial import horn, sset_to_text, standard_simplex
 from qcatkit.whitehead import write_labeled_corpus
 
@@ -139,6 +140,25 @@ def test_unexpected_error_is_an_error_line(inputs, capsys, tmp_path):
     code, out = run(["der-audit", str(d / "delta0.sset"), "--sample", str(sample)], capsys)
     assert code == 1
     assert out.startswith("error: ")
+
+
+def test_sample_manifest_is_checked_on_load(inputs, capsys, tmp_path):
+    d, _ = inputs
+    sset = str(d / "n1.sset")
+    sample_to_manifest(standard_sample(), tmp_path)
+    manifest = tmp_path / "sample.json"
+    # the standard sample read back audits as the standard sample
+    for fmt in ("text", "json"):
+        argv = ["--format", fmt, "der-audit", sset]
+        assert run(argv + ["--sample", str(manifest)], capsys) == run(argv, capsys)
+    # a coproduct annotation naming the wrong member is an error, not a Der1 failure
+    data = json.loads(manifest.read_text())
+    data["coproducts"]["[0]|[0]"] = "[0]+[1]"
+    manifest.write_text(json.dumps(data))
+    code, out = run(["der-audit", sset, "--sample", str(manifest)], capsys)
+    assert code == 1
+    assert out == ("error: sample standard: coproduct annotation [0] + [0] = [0]+[1] "
+                   "is not the coproduct\n")
 
 
 def test_verify_suite_is_not_a_command(capsys):

@@ -84,7 +84,6 @@ TEST_ONLY = {
     "FunctorCategory": "oracle: the functor category C^J that HO(N(C))(J) is compared with",
     "counit_functor": "oracle: the comparison Ho(N(J)) -> J",
     "functor_is_isomorphism": "oracle: decides that a comparison functor is an isomorphism",
-    "find_isomorphism": "oracle: isomorphism search, until explicit comparisons replace it",
     # other oracles
     "enumerate_nats": "oracle: all natural transformations, behind FunctorCategory",
     "one_step_homotopic": "oracle: the unclosed homotopy relation the Ho classes are checked on",

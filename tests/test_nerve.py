@@ -17,6 +17,7 @@ from qcatkit.cats import (
     validate_category,
 )
 from qcatkit.nerve import (
+    chain_shape_iso,
     counit_functor,
     functor_is_isomorphism,
     ho,
@@ -32,7 +33,6 @@ from qcatkit.simplicial import (
     boundary,
     compose_maps,
     expr,
-    find_isomorphism,
     horn,
     identity_map,
     product,
@@ -51,13 +51,20 @@ class TestNerve:
     def test_nerve_of_interval_is_delta1(self):
         n = nerve(poset_simplex(1), 3)
         assert [len(n.nondeg(k)) for k in range(4)] == [2, 1, 0, 0]
-        assert find_isomorphism(n, standard_simplex(1, 3)) is not None
+        # Δ1 -> N([1]) sends nondegenerate cells onto nondegenerate cells, bijectively
+        delta = standard_simplex(1, 3)
+        iso = chain_shape_iso(delta, n)
+        assert iso.validate().ok
+        for k in range(4):
+            images = [iso.assignment[x] for x in delta.nondeg(k)]
+            assert all(not e.word for e in images)
+            assert sorted(e.base for e in images) == sorted(n.nondeg(k)), k
 
     def test_nerve_levels_count_monotone_maps(self):
         for j in range(4):
             n = nerve(poset_simplex(j), 3)
             for m in range(4):
-                assert n.total_count(m) == len(monotone_maps(m, j))
+                assert len(n.total(m)) == len(monotone_maps(m, j))
 
     def test_nerve_of_free_boundary(self):
         # chains of composable generators: the composite of a and b is the

@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from qcatkit.cats import (
+    Functor,
     boundary_two,
     compose_functors,
     contractible_groupoid,
@@ -36,6 +37,7 @@ from qcatkit.prederivator import (
     HoPrederivator,
     Modification,
     StrictMorphism,
+    _fibres,
     _meet,
     _pins,
     check_der1,
@@ -252,8 +254,13 @@ def test_on_nat_matches_the_per_cell_formula(Q):
 
 
 def plan_of(D, u):
-    """The sample's restriction plan of u between D's exponentials."""
-    return D.sample.restriction(u, *(D.data(end) for end in D.sample.ends(u)))
+    """The sample's restriction plans of u between D's exponentials."""
+    return D.sample.restriction(u, *(D.data(end).frame for end in D.sample.ends(u)))
+
+
+def kept_plans(sample, name: str) -> list:
+    """The sample's memo of ``name``: each key with the identity of its plan."""
+    return [(key, id(plan)) for key, plan in vars(sample)["memo." + name].items()]
 
 
 def test_restriction_plans_are_built_once_per_sample():
@@ -262,28 +269,33 @@ def test_restriction_plans_are_built_once_per_sample():
                                                    nerve(group_z2(), 3)))
     for u in sample.functors.values():
         D1.on_functor(u)
-    built = dict(sample._restrictions)
+    built = kept_plans(sample, "restriction")
     assert len(built) == len({(sample.ends(u), u.key()) for u in sample.functors.values()})
     # the second base builds none: it restricts through the first one's plans
     for u in sample.functors.values():
         D2.on_functor(u)
         assert plan_of(D2, u) is plan_of(D1, u)
-    assert sample._restrictions == built
+    assert kept_plans(sample, "restriction") == built
     # a composite is a functor like any other: one more plan, for both bases
     ds = compose_functors(sample.functors["d1_[2]"], sample.functors["s0_[2]"])
     D1.on_functor(ds)
     D2.on_functor(ds)
-    assert len(sample._restrictions) == len(built) + 1
+    assert len(kept_plans(sample, "restriction")) == len(built) + 1
+    # the same composite built again is the same key: one answer, one plan
+    again = compose_functors(sample.functors["d1_[2]"], sample.functors["s0_[2]"])
+    assert again is not ds and D1.on_functor(again) is D1.on_functor(ds)
+    assert plan_of(D2, again) is plan_of(D1, ds)
+    assert len(kept_plans(sample, "restriction")) == len(built) + 1
     # a fresh sample builds its own
     D3 = HoPrederivator(nerve(poset_simplex(1), 3), standard_sample())
     D3.on_functor(D3.sample.functors["d0_[2]"])
     mine, theirs = plan_of(D3, D3.sample.functors["d0_[2]"]), plan_of(D1, sample.functors["d0_[2]"])
-    assert mine is not theirs and mine.plans == theirs.plans
-    # and the sample frees them with itself
-    refs = [weakref.ref(plan) for plan in sample._restrictions.values()]
-    del sample, D1, D2, built, theirs
+    assert mine is not theirs and mine == theirs
+    # and the sample frees them with itself; tuples take no weak references
+    ref = weakref.ref(sample)
+    del sample, D1, D2, theirs
     gc.collect()
-    assert all(r() is None for r in refs)
+    assert ref() is None
 
 
 def test_on_nat_transports_are_built_once_per_sample():
@@ -292,17 +304,18 @@ def test_on_nat_transports_are_built_once_per_sample():
                                                    nerve(group_z2(), 3)))
 
     def transport_of(D, alpha):
-        return D.sample.transport(alpha, *(D.data(end) for end in D.sample.ends(alpha.source)))
+        return D.sample.transport(alpha, *(D.data(end).frame
+                                           for end in D.sample.ends(alpha.source)))
 
     for alpha in sample.nats.values():
         D1.on_nat(alpha)
-    built = dict(sample._transports)
+    built = kept_plans(sample, "transport")
     assert len(built) == len({(sample.ends(a.source), a.key()) for a in sample.nats.values()})
     # the second base builds none: its components gather through the first one's
     for alpha in sample.nats.values():
         D2.on_nat(alpha)
         assert transport_of(D2, alpha) is transport_of(D1, alpha)
-    assert sample._transports == built
+    assert kept_plans(sample, "transport") == built
     # a fresh sample builds its own, equal one
     D3 = HoPrederivator(nerve(poset_simplex(1), 3), standard_sample())
     step = D3.sample.nats["step_[1]"]
@@ -488,6 +501,12 @@ class TestStrictMorphisms:
         pools = {"x": {1, 2}, "w": {5}}
         _meet(pools, pins)
         assert pools == {"x": {1}, "y": {2}, "z": set(), "w": {5}}
+
+    def test_fibres_are_kept_for_equal_restriction_tuples(self, d_interval):
+        us = tuple(d_interval.on_functor(SAMPLE.functors[f"vx_[1]_{x}"]) for x in "01")
+        copies = tuple(Functor(u.source, u.target, u.ob, u.mor, "copy") for u in us)
+        assert copies == us and copies[0] is not us[0]
+        assert _fibres(d_interval, copies) is _fibres(d_interval, us)
 
     def test_all_enumerated_are_strict(self, d_point, d_interval):
         for F in enumerate_strict_morphisms(d_point, d_interval):
