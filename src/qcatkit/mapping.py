@@ -11,8 +11,17 @@ Hom(S x Δn, T) ≅ Hom(S, T^{Δn}), which holds for L-truncated simplicial
 sets too because the L-truncated Δm is representable.  The path object
 T^{Δn} (:func:`path_object`) is itself an exponential, with a simplex
 exponent; it is built once per base, n and level and kept on the base.
-Each map S -> T^{Δn} is transposed to S x Δn -> T, so the levels, cell
-ids and faces are those of the direct search over S x Δn -> T.
+Below the top level k, each map S -> T^{Δn} is transposed to S x Δn -> T.
+The top level, where T^S is largest, is named in curried coordinates, on
+the maps ν: S -> T^{Δk} the search returns: its degenerate cells are
+T^{σj} ∘ ν' for the maps ν' of level k - 1, and its faces T^{δi} ∘ ν, each
+one :func:`transport` through the per-level code tables between the path
+objects T^{Δ(k-1)} and T^{Δk} (:meth:`Exponential.precomposed`).  Its maps
+are sorted by their splitting slots (:meth:`ExponentFrame.transposition`),
+which order them as their transposes.  So the levels, cell ids and faces
+are those of the direct search over S x Δn -> T, and the top level's code
+tuples over S x Δk are transposed only when first read: neither Ho nor
+the quasicategory check reads them.
 
 That direct search is the base case: at level 0, for pinned exponentials,
 and for an exponent with at most L + 1 vertices, L the working level.
@@ -50,11 +59,11 @@ tuples (:func:`induced_functor`).  A map is decoded or encoded only by
 :class:`qcatkit.simplicial.SimplicialMap`, the one converter between a
 code tuple and its images.
 
-The build runs in bulk, over tables.  The transposition works out, per
-cell x of S and per image of x that some map S -> T^{Δn} takes, the part
-of the transposed map over x once, and assembles each map from those
-parts with C-level calls.  A level's cells are named, and their faces
-gathered, a whole level at a time.  So are the functors on Ho:
+The build runs in bulk, over tables.  The transposition and the sort keys
+of the maps S -> T^{Δn} are :func:`transport` calls: a slot of the
+transposed map over a cell x of S is one column, a table worked out once
+per image of x that some map takes.  A level's cells are named, and their
+faces gathered, a whole level at a time.  So are the functors on Ho:
 :func:`transport` sends a batch of code tuples through a map a column at a
 time, and each exponential keeps the code tuples of its Ho objects and of
 its morphisms' representatives (``Exponential.ho_batches``), beside the
@@ -64,9 +73,9 @@ a functor on Ho costs two transports and one lookup per object and morphism.
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import chain, repeat
-from operator import getitem, itemgetter
+from functools import cached_property, partial
+from itertools import repeat
+from operator import itemgetter
 
 from .cats import Functor
 from .nerve import HoPresentation, QcatReport, ho, require_quasicategory
@@ -131,10 +140,20 @@ class Exponential:
     :class:`SimplicialMap`, which alone decodes and encodes them.
     ``ho_morphisms`` and ``ho_reps`` key ``ho`` by code tuples.
 
+    Levels 0..k-1, and every level of a direct or pinned exponential, are
+    kept as code tuples from the start.  The top level k of a curried
+    exponential is kept as its maps S -> T^{Δk} until a code tuple of it is
+    asked for: the first subscript of ``to_expr`` that misses decodes
+    ``to_expr[k]``, and the first of ``cell_codes`` its level-k cells
+    (``codes_of``, ``map_of``, ``locate``, ``expr_at`` and ``code_rows(k)``
+    read through them).  Until then ``k in to_expr`` is false, and
+    ``cell_codes`` lists the cells below level k only.
+
     ``frame`` is S's :class:`ExponentFrame` at the working level, kept on S
     and shared with every other exponential over S; ``S_t`` and
     ``products`` are its.  The faces of a cell and the degenerate cells are
-    read through its plans, which charge no steps.
+    read through its plans, and at the top of a curried exponential through
+    the path objects' code tables; neither charges steps.
 
     ``pinned`` maps vertices of S to vertices of T: only the maps sending
     every cell over a pinned vertex v to the degenerate ``pinned[v]`` are
@@ -151,7 +170,8 @@ class Exponential:
         self.exponent = S
         self.k = k
         self.frame = frame = exponent_frame(S, level, k)
-        self.S_t, self.products = frame.S_t, frame.products
+        self.S_t = S_t = frame.S_t
+        self.products = frame.products
         self.T_t = T_t = T.truncate(level)
         self.name = name or f"({T.name}^{S.name})"
         # id x σj on the code tuples of the maps into T_t, as transport columns
@@ -161,77 +181,64 @@ class Exponential:
         # a path object is an exponential, so it exists only at levels 2..3;
         # up to L + 1 vertices currying cannot pay (module docstring)
         direct = pinned is not None or level > 3 or len(S.nondeg(0)) <= level + 1
-        raw = {}
+        top = None if direct else k  # the level named in curried coordinates
+        # per level, its maps in canonical order: code tuples over S x Δn, or
+        # at the top the maps S -> T^{Δk}, named beside those of level k - 1
+        raw, paths, curried = {}, {}, {}
         for n, P in self.products.items():
             if direct or n == 0:
                 fixed = None if pinned is None else {
                     pid: SimplexExpr(full_degeneracy(len(e1.word)), pinned[e1.base])
                     for pid, (e1, _) in P.pair_of.items() if e1.base in pinned}
                 raw[n] = map_codes(P, T_t, budget, fixed)
-            else:
-                path = path_object(T, P.right, level, budget)
-                raw[n] = self._curried_maps(n, path, budget)
-        # level by level: the degenerate cells are the s_j of the cells one
+                continue
+            path = paths[n] = path_object(T, P.right, level, budget)
+            nus = map_codes(S_t, path.sset, budget)
+            keyed, columns = frame.transposition(n, path, nus)
+            nus = curried[n] = [nu for _, nu in sorted(zip(transport(nus, keyed), nus))]
+            raw[n] = nus if n == top else transport(nus, columns)
+        self.to_expr: dict = _FilledOnMiss()
+        cells = self.cell_codes = _FilledOnMiss()
+        # level by level: the degenerate cells are the s_j of the maps one
         # level down (the pins survive the collapse, so level n enumerated
-        # them all); the others, in raw[n]'s canonical order, are named in it
-        self.to_expr: dict = {}
-        cells = self.cell_codes = {}
+        # them all); the others, in raw[n]'s order, are named in it.  s_j and
+        # d_i act through the frame on code tuples, and at the top through
+        # the path objects on the maps S -> T^{Δk}
         levels, faces = {}, {}
         for n in range(k + 1):
-            known = self.to_expr[n] = {}
+            known = {}
             if n:
                 inner = list(map(self.to_expr[n - 1].__getitem__, raw[n - 1]))
+                if n == top:
+                    lower, A, B = curried[n - 1], paths[n - 1], paths[n]
+                    lifts = [_path_columns(S_t, A, B, _degeneracy_map(n, j)) for j in range(n)]
+                    drops = [partial(transport, columns=_path_columns(S_t, B, A, _face_map(n, i)))
+                             for i in range(n + 1)]
+                    below = dict(zip(lower, inner)).__getitem__
+                else:
+                    lower, lifts = raw[n - 1], self._degeneracies[n]
+                    drops = [partial(map, face) for face in frame.faces[n]]
+                    below = self.to_expr[n - 1].__getitem__
                 words = [e.word for e in inner]
                 bases = [e.base for e in inner]
-                for j, degenerate in enumerate(self._degeneracies[n]):
+                for j, columns in enumerate(lifts):
                     lifted = {w: insert_letter(j, w) for w in set(words)}
-                    known.update(zip(transport(raw[n - 1], degenerate),
+                    known.update(zip(transport(lower, columns),
                                      map(SimplexExpr, map(lifted.__getitem__, words), bases)))
             new = [codes for codes in raw[n] if codes not in known]
             ids = levels[n] = [f"c{n}_{i}" for i in range(len(new))]
-            cells.update(zip(ids, zip(repeat(n), new)))
             known.update(zip(new, map(SimplexExpr, repeat((), len(ids)), ids)))
             if n:
-                below = self.to_expr[n - 1].__getitem__
-                for i, face in enumerate(frame.faces[n]):
-                    faces.update(zip(zip(ids, repeat(i)), map(below, map(face, new))))
+                for i, drop in enumerate(drops):
+                    faces.update(zip(zip(ids, repeat(i)), map(below, drop(new))))
+            if n == top:
+                decoded = _CurriedLevel(frame, n, paths[n], known)
+                self.to_expr.fill, cells.fill = decoded.fill_levels, decoded.fill_cells
+            else:
+                self.to_expr[n] = known
+                cells.update(zip(ids, zip(repeat(n), new)))
         cert = T.coskeletal_from if T.coskeletal_from <= k else None
         self.sset = TruncatedSSet(k, levels, faces, cert, self.name)
-
-    def _curried_maps(self, n: int, path: Exponential, budget: Budget) -> list:
-        """Level n as the transposes of the maps S -> T^{Δn}, as sorted code tuples.
-
-        The image of a cell (e1|e2) at level m is the image of ν(e1) at the
-        cell (e2|ι_m) of Δn x Δm.
-        """
-        P = self.products[n]
-        slot = self.S_t.cell_index
-        # per cell x of S, the cells (e1|e2) of P with e1 over x, as (the
-        # codes of e1's word at x's level, the maps of the path object's
-        # level m, position of (e2|ι_m)); and where each cell of P went
-        over = [[] for _ in slot]
-        went = []
-        for pid in P.cells:
-            e1, e2 = P.pair_of[pid]
-            m = P.dim_of[pid]
-            Q = path.products[m]
-            cells = over[slot[e1.base]]
-            went.append((slot[e1.base], len(cells)))
-            cells.append((path.sset.degeneracy_codes(e1.word, m - len(e1.word)),
-                          path.code_rows(m),
-                          Q.cell_index[Q.id_of_pair[(e2, SimplexExpr((), top_cell(m)))]]))
-        # an image tuple is the parts over the cells of S laid end to end, reordered
-        start = [0]
-        for cells in over:
-            start.append(start[-1] + len(cells))
-        reorder = itemgetter(*(start[s] + i for s, i in went))
-        nus = map_codes(self.S_t, path.sset, budget)
-        # per cell x of S: for each image of x that a map takes, the part over x
-        parts = [{y: tuple([rows[codes[y]][at] for codes, rows, at in cells]) for y in set(images)}
-                 for cells, images in zip(over, zip(*nus))]
-        maps = [reorder(tuple(chain.from_iterable(map(getitem, parts, nu)))) for nu in nus]
-        maps.sort()
-        return maps
 
     # -- public queries -----------------------------------------------------
 
@@ -241,6 +248,19 @@ class Exponential:
         known = self.to_expr[n]
         key_of = dict(zip(known.values(), known))
         return list(map(key_of.__getitem__, self.sset.table(n).cells))
+
+    @memo
+    def precomposed(self, other: Exponential, alpha: tuple) -> dict:
+        """T^α from this path object T^{Δa} to ``other``, T^{Δb}, for a
+        monotone α: [b] -> [a]: per level m, the code in ``other``'s table of
+        each m-cell of this one precomposed with α x id: Δb x Δm -> Δa x Δm.
+        The slot plans are the frames' (:meth:`ExponentFrame.simplex_plans`)."""
+        tables = {}
+        for m, plan in self.frame.simplex_plans(other.frame, alpha).items():
+            moved = transport(self.code_rows(m), plan_columns(plan, other.products[m], self.T_t))
+            code, named = other.sset.table(m).code, other.to_expr[m]
+            tables[m] = [code[named[codes]] for codes in moved]
+        return tables
 
     @cached_property
     def ho(self) -> HoPresentation:
@@ -275,7 +295,7 @@ class Exponential:
 
     def expr_at(self, n: int, codes: tuple) -> SimplexExpr:
         """The cell expression of the level-n map with the given code tuple."""
-        e = self.to_expr[n].get(codes) if n in self.to_expr else None
+        e = self.to_expr[n].get(codes) if n in self.products else None
         if e is None:
             raise KeyError(f"map is not a cell of {self.name}")
         return e
@@ -319,7 +339,10 @@ class ExponentFrame:
     the map's, one tuple at a time; ``degeneracies[n][j]`` lists, per cell
     of S_t x Δn, the slot and the degeneracy word of its image under
     id x σj.  Built once per exponent, level and height by
-    :func:`exponent_frame`; building it charges no steps.
+    :func:`exponent_frame`; building it charges no steps.  A curried
+    exponential reads its levels off path objects through
+    ``transposition``; the frames of the path objects' simplex exponents
+    compile the maps α x id between each other (``simplex_plans``).
     """
 
     def __init__(self, S: TruncatedSSet, level: int, k: int):
@@ -329,22 +352,69 @@ class ExponentFrame:
         self.faces, self.degeneracies = {}, {}
         for n in range(1, k + 1):
             self.faces[n] = [_gather(tuple(slot for slot, _ in self._plan(
-                tuple(t for t in range(n + 1) if t != i), n - 1, n))) for i in range(n + 1)]
-            self.degeneracies[n] = [self._plan(
-                tuple(t if t <= j else t - 1 for t in range(n + 1)), n, n - 1) for j in range(n)]
+                _face_map(n, i), n - 1, n))) for i in range(n + 1)]
+            self.degeneracies[n] = [self._plan(_degeneracy_map(n, j), n, n - 1)
+                                    for j in range(n)]
 
     def _plan(self, alpha: tuple, m: int, n: int) -> tuple:
-        """id_S x (alpha: [m] -> [n]) as (slot, word) per cell of S_t x Δm:
-        s_w y, y on the vertices c (digits, as n <= 3), goes to s_w of the
-        simplex that ``weak_seq_to_word`` reads off alpha . c."""
-        Pm, Pn = self.products[m], self.products[n]
+        """id_S x (alpha: [m] -> [n]) as (slot, word) per cell of S_t x Δm."""
+        Pn = self.products[n]
+        return slot_plan(self.products[m], Pn,
+                         lambda e1, e2: Pn.pair_expr(e1, _simplex_image(alpha, e2)))
 
-        def image(e1: SimplexExpr, e2: SimplexExpr) -> SimplexExpr:
-            word, strict = weak_seq_to_word([alpha[int(v)] for v in e2.base])
-            return Pn.pair_expr(e1, SimplexExpr(compose_words(e2.word, word),
-                                                "".join(map(str, strict))))
+    @memo
+    def simplex_plans(self, other: ExponentFrame, alpha: tuple) -> dict:
+        """For the frames of two simplices, Δa (this one) and Δb, and a
+        monotone α: [b] -> [a]: per level m, α x id: Δb x Δm -> Δa x Δm as a
+        slot plan out of ``other``'s product into this one's.  Built once per
+        pair of frames and α, and shared by the path objects of every base."""
+        plans = {}
+        for m, P in self.products.items():
+            plans[m] = slot_plan(other.products[m], P,
+                                 lambda e1, e2, P=P: P.pair_expr(_simplex_image(alpha, e1), e2))
+        return plans
 
-        return slot_plan(Pm, Pn, image)
+    def transposition(self, n: int, path: Exponential, nus: list) -> tuple:
+        """For maps ν: S -> T^{Δn} with these code tuples, ``path`` being
+        T^{Δn}: the :func:`transport` columns of their sort keys and of their
+        transposes, code tuples over S x Δn.
+
+        The image of a cell (e1|e2) of S x Δn at level m is the image of
+        ν(e1) at the cell (e2|ι_m) of Δn x Δm.  So a transpose's slot of a
+        cell over x, a cell of S, is a function of ν(x): one column, a table
+        over the images of x that some ν takes.  The key keeps only the
+        splitting slots: over each x, in cell order, the slots that split
+        the images of x further than the slots kept before them.  Any other
+        slot over x is a function of those, so the keys sort as the
+        transposes do and no two maps tie.
+        """
+        P = self.products[n]
+        slot = self.S_t.cell_index
+        images = [list(set(ys)) for ys in zip(*nus)] if nus else [[]] * len(slot)
+        # per cell x of S, the class of each of its images by the key's
+        # slots over x so far, and the number of classes
+        classes = [[0] * len(ys) for ys in images]
+        count = [1] * len(slot)
+        columns, keyed = [], []
+        for pid in P.cells:
+            e1, e2 = P.pair_of[pid]
+            m = P.dim_of[pid]
+            Q = path.products[m]
+            x = slot[e1.base]
+            ys = images[x]
+            codes, rows = path.sset.degeneracy_codes(e1.word, m - len(e1.word)), path.code_rows(m)
+            at = Q.cell_index[Q.id_of_pair[(e2, SimplexExpr((), top_cell(m)))]]
+            values = [rows[codes[y]][at] for y in ys]
+            table = dict(zip(ys, values))
+            columns.append((x, table))
+            if count[x] < len(ys):
+                split = list(zip(classes[x], values))
+                distinct = dict.fromkeys(split)
+                if len(distinct) > count[x]:
+                    number = dict(zip(distinct, range(len(distinct))))
+                    classes[x], count[x] = list(map(number.__getitem__, split)), len(number)
+                    keyed.append((x, table))
+        return keyed, columns
 
 
 def slot_plan(P: ProductSSet, Q: TruncatedSSet, image) -> tuple:
@@ -381,6 +451,70 @@ def transport(batch: list, columns: list) -> list:
 def _gather(slots: tuple):
     """The function picking the entries at ``slots`` out of a tuple, as a tuple."""
     return itemgetter(*slots) if len(slots) > 1 else lambda c: tuple(map(c.__getitem__, slots))
+
+
+def _face_map(n: int, i: int) -> tuple:
+    """δi: [n-1] -> [n], the image of each vertex."""
+    return tuple(t for t in range(n + 1) if t != i)
+
+
+def _degeneracy_map(n: int, j: int) -> tuple:
+    """σj: [n] -> [n-1], the image of each vertex."""
+    return tuple(t if t <= j else t - 1 for t in range(n + 1))
+
+
+def _simplex_image(alpha: tuple, e: SimplexExpr) -> SimplexExpr:
+    """The image of a simplex of Δm under the map Δm -> Δn of a monotone
+    alpha: s_w y, y on the vertices c (digits, as n <= 3), goes to s_w of
+    the simplex that ``weak_seq_to_word`` reads off alpha . c."""
+    word, strict = weak_seq_to_word([alpha[int(v)] for v in e.base])
+    return SimplexExpr(compose_words(e.word, word), "".join(map(str, strict)))
+
+
+def _path_columns(S: TruncatedSSet, A: Exponential, B: Exponential, alpha: tuple) -> list:
+    """T^α: A -> B between path objects, :meth:`Exponential.precomposed`, as
+    :func:`transport` columns on the code tuples of maps S -> A: each cell's
+    slot goes through the code table at its dimension."""
+    tables = A.precomposed(B, alpha)
+    return [(s, tables[S.dim_of[x]]) for s, x in enumerate(S.cells)]
+
+
+class _FilledOnMiss(dict):
+    """A dict that ``fill`` completes, once, at the first subscript that
+    misses; ``in``, ``get`` and iteration see only what is filled."""
+
+    fill = None
+
+    def __missing__(self, key):
+        fill, self.fill = self.fill, None
+        if fill is None:
+            raise KeyError(key)
+        fill(self)
+        return self[key]
+
+
+class _CurriedLevel:
+    """Level n of a curried exponential as named: ``named`` maps each map
+    S -> T^{Δn}, as a code tuple, to its cell expression.  The code tuples
+    over S x Δn are transposed on first read (``decoded``) and filled into
+    the exponential's ``to_expr`` and ``cell_codes``."""
+
+    def __init__(self, frame: ExponentFrame, n: int, path: Exponential, named: dict):
+        self.frame, self.n, self.path, self.named = frame, n, path, named
+
+    @cached_property
+    def decoded(self) -> dict:
+        named, self.named = self.named, None
+        nus = list(named)
+        columns = self.frame.transposition(self.n, self.path, nus)[1]
+        return dict(zip(transport(nus, columns), named.values()))
+
+    def fill_levels(self, to_expr: dict) -> None:
+        to_expr[self.n] = self.decoded
+
+    def fill_cells(self, cell_codes: dict) -> None:
+        n = self.n
+        cell_codes.update((e.base, (n, codes)) for codes, e in self.decoded.items() if not e.word)
 
 
 @memo

@@ -806,8 +806,7 @@ def check_modification(Xi: Modification) -> ValidationReport:
         if comp is None or not comp.validate().ok:
             report.add(f"component at {J_name} missing or not natural")
             continue
-        if (comp.source.key() != F.at(J_name).key()
-                or comp.target.key() != G.at(J_name).key()):
+        if comp.source != F.at(J_name) or comp.target != G.at(J_name):
             report.add(f"component at {J_name} has wrong endpoints")
     if not report.ok:
         return report

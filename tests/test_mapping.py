@@ -4,9 +4,12 @@ import gc
 import hashlib
 import re
 import weakref
+from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcatkit.cats import (
     boundary_two,
@@ -38,6 +41,7 @@ from qcatkit.simplicial import (
     enumerate_maps,
     extensions,
     horn,
+    map_codes,
     product,
     sset_from_text,
     sset_to_text,
@@ -268,9 +272,12 @@ class TestExponential:
                      "d0266f97c70727202c02678e311a421333c42e865e577219f99373fc4c4055b8"),
             "N(z2)": ("ab05ed68699d37af75f456df4fff9a17ef9ef24d81c21357cf902192d7a42b53",
                       "8bfcc7d7b3b3539ee977e1ab180920fd668042a3fb7862573c084d4559d5ae44"),
+            "N([2])": ("16369aba4e6b525af348dc564fbd67daed995d4b26d77df86ddefbf02f0e06cc",
+                       "bb08a34b5f25fd7d1601e045bc5c969f20887f73e3869eee567acad65fedff7f"),
         }
         bases = {"delta0": standard_simplex(0, 2), "N([1])": nerve(poset_simplex(1), 3),
-                 "N(E)": nerve(contractible_groupoid(), 3), "N(z2)": nerve(group_z2(), 3)}
+                 "N(E)": nerve(contractible_groupoid(), 3), "N(z2)": nerve(group_z2(), 3),
+                 "N([2])": nerve(poset_simplex(2), 3)}
         for name, T in bases.items():
             exps = [Exponential(T, nerve(sample.cat(J), 2), 2) for J in sample.order]
             texts = "".join(sset_to_text(E.sset) for E in exps)
@@ -357,6 +364,69 @@ class TestExponential:
         assert validate_category(pres.category).ok
         # Ho of the exponential is the arrow category of [1]: 3 objects
         assert len(pres.category.objects) == 3
+
+
+@cache
+def curried_tops() -> list:
+    """Per curried exponential of the standard sample over N([2]), N(z2) and
+    N(E): the maps S -> T^{Δ2} of its top level, and the transport columns
+    of their splitting-slot keys and of their code tuples over S x Δ2."""
+    sample = standard_sample()
+    tops = []
+    for T in (nerve(poset_simplex(2), 3), nerve(group_z2(), 3), nerve(contractible_groupoid(), 3)):
+        for J in sample.order:
+            E = Exponential(T, nerve(sample.cat(J), 2), 2)
+            if 2 in E.to_expr:  # a direct exponential
+                continue
+            path = path_object(T, E.products[2].right, 2, Budget())
+            nus = map_codes(E.S_t, path.sset, Budget())
+            tops.append((nus, *E.frame.transposition(2, path, nus)))
+    return tops
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_splitting_key_sorts_the_top_level_as_its_code_tuples(data):
+    tops = curried_tops()
+    assert len(tops) == 6  # [1]x[1] and [1]+[1] over each base
+    nus, keyed, columns = tops[data.draw(st.integers(0, len(tops) - 1))]
+    picked = data.draw(st.lists(st.integers(0, len(nus) - 1), unique=True, max_size=60))
+    maps = [nus[i] for i in picked]
+    keys, codes = transport(maps, keyed), transport(maps, columns)
+    assert sorted(range(len(maps)), key=keys.__getitem__) == sorted(range(len(maps)),
+                                                                 key=codes.__getitem__)
+    assert len(set(keys)) == len(maps)
+
+
+class TestCurriedTopLevel:
+    def test_reading_ho_leaves_the_top_level_undecoded(self):
+        sample = standard_sample()
+        for T in (nerve(group_z2(), 3), nerve(contractible_groupoid(), 3)):
+            for J in ("[1]x[1]", "[1]+[1]"):
+                E = Exponential(T, nerve(sample.cat(J), 2), 2)
+                assert E.ho.category.objects and E.ho_batches and E.ho_morphisms
+                assert 2 not in E.to_expr and not set(E.sset.nondeg(2)) & set(E.cell_codes)
+                # decoded now: the direct search's maps, the cells in id order
+                direct = map_codes(E.products[2], E.T_t, Budget())
+                decoded = E.to_expr[2]
+                assert sorted(decoded) == direct
+                ids = [f"c2_{i}" for i in range(len(E.sset.nondeg(2)))]
+                assert ([E.cell_codes[x] for x in ids]
+                        == [(2, codes) for codes in direct if not decoded[codes].word])
+                assert E.code_rows(2) == [codes for _, codes in sorted(
+                    (E.sset.table(2).code[e], codes) for codes, e in decoded.items())]
+
+    def test_cell_codes_decode_the_top_level_on_their_own(self):
+        T = nerve(contractible_groupoid(), 3)
+        E = Exponential(T, nerve(standard_sample().cat("[1]x[1]"), 2), 2)
+        last = E.sset.nondeg(2)[-1]
+        assert E.map_of(SimplexExpr((), last)).images == E.cell_codes[last][1]
+        assert 2 not in E.to_expr
+        degenerate = SimplexExpr((1,), E.sset.nondeg(1)[-1])
+        assert E.locate(E.map_of(degenerate)) == degenerate
+        assert E.to_expr == Exponential(T, E.exponent, 2, pinned={}).to_expr
+        with pytest.raises(KeyError):
+            E.cell_codes["no such cell"]
 
 
 # two parallel edges f, g: x -> y and a 2-simplex making them homotopic,
@@ -487,6 +557,13 @@ class TestMappingSpace:
                     if all(whole.evaluate_at_vertex(whole.map_of(e), v, n)
                            == SimplexExpr(full_degeneracy(n), x) for v, x in pins.items())]
             assert len(ends) == len(M.sset.total(n)) > 0
+
+    def test_base_certified_above_level_two(self):
+        # Δ3 is 3-coskeletal, so its interval is known up to level 3; the
+        # mapping space between two vertices of a simplex is a point
+        M = mapping_space(standard_simplex(3, 3), "0", "1")
+        assert [len(M.sset.nondeg(n)) for n in range(3)] == [1, 0, 0]
+        assert M.exponent.dim_bound == 3
 
     def test_nerve_mapping_space_ho_is_discrete(self):
         q = nerve(poset_simplex(2), 3)

@@ -6,7 +6,9 @@ import weakref
 import pytest
 
 from qcatkit.cats import (
+    FiniteCategory,
     Functor,
+    NatTransf,
     boundary_two,
     compose_functors,
     contractible_groupoid,
@@ -251,6 +253,41 @@ def test_on_nat_matches_the_per_cell_formula(Q):
                                                "step12_[2] . step01_[2]"]
     for name, alpha in cases:
         assert D.on_nat(alpha).components == per_cell_transport(D, alpha), name
+
+
+def order_nat(F: Functor, G: Functor, name: str) -> NatTransf:
+    """The 2-cell F => G between functors into a poset, F <= G objectwise."""
+    P = F.target
+    return NatTransf(F, G, {x: P.hom(F.ob[x], G.ob[x])[0] for x in F.source.objects}, name)
+
+
+def two_cell_sample() -> DiaSample:
+    """``standard_sample()`` with more 2-cells, so that the 2-functor laws
+    meet several composable pairs: the identity 2-cells of the vertex
+    functors of [1] and [2], the vertical composite of the [2] steps, and
+    the orders d2 <= d1 <= d0: [1] -> [2] and s0 <= s1: [2] -> [1]."""
+    s = standard_sample()
+    f = s.functors
+    for name in ("vx_[1]_0", "vx_[1]_1", "vx_[2]_0", "vx_[2]_1", "vx_[2]_2"):
+        s.add_nat(f"id_{name}", identity_nat(f[name]))
+    s.add_nat("step12.step01_[2]", vertical_compose(s.nats["step12_[2]"], s.nats["step01_[2]"]))
+    for a, b in (("d2_[2]", "d1_[2]"), ("d1_[2]", "d0_[2]"), ("s0_[2]", "s1_[2]")):
+        s.add_nat(f"{a}<={b}", order_nat(f[a], f[b], f"{a}<={b}"))
+    return s
+
+
+@pytest.mark.parametrize("C", [poset_simplex(1), group_z2(), poset_simplex(2)],
+                         ids=["[1]", "z2", "[2]"])
+def test_two_functoriality_over_composable_two_cells(C):
+    s = two_cell_sample()
+    nats = list(s.nats.values())
+    assert all(a.validate().ok for a in nats)
+    # the pairs check_two_functoriality composes; standard_sample() has one of each
+    vertical = [(b, a) for a in nats for b in nats if b.source is a.target]
+    horizontal = [(b, a) for a in nats for b in nats if b.source.source is a.source.target]
+    assert (len(vertical), len(horizontal)) == (17, 21)
+    report = HoPrederivator(nerve(C, 3), s).check_two_functoriality()
+    assert report.ok and report.checked == 595, report.violations[:3]
 
 
 def plan_of(D, u):
@@ -543,6 +580,21 @@ class TestModifications:
         F = identity_strict(d_interval)
         Xi = Modification(F, F, {j: identity_nat(F.at(j)) for j in SAMPLE.order})
         assert check_modification(Xi).ok
+
+    def test_components_over_copies_are_rejected(self, d_point):
+        # a copy of a shape's value has its tables but is another category,
+        # so the identity 2-cell of its identity has the wrong endpoints
+        F = identity_strict(d_point)
+        genuine = {j: identity_nat(F.at(j)) for j in SAMPLE.order}
+        assert check_modification(Modification(F, F, genuine)).ok
+        copies = {}
+        for j in SAMPLE.order:
+            C = d_point.eval(j)
+            twin = FiniteCategory(C.objects, C.morphisms, C.compose_table, C.identities, C.name)
+            copies[j] = identity_nat(identity_functor(twin))
+            assert copies[j].key() == genuine[j].key() and copies[j].source != F.at(j)
+        report = check_modification(Modification(F, F, copies))
+        assert report.violations == [f"component at {j} has wrong endpoints" for j in SAMPLE.order]
 
     def test_swapped_component_detected(self):
         # HO(N(z2))([0]) is z2, so its identity functor has two natural
