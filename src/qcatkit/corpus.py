@@ -285,8 +285,10 @@ def _collapse_map(q: NerveSSet, target: TruncatedSSet, vertex: str) -> Simplicia
 def labeled_map_corpus() -> list:
     """Ten maps with ground-truth equivalence labels.
 
-    The labels are decided by direct category-level search: a nerve map
-    N(u) is an equivalence exactly when u is an equivalence of categories.
+    The labels are literals.  Every end is a nerve, a 1-type, so a map is
+    an equivalence exactly when Ho of it is an equivalence of categories;
+    the tests check each label against ``equivalence_inverse`` of
+    ``ho_on_map`` of the map.
     """
     n0 = standard_simplex(0, 2)
     n1 = nerve(poset_simplex(1), 3)

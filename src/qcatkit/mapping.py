@@ -11,17 +11,18 @@ Hom(S x Δn, T) ≅ Hom(S, T^{Δn}), which holds for L-truncated simplicial
 sets too because the L-truncated Δm is representable.  The path object
 T^{Δn} (:func:`path_object`) is itself an exponential, with a simplex
 exponent; it is built once per base, n and level and kept on the base.
-Below the top level k, each map S -> T^{Δn} is transposed to S x Δn -> T.
-The top level, where T^S is largest, is named in curried coordinates, on
-the maps ν: S -> T^{Δk} the search returns: its degenerate cells are
+Below the top level k, each map S -> T^{Δn} is transposed to S x Δn -> T,
+and the level is stored in those coordinates.  The top level, where T^S
+is largest, is named and stored in curried coordinates, on the maps
+ν: S -> T^{Δk} the search returns: its degenerate cells are
 T^{σj} ∘ ν' for the maps ν' of level k - 1, and its faces T^{δi} ∘ ν, each
 one :func:`transport` through the per-level code tables between the path
 objects T^{Δ(k-1)} and T^{Δk} (:meth:`Exponential.precomposed`).  Its maps
 are sorted by their splitting slots (:meth:`ExponentFrame.transposition`),
 which order them as their transposes.  So the levels, cell ids and faces
-are those of the direct search over S x Δn -> T, and the top level's code
-tuples over S x Δk are transposed only when first read: neither Ho nor
-the quasicategory check reads them.
+are those of the direct search over S x Δn -> T.  The top level's code
+tuples over S x Δk are transposed only by the first call of
+``Exponential.to_expr(k)``: neither Ho nor the quasicategory check makes it.
 
 That direct search is the base case: at level 0, for pinned exponentials,
 and for an exponent with at most L + 1 vertices, L the working level.
@@ -53,7 +54,7 @@ level tables (see :mod:`qcatkit.simplicial`).  A level-n map is kept as
 its code tuple: the search returns code tuples, the degenerate cells and
 faces are gathered over them, and the transposition reads a path object's
 maps through its per-level table from codes of T^{Δn} to code tuples
-(``Exponential.code_rows``).  So cells are keyed by code tuples, and the
+(``Exponential.code_rows``).  So a cell's one key is its code tuple, and the
 functors that restriction and postcomposition induce on Ho transport code
 tuples (:func:`induced_functor`).  A map is decoded or encoded only by
 :class:`qcatkit.simplicial.SimplicialMap`, the one converter between a
@@ -133,21 +134,22 @@ class Exponential:
     A level-n map is kept as its code tuple (the module docstring of
     :mod:`qcatkit.simplicial`) over the level tables of ``T_t``, T
     truncated at the working level and shared with every exponential of T
-    there.  ``to_expr[n]`` maps the code tuple of every level-n map to its
-    cell expression, ``cell_codes`` each nondegenerate cell to its level
-    and code tuple, and ``codes_of`` any cell expression to its code tuple;
+    there.  The code tuple is the only key of a cell: ``to_expr(n)`` maps
+    the code tuple of every level-n map to its cell expression, and
+    ``code_rows(n)`` lists them per code of ``sset.table(n)``, so
+    ``codes_of`` reads any cell expression's code tuple off it;
     ``map_of`` and ``locate`` pass code tuples to and from
     :class:`SimplicialMap`, which alone decodes and encodes them.
-    ``ho_morphisms`` and ``ho_reps`` key ``ho`` by code tuples.
+    ``ho_morphisms`` keys ``ho`` by level-1 code tuples.
 
-    Levels 0..k-1, and every level of a direct or pinned exponential, are
-    kept as code tuples from the start.  The top level k of a curried
-    exponential is kept as its maps S -> T^{Δk} until a code tuple of it is
-    asked for: the first subscript of ``to_expr`` that misses decodes
-    ``to_expr[k]``, and the first of ``cell_codes`` its level-k cells
-    (``codes_of``, ``map_of``, ``locate``, ``expr_at`` and ``code_rows(k)``
-    read through them).  Until then ``k in to_expr`` is false, and
-    ``cell_codes`` lists the cells below level k only.
+    Each level is stored once.  Levels 0..k-1, and every level of a direct
+    or pinned exponential, are stored in the coordinates of S x Δn, and
+    ``to_expr(n)`` returns them as stored.  The top level k of a curried
+    exponential is stored in curried coordinates, keyed by its maps
+    S -> T^{Δk}; ``to_expr(k)`` transposes them to code tuples over S x Δk
+    on its first call (``code_rows(k)``, and so ``codes_of``, ``map_of``,
+    ``locate`` and ``expr_at`` at level k, read through it).  Ho and the
+    quasicategory check read levels 0 and 1 and the level tables only.
 
     ``frame`` is S's :class:`ExponentFrame` at the working level, kept on S
     and shared with every other exponential over S; ``S_t`` and
@@ -197,8 +199,8 @@ class Exponential:
             keyed, columns = frame.transposition(n, path, nus)
             nus = curried[n] = [nu for _, nu in sorted(zip(transport(nus, keyed), nus))]
             raw[n] = nus if n == top else transport(nus, columns)
-        self.to_expr: dict = _FilledOnMiss()
-        cells = self.cell_codes = _FilledOnMiss()
+        named = self._named = {}  # per level, its maps' cell expressions
+        self._top_path = paths.get(top)
         # level by level: the degenerate cells are the s_j of the maps one
         # level down (the pins survive the collapse, so level n enumerated
         # them all); the others, in raw[n]'s order, are named in it.  s_j and
@@ -206,9 +208,9 @@ class Exponential:
         # the path objects on the maps S -> T^{Δk}
         levels, faces = {}, {}
         for n in range(k + 1):
-            known = {}
+            known = named[n] = {}
             if n:
-                inner = list(map(self.to_expr[n - 1].__getitem__, raw[n - 1]))
+                inner = list(map(named[n - 1].__getitem__, raw[n - 1]))
                 if n == top:
                     lower, A, B = curried[n - 1], paths[n - 1], paths[n]
                     lifts = [_path_columns(S_t, A, B, _degeneracy_map(n, j)) for j in range(n)]
@@ -218,7 +220,7 @@ class Exponential:
                 else:
                     lower, lifts = raw[n - 1], self._degeneracies[n]
                     drops = [partial(map, face) for face in frame.faces[n]]
-                    below = self.to_expr[n - 1].__getitem__
+                    below = named[n - 1].__getitem__
                 words = [e.word for e in inner]
                 bases = [e.base for e in inner]
                 for j, columns in enumerate(lifts):
@@ -231,21 +233,27 @@ class Exponential:
             if n:
                 for i, drop in enumerate(drops):
                     faces.update(zip(zip(ids, repeat(i)), map(below, drop(new))))
-            if n == top:
-                decoded = _CurriedLevel(frame, n, paths[n], known)
-                self.to_expr.fill, cells.fill = decoded.fill_levels, decoded.fill_cells
-            else:
-                self.to_expr[n] = known
-                cells.update(zip(ids, zip(repeat(n), new)))
         cert = T.coskeletal_from if T.coskeletal_from <= k else None
         self.sset = TruncatedSSet(k, levels, faces, cert, self.name)
 
     # -- public queries -----------------------------------------------------
 
     @memo
+    def to_expr(self, n: int) -> dict:
+        """Per code tuple of a level-n map, its cell expression.  The top
+        level of a curried exponential is kept as its maps S -> T^{Δk}; they
+        are transposed to code tuples over S x Δk here, on the first read."""
+        named = self._named[n]
+        if n < self.k or self._top_path is None:
+            return named
+        nus = list(named)
+        columns = self.frame.transposition(n, self._top_path, nus)[1]
+        return dict(zip(transport(nus, columns), named.values()))
+
+    @memo
     def code_rows(self, n: int) -> list:
         """Per code of ``sset.table(n)``, the code tuple of its map."""
-        known = self.to_expr[n]
+        known = self.to_expr(n)
         key_of = dict(zip(known.values(), known))
         return list(map(key_of.__getitem__, self.sset.table(n).cells))
 
@@ -258,7 +266,7 @@ class Exponential:
         tables = {}
         for m, plan in self.frame.simplex_plans(other.frame, alpha).items():
             moved = transport(self.code_rows(m), plan_columns(plan, other.products[m], self.T_t))
-            code, named = other.sset.table(m).code, other.to_expr[m]
+            code, named = other.sset.table(m).code, other.to_expr(m)
             tables[m] = [code[named[codes]] for codes in moved]
         return tables
 
@@ -273,18 +281,13 @@ class Exponential:
         return dict(zip(self.code_rows(1), self.ho.classes))
 
     @cached_property
-    def ho_reps(self) -> dict:
-        """Per morphism of ``ho``, the code tuple of its representative."""
-        rows = self.code_rows(1)
-        return {m: rows[c] for m, c in self.ho.rep_codes.items()}
-
-    @cached_property
     def ho_batches(self) -> tuple:
         """The code tuples of ``ho``'s objects and of its non-identity
-        morphisms' representatives, in category order, for :func:`induced_functor`."""
-        C, codes = self.ho.category, self.cell_codes
-        return ([codes[x][1] for x in C.objects],
-                list(map(self.ho_reps.__getitem__, C.nonidentity())))
+        morphisms' representatives, in category order, for
+        :func:`induced_functor`.  The objects are the vertices, in
+        ``sset.table(0)`` order, which is the category's."""
+        rows, reps = self.code_rows(1), self.ho.rep_codes
+        return self.code_rows(0), [rows[reps[m]] for m in self.ho.category.nonidentity()]
 
     def ho_morphism(self, codes: tuple) -> str:
         """The morphism of ``ho`` that the level-1 map with these codes represents."""
@@ -295,7 +298,7 @@ class Exponential:
 
     def expr_at(self, n: int, codes: tuple) -> SimplexExpr:
         """The cell expression of the level-n map with the given code tuple."""
-        e = self.to_expr[n].get(codes) if n in self.products else None
+        e = self.to_expr(n).get(codes) if n in self.products else None
         if e is None:
             raise KeyError(f"map is not a cell of {self.name}")
         return e
@@ -309,11 +312,8 @@ class Exponential:
 
     def codes_of(self, e: SimplexExpr) -> tuple:
         """The code tuple of the underlying map of an arbitrary cell expression."""
-        n, codes = self.cell_codes[e.base]
-        for j in reversed(e.word):
-            n += 1
-            (codes,) = transport([codes], self._degeneracies[n][j])
-        return codes
+        n = self.sset.expr_dim(e)
+        return self.code_rows(n)[self.sset.table(n).code[e]]
 
     def map_of(self, e: SimplexExpr) -> SimplicialMap:
         """The underlying map of an arbitrary cell expression."""
@@ -479,44 +479,6 @@ def _path_columns(S: TruncatedSSet, A: Exponential, B: Exponential, alpha: tuple
     return [(s, tables[S.dim_of[x]]) for s, x in enumerate(S.cells)]
 
 
-class _FilledOnMiss(dict):
-    """A dict that ``fill`` completes, once, at the first subscript that
-    misses; ``in``, ``get`` and iteration see only what is filled."""
-
-    fill = None
-
-    def __missing__(self, key):
-        fill, self.fill = self.fill, None
-        if fill is None:
-            raise KeyError(key)
-        fill(self)
-        return self[key]
-
-
-class _CurriedLevel:
-    """Level n of a curried exponential as named: ``named`` maps each map
-    S -> T^{Δn}, as a code tuple, to its cell expression.  The code tuples
-    over S x Δn are transposed on first read (``decoded``) and filled into
-    the exponential's ``to_expr`` and ``cell_codes``."""
-
-    def __init__(self, frame: ExponentFrame, n: int, path: Exponential, named: dict):
-        self.frame, self.n, self.path, self.named = frame, n, path, named
-
-    @cached_property
-    def decoded(self) -> dict:
-        named, self.named = self.named, None
-        nus = list(named)
-        columns = self.frame.transposition(self.n, self.path, nus)[1]
-        return dict(zip(transport(nus, columns), named.values()))
-
-    def fill_levels(self, to_expr: dict) -> None:
-        to_expr[self.n] = self.decoded
-
-    def fill_cells(self, cell_codes: dict) -> None:
-        n = self.n
-        cell_codes.update((e.base, (n, codes)) for codes, e in self.decoded.items() if not e.word)
-
-
 @memo
 def exponent_frame(S: TruncatedSSet, level: int, k: int) -> ExponentFrame:
     """S's frame at ``level`` and height k, built once and kept on S."""
@@ -548,10 +510,10 @@ def induced_functor(E1: Exponential, E2: Exponential, image, name: str) -> Funct
     morphisms to the classes of the images of their representatives, one
     lookup each.  Nothing is decoded or located.
     """
-    C = E1.ho.category
+    C, named = E1.ho.category, E2.to_expr(0)
     vertices, morphisms = map(image, E1.ho_batches, (0, 1))
     try:
-        ob = dict(zip(C.objects, [E2.to_expr[0][codes].base for codes in vertices]))
+        ob = dict(zip(C.objects, [named[codes].base for codes in vertices]))
         mor = dict(zip(C.nonidentity(), map(E2.ho_morphisms.__getitem__, morphisms)))
     except KeyError:
         raise KeyError(f"map is not a cell of {E2.name}") from None

@@ -15,7 +15,6 @@ which the tests assert on the corpus).
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from operator import itemgetter
 
 from .cats import FiniteCategory, Functor, pair_id
@@ -26,9 +25,8 @@ from .simplicial import (
     TruncatedSSet,
     extensions,
     horn,
-    insert_letter,
 )
-from .util import Budget, UnionFind, ensure_budget
+from .util import Budget, ensure_budget
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +82,13 @@ class NerveSSet(TruncatedSSet):
         return self.chain_expr((src, *merged))
 
     def chain_expr(self, c) -> SimplexExpr:
-        """Simplex expression of a chain that may contain identities."""
-        src, mors = c[0], list(c[1:])
-        J = self.cat
-        for p, m in enumerate(mors):
-            if J.is_identity(m):
-                word_rest = self.chain_expr((src, *mors[:p], *mors[p + 1:]))
-                return SimplexExpr(insert_letter(p, word_rest.word), word_rest.base)
-        cid = c[0] if not mors else "|".join(mors)
-        return SimplexExpr((), cid)
+        """Simplex expression of a chain that may contain identities: the
+        positions of the identities, largest first, applied to the chain
+        without them (each identity is an ``insert_letter`` at its position)."""
+        is_identity, mors = self.cat.is_identity, c[1:]
+        kept = [m for m in mors if not is_identity(m)]
+        word = tuple(p for p in reversed(range(len(mors))) if is_identity(mors[p]))
+        return SimplexExpr(word, "|".join(kept) if kept else c[0])
 
     def expr_chain(self, e: SimplexExpr):
         """The (possibly degenerate) chain presented by an expression."""
@@ -253,17 +249,24 @@ def _is_degenerate_edge(S: TruncatedSSet, e: SimplexExpr) -> bool:
     return len(e.word) == 1 and S.dim_of[e.base] == 0
 
 
-def _class_codes(Q: TruncatedSSet) -> dict:
-    """Per level-1 code, in ``total`` order, the code of its class's
-    representative: the minimal code, so the minimal simplex."""
-    uf = UnionFind(_token_order(Q, 1))
+def _class_codes(Q: TruncatedSSet) -> list:
+    """Per level-1 code, the code of its class's representative: the least
+    code of the class, so the least simplex.  A union-find over the codes
+    in which the root of a class is always its least code."""
+    root = list(range(len(Q.table(1).cells)))
+
+    def find(c: int) -> int:
+        while root[c] != c:
+            root[c] = c = root[root[c]]
+        return c
+
     degenerate = set(Q.degeneracy_codes((0,), 0))
     for d0, d1, d2 in Q.table(2).faces:
-        if d2 in degenerate:
-            uf.union(d0, d1)
-        if d0 in degenerate:
-            uf.union(d1, d2)
-    return uf.classes()
+        for unit, a, b in ((d2, d0, d1), (d0, d1, d2)):
+            if unit in degenerate:
+                a, b = sorted((find(a), find(b)))
+                root[b] = a
+    return list(map(find, range(len(root))))
 
 
 def one_step_homotopic(Q: TruncatedSSet, f: SimplexExpr, g: SimplexExpr) -> bool:
@@ -278,31 +281,23 @@ def one_step_homotopic(Q: TruncatedSSet, f: SimplexExpr, g: SimplexExpr) -> bool
 
 
 class HoPresentation:
-    """The homotopy category of a quasicategory, with its class data.
+    """The homotopy category of a quasicategory, with its class table.
 
     ``classes`` holds, per code of ``Q.table(1)``, the morphism identifier
-    (the token of the canonical class representative) of that 1-simplex;
-    ``reps`` maps each morphism to its representative and ``rep_codes`` to
-    the representative's code.  ``class_map`` sends the token of every
-    1-simplex, in ``total`` order, to its morphism; it is built from
-    ``classes`` when first read.
+    (the token of the canonical class representative) of that 1-simplex,
+    and ``rep_codes`` maps each morphism to its representative's code.
+    Both are keyed by level-1 code; ``cls`` reads a simplex's class off its
+    code.
     """
 
     def __init__(self, Q: TruncatedSSet, category: FiniteCategory, classes: list, rep_codes: dict):
         self.sset = Q
         self.category = category
         self.classes = classes
-        self.rep_codes = rep_codes  # morphism id -> code of its representative
-        cells = Q.table(1).cells
-        self.reps = {m: cells[c] for m, c in rep_codes.items()}
-
-    @cached_property
-    def class_map(self) -> dict:
-        cells = self.sset.table(1).cells
-        return {cells[c].token(): self.classes[c] for c in _token_order(self.sset, 1)}
+        self.rep_codes = rep_codes
 
     def cls(self, e: SimplexExpr) -> str:
-        return self.class_map[e.token()]
+        return self.classes[self.sset.table(1).code[e]]
 
     def __repr__(self):
         return f"<Ho({self.sset.name}): {self.category!r}>"
@@ -324,14 +319,14 @@ def ho(Q: TruncatedSSet, budget: Budget = None) -> HoPresentation:
     objects = [e.base for e in Q.table(0).cells]  # level 0 is nondegenerate
     cls = [None] * len(edges.cells)  # per level-1 code, its morphism id
     rep_codes, morphisms = {}, {}
-    named: dict = {}  # representative code -> morphism id
-    for c, r in _class_codes(Q).items():
-        mid = named.get(r)
-        if mid is None:
-            mid = named[r] = edges.cells[r].token()
+    reps = _class_codes(Q)
+    for c in _token_order(Q, 1):
+        r = reps[c]
+        if cls[r] is None:  # the first edge of its class: name the class
+            cls[r] = mid = edges.cells[r].token()
             rep_codes[mid] = r
             morphisms[mid] = (objects[edges.faces[r][1]], objects[edges.faces[r][0]])
-        cls[c] = mid
+        cls[c] = cls[r]
     identities = dict(zip(objects, map(cls.__getitem__, Q.degeneracy_codes((0,), 0))))
     compose = {}
     units = set(identities.values())
@@ -359,9 +354,9 @@ def ho_on_map(f: SimplicialMap, src_ho: HoPresentation = None,
     tgt_ho = tgt_ho if tgt_ho is not None else ho(f.target, budget)
     ob = {x: f.assignment[x].base for x in src_ho.category.objects}
     mor = {}
+    edges = src_ho.sset.table(1).cells
     for mid in src_ho.category.nonidentity():
-        rep = src_ho.reps[mid]
-        mor[mid] = tgt_ho.cls(f.apply(rep))
+        mor[mid] = tgt_ho.cls(f.apply(edges[src_ho.rep_codes[mid]]))
     return Functor(src_ho.category, tgt_ho.category, ob, mor, f"Ho({f.source.name}->{f.target.name})")
 
 
@@ -371,8 +366,9 @@ def counit_functor(N: NerveSSet, hopres: HoPresentation = None) -> Functor:
     J = N.cat
     ob = {x: x for x in hopres.category.objects}
     mor = {}
+    edges = N.table(1).cells
     for mid in hopres.category.nonidentity():
-        chain = N.expr_chain(hopres.reps[mid])
+        chain = N.expr_chain(edges[hopres.rep_codes[mid]])
         src, mors = chain[0], chain[1:]
         m = J.identities[src]
         for step in mors:

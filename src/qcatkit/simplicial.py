@@ -783,37 +783,30 @@ def _assignment_order(S: TruncatedSSet) -> list:
 
     Among simplices whose face supports are already placed, the highest
     dimension is taken first, then the smallest id; this prunes the search
-    as soon as any two endpoints of an edge are known.  When none is ready,
-    the smallest (dimension, id) not yet placed is taken.  The ready cells
-    wait in a sorted list, each added when the last of its supports is placed.
+    as soon as any two endpoints of an edge are known.  The vertices are
+    ready from the start, and a cell becomes ready when the last of its
+    supports, which lie below it, is placed, so some cell is always ready.
+    The ready cells wait in a sorted list.
     """
-    cells = sorted(S.dim_of, key=lambda x: (S.dim_of[x], x))
     waiting, users = {}, {}  # cell -> supports not yet placed; support -> its cells
     ready = []  # (-dimension, id) of the ready cells, sorted
-    for x in cells:
-        n = S.dim_of[x]
-        support = {S.face(SimplexExpr((), x), i).base for i in range(n + 1)} if n else set()
+    for x, n in S.dim_of.items():
+        # its supports lie below it; expr_dim raises on a face whose base is no cell
+        faces = [S.face(SimplexExpr((), x), i) for i in range(n + 1)] if n else ()
+        support = {f.base for f in faces if S.expr_dim(f) < n}
         waiting[x] = len(support)
         for y in support:
             users.setdefault(y, []).append(x)
         if not support:
             ready.append((-n, x))
     ready.sort()
-    placed, order, first = set(), [], 0
-    while len(order) < len(cells):
-        if ready:
-            pick = ready.pop(0)[1]
-            if pick in placed:
-                continue
-        else:
-            while cells[first] in placed:
-                first += 1
-            pick = cells[first]
+    order = []
+    while len(order) < len(waiting):
+        pick = ready.pop(0)[1]
         order.append(pick)
-        placed.add(pick)
         for x in users.get(pick, ()):
             waiting[x] -= 1
-            if not waiting[x] and x not in placed:
+            if not waiting[x]:
                 insort(ready, (-S.dim_of[x], x))
     return order
 

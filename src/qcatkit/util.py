@@ -1,4 +1,4 @@
-"""Shared plumbing: step budgets, the memo rule and a deterministic union-find."""
+"""Shared plumbing: step budgets and the memo rule."""
 
 from __future__ import annotations
 
@@ -102,43 +102,3 @@ def memo(fn):
 
     return kept
 
-
-class UnionFind:
-    """Union-find over hashable keys with deterministic representatives.
-
-    The representative of a class is its minimal element (by `<` on keys),
-    so quotients are reproducible regardless of union order.
-    """
-
-    def __init__(self, items=()):
-        self._parent = {}
-        for x in items:
-            self._parent.setdefault(x, x)
-
-    def add(self, x) -> None:
-        self._parent.setdefault(x, x)
-
-    def find(self, x):
-        self.add(x)
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:  # path compression
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        keep, drop = (rx, ry) if rx < ry else (ry, rx)
-        self._parent[drop] = keep
-
-    def classes(self) -> dict:
-        """Map every key to the minimal element of its class."""
-        mins = {}
-        for x in self._parent:
-            r = self.find(x)
-            if r not in mins or x < mins[r]:
-                mins[r] = x
-        return {x: mins[self.find(x)] for x in self._parent}

@@ -13,6 +13,7 @@ from qcatkit.nerve import nerve
 from qcatkit.prederivator import sample_to_manifest, standard_sample
 from qcatkit.simplicial import horn, sset_to_text, standard_simplex
 from qcatkit.whitehead import write_labeled_corpus
+from test_mapping import HOMOTOPIC_PAIR
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +23,9 @@ def inputs(tmp_path_factory):
     (d / "n1.sset").write_text(sset_to_text(nerve(poset_simplex(1), 3)))
     (d / "nz2.sset").write_text(sset_to_text(nerve(group_z2(), 3)))
     (d / "horn.sset").write_text(sset_to_text(horn(2, 1, 2)))
+    (d / "fg.sset").write_text(HOMOTOPIC_PAIR)
+    # four vertices: the top level of an exponential over it is curried
+    (d / "square.sset").write_text(sset_to_text(nerve(standard_sample().cat("[1]x[1]"), 2)))
     (d / "interval.cat").write_text(cat_to_text(poset_simplex(1)))
     (d / "bad.sset").write_text("dim 2\n0: a\nface x y = [] a\n")
     rows = {name: (name, f, expected) for name, f, expected in labeled_map_corpus()}
@@ -99,6 +103,19 @@ GOLDEN = [
     (["validate", "n1.sset"], 0,
      "a455a537ea564bf1917a42d9589b4042ab0ae11982fba33912af846d8cd5b521",
      "061e1c14b6c8aef2f34e70be43b08fb07e6cc52a1caf616c65c7a48a1450ea8b"),
+    (["ho", "n1.sset"], 0,
+     "993bf12ec08c2446bbb2a7b1a26c8ba5b8b837d98a8700e996c704e7e3ef7d1d",
+     "619f0c4ec899dc5e90286e1c16ca1007faa03479a98460c6a8d4becbed1c8bc5"),
+    (["ho", "nz2.sset"], 0,
+     "348c84c1d136354a8977f613e76335375d8d3de52394546d2707f79a85d37485",
+     "ca3304d979ce7cbd4679bdf6b3cd860b87069fa5f65f27a37c00d0dfdda413a1"),
+    # the class {f, g} is named f
+    (["ho", "fg.sset"], 0,
+     "0bbf5438b8a4d67cd068d6defaa20189ab2018c1ab894653898374b50c8ed51b",
+     "0eb611c9b08648d833623546ec9b9d2eb6c0988f2df0b2509daec2100954024d"),
+    (["exp", "n1.sset", "square.sset"], 0,
+     "a62c18a35aa68179344c411d160a828e6e8f21676e8418c9c044bb6888983b63",
+     "17d3d2c2e8d7d6499effdd64bc5a4befd1db5c94a1ee196f233a80ded0860135"),
 ]
 
 

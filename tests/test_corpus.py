@@ -6,8 +6,14 @@ checks against ``perfbench/expected.json``.
 
 import pytest
 
-from qcatkit.corpus import corpus_quasicategories, corpus_ssets, face_mutations
-from qcatkit.nerve import is_quasicategory
+from qcatkit.cats import equivalence_inverse
+from qcatkit.corpus import (
+    corpus_quasicategories,
+    corpus_ssets,
+    face_mutations,
+    labeled_map_corpus,
+)
+from qcatkit.nerve import ho_on_map, is_quasicategory
 
 MEMBERS = corpus_ssets()
 # the shells of dimension >= 2 and the horns missing an inner 2- or 3-simplex face
@@ -40,3 +46,11 @@ def test_corpus_quasicategories_pass():
     members = corpus_quasicategories()
     assert [name for name, Q in members if not is_quasicategory(Q).ok] == []
     assert not {name for name, _ in members} & NOT_QUASICATEGORIES
+
+
+def test_labels_are_the_equivalences_on_ho():
+    # the ends are nerves, 1-types: f is an equivalence exactly when Ho(f) is
+    labels = [(name, expected) for name, _, expected in labeled_map_corpus()]
+    decided = [(name, equivalence_inverse(ho_on_map(f)) is not None)
+               for name, f, _ in labeled_map_corpus()]
+    assert len(decided) == 10 and decided == labels

@@ -20,6 +20,7 @@ from qcatkit.cats import (
     product_cat,
     validate_category,
 )
+from qcatkit.corpus import corpus_quasicategories
 from qcatkit.mapping import (
     ExactnessError,
     Exponential,
@@ -48,7 +49,7 @@ from qcatkit.simplicial import (
     standard_simplex,
     weak_seq_to_word,
 )
-from qcatkit.util import Budget, UnionFind
+from qcatkit.util import Budget
 
 
 def assert_matches_direct_search(E):
@@ -63,7 +64,7 @@ def assert_matches_direct_search(E):
         assert nondeg == [f"c{n}_{i}" for i in range(len(E.sset.nondeg(n)))]
     D = Exponential(E.base, E.exponent, E.k, pinned={})
     assert sset_to_text(E.sset) == sset_to_text(D.sset)
-    assert E.to_expr == D.to_expr
+    assert all(E.to_expr(n) == D.to_expr(n) for n in range(E.k + 1))
 
 
 def delta_map(alpha, n: int, target_n: int, D: int) -> SimplicialMap:
@@ -248,9 +249,10 @@ class TestExponential:
 
     def test_cell_maps_decode_without_the_exponential(self):
         E = Exponential(nerve(group_z2(), 3), nerve(poset_simplex(1), 2), 2)
-        assert sorted(E.cell_codes) == sorted(x for n in range(3) for x in E.sset.nondeg(n))
+        assert (sorted(e.base for n in range(3) for e in E.to_expr(n).values() if not e.word)
+                == sorted(x for n in range(3) for x in E.sset.nondeg(n)))
         mu, vertex = (E.map_of(SimplexExpr((), cid)) for cid in ("c1_0", "c0_0"))
-        assert mu.images == E.cell_codes["c1_0"][1] and E.locate(mu) == SimplexExpr((), "c1_0")
+        assert E.to_expr(1)[mu.images] == SimplexExpr((), "c1_0") == E.locate(mu)
         ref = weakref.ref(E)
         del E
         gc.collect()
@@ -376,7 +378,7 @@ def curried_tops() -> list:
     for T in (nerve(poset_simplex(2), 3), nerve(group_z2(), 3), nerve(contractible_groupoid(), 3)):
         for J in sample.order:
             E = Exponential(T, nerve(sample.cat(J), 2), 2)
-            if 2 in E.to_expr:  # a direct exponential
+            if E._top_path is None:  # a direct exponential
                 continue
             path = path_object(T, E.products[2].right, 2, Budget())
             nus = map_codes(E.S_t, path.sset, Budget())
@@ -398,6 +400,11 @@ def test_splitting_key_sorts_the_top_level_as_its_code_tuples(data):
     assert len(set(keys)) == len(maps)
 
 
+def top_decoded(E: Exponential) -> bool:
+    """Whether ``to_expr`` has transposed E's top level, by its memo slot."""
+    return (E.k,) in vars(E).get("memo.to_expr", {})
+
+
 class TestCurriedTopLevel:
     def test_reading_ho_leaves_the_top_level_undecoded(self):
         sample = standard_sample()
@@ -405,28 +412,29 @@ class TestCurriedTopLevel:
             for J in ("[1]x[1]", "[1]+[1]"):
                 E = Exponential(T, nerve(sample.cat(J), 2), 2)
                 assert E.ho.category.objects and E.ho_batches and E.ho_morphisms
-                assert 2 not in E.to_expr and not set(E.sset.nondeg(2)) & set(E.cell_codes)
+                assert not top_decoded(E)
                 # decoded now: the direct search's maps, the cells in id order
                 direct = map_codes(E.products[2], E.T_t, Budget())
-                decoded = E.to_expr[2]
-                assert sorted(decoded) == direct
+                decoded = E.to_expr(2)
+                assert top_decoded(E) and sorted(decoded) == direct
                 ids = [f"c2_{i}" for i in range(len(E.sset.nondeg(2)))]
-                assert ([E.cell_codes[x] for x in ids]
-                        == [(2, codes) for codes in direct if not decoded[codes].word])
+                assert ([E.codes_of(SimplexExpr((), x)) for x in ids]
+                        == [codes for codes in direct if not decoded[codes].word])
                 assert E.code_rows(2) == [codes for _, codes in sorted(
                     (E.sset.table(2).code[e], codes) for codes, e in decoded.items())]
 
-    def test_cell_codes_decode_the_top_level_on_their_own(self):
+    def test_codes_of_decodes_the_top_level_on_its_own(self):
         T = nerve(contractible_groupoid(), 3)
         E = Exponential(T, nerve(standard_sample().cat("[1]x[1]"), 2), 2)
-        last = E.sset.nondeg(2)[-1]
-        assert E.map_of(SimplexExpr((), last)).images == E.cell_codes[last][1]
-        assert 2 not in E.to_expr
+        last = SimplexExpr((), E.sset.nondeg(2)[-1])
+        assert not top_decoded(E)
+        assert E.to_expr(2)[E.map_of(last).images] == last and top_decoded(E)
         degenerate = SimplexExpr((1,), E.sset.nondeg(1)[-1])
         assert E.locate(E.map_of(degenerate)) == degenerate
-        assert E.to_expr == Exponential(T, E.exponent, 2, pinned={}).to_expr
-        with pytest.raises(KeyError):
-            E.cell_codes["no such cell"]
+        direct = Exponential(T, E.exponent, 2, pinned={})
+        assert all(E.to_expr(n) == direct.to_expr(n) for n in range(3))
+        with pytest.raises(KeyError, match="dangling base identifier"):
+            E.codes_of(SimplexExpr((), "no such cell"))
 
 
 # two parallel edges f, g: x -> y and a 2-simplex making them homotopic,
@@ -444,22 +452,47 @@ class TestHoTables:
         for J in ("[0]", "[1]", "[2]", "[0]x[1]", "[1]x[1]"):
             E = D.data(J)
             assert len(E.ho_morphisms) == len(E.sset.total(1))
-            for key, e in E.to_expr[1].items():
+            for key, e in E.to_expr(1).items():
                 assert E.ho_morphisms[key] == E.ho.cls(e) == E.ho_morphism(key)
-            assert E.ho_reps == {m: E.codes_of(r) for m, r in E.ho.reps.items()}
-            assert sorted(E.ho_reps) == sorted(E.ho.category.morphisms)
+            edges, reps = E.sset.table(1).cells, E.ho.rep_codes
+            assert E.ho_batches[1] == [E.codes_of(edges[reps[m]])
+                                       for m in E.ho.category.nonidentity()]
+            assert sorted(reps) == sorted(E.ho.category.morphisms)
             sizes.append((len(E.ho_morphisms), len(E.ho.category.morphisms)))
         assert sizes == [(4, 3), (15, 10), (41, 27), (15, 10), (149, 99)]
         with pytest.raises(KeyError, match=re.escape(f"map is not a cell of {E.name}")):
-            E.ho_morphism(E.ho_reps[sorted(E.ho_reps)[0]][:-1])
+            E.ho_morphism(E.codes_of(edges[reps[min(reps)]])[:-1])
+
+    def test_class_table_is_the_closure_of_the_one_step_relation(self):
+        # the classes by merging sets over every 2-simplex's faces; each
+        # edge's morphism is the token of the least member of its class
+        D = HoPrederivator(sset_from_text(HOMOTOPIC_PAIR, "fg"), standard_sample())
+        sets = [D.data(J).sset for J in ("[0]", "[1]", "[2]", "[0]x[1]", "[1]x[1]")]
+        sets += [S for _, S in corpus_quasicategories()]
+        merged = 0
+        for S in sets:
+            pairs = []
+            for sigma in S.total(2):
+                d0, d1, d2 = (S.face(sigma, i) for i in range(3))
+                if d2.word:  # degenerate: an identity at the initial vertex
+                    pairs.append((d0, d1))
+                if d0.word:
+                    pairs.append((d1, d2))
+            edges = S.total(1)
+            part = merged_classes(edges, pairs)
+            pres = ho(S)
+            assert [pres.cls(e) for e in edges] == [min(part[e]).token() for e in edges], S.name
+            merged += len(edges) - len(set(part.values()))
+        assert merged == 75  # the exponentials' (4, 3), (15, 10), (41, 27), (15, 10), (149, 99)
 
     def test_ho_keeps_the_class_of_every_code(self):
         Q = sset_from_text(HOMOTOPIC_PAIR, "fg")
         pres, edges = ho(Q), Q.table(1)
         assert pres.classes == [pres.cls(e) for e in edges.cells]
         assert pres.classes[edges.code[SimplexExpr((), "g")]] == "f"
-        assert pres.reps == {m: edges.cells[c] for m, c in pres.rep_codes.items()}
-        assert list(pres.class_map) == [e.token() for e in Q.total(1)]
+        assert all(edges.cells[c].token() == m for m, c in pres.rep_codes.items())
+        assert {e.token(): pres.cls(e) for e in Q.total(1)} == {"f": "f", "g": "f", "s0.x": "s0.x",
+                                                                "s0.y": "s0.y"}
         assert pres.category.morphisms == {"f": ("x", "y"), "s0.x": ("x", "x"),
                                            "s0.y": ("y", "y")}
 
@@ -479,7 +512,8 @@ class TestHoTables:
             plan = sample.restriction(u, dj.frame, dk.frame)[1]
             F = D.on_functor(u)
             nonid = dk.ho.category.nonidentity()
-            reps = [dk.codes_of(dk.ho.reps[m]) for m in nonid]
+            edges = dk.sset.table(1).cells
+            reps = [dk.codes_of(edges[dk.ho.rep_codes[m]]) for m in nonid]
             moved = transport(reps, plan_columns(plan, dj.products[1], dj.T_t))
             assert moved == [gather_one(codes, plan, dj.products[1], dj.T_t) for codes in reps]
             for m, codes in zip(nonid, moved):
@@ -488,12 +522,21 @@ class TestHoTables:
         assert len(checked) == 32
 
 
+def merged_classes(items, pairs) -> dict:
+    """Oracle: per item, its class in the equivalence relation that
+    ``pairs`` generate, by merging sets."""
+    part = {x: frozenset((x,)) for x in items}
+    for a, b in pairs:
+        if part[a] is not part[b]:
+            merged = part[a] | part[b]
+            part.update(dict.fromkeys(merged, merged))
+    return part
+
+
 def pi0(sset):
     """Oracle: path components of a truncated simplicial set."""
-    uf = UnionFind(sset.nondeg(0))
-    for e in sset.nondeg(1):
-        uf.union(sset.faces[(e, 1)].base, sset.faces[(e, 0)].base)
-    return len({v for v in uf.classes().values()})
+    ends = [(sset.faces[(e, 1)].base, sset.faces[(e, 0)].base) for e in sset.nondeg(1)]
+    return len(set(merged_classes(sset.nondeg(0), ends).values()))
 
 
 class TestMappingSpace:

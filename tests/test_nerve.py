@@ -16,6 +16,7 @@ from qcatkit.cats import (
     product_cat,
     validate_category,
 )
+from qcatkit.corpus import corpus_categories
 from qcatkit.nerve import (
     chain_shape_iso,
     counit_functor,
@@ -30,16 +31,29 @@ from qcatkit.nerve import (
     require_quasicategory,
 )
 from qcatkit.simplicial import (
+    SimplexExpr,
     boundary,
     compose_maps,
     expr,
     horn,
     identity_map,
+    insert_letter,
     product,
     sset_from_text,
     standard_simplex,
 )
 from qcatkit.util import Budget, BudgetExceeded
+
+
+def chain_expr_by_recursion(N, c) -> SimplexExpr:
+    """Oracle: the simplex of a chain that may contain identities, dropping
+    the first identity and inserting its letter into the rest's word."""
+    src, mors = c[0], list(c[1:])
+    for p, m in enumerate(mors):
+        if N.cat.is_identity(m):
+            rest = chain_expr_by_recursion(N, (src, *mors[:p], *mors[p + 1:]))
+            return SimplexExpr(insert_letter(p, rest.word), rest.base)
+    return SimplexExpr((), "|".join(mors) if mors else src)
 
 
 def monotone_maps(m, n):
@@ -65,6 +79,20 @@ class TestNerve:
             n = nerve(poset_simplex(j), 3)
             for m in range(4):
                 assert len(n.total(m)) == len(monotone_maps(m, j))
+
+    def test_chain_expr_is_the_recursive_rule(self):
+        checked = 0
+        for _, J in corpus_categories():
+            N = nerve(J, 4)
+            chains = [(x,) for x in J.objects]
+            for _ in range(4):
+                chains = [c + (m,) for c in chains for m in J.morphisms
+                          if J.dom(m) == (J.cod(c[-1]) if len(c) > 1 else c[0])]
+                for c in chains:
+                    assert N.chain_expr(c) == chain_expr_by_recursion(N, c), c
+                    assert N.expr_chain(N.chain_expr(c)) == c
+                checked += len(chains)
+        assert checked == 433
 
     def test_nerve_of_free_boundary(self):
         # chains of composable generators: the composite of a and b is the
@@ -197,8 +225,9 @@ class TestHo:
         tokens = [e.token() for e in q.total(1)]
         assert tokens != [e.token() for e in sorted(q.total(1))]
         pres = ho(q)
-        assert list(pres.class_map) == tokens
-        assert pres.class_map == {"s0.x": "s0.x", "s0.y": "s0.y", "xy": "xy"}
+        assert list(pres.rep_codes) == tokens
+        assert {e.token(): pres.cls(e) for e in q.total(1)} == {"s0.x": "s0.x", "s0.y": "s0.y",
+                                                                "xy": "xy"}
 
     def test_counit_is_isomorphism(self):
         for cat in [poset_simplex(0), poset_simplex(2), boundary_two(),

@@ -202,6 +202,14 @@ class TestValidation:
         assert not report.ok
         assert any("dangling" in v for v in report.violations)
 
+    def test_dangling_face_base_fails_the_map_search_loudly(self):
+        s = standard_simplex(1, 2)
+        faces = dict(s.faces)
+        faces[("01", 0)] = expr("ghost")
+        bad = type(s)(2, {n: s.nondeg(n) for n in range(3)}, faces, None, "mutant")
+        with pytest.raises(KeyError, match="dangling base identifier 'ghost' in mutant"):
+            map_codes(bad, s, Budget())
+
     def test_simplicial_identities_on_all_corpus(self):
         for s in [standard_simplex(3, 3), boundary(3, 3), horn(3, 1, 3),
                   product(standard_simplex(1, 2), standard_simplex(1, 2))]:
