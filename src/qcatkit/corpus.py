@@ -225,19 +225,19 @@ def full_sub_mutant(base: Prederivator, shape: str, keep, name: str) -> Prederiv
 
 
 def _removal_mutation(base: HoPrederivator, arrow_picker, label: str) -> Prederivator:
-    """The full sub-prederivator without the diagrams in [1] x [1] of one arrow."""
-    src, on_object, _ = dia_arrow(base, "[1]")
+    """The full sub-prederivator on the diagrams in [1] x [1] whose arrow in
+    the base's ``dia_arrow`` table at [1] is not the picked one."""
+    _, arrow, _ = dia_arrow(base, "[1]")
     f0 = arrow_picker(base)
-    keep = [X for X in src.objects if on_object(X) != f0]
+    keep = [X for X, f in arrow.items() if f != f0]
     return full_sub_mutant(base, "[1]x[1]", keep, f"{base.name}/{label}")
 
 
 def der5prime_mutation(base: HoPrederivator) -> Prederivator:
-    """Removes the literal diagrams of one arrow, keeping isomorphic copies.
-
-    Strict surjectivity fails; essential surjectivity survives, so only
-    the primed axiom is violated.  Use over a groupoid corpus member.
-    """
+    """Removes the literal diagrams of one invertible arrow, keeping
+    isomorphic copies: strict surjectivity fails, essential surjectivity
+    survives, so of the two reports of ``check_der5`` only Der5' fails.
+    Use over a groupoid corpus member."""
     def pick(D):
         CJ = D.eval("[1]")
         for m in CJ.nonidentity():
@@ -248,7 +248,8 @@ def der5prime_mutation(base: HoPrederivator) -> Prederivator:
 
 
 def der5_mutation(base: HoPrederivator) -> Prederivator:
-    """Removes all diagrams of an arrow with no isomorphic replacement."""
+    """Removes all diagrams of a non-invertible arrow, which then has no
+    isomorphic replacement: both reports of ``check_der5`` fail."""
     def pick(D):
         CJ = D.eval("[1]")
         for m in CJ.nonidentity():

@@ -178,6 +178,21 @@ def test_sample_manifest_is_checked_on_load(inputs, capsys, tmp_path):
                    "is not the coproduct\n")
 
 
+@pytest.mark.parametrize("missing", ["end0_[0]", "end1_[0]", "step_[0]"])
+def test_a_shift_without_its_structure_is_a_closure_error(inputs, capsys, tmp_path, missing):
+    # the sample annotates the shift [0] x [1] but does not list one of its
+    # ends or its step; a 2-cell between the ends goes with a missing end
+    d, _ = inputs
+    data = sample_to_manifest(standard_sample(), tmp_path)
+    data["functors"] = [f for f in data["functors"] if f["name"] != missing]
+    data["nats"] = [a for a in data["nats"] if missing not in (a["name"], a["src"], a["dst"])]
+    (tmp_path / "sample.json").write_text(json.dumps(data))
+    code, out = run(["der-audit", str(d / "n1.sset"), "--sample", str(tmp_path / "sample.json")],
+                    capsys)
+    assert code == 1
+    assert out == f"error: sample standard lacks {missing} for the shift [0] x [1]\n"
+
+
 def test_verify_suite_is_not_a_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-suite"])

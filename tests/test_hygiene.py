@@ -192,3 +192,34 @@ def test_no_module_level_mutable_state():
             if mutable:
                 found.append(f"{module}:{node.lineno}")
     assert not found
+
+
+def _only_raises(fn) -> bool:
+    """A body that only raises, after an optional docstring: a hook that
+    subclasses override."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    return all(isinstance(node, ast.Raise) for node in body)
+
+
+def _is_memo(fn) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "memo" for d in fn.decorator_list)
+
+
+def test_every_parameter_is_read():
+    """Every parameter of a function in the package, nested functions
+    included, is read in its body.  Exempt are ``self``, the owner of a
+    ``util.memo`` answer (its first parameter) and a body that only raises.
+    A lambda takes the parameters its caller passes, so it is not scanned."""
+    unread = []
+    for module, tree in _trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or _only_raises(fn):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                      if p is not None][1 if _is_memo(fn) else 0:]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{module}:{fn.lineno} {p} in {fn.name}" for p in params
+                       if p != "self" and p not in read]
+    assert not unread

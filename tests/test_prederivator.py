@@ -25,6 +25,7 @@ from qcatkit.cats import (
     vertical_compose,
 )
 from qcatkit.corpus import (
+    PatchedPrederivator,
     der1_mutation,
     der2_mutation,
     der5_mutation,
@@ -367,6 +368,64 @@ def test_on_nat_transports_are_built_once_per_sample():
     assert all(r() is None for r in refs)
 
 
+def wide_restriction_mutant(base, shape: str) -> PatchedPrederivator:
+    """``base`` with its value at ``shape`` cut down to the wide subcategory
+    generated by the identities and the images of the listed restrictions
+    into it, with their composites.  So every u* into the shape lands in
+    the cut, and only the fullness of dia^{[1]} can see the morphisms cut."""
+    C, s = base.eval(shape), base.sample
+    keep = set(C.identities.values())
+    for u in s.functors.values():
+        if s.ends(u)[0] == shape != s.ends(u)[1]:
+            keep.update(base.on_functor(u).images.values())
+    grown = True
+    while grown:
+        composites = {h for (g, f), h in C.compose_table.items() if g in keep and f in keep}
+        grown = not composites <= keep
+        keep |= composites
+    wide = FiniteCategory(C.objects, {m: C.morphisms[m] for m in keep},
+                          {gf: h for gf, h in C.compose_table.items() if set(gf) <= keep},
+                          C.identities, f"{C.name}|wide")
+    return PatchedPrederivator(
+        base, shape, wide,
+        lambda big: Functor(wide, big.target, big.ob,
+                            {m: big.mor[m] for m in wide.nonidentity()}, big.name),
+        lambda big: Functor(big.source, wide, big.ob, big.mor, big.name),
+        f"{base.name}/wide-{shape}")
+
+
+# How each pinned Der5 case is built, given pytest's ``getfixturevalue``.
+DER5_CASES = {
+    "delta0": lambda get: get("d_point"),
+    "N([1])": lambda get: get("d_interval"),
+    "N([2])": lambda get: HoPrederivator(nerve(poset_simplex(2), 3), SAMPLE),
+    "N(z2)": lambda get: get("d_z2"),
+    "N(E)": lambda get: get("d_groupoid"),
+    "N(d[2])": lambda get: HoPrederivator(nerve(boundary_two(), 3), SAMPLE),
+    "Der1 mutant": lambda get: der1_mutation(get("d_interval")),
+    "Der2 mutant": lambda get: der2_mutation(get("d_interval")),
+    "Der5 mutant": lambda get: der5_mutation(get("d_interval")),
+    "Der5' mutant": lambda get: der5prime_mutation(get("d_groupoid")),
+}
+
+# (checked, ok, violations) of Der5 and of Der5', as the two passes that
+# checked them one axiom at a time reported them.
+DER5_PINS = {
+    "delta0": ((4, True, []), (4, True, [])),
+    "N([1])": ((35, True, []), (35, True, [])),
+    "N([2])": ((214, True, []), (214, True, [])),
+    "N(z2)": ((146, True, []), (146, True, [])),
+    "N(E)": ((292, True, []), (292, True, [])),
+    "N(d[2])": ((241, True, []), (241, True, [])),
+    "Der1 mutant": ((35, True, []), (35, True, [])),
+    "Der2 mutant": ((35, True, []), (35, True, [])),
+    "Der5 mutant": ((29, False, ["[1]: arrow 'c1_0' is not even isomorphic to a diagram image"]),
+                    (29, False, ["[1]: arrow 'c1_0' of eval([1]) has no preimage diagram"])),
+    "Der5' mutant": ((261, True, []),
+                     (261, False, ["[1]: arrow 'c1_0' of eval([1]) has no preimage diagram"])),
+}
+
+
 class TestDerAudits:
     def test_axioms_hold_for_interval(self, d_interval):
         audits = der_audit(d_interval)
@@ -385,8 +444,7 @@ class TestDerAudits:
         # every commutative square of Ho(N(C)) at [0] lifts to Ho(N(C)^{Δ1})
         for C, checks in [(poset_simplex(1), 35), (poset_simplex(2), 214), (group_z2(), 146)]:
             D = HoPrederivator(nerve(C, 3), SAMPLE)
-            for strict in (False, True):
-                report = check_der5(D, strict)
+            for report in check_der5(D):
                 assert report.ok and report.checked == checks, (C.name, report.violations[:2])
 
     def test_mutations_fail_exactly_their_axiom(self, d_interval, d_groupoid):
@@ -413,13 +471,38 @@ class TestDerAudits:
             assert report.ok and report.checked == 550, (mutant.name, report.violations[:3])
 
     def test_dia_arrow_shape(self, d_interval):
-        src, on_object, on_morphism = dia_arrow(d_interval, "[0]")
+        src, arrow, ends = dia_arrow(d_interval, "[0]")
         CJ = d_interval.eval("[0]")
+        assert src is d_interval.eval("[0]x[1]")
+        assert set(arrow) == set(src.objects) and set(ends) == set(src.morphisms)
         for X in src.objects:
-            assert on_object(X) in CJ.morphisms
+            assert arrow[X] in CJ.morphisms
         for m in src.nonidentity():
-            p0, p1 = on_morphism(m)
+            p0, p1 = ends[m]
             assert p0 in CJ.morphisms and p1 in CJ.morphisms
+
+    @pytest.mark.parametrize("case", sorted(DER5_PINS))
+    def test_der5_reports_are_pinned(self, case, request):
+        D = DER5_CASES[case](request.getfixturevalue)
+        reports = check_der5(D)
+        assert [(r.checked, r.ok, r.violations) for r in reports] == list(DER5_PINS[case])
+        scope = f"{D.name} over standard (shapes: ['[0]', '[1]'])"
+        assert [r.name for r in reports] == [f"Der5 for {scope}", f"Der5' for {scope}"]
+
+    @pytest.mark.parametrize("C,kept", [(poset_simplex(1), 4), (group_z2(), 3)],
+                             ids=["N([1])", "N(z2)"])
+    def test_a_wide_subcategory_fails_fullness_only(self, C, kept):
+        base = HoPrederivator(nerve(C, 3), SAMPLE)
+        D = wide_restriction_mutant(base, "[0]x[1]")
+        whole, wide = base.eval("[0]x[1]"), D.eval("[0]x[1]")
+        assert wide.objects == whole.objects and len(wide.morphisms) == kept
+        assert D.check_two_functoriality().ok
+        audits = der_audit(D)
+        assert [name for name, r in audits.items() if not r.ok] == ["Der5", "Der5'"]
+        # fullness is one scan, so both reports carry the same squares
+        assert audits["Der5"].violations == audits["Der5'"].violations
+        assert ("[0]: square ('s0.c0_0', 'c1_0') from 'c0_0' to 'c0_1' has no lift"
+                in audits["Der5"].violations)
 
 
 class TestFullSubPrederivator:

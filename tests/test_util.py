@@ -8,7 +8,7 @@ import pytest
 from qcatkit.cats import group_z2, identity_functor, poset_simplex
 from qcatkit.mapping import Exponential, exponent_frame
 from qcatkit.nerve import nerve
-from qcatkit.prederivator import HoPrederivator, standard_sample
+from qcatkit.prederivator import ClosureError, HoPrederivator, dia_arrow, standard_sample
 from qcatkit.simplicial import (
     SimplexExpr,
     TruncatedSSet,
@@ -61,6 +61,10 @@ MEMO_SITES = {
     "DiaSample.nerve": (standard_sample, "nerve", lambda s: s.nerve("[1]"), None),
     "Prederivator.eval": (lambda: HoPrederivator(standard_simplex(0, 2), standard_sample()),
                           "eval", lambda D: D.eval("[1]"), None),
+    # the standard sample annotates no shift of [2]
+    "dia_arrow": (lambda: HoPrederivator(standard_simplex(0, 2), standard_sample()),
+                  "dia_arrow", lambda D: dia_arrow(D, "[0]"),
+                  (lambda D: dia_arrow(D, "[2]"), ClosureError)),
     "HO(f) components": (lambda: _Components(("[0]",), lambda J: [J]), "__getitem__",
                          lambda c: c["[0]"], (lambda c: c["[1]"], KeyError)),
 }
