@@ -106,10 +106,9 @@ def cmd_exp(args, report: Report) -> None:
     S = _load_sset(args.exponent)
     E = Exponential(T, S, args.level, Budget(args.budget, "exponential"))
     for n in range(args.level + 1):
-        report.add(f"level {n}: {len(E.sset.nondeg(n))} nondegenerate, "
-                   f"{len(E.sset.total(n))} total",
-                   {"level": n, "nondegenerate": len(E.sset.nondeg(n)),
-                    "total": len(E.sset.total(n))})
+        nondeg, total = len(E.sset.nondeg(n)), len(E.sset.rows(n))
+        report.add(f"level {n}: {nondeg} nondegenerate, {total} total",
+                   {"level": n, "nondegenerate": nondeg, "total": total})
 
 
 def cmd_check_qcat(args, report: Report) -> None:
@@ -243,7 +242,9 @@ def main(argv=None) -> int:
     try:
         args.run(args, report)
     except Exception as err:  # any failure of a subcommand is a report line, not a traceback
-        report.add(f"error: {err}", ok=False)
+        # the str() of a KeyError is the repr of its message
+        report.add(f"error: {err.args[0] if isinstance(err, KeyError) and err.args else err}",
+                   ok=False)
     text = report.render()
     if args.report and args.command != "nerve":
         Path(args.report).write_text(text)

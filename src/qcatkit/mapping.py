@@ -13,16 +13,17 @@ T^{Δn} (:func:`path_object`) is itself an exponential, with a simplex
 exponent; it is built once per base, n and level and kept on the base.
 Below the top level k, each map S -> T^{Δn} is transposed to S x Δn -> T,
 and the level is stored in those coordinates.  The top level, where T^S
-is largest, is named and stored in curried coordinates, on the maps
-ν: S -> T^{Δk} the search returns: its degenerate cells are
-T^{σj} ∘ ν' for the maps ν' of level k - 1, and its faces T^{δi} ∘ ν, each
-one :func:`transport` through the per-level code tables between the path
-objects T^{Δ(k-1)} and T^{Δk} (:meth:`Exponential.precomposed`).  Its maps
-are sorted by their splitting slots (:meth:`ExponentFrame.transposition`),
-which order them as their transposes.  So the levels, cell ids and faces
-are those of the direct search over S x Δn -> T.  The top level's code
-tuples over S x Δk are transposed only by the first call of
-``Exponential.to_expr(k)``: neither Ho nor the quasicategory check makes it.
+is largest, is stored in curried coordinates, on the maps ν: S -> T^{Δk}
+the search returns: its degenerate cells are T^{σj} ∘ ν' for the maps ν'
+of level k - 1, and its faces T^{δi} ∘ ν, each one :func:`transport`
+through the per-level code tables between the path objects T^{Δ(k-1)}
+and T^{Δk} (:meth:`Exponential.precomposed`).  Its maps are sorted by
+their splitting slots (:meth:`ExponentFrame.transposition`), which order
+them as their transposes.  So the levels, cell ids and faces are those of
+the direct search over S x Δn -> T.  The top level's code tuples over
+S x Δk are transposed only by the first call of
+``Exponential.code_rows(k)``: neither Ho nor the quasicategory check makes
+it.
 
 That direct search is the base case: at level 0, for pinned exponentials,
 and for an exponent with at most L + 1 vertices, L the working level.
@@ -60,12 +61,20 @@ tuples (:func:`induced_functor`).  A map is decoded or encoded only by
 :class:`qcatkit.simplicial.SimplicialMap`, the one converter between a
 code tuple and its images.
 
+The top level k is coded, and named only when read.  Its maps are kept
+per code of the set's ``table(k)``, and the faces of its nondegenerate
+cells are handed to the set as rows of codes of ``table(k - 1)``
+(:meth:`qcatkit.simplicial.TruncatedSSet.code_top`).  Ho and the
+quasicategory check read level 2 through ``rows`` and ``token_order``
+alone, so an HO value never names its top level; a path object's is named
+when a curried exponential reads it (``Exponential.precomposed``).
+
 The build runs in bulk, over tables.  The transposition and the sort keys
 of the maps S -> T^{Δn} are :func:`transport` calls: a slot of the
 transposed map over a cell x of S is one column, a table worked out once
-per image of x that some map takes.  A level's cells are named, and their
-faces gathered, a whole level at a time.  So are the functors on Ho:
-:func:`transport` sends a batch of code tuples through a map a column at a
+per image of x that some map takes.  A level's cells are named or coded,
+and their faces gathered, a whole level at a time.  So are the functors on
+Ho: :func:`transport` sends a batch of code tuples through a map a column at a
 time, and each exponential keeps the code tuples of its Ho objects and of
 its morphisms' representatives (``Exponential.ho_batches``), beside the
 morphism of every level-1 code tuple (``Exponential.ho_morphisms``).  So
@@ -142,14 +151,16 @@ class Exponential:
     :class:`SimplicialMap`, which alone decodes and encodes them.
     ``ho_morphisms`` keys ``ho`` by level-1 code tuples.
 
-    Each level is stored once.  Levels 0..k-1, and every level of a direct
-    or pinned exponential, are stored in the coordinates of S x Δn, and
-    ``to_expr(n)`` returns them as stored.  The top level k of a curried
-    exponential is stored in curried coordinates, keyed by its maps
-    S -> T^{Δk}; ``to_expr(k)`` transposes them to code tuples over S x Δk
-    on its first call (``code_rows(k)``, and so ``codes_of``, ``map_of``,
-    ``locate`` and ``expr_at`` at level k, read through it).  Ho and the
-    quasicategory check read levels 0 and 1 and the level tables only.
+    Each level is stored once.  Levels 0..k-1 are named and stored in the
+    coordinates of S x Δn, keyed by code tuple, and ``to_expr(n)`` returns
+    them as stored.  The top level k is coded: the set holds its face rows
+    (:meth:`TruncatedSSet.code_top`), and its maps are kept per code of
+    ``sset.table(k)``, at the top of a curried exponential as its maps
+    S -> T^{Δk}.  ``code_rows(k)`` transposes those, and ``to_expr(k)``
+    names the level, on the first call (``codes_of``, ``map_of``,
+    ``locate`` and ``expr_at`` at level k read through them).  Ho and the
+    quasicategory check read levels 0 and 1, ``rows(2)`` and
+    ``token_order(2)`` only.
 
     ``frame`` is S's :class:`ExponentFrame` at the working level, kept on S
     and shared with every other exponential over S; ``S_t`` and
@@ -199,60 +210,81 @@ class Exponential:
             keyed, columns = frame.transposition(n, path, nus)
             nus = curried[n] = [nu for _, nu in sorted(zip(transport(nus, keyed), nus))]
             raw[n] = nus if n == top else transport(nus, columns)
-        named = self._named = {}  # per level, its maps' cell expressions
+        named = self._named = {}  # per level below the top, its maps' cell expressions
         self._top_path = paths.get(top)
-        # level by level: the degenerate cells are the s_j of the maps one
-        # level down (the pins survive the collapse, so level n enumerated
-        # them all); the others, in raw[n]'s order, are named in it.  s_j and
-        # d_i act through the frame on code tuples, and at the top through
-        # the path objects on the maps S -> T^{Δk}
+        # level by level below the top: the degenerate cells are the s_j of
+        # the maps one level down (the pins survive the collapse, so level n
+        # enumerated them all); the others, in raw[n]'s order, are named in
+        # it.  s_j and d_i act through the frame on code tuples
         levels, faces = {}, {}
-        for n in range(k + 1):
+        for n in range(k):
             known = named[n] = {}
             if n:
                 inner = list(map(named[n - 1].__getitem__, raw[n - 1]))
-                if n == top:
-                    lower, A, B = curried[n - 1], paths[n - 1], paths[n]
-                    lifts = [_path_columns(S_t, A, B, _degeneracy_map(n, j)) for j in range(n)]
-                    drops = [partial(transport, columns=_path_columns(S_t, B, A, _face_map(n, i)))
-                             for i in range(n + 1)]
-                    below = dict(zip(lower, inner)).__getitem__
-                else:
-                    lower, lifts = raw[n - 1], self._degeneracies[n]
-                    drops = [partial(map, face) for face in frame.faces[n]]
-                    below = named[n - 1].__getitem__
-                words = [e.word for e in inner]
-                bases = [e.base for e in inner]
-                for j, columns in enumerate(lifts):
+                words, bases = [e.word for e in inner], [e.base for e in inner]
+                for j, columns in enumerate(self._degeneracies[n]):
                     lifted = {w: insert_letter(j, w) for w in set(words)}
-                    known.update(zip(transport(lower, columns),
+                    known.update(zip(transport(raw[n - 1], columns),
                                      map(SimplexExpr, map(lifted.__getitem__, words), bases)))
             new = [codes for codes in raw[n] if codes not in known]
             ids = levels[n] = [f"c{n}_{i}" for i in range(len(new))]
             known.update(zip(new, map(SimplexExpr, repeat((), len(ids)), ids)))
             if n:
-                for i, drop in enumerate(drops):
-                    faces.update(zip(zip(ids, repeat(i)), map(below, drop(new))))
+                below = named[n - 1].__getitem__
+                for i, face in enumerate(frame.faces[n]):
+                    faces.update(zip(zip(ids, repeat(i)), map(below, map(face, new))))
+        # the top level k is coded, not named: its maps go to their codes in
+        # the set's table(k), and the faces of the nondegenerate ones are
+        # handed to the set as rows of codes of table(k - 1).  At the top of
+        # a curried exponential s_j and d_i act through the path objects on
+        # the maps S -> T^{Δk}
+        if k == top:
+            lower, A, B = curried[k - 1], paths[k - 1], paths[k]
+            lifts = [_path_columns(S_t, A, B, _degeneracy_map(k, j)) for j in range(k)]
+            drops = [partial(transport, columns=_path_columns(S_t, B, A, _face_map(k, i)))
+                     for i in range(k + 1)]
+        else:
+            lower, lifts = raw[k - 1], self._degeneracies[k]
+            drops = [partial(map, face) for face in frame.faces[k]]
+        lifted = [transport(lower, columns) for columns in lifts]
+        degenerate = set().union(*lifted)
+        new = [codes for codes in raw[k] if codes not in degenerate]
+        ids = levels[k] = [f"c{k}_{i}" for i in range(len(new))]
+        new = [new[i] for i in sorted(range(len(new)), key=ids.__getitem__)]  # in levels order
         cert = T.coskeletal_from if T.coskeletal_from <= k else None
-        self.sset = TruncatedSSet(k, levels, faces, cert, self.name)
+        self.sset = sset = TruncatedSSet(k, levels, faces, cert, self.name)
+        code = sset.table(k - 1).code
+        lower_codes = [code[named[k - 1][codes]] for codes in raw[k - 1]]
+        code_of = dict(zip(lower, lower_codes)).__getitem__
+        sset.code_top(list(zip(*(map(code_of, drop(new)) for drop in drops))))
+        # per code of table(k), its map: the nondegenerate block comes first
+        top_maps = self._top_maps = new + [None] * (len(raw[k]) - len(new))
+        for j, keys in enumerate(lifted):
+            for key, c in zip(keys, map(sset.degeneracy_codes((j,), k - 1).__getitem__,
+                                        lower_codes)):
+                top_maps[c] = key
 
     # -- public queries -----------------------------------------------------
 
     @memo
     def to_expr(self, n: int) -> dict:
         """Per code tuple of a level-n map, its cell expression.  The top
-        level of a curried exponential is kept as its maps S -> T^{Δk}; they
-        are transposed to code tuples over S x Δk here, on the first read."""
-        named = self._named[n]
-        if n < self.k or self._top_path is None:
-            return named
-        nus = list(named)
-        columns = self.frame.transposition(n, self._top_path, nus)[1]
-        return dict(zip(transport(nus, columns), named.values()))
+        level is named here, on the first read, off ``code_rows(k)`` and
+        ``sset.table(k)``."""
+        if n < self.k:
+            return self._named[n]
+        return dict(zip(self.code_rows(n), self.sset.table(n).cells))
 
     @memo
     def code_rows(self, n: int) -> list:
-        """Per code of ``sset.table(n)``, the code tuple of its map."""
+        """Per code of ``sset.table(n)``, the code tuple of its map.  At the
+        top of a curried exponential the maps S -> T^{Δk} kept per code are
+        transposed to code tuples over S x Δk here, on the first read."""
+        if n == self.k:
+            if self._top_path is None:
+                return self._top_maps
+            return transport(self._top_maps,
+                             self.frame.transposition(n, self._top_path, self._top_maps)[1])
         known = self.to_expr(n)
         key_of = dict(zip(known.values(), known))
         return list(map(key_of.__getitem__, self.sset.table(n).cells))

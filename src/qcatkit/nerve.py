@@ -10,6 +10,10 @@ homotopic when they are two faces of a 2-simplex whose remaining face is
 outer and degenerate; classes are the symmetric-transitive closure of that
 relation (for quasicategories the one-step relation is already closed,
 which the tests assert on the corpus).
+
+Ho and the inner 2-horn check read level 2 only as face rows
+(``TruncatedSSet.rows``) in report order (``TruncatedSSet.token_order``),
+so they name no 2-simplex, and an exponential's coded top level stays so.
 """
 
 from __future__ import annotations
@@ -180,12 +184,6 @@ class QcatReport:
                 self.unique_fillers = False
 
 
-def _token_order(S: TruncatedSSet, n: int) -> list:
-    """The codes of the n-simplices in ``total`` order, the order reports use."""
-    code = S.table(n).code
-    return [code[e] for e in S.total(n)]
-
-
 def _check_level2_horn(S: TruncatedSSet, report: QcatReport, budget: Budget) -> None:
     """Inner 2-horns without the generic map enumeration.
 
@@ -194,12 +192,12 @@ def _check_level2_horn(S: TruncatedSSet, report: QcatReport, budget: Budget) -> 
     level tables: one step per 2-simplex, then one per composable pair.
     """
     edges = S.table(1)
-    order = _token_order(S, 1)
+    order = S.token_order(1)
     # an edge's face row is (d_0, d_1): its final, then its initial vertex
     by_source: dict = {}
     for f in order:
         by_source.setdefault(edges.faces[f][1], []).append(f)
-    faces = S.table(2).faces
+    faces = S.rows(2)
     budget.spend_each(len(faces))
     fillers = Counter(map(itemgetter(2, 0), faces))  # (d2, d0) -> its 2-simplices
     pairs = [(f, g) for f in order for g in by_source.get(edges.faces[f][0], ())]
@@ -261,7 +259,7 @@ def _class_codes(Q: TruncatedSSet) -> list:
         return c
 
     degenerate = set(Q.degeneracy_codes((0,), 0))
-    for d0, d1, d2 in Q.table(2).faces:
+    for d0, d1, d2 in Q.rows(2):
         for unit, a, b in ((d2, d0, d1), (d0, d1, d2)):
             if unit in degenerate:
                 a, b = sorted((find(a), find(b)))
@@ -320,7 +318,7 @@ def ho(Q: TruncatedSSet, budget: Budget = None) -> HoPresentation:
     cls = [None] * len(edges.cells)  # per level-1 code, its morphism id
     rep_codes, morphisms = {}, {}
     reps = _class_codes(Q)
-    for c in _token_order(Q, 1):
+    for c in Q.token_order(1):
         r = reps[c]
         if cls[r] is None:  # the first edge of its class: name the class
             cls[r] = mid = edges.cells[r].token()
@@ -330,8 +328,8 @@ def ho(Q: TruncatedSSet, budget: Budget = None) -> HoPresentation:
     identities = dict(zip(objects, map(cls.__getitem__, Q.degeneracy_codes((0,), 0))))
     compose = {}
     units = set(identities.values())
-    faces = Q.table(2).faces
-    for sigma in _token_order(Q, 2):
+    faces = Q.rows(2)
+    for sigma in Q.token_order(2):
         d0, d1, d2 = faces[sigma]
         f, g, h = cls[d2], cls[d0], cls[d1]
         if f in units or g in units:

@@ -649,7 +649,7 @@ def kan_extension_value(R: TruncatedSSet, J: FiniteCategory, d: int,
         si, ti = index[src], index[tgt]
         checks[max(si, ti)].append((ti, si, R.action_codes(sc.alpha_of[mid], objects[ti][0])))
     # per level, the codes in ``total`` order and the simplices by code
-    order = [[R.table(n).code[e] for e in R.total(n)] for n in range(d + 1)]
+    order = [R.token_order(n) for n in range(d + 1)]
     cells = [R.table(n).cells for n in range(d + 1)]
     values = [None] * len(objects)
     families = []

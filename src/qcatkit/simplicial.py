@@ -8,14 +8,20 @@ degeneracy words with the simplicial identities when needed.
 
 Every set lays its nondegenerate simplices, all levels together, out in
 one canonical cell order: sorted by identifier (``TruncatedSSet.cells``).
-Each level also has a coded table (``TruncatedSSet.table``), built once and
-kept on the set: the n-simplices, degenerate ones included, sorted as
-``SimplexExpr``s, so that the code of a simplex is its position; and each
-simplex's faces as a row of codes one level down.  In that order a level
-comes in blocks, one per degeneracy word, each holding the word applied
-to every nondegenerate simplex of one level in turn; face rows and the
-codes of degenerate simplices are worked out a block at a time.  The set
-also keeps, per degeneracy word and level, the codes of the degenerate
+A level is its face rows (``TruncatedSSet.rows``), built once and kept on
+the set: per n-simplex, degenerate ones included, the codes of its faces
+one level down, where the code of a simplex is its position among the
+n-simplices sorted as ``SimplexExpr``s.  In that order a level comes in
+blocks, one per degeneracy word, each holding the word applied to every
+nondegenerate simplex of one level in turn; face rows and the codes of
+degenerate simplices are worked out a block at a time, off identifiers
+and words, so that no simplex is named.  Names are built when read:
+``table`` adds the simplices as ``SimplexExpr``s and their codes, and
+``total`` lists them in report order, which ``token_order`` gives as codes
+without naming them.  A set can be handed its top level coded
+(``TruncatedSSet.code_top``), as an exponential's is; its ``faces``
+entries there are decoded from the rows only when read.  The set also
+keeps, per degeneracy word and level, the codes of the degenerate
 simplices (``degeneracy_codes``), per monotone α: [m] -> [n] the codes of
 the action y . α (``action_codes``), and for the levels a map search
 targets, an index of codes by face row (``by_faces``).
@@ -231,7 +237,16 @@ class TruncatedSSet:
     ``cells`` is the canonical cell order: every nondegenerate identifier,
     all levels together, sorted.  A :class:`SimplicialMap` out of this set
     lists its images in that order, at the positions ``cell_index`` gives.
+
+    A level is its face rows, ``rows(n)``, and is named only when read (see
+    the module docstring); a set handed its top level coded (``code_top``)
+    decodes its ``faces`` entries there on their first read.
     """
+
+    # set by ``code_top``: the top level's face rows until ``rows`` reads
+    # them, and whether its ``faces`` entries are still to be decoded
+    _handed = None
+    _undecoded = False
 
     def __init__(self, dim_bound: int, levels, faces, coskeletal_from: Optional[int] = None,
                  name: str = "sset"):
@@ -251,6 +266,23 @@ class TruncatedSSet:
                 if x in self.dim_of:
                     raise ValueError(f"duplicate simplex identifier {x!r}")
                 self.dim_of[x] = n
+
+    @property
+    def faces(self) -> dict:
+        """The face data, (id, i) -> SimplexExpr.  On a set handed its top
+        level coded (:meth:`code_top`), that level's entries are decoded
+        from ``rows`` here, on the first read."""
+        if self._undecoded:
+            k = self.dim_bound
+            below = self.table(k - 1).cells
+            self._faces.update(((x, i), below[c]) for x, row in zip(self.nondeg(k), self.rows(k))
+                               for i, c in enumerate(row))
+            del self._undecoded
+        return self._faces
+
+    @faces.setter
+    def faces(self, faces: dict) -> None:
+        self._faces = faces
 
     # -- basic queries ----------------------------------------------------
 
@@ -304,60 +336,82 @@ class TruncatedSSet:
     @memo
     def total(self, n: int) -> list:
         """All n-simplices (degenerate included) in canonical order."""
-        return sorted(self._blocks(n)[0], key=SimplexExpr.token)
+        return sorted(self.table(n).cells, key=SimplexExpr.token)
+
+    def token_order(self, n: int) -> list:
+        """The codes of the n-simplices in ``total`` order, the order reports
+        use: sorted by token, read off the identifiers and the words of the
+        blocks, so that no simplex is named."""
+        tokens: list = []
+        for w in self._blocks(n):
+            tokens += map("".join(f"s{i}." for i in w).__add__, self.nondeg(n - len(w)))
+        return sorted(range(len(tokens)), key=tokens.__getitem__)
 
     @memo
-    def _blocks(self, n: int) -> tuple:
+    def _blocks(self, n: int) -> dict:
         """Level n in blocks, built once: one block per normal word w whose
         level m = n - len(w) has simplices, holding s_w of each of them in
-        ``levels`` order; the blocks follow the order of their words.
-
-        Returns the n-simplices in that order, which is ``SimplexExpr``
-        order, and per word the position its block starts at.
-        """
+        ``levels`` order; the blocks follow the order of their words, which
+        is ``SimplexExpr`` order.  Returns per word the code its block starts
+        at; the nondegenerate block, of the empty word, comes first."""
         words = sorted(w for m in range(min(n, self.dim_bound) + 1) if self.nondeg(m)
                        for w in valid_words(n, m))
-        cells, starts = [], {}
+        starts, size = {}, 0
         for w in words:
-            starts[w] = len(cells)
-            xs = self.nondeg(n - len(w))
-            cells += map(SimplexExpr, repeat(w, len(xs)), xs)
-        return tuple(cells), starts
+            starts[w] = size
+            size += len(self.nondeg(n - len(w)))
+        return starts
 
     @memo
     def table(self, n: int) -> LevelTable:
-        """Level n coded, built once (see the module docstring).
-
-        The face rows are built a block of ``_blocks`` at a time.  Those of
-        the nondegenerate simplices are read off ``faces``; the block of
-        s_j ∘ w holds s_j y for y in the block of w one level down, in the
-        same order, so its rows follow from the rows of that block by the
-        simplicial identities d_i s_j = s_{j-1} d_i (i < j), id (i = j,
-        j + 1) and s_j d_{i-1} (i > j + 1).
-        """
-        cells = self._blocks(n)[0]
-        faces: tuple = ((),) * len(cells)
-        if n:
-            faces = self._face_rows(n)
-        return LevelTable(cells, dict(zip(cells, range(len(cells)))), faces)
-
-    def _face_rows(self, n: int) -> tuple:
-        below = self.table(n - 1)
-        starts = self._blocks(n - 1)[1]
-        rows: list = []
-        for w, start in self._blocks(n)[1].items():
+        """Level n coded and named, built once (see the module docstring):
+        the simplices of the ``_blocks`` as ``SimplexExpr``s, and ``rows(n)``
+        as their faces."""
+        cells: list = []
+        for w in self._blocks(n):
             xs = self.nondeg(n - len(w))
-            if not w:
-                code, faces = below.code, self.faces
-                rows += zip(*(map(code.__getitem__, map(faces.__getitem__, zip(xs, repeat(i))))
-                              for i in range(n + 1)))
+            cells += map(SimplexExpr, repeat(w, len(xs)), xs)
+        cells = tuple(cells)
+        return LevelTable(cells, dict(zip(cells, range(len(cells)))), self.rows(n))
+
+    @memo
+    def rows(self, n: int) -> tuple:
+        """Level n as its face rows: per code, the codes of d_0 .. d_n at
+        level n - 1, empty at level 0; ``table(n).faces`` is this tuple.
+
+        The rows are built a block of ``_blocks`` at a time, naming no
+        simplex of level n.  Those of the nondegenerate simplices are their
+        ``faces`` entries looked up in ``table(n - 1)``, or, at a top level
+        handed over coded (:meth:`code_top`), the rows handed over, which
+        the set gives up here.  The block of s_j ∘ w holds s_j y for y in the
+        block of w one level down, in the same order, so its rows follow
+        from the rows of that block by the simplicial identities
+        d_i s_j = s_{j-1} d_i (i < j), id (i = j, j + 1) and s_j d_{i-1}
+        (i > j + 1).
+        """
+        if not n:
+            return ((),) * len(self.nondeg(0))
+        below, starts = self.rows(n - 1), self._blocks(n - 1)
+        rows: list = []
+        for w in self._blocks(n):
+            xs = self.nondeg(n - len(w))
+            if not w:  # handed over by ``code_top``, or the ``faces`` entries coded
+                if n == self.dim_bound and self._handed is not None:
+                    rows += self._handed
+                    continue
+                code, faces = self.table(n - 1).code, self._faces
+                try:
+                    rows += zip(*(map(code.__getitem__, map(faces.__getitem__, zip(xs, repeat(i))))
+                                  for i in range(n + 1)))
+                except KeyError:
+                    raise self._face_error(n, code) from None
                 continue
             j, y = w[0], starts[w[1:]]
             ys = range(y, y + len(xs))
             if n == 1:
                 rows += zip(ys, ys)
                 continue
-            fy = below.faces[y:y + len(xs)]
+            fy = below[y:y + len(xs)]
             columns = [ys] * (n + 1)
             if j:
                 down = self.degeneracy_codes((j - 1,), n - 2).__getitem__
@@ -366,16 +420,41 @@ class TruncatedSSet:
                 up = self.degeneracy_codes((j,), n - 2).__getitem__
                 columns[j + 2:] = (map(up, map(itemgetter(i - 1), fy)) for i in range(j + 2, n + 1))
             rows += zip(*columns)
+        if n == self.dim_bound:
+            self.__dict__.pop("_handed", None)
         return tuple(rows)
+
+    def _face_error(self, n: int, code: dict) -> KeyError:
+        """The error for the first ``faces`` entry of an n-simplex that is no
+        code of ``table(n - 1)``: missing, dangling, or of the wrong
+        dimension; it names the face and the set."""
+        faces = self._faces
+        x, i = next((x, i) for x in self.nondeg(n) for i in range(n + 1)
+                    if faces.get((x, i)) not in code)
+        f = faces.get((x, i))
+        if f is None:
+            return KeyError(f"missing face ({x!r}, {i}) in {self.name}")
+        if f.base not in self.dim_of:
+            return KeyError(f"dangling base identifier {f.base!r} at face ({x!r}, {i}) "
+                            f"in {self.name}")
+        return KeyError(f"face ({x!r}, {i}) = {f.token()} is no {n - 1}-simplex of {self.name}")
+
+    def code_top(self, rows: list) -> None:
+        """Take the top level's face data coded: ``rows`` holds the face rows
+        of the nondegenerate top simplices, in ``levels`` order, as codes of
+        ``table(dim_bound - 1)``, in place of their ``faces`` entries.
+        ``rows`` reads them once and gives them up; ``faces`` decodes them
+        into entries on its first read.  So a reader of ``rows`` and
+        ``token_order`` alone never names the top level."""
+        self._handed, self._undecoded = rows, True
 
     @memo
     def by_faces(self, n: int) -> dict:
         """The codes of the n-simplices by face row, each list in ``total`` order."""
-        table = self.table(n)
+        rows = self.rows(n)
         index: dict = {}
-        for e in self.total(n):
-            c = table.code[e]
-            index.setdefault(table.faces[c], []).append(c)
+        for c in self.token_order(n):
+            index.setdefault(rows[c], []).append(c)
         return index
 
     @memo
@@ -385,10 +464,10 @@ class TruncatedSSet:
         s_word sends the block of u at level m onto the block of the normal
         form of word ∘ u, simplex by simplex (see ``_blocks``)."""
         if not word:
-            return range(len(self.table(m).cells))
-        up = self._blocks(m + len(word))[1]
+            return range(len(self.rows(m)))
+        up = self._blocks(m + len(word))
         codes = []
-        for u in self._blocks(m)[1]:
+        for u in self._blocks(m):
             xs = self.nondeg(m - len(u))
             w = compose_words(word, u)
             if w not in up:
@@ -408,11 +487,11 @@ class TruncatedSSet:
         """
         if not alpha or alpha[0] < 0 or alpha[-1] > n or list(alpha) != sorted(alpha):
             raise ValueError(f"alpha={alpha!r} is not a monotone map into [{n}]")
-        codes = range(len(self.table(n).cells))
+        codes = range(len(self.rows(n)))
         level = n
         for i in range(n, -1, -1):
             if i not in alpha:
-                faces = self.table(level).faces
+                faces = self.rows(level)
                 codes = [faces[c][i] for c in codes]
                 level -= 1
         word = tuple(p for p in range(len(alpha) - 2, -1, -1) if alpha[p] == alpha[p + 1])
@@ -459,7 +538,8 @@ class TruncatedSSet:
         certified level has exactly one filler within the truncation.
         """
         report = ValidationReport(self.name)
-        for (x, i), f in sorted(self.faces.items()):
+        faces = self.faces
+        for (x, i), f in sorted(faces.items()):
             report.checked += 1
             if x not in self.dim_of:
                 report.add(f"face data for unknown simplex {x!r}")
@@ -479,7 +559,7 @@ class TruncatedSSet:
         for n in range(1, self.dim_bound + 1):
             for x in self.nondeg(n):
                 for i in range(n + 1):
-                    if (x, i) not in self.faces:
+                    if (x, i) not in faces:
                         report.add(f"missing face d_{i} of {x!r}")
         if not report.ok:
             return report
@@ -605,7 +685,7 @@ class SimplicialMap:
         if not report.ok:
             return report
         for n in range(1, S.dim_bound + 1):
-            faces = T.table(n).faces
+            faces = T.rows(n)
             for x in S.nondeg(n):
                 row = faces[images[S.cell_index[x]]]
                 e = SimplexExpr((), x)
@@ -847,7 +927,7 @@ def map_codes(S: TruncatedSSet, T: TruncatedSSet, budget: Budget, fixed=None) ->
         codes = tuple(T.degeneracy_codes(w, n - 1 - len(w)) for w, _ in faces)
         plan.append(((), itemgetter(*(s for _, s in faces)),
                      codes if any(w for w, _ in faces) else None, pinned,
-                     T.table(n).faces if pinned is not None else T.by_faces(n)))
+                     T.rows(n) if pinned is not None else T.by_faces(n)))
     if not plan:
         return [()]
     room = budget.limit - budget.used
@@ -921,17 +1001,17 @@ def _simplex_maps(T: TruncatedSSet, n: int) -> list:
     every row agrees, as in a simplicial T.
     """
     simplex = _simplex(n)
-    slot = simplex.cell_index
+    slot, cell_faces = simplex.cell_index, simplex.faces
     plan, rows, seen = [], [], set()
     for k in range(n, 0, -1):
-        faces = T.table(k).faces
+        faces = T.rows(k)
         for x in simplex.nondeg(k):
-            slots = [slot[simplex.faces[(x, i)].base] for i in range(k + 1)]
+            slots = [slot[cell_faces[(x, i)].base] for i in range(k + 1)]
             plan += [(f, slot[x], faces, i) for i, f in enumerate(slots) if f not in seen]
             seen.update(slots)
             rows.append((slot[x], faces, itemgetter(*slots)))
     maps = []
-    for sigma in range(len(T.table(n).cells)):
+    for sigma in range(len(T.rows(n))):
         codes = [sigma] * len(slot)
         for s, up, faces, i in plan:
             codes[s] = faces[codes[up]][i]
@@ -958,7 +1038,7 @@ def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
     budget keeps nothing.
     """
     budget = ensure_budget(budget, f"extensions {shell.name} -> {T.name}")
-    budget.spend(len(T.table(n).cells))
+    budget.spend(len(T.rows(n)))
 
     def search() -> tuple:
         keys = map_codes(shell, T, budget)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import qcatkit.delocalization as delocalization
-from qcatkit.cats import cat_to_text, group_z2, poset_simplex
+from qcatkit.cats import cat_to_text, contractible_groupoid, group_z2, poset_simplex
 from qcatkit.cli import main
 from qcatkit.corpus import labeled_map_corpus
 from qcatkit.nerve import nerve
@@ -22,6 +22,7 @@ def inputs(tmp_path_factory):
     (d / "delta0.sset").write_text(sset_to_text(standard_simplex(0, 2)))
     (d / "n1.sset").write_text(sset_to_text(nerve(poset_simplex(1), 3)))
     (d / "nz2.sset").write_text(sset_to_text(nerve(group_z2(), 3)))
+    (d / "nE.sset").write_text(sset_to_text(nerve(contractible_groupoid(), 3)))
     (d / "horn.sset").write_text(sset_to_text(horn(2, 1, 2)))
     (d / "fg.sset").write_text(HOMOTOPIC_PAIR)
     # four vertices: the top level of an exponential over it is curried
@@ -116,6 +117,14 @@ GOLDEN = [
     (["exp", "n1.sset", "square.sset"], 0,
      "a62c18a35aa68179344c411d160a828e6e8f21676e8418c9c044bb6888983b63",
      "17d3d2c2e8d7d6499effdd64bc5a4befd1db5c94a1ee196f233a80ded0860135"),
+    # the counts of a direct and of a curried top level, recorded while the
+    # top level was still named to be counted
+    (["exp", "nE.sset", "n1.sset"], 0,
+     "092a75064b071a5b58da6a0fdf3e3d175fb1515aab9ce945cd1abfc2e44c1ded",
+     "2278d8d4722fdaaf10fd4a78b08497699d4196c55217c4469e1c59ea50841b1a"),
+    (["exp", "fg.sset", "square.sset"], 0,
+     "fc48b18284f29c100533932b9ffd11c3536bf6cb6197c037755e00b933021247",
+     "1229e0a25582ec552ec13aa82dd02d6614a220d02753de574dab16dc31d62fe4"),
 ]
 
 
@@ -147,6 +156,29 @@ def test_malformed_sset_is_an_error_line(inputs, capsys):
     code, out = run(["validate", str(d / "bad.sset")], capsys)
     assert code == 1
     assert out.startswith("error: line 3:")
+
+
+# sets whose face data does not code, each with the error naming the face and the set
+MALFORMED = {
+    "noface": ("dim 2\ncoskeletal 2\n0: x y\n1: f\nface f 0 = [] y\n",
+               "missing face ('f', 1) in noface"),
+    "dangling": ("dim 2\ncoskeletal 2\n0: x y\n1: f\nface f 0 = [] y\nface f 1 = [] zz\n",
+                 "dangling base identifier 'zz' at face ('f', 1) in dangling"),
+    "wrongdim": ("dim 2\ncoskeletal 2\n0: a b\n1: f\nface f 0 = [s0] b\nface f 1 = [] a\n",
+                 "face ('f', 0) = s0.b is no 0-simplex of wrongdim"),
+}
+
+
+@pytest.mark.parametrize("command", ["ho", "check-qcat"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_a_face_that_does_not_code_is_a_named_error(tmp_path, capsys, name, command):
+    text, message = MALFORMED[name]
+    path = tmp_path / f"{name}.sset"
+    path.write_text(text)
+    assert run([command, str(path)], capsys) == (1, f"error: {message}\n")
+    code, out = run(["--format", "json", command, str(path)], capsys)
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "items": [{"ok": False, "text": f"error: {message}"}]}
 
 
 def test_unexpected_error_is_an_error_line(inputs, capsys, tmp_path):

@@ -46,6 +46,7 @@ from qcatkit.simplicial import (
     product,
     sset_from_text,
     sset_to_text,
+    TruncatedSSet,
     standard_simplex,
     weak_seq_to_word,
 )
@@ -442,6 +443,78 @@ class TestCurriedTopLevel:
 HOMOTOPIC_PAIR = ("dim 2\ncoskeletal 2\n0: x y\n1: f g\n2: h\n"
                   "face f 0 = [] y\nface f 1 = [] x\nface g 0 = [] y\nface g 1 = [] x\n"
                   "face h 0 = [s0] y\nface h 1 = [] g\nface h 2 = [] f\n")
+
+
+def assert_top_faces_are_the_faces_of_the_maps(E: Exponential):
+    """Oracle for the coded top level k: each decoded face of a top cell is
+    the cell of its map's face, gathered out of the map's code tuple by the
+    frame, and on every level ``token_order`` is the order of ``total``."""
+    k, S = E.k, E.sset
+    gathers = E.frame.faces[k]
+    for x in S.nondeg(k):
+        codes = E.codes_of(SimplexExpr((), x))
+        assert ([S.faces[(x, i)] for i in range(k + 1)]
+                == [E.expr_at(k - 1, face(codes)) for face in gathers]), (E.name, x)
+    for n in range(k + 1):
+        assert S.token_order(n) == [S.table(n).code[e] for e in S.total(n)], (E.name, n)
+
+
+def top_named(S: TruncatedSSet) -> bool:
+    """Whether S has named its top level: built ``table(k)``, or decoded
+    the top level's ``faces`` entries (read past the decoding property)."""
+    k = S.dim_bound
+    return ((k,) in vars(S).get("memo.table", {})
+            or any(S.dim_of[x] == k for x, _ in vars(S)["_faces"]))
+
+
+class HandedRows(list):
+    """Face rows handed to a set, in a list a weak reference can watch."""
+
+
+TOP_BASES = [name for name, _ in corpus_quasicategories()] + ["fg"]
+
+
+class TestCodedTopLevel:
+    @pytest.mark.parametrize("base", TOP_BASES)
+    def test_top_faces_are_the_faces_of_the_maps(self, base):
+        # every exponential over the sample, direct and curried tops, and
+        # the path objects the curried ones were built through
+        T = (sset_from_text(HOMOTOPIC_PAIR, "fg") if base == "fg"
+             else dict(corpus_quasicategories())[base])
+        sample = standard_sample()
+        exps = [Exponential(T, sample.nerve(J), 2) for J in sample.order]
+        paths = [kept[0] for kept in path_objects(T).values()]
+        tops = {E._top_path is None for E in exps}
+        assert tops == ({True, False} if paths else {True})
+        assert not any(top_named(E.sset) for E in exps)
+        for E in exps + paths:
+            assert_top_faces_are_the_faces_of_the_maps(E)
+
+    def test_ho_values_never_name_their_top_level(self, monkeypatch):
+        handed = []
+        code_top = TruncatedSSet.code_top
+
+        def watched(S, rows):
+            rows = HandedRows(rows)
+            handed.append(weakref.ref(rows))
+            code_top(S, rows)
+
+        monkeypatch.setattr(TruncatedSSet, "code_top", watched)
+        sample = standard_sample()
+        for T in (nerve(poset_simplex(2), 3), nerve(group_z2(), 3),
+                  nerve(contractible_groupoid(), 3)):
+            D = HoPrederivator(T, sample)
+            for J in sample.order:
+                D.eval(J)
+            values = [D.data(J) for J in sample.order]
+            assert {E._top_path is None for E in values} == {True, False}
+            for E in values:
+                assert (E.k,) in vars(E.sset)["memo.rows"] and not top_named(E.sset), E.name
+            # a path object is read through its names
+            paths = [kept[0] for kept in path_objects(T).values()]
+            assert paths and all(top_named(P.sset) for P in paths)
+        gc.collect()
+        assert handed and all(ref() is None for ref in handed)
 
 
 class TestHoTables:

@@ -940,6 +940,11 @@ def reference_face_row(S, e, n, below):
 
 
 def assert_face_rows_are_the_reference(S):
+    """Every level's face rows against ``reference_face_row``.  On a set
+    handed its top level coded, the top ``faces`` entries are decoded from
+    the rows under test, so there this checks the degenerate blocks only;
+    ``test_mapping.assert_top_faces_are_the_faces_of_the_maps`` checks the
+    nondegenerate ones against the maps."""
     for n in range(1, S.dim_bound + 1):
         below = S.table(n - 1)
         assert S.table(n).faces == tuple(reference_face_row(S, e, n, below)
@@ -961,6 +966,14 @@ class TestLevelTables:
                     assert table.faces == tuple(tuple(below[S.face(e, i)] for i in range(n + 1))
                                                 for e in table.cells), (name, n)
 
+    def test_token_order_is_the_order_of_total(self):
+        xy = sset_from_text(NAMED_AFTER_S, "xy")
+        for name, S in corpus_ssets() + [("xy", xy)]:
+            for n in range(S.dim_bound + 2):
+                assert S.token_order(n) == [S.table(n).code[e] for e in S.total(n)], (name, n)
+        # the degenerate edges' tokens sort first, their codes last
+        assert xy.token_order(1) == [1, 2, 0]
+
     def test_face_rows_are_the_rows_built_cell_by_cell(self):
         for name, S in corpus_ssets():
             assert_face_rows_are_the_reference(S)
@@ -974,8 +987,8 @@ class TestLevelTables:
         # per normal word, its block: s_w of every simplex of the level below
         for name, S in corpus_ssets():
             for n in range(S.dim_bound + 2):
-                cells, starts = S._blocks(n)
-                assert cells == S.table(n).cells
+                cells, starts = S.table(n).cells, S._blocks(n)
+                assert list(starts) == sorted(starts) and len(cells) == len(S.rows(n))
                 for w, start in starts.items():
                     xs = S.nondeg(n - len(w))
                     assert cells[start:start + len(xs)] == tuple(SimplexExpr(w, x) for x in xs)

@@ -33,6 +33,7 @@ MEMO_SITES = {
                    lambda S: S.degenerate((1,), SimplexExpr((), "01")), None),
     "total": (lambda: standard_simplex(2, 3), "total", lambda S: S.total(2), None),
     "_blocks": (lambda: standard_simplex(2, 3), "_blocks", lambda S: S._blocks(3), None),
+    "rows": (broken_edge, "rows", lambda S: S.rows(0), (lambda S: S.rows(1), KeyError)),
     "table": (lambda: standard_simplex(2, 3), "table", lambda S: S.table(3), None),
     "by_faces": (lambda: standard_simplex(2, 3), "by_faces", lambda S: S.by_faces(2), None),
     "degeneracy_codes": (lambda: standard_simplex(1, 3), "degeneracy_codes",
