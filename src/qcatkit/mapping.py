@@ -28,10 +28,17 @@ it.
 That direct search is the base case: at level 0, for pinned exponentials,
 and for an exponent with at most L + 1 vertices, L the working level.
 Building T^{Δn} searches Δn x ΔL -> T, whose source has at least as many
-vertices as S x Δn, so for such an exponent currying cannot pay: it is
-built by the direct search, steps included.  This covers the exponent
-with no cells and Δm up to relabelling for m <= L, so the path objects
-too, except T^{Δ3} at L = 2, which is curried through T^{Δ1} and T^{Δ2}.
+vertices as S x Δn, so for such an exponent currying does not pay in time:
+it is built by the direct search, steps included.  Measured at L = 2 over
+the bases N([1]), N([2]), N(z2), N(E) and the exponents N(J) for J = [1],
+[2], d[2], [0]+[0], [0]+[1], a lone exponential with its Ho took 1.7 to
+13 times as long curried (3.0 -> 39.1 ms for N(E)^{N([0]+[0])}).  In steps
+currying is dearer on 17 of the 20 pairs, up to 73 times (136 -> 9,936
+for N(z2)^{N([0]+[0])}), and cheaper only for d[2] over N([2]), N(z2) and
+N(E) (13,567 -> 12,478, 19,754 -> 12,764, 29,449 -> 23,911), where it is
+1.7 to 2.4 times slower.  This covers the exponent with no cells and Δm up
+to relabelling for m <= L, so the path objects too, except T^{Δ3} at
+L = 2, which is curried through T^{Δ1} and T^{Δ2}.
 
 A path object is kept on its base by the one charged cache,
 :meth:`qcatkit.util.Budget.cached`: the miss charges the caller's budget as
@@ -66,8 +73,9 @@ per code of the set's ``table(k)``, and the faces of its nondegenerate
 cells are handed to the set as rows of codes of ``table(k - 1)``
 (:meth:`qcatkit.simplicial.TruncatedSSet.code_top`).  Ho and the
 quasicategory check read level 2 through ``rows`` and ``token_order``
-alone, so an HO value never names its top level; a path object's is named
-when a curried exponential reads it (``Exponential.precomposed``).
+alone, so an HO value never names its top level.  Nor does a path object:
+a curried exponential reads it by code tuple, through ``code_rows``
+(``Exponential.precomposed``).
 
 The build runs in bulk, over tables.  The transposition and the sort keys
 of the maps S -> T^{Δn} are :func:`transport` calls: a slot of the
@@ -192,7 +200,7 @@ class Exponential:
                               for n, P in self.products.items() if n}
 
         # a path object is an exponential, so it exists only at levels 2..3;
-        # up to L + 1 vertices currying cannot pay (module docstring)
+        # up to L + 1 vertices currying does not pay (module docstring)
         direct = pinned is not None or level > 3 or len(S.nondeg(0)) <= level + 1
         top = None if direct else k  # the level named in curried coordinates
         # per level, its maps in canonical order: code tuples over S x Δn, or
@@ -293,13 +301,15 @@ class Exponential:
     def precomposed(self, other: Exponential, alpha: tuple) -> dict:
         """T^α from this path object T^{Δa} to ``other``, T^{Δb}, for a
         monotone α: [b] -> [a]: per level m, the code in ``other``'s table of
-        each m-cell of this one precomposed with α x id: Δb x Δm -> Δa x Δm.
-        The slot plans are the frames' (:meth:`ExponentFrame.simplex_plans`)."""
+        each m-cell of this one precomposed with α x id: Δb x Δm -> Δa x Δm,
+        read off ``other.code_rows(m)``, so that neither path object is named
+        at its top level.  The slot plans are the frames'
+        (:meth:`ExponentFrame.simplex_plans`)."""
         tables = {}
         for m, plan in self.frame.simplex_plans(other.frame, alpha).items():
             moved = transport(self.code_rows(m), plan_columns(plan, other.products[m], self.T_t))
-            code, named = other.sset.table(m).code, other.to_expr(m)
-            tables[m] = [code[named[codes]] for codes in moved]
+            code = {codes: c for c, codes in enumerate(other.code_rows(m))}
+            tables[m] = list(map(code.__getitem__, moved))
         return tables
 
     @cached_property

@@ -24,7 +24,8 @@ entries there are decoded from the rows only when read.  The set also
 keeps, per degeneracy word and level, the codes of the degenerate
 simplices (``degeneracy_codes``), per monotone α: [m] -> [n] the codes of
 the action y . α (``action_codes``), and for the levels a map search
-targets, an index of codes by face row (``by_faces``).
+targets, its indexes of codes by the faces a placement reads
+(``face_index``).
 
 A simplicial map is its code tuple: per cell of the source, in that
 order, the code of its image at the cell's dimension.  Codes follow the
@@ -33,7 +34,12 @@ sort and hash as their tuples of images would.  :class:`SimplicialMap`
 holds that code tuple or the images as ``SimplexExpr``s, whichever it was
 built from, and is the only code that converts between the two.  The map
 search (:func:`map_codes`) and the exponentials of :mod:`qcatkit.mapping`
-run over code tuples.
+run over code tuples.  The search follows the source's placement plan
+(``TruncatedSSet.search_plan``), which reads a face off the simplex above
+it where the simplicial identities allow, as the long edge of a filler is
+read off the filler: the simplex is looked up by its other faces, and the
+face is written from each candidate row, with no branch and no step of its
+own.
 Extension problems (:func:`extensions`) search for the shell maps only and
 read the fillers off the target's n-simplices, charging the search's steps
 and one step per n-simplex of the target and per shell map.  The target
@@ -51,8 +57,8 @@ Conventions:
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import cache, cached_property
+from heapq import heappop, heappush
 from itertools import combinations, combinations_with_replacement, repeat
 from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple, Optional
@@ -301,19 +307,89 @@ class TruncatedSSet:
 
     @cached_property
     def search_plan(self) -> tuple:
-        """The cells in :func:`enumerate_maps`'s placement order.
+        """The placements of :func:`map_codes`, in order, built once.
 
-        One entry per cell: (identifier, slot in ``cells``, dimension,
-        faces as (degeneracy word, slot)).
+        One entry per placement: (identifier, slot in ``cells``, dimension,
+        faces as (degeneracy word, slot), derived).  ``derived`` is None, or
+        (the entry of a face f of the cell, a position i of f in its row)
+        when the placement also places f, read off the cell's row.
+
+        The plan is built in one pass over ready queues.  A cell is ready
+        when the bases of its faces are placed (a vertex from the start).  A
+        cell σ derives f when those bases are placed except f, f is ready,
+        f is a nondegenerate face of σ, and for every face k of f the
+        simplicial identity d_k f = d_{i'} d_{k'} σ holds in this set with
+        d_{k'} σ no face at which f stands ((k', i') = (k, i - 1) for k < i,
+        (k + 1, i) for k >= i; i is the first position of f where all do).
+        Among the ready and the deriving cells the highest dimension is
+        placed first, then the smallest identifier.
         """
-        index = self.cell_index
+        index, dim = self.cell_index, self.dim_of
+        faces, support, users = {}, {}, {}
+        for x, n in dim.items():
+            # expr_dim raises on a face whose base is no cell
+            fs = faces[x] = tuple(self.face(SimplexExpr((), x), i) for i in range(n + 1)) if n else ()
+            support[x] = {f.base for f in fs if self.expr_dim(f) < n}
+            for y in support[x]:
+                users.setdefault(y, []).append(x)
+        waiting = {x: len(s) for x, s in support.items()}
+        # (-dimension, identifier, the face it derives or "", its position)
+        queue: list = []
+        placed: set = set()
+
+        def derivation(x: str, f: str):
+            """The position through which x derives f, or None."""
+            fs, fe = faces[x], SimplexExpr((), f)
+            at = [j for j, e in enumerate(fs) if e == fe]
+            below = range(len(fs) - 1) if len(fs) > 2 else ()  # the faces of f
+            for i in at:
+                through = [(k, i - 1) if k < i else (k + 1, i) for k in below]
+                if all(k_ not in at and self.face(fs[k_], i_) == self.face(fe, k)
+                       for k, (k_, i_) in zip(below, through)):
+                    return i
+            return None
+
+        def offer(y: str, f: str) -> None:
+            """Queue y to derive f, a ready cell and y's one unplaced base."""
+            i = derivation(y, f)
+            if i is not None:
+                heappush(queue, (-dim[y], y, f, i))
+
+        def ready(x: str) -> None:
+            heappush(queue, (-dim[x], x, "", 0))
+            for y in users.get(x, ()):
+                if waiting[y] == 1:
+                    offer(y, x)
+
+        def place(x: str) -> None:
+            placed.add(x)
+            for y in users.get(x, ()):
+                waiting[y] -= 1
+                if not waiting[y]:
+                    ready(y)
+                elif waiting[y] == 1:
+                    f = next(f for f in support[y] if f not in placed)
+                    if not waiting[f]:
+                        offer(y, f)
+
+        for x, s in support.items():
+            if not s:
+                ready(x)
+
+        def entry(x: str, derived=None) -> tuple:
+            return (x, index[x], dim[x], tuple((f.word, index[f.base]) for f in faces[x]), derived)
+
         plan = []
-        for x in _assignment_order(self):
-            n = self.dim_of[x]
-            e = SimplexExpr((), x)
-            faces = tuple((fe.word, index[fe.base])
-                          for fe in (self.face(e, i) for i in range(n + 1))) if n else ()
-            plan.append((x, index[x], n, faces))
+        while queue:
+            _, x, f, i = heappop(queue)
+            if x in placed or f in placed:
+                continue
+            if f:
+                plan.append(entry(x, (entry(f), i)))
+                place(f)
+            else:
+                plan.append(entry(x))
+            place(x)
         return tuple(plan)
 
     @cached_property
@@ -449,12 +525,38 @@ class TruncatedSSet:
         self._handed, self._undecoded = rows, True
 
     @memo
-    def by_faces(self, n: int) -> dict:
-        """The codes of the n-simplices by face row, each list in ``total`` order."""
+    def face_index(self, n: int, read: tuple, derived: Optional[int]) -> dict:
+        """The codes of the n-simplices by the faces ``read``, each list in
+        ``total`` order, built once per (n, read, derived).
+
+        The key is the tuple of a row's codes at the positions ``read``.
+        With ``derived`` None, ``read`` is every position, and the key is
+        the whole row.  Otherwise ``derived`` is a position i of a face f
+        that a map search reads off the row (``search_plan``), and ``read``
+        holds the positions where f does not stand.  Then only rows that
+        agree with r[i] wherever f stands are kept, and for n >= 2 only
+        those whose faces satisfy d_k d_i = d_{i'} d_{k'} for every k, with
+        (k', i') = (k, i - 1) for k < i and (k + 1, i) for k >= i.  So a
+        target whose identities fail loses the rows no map can take.
+        """
         rows = self.rows(n)
         index: dict = {}
+        if derived is None:
+            for c in self.token_order(n):
+                index.setdefault(rows[c], []).append(c)
+            return index
+        below = self.rows(n - 1)
+        repeats = [j for j in range(n + 1) if j not in read and j != derived]
+        pairs = [(k, k, derived - 1) if k < derived else (k, k + 1, derived)
+                 for k in range(n)] if n > 1 else ()
         for c in self.token_order(n):
-            index.setdefault(rows[c], []).append(c)
+            r = rows[c]
+            f = r[derived]
+            if any(r[j] != f for j in repeats):
+                continue
+            if any(below[f][k] != below[r[k_]][i_] for k, k_, i_ in pairs):
+                continue
+            index.setdefault(tuple(r[j] for j in read), []).append(c)
         return index
 
     @memo
@@ -858,39 +960,6 @@ def projection(P: ProductSSet, side: int) -> SimplicialMap:
 # map enumeration
 
 
-def _assignment_order(S: TruncatedSSet) -> list:
-    """Deterministic order interleaving dimensions so constraints bind early.
-
-    Among simplices whose face supports are already placed, the highest
-    dimension is taken first, then the smallest id; this prunes the search
-    as soon as any two endpoints of an edge are known.  The vertices are
-    ready from the start, and a cell becomes ready when the last of its
-    supports, which lie below it, is placed, so some cell is always ready.
-    The ready cells wait in a sorted list.
-    """
-    waiting, users = {}, {}  # cell -> supports not yet placed; support -> its cells
-    ready = []  # (-dimension, id) of the ready cells, sorted
-    for x, n in S.dim_of.items():
-        # its supports lie below it; expr_dim raises on a face whose base is no cell
-        faces = [S.face(SimplexExpr((), x), i) for i in range(n + 1)] if n else ()
-        support = {f.base for f in faces if S.expr_dim(f) < n}
-        waiting[x] = len(support)
-        for y in support:
-            users.setdefault(y, []).append(x)
-        if not support:
-            ready.append((-n, x))
-    ready.sort()
-    order = []
-    while len(order) < len(waiting):
-        pick = ready.pop(0)[1]
-        order.append(pick)
-        for x in users.get(pick, ()):
-            waiting[x] -= 1
-            if not waiting[x]:
-                insort(ready, (-S.dim_of[x], x))
-    return order
-
-
 def map_codes(S: TruncatedSSet, T: TruncatedSSet, budget: Budget, fixed=None) -> list:
     """The simplicial maps S -> T as code tuples, sorted, so canonically ordered.
 
@@ -898,36 +967,62 @@ def map_codes(S: TruncatedSSet, T: TruncatedSSet, budget: Budget, fixed=None) ->
     ``T.table(n)``, n the cell's dimension.  ``fixed`` pre-assigns images,
     as ``SimplexExpr``s, to some cells of S; consistency with faces is still
     enforced, and an image that is no simplex of the cell's dimension admits
-    no map.  Each vertex or pinned cell charges one step, each lookup of the
-    candidates by face row one plus their number.
+    no map.
 
     The search places the cells in ``S.search_plan`` order, depth first, in
-    one flat loop over per-position candidate lists.  It counts its steps
-    itself and hands them to ``budget`` once at the end, or at the first
-    placement that takes the count past what the budget has left, which
-    then raises with ``budget.used`` where one charge per placement would
-    have left it.
+    one flat loop over per-position candidate lists.  A placement that
+    derives a face f looks its cell σ up by σ's other faces in
+    ``T.face_index`` and writes f's code from each candidate row, so the
+    search never branches on f.  The index keeps only the rows that satisfy
+    the simplicial identities the plan checked in S, so the maps are those
+    that placing f first would give.  A pinned f is placed by itself, and
+    σ is then looked up by its whole row.  Each vertex or pinned cell
+    charges one step, each lookup one plus its number of candidates, and a
+    derived face nothing, since no lookup is made for it.
+
+    The search counts its steps itself and hands them to ``budget`` once at
+    the end, or at the first placement that takes the count past what the
+    budget has left, which then raises with ``budget.used`` where one
+    charge per placement would have left it.
     """
     fixed = fixed or {}
-    vertices = range(len(T.table(0).cells))
-    # per cell in placement order: its slot; and a vertex's candidates, or
-    # the getter of the slots of its faces, their degeneracy codes (None
-    # when every face word is empty), the code pinned or None (-1 for no
-    # simplex), and T's face rows (pinned) or face index at the cell's level
-    slots, plan = [], []
-    for x, slot, n, faces in S.search_plan:
+    vertices = range(len(T.rows(0)))
+    # per placement: its slot, the slot, face rows and index of the face it
+    # derives (or None), and a vertex's candidates, or the getter of the
+    # slots of the faces read, their degeneracy codes (None when every face
+    # word is empty), the code pinned or None (-1 for no simplex), and T's
+    # index of the codes by those faces
+    slots, derives, plan = [], [], []
+
+    def add(x: str, slot: int, n: int, faces: tuple, derived) -> None:
         pinned = fixed.get(x)
         if pinned is not None:
             pinned = T.table(n).code.get(pinned, -1)
         slots.append(slot)
         if not n:
+            derives.append(None)
             plan.append((vertices if pinned is None else (pinned,) if pinned >= 0 else (),
                          None, None, None, None))
-            continue
+            return
+        if derived is None:
+            read, i = tuple(range(n + 1)), None
+            derives.append(None)
+        else:
+            (_, fslot, *_), i = derived
+            read = tuple(j for j, (w, s) in enumerate(faces) if w or s != fslot)
+            derives.append((fslot, T.rows(n), i))
+        faces = [faces[j] for j in read]
+        pick = (itemgetter(*(s for _, s in faces)) if len(faces) > 1 else
+                (lambda assign, s=faces[0][1]: (assign[s],)) if faces else (lambda assign: ()))
         codes = tuple(T.degeneracy_codes(w, n - 1 - len(w)) for w, _ in faces)
-        plan.append(((), itemgetter(*(s for _, s in faces)),
-                     codes if any(w for w, _ in faces) else None, pinned,
-                     T.rows(n) if pinned is not None else T.by_faces(n)))
+        plan.append(((), pick, codes if any(w for w, _ in faces) else None, pinned,
+                     T.face_index(n, read, i)))
+
+    for x, slot, n, faces, derived in S.search_plan:
+        if derived is not None and derived[0][0] in fixed:
+            add(*derived[0])
+            derived = None
+        add(x, slot, n, faces, derived)
     if not plan:
         return [()]
     room = budget.limit - budget.used
@@ -946,31 +1041,33 @@ def map_codes(S: TruncatedSSet, T: TruncatedSSet, budget: Budget, fixed=None) ->
             required = pick(assign)
             if codes is not None:
                 required = tuple(map(getitem, codes, required))
+            out = lookup.get(required, ())
             if pinned is None:
-                out = lookup.get(required, ())
                 used += 1 + len(out)
             else:
                 used += 1
-                out = (pinned,) if pinned >= 0 and lookup[pinned] == required else ()
+                out = (pinned,) if pinned in out else ()
         if used > room:
             budget.spend(used)  # raises
-        if pos < last and out:
-            placing[pos], at[pos] = out, 0
-            assign[slots[pos]] = out[0]
-            pos += 1
-            continue
-        if pos == last:
-            slot = slots[pos]
+        if pos < last:
+            placing[pos], at[pos] = out, -1
+        else:
+            slot, derive = slots[pos], derives[pos]
             for c in out:
                 assign[slot] = c
+                if derive is not None:
+                    assign[derive[0]] = derive[1][c][derive[2]]
                 results.append(tuple(assign))
-        # back to the deepest position with a candidate left
-        pos -= 1
+            pos -= 1
+        # on to the next candidate of the deepest position that has one left
         while pos >= 0:
             i = at[pos] + 1
             if i < len(placing[pos]):
                 at[pos] = i
-                assign[slots[pos]] = placing[pos][i]
+                assign[slots[pos]] = c = placing[pos][i]
+                derive = derives[pos]
+                if derive is not None:
+                    assign[derive[0]] = derive[1][c][derive[2]]
                 pos += 1
                 break
             pos -= 1

@@ -37,7 +37,9 @@ class Budget:
     A loop that takes many steps may count them itself and charge them in
     one call, as long as it raises where charging each step as it comes
     would, with ``used`` where that would leave it.  The map search
-    (:func:`qcatkit.simplicial.map_codes`) and the functor search
+    (:func:`qcatkit.simplicial.map_codes`: one step per vertex or pinned
+    cell, one plus the candidates per lookup, nothing for a face read off
+    the row of the simplex above it) and the functor search
     (:func:`qcatkit.cats.enumerate_functors`) charge their count once at
     the end, or at the placement that takes it past the limit;
     ``spend_each`` charges a run of single steps at once.

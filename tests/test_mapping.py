@@ -241,8 +241,9 @@ class TestExponential:
         E2 = Exponential(T, nerve(poset_simplex(2), 2), 2)
         again = Exponential(T, S, 2, second)
         assert E1.T_t is E2.T_t is again.T_t is T.truncate(2)
-        # steps as recorded before the truncation was kept
-        assert first.used == second.used == 4181
+        # steps as recorded before the truncation was kept, re-recorded when
+        # the map search began to read faces off the simplex above them
+        assert first.used == second.used == 2000
         ref = weakref.ref(E1.T_t)
         del T, E1, E2, again
         gc.collect()
@@ -510,9 +511,9 @@ class TestCodedTopLevel:
             assert {E._top_path is None for E in values} == {True, False}
             for E in values:
                 assert (E.k,) in vars(E.sset)["memo.rows"] and not top_named(E.sset), E.name
-            # a path object is read through its names
+            # nor does a path object that a curried exponential read
             paths = [kept[0] for kept in path_objects(T).values()]
-            assert paths and all(top_named(P.sset) for P in paths)
+            assert paths and not any(top_named(P.sset) for P in paths)
         gc.collect()
         assert handed and all(ref() is None for ref in handed)
 
@@ -648,7 +649,7 @@ class TestMappingSpace:
         # nerve and one per horn map; no search of Δⁿ pinned to a horn map
         budget = Budget()
         report = kan_check(nerve(group_z2(), 3), budget)
-        assert report.horns_checked == 46 and budget.used == 902
+        assert report.horns_checked == 46 and budget.used == 382
 
     def test_kan_check_names_the_unfilled_outer_horn(self):
         report = kan_check(nerve(poset_simplex(1), 3))

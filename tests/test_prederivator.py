@@ -432,6 +432,13 @@ class TestDerAudits:
         for name, report in audits.items():
             assert report.ok, (name, report.violations[:2])
 
+    def test_audit_of_the_interval_charges_the_recorded_total(self):
+        # HO(N([1])) built and audited on one budget, as ``der-audit`` does;
+        # a change of the searches' steps moves this total
+        budget = Budget()
+        der_audit(HoPrederivator(nerve(poset_simplex(1), 3), standard_sample(), budget), budget)
+        assert budget.used == 10319
+
     def test_axioms_hold_for_point(self, d_point):
         audits = der_audit(d_point)
         assert all(r.ok for r in audits.values())

@@ -35,7 +35,8 @@ MEMO_SITES = {
     "_blocks": (lambda: standard_simplex(2, 3), "_blocks", lambda S: S._blocks(3), None),
     "rows": (broken_edge, "rows", lambda S: S.rows(0), (lambda S: S.rows(1), KeyError)),
     "table": (lambda: standard_simplex(2, 3), "table", lambda S: S.table(3), None),
-    "by_faces": (lambda: standard_simplex(2, 3), "by_faces", lambda S: S.by_faces(2), None),
+    "face_index": (lambda: standard_simplex(2, 3), "face_index",
+                   lambda S: S.face_index(2, (0, 2), 1), None),
     "degeneracy_codes": (lambda: standard_simplex(1, 3), "degeneracy_codes",
                          lambda S: S.degeneracy_codes((1, 0), 1),
                          (lambda S: S.degeneracy_codes((1,), 0), KeyError)),

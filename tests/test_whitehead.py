@@ -192,9 +192,10 @@ class TestAgreement:
 
     def test_budget_does_not_depend_on_corpus_order(self):
         forward, backward = Budget(), Budget()
-        conservativity_experiment(CORPUS, budget=forward)
+        conservativity_experiment(CORPUS, standard_sample(), forward)
         conservativity_experiment(CORPUS[::-1], budget=backward)
-        assert forward.used == backward.used
+        # the total as recorded, which a change of the searches' steps moves
+        assert forward.used == backward.used == 170983
 
     def test_zero_implication_violations(self, rows):
         assert all(r.implication_ok for r in rows)
