@@ -68,20 +68,22 @@ tuples (:func:`induced_functor`).  A map is decoded or encoded only by
 :class:`qcatkit.simplicial.SimplicialMap`, the one converter between a
 code tuple and its images.
 
-The top level k is coded, and named only when read.  Its maps are kept
-per code of the set's ``table(k)``, and the faces of its nondegenerate
-cells are handed to the set as rows of codes of ``table(k - 1)``
-(:meth:`qcatkit.simplicial.TruncatedSSet.code_top`).  Ho and the
+Every level is coded, and named only when read.  One loop builds levels
+0..k alike: a level's maps are kept per code of the set's ``table(n)``,
+the degenerate ones at the codes ``degeneracy_codes`` gives the s_j of
+the maps one level down, and the faces of its nondegenerate cells are
+handed to the set as rows of codes of ``table(n - 1)``
+(:meth:`qcatkit.simplicial.TruncatedSSet.hand_over`).  Ho and the
 quasicategory check read level 2 through ``rows`` and ``token_order``
-alone, so an HO value never names its top level.  Nor does a path object:
-a curried exponential reads it by code tuple, through ``code_rows``
-(``Exponential.precomposed``).
+alone, so an HO value never names its top level and decodes no face.  Nor
+does a path object: a curried exponential reads it by code tuple, through
+``code_rows`` (``Exponential.precomposed``).
 
 The build runs in bulk, over tables.  The transposition and the sort keys
 of the maps S -> T^{Δn} are :func:`transport` calls: a slot of the
 transposed map over a cell x of S is one column, a table worked out once
-per image of x that some map takes.  A level's cells are named or coded,
-and their faces gathered, a whole level at a time.  So are the functors on
+per image of x that some map takes.  A level's cells are coded, and
+their faces gathered, a whole level at a time.  So are the functors on
 Ho: :func:`transport` sends a batch of code tuples through a map a column at a
 time, and each exponential keeps the code tuples of its Ho objects and of
 its morphisms' representatives (``Exponential.ho_batches``), beside the
@@ -92,7 +94,6 @@ a functor on Ho costs two transports and one lookup per object and morphism.
 from __future__ import annotations
 
 from functools import cached_property, partial
-from itertools import repeat
 from operator import itemgetter
 
 from .cats import Functor
@@ -103,7 +104,6 @@ from .simplicial import (
     SimplicialMap,
     TruncatedSSet,
     compose_words,
-    insert_letter,
     map_codes,
     product,
     standard_simplex,
@@ -159,14 +159,14 @@ class Exponential:
     :class:`SimplicialMap`, which alone decodes and encodes them.
     ``ho_morphisms`` keys ``ho`` by level-1 code tuples.
 
-    Each level is stored once.  Levels 0..k-1 are named and stored in the
-    coordinates of S x Δn, keyed by code tuple, and ``to_expr(n)`` returns
-    them as stored.  The top level k is coded: the set holds its face rows
-    (:meth:`TruncatedSSet.code_top`), and its maps are kept per code of
-    ``sset.table(k)``, at the top of a curried exponential as its maps
-    S -> T^{Δk}.  ``code_rows(k)`` transposes those, and ``to_expr(k)``
-    names the level, on the first call (``codes_of``, ``map_of``,
-    ``locate`` and ``expr_at`` at level k read through them).  Ho and the
+    Each level is stored once, in one form: the set holds its face rows
+    (:meth:`TruncatedSSet.hand_over`), and its maps are kept per code of
+    ``sset.table(n)``, as code tuples over S x Δn, or at the top of a
+    curried exponential as its maps S -> T^{Δk}.  ``code_rows(n)`` returns
+    that list, transposing the curried top on the first call, and
+    ``to_expr(n)`` names the level on its first call (``codes_of``,
+    ``map_of``, ``locate`` and ``expr_at`` read through them; a level
+    outside 0..k is a ``KeyError`` naming the exponential).  Ho and the
     quasicategory check read levels 0 and 1, ``rows(2)`` and
     ``token_order(2)`` only.
 
@@ -195,16 +195,13 @@ class Exponential:
         self.products = frame.products
         self.T_t = T_t = T.truncate(level)
         self.name = name or f"({T.name}^{S.name})"
-        # id x σj on the code tuples of the maps into T_t, as transport columns
-        self._degeneracies = {n: [plan_columns(plan, P, T_t) for plan in frame.degeneracies[n]]
-                              for n, P in self.products.items() if n}
 
         # a path object is an exponential, so it exists only at levels 2..3;
         # up to L + 1 vertices currying does not pay (module docstring)
         direct = pinned is not None or level > 3 or len(S.nondeg(0)) <= level + 1
-        top = None if direct else k  # the level named in curried coordinates
+        top = None if direct else k  # the level kept in curried coordinates
         # per level, its maps in canonical order: code tuples over S x Δn, or
-        # at the top the maps S -> T^{Δk}, named beside those of level k - 1
+        # at the top the maps S -> T^{Δk}, found beside those of level k - 1
         raw, paths, curried = {}, {}, {}
         for n, P in self.products.items():
             if direct or n == 0:
@@ -218,84 +215,72 @@ class Exponential:
             keyed, columns = frame.transposition(n, path, nus)
             nus = curried[n] = [nu for _, nu in sorted(zip(transport(nus, keyed), nus))]
             raw[n] = nus if n == top else transport(nus, columns)
-        named = self._named = {}  # per level below the top, its maps' cell expressions
         self._top_path = paths.get(top)
-        # level by level below the top: the degenerate cells are the s_j of
-        # the maps one level down (the pins survive the collapse, so level n
-        # enumerated them all); the others, in raw[n]'s order, are named in
-        # it.  s_j and d_i act through the frame on code tuples
-        levels, faces = {}, {}
-        for n in range(k):
-            known = named[n] = {}
-            if n:
-                inner = list(map(named[n - 1].__getitem__, raw[n - 1]))
-                words, bases = [e.word for e in inner], [e.base for e in inner]
-                for j, columns in enumerate(self._degeneracies[n]):
-                    lifted = {w: insert_letter(j, w) for w in set(words)}
-                    known.update(zip(transport(raw[n - 1], columns),
-                                     map(SimplexExpr, map(lifted.__getitem__, words), bases)))
-            new = [codes for codes in raw[n] if codes not in known]
-            ids = levels[n] = [f"c{n}_{i}" for i in range(len(new))]
-            known.update(zip(new, map(SimplexExpr, repeat((), len(ids)), ids)))
-            if n:
-                below = named[n - 1].__getitem__
-                for i, face in enumerate(frame.faces[n]):
-                    faces.update(zip(zip(ids, repeat(i)), map(below, map(face, new))))
-        # the top level k is coded, not named: its maps go to their codes in
-        # the set's table(k), and the faces of the nondegenerate ones are
-        # handed to the set as rows of codes of table(k - 1).  At the top of
-        # a curried exponential s_j and d_i act through the path objects on
-        # the maps S -> T^{Δk}
-        if k == top:
-            lower, A, B = curried[k - 1], paths[k - 1], paths[k]
-            lifts = [_path_columns(S_t, A, B, _degeneracy_map(k, j)) for j in range(k)]
-            drops = [partial(transport, columns=_path_columns(S_t, B, A, _face_map(k, i)))
-                     for i in range(k + 1)]
-        else:
-            lower, lifts = raw[k - 1], self._degeneracies[k]
-            drops = [partial(map, face) for face in frame.faces[k]]
-        lifted = [transport(lower, columns) for columns in lifts]
-        degenerate = set().union(*lifted)
-        new = [codes for codes in raw[k] if codes not in degenerate]
-        ids = levels[k] = [f"c{k}_{i}" for i in range(len(new))]
-        new = [new[i] for i in sorted(range(len(new)), key=ids.__getitem__)]  # in levels order
+        # per level n >= 1, the maps of level n - 1 that s_j and d_i connect
+        # it with, and s_j and d_i on them: through the frame on code tuples,
+        # and at the top of a curried exponential through the path objects
+        # on the maps S -> T^{Δk}
+        below = {n: raw[n - 1] for n in range(1, k + 1)}
+        lifts = {n: [plan_columns(plan, P, T_t) for plan in frame.degeneracies[n]]
+                 for n, P in self.products.items() if n}
+        drops = {n: [partial(map, face) for face in faces] for n, faces in frame.faces.items()}
+        if top:
+            A, B = paths[k - 1], paths[k]
+            below[k] = curried[k - 1]
+            lifts[k] = [_path_columns(S_t, A, B, _degeneracy_map(k, j)) for j in range(k)]
+            drops[k] = [partial(transport, columns=_path_columns(S_t, B, A, _face_map(k, i)))
+                        for i in range(k + 1)]
+        # level by level, the degenerate cells are the s_j of the maps one
+        # level down (the pins survive the collapse, so level n enumerated
+        # them all); the others, in raw[n]'s order, get their ids in it
+        levels, lifted, new = {}, {}, {}
+        for n in range(k + 1):
+            lifted[n] = [transport(below[n], columns) for columns in lifts.get(n, ())]
+            degenerate = set().union(*lifted[n])
+            fresh = [codes for codes in raw[n] if codes not in degenerate]
+            ids = levels[n] = [f"c{n}_{i}" for i in range(len(fresh))]
+            new[n] = [fresh[i] for i in sorted(range(len(fresh)), key=ids.__getitem__)]
         cert = T.coskeletal_from if T.coskeletal_from <= k else None
-        self.sset = sset = TruncatedSSet(k, levels, faces, cert, self.name)
-        code = sset.table(k - 1).code
-        lower_codes = [code[named[k - 1][codes]] for codes in raw[k - 1]]
-        code_of = dict(zip(lower, lower_codes)).__getitem__
-        sset.code_top(list(zip(*(map(code_of, drop(new)) for drop in drops))))
-        # per code of table(k), its map: the nondegenerate block comes first
-        top_maps = self._top_maps = new + [None] * (len(raw[k]) - len(new))
-        for j, keys in enumerate(lifted):
-            for key, c in zip(keys, map(sset.degeneracy_codes((j,), k - 1).__getitem__,
-                                        lower_codes)):
-                top_maps[c] = key
+        self.sset = sset = TruncatedSSet(k, levels, {}, cert, self.name)
+        # level by level, per code of table(n), its map: the nondegenerate
+        # block first, in id order, then the s_j at the codes that
+        # degeneracy_codes gives them; the face rows of the nondegenerate
+        # cells go to the set as codes of table(n - 1)
+        maps = self._maps = {}
+        rows = {}
+        for n in range(k + 1):
+            here = maps[n] = new[n] + [None] * (len(raw[n]) - len(new[n]))
+            if n:
+                codes = list(map(code_of.__getitem__, raw[n - 1]))
+                for j, keys in enumerate(lifted[n]):
+                    for key, c in zip(keys, map(sset.degeneracy_codes((j,), n - 1).__getitem__,
+                                                codes)):
+                        here[c] = key
+                code = dict(zip(below[n], codes)).__getitem__
+                rows[n] = list(zip(*(map(code, drop(new[n])) for drop in drops[n])))
+            code_of = dict(zip(here, range(len(here))))
+        sset.hand_over(rows)
 
     # -- public queries -----------------------------------------------------
 
     @memo
     def to_expr(self, n: int) -> dict:
-        """Per code tuple of a level-n map, its cell expression.  The top
-        level is named here, on the first read, off ``code_rows(k)`` and
-        ``sset.table(k)``."""
-        if n < self.k:
-            return self._named[n]
+        """Per code tuple of a level-n map, its cell expression, named here
+        on the first read, off ``code_rows(n)`` and ``sset.table(n)``."""
         return dict(zip(self.code_rows(n), self.sset.table(n).cells))
 
     @memo
     def code_rows(self, n: int) -> list:
-        """Per code of ``sset.table(n)``, the code tuple of its map.  At the
-        top of a curried exponential the maps S -> T^{Δk} kept per code are
-        transposed to code tuples over S x Δk here, on the first read."""
-        if n == self.k:
-            if self._top_path is None:
-                return self._top_maps
-            return transport(self._top_maps,
-                             self.frame.transposition(n, self._top_path, self._top_maps)[1])
-        known = self.to_expr(n)
-        key_of = dict(zip(known.values(), known))
-        return list(map(key_of.__getitem__, self.sset.table(n).cells))
+        """Per code of ``sset.table(n)``, the code tuple of its map, as
+        stored.  At the top of a curried exponential the maps S -> T^{Δk}
+        kept per code are transposed to code tuples over S x Δk here, on the
+        first read."""
+        if n not in self._maps:
+            raise KeyError(f"map is not a cell of {self.name}")
+        if n == self.k and self._top_path is not None:
+            return transport(self._maps[n],
+                             self.frame.transposition(n, self._top_path, self._maps[n])[1])
+        return self._maps[n]
 
     @memo
     def precomposed(self, other: Exponential, alpha: tuple) -> dict:
@@ -340,7 +325,7 @@ class Exponential:
 
     def expr_at(self, n: int, codes: tuple) -> SimplexExpr:
         """The cell expression of the level-n map with the given code tuple."""
-        e = self.to_expr(n).get(codes) if n in self.products else None
+        e = self.to_expr(n).get(codes)
         if e is None:
             raise KeyError(f"map is not a cell of {self.name}")
         return e
@@ -359,7 +344,8 @@ class Exponential:
 
     def map_of(self, e: SimplexExpr) -> SimplicialMap:
         """The underlying map of an arbitrary cell expression."""
-        return SimplicialMap(self.products[self.sset.expr_dim(e)], self.T_t, self.codes_of(e))
+        codes = self.codes_of(e)
+        return SimplicialMap(self.products[self.sset.expr_dim(e)], self.T_t, codes)
 
     def evaluate_at_vertex(self, mu: SimplicialMap, v: str, n: int) -> SimplexExpr:
         """Restrict a level-n cell along an exponent vertex: an n-simplex of T."""

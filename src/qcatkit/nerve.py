@@ -13,7 +13,7 @@ which the tests assert on the corpus).
 
 Ho and the inner 2-horn check read level 2 only as face rows
 (``TruncatedSSet.rows``) in report order (``TruncatedSSet.token_order``),
-so they name no 2-simplex, and an exponential's coded top level stays so.
+so they name no 2-simplex, and an exponential's top level stays coded.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ degenerate simplices are worked out a block at a time, off identifiers
 and words, so that no simplex is named.  Names are built when read:
 ``table`` adds the simplices as ``SimplexExpr``s and their codes, and
 ``total`` lists them in report order, which ``token_order`` gives as codes
-without naming them.  A set can be handed its top level coded
-(``TruncatedSSet.code_top``), as an exponential's is; its ``faces``
+without naming them.  A set can be handed its levels coded
+(``TruncatedSSet.hand_over``), as an exponential's are; its ``faces``
 entries there are decoded from the rows only when read.  The set also
 keeps, per degeneracy word and level, the codes of the degenerate
 simplices (``degeneracy_codes``), per monotone α: [m] -> [n] the codes of
@@ -245,14 +245,11 @@ class TruncatedSSet:
     lists its images in that order, at the positions ``cell_index`` gives.
 
     A level is its face rows, ``rows(n)``, and is named only when read (see
-    the module docstring); a set handed its top level coded (``code_top``)
-    decodes its ``faces`` entries there on their first read.
+    the module docstring); a set handed levels coded (``hand_over``)
+    decodes their ``faces`` entries on the first read of ``faces``.
     """
 
-    # set by ``code_top``: the top level's face rows until ``rows`` reads
-    # them, and whether its ``faces`` entries are still to be decoded
-    _handed = None
-    _undecoded = False
+    _undecoded: tuple = ()  # set by ``hand_over``: the levels whose ``faces`` are not decoded
 
     def __init__(self, dim_bound: int, levels, faces, coskeletal_from: Optional[int] = None,
                  name: str = "sset"):
@@ -264,6 +261,7 @@ class TruncatedSSet:
             if n > dim_bound and levels[n]:
                 raise ValueError(f"level {n} above dim_bound {dim_bound}")
         self.faces = dict(faces)
+        self._handed = {}  # per level, the face rows handed over until ``rows`` reads them
         self.coskeletal_from = coskeletal_from
         self.name = name
         self.dim_of = {}
@@ -275,14 +273,15 @@ class TruncatedSSet:
 
     @property
     def faces(self) -> dict:
-        """The face data, (id, i) -> SimplexExpr.  On a set handed its top
-        level coded (:meth:`code_top`), that level's entries are decoded
-        from ``rows`` here, on the first read."""
+        """The face data, (id, i) -> SimplexExpr.  On a set handed levels
+        coded (:meth:`hand_over`), their entries are decoded from ``rows``
+        here, on the first read."""
         if self._undecoded:
-            k = self.dim_bound
-            below = self.table(k - 1).cells
-            self._faces.update(((x, i), below[c]) for x, row in zip(self.nondeg(k), self.rows(k))
-                               for i, c in enumerate(row))
+            for n in self._undecoded:
+                below = self.table(n - 1).cells
+                self._faces.update(((x, i), below[c])
+                                   for x, row in zip(self.nondeg(n), self.rows(n))
+                                   for i, c in enumerate(row))
             del self._undecoded
         return self._faces
 
@@ -457,8 +456,8 @@ class TruncatedSSet:
 
         The rows are built a block of ``_blocks`` at a time, naming no
         simplex of level n.  Those of the nondegenerate simplices are their
-        ``faces`` entries looked up in ``table(n - 1)``, or, at a top level
-        handed over coded (:meth:`code_top`), the rows handed over, which
+        ``faces`` entries looked up in ``table(n - 1)``, or, on a level
+        handed over coded (:meth:`hand_over`), the rows handed over, which
         the set gives up here.  The block of s_j ∘ w holds s_j y for y in the
         block of w one level down, in the same order, so its rows follow
         from the rows of that block by the simplicial identities
@@ -471,9 +470,9 @@ class TruncatedSSet:
         rows: list = []
         for w in self._blocks(n):
             xs = self.nondeg(n - len(w))
-            if not w:  # handed over by ``code_top``, or the ``faces`` entries coded
-                if n == self.dim_bound and self._handed is not None:
-                    rows += self._handed
+            if not w:  # handed over (``hand_over``), or the ``faces`` entries coded
+                if n in self._handed:
+                    rows += self._handed.pop(n)
                     continue
                 code, faces = self.table(n - 1).code, self._faces
                 try:
@@ -496,8 +495,6 @@ class TruncatedSSet:
                 up = self.degeneracy_codes((j,), n - 2).__getitem__
                 columns[j + 2:] = (map(up, map(itemgetter(i - 1), fy)) for i in range(j + 2, n + 1))
             rows += zip(*columns)
-        if n == self.dim_bound:
-            self.__dict__.pop("_handed", None)
         return tuple(rows)
 
     def _face_error(self, n: int, code: dict) -> KeyError:
@@ -515,14 +512,16 @@ class TruncatedSSet:
                             f"in {self.name}")
         return KeyError(f"face ({x!r}, {i}) = {f.token()} is no {n - 1}-simplex of {self.name}")
 
-    def code_top(self, rows: list) -> None:
-        """Take the top level's face data coded: ``rows`` holds the face rows
-        of the nondegenerate top simplices, in ``levels`` order, as codes of
-        ``table(dim_bound - 1)``, in place of their ``faces`` entries.
-        ``rows`` reads them once and gives them up; ``faces`` decodes them
-        into entries on its first read.  So a reader of ``rows`` and
-        ``token_order`` alone never names the top level."""
-        self._handed, self._undecoded = rows, True
+    def hand_over(self, rows: dict) -> None:
+        """Take face data coded: per level n >= 1, ``rows[n]`` holds the face
+        rows of the nondegenerate n-simplices, in ``levels`` order, as codes
+        of ``table(n - 1)``, in place of their ``faces`` entries.
+        ``rows(n)`` reads a level once and gives it up; ``faces`` decodes
+        the levels into entries on its first read.  So a reader of ``rows``
+        and ``token_order`` alone decodes no face.  A level with no
+        nondegenerate simplices has no rows to read, and is dropped."""
+        self._handed = {n: level for n, level in rows.items() if level}
+        self._undecoded = tuple(self._handed)
 
     @memo
     def face_index(self, n: int, read: tuple, derived: Optional[int]) -> dict:

@@ -446,26 +446,27 @@ HOMOTOPIC_PAIR = ("dim 2\ncoskeletal 2\n0: x y\n1: f g\n2: h\n"
                   "face h 0 = [s0] y\nface h 1 = [] g\nface h 2 = [] f\n")
 
 
-def assert_top_faces_are_the_faces_of_the_maps(E: Exponential):
-    """Oracle for the coded top level k: each decoded face of a top cell is
-    the cell of its map's face, gathered out of the map's code tuple by the
-    frame, and on every level ``token_order`` is the order of ``total``."""
-    k, S = E.k, E.sset
-    gathers = E.frame.faces[k]
-    for x in S.nondeg(k):
-        codes = E.codes_of(SimplexExpr((), x))
-        assert ([S.faces[(x, i)] for i in range(k + 1)]
-                == [E.expr_at(k - 1, face(codes)) for face in gathers]), (E.name, x)
-    for n in range(k + 1):
+def assert_faces_are_the_faces_of_the_maps(E: Exponential):
+    """Oracle for the coded levels: on every level n = 1..k each decoded
+    face of a nondegenerate cell is the cell of its map's face, gathered out
+    of the map's code tuple by the frame, and on every level
+    ``token_order`` is the order of ``total``."""
+    S = E.sset
+    for n in range(1, E.k + 1):
+        gathers = E.frame.faces[n]
+        for x in S.nondeg(n):
+            codes = E.codes_of(SimplexExpr((), x))
+            assert ([S.faces[(x, i)] for i in range(n + 1)]
+                    == [E.expr_at(n - 1, face(codes)) for face in gathers]), (E.name, x)
+    for n in range(E.k + 1):
         assert S.token_order(n) == [S.table(n).code[e] for e in S.total(n)], (E.name, n)
 
 
-def top_named(S: TruncatedSSet) -> bool:
-    """Whether S has named its top level: built ``table(k)``, or decoded
-    the top level's ``faces`` entries (read past the decoding property)."""
-    k = S.dim_bound
-    return ((k,) in vars(S).get("memo.table", {})
-            or any(S.dim_of[x] == k for x, _ in vars(S)["_faces"]))
+def named(S: TruncatedSSet) -> bool:
+    """Whether S has named its top level or decoded any face: built
+    ``table(k)``, or decoded a ``faces`` entry (read past the decoding
+    property)."""
+    return (S.dim_bound,) in vars(S).get("memo.table", {}) or bool(vars(S)["_faces"])
 
 
 class HandedRows(list):
@@ -487,20 +488,23 @@ class TestCodedTopLevel:
         paths = [kept[0] for kept in path_objects(T).values()]
         tops = {E._top_path is None for E in exps}
         assert tops == ({True, False} if paths else {True})
-        assert not any(top_named(E.sset) for E in exps)
+        assert not any(named(E.sset) for E in exps)
         for E in exps + paths:
-            assert_top_faces_are_the_faces_of_the_maps(E)
+            assert_faces_are_the_faces_of_the_maps(E)
 
     def test_ho_values_never_name_their_top_level(self, monkeypatch):
+        # nor decode a face on any level, and every level's rows handed
+        # over are given up once read
         handed = []
-        code_top = TruncatedSSet.code_top
+        hand_over = TruncatedSSet.hand_over
 
         def watched(S, rows):
-            rows = HandedRows(rows)
-            handed.append(weakref.ref(rows))
-            code_top(S, rows)
+            rows = {n: HandedRows(level) for n, level in rows.items()}
+            handed.extend(weakref.ref(level) for level in rows.values())
+            assert sorted(rows) == list(range(1, S.dim_bound + 1))
+            hand_over(S, rows)
 
-        monkeypatch.setattr(TruncatedSSet, "code_top", watched)
+        monkeypatch.setattr(TruncatedSSet, "hand_over", watched)
         sample = standard_sample()
         for T in (nerve(poset_simplex(2), 3), nerve(group_z2(), 3),
                   nerve(contractible_groupoid(), 3)):
@@ -510,12 +514,102 @@ class TestCodedTopLevel:
             values = [D.data(J) for J in sample.order]
             assert {E._top_path is None for E in values} == {True, False}
             for E in values:
-                assert (E.k,) in vars(E.sset)["memo.rows"] and not top_named(E.sset), E.name
+                assert (E.k,) in vars(E.sset)["memo.rows"] and not named(E.sset), E.name
             # nor does a path object that a curried exponential read
             paths = [kept[0] for kept in path_objects(T).values()]
-            assert paths and not any(top_named(P.sset) for P in paths)
+            assert paths and not any(named(P.sset) for P in paths)
         gc.collect()
         assert handed and all(ref() is None for ref in handed)
+
+    def test_a_level_above_the_top_is_no_cell(self):
+        E = Exponential(nerve(poset_simplex(1), 3), standard_simplex(1, 2), 2)
+        above = SimplexExpr((2, 1, 0), E.sset.nondeg(0)[0])
+        for read in (lambda: E.code_rows(3), lambda: E.to_expr(3), lambda: E.codes_of(above),
+                     lambda: E.map_of(above), lambda: E.expr_at(3, ()), lambda: E.code_rows(-1)):
+            with pytest.raises(KeyError, match=re.escape(f"map is not a cell of {E.name}")):
+                read()
+
+
+def pinned_exponential(name: str) -> Exponential:
+    """The exponentials of ``EXPONENTIAL_PINS``, by name."""
+    sample, p1 = standard_sample(), poset_simplex(1)
+    n1, n2 = nerve(p1, 3), nerve(poset_simplex(2), 3)
+    if name.startswith("N([2])^N("):
+        return Exponential(n2, sample.nerve(name[len("N([2])^N("):-1]), 2)
+    return {
+        "N(E)^N([1])": lambda: Exponential(nerve(contractible_groupoid(), 3),
+                                           sample.nerve("[1]"), 2),
+        "N(z2)^N([1]x[1])": lambda: Exponential(nerve(group_z2(), 3), sample.nerve("[1]x[1]"), 2),
+        "N([1])^N([1]+[1])": lambda: Exponential(n1, sample.nerve("[1]+[1]"), 2),
+        "N([1])^N([1]x[1]),k=3": lambda: Exponential(n1, nerve(product_cat(p1, p1), 3), 3),
+        "N([2])(0,2)": lambda: mapping_space(n2, "0", "2"),
+    }[name]()
+
+
+# per exponential, the sha256 of ``sset_to_text(E.sset)`` and of the repr of
+# ``[list(E.code_rows(n)) for n in 0..k]``, recorded while the levels below
+# the top were still named as they were built.  N(E)^N([1]) is direct;
+# N(z2)^N([1]x[1]), N([1])^N([1]+[1]) and N([1])^N([1]x[1]) at k = 3 (which
+# curries T^{Δ3}) are curried; N([2])(0,2) is pinned; then N([2]) over every
+# shape of the sample.  ``assert_matches_direct_search`` compares a curried
+# build with a direct one, so only a recorded digest catches a drift they
+# share.
+EXPONENTIAL_PINS = [
+    ("N(E)^N([1])",
+     "5ddf6a5002a2f2c506129ec2c507a8ecd5fe8392e20460e5ea2a9a8e1a4d7925",
+     "0b112747a823a79119eb2f577086d3c154ce49dc8d9a8f13de1f5bdab29eba48"),
+    ("N(z2)^N([1]x[1])",
+     "514218c5eb6d842c8242d1e919d5fe76d8fd0f598684d7bb08aaba7ee15e1e2e",
+     "9a8ccf47ce282f4e548296aa5a133c25ef0028268b3679ea008955c4b8e8aec7"),
+    ("N([1])^N([1]+[1])",
+     "f8f3149950c1d2dd66f2f91c9d25261f9cdf9e58cb2bfd6c0982b2e298616a05",
+     "5db25346c7eea5ecb9afa8dcab195567a7d3931f0b45808db2ae9f11ff6d7e82"),
+    ("N([1])^N([1]x[1]),k=3",
+     "b0375a98eb460cebc10f4a3da9c9779c26579f1ac567562645106dcaadeda649",
+     "b73c8f01d78a4eaf337d10dfb1d1c240a67bed5944f7e61e9ca069a36edfa56a"),
+    ("N([2])(0,2)",
+     "4c03defbdbdd87778890f14b0c8184ed7326e7ca2665fa5ad2de141bcc15ac1e",
+     "c27dddce87bd42c9836e64cad7024234d337b243d41f273becb4b50a5f79b62f"),
+    ("N([2])^N([0])",
+     "f3eab5400735e52d2bdea12f97092092bf894411c2a5656716444caef933ca0d",
+     "0bc64160922b2912148a48c89c45dd75d0db25c86ca602c7b6f9016f27566b28"),
+    ("N([2])^N([1])",
+     "0b769c50969abb5404814eb68ad8c967b7d7e19069e44516299b0bc7a5045cbe",
+     "2fd397cad71224db51a1c1b2c1620332807d282deb185eef14d781c03fe040c4"),
+    ("N([2])^N([2])",
+     "270481a384911a80aa9aab989faab773d3c7a61682d25139dde0bd4dca8fecd4",
+     "a7f3995528f3d94cea18af03bd74e5af14dda917b4ac36a9c5c40fc4efe3ed61"),
+    ("N([2])^N([0]x[1])",
+     "0b769c50969abb5404814eb68ad8c967b7d7e19069e44516299b0bc7a5045cbe",
+     "2fd397cad71224db51a1c1b2c1620332807d282deb185eef14d781c03fe040c4"),
+    ("N([2])^N([1]x[1])",
+     "9bc26ba2cdfa8ab58fbe9832b8ffe3d1f9ebdf87e33abb6b16dab5e9617de913",
+     "74cc49b300f1745f0e7ff5626bdecae583a60eec47d7e006670dd2f794ecddd8"),
+    ("N([2])^N(d[2])",
+     "270481a384911a80aa9aab989faab773d3c7a61682d25139dde0bd4dca8fecd4",
+     "935442192522ac33b8fa9427b5c5793fc061a148ae8bd888d11c1a16e75dc294"),
+    ("N([2])^N(0)",
+     "4c03defbdbdd87778890f14b0c8184ed7326e7ca2665fa5ad2de141bcc15ac1e",
+     "90d0d4d945c67acc11fe052f2aada7983ceaaa4c74e095744ed18810f4607ec2"),
+    ("N([2])^N([0]+[0])",
+     "3128ed72b566d14e6b36478716882820cb9cdd402710376bc7070c4883a45ca0",
+     "d5ef9c4a26b7c0fe5ad8c9dbc53667a740f5bbfd83f603569f830d7eb1416867"),
+    ("N([2])^N([0]+[1])",
+     "02d87194ef7b65fa62efabb0a33efacda35cba5cf18b4c640e6b5f73936a1736",
+     "a04e0703fcf20f674bbf282b64136b28b5f99865d4f7af3e7ee36fb797f9b766"),
+    ("N([2])^N([1]+[1])",
+     "e24c58ef27b327b512fc1426110e31f16bdf733215c0d196cac127f849cbb927",
+     "7aa4e38a78905d615c1a67c398d65841f08884d1fd6f44729fa4b6d06bf7e042"),
+]
+
+
+@pytest.mark.parametrize("name,text_sha,rows_sha", EXPONENTIAL_PINS,
+                         ids=[pin[0] for pin in EXPONENTIAL_PINS])
+def test_exponentials_are_the_recorded_ones(name, text_sha, rows_sha):
+    E = pinned_exponential(name)
+    rows = repr([list(E.code_rows(n)) for n in range(E.k + 1)])
+    assert hashlib.sha256(sset_to_text(E.sset).encode()).hexdigest() == text_sha
+    assert hashlib.sha256(rows.encode()).hexdigest() == rows_sha
 
 
 class TestHoTables:

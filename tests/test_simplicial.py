@@ -1074,9 +1074,9 @@ def reference_face_row(S, e, n, below):
 
 def assert_face_rows_are_the_reference(S):
     """Every level's face rows against ``reference_face_row``.  On a set
-    handed its top level coded, the top ``faces`` entries are decoded from
-    the rows under test, so there this checks the degenerate blocks only;
-    ``test_mapping.assert_top_faces_are_the_faces_of_the_maps`` checks the
+    handed its levels coded, the ``faces`` entries are decoded from the rows
+    under test, so there this checks the degenerate blocks only;
+    ``test_mapping.assert_faces_are_the_faces_of_the_maps`` checks the
     nondegenerate ones against the maps."""
     for n in range(1, S.dim_bound + 1):
         below = S.table(n - 1)
