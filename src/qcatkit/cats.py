@@ -741,7 +741,7 @@ def cat_to_text(C: FiniteCategory) -> str:
 
 
 def cat_from_text(text: str, name: str = "cat") -> FiniteCategory:
-    objects: list = []
+    objects = None
     morphisms = {}
     identities = {}
     compose = {}
@@ -751,6 +751,8 @@ def cat_from_text(text: str, name: str = "cat") -> FiniteCategory:
             continue
         try:
             if line.startswith("objects:"):
+                if objects is not None:
+                    raise ValueError("the objects are listed twice")
                 objects = line.split(":", 1)[1].split()
             elif line.startswith("mor "):
                 head, arrow = line[4:].split(":", 1)
@@ -767,4 +769,4 @@ def cat_from_text(text: str, name: str = "cat") -> FiniteCategory:
             raise ValueError(f"line {lineno}: cannot parse {raw!r} ({err})") from None
     for x, i in identities.items():
         morphisms.setdefault(i, (x, x))
-    return FiniteCategory(objects, morphisms, compose, identities, name)
+    return FiniteCategory(objects or [], morphisms, compose, identities, name)

@@ -302,11 +302,10 @@ def embedding_check(Q: TruncatedSSet, R: TruncatedSSet, n: int,
     P = product(Q.truncate(2), delta_n)
     maps = enumerate_maps(P, R.truncate(2), budget)
     report.map_count = len(maps)
-    shifted = ShiftedPrederivator(DR, f"[{n}]")
-    shapes = [K for K in sample.order if K in shifted.pairings]
-    homs = enumerate_strict_morphisms(DQ, shifted, budget, shapes=shapes)
+    homs = simplicial_hom(DQ, DR, n, budget)
     report.hom_count = len(homs)
-    images = {F.key() for F in induced_strict_morphisms(DQ, shifted, maps, shapes)}
+    shifted = ShiftedPrederivator(DR, f"[{n}]")
+    images = {F.key() for F in induced_strict_morphisms(DQ, shifted, maps, list(shifted.pairings))}
     report.image_size = len(images & {F.key() for F in homs})
     report.injective = len(images) == len(maps)
     return report

@@ -332,7 +332,7 @@ class Exponential:
 
     def locate(self, mu: SimplicialMap) -> SimplexExpr:
         """The cell expression of a map out of S x Δn, n read off its simplex factor."""
-        n = len(mu.source.right.nondeg(0)) - 1
+        n = len(mu.source.right.nondeg(0)) - 1 if isinstance(mu.source, ProductSSet) else None
         if n not in self.products or mu.source.cells != self.products[n].cells:
             raise KeyError(f"map is not a cell of {self.name}")
         return self.expr_at(n, mu.images)

@@ -148,6 +148,11 @@ class DiaSample:
             raise ClosureError(f"sample {self.name} has no category {name!r}")
         return self.categories[name]
 
+    def functor(self, name: str) -> Functor:
+        if name not in self.functors:
+            raise ClosureError(f"sample {self.name} lists no functor {name!r}")
+        return self.functors[name]
+
     @memo
     def nerve(self, name: str) -> TruncatedSSet:
         """N(name) truncated at 2, built once."""
@@ -254,6 +259,13 @@ class DiaSample:
             want = product_cat(self.cat(j), poset_simplex(1))
             if want.canonical_key() != self.cat(p).canonical_key():
                 report.add(f"shift annotation for {j} is not {j} x [1]")
+        # the terminal category has one object and one morphism, the initial one none
+        for end, name, size in (("terminal", self.terminal, 1), ("initial", self.initial, 0)):
+            if name is not None:
+                report.checked += 1
+                C = self.cat(name)
+                if (len(C.objects), len(C.morphisms)) != (size, size):
+                    report.add(f"{end} annotation {name} is not the {end} category")
         return report
 
 
@@ -514,8 +526,8 @@ def check_der1(D: Prederivator, budget: Budget = None) -> ValidationReport:
                        "to the terminal category")
     for (a, b), cname in sorted(s.coproducts.items()):
         report.checked += 1
-        la = D.on_functor(s.functors[f"inl_{cname}"])
-        rb = D.on_functor(s.functors[f"inr_{cname}"])
+        la = D.on_functor(s.functor(f"inl_{cname}"))
+        rb = D.on_functor(s.functor(f"inr_{cname}"))
         cmp_functor = pairing(la, rb, product_cat(D.eval(a), D.eval(b)), f"der1_{cname}")
         if not cmp_functor.validate().ok:
             report.add(f"comparison functor at {cname} is not a functor")
@@ -534,14 +546,14 @@ def check_der2(D: Prederivator) -> ValidationReport:
         J = s.cat(J_name)
         C = D.eval(J_name)
         vertex_stars = {
-            obj: D.on_functor(s.functors[f"vx_{J_name}_{obj}"])
+            obj: D.on_functor(s.functor(f"vx_{J_name}_{obj}"))
             for obj in J.objects}
         for m in C.nonidentity():
             if C.is_iso(m):
                 continue
             report.checked += 1
             components = [vertex_stars[obj].on_morphism(m) for obj in J.objects]
-            base = D.eval("[0]")
+            base = D.eval(s.terminal)
             if all(base.is_iso(c) for c in components):
                 report.add(f"dia^{J_name} sends the non-isomorphism {m!r} "
                            "to a pointwise isomorphism")
@@ -1039,15 +1051,17 @@ def sample_from_manifest(path) -> DiaSample:
     path = Path(path)
     data = json.loads(path.read_text())
     s = DiaSample(data.get("name", "sample"))
-    for name in data.get("order", sorted(data["categories"])):
-        rel = data["categories"][name]
-        s.add_category(name, cat_from_text((path.parent / rel).read_text(), name))
+    files = data["categories"]
+    for name in data.get("order", sorted(files)):
+        if name not in files:
+            raise ClosureError(f"{path.name}: the order lists {name!r}, which has no category file")
+        s.add_category(name, cat_from_text((path.parent / files[name]).read_text(), name))
     for spec in data.get("functors", []):
         F = Functor(s.cat(spec["src"]), s.cat(spec["dst"]), spec["ob"], spec["mor"],
                     spec["name"])
         s.add_functor(spec["name"], F)
     for spec in data.get("nats", []):
-        a = NatTransf(s.functors[spec["src"]], s.functors[spec["dst"]],
+        a = NatTransf(s.functor(spec["src"]), s.functor(spec["dst"]),
                       spec["components"], spec["name"])
         s.add_nat(spec["name"], a)
     s.products = {tuple(k.split("|")): v for k, v in data.get("products", {}).items()}

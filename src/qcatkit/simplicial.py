@@ -23,8 +23,8 @@ without naming them.  A set can be handed its levels coded
 entries there are decoded from the rows only when read.  The set also
 keeps, per degeneracy word and level, the codes of the degenerate
 simplices (``degeneracy_codes``), per monotone α: [m] -> [n] the codes of
-the action y . α (``action_codes``), and for the levels a map search
-targets, its indexes of codes by the faces a placement reads
+the action y . α (``action_codes``), and for the levels a map search or a
+horn or boundary filling reads, its indexes of codes by the faces read
 (``face_index``).
 
 A simplicial map is its code tuple: per cell of the source, in that
@@ -41,11 +41,11 @@ read off the filler: the simplex is looked up by its other faces, and the
 face is written from each candidate row, with no branch and no step of its
 own.
 Extension problems (:func:`extensions`) search for the shell maps only and
-read the fillers off the target's n-simplices, charging the search's steps
-and one step per n-simplex of the target and per shell map.  The target
-keeps its index of n-simplices per level (:func:`qcatkit.util.memo`) and
-each shell's answer (:meth:`qcatkit.util.Budget.cached`), so a repeated
-problem charges what the first one charged.
+read the fillers off the same ``face_index`` by whole face rows, charging
+the search's steps and one step per n-simplex of the target and per shell
+map.  The target keeps each shell's answer
+(:meth:`qcatkit.util.Budget.cached`), so a repeated problem charges what
+the first one charged.
 
 Conventions:
     * ``d_i`` forgets the i-th vertex, so for an edge ``f`` the face
@@ -1087,63 +1087,46 @@ def enumerate_maps(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None,
     return [SimplicialMap(S, T, codes) for codes in map_codes(S, T, budget, fixed)]
 
 
-@memo
-def _simplex_maps(T: TruncatedSSet, n: int) -> list:
-    """The maps Δⁿ -> T as sorted code tuples, built once per (T, n) and
-    kept on T.
-
-    By Yoneda a map is its top simplex σ.  Top down, a cell's code is read
-    off T's face row of the first cell it is a face of; σ is a map only if
-    every row agrees, as in a simplicial T.
-    """
-    simplex = _simplex(n)
-    slot, cell_faces = simplex.cell_index, simplex.faces
-    plan, rows, seen = [], [], set()
-    for k in range(n, 0, -1):
-        faces = T.rows(k)
-        for x in simplex.nondeg(k):
-            slots = [slot[cell_faces[(x, i)].base] for i in range(k + 1)]
-            plan += [(f, slot[x], faces, i) for i, f in enumerate(slots) if f not in seen]
-            seen.update(slots)
-            rows.append((slot[x], faces, itemgetter(*slots)))
-    maps = []
-    for sigma in range(len(T.rows(n))):
-        codes = [sigma] * len(slot)
-        for s, up, faces, i in plan:
-            codes[s] = faces[codes[up]][i]
-        if all(faces[codes[s]] == pick(codes) for s, faces, pick in rows):
-            maps.append(tuple(codes))
-    maps.sort()
-    return maps
-
-
 def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
     """Extension problems along a subset ``shell`` of the n-simplex.
 
     Yields each map shell -> T, in :func:`enumerate_maps` order, with its
     fillers Δⁿ -> T in that order.  ``shell`` is a :func:`horn` or a
     :func:`boundary`: the fillers are maps out of the Δⁿ it keeps as
-    ``simplex``, which every shell of the n-simplex shares.  They are read
-    off T's index of the maps Δⁿ -> T (one per n-simplex that is a map,
-    built once per (T, n) and kept on T), grouped by their restriction to
-    the shell.  T also keeps each shell's answer as codes, the shell maps
-    each with its fillers, through :meth:`qcatkit.util.Budget.cached`, so a
-    repeated problem runs no second search.  Steps, the same on a miss and
-    on a hit: one per n-simplex of T and the search's at the first read,
-    then one per shell map as it is yielded.  A search that overruns its
-    budget keeps nothing.
+    ``simplex``, which every shell of the n-simplex shares.  A filler is its
+    top simplex σ, read off ``T.face_index`` by its whole face row, which a
+    boundary map gives; a map of the horn Λⁿᵢ is completed to a row by each
+    (n - 1)-simplex with the faces it gives d_i.  T keeps each shell's
+    answer as codes, the shell maps each with its fillers, through
+    :meth:`qcatkit.util.Budget.cached`, so a repeated problem runs no
+    second search.  Steps, the same on a miss and on a hit: one per
+    n-simplex of T and the search's at the first read, then one per shell
+    map as it is yielded.  A search that overruns its budget keeps nothing.
     """
     budget = ensure_budget(budget, f"extensions {shell.name} -> {T.name}")
     budget.spend(len(T.rows(n)))
 
     def search() -> tuple:
         keys = map_codes(shell, T, budget)
-        slot = shell.simplex.cell_index
-        slots = [slot[x] for x in shell.cells]
-        by_key: dict = {}
-        for codes in _simplex_maps(T, n):
-            by_key.setdefault(tuple(codes[s] for s in slots), []).append(codes)
-        return keys, [by_key.get(key, ()) for key in keys]
+        simplex, place = shell.simplex, dict(shell.cell_index)
+        top = simplex.nondeg(n)[0]
+        facets = [simplex.faces[(top, j)].base for j in range(n + 1)]
+        out = [f for f in facets if f not in place]  # [d_i] on Λⁿᵢ, [] on ∂Δⁿ
+        by_row = T.face_index(n, tuple(range(n + 1)), None).get
+        if out:  # the faces of d_i, which the horn holds; a vertex has none
+            side = [place[simplex.faces[(out[0], k)].base] for k in range(n if n > 1 else 0)]
+            by_faces = T.face_index(n - 1, tuple(range(len(side))), None).get
+        # a filler's codes over Δⁿ: the shell map's, then σ's and, on a horn, d_i σ's
+        for x in [top] + out:
+            place[x] = len(place)
+        row = itemgetter(*map(place.__getitem__, facets))
+        gather = itemgetter(*map(place.__getitem__, simplex.cells))
+        fillers = []
+        for key in keys:
+            lids = [(f,) for f in by_faces(tuple(map(key.__getitem__, side)), ())] if out else [()]
+            fillers.append(sorted(gather(key + (s, *f)) for f in lids
+                                  for s in by_row(row(key + (None, *f)), ())))
+        return keys, fillers
 
     keys, fillers = budget.cached(T, ("extensions", shell), search)
     simplex = shell.simplex
@@ -1196,6 +1179,8 @@ def sset_from_text(text: str, name: str = "sset") -> TruncatedSSet:
                 faces[(x, int(i))] = SimplexExpr(word, base)
             else:
                 level, rest = line.split(":", 1)
+                if int(level) in levels:
+                    raise ValueError(f"level {int(level)} is listed twice")
                 levels[int(level)] = rest.split()
         except (ValueError, IndexError) as err:
             raise ValueError(f"line {lineno}: cannot parse {raw!r} ({err})") from None

@@ -521,3 +521,7 @@ class TestTextFormat:
     def test_parse_error_position(self):
         with pytest.raises(ValueError, match="line 1"):
             cat_from_text("mor broken\n")
+
+    def test_a_second_objects_line_is_an_error(self):
+        with pytest.raises(ValueError, match="line 3: .*listed twice"):
+            cat_from_text("objects: a\nid a = ia\nobjects: b\n")

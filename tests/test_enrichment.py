@@ -222,6 +222,15 @@ class TestEmbedding:
         assert report.map_count == 6  # monotone square maps
         assert report.hom_count >= report.image_size
 
+    @pytest.mark.parametrize("q,r,n,count", [("pt", "n1", 0, 2), ("pt", "n1", 1, 3),
+                                             ("n1", "n1", 1, 6)])
+    def test_hom_count_is_the_level_of_the_mapping_object(self, q, r, n, count):
+        # the benchmark's three instances
+        sets = {"pt": standard_simplex(0, 2), "n1": nerve(poset_simplex(1), 3)}
+        sample = enrichment_sample(max(n, 1))
+        homs = simplicial_hom(HoPrederivator(sets[q], sample), HoPrederivator(sets[r], sample), n)
+        assert len(homs) == embedding_check(sets[q], sets[r], n).hom_count == count
+
 
 def per_cell_induced(DQ, shifted, mu, K_name):
     """The component at K of the level-n morphism that mu: Q x delta_n -> R

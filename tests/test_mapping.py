@@ -529,6 +529,12 @@ class TestCodedTopLevel:
             with pytest.raises(KeyError, match=re.escape(f"map is not a cell of {E.name}")):
                 read()
 
+    def test_a_map_out_of_no_product_is_no_cell(self):
+        E = Exponential(nerve(poset_simplex(1), 3), standard_simplex(1, 2), 2)
+        mu = enumerate_maps(standard_simplex(1, 2), E.T_t)[0]
+        with pytest.raises(KeyError, match=re.escape(f"map is not a cell of {E.name}")):
+            E.locate(mu)
+
 
 def pinned_exponential(name: str) -> Exponential:
     """The exponentials of ``EXPONENTIAL_PINS``, by name."""

@@ -1,6 +1,7 @@
 """Prederivator layer: evaluation, audits, rigidity, Kan extension."""
 
 import gc
+import json
 import weakref
 
 import pytest
@@ -12,6 +13,7 @@ from qcatkit.cats import (
     boundary_two,
     compose_functors,
     contractible_groupoid,
+    coproduct_cat,
     enumerate_nats,
     group_z2,
     horizontal_compose,
@@ -44,6 +46,7 @@ from qcatkit.prederivator import (
     _meet,
     _pins,
     check_der1,
+    check_der2,
     check_der5,
     check_modification,
     check_strict,
@@ -117,6 +120,38 @@ class TestSample:
         s.add_unit_functors()
         s.add_functor("stray", identity_functor(poset_simplex(0)))
         assert s.validate().violations == ["functor stray leaves the sample"]
+
+    @pytest.mark.parametrize("edit,missing", [
+        (lambda m: m["nats"][0].update(src="nope"), "no functor 'nope'"),
+        (lambda m: m["order"].append("ghost"), "'ghost', which has no category file"),
+        (lambda m: m.update(terminal="[1]"), r"terminal annotation \[1\]"),
+        (lambda m: m.update(initial="[0]"), r"initial annotation \[0\]"),
+    ], ids=["nat-end", "order", "terminal", "initial"])
+    def test_a_broken_manifest_is_a_closure_error(self, tmp_path, edit, missing):
+        manifest = sample_to_manifest(SAMPLE, tmp_path)
+        edit(manifest)
+        (tmp_path / "sample.json").write_text(json.dumps(manifest))
+        with pytest.raises(ClosureError, match=missing):
+            sample_from_manifest(tmp_path / "sample.json")
+
+    def test_der_audits_read_the_sample_they_are_given(self):
+        # a coproduct with no inl_/inr_ listed is named, not a KeyError
+        s = DiaSample("bare")
+        P = s.add_category("[0]", poset_simplex(0))
+        s.add_category("[0]+[0]", coproduct_cat(P, P))
+        s.terminal, s.coproducts = "[0]", {("[0]", "[0]"): "[0]+[0]"}
+        s.add_unit_functors()
+        assert s.validate().ok
+        with pytest.raises(ClosureError, match=r"no functor 'inl_\[0\]\+\[0\]'"):
+            check_der1(HoPrederivator(standard_simplex(0, 2), s))
+        # Der2 compares with the value at the sample's own terminal shape
+        s = DiaSample("pointed")
+        s.add_category("pt", poset_simplex(0))
+        s.add_category("[1]", poset_simplex(1))
+        s.terminal = "pt"
+        s.add_unit_functors()
+        report = check_der2(HoPrederivator(nerve(poset_simplex(1), 3), s))
+        assert report.ok and report.checked
 
     def test_a_member_is_registered_once(self):
         s = DiaSample("point")

@@ -606,16 +606,21 @@ class TestKeptAnswers:
         T.validate()
         is_quasicategory(T)
         kan_check(T)
-        index = dict(vars(T)["memo._simplex_maps"])
-        assert sorted(index) == [(1,), (2,), (3,)]
+        index = dict(vars(T)["memo.face_index"])
+        # per level, the whole-row index that horns and boundaries are filled by,
+        # and at levels 1 and 2 the ones the shell searches derive a face by
+        whole = {(n, tuple(range(n + 1)) if n else (), None) for n in range(4)}
+        derived = {(n, tuple(j for j in range(n + 1) if j != i), i)
+                   for n in (1, 2) for i in range(n + 1)}
+        assert set(index) == whole | derived
         kan_check(T)
-        again = vars(T)["memo._simplex_maps"]
-        assert again == index and all(again[n] is index[n] for n in index)
+        again = vars(T)["memo.face_index"]
+        assert again == index and all(again[key] is index[key] for key in index)
         # every horn, and the boundaries validate checks above the certificate
         shells = {key[1]: answer for key, answer in vars(T)["memo.charged"].items()
                   if key[0] == "extensions"}
         assert len(shells) == sum(n + 1 for n in range(1, 4)) + 1
-        top, kept = index[(3,)], shells[horn(3, 1, 2)]
+        top, kept = index[(3, (0, 1, 2, 3), None)], shells[horn(3, 1, 2)]
         del index, again, shells
         ref = weakref.ref(T)
         del T
@@ -1236,6 +1241,10 @@ class TestTextFormat:
     def test_parse_error_names_line(self):
         with pytest.raises(ValueError, match="line 2"):
             sset_from_text("dim 2\nface oops\n")
+
+    def test_a_repeated_level_line_is_an_error(self):
+        with pytest.raises(ValueError, match="line 3: .*level 0 is listed twice"):
+            sset_from_text("dim 2\n0: a\n0: b\n")
 
     def test_comments_and_blank_lines(self):
         s = sset_from_text("# a comment\ndim 2\n\n0: v w\n")

@@ -12,7 +12,6 @@ from qcatkit.prederivator import ClosureError, HoPrederivator, dia_arrow, standa
 from qcatkit.simplicial import (
     SimplexExpr,
     TruncatedSSet,
-    _simplex_maps,
     identity_map,
     product,
     standard_simplex,
@@ -58,8 +57,6 @@ MEMO_SITES = {
     "key": (lambda: identity_functor(poset_simplex(2)), "key", lambda F: F.key(), None),
     "exponent_frame": (lambda: nerve(poset_simplex(1), 2), "exponent_frame",
                        lambda S: exponent_frame(S, 2, 2), None),
-    "_simplex_maps": (lambda: nerve(group_z2(), 3), "_simplex_maps",
-                      lambda T: _simplex_maps(T, 3), None),
     "DiaSample.nerve": (standard_sample, "nerve", lambda s: s.nerve("[1]"), None),
     "Prederivator.eval": (lambda: HoPrederivator(standard_simplex(0, 2), standard_sample()),
                           "eval", lambda D: D.eval("[1]"), None),
