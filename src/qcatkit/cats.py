@@ -97,31 +97,76 @@ class FiniteCategory:
         return [m for m in self.hom(a, b) if self.is_iso(m)]
 
     @cached_property
+    def generators(self) -> frozenset:
+        """A generating set: every non-identity morphism is a word in it.
+
+        The indecomposable non-identities (no g . f of two non-identities)
+        come first; then, in sorted order, each morphism that the set does
+        not yet reach as a word, such as an idempotent e = e . e.
+        """
+        table, ends, ids = self.compose_table, self.morphisms, self._identity_set
+        nonid = self.nonidentity()
+        made = set(table.values())
+        gens, words, out_of = set(), set(), {}  # out_of: object -> the generators out of it
+        for new in chain([[m for m in nonid if m not in made]], ([m] for m in nonid)):
+            if words.issuperset(new):
+                continue
+            gens.update(new)
+            for m in new:
+                out_of.setdefault(ends[m][0], []).append(m)
+            todo = new + [table[m, w] for m in new for w in words if ends[w][1] == ends[m][0]]
+            while todo:  # close the words under composing a generator on the left
+                w = todo.pop()
+                if w not in words and w not in ids:
+                    words.add(w)
+                    todo.extend(table[g, w] for g in out_of.get(ends[w][1], ()))
+        return frozenset(gens)
+
+    @cached_property
     def search_plan(self) -> tuple:
         """The placements of :func:`enumerate_functors` out of this category.
 
-        Objects come in sorted order, each followed by the morphisms whose
-        later endpoint it is.  An object x is (x, None, identity of x); a
-        morphism m is (m, (dom, cod), triples), where ``triples`` lists the
-        entries (g, f, g . f) of the composition table, in table order, whose
-        last member to get an image is m: an identity gets its image with
-        its object.
+        Objects come in sorted order, each followed by the morphisms placed
+        once it is, rescanned in sorted order until none is left: a generator
+        once its ends are placed, any other h once some g . f = h with g a
+        generator has g and f placed.  An object x is (x, None, identity of
+        x, None); a morphism m is (m, (dom, cod), triples, factors), where
+        ``factors`` is None for a generator, whose image is branched on, and
+        that (g, f) for any other m, whose one candidate image is read off
+        theirs.
+        ``triples`` lists the table entries (g, f, g . f) with g a generator,
+        in table order, whose last member to get an image is m, bar the one
+        defining m; an identity gets its image with its object.  By
+        induction on word length, a functor on them is one on the table.
         """
-        placed, at, order = set(), {}, []  # at: morphism -> position of its image
+        gens, table, nonid = self.generators, self.compose_table, self.nonidentity()
+        factors: dict = {}  # non-generator -> its factorisations (g, f) with g a generator
+        for (g, f), h in table.items():
+            if g in gens and h not in gens:
+                factors.setdefault(h, []).append((g, f))
+        ready: dict = {}  # object -> the morphisms whose ends are placed with it
+        for m in nonid:
+            ready.setdefault(max(self.morphisms[m]), []).append(m)
+        at, order, waiting = {}, [], []  # at: morphism -> position of its image
         for x in self.objects:
-            placed.add(x)
             at[self.identities[x]] = len(order)
-            order.append((x, None, self.identities[x]))
-            for m in self.nonidentity():
-                if x in self.morphisms[m] and set(self.morphisms[m]) <= placed:
-                    at[m] = len(order)
-                    order.append((m, self.morphisms[m], []))
-        for (g, f), h in self.compose_table.items():
-            _, ends, triples = order[max(at[g], at[f], at[h])]
-            if ends is not None:  # a triple of identities is never checked
+            order.append((x, None, self.identities[x], None))
+            waiting, grown = sorted(waiting + ready.get(x, [])), True
+            while grown:
+                grown = False
+                for m in waiting:
+                    gf = None if m in gens else next(
+                        (p for p in factors[m] if p[0] in at and p[1] in at), False)
+                    if gf is not False:
+                        at[m], grown = len(order), True
+                        order.append((m, self.morphisms[m], [], gf))
+                waiting = [m for m in waiting if m not in at]
+        for (g, f), h in table.items():
+            _, ends, triples, gf = order[max(at[g], at[f], at[h])]
+            if g in gens and ends is not None and gf != (g, f):
                 triples.append((g, f, h))
-        return tuple((name, ends, tuple(last) if ends else last)
-                     for name, ends, last in order)
+        return tuple((name, ends, tuple(last) if ends else last, gf)
+                     for name, ends, last, gf in order)
 
     def canonical_key(self) -> tuple:
         return (self.objects, tuple(sorted(self.morphisms.items())),
@@ -550,10 +595,12 @@ def enumerate_functors(K: FiniteCategory, J: FiniteCategory, budget: Budget = No
     ``ob_allowed`` and ``mor_allowed`` optionally restrict the images of
     individual objects and morphisms (used to push naturality constraints
     into the search instead of filtering afterwards).  The placements and
-    the composites checked at each are K's ``search_plan``; each candidate
-    image charges one step, and so does each composite checked.  One flat
-    depth-first loop, as in :func:`qcatkit.simplicial.map_codes`, charges the
-    count at the end, or through ``Budget.spend_each`` once it passes the limit.
+    the composites checked at each are K's ``search_plan``, which branches
+    on objects and generators and reads any other image off its factors;
+    each candidate image in its pool charges one step, a read-off one too,
+    and so does each composite checked.  One flat depth-first loop, as in
+    :func:`qcatkit.simplicial.map_codes`, charges the count at the end, or
+    through ``Budget.spend_each`` once it passes the limit.
     """
     budget = ensure_budget(budget, f"functors {K.name} -> {J.name}")
     ob_allowed, mor_allowed = ob_allowed or {}, mor_allowed or {}
@@ -568,14 +615,15 @@ def enumerate_functors(K: FiniteCategory, J: FiniteCategory, budget: Budget = No
             results.append(Functor(K, J, ob, {m: image[m] for m in nonid}))
             pos -= 1
         else:
-            name, ends, last = plan[pos]
+            name, ends, last, factors = plan[pos]
             if ends is None:
                 pool = ob_allowed.get(name)
                 out = J.objects if pool is None else sorted(pool)
                 used += len(out)
             else:
                 pool, out = mor_allowed.get(name), []
-                for y in homs.get((ob[ends[0]], ob[ends[1]]), ()):
+                for y in (homs.get((ob[ends[0]], ob[ends[1]]), ()) if factors is None
+                          else (composites[image[factors[0]], image[factors[1]]],)):
                     if pool is not None and y not in pool:
                         continue
                     image[name] = y
@@ -593,7 +641,7 @@ def enumerate_functors(K: FiniteCategory, J: FiniteCategory, budget: Budget = No
         while pos >= 0:
             y = next(placing[pos], None)
             if y is not None:
-                name, ends, last = plan[pos]
+                name, ends, last, _ = plan[pos]
                 if ends is None:
                     ob[name], image[last] = y, identities[y]
                 else:
@@ -757,16 +805,23 @@ def cat_from_text(text: str, name: str = "cat") -> FiniteCategory:
             elif line.startswith("mor "):
                 head, arrow = line[4:].split(":", 1)
                 d, c = arrow.split("->")
+                if head.strip() in morphisms:
+                    raise ValueError(f"morphism {head.strip()} is listed twice")
                 morphisms[head.strip()] = (d.strip(), c.strip())
             elif line.startswith("id "):
                 obj, m = line[3:].split("=")
+                if obj.strip() in identities:
+                    raise ValueError(f"the identity of {obj.strip()} is listed twice")
                 identities[obj.strip()] = m.strip()
             else:
                 lhs, h = line.split("=")
                 g, f = lhs.split(".")
+                if (g.strip(), f.strip()) in compose:
+                    raise ValueError(f"{g.strip()} . {f.strip()} is listed twice")
                 compose[(g.strip(), f.strip())] = h.strip()
         except ValueError as err:
             raise ValueError(f"line {lineno}: cannot parse {raw!r} ({err})") from None
     for x, i in identities.items():
         morphisms.setdefault(i, (x, x))
     return FiniteCategory(objects or [], morphisms, compose, identities, name)
+

@@ -61,6 +61,8 @@ class ShiftedPrederivator(Prederivator):
         for name, a in D.sample.nats.items():
             if a.source.source in sub.names and a.source.target in sub.names:
                 sub.add_nat(name, a)
+        if D.sample.terminal in sub.categories:
+            sub.terminal = D.sample.terminal
         super().__init__(sub, f"{D.name}^{J_name}")
         self.base = D
         self.J_name = J_name

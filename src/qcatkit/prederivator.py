@@ -31,15 +31,19 @@ code tuples of a whole batch of cells to those of their images a column at
 a time (:func:`qcatkit.mapping.transport`), so u* of every base over the
 sample is two transports, one per level, and alpha* is one.  The
 strict-morphism search likewise keeps the fibre tables of the restrictions
-it reads and builds its image pools a table at a time, and the functor
-search out of a category follows the category's own ``search_plan``.
+it reads and builds its image pools a table at a time; the pools force
+every commutation square between two shapes, so only the square of a
+listed u: J -> J is checked on the components found.  The functor search
+out of a category follows the category's own ``search_plan``: it branches
+on the images of objects and generators only, and reads every other image
+off a factorisation.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import compress, repeat
-from operator import and_, ne
+from operator import and_, eq, ne
 from pathlib import Path
 
 from .cats import (
@@ -266,6 +270,9 @@ class DiaSample:
                 C = self.cat(name)
                 if (len(C.objects), len(C.morphisms)) != (size, size):
                     report.add(f"{end} annotation {name} is not the {end} category")
+        if self.terminal is None:  # Der2 and the unit functors read it
+            report.checked += 1
+            report.add("no terminal annotation")
         return report
 
 
@@ -542,6 +549,8 @@ def check_der2(D: Prederivator) -> ValidationReport:
     """Conservativity of the underlying diagram functor, every sample shape."""
     report = ValidationReport(f"Der2 for {D.name} over {D.sample.name}")
     s = D.sample
+    if s.terminal is None:
+        raise ClosureError(f"sample {s.name} has no terminal annotation, which Der2 compares with")
     for J_name in s.order:
         J = s.cat(J_name)
         C = D.eval(J_name)
@@ -856,6 +865,10 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
     functors_between = [(u, src, dst) for u, src, dst in functors_between
                         if src in shapes and dst in shapes]
     components: dict = {}
+    # per shape J, D1's and D2's u* for each listed u: J -> J that is not the
+    # identity of both: a square from the component to itself, which no
+    # pool can force, so it is checked on each component found
+    loops: dict = {}
     results = []
 
     def allowed_images(J_name: str):
@@ -865,8 +878,12 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
         J-component: its pools are the fibres of all such u* of D2 together
         (:func:`_fibres`), each u charging one step per object of D2 at J.
         A listed u: J -> K with K placed pins it on the image of the
-        restriction, one step per object of D1 at K.  Both cut the functor
-        search to near-singletons.
+        restriction, one step per object of D1 at K; where u* of D1 sends a
+        non-identity to an identity of D1 at J, the pin holds the image of
+        that identity, so it cuts its object's pool to the objects whose
+        identity the pin holds.  Both cut the functor search to
+        near-singletons, and the pools force every commutation square
+        between J and a placed shape other than J.
         """
         CJ1 = D1.eval(J_name)
         CJ2 = D2.eval(J_name)
@@ -897,19 +914,11 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
             by_ob, by_mor = _fibres(D2, tuple(into))
             _meet(ob_allowed, dict(zip(objects, map(by_ob.get, zip(*obs), repeat(frozenset())))))
             _meet(mor_allowed, dict(zip(nonid, map(by_mor.get, zip(*mors), repeat(frozenset())))))
+        # a pin on the identity of x holds the identity of x's image
+        _meet(ob_allowed, {x: frozenset(y for y in CJ2.objects
+                                        if CJ2.identities[y] in mor_allowed[i])
+                           for x, i in CJ1.identities.items() if i in mor_allowed})
         return ob_allowed, mor_allowed
-
-    def consistent(J_name: str) -> bool:
-        for u, src, dst in functors_between:
-            if src not in components or dst not in components:
-                continue
-            if J_name not in (src, dst):
-                continue
-            budget.spend()
-            if not _commutes(components[src], D1.on_functor(u), D2.on_functor(u),
-                             components[dst]):
-                return False
-        return True
 
     def walk(pos):
         if pos == len(shapes):
@@ -932,10 +941,16 @@ def enumerate_strict_morphisms(D1: Prederivator, D2: Prederivator,
             return
         J_name = shapes[pos]
         ob_allowed, mor_allowed = allowed_images(J_name)
+        if J_name not in loops:
+            stars = [(D1.on_functor(u), D2.on_functor(u))
+                     for u, src, dst in functors_between if src == dst == J_name]
+            loops[J_name] = [(u1, u2) for u1, u2 in stars if not all(
+                all(map(eq, t, t.values())) for t in (u1.ob, u1.mor, u2.ob, u2.mor))]
         for F in enumerate_functors(D1.eval(J_name), D2.eval(J_name), budget,
                                     ob_allowed=ob_allowed, mor_allowed=mor_allowed):
             components[J_name] = F
-            if consistent(J_name):
+            budget.spend(len(loops[J_name]))
+            if all(_commutes(F, u1, u2, F) for u1, u2 in loops[J_name]):
                 walk(pos + 1)
         components.pop(J_name, None)
 

@@ -1166,8 +1166,12 @@ def sset_from_text(text: str, name: str = "sset") -> TruncatedSSet:
             continue
         try:
             if line.startswith("dim "):
+                if dim is not None:
+                    raise ValueError("the dimension is listed twice")
                 dim = int(line.split()[1])
             elif line.startswith("coskeletal "):
+                if cosk is not None:
+                    raise ValueError("the coskeletal bound is listed twice")
                 cosk = int(line.split()[1])
             elif line.startswith("face "):
                 head, rhs = line.split("=", 1)
@@ -1176,6 +1180,8 @@ def sset_from_text(text: str, name: str = "sset") -> TruncatedSSet:
                 rb = rhs.index("]")
                 word = tuple(int(tok[1:]) for tok in rhs[lb + 1:rb].split())
                 base = rhs[rb + 1:].strip()
+                if (x, int(i)) in faces:
+                    raise ValueError(f"face {i} of {x} is listed twice")
                 faces[(x, int(i))] = SimplexExpr(word, base)
             else:
                 level, rest = line.split(":", 1)

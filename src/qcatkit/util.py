@@ -40,8 +40,11 @@ class Budget:
     (:func:`qcatkit.simplicial.map_codes`: one step per vertex or pinned
     cell, one plus the candidates per lookup, nothing for a face read off
     the row of the simplex above it) and the functor search
-    (:func:`qcatkit.cats.enumerate_functors`) charge their count once at
-    the end, or at the placement that takes it past the limit;
+    (:func:`qcatkit.cats.enumerate_functors`: one step per object
+    candidate, per candidate image of a generator and per composite
+    checked, one for the image of any other morphism, read off its
+    factors) charge their count once at the end, or at the placement that
+    takes it past the limit;
     ``spend_each`` charges a run of single steps at once.
     """
 

@@ -40,6 +40,8 @@ from qcatkit.cats import (
 )
 from qcatkit.corpus import add_idempotent, corpus_categories
 from qcatkit.nerve import ho, nerve
+from qcatkit.prederivator import HoPrederivator, standard_sample
+from qcatkit.simplicial import standard_simplex
 from qcatkit.util import Budget, BudgetExceeded, ensure_budget
 
 
@@ -65,19 +67,20 @@ def functors_by_validation(K, J, ob_allowed, mor_allowed):
 
 
 # (source, target, pools); the steps of the search without and with the
-# pools.  z2 -> z2 and E -> z2 have composites that are identities; the
-# idempotent of [3] -> idem does not cancel, so two composites checked at
-# one placement can disagree, and their order shows in the steps.
+# pools.  z2 -> z2 and E -> z2 have composites that are identities; [3] ->
+# idem branches on the three generators and reads every composite off
+# them, checking none, while [1]x[1] -> [2] reads the diagonal off one side
+# of the square and checks the other side.
 FUNCTOR_SEARCHES = {
     "[3]->idem": (lambda: poset_simplex(3), lambda: add_idempotent(poset_simplex(0), "0"),
-                  ({"3": {"0"}}, {"m01": {"mut_e"}, "m23": {"m00", "mut_e"}}), (114, 60)),
+                  ({"3": {"0"}}, {"m01": {"mut_e"}, "m23": {"m00", "mut_e"}}), (42, 22)),
     "z2->z2": (group_z2, group_z2, ({"*": {"*"}}, {"g": {"e"}}), (5, 3)),
     "E->z2": (contractible_groupoid, group_z2, ({"b": {"*"}}, {"eab": {"g"}}), (14, 8)),
     "[1]x[1]->[2]": (lambda: product_cat(poset_simplex(1), poset_simplex(1)),
                      lambda: poset_simplex(2),
                      ({"(0,0)": {"0", "1"}, "(1,1)": {"1", "2"}},
                       {"(m01,m11)": {"m01", "m12", "m11"}, "(m01,m01)": {"m02", "m12"}}),
-                     (218, 100)),
+                     (177, 100)),
 }
 
 
@@ -97,16 +100,22 @@ def test_functor_search_matches_validation(case):
 
 def test_functor_search_plan_is_kept():
     K = product_cat(poset_simplex(1), poset_simplex(1))
-    assert K.search_plan is K.search_plan
+    assert K.search_plan is K.search_plan and K.generators is K.generators
     assert K.nonidentity() is K.nonidentity()
-    # every composite is checked once, at the placement that completes it
-    checked = [t for _, ends, last in K.search_plan if ends for t in last]
-    assert sorted(checked) == sorted((g, f, h) for (g, f), h in K.compose_table.items())
+    for K in [K, add_idempotent(poset_simplex(2), "1"), product_cat(group_z2(), poset_simplex(1))]:
+        # every composite with a generator on the left is checked once, at
+        # the placement that completes it, or defines a derived entry
+        checked = [t for _, ends, last, _ in K.search_plan if ends for t in last]
+        defining = [(*gf, m) for m, ends, _, gf in K.search_plan if ends and gf]
+        assert len(set(checked)) == len(checked) and not set(checked) & set(defining)
+        assert sorted(checked + defining) == sorted(
+            (g, f, h) for (g, f), h in K.compose_table.items() if g in K.generators)
 
 
 def reference_functors(K, J, budget=None, ob_allowed=None, mor_allowed=None):
     """The functor search as it was before the flat loop: recursive over K's
-    ``search_plan``, one ``budget.spend()`` per candidate and per composite."""
+    ``search_plan``, one ``budget.spend()`` per candidate and per composite;
+    a derived entry's one candidate is the composite of its factors' images."""
     budget = ensure_budget(budget)
     ob_allowed = ob_allowed or {}
     mor_allowed = mor_allowed or {}
@@ -127,7 +136,7 @@ def reference_functors(K, J, budget=None, ob_allowed=None, mor_allowed=None):
         if pos == len(plan):
             results.append(Functor(K, J, ob, {m: image[m] for m in nonid}))
             return
-        name, ends, last = plan[pos]
+        name, ends, last, factors = plan[pos]
         if ends is None:
             pool = ob_allowed.get(name)
             for y in (J.objects if pool is None else sorted(pool)):
@@ -137,7 +146,8 @@ def reference_functors(K, J, budget=None, ob_allowed=None, mor_allowed=None):
                 walk(pos + 1)
         else:
             pool = mor_allowed.get(name)
-            for y in J.hom(ob[ends[0]], ob[ends[1]]):
+            for y in (J.hom(ob[ends[0]], ob[ends[1]]) if factors is None
+                      else [J.compose(image[factors[0]], image[factors[1]])]):
                 if pool is not None and y not in pool:
                     continue
                 budget.spend()
@@ -168,7 +178,9 @@ def assert_searches_agree(K, J, limit=None, ob_allowed=None, mor_allowed=None):
 
 
 SEARCH_CATEGORIES = {"[1]": lambda: poset_simplex(1), "[2]": lambda: poset_simplex(2),
-                     "z2": group_z2, "E": contractible_groupoid, "d[2]": boundary_two}
+                     "z2": group_z2, "E": contractible_groupoid, "d[2]": boundary_two,
+                     "[1]+e": lambda: add_idempotent(poset_simplex(1), "1"),
+                     "z2x[1]": lambda: product_cat(group_z2(), poset_simplex(1))}
 
 
 def test_flat_functor_search_matches_the_recursive_one():
@@ -182,7 +194,7 @@ def test_flat_functor_search_matches_the_recursive_one():
             for limit in range(total + 2):
                 assert_searches_agree(K, J, limit)
             cases += 1 + total + 2
-    assert cases == 831
+    assert cases == 1673
 
 
 def poset(n: int, below: set) -> FiniteCategory:
@@ -220,6 +232,91 @@ def test_flat_functor_search_matches_the_recursive_one_on_posets(data):
     total = assert_searches_agree(K, J, None, ob_allowed, mor_allowed)
     assert_searches_agree(K, J, data.draw(st.integers(min_value=0, max_value=total + 1)),
                           ob_allowed, mor_allowed)
+
+
+def monoids(order: int) -> list:
+    """Every one-object category with ``order`` morphisms: the identity e and
+    the first order - 1 of a, b, under every associative table."""
+    names = "ab"[:order - 1]
+    found = []
+    for values in iproduct("e" + names, repeat=len(names) ** 2):
+        M = FiniteCategory(("*",), dict.fromkeys("e" + names, ("*", "*")),
+                           dict(zip(iproduct(names, repeat=2), values)), {"*": "e"},
+                           "M" + "".join(values))
+        if validate_category(M).ok:
+            found.append(M)
+    return found
+
+
+# one-object monoids of order at most 3, with an idempotent added, and
+# products with z2: categories that are not posets, with idempotent
+# generators and derived entries whose images are not forced by their ends
+NON_POSETS = [M for n in (1, 2, 3) for M in monoids(n)]
+NON_POSETS += [add_idempotent(C, C.objects[-1])
+               for C in (poset_simplex(1), group_z2(), NON_POSETS[-1])]
+NON_POSETS += [product_cat(C, group_z2()) for C in (poset_simplex(1), NON_POSETS[2])]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_functor_search_matches_validation_beyond_posets(data):
+    K, J = data.draw(st.sampled_from(NON_POSETS)), data.draw(st.sampled_from(NON_POSETS))
+    ob_allowed = data.draw(pools(K.objects, J.objects))
+    mor_allowed = data.draw(pools(K.nonidentity(), sorted(J.morphisms)))
+    found = enumerate_functors(K, J, None, ob_allowed, mor_allowed)
+    want = functors_by_validation(K, J, ob_allowed, mor_allowed)
+    assert [F.key() for F in found] == [F.key() for F in want]
+    total = assert_searches_agree(K, J, None, ob_allowed, mor_allowed)
+    assert_searches_agree(K, J, data.draw(st.integers(min_value=0, max_value=total + 1)),
+                          ob_allowed, mor_allowed)
+
+
+def words(C: FiniteCategory, gens) -> set:
+    """The non-identity morphisms of C that are composites of ``gens``,
+    closed under composing any two of them."""
+    reached = set(gens)
+    while True:
+        more = {h for (g, f), h in C.compose_table.items()
+                if g in reached and f in reached and not C.is_identity(h)} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+def plan_categories() -> list:
+    """The corpus categories, the shapes of the standard sample and every
+    HO value of the audit's four bases over it, and the non-posets above."""
+    sample = standard_sample()
+    values = [HoPrederivator(Q, sample).eval(J) for Q in (
+        standard_simplex(0, 2), nerve(poset_simplex(1), 3), nerve(poset_simplex(2), 3),
+        nerve(group_z2(), 3)) for J in sample.order]
+    return ([C for _, C in corpus_categories()] + list(sample.categories.values()) + values
+            + NON_POSETS)
+
+
+def test_generators_generate():
+    for C in plan_categories():
+        gens, made = C.generators, set(C.compose_table.values())
+        assert words(C, gens) == set(C.nonidentity()), C.name
+        # the indecomposables, then in sorted order each morphism not yet reached
+        first = {m for m in C.nonidentity() if m not in made}
+        assert first <= gens, C.name
+        for m in sorted(gens - first):
+            assert m not in words(C, first | {g for g in gens - first if g < m}), C.name
+
+
+def test_derived_entries_follow_their_factors():
+    for C in plan_categories():
+        at = {}  # entry -> position; an identity sits with its object
+        for pos, (name, ends, last, factors) in enumerate(C.search_plan):
+            at[last if ends is None else name] = pos
+            if factors is not None:
+                g, f = factors
+                assert g in C.generators and name not in C.generators, C.name
+                assert C.compose(g, f) == name and at[g] < pos and at[f] < pos, C.name
+            elif ends is not None:
+                assert name in C.generators, C.name
+        assert sorted(at) == sorted(C.morphisms), C.name
 
 
 class TestBuilders:
@@ -525,3 +622,13 @@ class TestTextFormat:
     def test_a_second_objects_line_is_an_error(self):
         with pytest.raises(ValueError, match="line 3: .*listed twice"):
             cat_from_text("objects: a\nid a = ia\nobjects: b\n")
+
+    @pytest.mark.parametrize("text,repeated", [
+        ("objects: a b\nmor f: a -> b\nmor f: b -> a\n", "line 3: .*morphism f is listed twice"),
+        ("objects: a\nid a = ia\nid a = ja\n", "line 3: .*identity of a is listed twice"),
+        ("objects: a\nmor e: a -> a\nid a = i\ne . e = e\ne . e = i\n",
+         "line 5: .*e . e is listed twice"),
+    ], ids=["mor", "id", "composite"])
+    def test_a_repeated_line_is_an_error(self, text, repeated):
+        with pytest.raises(ValueError, match=repeated):
+            cat_from_text(text)

@@ -8,6 +8,7 @@ import qcatkit.prederivator as prederivator
 from qcatkit.cats import (
     boundary_two,
     contractible_groupoid,
+    enumerate_functors,
     group_z2,
     poset_simplex,
     validate_category,
@@ -24,6 +25,7 @@ from qcatkit.delocalization import (
 from qcatkit.nerve import ho, nerve
 from qcatkit.prederivator import kan_extension_value
 from qcatkit.simplicial import SimplexExpr, expr, standard_simplex
+from qcatkit.util import Budget
 
 
 class TestSimplexCategory:
@@ -57,6 +59,15 @@ class TestSimplexCategory:
             report = marked_closure_report(sc)
             assert report.ok, report.violations[:2]
 
+
+    def test_functors_out_of_the_category_of_simplices(self):
+        # the searches of the localization check at depth 2: the counts, and
+        # the steps of the search that branches only on generators
+        sc = SimplexCategory(nerve(poset_simplex(1), 3), 2).category
+        for C, count, steps in [(group_z2(), 256, 67541), (contractible_groupoid(), 512, 98350)]:
+            budget = Budget()
+            assert len(enumerate_functors(sc, C, budget)) == count
+            assert budget.used == steps
 
 # sha256 of repr(list(morphisms.items())) and of repr(sorted(marked)) at
 # depth 2, recorded before the sources were read off the level tables

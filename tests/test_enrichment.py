@@ -70,9 +70,12 @@ def find_identity_level0(D):
 
 
 class TestShift:
-    def test_samples_validate(self):
+    def test_samples_validate(self, d_interval):
         assert SAMPLE.validate().ok
         assert DEEP.validate().ok
+        # a shift keeps the terminal annotation where the shape is a member
+        for J in ("[0]", "[1]"):
+            assert ShiftedPrederivator(d_interval, J).sample.validate().ok
 
     def test_shift_by_point_is_isomorphic(self, d_interval):
         sh = ShiftedPrederivator(d_interval, "[0]")

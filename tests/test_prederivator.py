@@ -14,6 +14,7 @@ from qcatkit.cats import (
     compose_functors,
     contractible_groupoid,
     coproduct_cat,
+    enumerate_functors,
     enumerate_nats,
     group_z2,
     horizontal_compose,
@@ -24,6 +25,7 @@ from qcatkit.cats import (
     poset_simplex,
     product_cat,
     validate_category,
+    vertex_functor,
     vertical_compose,
 )
 from qcatkit.corpus import (
@@ -152,6 +154,19 @@ class TestSample:
         s.add_unit_functors()
         report = check_der2(HoPrederivator(nerve(poset_simplex(1), 3), s))
         assert report.ok and report.checked
+
+    def test_a_missing_terminal_annotation_is_named(self):
+        s = DiaSample("noterm")
+        P = s.add_category("[0]", poset_simplex(0))
+        s.add_category("[1]", poset_simplex(1))
+        for name in s.order:
+            C = s.cat(name)
+            s.add_functor(f"id_{name}", identity_functor(C))
+            for x in C.objects:
+                s.add_functor(f"vx_{name}_{x}", vertex_functor(P, C, x))
+        assert s.validate().violations == ["no terminal annotation"]
+        with pytest.raises(ClosureError, match="no terminal annotation"):
+            check_der2(HoPrederivator(nerve(poset_simplex(1), 3), s))
 
     def test_a_member_is_registered_once(self):
         s = DiaSample("point")
@@ -629,7 +644,7 @@ class TestStrictMorphisms:
 
     def test_enumeration_steps(self, d_point, d_interval, d_z2):
         # the steps of the search alone: the prederivators charge their own budgets
-        for D1, D2, count, steps in [(d_point, d_interval, 2, 594), (d_z2, d_z2, 2, 8295)]:
+        for D1, D2, count, steps in [(d_point, d_interval, 2, 468), (d_z2, d_z2, 2, 1771)]:
             budget = Budget()
             assert len(enumerate_strict_morphisms(D1, D2, budget)) == count
             assert budget.used == steps
@@ -651,10 +666,43 @@ class TestStrictMorphisms:
                 assert report.ok, (D1.name, D2.name)
                 found.append((budget.used, report.enumerated))
         assert found == list(zip(
-            [131, 594, 2157, 269, 348, 1542, 5616, 980,
-             3906, 16288, 44940, 16254, 3901, 8134, 13467, 8295],
+            [68, 468, 1968, 206, 225, 1173, 4878, 734,
+             1460, 6503, 20476, 6570, 714, 1760, 3906, 1771],
             [1, 2, 3, 1, 1, 3, 6, 2, 1, 4, 10, 4, 1, 2, 3, 2]))
-        assert sum(used for used, _ in found) == 126822
+        assert sum(used for used, _ in found) == 52880
+
+    def test_a_pin_on_an_identity_cuts_its_object(self, d_z2):
+        # D1's ![1]* sends the generator of HO(N(z2))([0]) = z2 to an
+        # identity, so a component at [0] that keeps the generator leaves
+        # no component at [1]: its square would need F(identity) = const g
+        point = d_z2.eval("[0]")
+
+        def collapse(big):
+            if big.source is not point:
+                return big
+            return Functor(big.source, big.target, big.ob,
+                           {m: big.target.identities[big.ob[big.source.dom(m)]]
+                            for m in big.mor}, big.name)
+
+        D1 = PatchedPrederivator(d_z2, "[1]", d_z2.eval("[1]"), lambda big: big, collapse,
+                                 "collapsed")
+        ustar = D1.on_functor(SAMPLE.functors["![1]"])
+        assert all(D1.eval("[1]").is_identity(m) for m in ustar.images.values())
+        morphisms = enumerate_strict_morphisms(D1, d_z2)
+        assert [F.at("[0]").mor for F in morphisms] == [{"c1_0": "s0.c0_0"}]
+        assert all(check_strict(F).ok for F in morphisms)
+
+    def test_a_listed_endofunctor_is_checked(self):
+        # no pool can say F . c0* = c0* . F; of the three functors from the
+        # point HO(Δ⁰)([1]) into Fun([1], [1]), the constant ones commute
+        s = DiaSample("loop")
+        p1 = s.add_category("[1]", poset_simplex(1))
+        s.add_functor("id_[1]", identity_functor(p1))
+        s.add_functor("c0", monotone_functor(p1, p1, (0, 0), "c0"))
+        D1, D2 = (HoPrederivator(Q, s) for Q in (standard_simplex(0, 2), nerve(p1, 3)))
+        assert len(enumerate_functors(D1.eval("[1]"), D2.eval("[1]"))) == 3
+        morphisms = enumerate_strict_morphisms(D1, D2)
+        assert len(morphisms) == 2 and all(check_strict(F).ok for F in morphisms)
 
     def test_pools_are_met_key_by_key(self):
         # a pin holds the one value its key is paired with, none on a clash

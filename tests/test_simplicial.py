@@ -1246,6 +1246,16 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 3: .*level 0 is listed twice"):
             sset_from_text("dim 2\n0: a\n0: b\n")
 
+    @pytest.mark.parametrize("text,repeated", [
+        ("dim 2\n0: a\ndim 3\n", "line 3: .*dimension is listed twice"),
+        ("dim 2\ncoskeletal 2\n0: a\ncoskeletal 3\n", "line 4: .*coskeletal bound is listed twice"),
+        ("dim 2\n0: a b\n1: e\nface e 0 = [] a\nface e 0 = [] b\n",
+         "line 5: .*face 0 of e is listed twice"),
+    ], ids=["dim", "coskeletal", "face"])
+    def test_a_repeated_line_is_an_error(self, text, repeated):
+        with pytest.raises(ValueError, match=repeated):
+            sset_from_text(text)
+
     def test_comments_and_blank_lines(self):
         s = sset_from_text("# a comment\ndim 2\n\n0: v w\n")
         assert s.nondeg(0) == ("v", "w")
