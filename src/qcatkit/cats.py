@@ -475,11 +475,6 @@ def constant_functor(J: FiniteCategory, C: FiniteCategory, obj: str, name: str =
                    name or f"const_{obj}")
 
 
-def vertex_functor(term: FiniteCategory, J: FiniteCategory, obj: str) -> Functor:
-    """The object ``obj`` of J as a functor out of the terminal category [0]."""
-    return Functor(term, J, {"0": obj}, {}, f"vx_{J.name}_{obj}")
-
-
 def monotone_functor(source: FiniteCategory, target: FiniteCategory, alpha,
                      name: str) -> Functor:
     """The functor of chains [m] -> [n] with i -> ``alpha[i]``.

@@ -118,7 +118,7 @@ def _failing_face_mutations(name: str, S: TruncatedSSet):
                         S.dim_bound,
                         {m: S.nondeg(m) for m in range(S.dim_bound + 1)},
                         faces, None, f"{name}/d{i}({x})->{cand.token()}")
-                    if not mutant.validate(check_coskeletal=False).ok:
+                    if not mutant.validate().ok:
                         yield mutant
                         break
 

@@ -60,7 +60,7 @@ The base side is coded.  An exponential works over T truncated at the
 working level, which T keeps, so all exponentials of T there share its
 level tables (see :mod:`qcatkit.simplicial`).  A level-n map is kept as
 its code tuple: the search returns code tuples, the degenerate cells and
-faces are gathered over them, and the transposition reads a path object's
+faces are transported from them, and the transposition reads a path object's
 maps through its per-level table from codes of T^{Δn} to code tuples
 (``Exponential.code_rows``).  So a cell's one key is its code tuple, and the
 functors that restriction and postcomposition induce on Ho transport code
@@ -83,7 +83,7 @@ The build runs in bulk, over tables.  The transposition and the sort keys
 of the maps S -> T^{Δn} are :func:`transport` calls: a slot of the
 transposed map over a cell x of S is one column, a table worked out once
 per image of x that some map takes.  A level's cells are coded, and
-their faces gathered, a whole level at a time.  So are the functors on
+their faces transported, a whole level at a time.  So are the functors on
 Ho: :func:`transport` sends a batch of code tuples through a map a column at a
 time, and each exponential keeps the code tuples of its Ho objects and of
 its morphisms' representatives (``Exponential.ho_batches``), beside the
@@ -93,8 +93,7 @@ a functor on Ho costs two transports and one lookup per object and morphism.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
-from operator import itemgetter
+from functools import cached_property
 
 from .cats import Functor
 from .nerve import HoPresentation, QcatReport, ho, require_quasicategory
@@ -223,13 +222,13 @@ class Exponential:
         below = {n: raw[n - 1] for n in range(1, k + 1)}
         lifts = {n: [plan_columns(plan, P, T_t) for plan in frame.degeneracies[n]]
                  for n, P in self.products.items() if n}
-        drops = {n: [partial(map, face) for face in faces] for n, faces in frame.faces.items()}
+        drops = {n: [plan_columns(plan, self.products[n - 1], T_t) for plan in plans]
+                 for n, plans in frame.faces.items()}
         if top:
             A, B = paths[k - 1], paths[k]
             below[k] = curried[k - 1]
             lifts[k] = [_path_columns(S_t, A, B, _degeneracy_map(k, j)) for j in range(k)]
-            drops[k] = [partial(transport, columns=_path_columns(S_t, B, A, _face_map(k, i)))
-                        for i in range(k + 1)]
+            drops[k] = [_path_columns(S_t, B, A, _face_map(k, i)) for i in range(k + 1)]
         # level by level, the degenerate cells are the s_j of the maps one
         # level down (the pins survive the collapse, so level n enumerated
         # them all); the others, in raw[n]'s order, get their ids in it
@@ -257,7 +256,8 @@ class Exponential:
                                                 codes)):
                         here[c] = key
                 code = dict(zip(below[n], codes)).__getitem__
-                rows[n] = list(zip(*(map(code, drop(new[n])) for drop in drops[n])))
+                rows[n] = list(zip(*(map(code, transport(new[n], columns))
+                                     for columns in drops[n])))
             code_of = dict(zip(here, range(len(here))))
         sset.hand_over(rows)
 
@@ -361,13 +361,11 @@ class ExponentFrame:
     ``exponent`` is S, ``S_t`` is S truncated at the level and
     ``products[n]`` is S_t x Δn for n <= k.  The shape maps id x δi:
     S_t x Δ(n-1) -> S_t x Δn and id x σj: S_t x Δn -> S_t x Δ(n-1) are
-    compiled into index plans over the canonical cell orders.  id x δi
-    sends nondegenerate cells to nondegenerate cells, so ``faces[n][i]``
-    picks the code tuple of the i-th face of a level-n map straight out of
-    the map's, one tuple at a time; ``degeneracies[n][j]`` lists, per cell
-    of S_t x Δn, the slot and the degeneracy word of its image under
-    id x σj.  Built once per exponent, level and height by
-    :func:`exponent_frame`; building it charges no steps.  A curried
+    compiled into slot plans over the canonical cell orders: ``faces[n][i]``
+    lists, per cell of S_t x Δ(n-1), the slot and the degeneracy word (empty)
+    of its image under id x δi, ``degeneracies[n][j]`` those under id x σj,
+    and :func:`transport` applies both.  Built once per exponent, level and
+    height by :func:`exponent_frame`; building it charges no steps.  A curried
     exponential reads its levels off path objects through
     ``transposition``; the frames of the path objects' simplex exponents
     compile the maps α x id between each other (``simplex_plans``).
@@ -379,8 +377,7 @@ class ExponentFrame:
                          for n in range(k + 1)}
         self.faces, self.degeneracies = {}, {}
         for n in range(1, k + 1):
-            self.faces[n] = [_gather(tuple(slot for slot, _ in self._plan(
-                _face_map(n, i), n - 1, n))) for i in range(n + 1)]
+            self.faces[n] = [self._plan(_face_map(n, i), n - 1, n) for i in range(n + 1)]
             self.degeneracies[n] = [self._plan(_degeneracy_map(n, j), n, n - 1)
                                     for j in range(n)]
 
@@ -474,11 +471,6 @@ def transport(batch: list, columns: list) -> list:
     source = list(zip(*batch))
     return list(zip(*[source[s] if table is None else map(table.__getitem__, source[s])
                       for s, table in columns]))
-
-
-def _gather(slots: tuple):
-    """The function picking the entries at ``slots`` out of a tuple, as a tuple."""
-    return itemgetter(*slots) if len(slots) > 1 else lambda c: tuple(map(c.__getitem__, slots))
 
 
 def _face_map(n: int, i: int) -> tuple:

@@ -191,24 +191,24 @@ def _check_level2_horn(S: TruncatedSSet, report: QcatReport, budget: Budget) -> 
     is a 2-simplex with those outer faces.  Runs over the face rows of the
     level tables: one step per 2-simplex, then one per composable pair.
     """
-    edges = S.table(1)
+    ends = S.rows(1)
     order = S.token_order(1)
     # an edge's face row is (d_0, d_1): its final, then its initial vertex
     by_source: dict = {}
     for f in order:
-        by_source.setdefault(edges.faces[f][1], []).append(f)
+        by_source.setdefault(ends[f][1], []).append(f)
     faces = S.rows(2)
     budget.spend_each(len(faces))
     fillers = Counter(map(itemgetter(2, 0), faces))  # (d2, d0) -> its 2-simplices
-    pairs = [(f, g) for f in order for g in by_source.get(edges.faces[f][0], ())]
+    pairs = [(f, g) for f in order for g in by_source.get(ends[f][0], ())]
     budget.spend_each(len(pairs))
     hits = list(map(fillers.__getitem__, pairs))
     if 0 in hits:
         report.ok = False
         if report.witness is None:
             f, g = pairs[hits.index(0)]
-            report.witness = (f"horn(2,1) d2={edges.cells[f].token()} "
-                              f"d0={edges.cells[g].token()}")
+            edges = S.table(1).cells
+            report.witness = f"horn(2,1) d2={edges[f].token()} d0={edges[g].token()}"
     unique = hits.count(1) == len(hits)
     report.by_horn[(2, 1)] = (len(pairs), unique)
     report.horns_checked += len(pairs)
@@ -243,10 +243,6 @@ def require_quasicategory(S: TruncatedSSet, budget: Budget = None) -> QcatReport
 # homotopy relation and Ho
 
 
-def _is_degenerate_edge(S: TruncatedSSet, e: SimplexExpr) -> bool:
-    return len(e.word) == 1 and S.dim_of[e.base] == 0
-
-
 def _class_codes(Q: TruncatedSSet) -> list:
     """Per level-1 code, the code of its class's representative: the least
     code of the class, so the least simplex.  A union-find over the codes
@@ -271,9 +267,10 @@ def one_step_homotopic(Q: TruncatedSSet, f: SimplexExpr, g: SimplexExpr) -> bool
     """The unclosured relation: some 2-simplex exhibits f and g directly."""
     for sigma in Q.total(2):
         d0, d1, d2 = (Q.face(sigma, i) for i in range(3))
-        if _is_degenerate_edge(Q, d2) and {f, g} <= {d0, d1}:
+        # a face with a degeneracy word is s_0 of a vertex, a degenerate edge
+        if d2.word and {f, g} <= {d0, d1}:
             return True
-        if _is_degenerate_edge(Q, d0) and {f, g} <= {d1, d2}:
+        if d0.word and {f, g} <= {d1, d2}:
             return True
     return False
 
@@ -313,7 +310,7 @@ def ho(Q: TruncatedSSet, budget: Budget = None) -> HoPresentation:
     and d_0, the final one).
     """
     require_quasicategory(Q, budget)
-    edges = Q.table(1)
+    edges, ends = Q.table(1), Q.rows(1)
     objects = [e.base for e in Q.table(0).cells]  # level 0 is nondegenerate
     cls = [None] * len(edges.cells)  # per level-1 code, its morphism id
     rep_codes, morphisms = {}, {}
@@ -323,7 +320,7 @@ def ho(Q: TruncatedSSet, budget: Budget = None) -> HoPresentation:
         if cls[r] is None:  # the first edge of its class: name the class
             cls[r] = mid = edges.cells[r].token()
             rep_codes[mid] = r
-            morphisms[mid] = (objects[edges.faces[r][1]], objects[edges.faces[r][0]])
+            morphisms[mid] = (objects[ends[r][1]], objects[ends[r][0]])
         cls[c] = cls[r]
     identities = dict(zip(objects, map(cls.__getitem__, Q.degeneracy_codes((0,), 0))))
     compose = {}

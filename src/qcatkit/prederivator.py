@@ -68,7 +68,6 @@ from .cats import (
     pair_functor,
     pairing,
     validate_category,
-    vertex_functor,
     vertical_compose,
 )
 from .delocalization import SimplexCategory
@@ -134,10 +133,14 @@ class DiaSample:
         return C
 
     def add_functor(self, name: str, F: Functor) -> Functor:
+        if name in self.functors:
+            raise ValueError(f"duplicate sample functor {name!r}")
         self.functors[name] = F
         return F
 
     def add_nat(self, name: str, a: NatTransf) -> NatTransf:
+        if name in self.nats:
+            raise ValueError(f"duplicate sample 2-cell {name!r}")
         self.nats[name] = a
         return a
 
@@ -216,7 +219,8 @@ class DiaSample:
                 self.add_functor(f"!{name}",
                                  constant_functor(C, point, point.objects[0], f"!{name}"))
             for obj in C.objects:
-                self.add_functor(f"vx_{name}_{obj}", vertex_functor(point, C, obj))
+                self.add_functor(f"vx_{name}_{obj}",
+                                 constant_functor(point, C, obj, f"vx_{C.name}_{obj}"))
 
     def shift_name(self, j: str) -> str:
         if j not in self.shifts:
@@ -399,14 +403,14 @@ class Prederivator:
         for name in s.order:
             report.checked += 1
             img = self.on_functor(s.functors[f"id_{name}"])
-            if not _same(img, identity_functor(self.eval(name))):
+            if img != identity_functor(self.eval(name)):
                 report.add(f"identity of {name} not preserved")
         for n2, n1 in s.composable_functor_pairs():
             u, v = s.functors[n1], s.functors[n2]
             report.checked += 1
             lhs = self.on_functor(compose_functors(v, u))
             rhs = compose_functors(self.on_functor(u), self.on_functor(v))
-            if not _same(lhs, rhs):
+            if lhs != rhs:
                 report.add(f"composition {n2} o {n1} not respected")
         for name, a in sorted(s.nats.items()):
             report.checked += 1
@@ -415,7 +419,7 @@ class Prederivator:
                 report.add(f"image of {name} is not natural")
             usrc = self.on_functor(a.source)
             udst = self.on_functor(a.target)
-            if not (_same(img.source, usrc) and _same(img.target, udst)):
+            if img.source != usrc or img.target != udst:
                 report.add(f"image of {name} has wrong endpoints")
         # vertical composition on composable listed nat pairs
         for n1, a in sorted(s.nats.items()):
@@ -438,10 +442,6 @@ class Prederivator:
                 if lhs.components != rhs.components:
                     report.add(f"horizontal composition {n2} * {n1} not respected")
         return report
-
-
-def _same(F: Functor, G: Functor) -> bool:
-    return F.ob == G.ob and F.mor == G.mor  # equal key()s, unsorted
 
 
 class HoPrederivator(Prederivator):

@@ -71,13 +71,11 @@ class LevelTable(NamedTuple):
 
     ``cells`` lists the n-simplices, degenerate ones included, in
     ``SimplexExpr`` order: the code of a simplex is its position, and
-    ``code`` maps it back.  ``faces[c]`` holds the codes of d_0 .. d_n of the
-    simplex with code c at level n - 1; it is empty at level 0.
+    ``code`` maps it back.  The level's faces are ``TruncatedSSet.rows(n)``.
     """
 
     cells: tuple
     code: dict
-    faces: tuple
 
 
 class SimplexExpr(NamedTuple):
@@ -238,7 +236,7 @@ class TruncatedSSet:
         The i-th face of each nondegenerate simplex of dimension >= 1.
     coskeletal_from : int, optional
         Declared certificate: the set is to be read as k-coskeletal above
-        level k.  Checked by ``validate(check_coskeletal=True)``.
+        level k.  Checked by ``validate``.
 
     ``cells`` is the canonical cell order: every nondegenerate identifier,
     all levels together, sorted.  A :class:`SimplicialMap` out of this set
@@ -439,20 +437,20 @@ class TruncatedSSet:
 
     @memo
     def table(self, n: int) -> LevelTable:
-        """Level n coded and named, built once (see the module docstring):
-        the simplices of the ``_blocks`` as ``SimplexExpr``s, and ``rows(n)``
-        as their faces."""
+        """Level n named, built once (see the module docstring): the
+        simplices of the ``_blocks`` as ``SimplexExpr``s, and their codes;
+        their faces are ``rows(n)``."""
         cells: list = []
         for w in self._blocks(n):
             xs = self.nondeg(n - len(w))
             cells += map(SimplexExpr, repeat(w, len(xs)), xs)
         cells = tuple(cells)
-        return LevelTable(cells, dict(zip(cells, range(len(cells)))), self.rows(n))
+        return LevelTable(cells, dict(zip(cells, range(len(cells)))))
 
     @memo
     def rows(self, n: int) -> tuple:
         """Level n as its face rows: per code, the codes of d_0 .. d_n at
-        level n - 1, empty at level 0; ``table(n).faces`` is this tuple.
+        level n - 1, empty at level 0; ``table(n)`` names the simplices.
 
         The rows are built a block of ``_blocks`` at a time, naming no
         simplex of level n.  Those of the nondegenerate simplices are their
@@ -483,9 +481,6 @@ class TruncatedSSet:
                 continue
             j, y = w[0], starts[w[1:]]
             ys = range(y, y + len(xs))
-            if n == 1:
-                rows += zip(ys, ys)
-                continue
             fy = below[y:y + len(xs)]
             columns = [ys] * (n + 1)
             if j:
@@ -564,8 +559,6 @@ class TruncatedSSet:
 
         s_word sends the block of u at level m onto the block of the normal
         form of word ∘ u, simplex by simplex (see ``_blocks``)."""
-        if not word:
-            return range(len(self.rows(m)))
         up = self._blocks(m + len(word))
         codes = []
         for u in self._blocks(m):
@@ -631,12 +624,12 @@ class TruncatedSSet:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self, check_coskeletal: bool = True, budget: Budget = None) -> ValidationReport:
+    def validate(self, budget: Budget = None) -> ValidationReport:
         """Check reference integrity and the simplicial identities.
 
-        When a coskeletal certificate is declared and ``check_coskeletal``
-        is set, also verify that every compatible boundary above the
-        certified level has exactly one filler within the truncation.
+        When a coskeletal certificate is declared and they hold, also verify
+        that every compatible boundary above the certified level has exactly
+        one filler within the truncation.
         """
         report = ValidationReport(self.name)
         faces = self.faces
@@ -677,7 +670,7 @@ class TruncatedSSet:
                                 f"identity d_{i} d_{j} = d_{j - 1} d_{i} fails at {x!r}: "
                                 f"{left.token()} != {right.token()}"
                             )
-        if check_coskeletal and self.coskeletal_from is not None and report.ok:
+        if self.coskeletal_from is not None and report.ok:
             self._check_coskeletal(report, ensure_budget(budget, "coskeletal check"))
         return report
 

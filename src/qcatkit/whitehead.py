@@ -243,7 +243,8 @@ def agreement_table(rows) -> str:
 
 
 def parse_map_file(text: str, source: TruncatedSSet, target: TruncatedSSet) -> SimplicialMap:
-    """Assignment lines ``<src-id> = [s-words] <target-base>``."""
+    """Assignment lines ``<src-id> = [s-words] <target-base>``, one per
+    cell; a cell assigned twice is a ``ValueError`` naming the line."""
     assignment = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -253,9 +254,13 @@ def parse_map_file(text: str, source: TruncatedSSet, target: TruncatedSSet) -> S
             lhs, rhs = line.split("=", 1)
             tokens = rhs.split()
             word = tuple(int(t[1:]) for t in tokens[:-1])
-            assignment[lhs.strip()] = SimplexExpr(word, tokens[-1])
+            image = SimplexExpr(word, tokens[-1])
         except (ValueError, IndexError):
             raise ValueError(f"line {lineno}: cannot parse map line {raw!r}") from None
+        cell = lhs.strip()
+        if cell in assignment:
+            raise ValueError(f"line {lineno}: cell {cell} is assigned twice")
+        assignment[cell] = image
     return SimplicialMap(source, target, assignment)
 
 

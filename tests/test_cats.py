@@ -35,7 +35,6 @@ from qcatkit.cats import (
     product_cat,
     split_pair,
     validate_category,
-    vertex_functor,
     vertical_compose,
 )
 from qcatkit.corpus import add_idempotent, corpus_categories
@@ -470,16 +469,16 @@ class TestFunctorIdentity:
 
     def test_morphisms_compare_by_value_over_the_same_categories(self):
         point, J = poset_simplex(0), poset_simplex(1)
-        u, v = (vertex_functor(point, J, x) for x in "01")
+        u, v = (constant_functor(point, J, x) for x in "01")
         alpha = NatTransf(u, v, {"0": J.hom("0", "1")[0]})
         # built again over the same categories: equal, with equal hashes
-        u2 = vertex_functor(point, J, "0")
-        alpha2 = NatTransf(u2, vertex_functor(point, J, "1"), alpha.components)
+        u2 = constant_functor(point, J, "0")
+        alpha2 = NatTransf(u2, constant_functor(point, J, "1"), alpha.components)
         assert u2 is not u and u2 == u and hash(u2) == hash(u)
         assert alpha2 == alpha and hash(alpha2) == hash(alpha)
         # equal tables over an equal but distinct copy of J: not equal
         copy = poset_simplex(1)
-        w, x = (vertex_functor(point, copy, y) for y in "01")
+        w, x = (constant_functor(point, copy, y) for y in "01")
         beta = NatTransf(w, x, alpha.components)
         assert w.key() == u.key() and w != u
         assert beta.key() == alpha.key() and beta != alpha

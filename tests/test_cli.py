@@ -225,6 +225,17 @@ def test_a_shift_without_its_structure_is_a_closure_error(inputs, capsys, tmp_pa
     assert out == f"error: sample standard lacks {missing} for the shift [0] x [1]\n"
 
 
+def test_global_report_writes_the_nerve_itself(inputs, capsys, tmp_path):
+    # with ``--report``, nerve writes the set to the file, not the report
+    d, _ = inputs
+    path = tmp_path / "interval.sset"
+    code, out = run(["--report", str(path), "nerve", str(d / "interval.cat"), "--dim", "2"],
+                    capsys)
+    assert code == 0
+    assert path.read_text() == sset_to_text(nerve(poset_simplex(1), 2))
+    assert out == f"nerve of interval at dim 2 written to {path}\n"
+
+
 def test_verify_suite_is_not_a_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-suite"])

@@ -28,7 +28,7 @@ def test_corpus_has_27_members():
 
 @pytest.mark.parametrize("name,S", MEMBERS, ids=[name for name, _ in MEMBERS])
 def test_member_validates_with_its_certificate(name, S):
-    report = S.validate(check_coskeletal=True)
+    report = S.validate()
     assert report.ok, report.violations
 
 

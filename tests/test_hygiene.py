@@ -85,7 +85,6 @@ TEST_ONLY = {
     # other oracles
     "enumerate_nats": "oracle: all natural transformations, behind FunctorCategory",
     "one_step_homotopic": "oracle: the unclosed homotopy relation the Ho classes are checked on",
-    "_is_degenerate_edge": "oracle: behind one_step_homotopic",
     "normalize_word": "oracle: normal form of any letter sequence, checks insert_letter",
     "projection": "oracle: product projections, check map_pairs and the product's faces",
     "ProductSSet.map_pairs": "oracle: cellwise maps out of a product, behind the comparisons",
@@ -143,6 +142,16 @@ def test_every_definition_is_referenced():
             dead.append(f"{module}:{node.lineno} {name}")
     assert not dead
     assert not stale
+
+
+def test_every_test_only_definition_is_read_by_a_test():
+    """Every ``TEST_ONLY`` entry is read, as a name or an attribute, in a
+    test module other than this one; its name in a string is no read.  So
+    an oracle whose last test went is no longer kept."""
+    read = sum((_references(tree, True, frozenset()) for module, tree in _test_trees()
+                if module != "tests/test_hygiene.py"), Counter())
+    unread = [name for name in TEST_ONLY if not read[name.rsplit(".", 1)[-1]]]
+    assert not unread
 
 
 def _outermost_functions(tree):

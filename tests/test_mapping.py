@@ -448,16 +448,18 @@ HOMOTOPIC_PAIR = ("dim 2\ncoskeletal 2\n0: x y\n1: f g\n2: h\n"
 
 def assert_faces_are_the_faces_of_the_maps(E: Exponential):
     """Oracle for the coded levels: on every level n = 1..k each decoded
-    face of a nondegenerate cell is the cell of its map's face, gathered out
-    of the map's code tuple by the frame, and on every level
-    ``token_order`` is the order of ``total``."""
+    face of a nondegenerate cell is the cell of its map's face, read out of
+    the map's code tuple at the slots of the frame's face plan, whose words
+    are empty, and on every level ``token_order`` is the order of ``total``."""
     S = E.sset
     for n in range(1, E.k + 1):
-        gathers = E.frame.faces[n]
+        plans = E.frame.faces[n]
+        assert not any(word for plan in plans for _, word in plan), (E.name, n)
         for x in S.nondeg(n):
             codes = E.codes_of(SimplexExpr((), x))
             assert ([S.faces[(x, i)] for i in range(n + 1)]
-                    == [E.expr_at(n - 1, face(codes)) for face in gathers]), (E.name, x)
+                    == [E.expr_at(n - 1, tuple(codes[s] for s, _ in plan))
+                        for plan in plans]), (E.name, x)
     for n in range(E.k + 1):
         assert S.token_order(n) == [S.table(n).code[e] for e in S.total(n)], (E.name, n)
 

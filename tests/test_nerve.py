@@ -105,7 +105,7 @@ class TestNerve:
         for cat in [poset_simplex(2), boundary_two(), group_z2(), contractible_groupoid()]:
             n = nerve(cat, 3)
             assert n.coskeletal_from == 2
-            assert n.validate(check_coskeletal=True).ok, cat.name
+            assert n.validate().ok, cat.name
 
     def test_nerve_of_group(self):
         n = nerve(group_z2(), 3)

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import weakref
 
 import pytest
@@ -12,6 +13,7 @@ from qcatkit.cats import (
     NatTransf,
     boundary_two,
     compose_functors,
+    constant_functor,
     contractible_groupoid,
     coproduct_cat,
     enumerate_functors,
@@ -25,7 +27,6 @@ from qcatkit.cats import (
     poset_simplex,
     product_cat,
     validate_category,
-    vertex_functor,
     vertical_compose,
 )
 from qcatkit.corpus import (
@@ -108,6 +109,17 @@ class TestSample:
         assert back.validate().ok
         assert sample_to_manifest(back, tmp_path / "again") == written
 
+    @pytest.mark.parametrize("kind,name,twin", [("functors", "d0_[2]", "d1_[2]"),
+                                                ("nats", "step02_[2]", "step01_[2]")])
+    def test_a_name_listed_twice_is_an_error(self, tmp_path, kind, name, twin):
+        # the second entry carries the twin's tables, so read last-wins the
+        # sample would load and pass validate
+        data = sample_to_manifest(SAMPLE, tmp_path)
+        data[kind].append(dict(next(e for e in data[kind] if e["name"] == twin), name=name))
+        (tmp_path / "sample.json").write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"duplicate sample .* {re.escape(repr(name))}"):
+            sample_from_manifest(tmp_path / "sample.json")
+
     def test_ends_are_read_by_identity(self, d_point):
         assert SAMPLE.ends(SAMPLE.functors["end0_[1]"]) == ("[1]", "[1]x[1]")
         # equal to the member [1], but not the member itself
@@ -163,7 +175,7 @@ class TestSample:
             C = s.cat(name)
             s.add_functor(f"id_{name}", identity_functor(C))
             for x in C.objects:
-                s.add_functor(f"vx_{name}_{x}", vertex_functor(P, C, x))
+                s.add_functor(f"vx_{name}_{x}", constant_functor(P, C, x))
         assert s.validate().violations == ["no terminal annotation"]
         with pytest.raises(ClosureError, match="no terminal annotation"):
             check_der2(HoPrederivator(nerve(poset_simplex(1), 3), s))

@@ -216,12 +216,12 @@ class TestValidation:
             assert s.validate().ok, s.name
 
     def test_coskeletal_certificate_checked(self):
-        assert standard_simplex(2, 3).validate(check_coskeletal=True).ok
+        assert standard_simplex(2, 3).validate().ok
         # the boundary of a 2-simplex is not 2-coskeletal: the full shell
         # has no filler
         b = boundary(2, 2)
         claimed = type(b)(2, {n: b.nondeg(n) for n in range(3)}, b.faces, 1, "bad-cert")
-        assert not claimed.validate(check_coskeletal=True).ok
+        assert not claimed.validate().ok
 
 
 # -- products ----------------------------------------------------------------
@@ -780,7 +780,7 @@ def reference_map_codes(S, T, budget, fixed=None):
         codes = tuple(T.degeneracy_codes(w, n - 1 - len(w)) for w, _ in faces)
         steps.append((itemgetter(*(s for _, s in faces)),
                       codes if any(w for w, _ in faces) else None, pinned,
-                      T.table(n).faces if pinned is not None else
+                      T.rows(n) if pinned is not None else
                       T.face_index(n, tuple(range(n + 1)), None)))
     assign = [None] * len(S.cells)
 
@@ -1067,7 +1067,7 @@ def reference_face_row(S, e, n, below):
     y = code[SimplexExpr(e.word[1:], e.base)]
     if n == 1:
         return (y, y)
-    fy, two_down = below.faces[y], S.table(n - 2).cells
+    fy, two_down = S.rows(n - 1)[y], S.table(n - 2).cells
 
     def s(k, c):
         f = two_down[c]
@@ -1085,8 +1085,8 @@ def assert_face_rows_are_the_reference(S):
     nondegenerate ones against the maps."""
     for n in range(1, S.dim_bound + 1):
         below = S.table(n - 1)
-        assert S.table(n).faces == tuple(reference_face_row(S, e, n, below)
-                                         for e in S.table(n).cells), (S.name, n)
+        assert S.rows(n) == tuple(reference_face_row(S, e, n, below)
+                                  for e in S.table(n).cells), (S.name, n)
 
 
 class TestLevelTables:
@@ -1101,8 +1101,8 @@ class TestLevelTables:
                 assert S.table(n) is table
                 if n:
                     below = S.table(n - 1).code
-                    assert table.faces == tuple(tuple(below[S.face(e, i)] for i in range(n + 1))
-                                                for e in table.cells), (name, n)
+                    assert S.rows(n) == tuple(tuple(below[S.face(e, i)] for i in range(n + 1))
+                                              for e in table.cells), (name, n)
 
     def test_token_order_is_the_order_of_total(self):
         xy = sset_from_text(NAMED_AFTER_S, "xy")
@@ -1151,7 +1151,7 @@ class TestLevelTables:
             assert sorted(c for cs in index.values() for c in cs) == list(range(len(table.cells)))
             for row, cs in index.items():
                 assert [table.cells[c] for c in cs] == [e for e in S.total(2)
-                                                        if table.faces[table.code[e]] == row]
+                                                        if S.rows(2)[table.code[e]] == row]
 
     def test_a_face_index_keeps_the_rows_whose_read_face_is_a_face(self):
         # against the faces of the simplices as expressions, on sets whose

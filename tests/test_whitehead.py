@@ -7,7 +7,8 @@ from qcatkit.corpus import labeled_map_corpus
 from qcatkit.mapping import induced_functor, mapping_space
 from qcatkit.nerve import nerve
 from qcatkit.prederivator import HoPrederivator, standard_sample
-from qcatkit.simplicial import SimplicialMap, compose_maps, identity_map
+from qcatkit.simplicial import (SimplexExpr, SimplicialMap, compose_maps, identity_map,
+                                standard_simplex)
 from qcatkit.util import Budget
 from qcatkit.whitehead import (
     agreement_table,
@@ -17,6 +18,7 @@ from qcatkit.whitehead import (
     is_essentially_surjective,
     is_fully_faithful_1tr,
     load_labeled_corpus,
+    parse_map_file,
     mapping_space_functor,
     prederivator_equivalence,
     write_labeled_corpus,
@@ -223,3 +225,16 @@ class TestManifest:
         bad.write_text("map broken-line\n")
         with pytest.raises(ValueError, match="line 1"):
             load_labeled_corpus(bad)
+
+    def test_a_cell_assigned_twice_names_the_line(self, tmp_path):
+        # read last-wins, this would load as 0 -> 1 and pass validation
+        point, edge = standard_simplex(0, 2), standard_simplex(1, 2)
+        twice = "0 = 0\n0 = 1\n"
+        with pytest.raises(ValueError, match="line 2: cell 0 is assigned twice"):
+            parse_map_file(twice, point, edge)
+        f = SimplicialMap(point, edge, {"0": SimplexExpr((), "0")})
+        manifest = write_labeled_corpus([("vertex0", f, False)], tmp_path)
+        (tmp_path / "m00.map").write_text(twice)
+        with pytest.raises(ValueError,
+                           match="corpus.manifest line 1: line 2: cell 0 is assigned twice"):
+            load_labeled_corpus(manifest)
