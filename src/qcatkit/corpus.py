@@ -186,7 +186,16 @@ def add_idempotent(C: FiniteCategory, obj: str) -> FiniteCategory:
 
 
 def der2_mutation(base: HoPrederivator) -> Prederivator:
-    """Adds a pointwise-invisible idempotent: conservativity must fail."""
+    """Adds a pointwise-invisible idempotent: conservativity must fail.
+
+    The mutant is a 2-functor on HO(N([1])), the base the Der audits use,
+    but not on every base.  Where the base's value at [1]x[1] is one object,
+    as on HO(N([0])), the u* of every endofunctor u of [1]x[1] is the
+    identity, which the mutant keeps, so it fixes the idempotent; the u* of
+    the same u through [1] (end0_[1] o proj_[1]) sends the idempotent to an
+    identity.  So a Der2 audit of the mutant of such a base does not
+    isolate Der2.
+    """
     shape = "[1]x[1]"
     C = base.eval(shape)
     patched = add_idempotent(C, C.objects[0])

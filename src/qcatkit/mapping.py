@@ -33,10 +33,11 @@ it is built by the direct search, steps included.  Measured at L = 2 over
 the bases N([1]), N([2]), N(z2), N(E) and the exponents N(J) for J = [1],
 [2], d[2], [0]+[0], [0]+[1], a lone exponential with its Ho took 1.7 to
 13 times as long curried (3.0 -> 39.1 ms for N(E)^{N([0]+[0])}).  In steps
-currying is dearer on 17 of the 20 pairs, up to 73 times (136 -> 9,936
-for N(z2)^{N([0]+[0])}), and cheaper only for d[2] over N([2]), N(z2) and
-N(E) (13,567 -> 12,478, 19,754 -> 12,764, 29,449 -> 23,911), where it is
-1.7 to 2.4 times slower.  This covers the exponent with no cells and Δm up
+currying is dearer on 17 of the 20 pairs, up to 115 times (86 -> 9,924
+for N(z2)^{N([0]+[0])}; over [0]+[1], whose two components the direct
+search takes one at a time, 4.6 to 12.8 times), and cheaper only for d[2]
+over N([2]), N(z2) and N(E) (13,442 -> 12,353, 19,306 -> 12,316,
+29,001 -> 23,463), where it is 1.7 to 2.4 times slower.  This covers the exponent with no cells and Δm up
 to relabelling for m <= L, so the path objects too, except T^{Δ3} at
 L = 2, which is curried through T^{Δ1} and T^{Δ2}.
 

@@ -39,7 +39,9 @@ run over code tuples.  The search follows the source's placement plan
 it where the simplicial identities allow, as the long edge of a filler is
 read off the filler: the simplex is looked up by its other faces, and the
 face is written from each candidate row, with no branch and no step of its
-own.
+own.  A source with more than one connected component above dimension 0
+is searched one component at a time (``TruncatedSSet.search_parts``), and
+its maps are the products of the components' maps.
 Extension problems (:func:`extensions`) search for the shell maps only and
 read the fillers off the same ``face_index`` by whole face rows, charging
 the search's steps and one step per n-simplex of the target and per shell
@@ -59,7 +61,9 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from heapq import heappop, heappush
+import itertools
 from itertools import combinations, combinations_with_replacement, repeat
+from math import prod
 from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -388,6 +392,45 @@ class TruncatedSSet:
                 plan.append(entry(x))
             place(x)
         return tuple(plan)
+
+    @cached_property
+    def search_parts(self) -> tuple:
+        """``search_plan`` split by connected component, built once.
+
+        A component is a class of the cells joined with the bases of their
+        faces.  Per component, in the order the plan first places it: the
+        slots in ``cells`` of its cells, ascending, and its entries in plan
+        order, each slot renumbered to its position among those.  The whole
+        plan is one part, at its own slots, when at most one component has
+        a cell above dimension 0.
+        """
+        plan = self.search_plan
+        root = list(range(len(self.cells)))
+
+        def find(s: int) -> int:
+            while root[s] != s:
+                root[s] = s = root[root[s]]
+            return s
+
+        for _, slot, _, faces, _ in plan:
+            for _, s in faces:
+                root[find(s)] = find(slot)
+        if len({find(slot) for _, slot, n, _, _ in plan if n}) <= 1:
+            return ((range(len(root)), plan),)
+        slots: dict = {find(slot): [] for _, slot, _, _, _ in plan}
+        for s in range(len(root)):
+            slots[find(s)].append(s)
+        at = {s: i for part in slots.values() for i, s in enumerate(part)}
+
+        def local(entry: tuple) -> tuple:
+            x, slot, n, faces, derived = entry
+            return (x, at[slot], n, tuple((w, at[s]) for w, s in faces),
+                    derived and (local(derived[0]), derived[1]))
+
+        entries: dict = {r: [] for r in slots}
+        for entry in plan:
+            entries[find(entry[1])].append(local(entry))
+        return tuple((tuple(slots[r]), tuple(entries[r])) for r in slots)
 
     @cached_property
     def interval(self) -> "TruncatedSSet":
@@ -961,8 +1004,15 @@ def map_codes(S: TruncatedSSet, T: TruncatedSSet, budget: Budget, fixed=None) ->
     enforced, and an image that is no simplex of the cell's dimension admits
     no map.
 
-    The search places the cells in ``S.search_plan`` order, depth first, in
-    one flat loop over per-position candidate lists.  A placement that
+    A map out of S is a map out of each connected component, chosen
+    independently, so S is searched one part of ``S.search_parts`` at a
+    time, in order, and the maps are the products of the parts' maps, each
+    part's codes put back at its slots.  A part with no maps ends the
+    search.  A connected S, or one with at most one component above
+    dimension 0, is one part, searched whole.
+
+    A part is searched in its ``search_plan`` order, depth first, in one
+    flat loop over per-position candidate lists.  A placement that
     derives a face f looks its cell σ up by σ's other faces in
     ``T.face_index`` and writes f's code from each candidate row, so the
     search never branches on f.  The index keeps only the rows that satisfy
@@ -970,14 +1020,37 @@ def map_codes(S: TruncatedSSet, T: TruncatedSSet, budget: Budget, fixed=None) ->
     that placing f first would give.  A pinned f is placed by itself, and
     σ is then looked up by its whole row.  Each vertex or pinned cell
     charges one step, each lookup one plus its number of candidates, and a
-    derived face nothing, since no lookup is made for it.
+    derived face nothing, since no lookup is made for it.  Combining the
+    parts charges one step per map of S.
 
-    The search counts its steps itself and hands them to ``budget`` once at
-    the end, or at the first placement that takes the count past what the
-    budget has left, which then raises with ``budget.used`` where one
-    charge per placement would have left it.
+    Each part's search counts its steps itself and hands them to ``budget``
+    once at its end, or at the first placement that takes the count past
+    what the budget has left, which then raises with ``budget.used`` where
+    one charge per placement would have left it; the combination is
+    charged with :meth:`Budget.spend_each` before it is built.
     """
     fixed = fixed or {}
+    parts = S.search_parts
+    if len(parts) == 1:
+        return _search(*parts[0], T, budget, fixed)
+    found = []
+    for part in parts:
+        maps = _search(*part, T, budget, fixed)
+        if not maps:
+            return []
+        found.append(maps)
+    budget.spend_each(prod(map(len, found)))
+    # the codes of the parts, concatenated, back in the order of S.cells
+    joined = [s for slots, _ in parts for s in slots]
+    order = itemgetter(*sorted(range(len(joined)), key=joined.__getitem__))
+    return sorted(order(sum(maps, ())) for maps in itertools.product(*found))
+
+
+def _search(cells, entries: tuple, T: TruncatedSSet, budget: Budget, fixed: dict) -> list:
+    """The maps into T of one part of a ``search_parts``, the slots of its
+    ``cells`` and its plan ``entries``, as sorted code tuples over those
+    slots: the flat loop of :func:`map_codes`, charging ``budget`` as it
+    says."""
     vertices = range(len(T.rows(0)))
     # per placement: its slot, the slot, face rows and index of the face it
     # derives (or None), and a vertex's candidates, or the getter of the
@@ -1010,7 +1083,7 @@ def map_codes(S: TruncatedSSet, T: TruncatedSSet, budget: Budget, fixed=None) ->
         plan.append(((), pick, codes if any(w for w, _ in faces) else None, pinned,
                      T.face_index(n, read, i)))
 
-    for x, slot, n, faces, derived in S.search_plan:
+    for x, slot, n, faces, derived in entries:
         if derived is not None and derived[0][0] in fixed:
             add(*derived[0])
             derived = None
@@ -1019,7 +1092,7 @@ def map_codes(S: TruncatedSSet, T: TruncatedSSet, budget: Budget, fixed=None) ->
         return [()]
     room = budget.limit - budget.used
     used = 0
-    assign = [None] * len(S.cells)
+    assign = [None] * len(cells)
     results = []
     # the candidates placed at each position, and the index of the one placed
     placing, at = [()] * len(plan), [0] * len(plan)

@@ -39,13 +39,17 @@ class Budget:
     would, with ``used`` where that would leave it.  The map search
     (:func:`qcatkit.simplicial.map_codes`: one step per vertex or pinned
     cell, one plus the candidates per lookup, nothing for a face read off
-    the row of the simplex above it) and the functor search
+    the row of the simplex above it, per connected component of a source
+    searched a component at a time, then one per map the components'
+    maps combine into) and the functor search
     (:func:`qcatkit.cats.enumerate_functors`: one step per object
     candidate, per candidate image of a generator and per composite
     checked, one for the image of any other morphism, read off its
     factors) charge their count once at the end, or at the placement that
     takes it past the limit;
-    ``spend_each`` charges a run of single steps at once.
+    ``spend_each`` charges a run of single steps at once, such as the
+    combined maps, or the edges and the 2-simplices of the inner 2-horn
+    check (:func:`qcatkit.nerve.is_quasicategory`).
     """
 
     def __init__(self, limit: int = DEFAULT_BUDGET, context: str = "enumeration"):

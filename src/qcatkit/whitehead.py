@@ -244,7 +244,8 @@ def agreement_table(rows) -> str:
 
 def parse_map_file(text: str, source: TruncatedSSet, target: TruncatedSSet) -> SimplicialMap:
     """Assignment lines ``<src-id> = [s-words] <target-base>``, one per
-    cell; a cell assigned twice is a ``ValueError`` naming the line."""
+    cell; a cell assigned twice, or no cell of ``source``, is a
+    ``ValueError`` naming the line."""
     assignment = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -258,6 +259,8 @@ def parse_map_file(text: str, source: TruncatedSSet, target: TruncatedSSet) -> S
         except (ValueError, IndexError):
             raise ValueError(f"line {lineno}: cannot parse map line {raw!r}") from None
         cell = lhs.strip()
+        if cell not in source.dim_of:
+            raise ValueError(f"line {lineno}: {cell} is no cell of {source.name}")
         if cell in assignment:
             raise ValueError(f"line {lineno}: cell {cell} is assigned twice")
         assignment[cell] = image
@@ -277,7 +280,7 @@ def load_labeled_corpus(manifest_path) -> list:
     """Lines: ``map <name>: <sset-file> -> <sset-file> via <map-file> expect <label>``.
 
     A map that fails validation is a ``ValueError`` naming the line, the
-    map file and the first violation."""
+    map file and the first violation; so is a name listed twice."""
     path = Path(manifest_path)
     out = []
     cache: dict = {}
@@ -296,6 +299,8 @@ def load_labeled_corpus(manifest_path) -> list:
             if head.split()[0] != "map":
                 raise ValueError("expected a 'map' line")
             name = head.split()[1]
+            if any(name == listed for listed, _, _ in out):
+                raise ValueError(f"map {name} is listed twice")
             arrow, tail = rest.split("via", 1)
             src_file, tgt_file = (p.strip() for p in arrow.split("->"))
             map_file, expect = (p.strip() for p in tail.split("expect"))

@@ -140,13 +140,13 @@ def test_golden_reports(inputs, capsys, argv, exit_code, text_sha, json_sha):
 
 
 def test_der_audit_runs_on_the_command_budget(inputs, capsys):
-    # HO(N([1])) alone charges 10108 steps; Der1's equivalence searches
-    # share the budget and bring the audit to 10319
+    # HO(N([1])) alone charges 9173 steps; Der1's equivalence searches
+    # share the budget and bring the audit to 9384
     d, _ = inputs
     argv = ["der-audit", str(d / "n1.sset")]
-    code, out = run(["--budget", "10200"] + argv, capsys)
+    code, out = run(["--budget", "9300"] + argv, capsys)
     assert code == 1
-    assert out == "error: budget of 10200 elementary steps exceeded in der audit\n"
+    assert out == "error: budget of 9300 elementary steps exceeded in der audit\n"
     passed = run(["--budget", "10400"] + argv, capsys)
     assert passed[0] == 0 and passed == run(argv, capsys)
 

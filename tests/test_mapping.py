@@ -242,8 +242,9 @@ class TestExponential:
         again = Exponential(T, S, 2, second)
         assert E1.T_t is E2.T_t is again.T_t is T.truncate(2)
         # steps as recorded before the truncation was kept, re-recorded when
-        # the map search began to read faces off the simplex above them
-        assert first.used == second.used == 2000
+        # the map search began to read faces off the simplex above them, and
+        # when it came to search the two components of S x Δn one at a time
+        assert first.used == second.used == 1948
         ref = weakref.ref(E1.T_t)
         del T, E1, E2, again
         gc.collect()

@@ -496,10 +496,12 @@ class TestDerAudits:
 
     def test_audit_of_the_interval_charges_the_recorded_total(self):
         # HO(N([1])) built and audited on one budget, as ``der-audit`` does;
-        # a change of the searches' steps moves this total
+        # a change of the searches' steps moves this total (10319 before a
+        # source was searched one component at a time and the 2-horn check
+        # charged one step per edge in place of one per pair)
         budget = Budget()
         der_audit(HoPrederivator(nerve(poset_simplex(1), 3), standard_sample(), budget), budget)
-        assert budget.used == 10319
+        assert budget.used == 9384
 
     def test_axioms_hold_for_point(self, d_point):
         audits = der_audit(d_point)
@@ -538,6 +540,14 @@ class TestDerAudits:
                        der5prime_mutation(d_groupoid)):
             report = mutant.check_two_functoriality()
             assert report.ok and report.checked == 550, (mutant.name, report.violations[:3])
+
+    def test_der2_mutant_of_a_point_nerve_is_no_two_functor(self):
+        # at [1]x[1] HO(N([0])) is one object, so the mutant keeps the
+        # idempotent under the identity u* of end0_[1] o proj_[1]
+        report = der2_mutation(HoPrederivator(nerve(poset_simplex(0), 3), SAMPLE)) \
+            .check_two_functoriality()
+        assert not report.ok
+        assert "composition end0_[1] o proj_[1] not respected" in report.violations
 
     def test_dia_arrow_shape(self, d_interval):
         src, arrow, ends = dia_arrow(d_interval, "[0]")

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcatkit.simplicial as simplicial
-from qcatkit.cats import contractible_groupoid, group_z2, poset_simplex
+from qcatkit.cats import contractible_groupoid, coproduct_cat, group_z2, poset_simplex
 from qcatkit.corpus import corpus_ssets, face_mutations, labeled_map_corpus
 from qcatkit.mapping import exponent_frame, kan_check
 from qcatkit.nerve import is_quasicategory, nerve
@@ -395,15 +395,41 @@ DELTA3 = standard_simplex(3, 3)
 
 
 @st.composite
-def subcomplexes_of_delta3(draw):
+def subcomplexes_of_delta3(draw, min_tops=0, max_tops=5):
     """A proper face-closed subcomplex of Δ³: every face of some drawn
     simplices below the top one (Δ³ itself is the corpus member delta3)."""
     below_top = [x for x in DELTA3.cells if len(x) < 4]
-    tops = draw(st.lists(st.sampled_from(below_top), max_size=5, unique=True))
+    tops = draw(st.lists(st.sampled_from(below_top), min_size=min_tops, max_size=max_tops,
+                         unique=True))
     kept = {"".join(c) for x in tops for k in range(1, len(x) + 1) for c in combinations(x, k)}
     levels = {k: [x for x in kept if len(x) == k + 1] for k in range(4)}
     faces = {(x, i): f for (x, i), f in DELTA3.faces.items() if x in kept}
     return TruncatedSSet(3, levels, faces, None, "sub(" + ",".join(sorted(tops)) + ")")
+
+
+def coproduct_sset(A, B):
+    """A + B, with A's cells renamed a<id> and B's b<id>."""
+    D = max(A.dim_bound, B.dim_bound)
+    levels = {n: ["a" + x for x in A.nondeg(n)] + ["b" + x for x in B.nondeg(n)]
+              for n in range(D + 1)}
+    faces = {(p + x, i): SimplexExpr(f.word, p + f.base)
+             for p, S in (("a", A), ("b", B)) for (x, i), f in S.faces.items()}
+    return TruncatedSSet(D, levels, faces, None, f"({A.name}+{B.name})")
+
+
+@st.composite
+def disconnected_sources(draw):
+    """(A + B) x Δn truncated at 2, on at most 8 vertices: for A and B the
+    nerves of [0], [1] or [2] (n <= 1, and n = 0 with [2]), or face-closed
+    subcomplexes of Δ³ on one or two drawn simplices (n = 0)."""
+    if draw(st.booleans()):
+        J, K = (draw(st.integers(0, 2)) for _ in range(2))
+        A = nerve(coproduct_cat(poset_simplex(J), poset_simplex(K)), 2)
+        n = draw(st.integers(0, 0 if 2 in (J, K) else 1))
+    else:
+        A = coproduct_sset(*(draw(subcomplexes_of_delta3(1, 2)) for _ in range(2)))
+        n = 0
+    return product(A, standard_simplex(n, 2))
 
 
 @st.composite
@@ -419,55 +445,57 @@ def nerves_times_simplices(draw):
 # the first 16 hex digits of the sha256 of their verdicts (``check_record``),
 # all recorded before the shells and the target's answers were kept; the
 # steps re-recorded when the map search began to read faces off the
-# simplex above them (the digests did not move)
+# simplex above them, and the is_quasicategory steps when the 2-horn check
+# came to charge one step per edge in place of one per composable pair
+# (the digests did not move)
 CHECK_RECORDS = {
     "delta0": (13, 2, 27, "992e4f159893839c"),
-    "delta1": (31, 8, 79, "735023fd55da31af"),
-    "delta2": (0, 20, 174, "fe452512462d92bb"),
-    "delta3": (0, 930, 2295, "a905f4aaaedcb534"),
+    "delta1": (31, 7, 79, "735023fd55da31af"),
+    "delta2": (0, 16, 174, "fe452512462d92bb"),
+    "delta3": (0, 920, 2295, "a905f4aaaedcb534"),
     "boundary1": (0, 4, 49, "cd54aca6fd2cf451"),
-    "boundary2": (0, 19, 171, "9978491cea343f04"),
-    "boundary3": (0, 928, 2291, "904d6b3dd0cc5c8c"),
+    "boundary2": (0, 15, 171, "9978491cea343f04"),
+    "boundary3": (0, 918, 2291, "904d6b3dd0cc5c8c"),
     "horn1_0": (0, 2, 27, "5b0057a5cf3825d1"),
     "horn1_1": (0, 2, 27, "5b0057a5cf3825d1"),
-    "horn2_0": (0, 14, 135, "ef69b5083f723dcc"),
-    "horn2_1": (0, 15, 133, "88e9ce05a6d58c32"),
-    "horn2_2": (0, 14, 135, "58aafad591146460"),
-    "horn3_0": (0, 877, 2188, "2b0427be7b383fd9"),
-    "horn3_1": (0, 873, 2174, "353f3ba95468f49e"),
-    "horn3_2": (0, 871, 2168, "49ef7655a4c37eb2"),
-    "horn3_3": (0, 867, 2170, "4627b3c223ae635c"),
+    "horn2_0": (0, 12, 135, "ef69b5083f723dcc"),
+    "horn2_1": (0, 12, 133, "88e9ce05a6d58c32"),
+    "horn2_2": (0, 12, 135, "58aafad591146460"),
+    "horn3_0": (0, 867, 2188, "2b0427be7b383fd9"),
+    "horn3_1": (0, 863, 2174, "353f3ba95468f49e"),
+    "horn3_2": (0, 861, 2168, "49ef7655a4c37eb2"),
+    "horn3_3": (0, 857, 2170, "4627b3c223ae635c"),
     "N([0])": (17, 32, 87, "95e86d826a934c9e"),
-    "N([1])": (78, 142, 359, "aab9e85ba3057c78"),
-    "N([2])": (229, 408, 1012, "569bcf40b5396afc"),
-    "N([3])": (530, 930, 2295, "39dcac974046ff4f"),
-    "N([1]x[1])": (400, 710, 1785, "219d23e0d9aab90f"),
-    "N(d[2])": (308, 548, 1402, "ed7dcfb1d925d056"),
-    "N(z2)": (94, 164, 382, "2490228634ee8c51"),
-    "N(E)": (187, 326, 755, "bbb4301e951c8636"),
-    "delta1xdelta1": (521, 710, 1785, "07570568eec01a56"),
-    "N([1])xN([1])": (400, 710, 1785, "916e432c1afc2f44"),
-    "N([1])xN(z2)": (495, 846, 1979, "df2fd8c256be52d8"),
-    "delta2/d0(012)->01": (0, 20, 174, "62f16b99d46962fd"),
-    "delta2/d1(012)->01": (0, 20, 174, "9abc728b11f5bea4"),
-    "delta3/d0(012)->01": (0, 876, 2189, "8b31167c1d9565d6"),
-    "delta3/d1(012)->01": (0, 876, 2189, "572ab7cecd48f35a"),
-    "boundary3/d0(012)->01": (0, 874, 2185, "adf998d82d0c501b"),
-    "boundary3/d1(012)->01": (0, 874, 2185, "88755b33dca9181c"),
-    "horn3_0/d0(012)->01": (0, 827, 2086, "5333b0be50c1f474"),
-    "horn3_0/d1(012)->01": (0, 827, 2086, "f209d2473be3b5d4"),
-    "horn3_1/d0(012)->01": (0, 823, 2074, "5333b0be50c1f474"),
-    "horn3_1/d1(012)->01": (0, 823, 2074, "d0c68776925e40b1"),
-    "horn3_2/d0(012)->01": (0, 823, 2074, "5333b0be50c1f474"),
-    "horn3_2/d1(012)->01": (0, 823, 2074, "d8b6fb168ad0f30e"),
-    "horn3_3/d0(013)->01": (0, 823, 2074, "51110c0b0f9527b3"),
-    "horn3_3/d1(013)->01": (0, 823, 2074, "1ca843fb3b37302d"),
-    "N([2])/d0(m01|m12)->m01": (0, 368, 930, "d93ce850de4dd688"),
-    "N([2])/d1(m01|m12)->m01": (0, 368, 930, "d3ae589b72265ef3"),
-    "N([3])/d0(m01|m12)->m01": (0, 876, 2189, "29674a46e98314a5"),
-    "N([3])/d1(m01|m12)->m01": (0, 876, 2189, "7a6bd6958bed0bc9"),
-    "N([1]x[1])/d0((m00,m01)|(m01,m11))->(m00,m01)": (0, 666, 1691, "81a77edc0ff5ae9d"),
-    "N([1]x[1])/d1((m00,m01)|(m01,m11))->(m00,m01)": (0, 666, 1691, "13b79a555ccf8612"),
+    "N([1])": (78, 141, 359, "aab9e85ba3057c78"),
+    "N([2])": (229, 404, 1012, "569bcf40b5396afc"),
+    "N([3])": (530, 920, 2295, "39dcac974046ff4f"),
+    "N([1]x[1])": (400, 703, 1785, "219d23e0d9aab90f"),
+    "N(d[2])": (308, 543, 1402, "ed7dcfb1d925d056"),
+    "N(z2)": (94, 162, 382, "2490228634ee8c51"),
+    "N(E)": (187, 322, 755, "bbb4301e951c8636"),
+    "delta1xdelta1": (521, 703, 1785, "07570568eec01a56"),
+    "N([1])xN([1])": (400, 703, 1785, "916e432c1afc2f44"),
+    "N([1])xN(z2)": (495, 836, 1979, "df2fd8c256be52d8"),
+    "delta2/d0(012)->01": (0, 16, 174, "62f16b99d46962fd"),
+    "delta2/d1(012)->01": (0, 16, 174, "9abc728b11f5bea4"),
+    "delta3/d0(012)->01": (0, 866, 2189, "8b31167c1d9565d6"),
+    "delta3/d1(012)->01": (0, 866, 2189, "572ab7cecd48f35a"),
+    "boundary3/d0(012)->01": (0, 864, 2185, "adf998d82d0c501b"),
+    "boundary3/d1(012)->01": (0, 864, 2185, "88755b33dca9181c"),
+    "horn3_0/d0(012)->01": (0, 817, 2086, "5333b0be50c1f474"),
+    "horn3_0/d1(012)->01": (0, 817, 2086, "f209d2473be3b5d4"),
+    "horn3_1/d0(012)->01": (0, 813, 2074, "5333b0be50c1f474"),
+    "horn3_1/d1(012)->01": (0, 813, 2074, "d0c68776925e40b1"),
+    "horn3_2/d0(012)->01": (0, 813, 2074, "5333b0be50c1f474"),
+    "horn3_2/d1(012)->01": (0, 813, 2074, "d8b6fb168ad0f30e"),
+    "horn3_3/d0(013)->01": (0, 813, 2074, "51110c0b0f9527b3"),
+    "horn3_3/d1(013)->01": (0, 813, 2074, "1ca843fb3b37302d"),
+    "N([2])/d0(m01|m12)->m01": (0, 364, 930, "d93ce850de4dd688"),
+    "N([2])/d1(m01|m12)->m01": (0, 364, 930, "d3ae589b72265ef3"),
+    "N([3])/d0(m01|m12)->m01": (0, 866, 2189, "29674a46e98314a5"),
+    "N([3])/d1(m01|m12)->m01": (0, 866, 2189, "7a6bd6958bed0bc9"),
+    "N([1]x[1])/d0((m00,m01)|(m01,m11))->(m00,m01)": (0, 659, 1691, "81a77edc0ff5ae9d"),
+    "N([1]x[1])/d1((m00,m01)|(m01,m11))->(m00,m01)": (0, 659, 1691, "13b79a555ccf8612"),
 }
 
 
@@ -857,18 +885,40 @@ def reference_plan(S):
     return plan
 
 
+def reference_components(S):
+    """Oracle: the connected components of S, each a set of cells, every
+    cell joined with the bases of its faces, by merging sets."""
+    component = {x: {x} for x in S.cells}
+    for x in S.cells:
+        for i in range(S.dim_of[x] + 1) if S.dim_of[x] else ():
+            base = S.face(SimplexExpr((), x), i).base
+            if component[base] is not component[x]:
+                merged = component[x] | component[base]
+                for y in merged:
+                    component[y] = merged
+    return component
+
+
 def reference_plan_codes(S, T, budget, fixed=None):
     """Oracle: the search over ``reference_plan``, recursive, charging each
     placement as it is made: a vertex or a pinned cell one step, a lookup
     one plus its candidates.  A face read off a row is written from each
-    candidate; a pinned one is placed by itself, before its cell."""
+    candidate; a pinned one is placed by itself, before its cell.
+
+    When more than one connected component has a cell above dimension 0,
+    each component is searched by itself, over its cells' placements in
+    plan order, the components in the order the plan first reaches them; a
+    component with no maps ends the search, and each map of S, one map of
+    every component, charges one step as it is put together."""
     fixed = fixed or {}
-    steps = []
-    for x, derived in reference_plan(S):
-        if derived and derived[0] in fixed:
-            steps += [(derived[0], None), (x, None)]
-        else:
-            steps.append((x, derived))
+    plan = reference_plan(S)
+    component = reference_components(S)
+    parts = []
+    for x, _ in plan:
+        if all(component[x] is not part for part in parts):
+            parts.append(component[x])
+    if sum(any(S.dim_of[x] for x in part) for part in parts) <= 1:
+        parts = [set(S.cells)]
 
     def prepared(x, derived):
         """The cell, its pin, and for a lookup the faces read (each as the
@@ -883,10 +933,7 @@ def reference_plan_codes(S, T, budget, fixed=None):
         index = T.face_index(n, read, derived and derived[1]) if n else None
         return x, pin, reads, index, derived, T.rows(n)
 
-    steps = [prepared(*step) for step in steps]
-    assign, results = {}, []
-
-    def candidates(pin, reads, index):
+    def candidates(assign, pin, reads, index):
         if index is None:
             budget.spend()
             return range(len(T.rows(0))) if pin is None else [pin] if pin >= 0 else []
@@ -897,18 +944,44 @@ def reference_plan_codes(S, T, budget, fixed=None):
         budget.spend()
         return [pin] if pin in out else []
 
-    def place(pos):
-        if pos == len(steps):
-            results.append(tuple(assign[x] for x in S.cells))
-            return
-        x, pin, reads, index, derived, rows = steps[pos]
-        for c in candidates(pin, reads, index):
-            assign[x] = c
-            if derived:
-                assign[derived[0]] = rows[c][derived[1]]
-            place(pos + 1)
+    def search(cells):
+        """The maps out of ``cells``, as assignments."""
+        steps = []
+        for x, derived in plan:
+            if x not in cells:
+                continue
+            if derived and derived[0] in fixed:
+                steps += [(derived[0], None), (x, None)]
+            else:
+                steps.append((x, derived))
+        steps = [prepared(*step) for step in steps]
+        assign, results = {}, []
 
-    place(0)
+        def place(pos):
+            if pos == len(steps):
+                results.append(dict(assign))
+                return
+            x, pin, reads, index, derived, rows = steps[pos]
+            for c in candidates(assign, pin, reads, index):
+                assign[x] = c
+                if derived:
+                    assign[derived[0]] = rows[c][derived[1]]
+                place(pos + 1)
+
+        place(0)
+        return results
+
+    found = []
+    for part in parts:
+        found.append(search(part))
+        if not found[-1]:
+            return []
+    results = []
+    for choice in iproduct(*found):
+        if len(found) > 1:
+            budget.spend()
+        assign = {x: c for part in choice for x, c in part.items()}
+        results.append(tuple(assign[x] for x in S.cells))
     return sorted(results)
 
 
@@ -961,9 +1034,10 @@ class TestFlatSearch:
 
     # (shape, n, target): (maps, steps, (limit, budget.used at the overrun) ...),
     # all recorded with the search that charged each placement as it went
-    # (``reference_plan_codes``)
+    # (``reference_plan_codes``); [1]+[1] re-recorded when a source came to
+    # be searched one component at a time
     OVERRUNS = {("[1]x[1]", 1, "N(E)"): (256, 5867, ((0, 1), (1955, 1956), (2933, 2934))),
-                ("[1]+[1]", 2, "N(z2)"): (1024, 14454, ((0, 1), (4818, 4820), (7227, 7229))),
+                ("[1]+[1]", 2, "N(z2)"): (1024, 1900, ((0, 1), (633, 634), (950, 951))),
                 ("d[2]", 2, "N([1])"): (20, 1585, ((0, 1), (528, 530), (792, 794))),
                 ("[2]", 2, "N(E)"): (512, 17835, ((0, 1), (5945, 5946), (8917, 8918)))}
 
@@ -1001,6 +1075,30 @@ class TestFlatSearch:
             pinned = map_codes(S, T, flat, pins)
             assert f.images in pinned and pinned == reference_map_codes(S, T, Budget(), pins)
             assert pinned == reference_plan_codes(S, T, loop, pins) and flat.used == loop.used
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(disconnected_sources(),
+           st.sampled_from([S for name, S in corpus_ssets() if name.startswith("N(")]
+                           + face_mutations()), st.data())
+    def test_a_disconnected_source_is_searched_as_the_reference(self, S, T, data):
+        # the maps of the whole search, the steps of the reference that
+        # searches one component at a time; pins drawn from a map found,
+        # then from two, which may leave a component with no map
+        flat, loop = Budget(), Budget()
+        maps = map_codes(S, T, flat)
+        assert maps == reference_map_codes(S, T, Budget()), (S.name, T.name)
+        assert maps == reference_plan_codes(S, T, loop) and flat.used == loop.used
+        if maps:
+            f, g = (SimplicialMap(S, T, data.draw(st.sampled_from(maps))) for _ in range(2))
+            keep = data.draw(st.lists(st.sampled_from(S.cells), min_size=1, max_size=4,
+                                      unique=True))
+            for pins in ({x: f.assignment[x] for x in keep},
+                         {x: (f, g)[i % 2].assignment[x] for i, x in enumerate(keep)}):
+                flat, loop = Budget(), Budget()
+                pinned = map_codes(S, T, flat, pins)
+                assert pinned == reference_map_codes(S, T, Budget(), pins)
+                assert pinned == reference_plan_codes(S, T, loop, pins) and flat.used == loop.used
+            assert f.images in map_codes(S, T, Budget(), {x: f.assignment[x] for x in keep})
 
     def test_a_search_charges_a_shared_budget_from_where_it_stands(self):
         square = product(standard_simplex(1, 2), standard_simplex(1, 2))

@@ -1,5 +1,7 @@
 """Equivalence detectors and the agreement experiment."""
 
+import re
+
 import pytest
 
 from qcatkit.cats import Functor, contractible_groupoid, equivalence_inverse, poset_simplex
@@ -196,8 +198,10 @@ class TestAgreement:
         forward, backward = Budget(), Budget()
         conservativity_experiment(CORPUS, standard_sample(), forward)
         conservativity_experiment(CORPUS[::-1], budget=backward)
-        # the total as recorded, which a change of the searches' steps moves
-        assert forward.used == backward.used == 170983
+        # the total as recorded, which a change of the searches' steps moves;
+        # 170983 before a source was searched one component at a time and the
+        # 2-horn check charged one step per edge in place of one per pair
+        assert forward.used == backward.used == 154187
 
     def test_zero_implication_violations(self, rows):
         assert all(r.implication_ok for r in rows)
@@ -237,4 +241,25 @@ class TestManifest:
         (tmp_path / "m00.map").write_text(twice)
         with pytest.raises(ValueError,
                            match="corpus.manifest line 1: line 2: cell 0 is assigned twice"):
+            load_labeled_corpus(manifest)
+
+    def test_a_cell_not_in_the_source_names_the_line(self, tmp_path):
+        # dropped silently, this would load as 0 -> 0 and pass validation
+        point, edge = standard_simplex(0, 2), standard_simplex(1, 2)
+        stray = "0 = 0\n9 = 1\n"
+        with pytest.raises(ValueError, match="line 2: 9 is no cell of delta0"):
+            parse_map_file(stray, point, edge)
+        f = SimplicialMap(point, edge, {"0": SimplexExpr((), "0")})
+        manifest = write_labeled_corpus([("vertex0", f, False)], tmp_path)
+        (tmp_path / "m00.map").write_text(stray)
+        with pytest.raises(ValueError, match="corpus.manifest line 1: line 2: 9 is no cell"):
+            load_labeled_corpus(manifest)
+
+    def test_a_name_listed_twice_names_the_line(self, tmp_path):
+        # both rows would come back under one name
+        manifest = write_labeled_corpus(CORPUS[:2], tmp_path)
+        first = manifest.read_text().splitlines()[0]
+        manifest.write_text(manifest.read_text() + first + "\n")
+        name = CORPUS[0][0]
+        with pytest.raises(ValueError, match=re.escape(f"corpus.manifest line 3: map {name} is listed twice")):
             load_labeled_corpus(manifest)
