@@ -79,7 +79,9 @@ from .simplicial import (
     SimplicialMap,
     TruncatedSSet,
     ValidationReport,
+    check_collapse,
     enumerate_maps,
+    inner_collapse,
 )
 from .util import Budget, ensure_budget, memo
 
@@ -102,11 +104,12 @@ class DiaSample:
     (named) 1- and 2-morphisms that strictness and functoriality are
     checked against.  A member is known by its object, not by an equal
     copy: ``ends`` names the source and target of a functor by identity.
-    The sample memoizes its members' nerves (``nerve``), so every
-    exponential over one member shares one nerve and with it one exponent
-    frame, and per morphism and pair of frames the restriction plans
-    (``restriction``) and 2-cell transports (``transport``), so every base
-    over the sample shares those too; morphisms compare by value.
+    The sample memoizes its members' nerves (``nerve``) and their
+    inner-anodyne models (``model``), so every exponential over one member
+    shares one nerve and with it one exponent frame, and per morphism and
+    pair of frames the restriction plans (``restriction``) and 2-cell
+    transports (``transport``), so every base over the sample shares those
+    too; morphisms compare by value.
     """
 
     def __init__(self, name="sample"):
@@ -164,6 +167,21 @@ class DiaSample:
     def nerve(self, name: str) -> TruncatedSSet:
         """N(name) truncated at 2, built once."""
         return nerve(self.cat(name), 2)
+
+    @memo
+    def model(self, name: str) -> TruncatedSSet:
+        """The model M ⊂ N(name) that equivalences are detected on: the
+        nerve's :func:`qcatkit.simplicial.inner_collapse`, built once, its
+        certificate replayed by :func:`qcatkit.simplicial.check_collapse`,
+        and the nerve itself when nothing collapses.  M ⊂ N(J) is inner
+        anodyne, so for a quasicategory Q, Ho(Q^{N(J)}) -> Ho(Q^M) is an
+        equivalence of categories.  Charges no steps."""
+        N = self.nerve(name)
+        M, collapses = inner_collapse(N)
+        report = check_collapse(N, M, collapses)
+        if not report.ok:
+            raise ValueError(f"model of {name}: {report.violations[0]}")
+        return M
 
     @memo
     def restriction(self, u: Functor, fj: ExponentFrame, fk: ExponentFrame) -> tuple:
@@ -452,6 +470,10 @@ class HoPrederivator(Prederivator):
     shapes alone and so is built once for every base over the sample.  The
     objects of Ho(Q^{N(K)}) go through in one batch, the representatives of
     its morphisms in another, and alpha* transports the objects likewise.
+
+    ``model_data(J)`` is Q^M for the sample's model M of N(J), which
+    verdicts invariant under equivalence at J may read in place of
+    ``data(J)``; the values, u* and alpha* keep N(J).
     """
 
     def __init__(self, Q: TruncatedSSet, sample: DiaSample, budget: Budget = None):
@@ -465,12 +487,25 @@ class HoPrederivator(Prederivator):
         self.eval(J_name)
         return self._data[J_name]
 
-    def _eval(self, J_name: str) -> FiniteCategory:
+    @memo
+    def model_data(self, J_name: str) -> Exponential:
+        """Q^M for the sample's model M of N(J) (``DiaSample.model``), built
+        once: ``data(J)`` itself where M is the nerve, so no exponential is
+        built twice.  Ho(Q^{N(J)}) -> Ho(Q^M), restriction along M ⊂ N(J),
+        is an equivalence, so Ho(f^M) is one iff HO(f) is at J."""
+        M = self.sample.model(J_name)
+        if M is self.sample.nerve(J_name):
+            return self.data(J_name)
+        return self._exponential(M, J_name)
+
+    def _exponential(self, S: TruncatedSSet, J_name: str) -> Exponential:
         try:
-            E = Exponential(self.Q, self.sample.nerve(J_name), 2, self.budget)
+            return Exponential(self.Q, S, 2, self.budget)
         except ValueError as err:
             raise ValueError(f"evaluation at {J_name} failed: {err}") from None
-        self._data[J_name] = E
+
+    def _eval(self, J_name: str) -> FiniteCategory:
+        E = self._data[J_name] = self._exponential(self.sample.nerve(J_name), J_name)
         E.ho.category.name = f"{self.name}({J_name})"
         return E.ho.category
 

@@ -49,6 +49,11 @@ map.  The target keeps each shell's answer
 (:meth:`qcatkit.util.Budget.cached`), so a repeated problem charges what
 the first one charged.
 
+:func:`inner_collapse` removes free inner faces, each with the simplex
+above it, while one is left, so the subset it returns is inner anodyne in
+the set; the collapses it lists are replayed, apart from it, by
+:func:`check_collapse`.
+
 Conventions:
     * ``d_i`` forgets the i-th vertex, so for an edge ``f`` the face
       ``d_1 f`` is its initial vertex and ``d_0 f`` its final vertex.
@@ -1199,6 +1204,85 @@ def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
     for key, row in zip(keys, fillers):
         budget.spend()
         yield SimplicialMap(shell, T, key), [SimplicialMap(simplex, T, codes) for codes in row]
+
+
+# ---------------------------------------------------------------------------
+# inner collapses
+
+
+def inner_collapse(S: TruncatedSSet) -> tuple:
+    """An inner-anodyne subset M ⊂ S, and the collapses that make it.
+
+    A collapse (σ, i) removes a nondegenerate σ of dimension n >= 2 that is
+    a face of no kept simplex, together with an inner face d_iσ, 0 < i < n,
+    that is free: nondegenerate, and named by no face entry of a kept
+    simplex, under any degeneracy word, other than (σ, i) itself.  Adding
+    them back is a pushout along Λⁿᵢ ⊂ Δⁿ, so M ⊂ S is inner anodyne, and
+    Q^S -> Q^M is a trivial fibration for any quasicategory Q (Joyal,
+    *Quasi-categories and Kan complexes*, JPAA 175, 2002).  Collapses are
+    made while one exists, the smallest identifier σ, then the smallest i,
+    first.  Returns M, with S's faces and no coskeletal certificate, and the
+    collapses in order, the certificate that :func:`check_collapse`
+    replays; M is S itself when nothing collapses.  Charges no steps.
+    """
+    faces, dim = S.faces, S.dim_of
+    naming: dict = {x: set() for x in dim}  # per kept cell, the kept face entries naming it
+    for (x, i), f in faces.items():
+        naming[f.base].add((x, i))
+    collapses = []
+    while True:
+        step = next(((s, i) for s in S.cells if s in naming and dim[s] >= 2 and not naming[s]
+                     for i in range(1, dim[s])
+                     if not faces[(s, i)].word and naming[faces[(s, i)].base] == {(s, i)}),
+                    None)
+        if step is None:
+            break
+        collapses.append(step)
+        for x in (step[0], faces[step].base):
+            for i in range(dim[x] + 1):
+                naming[faces[(x, i)].base].discard((x, i))
+            del naming[x]
+    if not collapses:
+        return S, ()
+    levels = {n: [x for x in xs if x in naming] for n, xs in S.levels.items()}
+    left = {(x, i): f for (x, i), f in faces.items() if x in naming}
+    return TruncatedSSet(S.dim_bound, levels, left, None, f"{S.name}-collapsed"), tuple(collapses)
+
+
+def check_collapse(S: TruncatedSSet, M: TruncatedSSet, collapses) -> ValidationReport:
+    """Replay the collapses of :func:`inner_collapse` on S, read off S's face
+    entries afresh: each (σ, i) must name a kept σ of dimension n >= 2 that
+    is a face of no kept simplex, and an inner 0 < i < n whose d_iσ is kept,
+    nondegenerate and named by no other face entry of a kept simplex.  The
+    first step that fails is reported, and ends the replay.  What is left
+    must be M: the kept cells with S's faces, at S's bound."""
+    report = ValidationReport(f"inner collapse {S.name} -> {M.name}")
+    faces, kept = S.faces, set(S.dim_of)
+
+    def named(y: str) -> list:
+        return [(x, j) for (x, j), e in faces.items() if x in kept and e.base == y]
+
+    for k, (s, i) in enumerate(collapses, 1):
+        report.checked += 1
+        if not 0 < i < (S.dim_of[s] if s in kept else 0):
+            report.add(f"step {k}: ({s}, {i}) is no inner face of a kept simplex of dimension >= 2")
+            return report
+        f, above = faces[(s, i)], named(s)
+        if above:
+            report.add(f"step {k}: {s} is a face of {above[0][0]}")
+            return report
+        others = [entry for entry in named(f.base) if entry != (s, i)]
+        if f.word or f.base not in kept or others:
+            report.add(f"step {k}: d_{i} {s} = {f.token()} is not free"
+                       + (f" (d_{others[0][1]} {others[0][0]} names it)" if others else ""))
+            return report
+        kept -= {s, f.base}
+    report.checked += 1
+    if (M.dim_bound, M.levels, M.faces) != (
+            S.dim_bound, {n: tuple(x for x in xs if x in kept) for n, xs in S.levels.items()},
+            {(x, j): e for (x, j), e in faces.items() if x in kept}):
+        report.add(f"{M.name} is not {S.name} less the collapsed cells")
+    return report
 
 
 # ---------------------------------------------------------------------------

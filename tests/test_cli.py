@@ -272,3 +272,12 @@ def test_whitehead_rejects_a_map_that_is_not_simplicial(tmp_path, capsys, map_fi
     code, out = run(["whitehead", str(manifest)], capsys)
     assert code == 1
     assert out == f"error: corpus.manifest {where}\n"
+
+
+def test_whitehead_rejects_a_manifest_with_no_map_line(tmp_path, capsys):
+    # the agreement table of no rows was a bare "max() arg is an empty sequence"
+    manifest = tmp_path / "empty.manifest"
+    manifest.write_text("# no map listed\n")
+    code, out = run(["whitehead", str(manifest)], capsys)
+    assert code == 1
+    assert out == "error: empty.manifest: no map line\n"

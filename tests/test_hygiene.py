@@ -97,6 +97,8 @@ TEST_ONLY = {
     "Exponential.expr_at": "oracle: behind Exponential.locate, the cell of a level-n code tuple",
     "Exponential.codes_of": "oracle: behind Exponential.map_of, the code tuple of a cell",
     "compose_maps": "oracle: composes simplicial maps, checks faces and functoriality",
+    "induced_prederivator_morphism": "oracle: exact HO(f) on the nerves, which the verdict "
+                                     "on the models is checked against",
     # claim checks of the paper's statements
     "check_strict": "claim check: strict 2-naturality of a morphism",
     "check_modification": "claim check: a modification between strict morphisms",

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcatkit.prederivator as prederivator
 import qcatkit.simplicial as simplicial
-from qcatkit.cats import contractible_groupoid, coproduct_cat, group_z2, poset_simplex
-from qcatkit.corpus import corpus_ssets, face_mutations, labeled_map_corpus
+from qcatkit.cats import (boundary_two, contractible_groupoid, coproduct_cat, group_z2,
+                          poset_simplex, product_cat)
+from qcatkit.corpus import add_idempotent, corpus_ssets, face_mutations, labeled_map_corpus
 from qcatkit.mapping import exponent_frame, kan_check
 from qcatkit.nerve import is_quasicategory, nerve
 from qcatkit.prederivator import HoPrederivator, standard_sample
@@ -24,6 +26,7 @@ from qcatkit.simplicial import (
     SimplicialMap,
     TruncatedSSet,
     boundary,
+    check_collapse,
     compose_maps,
     compose_words,
     empty_sset,
@@ -33,6 +36,7 @@ from qcatkit.simplicial import (
     face_through_word,
     horn,
     identity_map,
+    inner_collapse,
     map_codes,
     monotone_tuples,
     normalize_word,
@@ -47,6 +51,7 @@ from qcatkit.simplicial import (
     weak_seq_to_word,
 )
 from qcatkit.util import Budget, BudgetExceeded
+from test_cats import poset
 
 
 def monotone_maps(m, n):
@@ -1322,6 +1327,139 @@ class TestCanonicalOrder:
         for f in fs:
             for g in gs:
                 assert compose_maps(g, f).assignment == dict_compose(g, f)
+
+
+# -- inner collapses -------------------------------------------------------------
+
+def face_entries_naming(S, y, kept):
+    """Oracle: the face entries (x, j) of kept simplices x whose base is y."""
+    return [(x, j) for x in kept for j in range(S.dim_of[x] + 1 if S.dim_of[x] else 0)
+            if S.face(SimplexExpr((), x), j).base == y]
+
+
+def free_inner_faces(S):
+    """Oracle: every (σ, i) with σ of dimension n >= 2 a face of no simplex
+    and d_iσ, 0 < i < n, nondegenerate and named by no other face entry."""
+    cells = S.cells
+    out = []
+    for s in cells:
+        n = S.dim_of[s]
+        if n < 2 or face_entries_naming(S, s, cells):
+            continue
+        for i in range(1, n):
+            f = S.face(SimplexExpr((), s), i)
+            if not f.word and face_entries_naming(S, f.base, cells) == [(s, i)]:
+                out.append((s, i))
+    return out
+
+
+def non_free_steps(S):
+    """Every inner (σ, i) of a σ of dimension >= 2 that ``free_inner_faces``
+    does not list: σ is a face of a simplex, or d_iσ is not free."""
+    free = free_inner_faces(S)
+    return [(s, i) for s in S.cells for i in range(1, S.dim_of[s]) if (s, i) not in free]
+
+
+def less(S, cells):
+    """S without ``cells``, which must leave it face-closed."""
+    return TruncatedSSet(S.dim_bound, {n: [x for x in xs if x not in cells]
+                                       for n, xs in S.levels.items()},
+                         {(x, i): f for (x, i), f in S.faces.items() if x not in cells},
+                         None, S.name)
+
+
+@st.composite
+def poset_nerves(draw):
+    """The nerve of a poset on at most 4 elements, to its top dimension."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return nerve(poset(n, draw(st.sets(st.sampled_from(pairs))) if pairs else set()), 3)
+
+
+TRIANGLES = [x for x in DELTA3.cells if len(x) == 3]
+
+
+@st.composite
+def triangle_unions(draw):
+    """Two to four triangles of Δ³ with their faces: where two share an
+    edge, it is often an inner face of one and a face of the other."""
+    tops = draw(st.lists(st.sampled_from(TRIANGLES), min_size=2, max_size=4, unique=True))
+    return less(DELTA3, {x for x in DELTA3.cells if not any(set(x) <= set(t) for t in tops)})
+
+
+class TestInnerCollapse:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.one_of(subcomplexes_of_delta3(), st.just(DELTA3), triangle_unions(),
+                     poset_nerves()))
+    def test_a_collapse_is_certified_and_leaves_no_free_inner_face(self, S):
+        M, collapses = inner_collapse(S)
+        assert check_collapse(S, M, collapses).ok
+        assert M.validate().ok
+        assert free_inner_faces(M) == []
+        assert (M is S) == (not collapses)
+        assert len(M.cells) == len(S.cells) - 2 * len(collapses)
+        # after each prefix of the certificate, a step whose face is not free
+        # there is rejected as that step
+        removed = set()
+        for k in range(len(collapses) + 1):
+            for step in non_free_steps(less(S, removed)):
+                report = check_collapse(S, M, collapses[:k] + (step,) + collapses[k:])
+                assert not report.ok and report.violations[0].startswith(f"step {k + 1}:")
+            if k < len(collapses):
+                sigma, i = collapses[k]
+                removed |= {sigma, S.faces[(sigma, i)].base}
+
+    def test_the_sample_shapes(self):
+        # [2] collapses to its spine and d[2] to the boundary of the triangle;
+        # the square's diagonal is a face of both triangles, so it stays
+        cases = {"[2]": (poset_simplex(2), (("m01|m12", 1),), ("m01", "m12")),
+                 "d[2]": (boundary_two(), (("a|b", 1),), ("a", "b", "c")),
+                 "[1]x[1]": (product_cat(poset_simplex(1), poset_simplex(1)), (), None)}
+        for J, collapses, edges in cases.values():
+            N = nerve(J, 2)
+            M, got = inner_collapse(N)
+            assert got == collapses
+            assert (M is N) if edges is None else (M.nondeg(1), M.nondeg(2)) == (edges, ())
+
+    def test_delta3_collapses_to_its_spine(self):
+        M, collapses = inner_collapse(DELTA3)
+        assert collapses == (("0123", 1), ("012", 1), ("013", 1), ("123", 1))
+        assert M.nondeg(1) == ("01", "12", "23") and not M.nondeg(2) and not M.nondeg(3)
+
+    def test_a_free_face_under_a_simplex_that_is_a_face_is_kept(self):
+        # with an idempotent e at 1, (m01, e, m12) has d_1 = d_2 = m01|m12,
+        # whose inner face m02 no other simplex names; m01|m12 is a face, and
+        # the 3-simplex's inner faces are the one 2-simplex twice, so no
+        # collapse is free
+        N = nerve(add_idempotent(poset_simplex(2), "1"), 3)
+        assert inner_collapse(N) == (N, ())
+        assert check_collapse(N, N, (("m01|m12", 1),)).violations == [
+            "step 1: m01|m12 is a face of m01|mut_e|m12"]
+
+    def test_planted_certificates_are_rejected(self):
+        square = nerve(product_cat(poset_simplex(1), poset_simplex(1)), 2)
+        top = square.nondeg(2)[0]
+        report = check_collapse(square, square, ((top, 1),))
+        assert report.violations == [f"step 1: d_1 {top} = (m01,m01) is not free "
+                                     f"(d_1 {square.nondeg(2)[1]} names it)"]
+        M, collapses = inner_collapse(DELTA3)
+        for planted, message in [
+                ((("012", 1),) + collapses, "step 1: 012 is a face of 0123"),
+                ((("0123", 0),) + collapses, "step 1: (0123, 0) is no inner face"),
+                (collapses + collapses[-1:], "step 5: (123, 1) is no inner face"),
+                (collapses[:-1], "delta3-collapsed is not delta3 less the collapsed cells")]:
+            report = check_collapse(DELTA3, M, planted)
+            assert not report.ok and report.violations[0].startswith(message), planted
+
+    def test_a_sample_model_whose_certificate_fails_is_an_error(self, monkeypatch):
+        # the collapse of the triangle's inner face claimed with the nerve left whole
+        monkeypatch.setattr(prederivator, "inner_collapse",
+                            lambda N: (N, (("m01|m12", 1),)) if N.nondeg(2) else (N, ()))
+        sample = standard_sample()
+        assert sample.model("[1]") is sample.nerve("[1]")
+        with pytest.raises(ValueError, match=re.escape(
+                "model of [2]: N([2]) is not N([2]) less the collapsed cells")):
+            sample.model("[2]")
 
 
 # -- text format ---------------------------------------------------------------

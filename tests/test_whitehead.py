@@ -5,8 +5,8 @@ import re
 import pytest
 
 from qcatkit.cats import Functor, contractible_groupoid, equivalence_inverse, poset_simplex
-from qcatkit.corpus import labeled_map_corpus
-from qcatkit.mapping import induced_functor, mapping_space
+from qcatkit.corpus import corpus_quasicategories, labeled_map_corpus
+from qcatkit.mapping import induced_functor, mapping_space, plan_columns, slot_plan, transport
 from qcatkit.nerve import nerve
 from qcatkit.prederivator import HoPrederivator, standard_sample
 from qcatkit.simplicial import (SimplexExpr, SimplicialMap, compose_maps, identity_map,
@@ -22,6 +22,7 @@ from qcatkit.whitehead import (
     load_labeled_corpus,
     parse_map_file,
     mapping_space_functor,
+    postcomposition_morphism,
     prederivator_equivalence,
     write_labeled_corpus,
 )
@@ -176,6 +177,50 @@ class TestCodedPostcomposition:
                 assert mapping_space_functor(f, x, y).key() == want.key(), (x, y)
 
 
+def restriction_to_model(E, EM):
+    """Ho(Q^{N(J)}) -> Ho(Q^M), precomposition with M x Δl ⊂ N(J) x Δl: a
+    cell (e1|e2) of M x Δl is the cell of the same pair in N(J) x Δl."""
+    def image(batch, level):
+        P, PM = E.products[level], EM.products[level]
+        return transport(batch, plan_columns(slot_plan(PM, P, P.pair_expr), PM, E.T_t))
+
+    return induced_functor(E, EM, image, f"restriction to {EM.exponent.name}")
+
+
+class TestModels:
+    def test_restriction_to_the_model_is_an_equivalence(self):
+        # Joyal: M ⊂ N(J) is inner anodyne, so Q^{N(J)} -> Q^M is a trivial
+        # fibration for a quasicategory Q, and Ho of it an equivalence
+        sample = standard_sample()
+        shapes = [J for J in sample.order if sample.model(J) is not sample.nerve(J)]
+        assert shapes == ["[2]", "d[2]"]
+        bases = corpus_quasicategories()
+        assert len(bases) == 12
+        for name, Q in bases:
+            D = HoPrederivator(Q, sample)
+            for J in shapes:
+                E, EM = D.data(J), D.model_data(J)
+                assert EM.exponent is sample.model(J) and EM is not E
+                assert equivalence_inverse(restriction_to_model(E, EM)) is not None, (name, J)
+
+    def test_a_model_that_is_the_nerve_is_the_value_exponential(self, evaluations):
+        D = HoPrederivator(nerve(poset_simplex(1), 3), standard_sample())
+        assert D.model_data("[1]x[1]") is D.data("[1]x[1]")
+        assert D.model_data("[2]") is D.model_data("[2]")
+        assert evaluations == {"N([1])": ["[1]x[1]"]}
+
+    def test_the_model_verdict_is_the_verdict_of_ho_f(self):
+        sample = standard_sample()
+        by_base = {}
+        for name, f, _ in CORPUS:
+            DQ, DR = (by_base.setdefault(id(Q), HoPrederivator(Q, sample))
+                      for Q in (f.source, f.target))
+            exact = prederivator_equivalence(induced_prederivator_morphism(DQ, DR, f))
+            model = prederivator_equivalence(
+                postcomposition_morphism(DQ, DR, f, HoPrederivator.model_data))
+            assert (model.ok, model.witnesses) == (exact.ok, exact.witnesses), name
+
+
 @pytest.fixture(scope="module")
 def rows():
     return conservativity_experiment(CORPUS)
@@ -188,20 +233,26 @@ class TestAgreement:
         # every non-equivalence fails at [0]; N(z2) and N([2]) appear in no other row
         assert evaluations.pop("N(z2)") == ["[0]"]
         assert evaluations.pop("N([2])") == ["[0]"]
-        # the equivalence rows read every shape of their bases
+        # the equivalence rows read every shape of their bases, and HO's value
+        # at each but [2] and d[2], which they decide on the models
+        sample = standard_sample()
+        on_models = [J for J in order if sample.model(J) is not sample.nerve(J)]
+        assert on_models == ["[2]", "d[2]"]
         equiv_bases = {Q.name for _, f, expected in CORPUS if expected
                        for Q in (f.source, f.target)}
         assert set(evaluations) == equiv_bases
-        assert all(sorted(shapes) == sorted(order) for shapes in evaluations.values())
+        assert all(sorted(shapes) == sorted(set(order) - set(on_models))
+                   for shapes in evaluations.values())
 
     def test_budget_does_not_depend_on_corpus_order(self):
         forward, backward = Budget(), Budget()
         conservativity_experiment(CORPUS, standard_sample(), forward)
         conservativity_experiment(CORPUS[::-1], budget=backward)
         # the total as recorded, which a change of the searches' steps moves;
-        # 170983 before a source was searched one component at a time and the
+        # 154187 before [2] and d[2] were decided on their models, 170983
+        # before a source was searched one component at a time and the
         # 2-horn check charged one step per edge in place of one per pair
-        assert forward.used == backward.used == 154187
+        assert forward.used == backward.used == 132139
 
     def test_zero_implication_violations(self, rows):
         assert all(r.implication_ok for r in rows)
@@ -253,6 +304,26 @@ class TestManifest:
         manifest = write_labeled_corpus([("vertex0", f, False)], tmp_path)
         (tmp_path / "m00.map").write_text(stray)
         with pytest.raises(ValueError, match="corpus.manifest line 1: line 2: 9 is no cell"):
+            load_labeled_corpus(manifest)
+
+    @pytest.mark.parametrize("label", ["eqiv", "Equiv", "true"])
+    def test_a_label_other_than_equiv_or_nonequiv_names_the_line(self, tmp_path, label):
+        # read as "not equiv", a misspelt label loaded as a non-equivalence
+        manifest = write_labeled_corpus(CORPUS[:2], tmp_path)
+        lines = manifest.read_text().splitlines()
+        lines[1] = lines[1].rsplit("expect", 1)[0] + f"expect {label}"
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"corpus.manifest line 2: label '{label}' is neither equiv nor nonequiv")):
+            load_labeled_corpus(manifest)
+
+    @pytest.mark.parametrize("missing", ["s00.sset", "m01.map"])
+    def test_a_missing_file_names_the_line(self, tmp_path, missing):
+        manifest = write_labeled_corpus(CORPUS[:2], tmp_path)
+        (tmp_path / missing).unlink()
+        line = 1 if missing.endswith(".sset") else 2
+        with pytest.raises(ValueError, match=re.escape(
+                f"corpus.manifest line {line}: cannot read {missing}: No such file or directory")):
             load_labeled_corpus(manifest)
 
     def test_a_name_listed_twice_names_the_line(self, tmp_path):
