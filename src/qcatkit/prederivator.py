@@ -100,7 +100,8 @@ class DiaSample:
     Annotations declare the structure the operations rely on:
     ``products[(a, b)]`` names a member built by ``product_cat``;
     ``shifts[j]`` names the member playing j x [1]; ``coproducts`` names
-    ``coproduct_cat`` members.  ``functors`` and ``nats`` list the
+    ``coproduct_cat`` members, which with ``initial`` give the members that
+    Der1 decides (``der1_shapes``).  ``functors`` and ``nats`` list the
     (named) 1- and 2-morphisms that strictness and functoriality are
     checked against.  A member is known by its object, not by an equal
     copy: ``ends`` names the source and target of a functor by identity.
@@ -277,25 +278,57 @@ class DiaSample:
                 report.add(f"product annotation {a} x {b} = {p} is not the product")
         for (a, b), p in self.coproducts.items():
             report.checked += 1
-            want = coproduct_cat(self.cat(a), self.cat(b))
-            if want.canonical_key() != self.cat(p).canonical_key():
-                report.add(f"coproduct annotation {a} + {b} = {p} is not the coproduct")
+            if fault := self.coproduct_fault(a, b, p):
+                report.add(fault)
         for j, p in self.shifts.items():
             report.checked += 1
             want = product_cat(self.cat(j), poset_simplex(1))
             if want.canonical_key() != self.cat(p).canonical_key():
                 report.add(f"shift annotation for {j} is not {j} x [1]")
-        # the terminal category has one object and one morphism, the initial one none
-        for end, name, size in (("terminal", self.terminal, 1), ("initial", self.initial, 0)):
-            if name is not None:
+        for end in ("terminal", "initial"):
+            if getattr(self, end) is not None:
                 report.checked += 1
-                C = self.cat(name)
-                if (len(C.objects), len(C.morphisms)) != (size, size):
-                    report.add(f"{end} annotation {name} is not the {end} category")
+                if fault := self.end_fault(end):
+                    report.add(fault)
         if self.terminal is None:  # Der2 and the unit functors read it
             report.checked += 1
             report.add("no terminal annotation")
         return report
+
+    def coproduct_fault(self, a: str, b: str, p: str) -> str | None:
+        """Why the annotation ``coproducts[(a, b)] = p`` does not hold, or None."""
+        if coproduct_cat(self.cat(a), self.cat(b)).canonical_key() != self.cat(p).canonical_key():
+            return f"coproduct annotation {a} + {b} = {p} is not the coproduct"
+        return None
+
+    def end_fault(self, end: str) -> str | None:
+        """Why the ``terminal`` or ``initial`` annotation does not hold, or
+        None: the terminal category has one object and one morphism, the
+        initial one none."""
+        name, size = getattr(self, end), int(end == "terminal")
+        C = self.cat(name)
+        if (len(C.objects), len(C.morphisms)) != (size, size):
+            return f"{end} annotation {name} is not the {end} category"
+        return None
+
+    def der1_shapes(self) -> set:
+        """The members whose value under a prederivator satisfying Der1 is
+        fixed by members read before them: the ``initial`` one, whose value
+        is the point, and each coproduct A + B whose summands come before it
+        in ``order``, whose value is the product of theirs.  Every
+        ``coproducts`` annotation and the ``initial`` one are checked first,
+        as ``validate`` checks them; one that does not hold is a
+        ``ClosureError`` naming it."""
+        faults = [self.coproduct_fault(a, b, p) for (a, b), p in self.coproducts.items()]
+        position = {name: i for i, name in enumerate(self.order)}
+        shapes = {p for (a, b), p in self.coproducts.items()
+                  if max(position[a], position[b]) < position[p]}
+        if self.initial is not None:
+            faults.append(self.end_fault("initial"))
+            shapes.add(self.initial)
+        for fault in filter(None, faults):
+            raise ClosureError(f"sample {self.name}: {fault}")
+        return shapes
 
 
 def standard_sample() -> DiaSample:
@@ -502,7 +535,7 @@ class HoPrederivator(Prederivator):
         try:
             return Exponential(self.Q, S, 2, self.budget)
         except ValueError as err:
-            raise ValueError(f"evaluation at {J_name} failed: {err}") from None
+            raise type(err)(f"evaluation at {J_name} failed: {err}") from None
 
     def _eval(self, J_name: str) -> FiniteCategory:
         E = self._data[J_name] = self._exponential(self.sample.nerve(J_name), J_name)

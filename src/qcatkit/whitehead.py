@@ -22,6 +22,15 @@ at J iff Ho(f^M): Ho(Q^M) -> Ho(R^M) is.  The verdict, failing shape
 included, is that of HO(f) (:func:`induced_prederivator_morphism`, which
 the tests compare it with); the maps out of M x Δn are fewer to search.
 HO's values, u* and alpha* keep N(J).
+
+Nor does the experiment read every shape.  HO satisfies Der1 (audited by
+:func:`qcatkit.prederivator.check_der1`): N(A + B) = N(A) ⊔ N(B), so
+Q^{N(A+B)} = Q^{N(A)} x Q^{N(B)}, Ho preserves finite products, and HO(f)
+at A + B is HO(f)_A x HO(f)_B; at the empty shape it is the identity of
+the point.  A product of functors is an equivalence iff each factor is, so
+the coproducts and the empty shape of the sample are decided by their
+summands (Groth, *Derivators, pointed derivators and stable derivators*,
+AGT 13, 2013, Der1), and their exponentials are never built.
 """
 
 from __future__ import annotations
@@ -158,25 +167,26 @@ class _Components(Mapping):
 
 
 def postcomposition_morphism(DQ: HoPrederivator, DR: HoPrederivator, f: SimplicialMap,
-                             exponential) -> StrictMorphism:
+                             exponential, shapes) -> StrictMorphism:
     """Postcomposition with f between ``exponential(DQ, J)`` and
-    ``exponential(DR, J)``, shape by shape, each component built when J is
-    first read, so a verdict that stops at a failing shape never builds the
-    shapes after it.  Over ``HoPrederivator.data`` it is HO(f); over
-    ``HoPrederivator.model_data`` its components are the Ho(f^M), which
-    are equivalences where HO(f)'s are, and only a verdict reads them."""
+    ``exponential(DR, J)`` at each J of ``shapes``, each component built
+    when J is first read, so a verdict that stops at a failing shape never
+    builds the shapes after it.  Over ``HoPrederivator.data`` at every shape
+    it is HO(f); over ``HoPrederivator.model_data`` its components are the
+    Ho(f^M), which are equivalences where HO(f)'s are, and only a verdict
+    reads them."""
     def component(J_name: str) -> Functor:
         return _postcomposition(f, exponential(DQ, J_name), exponential(DR, J_name),
                                 f"HO(f)_{J_name}")
 
-    return StrictMorphism(DQ, DR, _Components(DQ.sample.order, component), "HO(f)")
+    return StrictMorphism(DQ, DR, _Components(shapes, component), "HO(f)")
 
 
 def induced_prederivator_morphism(DQ: HoPrederivator, DR: HoPrederivator,
                                   f: SimplicialMap) -> StrictMorphism:
     """HO(f): postcomposition with f on Q^{N(J)} -> R^{N(J)}, shape by shape,
     each built on first read."""
-    return postcomposition_morphism(DQ, DR, f, HoPrederivator.data)
+    return postcomposition_morphism(DQ, DR, f, HoPrederivator.data, DQ.sample.order)
 
 
 def prederivator_equivalence(F: StrictMorphism, budget: Budget = None) -> Verdict:
@@ -227,9 +237,19 @@ def conservativity_experiment(corpus, sample=None, budget: Budget = None) -> lis
     rows; the caller asserts the implication and ground-truth columns.  The
     prederivator verdict decides HO(f) at J on the model of N(J), through
     ``HoPrederivator.model_data``, kept per base (see the module docstring).
+
+    It reads no shape that Der1 decides (``DiaSample.der1_shapes``): HO(f)
+    at the initial shape is the identity of the point, and at A + B it is
+    HO(f)_A x HO(f)_B, an equivalence iff both factors are (Groth,
+    *Derivators, pointed derivators and stable derivators*, AGT 13, 2013,
+    Der1).  The summands come before A + B and are read in their turn, so
+    the verdict and the failing shape are those of HO(f) over the whole
+    sample.  An annotation that does not hold is a ``ClosureError``.
     """
     budget = ensure_budget(budget, "conservativity experiment")
     sample = sample if sample is not None else standard_sample()
+    decided = sample.der1_shapes()
+    shapes = [J for J in sample.order if J not in decided]
     prederivators: dict = {}
 
     def pred_of(S):
@@ -244,7 +264,7 @@ def conservativity_experiment(corpus, sample=None, budget: Budget = None) -> lis
         DQ = pred_of(f.source)
         DR = pred_of(f.target)
         pred = prederivator_equivalence(
-            postcomposition_morphism(DQ, DR, f, HoPrederivator.model_data), budget)
+            postcomposition_morphism(DQ, DR, f, HoPrederivator.model_data, shapes), budget)
         rows.append(AgreementRow(name, expected, surrogate.ok, pred.ok))
     return rows
 

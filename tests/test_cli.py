@@ -274,6 +274,20 @@ def test_whitehead_rejects_a_map_that_is_not_simplicial(tmp_path, capsys, map_fi
     assert out == f"error: corpus.manifest {where}\n"
 
 
+def test_whitehead_rejects_a_sample_whose_coproduct_is_not_one(inputs, capsys, tmp_path):
+    # the experiment would decide [0] + [1] from [0] and [1]; here the
+    # annotation names [1]+[1], which is not their coproduct
+    _, manifest = inputs
+    data = sample_to_manifest(standard_sample(), tmp_path)
+    data["coproducts"]["[0]|[1]"] = "[1]+[1]"
+    (tmp_path / "sample.json").write_text(json.dumps(data))
+    code, out = run(["whitehead", str(manifest), "--sample", str(tmp_path / "sample.json")],
+                    capsys)
+    assert code == 1
+    assert out == ("error: sample standard: coproduct annotation [0] + [1] = [1]+[1] "
+                   "is not the coproduct\n")
+
+
 def test_whitehead_rejects_a_manifest_with_no_map_line(tmp_path, capsys):
     # the agreement table of no rows was a bare "max() arg is an empty sequence"
     manifest = tmp_path / "empty.manifest"

@@ -31,13 +31,14 @@ from qcatkit.cats import (
 )
 from qcatkit.corpus import (
     PatchedPrederivator,
+    corpus_quasicategories,
     der1_mutation,
     der2_mutation,
     der5_mutation,
     der5prime_mutation,
     full_sub_mutant,
 )
-from qcatkit.mapping import full_degeneracy, induced_functor
+from qcatkit.mapping import ExactnessError, full_degeneracy, induced_functor
 from qcatkit.nerve import chain_shape_iso, nerve, nerve_map, nerve_product_compare_inv
 from qcatkit.prederivator import (
     ClosureError,
@@ -186,6 +187,31 @@ class TestSample:
         with pytest.raises(ValueError, match="already the member"):
             s.add_category("pt", P)
 
+    def test_der1_shapes_are_the_initial_member_and_the_coproducts_after_their_summands(self):
+        assert SAMPLE.der1_shapes() == {"0", "[0]+[0]", "[0]+[1]", "[1]+[1]"}
+        # a coproduct listed before one of its summands is read in its own turn
+        s = DiaSample("late summand")
+        P = poset_simplex(0)
+        s.add_category("[0]+[0]", coproduct_cat(P, P))
+        s.add_category("[0]", P)
+        s.terminal, s.coproducts = "[0]", {("[0]", "[0]"): "[0]+[0]"}
+        s.add_unit_functors()
+        assert s.validate().ok
+        assert s.der1_shapes() == set()
+
+    @pytest.mark.parametrize("edit,fault", [
+        (lambda s: s.coproducts.update({("[0]", "[1]"): "[1]+[1]"}),
+         "coproduct annotation [0] + [1] = [1]+[1] is not the coproduct"),
+        (lambda s: setattr(s, "initial", "[0]"),
+         "initial annotation [0] is not the initial category"),
+    ], ids=["coproduct", "initial"])
+    def test_der1_shapes_rest_on_annotations_that_hold(self, edit, fault):
+        s = standard_sample()
+        edit(s)
+        assert s.validate().violations == [fault]
+        with pytest.raises(ClosureError, match=f"^{re.escape(f'sample standard: {fault}')}$"):
+            s.der1_shapes()
+
 
 class TestHoPrederivator:
     def test_base_value_is_ho(self, d_interval):
@@ -220,6 +246,12 @@ class TestHoPrederivator:
         for X in C1.objects:
             m = img.at(X)
             assert m in C0.morphisms
+
+    def test_a_failed_evaluation_keeps_its_type(self):
+        # Δ3 is certified 3-coskeletal, beyond the sample's nerves at depth 2
+        D = HoPrederivator(standard_simplex(3, 3), SAMPLE)
+        with pytest.raises(ExactnessError, match=r"^evaluation at \[1\] failed: exactness fails"):
+            D.eval("[1]")
 
     def test_underlying_diaset(self, d_interval):
         # the underlying diagram of sets: the values' objects, and the
@@ -510,6 +542,14 @@ class TestDerAudits:
     def test_der1_empty_coproduct(self, d_point):
         report = check_der1(d_point)
         assert report.ok
+
+    @pytest.mark.parametrize("Q", [Q for _, Q in corpus_quasicategories()],
+                             ids=[name for name, _ in corpus_quasicategories()])
+    def test_der1_holds_on_every_corpus_quasicategory(self, Q):
+        # the theorem the Whitehead experiment reads in place of the
+        # coproduct and empty shapes
+        report = check_der1(HoPrederivator(Q, SAMPLE))
+        assert report.ok and report.checked == 4, report.violations
 
     def test_der5_holds_on_nerves_of_small_categories(self):
         # every commutative square of Ho(N(C)) at [0] lifts to Ho(N(C)^{Δ1})

@@ -4,11 +4,13 @@ import re
 
 import pytest
 
+import qcatkit.whitehead as whitehead
 from qcatkit.cats import Functor, contractible_groupoid, equivalence_inverse, poset_simplex
 from qcatkit.corpus import corpus_quasicategories, labeled_map_corpus
-from qcatkit.mapping import induced_functor, mapping_space, plan_columns, slot_plan, transport
+from qcatkit.mapping import (Exponential, induced_functor, mapping_space, plan_columns,
+                             slot_plan, transport)
 from qcatkit.nerve import nerve
-from qcatkit.prederivator import HoPrederivator, standard_sample
+from qcatkit.prederivator import ClosureError, HoPrederivator, standard_sample
 from qcatkit.simplicial import (SimplexExpr, SimplicialMap, compose_maps, identity_map,
                                 standard_simplex)
 from qcatkit.util import Budget
@@ -217,8 +219,77 @@ class TestModels:
                       for Q in (f.source, f.target))
             exact = prederivator_equivalence(induced_prederivator_morphism(DQ, DR, f))
             model = prederivator_equivalence(
-                postcomposition_morphism(DQ, DR, f, HoPrederivator.model_data))
+                postcomposition_morphism(DQ, DR, f, HoPrederivator.model_data, sample.order))
             assert (model.ok, model.witnesses) == (exact.ok, exact.witnesses), name
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """The shapes of each morphism whose verdict the experiment reads, and
+    the verdict, in the order the rows are decided."""
+    seen = []
+    decide = whitehead.prederivator_equivalence
+
+    def recording(F, budget=None):
+        verdict = decide(F, budget)
+        seen.append((list(F.components), verdict))
+        return verdict
+
+    monkeypatch.setattr(whitehead, "prederivator_equivalence", recording)
+    return seen
+
+
+class TestDer1:
+    def test_the_experiment_verdict_is_the_verdict_of_ho_f(self, decisions):
+        sample = standard_sample()
+        rows = conservativity_experiment(CORPUS, sample)
+        read = [J for J in sample.order if J not in sample.der1_shapes()]
+        assert read == ["[0]", "[1]", "[2]", "[0]x[1]", "[1]x[1]", "d[2]"]
+        assert len(decisions) == len(rows) == len(CORPUS)
+        by_base = {}
+        for (name, f, _), row, (shapes, verdict) in zip(CORPUS, rows, decisions):
+            DQ, DR = (by_base.setdefault(id(Q), HoPrederivator(Q, sample))
+                      for Q in (f.source, f.target))
+            exact = prederivator_equivalence(induced_prederivator_morphism(DQ, DR, f))
+            # a failing shape is read; an equivalence is witnessed at the shapes read
+            want = {J: exact.witnesses[J] for J in read} if exact.ok else exact.witnesses
+            assert shapes == read, name
+            assert (row.prederivator, verdict.ok, verdict.witnesses) == (
+                exact.ok, exact.ok, want), name
+
+    def test_no_exponential_over_a_der1_shape_is_built(self, monkeypatch):
+        sample = standard_sample()
+        exponents, shapes = [], []
+        init, exponential = Exponential.__init__, HoPrederivator._exponential
+
+        def recording_init(E, T, S, *args, **kwargs):
+            exponents.append(S)
+            init(E, T, S, *args, **kwargs)
+
+        def recording(D, S, J_name):
+            shapes.append(J_name)
+            return exponential(D, S, J_name)
+
+        monkeypatch.setattr(Exponential, "__init__", recording_init)
+        monkeypatch.setattr(HoPrederivator, "_exponential", recording)
+        conservativity_experiment(CORPUS, sample)
+        decided = sample.der1_shapes()
+        assert shapes and not decided & set(shapes)
+        over_decided = {id(S) for J in decided for S in (sample.nerve(J), sample.model(J))}
+        assert exponents and not any(id(S) in over_decided for S in exponents)
+
+    @pytest.mark.parametrize("edit,fault", [
+        (lambda s: s.coproducts.update({("[0]", "[1]"): "[1]+[1]"}),
+         "coproduct annotation [0] + [1] = [1]+[1] is not the coproduct"),
+        (lambda s: setattr(s, "initial", "[0]"),
+         "initial annotation [0] is not the initial category"),
+    ], ids=["coproduct", "initial"])
+    def test_an_annotation_that_does_not_hold_is_named(self, evaluations, edit, fault):
+        sample = standard_sample()
+        edit(sample)
+        with pytest.raises(ClosureError, match=f"^{re.escape(f'sample standard: {fault}')}$"):
+            conservativity_experiment(CORPUS, sample)
+        assert evaluations == {}
 
 
 @pytest.fixture(scope="module")
@@ -233,15 +304,17 @@ class TestAgreement:
         # every non-equivalence fails at [0]; N(z2) and N([2]) appear in no other row
         assert evaluations.pop("N(z2)") == ["[0]"]
         assert evaluations.pop("N([2])") == ["[0]"]
-        # the equivalence rows read every shape of their bases, and HO's value
+        # the equivalence rows read every shape of their bases but the
+        # coproducts and the empty shape, which Der1 decides, and HO's value
         # at each but [2] and d[2], which they decide on the models
         sample = standard_sample()
         on_models = [J for J in order if sample.model(J) is not sample.nerve(J)]
         assert on_models == ["[2]", "d[2]"]
+        assert sample.der1_shapes() == {"0", "[0]+[0]", "[0]+[1]", "[1]+[1]"}
         equiv_bases = {Q.name for _, f, expected in CORPUS if expected
                        for Q in (f.source, f.target)}
         assert set(evaluations) == equiv_bases
-        assert all(sorted(shapes) == sorted(set(order) - set(on_models))
+        assert all(sorted(shapes) == sorted(set(order) - set(on_models) - sample.der1_shapes())
                    for shapes in evaluations.values())
 
     def test_budget_does_not_depend_on_corpus_order(self):
@@ -249,10 +322,11 @@ class TestAgreement:
         conservativity_experiment(CORPUS, standard_sample(), forward)
         conservativity_experiment(CORPUS[::-1], budget=backward)
         # the total as recorded, which a change of the searches' steps moves;
-        # 154187 before [2] and d[2] were decided on their models, 170983
-        # before a source was searched one component at a time and the
-        # 2-horn check charged one step per edge in place of one per pair
-        assert forward.used == backward.used == 132139
+        # 132139 before the coproducts and the empty shape were decided by
+        # Der1, 154187 before [2] and d[2] were decided on their models,
+        # 170983 before a source was searched one component at a time and
+        # the 2-horn check charged one step per edge in place of one per pair
+        assert forward.used == backward.used == 97132
 
     def test_zero_implication_violations(self, rows):
         assert all(r.implication_ok for r in rows)
