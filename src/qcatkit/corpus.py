@@ -4,6 +4,8 @@ Everything the checks run on lives here: the simplicial-set
 corpus, its quasicategory members, single-face mutations that must fail
 validation, prederivator mutations that must each fail one axiom audit,
 and the labeled map corpus for the equivalence-agreement experiment.
+The Eilenberg-MacLane spaces K(Z/2, n), which are not 1-types, are built
+here too, for the tests; no corpus list holds them.
 Every prederivator mutant is one ``PatchedPrederivator``: the base with
 its value, and both ends of its restrictions, replaced at one shape.
 The Der2, Der5 and Der5' mutants are 2-functors: the Der5 and Der5'
@@ -14,6 +16,8 @@ HO(! o inl) = id would have to factor through the point.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .cats import (
     FiniteCategory,
@@ -30,7 +34,7 @@ from .cats import (
     product_cat,
 )
 from .mapping import full_degeneracy
-from .nerve import NerveSSet, nerve, nerve_map
+from .nerve import nerve, nerve_map
 from .prederivator import HoPrederivator, Prederivator, dia_arrow
 from .simplicial import (
     SimplexExpr,
@@ -82,6 +86,54 @@ def corpus_quasicategories() -> list:
     out += [(name, s) for name, s in corpus_ssets()
             if name.startswith("N(") or name == "delta1xdelta1"]
     return out
+
+
+def eilenberg_maclane(n: int) -> TruncatedSSet:
+    """K(Z/2, n) for n >= 1, truncated at n + 1, as cocycles (May,
+    *Simplicial Objects in Algebraic Topology*, 1967, §23).
+
+    Its m-simplices are the Z/2-valued n-cocycles on Δm: the sets of
+    n-faces of Δm (vertex tuples) that meet every (n+1)-face an even number
+    of times.  A monotone α: [k] -> [m] acts by pulling back: an n-face of
+    Δk is in c.α iff α is injective on it and its image is in c.  A simplex
+    c is degenerate iff c = s_j d_j c for some j; its normal form collapses
+    every such j at once, to the word of those j, largest first, on the
+    restriction of c to the other vertices and vertex 0.  The set is
+    (n + 1)-coskeletal: a cocycle is determined by its n-faces.
+    """
+    if n < 1:
+        raise ValueError("K(Z/2, n) needs n >= 1")
+
+    def pull(c: frozenset, alpha: tuple) -> frozenset:
+        images = ((t, tuple(alpha[i] for i in t)) for t in combinations(range(len(alpha)), n + 1))
+        return frozenset(t for t, image in images if len(set(image)) == n + 1 and image in c)
+
+    def normal(c: frozenset, m: int) -> tuple:
+        """(word, vertices kept) of c, an m-simplex."""
+        face = [tuple(v for v in range(m + 1) if v != j) for j in range(m)]
+        collapse = [tuple(v - (v > j) for v in range(m + 1)) for j in range(m)]
+        word = tuple(j for j in reversed(range(m)) if pull(pull(c, face[j]), collapse[j]) == c)
+        return word, tuple(v for v in range(m + 1) if v - 1 not in word)
+
+    levels, faces, names = {}, {}, {}
+    for m in range(n + 2):
+        n_faces = list(combinations(range(m + 1), n + 1))
+        cocycles = [frozenset(chosen) for r in range(len(n_faces) + 1)
+                    for chosen in combinations(n_faces, r)
+                    if all(sum(set(t) <= set(rho) for t in chosen) % 2 == 0
+                           for rho in combinations(range(m + 1), n + 2))]
+        levels[m] = []
+        for c in cocycles:
+            if normal(c, m)[0]:
+                continue
+            x = names[(m, c)] = "*" if not m else f"c{m}_" + "-".join(
+                "".join(map(str, t)) for t in sorted(c))
+            levels[m].append(x)
+            for i in range(m + 1 if m else 0):
+                d = pull(c, tuple(v for v in range(m + 1) if v != i))
+                word, kept = normal(d, m - 1)
+                faces[(x, i)] = SimplexExpr(word, names[(len(kept) - 1, pull(d, kept))])
+    return TruncatedSSet(n + 1, levels, faces, n + 1, f"K(Z/2,{n})")
 
 
 def face_mutations() -> list:
@@ -284,7 +336,7 @@ def der1_mutation(base: HoPrederivator) -> Prederivator:
 # labeled map corpus for the equivalence experiment
 
 
-def _collapse_map(q: NerveSSet, target: TruncatedSSet, vertex: str) -> SimplicialMap:
+def _collapse_map(q: TruncatedSSet, target: TruncatedSSet, vertex: str) -> SimplicialMap:
     assignment = {}
     for n in range(q.dim_bound + 1):
         for x in q.nondeg(n):

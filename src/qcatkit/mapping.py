@@ -1,4 +1,4 @@
-"""Exponentials, mapping spaces, and the Kan check.
+"""Exponentials, the mapping-space exponentials, and the Kan check.
 
 Truncated exponentials are exact when the target carries a coskeletal
 certificate c and both operands are known at least up to level c: maps out
@@ -54,7 +54,9 @@ exponent S keeps one frame per working level and height
 S truncated, the products S x Δn, and the shape maps id x δi and
 id x σj compiled into index plans.  Every exponential over S shares it:
 the exponentials of a prederivator over one sample share the sample's
-nerves, and a base's mapping spaces share the base's Δ1.  Building a
+nerves, and the mapping-space exponentials of one base share the base's
+Δ1 (:func:`mapping_space`, the oracle of the Whitehead surrogate, which
+reads mapping spaces off face rows).  Building a
 frame charges no steps, as building a product never did.
 
 The base side is coded.  An exponential works over T truncated at the
@@ -178,7 +180,7 @@ class Exponential:
 
     ``pinned`` maps vertices of S to vertices of T: only the maps sending
     every cell over a pinned vertex v to the degenerate ``pinned[v]`` are
-    cells.
+    cells.  Only :func:`mapping_space` and the tests pin.
     """
 
     def __init__(self, T: TruncatedSSet, S: TruncatedSSet, k: int = 2,
@@ -549,7 +551,9 @@ def mapping_space(Q: TruncatedSSet, x: str, y: str, budget: Budget = None) -> Ex
     """Balanced mapping space between two vertices of a quasicategory.
 
     An n-simplex is a prism Δ1 x Δn -> Q restricting to the degeneracies
-    of x and y over the two endpoints of the exponent interval.
+    of x and y over the two endpoints of the exponent interval.  No live
+    path builds it: it is the oracle that
+    :func:`qcatkit.whitehead.is_fully_faithful_1tr` is checked against.
     """
     require_quasicategory(Q, budget)
     return Exponential(Q, Q.interval, 2, budget, {"0": x, "1": y},

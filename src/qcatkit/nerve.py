@@ -251,24 +251,30 @@ def require_quasicategory(S: TruncatedSSet, budget: Budget = None) -> QcatReport
 # homotopy relation and Ho
 
 
-def _class_codes(Q: TruncatedSSet) -> list:
-    """Per level-1 code, the code of its class's representative: the least
-    code of the class, so the least simplex.  A union-find over the codes
-    in which the root of a class is always its least code."""
-    root = list(range(len(Q.table(1).cells)))
+def least_classes(size: int, pairs) -> list:
+    """Per code 0 .. size - 1, the least code of its class in the
+    equivalence relation that ``pairs`` generate: a union-find in which the
+    root of a class is always its least code."""
+    root = list(range(size))
 
     def find(c: int) -> int:
         while root[c] != c:
             root[c] = c = root[root[c]]
         return c
 
+    for a, b in pairs:
+        a, b = sorted((find(a), find(b)))
+        root[b] = a
+    return list(map(find, range(size)))
+
+
+def _class_codes(Q: TruncatedSSet) -> list:
+    """Per level-1 code, the code of its class's representative: the least
+    code of the class, so the least simplex (:func:`least_classes`)."""
     degenerate = set(Q.degeneracy_codes((0,), 0))
-    for d0, d1, d2 in Q.rows(2):
-        for unit, a, b in ((d2, d0, d1), (d0, d1, d2)):
-            if unit in degenerate:
-                a, b = sorted((find(a), find(b)))
-                root[b] = a
-    return list(map(find, range(len(root))))
+    return least_classes(len(Q.table(1).cells), (
+        (a, b) for d0, d1, d2 in Q.rows(2)
+        for unit, a, b in ((d2, d0, d1), (d0, d1, d2)) if unit in degenerate))
 
 
 def one_step_homotopic(Q: TruncatedSSet, f: SimplexExpr, g: SimplexExpr) -> bool:

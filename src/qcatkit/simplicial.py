@@ -439,7 +439,7 @@ class TruncatedSSet:
 
     @cached_property
     def interval(self) -> "TruncatedSSet":
-        """The Δ1 this set's mapping spaces share, and with it one exponent
+        """The Δ1 this set's mapping-space oracles share, and with it one exponent
         frame; truncated at this set's bound, so that a base certified
         c-coskeletal with c > 2 keeps the exponent known up to level c."""
         return standard_simplex(1, max(2, self.dim_bound))

@@ -26,10 +26,11 @@ class Budget:
 
     What is derived once is kept by one of two rules.  :meth:`cached` is
     the one charged cache: the path objects of :mod:`qcatkit.mapping`, the
-    reports of :func:`qcatkit.nerve.require_quasicategory` and the shell
-    answers of :func:`qcatkit.simplicial.extensions` are kept with the
-    steps their miss charged, and every hit spends that count, so a hit
-    charges the same steps as the miss.  :func:`memo` is the free one:
+    reports of :func:`qcatkit.nerve.require_quasicategory`, the shell
+    answers of :func:`qcatkit.simplicial.extensions` and the loop classes
+    of the Whitehead surrogate are kept with the steps their miss charged,
+    and every hit spends that count, so a hit charges the same steps as
+    the miss.  :func:`memo` is the free one:
     its hits (level tables, frames, a prederivator's values, u* and alpha*,
     a sample's restriction plans and transports, and the like) charge
     nothing.
@@ -48,8 +49,12 @@ class Budget:
     factors) charge their count once at the end, or at the placement that
     takes it past the limit;
     ``spend_each`` charges a run of single steps at once, such as the
-    combined maps, or the edges and the 2-simplices of the inner 2-horn
-    check (:func:`qcatkit.nerve.is_quasicategory`).
+    combined maps, the edges and the 2-simplices of the inner 2-horn
+    check (:func:`qcatkit.nerve.is_quasicategory`), or the reads of the
+    Whitehead surrogate (:func:`qcatkit.whitehead.is_fully_faithful_1tr`:
+    one step per ordered pair of vertices, one per edge and per loop read
+    on either side, and one per 3-simplex for the loop classes of a set
+    certified above level 2).
     """
 
     def __init__(self, limit: int = DEFAULT_BUDGET, context: str = "enumeration"):

@@ -1,10 +1,17 @@
 """Equivalence detection and the conservativity agreement experiment.
 
 Two detectors are compared: the vertex-and-mapping-space criterion
-(essentially surjective plus fully faithful on homotopy categories of
-mapping spaces, a 1-truncated surrogate of the full criterion) and
-componentwise equivalence of the induced prederivator morphism.  On the
-labeled corpus the prederivator verdict must imply the surrogate verdict.
+(essentially surjective on homotopy categories, plus an equivalence on the
+homotopy categories of the mapping spaces, a 1-truncated surrogate of the
+full criterion) and componentwise equivalence of the induced prederivator
+morphism.  On the labeled corpus the prederivator verdict must imply the
+surrogate verdict.
+
+The mapping spaces Hom^R(x, y) are Kan complexes, so Ho of each is its
+fundamental groupoid, and the surrogate compares their π0 and π1, read off
+the face rows the sets keep (:func:`is_fully_faithful_1tr`).  It builds no
+exponential: the pinned mapping-space exponentials it compared before,
+:func:`qcatkit.mapping.mapping_space`, are the tests' oracle for it.
 
 One failing shape decides a non-equivalence, so HO(f) is built one shape
 at a time: a component, and the two exponentials under it, is built when
@@ -39,8 +46,8 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from .cats import Functor, equivalence_inverse
-from .mapping import Exponential, induced_functor, mapping_space, transport
-from .nerve import ho, require_quasicategory
+from .mapping import ExactnessError, Exponential, induced_functor, transport
+from .nerve import ho, least_classes, require_quasicategory
 from .prederivator import HoPrederivator, StrictMorphism, standard_sample
 from .simplicial import (
     SimplexExpr,
@@ -95,12 +102,56 @@ def is_essentially_surjective(f: SimplicialMap, budget: Budget = None) -> Verdic
                    True, "vertex search", witnesses)
 
 
-def mapping_space_functor(f: SimplicialMap, x: str, y: str, budget: Budget = None) -> Functor:
-    """The induced comparison on homotopy categories of mapping spaces."""
-    budget = ensure_budget(budget, "mapping space comparison")
-    M_src = mapping_space(f.source, x, y, budget)
-    M_tgt = mapping_space(f.target, f.assignment[x].base, f.assignment[y].base, budget)
-    return _postcomposition(f, M_src, M_tgt, f"map-space({x},{y})")
+def _loop_classes(S: TruncatedSSet, budget: Budget) -> list:
+    """Per level-2 code of S, the least code of its class of loops.
+
+    A loop at an edge e: x -> y is a 2-simplex with face row (e, e, s0 x),
+    a loop of Hom^R(x, y) at e.  Two loops are one class when a 3-simplex
+    has the face row (s0 e, σ, σ', s0 s0 x), a homotopy of Hom^R(x, y)
+    between them, and the classes close that relation: one union-find over
+    ``rows(3)`` (:func:`qcatkit.nerve.least_classes`, as for the classes of
+    Ho).  One step per 3-simplex, kept on S by
+    :meth:`qcatkit.util.Budget.cached`.
+    """
+    def build() -> list:
+        rows = S.rows(3)
+        budget.spend_each(len(rows))
+        units, points = set(S.degeneracy_codes((0,), 1)), set(S.degeneracy_codes((1, 0), 0))
+        return least_classes(len(S.rows(2)), ((d1, d2) for d0, d1, d2, d3 in rows
+                                              if d0 in units and d3 in points))
+
+    return budget.cached(S, ("loop_classes",), build)
+
+
+def _mapping_data(S: TruncatedSSet, budget: Budget) -> tuple:
+    """Ho(S), and the loop classes of S where its certificate c exceeds 2,
+    else None: a c-coskeletal S has (c - 1)-coskeletal mapping spaces, so
+    for c <= 2 the loops at an edge are one class."""
+    pres, c = ho(S, budget), S.coskeletal_from
+    if c is None or c > S.dim_bound:
+        raise ExactnessError(f"{S.name} is certified coskeletal at no level up to "
+                             f"{S.dim_bound}, so its mapping spaces are not known")
+    return pres, _loop_classes(S, budget) if c > 2 else None
+
+
+def _bijective(pairs: set, target: set) -> bool:
+    """Whether the relation ``pairs`` is a well-defined bijection of its
+    first column onto ``target``."""
+    return (len(pairs) == len({a for a, _ in pairs}) == len(target)
+            and {b for _, b in pairs} == target)
+
+
+def _loops_bijective(f: SimplicialMap, e: int, x: int, classes: tuple, budget: Budget) -> bool:
+    """Whether f sends the loop classes at the edge e of its source, x the
+    code of its initial vertex, bijectively onto those at f(e); ``classes``
+    holds each side's loop classes, or None where the loops are one class."""
+    ends = ((f.source, e, x), (f.target, f.code_table(1)[e], f.code_table(0)[x]))
+    loops, targets = (S.face_index(2, (0, 1, 2), None).get(
+        (a, a, S.degeneracy_codes((0,), 0)[v]), ()) for S, a, v in ends)
+    budget.spend_each(len(loops) + len(targets))
+    cQ, cR = ((lambda sigma: 0) if c is None else c.__getitem__ for c in classes)
+    f2 = f.code_table(2)
+    return _bijective({(cQ(s), cR(f2[s])) for s in loops}, set(map(cR, targets)))
 
 
 def is_fully_faithful_1tr(f: SimplicialMap, budget: Budget = None) -> Verdict:
@@ -108,24 +159,60 @@ def is_fully_faithful_1tr(f: SimplicialMap, budget: Budget = None) -> Verdict:
 
     Decided at the homotopy-category level of the mapping spaces; higher
     homotopy is invisible at this truncation, which the verdict label
-    records.
+    records.  Ho of the Kan complex Hom^R(x, y) is its fundamental
+    groupoid, so the comparison at (x, y) is an equivalence iff f is a
+    bijection on π0 and on π1 at one edge of each component, and both are
+    read off face rows (Lurie, *Higher Topos Theory*, 2009, §1.2.2-1.2.3;
+    Joyal, *The theory of quasi-categories and its applications*, 2008):
+
+    * π0 Hom^R(x, y) is Ho(Q)(x, y), the classes (``ho(Q).classes``) of
+      the edges whose row in ``rows(1)`` is (y, x), one lookup in
+      ``face_index(1, (0, 1), None)``; f sends them through
+      ``code_table(1)`` onto the classes of Ho(R)(fx, fy).
+    * π1 at the representative e of a class: the loops at e, the
+      2-simplices with row (e, e, s0 x), one lookup in
+      ``face_index(2, (0, 1, 2), None)``, taken up to the homotopies of
+      :func:`_loop_classes`; f sends them through ``code_table(2)``, and
+      the map of classes must be well defined and bijective.
+
+    On a side certified c-coskeletal with c <= 2, Hom^R is 1-coskeletal,
+    so the loops at an edge are one class and ``rows(3)`` is not read; Δ0
+    at ``dim_bound`` 2 has no level 3 to read.  Where both sides are, π1
+    is a bijection of points and no loop is read.  A set with no
+    certificate, or one above its data, is an ``ExactnessError``.  The
+    pairs are read in ``nondeg(0)`` order, and the first that fails is the
+    witness.
+
+    Budget: the quasicategory checks under ``ho`` charge what they charged
+    (:func:`qcatkit.nerve.require_quasicategory`); each ordered pair one
+    step, and one per edge and per loop read on either side; the loop
+    classes of a side with c > 2 one per 3-simplex, as they were charged.
     """
     budget = ensure_budget(budget, "full faithfulness")
-    require_quasicategory(f.source, budget)
-    require_quasicategory(f.target, budget)
+    Q, R = f.source, f.target
+    (hQ, loopsQ), (hR, loopsR) = _mapping_data(Q, budget), _mapping_data(R, budget)
+    f0, f1 = f.code_table(0), f.code_table(1)
+    names = Q.nondeg(0)
     witnesses = {}
-    for x in f.source.nondeg(0):
-        for y in f.source.nondeg(0):
+    for x in range(len(names)):
+        for y in range(len(names)):
             budget.spend()
-            cmp_functor = mapping_space_functor(f, x, y, budget)
-            inverse = equivalence_inverse(cmp_functor, budget)
-            if inverse is None:
-                return Verdict(f"fully faithful {f.source.name} -> {f.target.name}",
-                               False, "1-truncated surrogate",
-                               {"failing pair": (x, y)})
-            witnesses[(x, y)] = "equivalence"
-    return Verdict(f"fully faithful {f.source.name} -> {f.target.name}",
-                   True, "1-truncated surrogate", witnesses)
+            fx = f0[x]
+            edges, images = (S.face_index(1, (0, 1), None).get(row, ())
+                             for S, row in ((Q, (y, x)), (R, (f0[y], fx))))
+            budget.spend_each(len(edges) + len(images))
+            classes = dict.fromkeys(hQ.classes[e] for e in edges)  # in token order
+            ok = _bijective({(m, hR.classes[f1[hQ.rep_codes[m]]]) for m in classes},
+                            {hR.classes[e] for e in images})
+            if ok and (loopsQ is not None or loopsR is not None):
+                ok = all(_loops_bijective(f, hQ.rep_codes[m], x, (loopsQ, loopsR), budget)
+                         for m in classes)
+            if not ok:
+                return Verdict(f"fully faithful {Q.name} -> {R.name}", False,
+                               "1-truncated surrogate", {"failing pair": (names[x], names[y])})
+            witnesses[(names[x], names[y])] = "equivalence"
+    return Verdict(f"fully faithful {Q.name} -> {R.name}", True, "1-truncated surrogate",
+                   witnesses)
 
 
 def is_equivalence(f: SimplicialMap, budget: Budget = None) -> Verdict:
@@ -270,7 +357,8 @@ def conservativity_experiment(corpus, sample=None, budget: Budget = None) -> lis
 
 
 def agreement_table(rows) -> str:
-    width = max(len(r.name) for r in rows) + 2
+    """The rows under a header; with no rows, the header alone."""
+    width = max((len(r.name) for r in rows), default=len("map")) + 2
     lines = [f"{'map'.ljust(width)}expected  surrogate  prederivator  implication"]
     for r in rows:
         lines.append(

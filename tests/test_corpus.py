@@ -10,6 +10,7 @@ from qcatkit.cats import equivalence_inverse
 from qcatkit.corpus import (
     corpus_quasicategories,
     corpus_ssets,
+    eilenberg_maclane,
     face_mutations,
     labeled_map_corpus,
 )
@@ -54,3 +55,16 @@ def test_labels_are_the_equivalences_on_ho():
     decided = [(name, equivalence_inverse(ho_on_map(f)) is not None)
                for name, f, _ in labeled_map_corpus()]
     assert len(decided) == 10 and decided == labels
+
+
+@pytest.mark.parametrize("n,counts", [(1, [1, 1, 1]), (2, [1, 0, 1, 4]), (3, [1, 0, 0, 1, 11])])
+def test_eilenberg_maclane_spaces(n, counts):
+    # the n-cocycles on Δm number 2^C(m, n); the nondegenerate ones are
+    # those that are no s_j of a cocycle one level down
+    K = eilenberg_maclane(n)
+    assert [len(K.nondeg(m)) for m in range(K.dim_bound + 1)] == counts
+    assert K.dim_bound == K.coskeletal_from == n + 1
+    assert [len(K.total(m)) for m in range(n, n + 2)] == [2, 2 ** (n + 1)]
+    report = K.validate()
+    assert report.ok, report.violations
+    assert is_quasicategory(K).ok

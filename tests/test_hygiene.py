@@ -99,6 +99,9 @@ TEST_ONLY = {
     "compose_maps": "oracle: composes simplicial maps, checks faces and functoriality",
     "induced_prederivator_morphism": "oracle: exact HO(f) on the nerves, which the verdict "
                                      "on the models is checked against",
+    "mapping_space": "oracle: the pinned exponential Map_Q(x, y), whose Ho the face-row "
+                     "surrogate is checked against",
+    "TruncatedSSet.interval": "oracle: the Δ1 the mapping_space oracles of one base share",
     # claim checks of the paper's statements
     "check_strict": "claim check: strict 2-naturality of a morphism",
     "check_modification": "claim check: a modification between strict morphisms",
@@ -115,6 +118,7 @@ TEST_ONLY = {
     "expr": "test input: a simplex from a base and a word",
     "parse_expr": "text format: reads a simplex token",
     "empty_sset": "test input: the empty simplicial set",
+    "eilenberg_maclane": "test input: K(Z/2, n), on which the surrogate's π1 branch runs",
 }
 
 
