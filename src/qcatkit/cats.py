@@ -797,6 +797,9 @@ def cat_from_text(text: str, name: str = "cat") -> FiniteCategory:
                 if objects is not None:
                     raise ValueError("the objects are listed twice")
                 objects = line.split(":", 1)[1].split()
+                twice = [x for i, x in enumerate(objects) if x in objects[:i]]
+                if twice:
+                    raise ValueError(f"object {twice[0]} is listed twice")
             elif line.startswith("mor "):
                 head, arrow = line[4:].split(":", 1)
                 d, c = arrow.split("->")
@@ -810,7 +813,7 @@ def cat_from_text(text: str, name: str = "cat") -> FiniteCategory:
                 identities[obj.strip()] = m.strip()
             else:
                 lhs, h = line.split("=")
-                g, f = lhs.split(".")
+                g, f = lhs.split(" . ")
                 if (g.strip(), f.strip()) in compose:
                     raise ValueError(f"{g.strip()} . {f.strip()} is listed twice")
                 compose[(g.strip(), f.strip())] = h.strip()

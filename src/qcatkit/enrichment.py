@@ -150,21 +150,16 @@ def enrichment_sample(n_max: int = 1, depth: int = 0) -> DiaSample:
 # simplicial hom-sets and operators
 
 
-def simplicial_hom(D1: Prederivator, D2: Prederivator, n: int,
-                   budget: Budget = None, shapes=None) -> list:
+def simplicial_hom(D1: Prederivator, D2: Prederivator, n: int, budget: Budget = None) -> list:
     """Level n of the mapping object: strict morphisms D1 -> D2^{[n]}.
 
-    ``shapes`` restricts the component scope (the default is every shape
-    whose product with the chain is annotated); reports and comparisons
-    must quote the scope they ran at.
+    The components range over every shape whose product with the chain is
+    annotated; reports and comparisons must quote that scope.
     """
     if not 0 <= n <= 3:
         raise ValueError("levels 0..3 only")
     shifted = ShiftedPrederivator(D2, f"[{n}]")
-    if shapes is None:
-        shapes = [K for K in D1.sample.order if K in shifted.pairings]
-    else:
-        shapes = [K for K in shapes if K in shifted.pairings]
+    shapes = [K for K in D1.sample.order if K in shifted.pairings]
     return enumerate_strict_morphisms(D1, shifted, budget, shapes=shapes)
 
 

@@ -14,6 +14,7 @@ which the tests assert on the corpus).
 Ho and the inner 2-horn check read level 2 only as face rows
 (``TruncatedSSet.rows``) in report order (``TruncatedSSet.token_order``),
 so they name no 2-simplex, and an exponential's top level stays coded.
+Each set keeps its Ho, as it keeps its quasicategory report.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from operator import itemgetter
 
 from .cats import FiniteCategory, Functor, pair_id
 from .simplicial import (
+    LevelTable,
     ProductSSet,
     SimplexExpr,
     SimplicialMap,
@@ -30,7 +32,7 @@ from .simplicial import (
     extensions,
     horn,
 )
-from .util import Budget, ensure_budget
+from .util import Budget, ensure_budget, least_classes
 
 
 # ---------------------------------------------------------------------------
@@ -251,26 +253,10 @@ def require_quasicategory(S: TruncatedSSet, budget: Budget = None) -> QcatReport
 # homotopy relation and Ho
 
 
-def least_classes(size: int, pairs) -> list:
-    """Per code 0 .. size - 1, the least code of its class in the
-    equivalence relation that ``pairs`` generate: a union-find in which the
-    root of a class is always its least code."""
-    root = list(range(size))
-
-    def find(c: int) -> int:
-        while root[c] != c:
-            root[c] = c = root[root[c]]
-        return c
-
-    for a, b in pairs:
-        a, b = sorted((find(a), find(b)))
-        root[b] = a
-    return list(map(find, range(size)))
-
-
 def _class_codes(Q: TruncatedSSet) -> list:
     """Per level-1 code, the code of its class's representative: the least
-    code of the class, so the least simplex (:func:`least_classes`)."""
+    code of the class, so the least simplex
+    (:func:`qcatkit.util.least_classes`)."""
     degenerate = set(Q.degeneracy_codes((0,), 0))
     return least_classes(len(Q.table(1).cells), (
         (a, b) for d0, d1, d2 in Q.rows(2)
@@ -290,30 +276,33 @@ def one_step_homotopic(Q: TruncatedSSet, f: SimplexExpr, g: SimplexExpr) -> bool
 
 
 class HoPresentation:
-    """The homotopy category of a quasicategory, with its class table.
+    """The homotopy category of a quasicategory Q, with its class table.
 
-    ``classes`` holds, per code of ``Q.table(1)``, the morphism identifier
-    (the token of the canonical class representative) of that 1-simplex,
-    and ``rep_codes`` maps each morphism to its representative's code.
-    Both are keyed by level-1 code; ``cls`` reads a simplex's class off its
-    code.
+    ``classes`` holds, per code of ``edges`` (``Q.table(1)``), the morphism
+    identifier (the token of the canonical class representative) of that
+    1-simplex, and ``rep_codes`` maps each morphism to its representative's
+    code.  Both are keyed by level-1 code; ``cls`` reads a simplex's class
+    off its code.  Q keeps its Ho, which holds no reference back to Q.
     """
 
-    def __init__(self, Q: TruncatedSSet, category: FiniteCategory, classes: list, rep_codes: dict):
-        self.sset = Q
+    def __init__(self, edges: LevelTable, category: FiniteCategory, classes: list,
+                 rep_codes: dict):
+        self.edges = edges
         self.category = category
         self.classes = classes
         self.rep_codes = rep_codes
 
     def cls(self, e: SimplexExpr) -> str:
-        return self.classes[self.sset.table(1).code[e]]
+        return self.classes[self.edges.code[e]]
 
     def __repr__(self):
-        return f"<Ho({self.sset.name}): {self.category!r}>"
+        return f"<Ho: {self.category!r}>"
 
 
 def ho(Q: TruncatedSSet, budget: Budget = None) -> HoPresentation:
-    """The homotopy category, by horn filling.
+    """The homotopy category, by horn filling, kept on Q by
+    :meth:`qcatkit.util.Budget.cached`: a hit charges ``budget`` the steps
+    of the quasicategory check the build ran.
 
     Composition of classes is read off the 2-simplices: any 2-simplex
     witnesses that its d_1-face is a composite of its d_2 and d_0 faces.
@@ -323,6 +312,11 @@ def ho(Q: TruncatedSSet, budget: Budget = None) -> HoPresentation:
     morphism's ends are read off its face row (d_1, the initial vertex,
     and d_0, the final one).
     """
+    budget = ensure_budget(budget, f"quasicategory check on {Q.name}")
+    return budget.cached(Q, ("ho",), lambda: _build_ho(Q, budget))
+
+
+def _build_ho(Q: TruncatedSSet, budget: Budget) -> HoPresentation:
     require_quasicategory(Q, budget)
     edges, ends = Q.table(1), Q.rows(1)
     objects = [e.base for e in Q.table(0).cells]  # level 0 is nondegenerate
@@ -353,25 +347,24 @@ def ho(Q: TruncatedSSet, budget: Budget = None) -> HoPresentation:
                 f"composition in Ho({Q.name}) depends on the filler: "
                 f"[{g}] o [{f}] gave {prev} and {h}")
     category = FiniteCategory(objects, morphisms, compose, identities, f"Ho({Q.name})")
-    return HoPresentation(Q, category, cls, rep_codes)
+    return HoPresentation(edges, category, cls, rep_codes)
 
 
-def ho_on_map(f: SimplicialMap, src_ho: HoPresentation = None,
-              tgt_ho: HoPresentation = None, budget: Budget = None) -> Functor:
-    """The induced functor between homotopy categories."""
-    src_ho = src_ho if src_ho is not None else ho(f.source, budget)
-    tgt_ho = tgt_ho if tgt_ho is not None else ho(f.target, budget)
+def ho_on_map(f: SimplicialMap) -> Functor:
+    """The induced functor between homotopy categories, on the Ho that
+    each end keeps, so the functors of composable maps compose."""
+    src_ho, tgt_ho = ho(f.source), ho(f.target)
     ob = {x: f.assignment[x].base for x in src_ho.category.objects}
     mor = {}
-    edges = src_ho.sset.table(1).cells
+    edges = src_ho.edges.cells
     for mid in src_ho.category.nonidentity():
         mor[mid] = tgt_ho.cls(f.apply(edges[src_ho.rep_codes[mid]]))
     return Functor(src_ho.category, tgt_ho.category, ob, mor, f"Ho({f.source.name}->{f.target.name})")
 
 
-def counit_functor(N: NerveSSet, hopres: HoPresentation = None) -> Functor:
+def counit_functor(N: NerveSSet) -> Functor:
     """The comparison Ho(N(J)) -> J, an isomorphism of categories."""
-    hopres = hopres if hopres is not None else ho(N)
+    hopres = ho(N)
     J = N.cat
     ob = {x: x for x in hopres.category.objects}
     mor = {}

@@ -72,7 +72,7 @@ from math import prod
 from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .util import Budget, ensure_budget, memo
+from .util import Budget, ensure_budget, least_classes, memo
 
 
 class LevelTable(NamedTuple):
@@ -99,10 +99,6 @@ class SimplexExpr(NamedTuple):
         return ".".join([f"s{i}" for i in self.word] + [self.base])
 
 
-def expr(base: str, word: Iterable[int] = ()) -> SimplexExpr:
-    return SimplexExpr(tuple(word), base)
-
-
 def parse_expr(token: str) -> SimplexExpr:
     parts = token.split(".")
     word = []
@@ -126,14 +122,6 @@ def insert_letter(j: int, word: tuple) -> tuple:
     if not word or j > word[0]:
         return (j,) + word
     return (word[0] + 1,) + insert_letter(j, word[1:])
-
-
-def normalize_word(seq: Iterable[int]) -> tuple:
-    """Normal form (strictly decreasing) of an arbitrary letter sequence."""
-    out: tuple = ()
-    for j in reversed(tuple(seq)):
-        out = insert_letter(j, out)
-    return out
 
 
 def compose_words(outer: Iterable[int], inner: tuple) -> tuple:
@@ -410,21 +398,13 @@ class TruncatedSSet:
         a cell above dimension 0.
         """
         plan = self.search_plan
-        root = list(range(len(self.cells)))
-
-        def find(s: int) -> int:
-            while root[s] != s:
-                root[s] = s = root[root[s]]
-            return s
-
-        for _, slot, _, faces, _ in plan:
-            for _, s in faces:
-                root[find(s)] = find(slot)
-        if len({find(slot) for _, slot, n, _, _ in plan if n}) <= 1:
-            return ((range(len(root)), plan),)
-        slots: dict = {find(slot): [] for _, slot, _, _, _ in plan}
-        for s in range(len(root)):
-            slots[find(s)].append(s)
+        part = least_classes(len(self.cells), ((s, slot) for _, slot, _, faces, _ in plan
+                                                for _, s in faces))
+        if len({part[slot] for _, slot, n, _, _ in plan if n}) <= 1:
+            return ((range(len(part)), plan),)
+        slots: dict = {part[slot]: [] for _, slot, _, _, _ in plan}
+        for s, r in enumerate(part):
+            slots[r].append(s)
         at = {s: i for part in slots.values() for i, s in enumerate(part)}
 
         def local(entry: tuple) -> tuple:
@@ -434,7 +414,7 @@ class TruncatedSSet:
 
         entries: dict = {r: [] for r in slots}
         for entry in plan:
-            entries[find(entry[1])].append(local(entry))
+            entries[part[entry[1]]].append(local(entry))
         return tuple((tuple(slots[r]), tuple(entries[r])) for r in slots)
 
     @cached_property
@@ -919,8 +899,8 @@ def horn(n: int, i: int, D: int) -> TruncatedSSet:
     return _simplex_subset(n, D, lambda c: c != top and c != omitted, f"horn{n}_{i}")
 
 
-def empty_sset(D: int = 2) -> TruncatedSSet:
-    return TruncatedSSet(D, {}, {}, coskeletal_from=0, name="empty")
+def empty_sset() -> TruncatedSSet:
+    return TruncatedSSet(2, {}, {}, coskeletal_from=0, name="empty")
 
 
 # ---------------------------------------------------------------------------
@@ -1146,16 +1126,13 @@ def _search(cells, entries: tuple, T: TruncatedSSet, budget: Budget, fixed: dict
     return results
 
 
-def enumerate_maps(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None,
-                   fixed=None) -> list:
+def enumerate_maps(S: TruncatedSSet, T: TruncatedSSet, budget: Budget = None) -> list:
     """The complete set of simplicial maps S -> T, canonically ordered.
 
-    ``fixed`` pre-assigns images for some nondegenerate simplices of S;
-    consistency with faces is still enforced.  The search is
-    :func:`map_codes`; this wraps its code tuples.
+    The search is :func:`map_codes`; this wraps its code tuples.
     """
     budget = ensure_budget(budget, f"maps {S.name} -> {T.name}")
-    return [SimplicialMap(S, T, codes) for codes in map_codes(S, T, budget, fixed)]
+    return [SimplicialMap(S, T, codes) for codes in map_codes(S, T, budget)]
 
 
 def extensions(shell: TruncatedSSet, n: int, T: TruncatedSSet, budget: Budget):
@@ -1305,6 +1282,15 @@ def sset_to_text(S: TruncatedSSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_word(letters) -> tuple:
+    """The degeneracy word written as the letters ``s<i>``, in normal form
+    (strictly decreasing); anything else is a ``ValueError``."""
+    word = tuple(int(t[1:]) for t in letters if t[:1] == "s" and t[1:].isdecimal())
+    if len(word) < len(letters) or any(a <= b for a, b in zip(word, word[1:])):
+        raise ValueError(f"{' '.join(letters)!r} is no normal word of letters s<i>")
+    return word
+
+
 def sset_from_text(text: str, name: str = "sset") -> TruncatedSSet:
     dim = None
     cosk = None
@@ -1328,7 +1314,7 @@ def sset_from_text(text: str, name: str = "sset") -> TruncatedSSet:
                 _, x, i = head.split()
                 lb = rhs.index("[")
                 rb = rhs.index("]")
-                word = tuple(int(tok[1:]) for tok in rhs[lb + 1:rb].split())
+                word = parse_word(rhs[lb + 1:rb].split())
                 base = rhs[rb + 1:].strip()
                 if (x, int(i)) in faces:
                     raise ValueError(f"face {i} of {x} is listed twice")

@@ -1,4 +1,4 @@
-"""Shared plumbing: step budgets and the memo rule."""
+"""Shared plumbing: step budgets, the memo rule and the one union-find."""
 
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ class Budget:
 
     What is derived once is kept by one of two rules.  :meth:`cached` is
     the one charged cache: the path objects of :mod:`qcatkit.mapping`, the
-    reports of :func:`qcatkit.nerve.require_quasicategory`, the shell
+    reports of :func:`qcatkit.nerve.require_quasicategory`, the homotopy
+    categories of :func:`qcatkit.nerve.ho`, the shell
     answers of :func:`qcatkit.simplicial.extensions` and the loop classes
     of the Whitehead surrogate are kept with the steps their miss charged,
     and every hit spends that count, so a hit charges the same steps as
@@ -116,3 +117,19 @@ def memo(fn):
 
     return kept
 
+
+def least_classes(size: int, pairs) -> list:
+    """Per code 0 .. size - 1, the least code of its class in the
+    equivalence relation that ``pairs`` generate: a union-find in which the
+    root of a class is always its least code."""
+    root = list(range(size))
+
+    def find(c: int) -> int:
+        while root[c] != c:
+            root[c] = c = root[root[c]]
+        return c
+
+    for a, b in pairs:
+        a, b = sorted((find(a), find(b)))
+        root[b] = a
+    return list(map(find, range(size)))

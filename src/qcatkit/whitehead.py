@@ -10,8 +10,8 @@ surrogate verdict.
 The mapping spaces Hom^R(x, y) are Kan complexes, so Ho of each is its
 fundamental groupoid, and the surrogate compares their π0 and π1, read off
 the face rows the sets keep (:func:`is_fully_faithful_1tr`).  It builds no
-exponential: the pinned mapping-space exponentials it compared before,
-:func:`qcatkit.mapping.mapping_space`, are the tests' oracle for it.
+exponential; :func:`qcatkit.mapping.mapping_space` is the tests' oracle
+for it.
 
 One failing shape decides a non-equivalence, so HO(f) is built one shape
 at a time: a component, and the two exponentials under it, is built when
@@ -47,16 +47,17 @@ from pathlib import Path
 
 from .cats import Functor, equivalence_inverse
 from .mapping import ExactnessError, Exponential, induced_functor, transport
-from .nerve import ho, least_classes, require_quasicategory
+from .nerve import ho, require_quasicategory
 from .prederivator import HoPrederivator, StrictMorphism, standard_sample
 from .simplicial import (
     SimplexExpr,
     SimplicialMap,
     TruncatedSSet,
+    parse_word,
     sset_from_text,
     sset_to_text,
 )
-from .util import Budget, ensure_budget, memo
+from .util import Budget, ensure_budget, least_classes, memo
 
 
 def _postcomposition(f: SimplicialMap, E1: Exponential, E2: Exponential, name: str) -> Functor:
@@ -109,7 +110,7 @@ def _loop_classes(S: TruncatedSSet, budget: Budget) -> list:
     a loop of Hom^R(x, y) at e.  Two loops are one class when a 3-simplex
     has the face row (s0 e, σ, σ', s0 s0 x), a homotopy of Hom^R(x, y)
     between them, and the classes close that relation: one union-find over
-    ``rows(3)`` (:func:`qcatkit.nerve.least_classes`, as for the classes of
+    ``rows(3)`` (:func:`qcatkit.util.least_classes`, as for the classes of
     Ho).  One step per 3-simplex, kept on S by
     :meth:`qcatkit.util.Budget.cached`.
     """
@@ -374,8 +375,9 @@ def agreement_table(rows) -> str:
 
 def parse_map_file(text: str, source: TruncatedSSet, target: TruncatedSSet) -> SimplicialMap:
     """Assignment lines ``<src-id> = [s-words] <target-base>``, one per
-    cell; a cell assigned twice, or no cell of ``source``, is a
-    ``ValueError`` naming the line."""
+    cell; a word that is not normal (:func:`qcatkit.simplicial.parse_word`),
+    a cell assigned twice, or no cell of ``source``, is a ``ValueError``
+    naming the line."""
     assignment = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -384,7 +386,7 @@ def parse_map_file(text: str, source: TruncatedSSet, target: TruncatedSSet) -> S
         try:
             lhs, rhs = line.split("=", 1)
             tokens = rhs.split()
-            word = tuple(int(t[1:]) for t in tokens[:-1])
+            word = parse_word(tokens[:-1])
             image = SimplexExpr(word, tokens[-1])
         except (ValueError, IndexError):
             raise ValueError(f"line {lineno}: cannot parse map line {raw!r}") from None

@@ -610,9 +610,11 @@ class TestTotalTables:
 
 class TestTextFormat:
     def test_round_trip(self):
-        for c in [poset_simplex(2), boundary_two(), group_z2()]:
+        # the coproduct's morphisms are named with a ".", as in l.m12 . l.m01 = l.m02
+        for c in [C for _, C in corpus_categories()] + [
+                coproduct_cat(poset_simplex(2), poset_simplex(0))]:
             back = cat_from_text(cat_to_text(c), c.name)
-            assert back.canonical_key() == c.canonical_key()
+            assert back.canonical_key() == c.canonical_key(), c.name
 
     def test_parse_error_position(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -623,11 +625,13 @@ class TestTextFormat:
             cat_from_text("objects: a\nid a = ia\nobjects: b\n")
 
     @pytest.mark.parametrize("text,repeated", [
+        # read as given, a twice-listed object is two objects, so Δ0 has two functors into it
+        ("objects: a a\nid a = i\n", "line 1: .*object a is listed twice"),
         ("objects: a b\nmor f: a -> b\nmor f: b -> a\n", "line 3: .*morphism f is listed twice"),
         ("objects: a\nid a = ia\nid a = ja\n", "line 3: .*identity of a is listed twice"),
         ("objects: a\nmor e: a -> a\nid a = i\ne . e = e\ne . e = i\n",
          "line 5: .*e . e is listed twice"),
-    ], ids=["mor", "id", "composite"])
+    ], ids=["object", "mor", "id", "composite"])
     def test_a_repeated_line_is_an_error(self, text, repeated):
         with pytest.raises(ValueError, match=repeated):
             cat_from_text(text)

@@ -24,7 +24,7 @@ from qcatkit.delocalization import (
 )
 from qcatkit.nerve import ho, nerve
 from qcatkit.prederivator import kan_extension_value
-from qcatkit.simplicial import SimplexExpr, expr, standard_simplex
+from qcatkit.simplicial import SimplexExpr, standard_simplex
 from qcatkit.util import Budget
 
 
@@ -159,7 +159,7 @@ class TestProjection:
         q = nerve(poset_simplex(1), 3)
         sc, N, p = last_vertex_projection(q, 1)
         oid = "0:0"
-        assert p.assignment[oid] == expr("0")
+        assert p.assignment[oid] == SimplexExpr((), "0")
 
     def test_marked_morphism_lands_degenerate(self):
         # from the initial vertex into the identity edge, last-vertex style:
@@ -169,7 +169,7 @@ class TestProjection:
         mid = None
         for m in sc.category.nonidentity():
             src, tgt = sc.category.morphisms[m]
-            if (src == "0:1" and sc.simplex_of[tgt][1] == expr("m01")
+            if (src == "0:1" and sc.simplex_of[tgt][1] == SimplexExpr((), "m01")
                     and m in sc.marked):
                 mid = m
         assert mid is not None
@@ -237,7 +237,7 @@ class TestInvertsMarked:
         bad = None
         for m in sc.category.nonidentity():
             src, tgt = sc.category.morphisms[m]
-            if src == "0:0" and sc.simplex_of[tgt][1] == expr("m01") and m not in sc.marked:
+            if src == "0:0" and sc.simplex_of[tgt][1] == SimplexExpr((), "m01") and m not in sc.marked:
                 bad = m
         assert bad is not None
         pres = ho(q)

@@ -26,6 +26,7 @@ from qcatkit.prederivator import (
     Modification,
     check_modification,
     check_strict,
+    enumerate_strict_morphisms,
 )
 from qcatkit.simplicial import (
     SimplexExpr,
@@ -185,8 +186,9 @@ class TestComposeSimplicial:
         spine = ["[0]", "[1]", "[1]x[0]", "[1]x[1]", "[1]x([1]x[0])"]
         d0 = HoPrederivator(standard_simplex(0, 2), DEEP2)
         d1 = HoPrederivator(nerve(poset_simplex(1), 3), DEEP2)
-        homs = simplicial_hom(d0, d1, 1, shapes=spine)
-        endos = simplicial_hom(d1, d1, 1, shapes=spine)
+        shifted = ShiftedPrederivator(d1, "[1]")
+        homs = enumerate_strict_morphisms(d0, shifted, shapes=spine)
+        endos = enumerate_strict_morphisms(d1, shifted, shapes=spine)
         checked = 0
         for g in homs[:2]:
             for f in endos[:2]:

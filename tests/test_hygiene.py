@@ -18,6 +18,13 @@ def _test_trees():
             for path in sorted((ROOT / "tests").glob("*.py"))]
 
 
+def _program_trees(package):
+    """The trees of the package and of the benchmark, its tests left out."""
+    return [tree for _, tree in package] + [
+        ast.parse(p.read_text()) for p in (ROOT / "perfbench").rglob("*.py")
+        if "tests" not in p.relative_to(ROOT).parts]
+
+
 def _references(tree, bare_names: bool, skip: frozenset) -> Counter:
     """Names read as variables (unless ``bare_names`` is false) or attributes.
     A string is no reference: the benchmark's tracer names what it wraps by
@@ -85,7 +92,6 @@ TEST_ONLY = {
     # other oracles
     "enumerate_nats": "oracle: all natural transformations, behind FunctorCategory",
     "one_step_homotopic": "oracle: the unclosed homotopy relation the Ho classes are checked on",
-    "normalize_word": "oracle: normal form of any letter sequence, checks insert_letter",
     "projection": "oracle: product projections, check map_pairs and the product's faces",
     "ProductSSet.map_pairs": "oracle: cellwise maps out of a product, behind the comparisons",
     "nerve_product_compare_inv": "oracle: N(J) x N(K) -> N(J x K), checks the chain split "
@@ -115,7 +121,6 @@ TEST_ONLY = {
     "identity_strict": "test input: identity strict morphism",
     "cat_to_text": "text format: writes a category, behind sample_to_manifest",
     "sample_to_manifest": "text format: writes a sample the CLI reads back",
-    "expr": "test input: a simplex from a base and a word",
     "parse_expr": "text format: reads a simplex token",
     "empty_sset": "test input: the empty simplicial set",
     "eilenberg_maclane": "test input: K(Z/2, n), on which the surrogate's π1 branch runs",
@@ -132,9 +137,7 @@ def test_every_definition_is_referenced():
     defined = [(module, node, name, method) for module, tree in package
                for node, name, method in _definitions(tree)]
     test_only = frozenset(node for _, node, name, _ in defined if name in TEST_ONLY)
-    trees = [tree for _, tree in package] + [
-        ast.parse(p.read_text()) for p in (ROOT / "perfbench").rglob("*.py")
-        if "tests" not in p.relative_to(ROOT).parts]
+    trees = _program_trees(package)
     counts = {bare: sum((_references(t, bare, test_only) for t in trees), Counter())
               for bare in (True, False)}
     dead, stale = [], sorted(set(TEST_ONLY) - {name for _, _, name, _ in defined})
@@ -158,6 +161,99 @@ def test_every_test_only_definition_is_read_by_a_test():
                 if module != "tests/test_hygiene.py"), Counter())
     unread = [name for name in TEST_ONLY if not read[name.rsplit(".", 1)[-1]]]
     assert not unread
+
+
+# Parameters with a default that no call in the package or the benchmark
+# passes, each with why it stays.
+TEST_OPTIONS = {
+    "Exponential.pinned": "the mapping_space oracle pins its exponential through it, and "
+                          "tests pass pinned={} to force the direct search",
+    "Exponential.name": "the mapping_space oracle names its exponential Q(x,y) through it",
+    "enrichment_sample.depth": "the compose_simplicial associativity check needs its nested "
+                               "products",
+    "main.argv": "the CLI tests pass their arguments through it",
+}
+
+
+def _options(defined):
+    """Per definition, its qualified name, the name its calls use, and its
+    parameters with a default, each with its position in a call (None for a
+    keyword-only one).  A class's are those of its ``__init__``; a method's
+    and a class's positions start after ``self``."""
+    for node, name, method in defined:
+        fn, skip = node, int(method)
+        if isinstance(node, ast.ClassDef):
+            fn = next((item for item in node.body if isinstance(item, ast.FunctionDef)
+                       and item.name == "__init__"), None)
+            skip = 1
+        if fn is None:
+            continue
+        a = fn.args
+        positional = [p.arg for p in a.posonlyargs + a.args][skip:]
+        defaults = positional[len(positional) - len(a.defaults):]
+        options = [(p, positional.index(p)) for p in defaults]
+        options += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        if options:
+            yield name, node.name, options
+
+
+def _calls(tree, skip: frozenset):
+    """Each call outside the nodes in ``skip``: the name called (a bare name
+    or an attribute; for ``super().__init__`` in a class, each of its bases),
+    how many positional arguments it passes (None after a ``*``), and its
+    keywords (None after a ``**``)."""
+    stack = [(tree, ())]
+    while stack:
+        node, bases = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.ClassDef):
+            bases = tuple(b.id for b in node.bases if isinstance(b, ast.Name))
+        stack.extend((child, bases) for child in ast.iter_child_nodes(node))
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = [func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)]
+            if (called == ["__init__"] and isinstance(func.value, ast.Call)
+                    and getattr(func.value.func, "id", None) == "super"):
+                called = bases
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {k.arg for k in node.keywords}
+            for name in called:
+                yield (name, None if starred else len(node.args),
+                       None if None in keywords else keywords)
+
+
+def test_every_option_is_set_outside_the_tests():
+    """Every parameter with a default, on a definition outside ``TEST_ONLY``,
+    is passed, by position or by keyword, by some call in the package or the
+    benchmark outside the bodies of the ``TEST_ONLY`` definitions: an
+    option that only tests set is a second configuration the program never
+    runs.  The exceptions are ``TEST_OPTIONS``, each of which must still
+    name such a parameter that no such call passes."""
+    package = _trees()
+    defined = [d for _, tree in package for d in _definitions(tree)]
+    test_only = frozenset(node for node, name, _ in defined if name in TEST_ONLY)
+    calls: dict = {}
+    for tree in _program_trees(package):
+        for called, count, keywords in _calls(tree, test_only):
+            calls.setdefault(called, []).append((count, keywords))
+
+    def passed(called: str, option: str, position) -> bool:
+        return any(keywords is None or option in keywords
+                   or (position is not None and (count is None or count > position))
+                   for count, keywords in calls.get(called, ()))
+
+    unset, listed = [], []
+    for name, called, options in _options(d for d in defined if d[1] not in TEST_ONLY):
+        for option, position in options:
+            if f"{name}.{option}" in TEST_OPTIONS:
+                listed.append(f"{name}.{option}")
+                if passed(called, option, position):
+                    unset.append(f"{name}.{option} is passed, so it needs no entry")
+            elif not passed(called, option, position):
+                unset.append(f"{name}.{option}")
+    assert not unset
+    assert sorted(listed) == sorted(TEST_OPTIONS)
 
 
 def _outermost_functions(tree):

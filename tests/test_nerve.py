@@ -39,7 +39,6 @@ from qcatkit.simplicial import (
     SimplexExpr,
     boundary,
     compose_maps,
-    expr,
     horn,
     identity_map,
     insert_letter,
@@ -304,9 +303,22 @@ class TestHo:
             n = nerve(cat, 3)
             pres = ho(n)
             assert validate_category(pres.category).ok
-            c = counit_functor(n, pres)
-            assert c.validate().ok
+            c = counit_functor(n)
+            assert c.source is pres.category and c.validate().ok
             assert functor_is_isomorphism(c), cat.name
+
+    def test_ho_is_kept_with_its_steps_and_lets_sets_go(self):
+        S = nerve(poset_simplex(2), 3)
+        first, again = Budget(), Budget()
+        pres = ho(S, first)
+        assert first.used > 0
+        assert ho(S, again) is pres and again.used == first.used
+        # kept on S with the steps of the quasicategory check it ran, and leaves
+        # with S: it holds S's edge table, not S, so no cycle waits for a collection
+        assert vars(S)["memo.charged"][("ho",)] == (pres, first.used)
+        refs = [weakref.ref(S), weakref.ref(pres)]
+        del S, pres
+        assert all(ref() is None for ref in refs)
 
     def test_ho_of_point(self):
         pres = ho(standard_simplex(0, 2))
@@ -320,7 +332,7 @@ class TestHo:
     def test_ho_on_identity(self):
         q = nerve(poset_simplex(1), 3)
         pres = ho(q)
-        f = ho_on_map(identity_map(q), pres, pres)
+        f = ho_on_map(identity_map(q))
         assert f.validate().ok
         assert all(f.ob[x] == x for x in pres.category.objects)
 
@@ -329,22 +341,23 @@ class TestHo:
         us = enumerate_functors(J, K)
         vs = enumerate_functors(K, L)
         nj, nk, nl = nerve(J, 3), nerve(K, 3), nerve(L, 3)
-        hj, hk, hl = ho(nj), ho(nk), ho(nl)
         for u in us[:3]:
             for v in vs[:3]:
                 fu = nerve_map(u, source=nj, target=nk)
                 fv = nerve_map(v, source=nk, target=nl)
-                lhs = ho_on_map(compose_maps(fv, fu), hj, hl)
-                rhs_a = ho_on_map(fu, hj, hk)
-                rhs_b = ho_on_map(fv, hk, hl)
+                lhs = ho_on_map(compose_maps(fv, fu))
+                rhs_a = ho_on_map(fu)
+                rhs_b = ho_on_map(fv)
+                # each end keeps one Ho, so the functors compose on the nose
+                assert rhs_a.target is rhs_b.source is ho(nk).category
                 assert lhs.key() == compose_functors(rhs_b, rhs_a).key()
 
     def test_iso_detection(self):
         q = nerve(boundary_two(), 3)
         pres = ho(q)
         # degenerate edges are isos, the extra generator is not
-        assert pres.category.is_iso(pres.cls(expr("0", (0,))))
-        assert not pres.category.is_iso(pres.cls(expr("c")))
+        assert pres.category.is_iso(pres.cls(SimplexExpr((0,), "0")))
+        assert not pres.category.is_iso(pres.cls(SimplexExpr((), "c")))
 
     def test_ho_of_group_is_group(self):
         pres = ho(nerve(group_z2(), 3))

@@ -110,6 +110,20 @@ class TestSample:
         assert back.validate().ok
         assert sample_to_manifest(back, tmp_path / "again") == written
 
+    def test_a_coproduct_with_composites_round_trips(self, tmp_path):
+        # its composite l.m12 . l.m01 = l.m02 names morphisms with a "."
+        s = DiaSample("coproducts")
+        s.add_category("[2]", poset_simplex(2))
+        s.add_category("[0]", poset_simplex(0))
+        s.add_category("[2]+[0]", coproduct_cat(poset_simplex(2), poset_simplex(0)))
+        s.coproducts[("[2]", "[0]")] = "[2]+[0]"
+        s.terminal = "[0]"
+        s.add_unit_functors()
+        written = sample_to_manifest(s, tmp_path / "first")
+        back = sample_from_manifest(tmp_path / "first" / "sample.json")
+        assert back.cat("[2]+[0]").canonical_key() == s.cat("[2]+[0]").canonical_key()
+        assert sample_to_manifest(back, tmp_path / "again") == written
+
     @pytest.mark.parametrize("kind,name,twin", [("functors", "d0_[2]", "d1_[2]"),
                                                 ("nats", "step02_[2]", "step01_[2]")])
     def test_a_name_listed_twice_is_an_error(self, tmp_path, kind, name, twin):

@@ -31,15 +31,14 @@ from qcatkit.simplicial import (
     compose_words,
     empty_sset,
     enumerate_maps,
-    expr,
     extensions,
     face_through_word,
+    insert_letter,
     horn,
     identity_map,
     inner_collapse,
     map_codes,
     monotone_tuples,
-    normalize_word,
     parse_expr,
     product,
     projection,
@@ -64,6 +63,12 @@ def surjective_monotone(m, n):
     return [t for t in monotone_maps(m, n) if set(t) == set(range(n + 1))]
 
 
+def pinned_maps(S, T, fixed):
+    """The maps S -> T that agree with the images ``fixed`` pins, by the
+    pinned map search."""
+    return [SimplicialMap(S, T, codes) for codes in map_codes(S, T, Budget(), fixed)]
+
+
 # -- degeneracy words -------------------------------------------------------
 
 def word_to_surjection(word, n):
@@ -79,6 +84,16 @@ def word_to_surjection(word, n):
         total = [s[t] for t in total]
         cur -= 1
     return tuple(total)
+
+
+def surjection_word(seq):
+    """Oracle: the normal form of a letter sequence, the positions where the
+    vertex surjection it presents repeats, largest first; the sequence is
+    applied to a simplex of dimension its largest letter, where every letter
+    is defined."""
+    n = len(seq) + max(seq, default=0)
+    total = word_to_surjection(seq, n)
+    return tuple(p for p in reversed(range(n)) if total[p] == total[p + 1])
 
 
 class TestWords:
@@ -98,16 +113,19 @@ class TestWords:
                 seen = {word_to_surjection(w, n) for w in valid_words(n, m)}
                 assert len(seen) == len(valid_words(n, m))
 
-    @given(st.lists(st.integers(min_value=0, max_value=6), max_size=6))
-    def test_normalize_idempotent(self, seq):
-        once = normalize_word(seq)
-        assert normalize_word(once) == once
-        assert all(once[i] > once[i + 1] for i in range(len(once) - 1))
+    def test_normal_forms_match_the_surjection_oracle(self):
+        for k in range(5):
+            for seq in iproduct(range(4), repeat=k):
+                word = surjection_word(seq)
+                assert compose_words(seq, ()) == word, seq
+                assert all(word[i] > word[i + 1] for i in range(len(word) - 1))
+                for j in range(4):
+                    assert insert_letter(j, word) == surjection_word((j,) + word), (j, seq)
 
     @given(st.lists(st.integers(min_value=0, max_value=4), max_size=4),
            st.lists(st.integers(min_value=0, max_value=4), max_size=4))
     def test_compose_matches_concatenation(self, u, v):
-        assert compose_words(tuple(u), normalize_word(v)) == normalize_word(tuple(u) + tuple(v))
+        assert compose_words(tuple(u), surjection_word(v)) == surjection_word(tuple(u) + tuple(v))
 
     def test_face_cancellation(self):
         # d_1 s_0 = id and d_0 s_0 = id
@@ -117,7 +135,7 @@ class TestWords:
         assert face_through_word(0, (1,)) == ((0,), 0)
 
     def test_expr_tokens_round_trip(self):
-        e = expr("ab", (2, 0))
+        e = SimplexExpr((2, 0), "ab")
         assert parse_expr(e.token()) == e
         assert parse_expr("v").token() == "v"
 
@@ -172,12 +190,12 @@ class TestStandardObjects:
     def test_face_conventions(self):
         # d_0 of the edge of delta 1 is the final vertex
         s = standard_simplex(1, 3)
-        e = expr("01")
-        assert s.face(e, 0) == expr("1")
-        assert s.face(e, 1) == expr("0")
+        e = SimplexExpr((), "01")
+        assert s.face(e, 0) == SimplexExpr((), "1")
+        assert s.face(e, 1) == SimplexExpr((), "0")
         # d_1 s_0 v = v for a vertex, d_1 s_0 e = e for an edge
-        assert s.face(expr("0", (0,)), 1) == expr("0")
-        assert s.face(expr("01", (0,)), 1) == expr("01")
+        assert s.face(SimplexExpr((0,), "0"), 1) == SimplexExpr((), "0")
+        assert s.face(SimplexExpr((0,), "01"), 1) == SimplexExpr((), "01")
 
 
 # -- validation --------------------------------------------------------------
@@ -192,7 +210,7 @@ class TestValidation:
     def test_mutated_face_fails_with_named_identity(self):
         s = standard_simplex(2, 2)
         faces = dict(s.faces)
-        faces[("01", 0)] = expr("0")  # wrong endpoint
+        faces[("01", 0)] = SimplexExpr((), "0")  # wrong endpoint
         bad = type(s)(2, {n: s.nondeg(n) for n in range(3)}, faces, None, "mutant")
         report = bad.validate()
         assert not report.ok
@@ -201,7 +219,7 @@ class TestValidation:
     def test_dangling_reference_reported(self):
         s = standard_simplex(1, 2)
         faces = dict(s.faces)
-        faces[("01", 0)] = expr("ghost")
+        faces[("01", 0)] = SimplexExpr((), "ghost")
         bad = type(s)(2, {n: s.nondeg(n) for n in range(3)}, faces, None, "mutant")
         report = bad.validate()
         assert not report.ok
@@ -210,7 +228,7 @@ class TestValidation:
     def test_dangling_face_base_fails_the_map_search_loudly(self):
         s = standard_simplex(1, 2)
         faces = dict(s.faces)
-        faces[("01", 0)] = expr("ghost")
+        faces[("01", 0)] = SimplexExpr((), "ghost")
         bad = type(s)(2, {n: s.nondeg(n) for n in range(3)}, faces, None, "mutant")
         with pytest.raises(KeyError, match="dangling base identifier 'ghost' in mutant"):
             map_codes(bad, s, Budget())
@@ -326,7 +344,7 @@ class TestEnumerateMaps:
         h = horn(2, 1, 2)
         d2 = standard_simplex(2, 2)
         fixed = {x: SimplexExpr((), x) for n in range(3) for x in h.nondeg(n)}
-        fillers = enumerate_maps(d2, d2, fixed={k: v for k, v in fixed.items()})
+        fillers = pinned_maps(d2, d2, fixed)
         assert len(fillers) == 1  # only the identity extends it
 
     def test_search_plan_is_kept_and_fixed_applies_per_call(self):
@@ -335,7 +353,7 @@ class TestEnumerateMaps:
         every = enumerate_maps(d2, t)
         plan = d2.search_plan
         vertex = every[-1].assignment["0"]
-        pinned = enumerate_maps(d2, t, fixed={"0": vertex})
+        pinned = pinned_maps(d2, t, {"0": vertex})
         assert d2.search_plan is plan
         assert enumerate_maps(d2, t) == every
         assert pinned == [f for f in every if f.assignment["0"] == vertex] != every
@@ -348,7 +366,7 @@ class TestEnumerateMaps:
         assert [m for m, _ in found] == enumerate_maps(shell, t)
         d2 = standard_simplex(2, 2)
         for m, fillers in found:
-            assert fillers == enumerate_maps(d2, t, fixed=m.assignment)
+            assert fillers == pinned_maps(d2, t, m.assignment)
         assert sum(len(f) for _, f in found) == len(t.total(2))
 
     def test_extensions_match_the_pinned_search(self):
@@ -393,7 +411,7 @@ def extension_problems(D):
 def pinned_extensions(shell, n, T):
     """Oracle: each shell map with the maps Δⁿ -> T the search pins to it."""
     simplex = standard_simplex(n, max(2, n))
-    return [(m, enumerate_maps(simplex, T, fixed=m.assignment)) for m in enumerate_maps(shell, T)]
+    return [(m, pinned_maps(simplex, T, m.assignment)) for m in enumerate_maps(shell, T)]
 
 
 DELTA3 = standard_simplex(3, 3)
@@ -748,12 +766,12 @@ class TestCodedSearch:
             for keep in (S.nondeg(0), tops[-1:], S.cells):
                 pins = {x: f.assignment[x] for x in keep}
                 want = [g for g in brute if all(g.assignment[x] == e for x, e in pins.items())]
-                assert enumerate_maps(S, T, fixed=pins) == want
+                assert pinned_maps(S, T, pins) == want
 
     def test_a_pin_that_is_no_simplex_of_its_dimension_admits_no_map(self):
         S, T = standard_simplex(2, 2), nerve(poset_simplex(1), 3)
-        assert enumerate_maps(S, T, fixed={"01": SimplexExpr((), "0")}) == []
-        assert enumerate_maps(S, T, fixed={"0": SimplexExpr((), "m01")}) == []
+        assert pinned_maps(S, T, {"01": SimplexExpr((), "0")}) == []
+        assert pinned_maps(S, T, {"0": SimplexExpr((), "m01")}) == []
 
     def test_steps_match_the_counts_recorded_before_the_codes(self):
         # 1 per vertex or pin, 1 + |candidates| per lookup by the faces read,
@@ -766,7 +784,7 @@ class TestCodedSearch:
         cases.append((square, groupoid, {x: maps[8].assignment[x] for x in square.nondeg(0)}, 14))
         for S, T, pins, steps in cases:
             budget = Budget()
-            enumerate_maps(S, T, budget, fixed=pins)
+            map_codes(S, T, budget, pins)
             assert budget.used == steps
 
 
@@ -1148,10 +1166,10 @@ class TestTwoForms:
 
     def test_malformed_maps_are_reported_not_raised(self):
         N = nerve(poset_simplex(1), 3)
-        good = {"0": expr("0"), "1": expr("1"), "m01": expr("m01")}
+        good = {"0": SimplexExpr((), "0"), "1": SimplexExpr((), "1"), "m01": SimplexExpr((), "m01")}
         for image, message in ((None, "no image for 'm01'"),
-                               (expr("0"), "image 0 of 'm01' is no 1-simplex of N([1])"),
-                               (expr("zz"), "image zz of 'm01' is no 1-simplex of N([1])")):
+                               (SimplexExpr((), "0"), "image 0 of 'm01' is no 1-simplex of N([1])"),
+                               (SimplexExpr((), "zz"), "image zz of 'm01' is no 1-simplex of N([1])")):
             f = SimplicialMap(N, N, dict(good, m01=image))
             report = f.validate()
             assert report.violations == [message]
@@ -1491,6 +1509,12 @@ class TestTextFormat:
     def test_a_repeated_line_is_an_error(self, text, repeated):
         with pytest.raises(ValueError, match=repeated):
             sset_from_text(text)
+
+    @pytest.mark.parametrize("word", ["x0", "s0 s1", "s0 s0"])
+    def test_a_word_that_is_not_normal_s_letters_names_the_line(self, word):
+        # read letter by letter after its first character, [x0] was s0
+        with pytest.raises(ValueError, match="line 4: "):
+            sset_from_text(f"dim 3\n0: a\n3: t\nface t 0 = [{word}] a\n")
 
     def test_comments_and_blank_lines(self):
         s = sset_from_text("# a comment\ndim 2\n\n0: v w\n")

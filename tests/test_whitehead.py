@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcatkit.nerve as nerve_module
 import qcatkit.whitehead as whitehead
 from qcatkit.cats import (Functor, boundary_two, contractible_groupoid, equivalence_inverse,
                           group_z2, poset_simplex)
@@ -455,6 +456,17 @@ class TestAgreement:
         assert all(sorted(shapes) == sorted(set(order) - set(on_models) - sample.der1_shapes())
                    for shapes in evaluations.values())
 
+    def test_ho_is_built_once_per_set(self, monkeypatch):
+        built = []
+        build = nerve_module._build_ho
+        monkeypatch.setattr(nerve_module, "_build_ho",
+                            lambda Q, budget: built.append(Q) or build(Q, budget))
+        corpus = labeled_map_corpus()
+        conservativity_experiment(corpus)
+        # the five bases and the twenty exponentials over them that the verdicts read
+        assert len({id(Q) for Q in built}) == len(built) == 25
+        assert {id(S) for _, f, _ in corpus for S in (f.source, f.target)} <= set(map(id, built))
+
     def test_budget_does_not_depend_on_corpus_order(self):
         forward, backward = Budget(), Budget()
         conservativity_experiment(CORPUS, standard_sample(), forward)
@@ -498,6 +510,14 @@ class TestManifest:
         bad.write_text("map broken-line\n")
         with pytest.raises(ValueError, match="line 1"):
             load_labeled_corpus(bad)
+
+    @pytest.mark.parametrize("word", ["q0", "s0 s1", "s1 s1"])
+    def test_a_word_that_is_not_normal_s_letters_names_the_line(self, word):
+        # read letter by letter after its first character, q0 was s0 and
+        # the map passed validation
+        with pytest.raises(ValueError, match="line 2: cannot parse"):
+            parse_map_file(f"0 = 0\n01 = {word} 0\n1 = 0\n", standard_simplex(1, 2),
+                           standard_simplex(0, 2))
 
     def test_a_cell_assigned_twice_names_the_line(self, tmp_path):
         # read last-wins, this would load as 0 -> 1 and pass validation
